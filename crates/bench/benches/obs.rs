@@ -202,6 +202,7 @@ fn main() {
             doppler: total_ns / 3,
             ..StageNanos::default()
         },
+        failed: false,
         snr_db: f64::NAN,
         pslr_db: f64::NAN,
         decoded_bits: 32,

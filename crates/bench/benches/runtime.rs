@@ -1,16 +1,15 @@
-//! Streaming-runtime throughput: serial one-shot frames vs the staged
-//! pipeline on the same seeded 4-radar × 8-tag workload.
+//! Streaming-runtime throughput: serial one-shot frames vs a cell's frame
+//! workers on the same seeded 4-radar × 8-tag workload.
 //!
-//! Reports frames/sec for both paths (`Throughput::Elements`). The pipeline
-//! speedup is bounded by the machine's core count — on a single core the
-//! pipelined path pays queue/thread overhead for no parallelism, so compare
-//! the two rates together with the recorded core count (see
-//! `results/BENCH_runtime.json`).
+//! Reports frames/sec for both paths (`Throughput::Elements`). The streaming
+//! speedup is bounded by the machine's core count (the default runs one
+//! frame worker per core), so compare the two rates together with the
+//! recorded core count (see `results/BENCH_runtime.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use biscatter_runtime::pipeline::{run_serial, run_streaming, RuntimeConfig, StageWorkers};
+use biscatter_runtime::pipeline::{run_serial, run_streaming, RuntimeConfig};
 use biscatter_runtime::queue::Backpressure;
 use biscatter_runtime::source::{streaming_system, WorkloadSpec};
 
@@ -31,10 +30,9 @@ fn bench_runtime(c: &mut Criterion) {
     let cfg = RuntimeConfig {
         queue_capacity: 8,
         policy: Backpressure::Block,
-        workers: StageWorkers::auto(),
         ..RuntimeConfig::default()
     };
-    g.bench_function("pipelined_24_frames", |b| {
+    g.bench_function("streamed_24_frames", |b| {
         b.iter(|| run_streaming(&sys, black_box(jobs.clone()), &cfg))
     });
 

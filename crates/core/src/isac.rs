@@ -43,6 +43,10 @@ use biscatter_rf::if_gen::IfReceiver;
 use biscatter_rf::scene::{Scatterer, Scene, TagModulation};
 use biscatter_rf::slab::{ChirpRows, SampleSlab, SampleSlab32};
 use biscatter_tag::decoder::DownlinkDecoder;
+use precision::{
+    align_stage_into_f32, dechirp_stage_into_f32, detect_stage_with_f32, doppler_stage_into_f32,
+    AlignedPair32, PrecisionTier,
+};
 use std::time::Instant;
 
 pub mod precision;
@@ -88,7 +92,7 @@ pub struct TagDeployment {
 
 /// A tag that has not yet been acquired: the radar knows neither its chirp
 /// timing nor (until acquisition classifies it) which alphabet slope it is
-/// currently sweeping. [`run_cold_start_frame_with`] runs the correlator
+/// currently sweeping. [`run_cold_start_frame`] runs the correlator
 /// bank over a raw acquisition dwell first and only enters the aligned
 /// frame pipeline once the tag passes the PSLR gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,20 +225,19 @@ pub struct IsacOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline stages.
+// Frame stages.
 //
-// The integrated frame decomposes into five independent, `Send`-friendly
-// steps so a streaming engine (`biscatter-runtime`) can run each on its own
-// worker pool. `run_isac_frame` below is exactly their composition, so the
-// one-shot and streaming paths produce bit-identical results for the same
-// seed.
+// The integrated frame decomposes into five stage functions.
+// `run_isac_frame` is their allocating composition, the oracle; `run_frame`
+// composes the same functions on an arena and a precision tier, and is what
+// the runtime and the fleet call for every frame.
 //
 // The FFT-heavy stages (align, doppler, and the tag-side decode inside
 // synthesize) reach their transforms through `biscatter_dsp::planner`'s
-// thread-local plan cache, so each worker thread in a pool builds its plans
-// once and reuses them for every subsequent frame with no cross-thread
-// locking. `warm_dsp_plans` lets a worker pay that one-time cost at spawn
-// instead of on its first frame.
+// thread-local plan cache, so each frame worker builds its plans once and
+// reuses them for every subsequent frame with no cross-thread locking.
+// `warm_dsp_plans` lets a worker pay that one-time cost at spawn instead of
+// on its first frame.
 // ---------------------------------------------------------------------------
 
 /// Pre-builds this thread's FFT plans for the transform lengths a frame
@@ -278,7 +281,7 @@ pub struct AlignedPair {
 /// buffer out ([`Pool::take_or`]), fills it through its `_into` variant, and
 /// the buffer returns to the pool when its [`Lease`] drops — typically after
 /// the next stage has consumed it. Clones share the underlying free lists,
-/// so one arena can serve every worker of a streaming pipeline.
+/// so one arena can serve every frame worker of a cell.
 ///
 /// After a warm-up frame has sized every buffer, stages 2–4 (dechirp →
 /// align → doppler) perform **no heap allocation** on a 1-thread pool: all
@@ -502,20 +505,9 @@ pub fn dechirp_stage_into(
 
 /// Stage 3 — align + IF correction: per-chirp range FFTs resampled onto the
 /// common range grid, once per receive path (with and without background
-/// subtraction). Accepts any [`ChirpRows`] capture; convenience wrapper over
-/// [`align_stage_into`] on the global compute pool.
-pub fn align_stage<R: ChirpRows + ?Sized>(
-    sys: &BiScatterSystem,
-    train: &ChirpTrain,
-    if_data: &R,
-) -> AlignedPair {
-    let mut pair = AlignedPair::default();
-    align_stage_into(ComputePool::global(), sys, train, if_data, &mut pair);
-    pair
-}
-
-/// [`align_stage`] recycling `out`'s profile buffers and grid `Arc`s,
-/// fanning per-chirp FFT + resample across `pool`.
+/// subtraction), recycling `out`'s profile buffers and grid `Arc`s and
+/// fanning per-chirp FFT + resample across `pool`. Accepts any
+/// [`ChirpRows`] capture.
 pub fn align_stage_into<R: ChirpRows + ?Sized>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
@@ -532,16 +524,8 @@ pub fn align_stage_into<R: ChirpRows + ?Sized>(
     align_frame_into(pool, &sensing_cfg, train, if_data, &mut out.sensing);
 }
 
-/// Stage 4 — range–Doppler: slow-time FFT of the comms-path frame.
-/// Convenience wrapper over [`doppler_stage_into`] on the global pool.
-pub fn doppler_stage(pair: &AlignedPair) -> RangeDopplerMap {
-    let mut map = RangeDopplerMap::default();
-    doppler_stage_into(ComputePool::global(), pair, &mut map);
-    map
-}
-
-/// [`doppler_stage`] recycling `out`'s power slab, splitting range columns
-/// across `pool`.
+/// Stage 4 — range–Doppler: slow-time FFT of the comms-path frame,
+/// recycling `out`'s power slab and splitting range columns across `pool`.
 pub fn doppler_stage_into(pool: &ComputePool, pair: &AlignedPair, out: &mut RangeDopplerMap) {
     let _span = biscatter_obs::span!("isac.doppler");
     range_doppler_into(pool, &pair.comms, out);
@@ -550,20 +534,9 @@ pub fn doppler_stage_into(pool: &ComputePool, pair: &AlignedPair, out: &mut Rang
 /// Stage 5 — uplink demod + CFAR/localization: localizes the tag on the
 /// range–Doppler map, demodulates the uplink at its range bin, and runs
 /// CFAR detection on the sensing path. `downlink` is the stage-1 tag-side
-/// result, passed through into the assembled outcome.
-pub fn detect_stage(
-    scenario: &IsacScenario,
-    pair: &AlignedPair,
-    map: &RangeDopplerMap,
-    downlink: FrameOutcome,
-) -> IsacOutcome {
-    let mut mean_power = Vec::new();
-    detect_stage_with(scenario, pair, map, downlink, &mut mean_power)
-}
-
-/// [`detect_stage`] with an explicit mean-power scratch buffer, so the only
-/// allocations left are the outcome's own products (location, bits,
-/// detections).
+/// result, passed through into the assembled outcome. `mean_power` is
+/// scratch, so the only allocations left are the outcome's own products
+/// (location, bits, detections).
 pub fn detect_stage_with(
     scenario: &IsacScenario,
     pair: &AlignedPair,
@@ -684,92 +657,122 @@ pub fn detect_stage_multi(
     }
 }
 
-/// Runs one integrated frame: the composition of the five pipeline stages.
+/// Runs one integrated frame: the allocating composition of the five stages
+/// on the global pool, with fresh buffers — the f64 reference that
+/// [`run_frame`] is tested against.
 pub fn run_isac_frame(
     sys: &BiScatterSystem,
     scenario: &IsacScenario,
     payload: &[u8],
     seed: u64,
 ) -> IsacOutcome {
+    let pool = ComputePool::global();
     let synth = synthesize_frame(sys, scenario, payload, seed);
     let if_data = dechirp_stage(sys, &synth.train, &synth.scene, seed);
-    let pair = align_stage(sys, &synth.train, &if_data);
-    let map = doppler_stage(&pair);
+    let mut pair = AlignedPair::default();
+    align_stage_into(pool, sys, &synth.train, &if_data, &mut pair);
+    let mut map = RangeDopplerMap::default();
+    doppler_stage_into(pool, &pair, &mut map);
+    let mut mean_power = Vec::new();
     if scenario.extra_tags.is_empty() {
-        detect_stage(scenario, &pair, &map, synth.downlink)
+        detect_stage_with(scenario, &pair, &map, synth.downlink, &mut mean_power)
     } else {
-        let mut bank = TagBank::default();
-        let mut scratch = MultiTagScratch::default();
-        let mut mean_power = Vec::new();
         detect_stage_multi(
-            ComputePool::global(),
+            pool,
             scenario,
             &pair,
             &map,
             synth.downlink,
-            &mut bank,
-            &mut scratch,
+            &mut TagBank::default(),
+            &mut MultiTagScratch::default(),
             &mut mean_power,
         )
     }
 }
 
-/// [`run_isac_frame`] on an explicit compute pool, recycling every hot-path
-/// buffer through `arena`. Bit-identical to [`run_isac_frame`] for any pool
-/// size; after warm-up, stages 2–4 run allocation-free (see [`FrameArena`]).
-pub fn run_isac_frame_with(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    arena: &FrameArena,
-) -> IsacOutcome {
-    let mut times = StageNanos::default();
-    run_isac_frame_with_times(pool, sys, scenario, payload, seed, arena, &mut times)
+/// What every frame of one cell shares: the compute pool its stages fan
+/// out on, the system it simulates, the arena its buffers recycle through,
+/// and the numeric tier of the hot stages.
+#[derive(Clone, Copy)]
+pub struct FrameCtx<'a> {
+    /// Intra-frame compute pool.
+    pub pool: &'a ComputePool,
+    /// The radar/tag system.
+    pub sys: &'a BiScatterSystem,
+    /// Recyclable stage buffers.
+    pub arena: &'a FrameArena,
+    /// Numeric tier of stages 2–5.
+    pub tier: PrecisionTier,
 }
 
-/// [`run_isac_frame_with`] reporting per-stage wall time into `times` (the
-/// flight recorder's [`StageNanos`]). Timing wraps each stage call with
-/// `Instant` reads — no math changes, so the bit-identity guarantees of the
-/// untimed path carry over exactly; the untimed entry point is this one with
-/// a scratch `StageNanos`.
-pub fn run_isac_frame_with_times(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
+/// Stage timing: each call returns the nanoseconds since the previous call
+/// (or since the watch started) and restarts the watch.
+fn stopwatch() -> impl FnMut() -> u64 {
+    let mut t = Instant::now();
+    move || {
+        let now = Instant::now();
+        let ns = (now - t).as_nanos() as u64;
+        t = now;
+        ns
+    }
+}
+
+/// Runs one integrated frame through `ctx`: the five stages of
+/// [`run_isac_frame`] on `ctx.pool`, recycling every hot-path buffer through
+/// `ctx.arena`, with each stage's wall time written into `times` (the flight
+/// recorder's [`StageNanos`]; timing is `Instant` reads only).
+///
+/// The tier is picked once, after synthesis: `F32` runs stages 2–5 on the
+/// single-precision path of [`precision`], except for scenarios with extra
+/// tags — the batched multi-tag engine consumes f64 profiles, so those stay
+/// on the f64 path. On the f64 path the outcome is bit-identical to
+/// [`run_isac_frame`] for any pool size, and after warm-up stages 2–4
+/// allocate nothing (see [`FrameArena`]).
+pub fn run_frame(
+    ctx: &FrameCtx,
     scenario: &IsacScenario,
     payload: &[u8],
     seed: u64,
-    arena: &FrameArena,
     times: &mut StageNanos,
 ) -> IsacOutcome {
-    let t0 = Instant::now();
+    let (pool, sys, arena) = (ctx.pool, ctx.sys, ctx.arena);
+    let mut lap = stopwatch();
     let synth = synthesize_frame(sys, scenario, payload, seed);
-    times.synthesize = t0.elapsed().as_nanos() as u64;
+    times.synthesize = lap();
 
-    let t = Instant::now();
-    let mut if_slab: Lease<SampleSlab> = arena.if_slabs.take_or(SampleSlab::new);
+    if ctx.tier == PrecisionTier::F32 && scenario.extra_tags.is_empty() {
+        let mut if_slab = arena.if_slabs32.take_or(SampleSlab32::new);
+        dechirp_stage_into_f32(pool, sys, &synth.train, &synth.scene, seed, &mut if_slab);
+        times.dechirp = lap();
+        let mut pair = arena.aligned32.take_or(AlignedPair32::default);
+        align_stage_into_f32(pool, sys, &synth.train, &if_slab, &mut pair);
+        drop(if_slab);
+        times.align = lap();
+        let mut map = arena.maps.take_or(RangeDopplerMap::default);
+        doppler_stage_into_f32(pool, &pair, &mut map);
+        times.doppler = lap();
+        let mut mean_power = arena.scratch.take_or(Vec::new);
+        let out = detect_stage_with_f32(scenario, &pair, &map, synth.downlink, &mut mean_power);
+        times.detect = lap();
+        return out;
+    }
+
+    let mut if_slab = arena.if_slabs.take_or(SampleSlab::new);
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut if_slab);
-    times.dechirp = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut pair: Lease<AlignedPair> = arena.aligned.take_or(AlignedPair::default);
+    times.dechirp = lap();
+    let mut pair = arena.aligned.take_or(AlignedPair::default);
     align_stage_into(pool, sys, &synth.train, &*if_slab, &mut pair);
     drop(if_slab);
-    times.align = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut map: Lease<RangeDopplerMap> = arena.maps.take_or(RangeDopplerMap::default);
+    times.align = lap();
+    let mut map = arena.maps.take_or(RangeDopplerMap::default);
     doppler_stage_into(pool, &pair, &mut map);
-    times.doppler = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut mean_power: Lease<Vec<f64>> = arena.scratch.take_or(Vec::new);
+    times.doppler = lap();
+    let mut mean_power = arena.scratch.take_or(Vec::new);
     let out = if scenario.extra_tags.is_empty() {
         detect_stage_with(scenario, &pair, &map, synth.downlink, &mut mean_power)
     } else {
-        let mut bank: Lease<TagBank> = arena.banks.take_or(TagBank::default);
-        let mut scratch: Lease<MultiTagScratch> = arena.multitag.take_or(MultiTagScratch::default);
+        let mut bank = arena.banks.take_or(TagBank::default);
+        let mut scratch = arena.multitag.take_or(MultiTagScratch::default);
         detect_stage_multi(
             pool,
             scenario,
@@ -781,7 +784,7 @@ pub fn run_isac_frame_with_times(
             &mut mean_power,
         )
     };
-    times.detect = t.elapsed().as_nanos() as u64;
+    times.detect = lap();
     out
 }
 
@@ -904,49 +907,32 @@ pub struct ColdStartOutcome {
 }
 
 /// Runs one cold-start frame: acquisition stage 0 (correlator bank over the
-/// raw dwell, hypotheses fanned out over `pool`), then — only on a PSLR
-/// pass — the standard five-stage aligned frame. Scenarios without a
-/// [`ColdStartSpec`] skip straight to [`run_isac_frame_with`].
+/// raw dwell, hypotheses fanned out over `ctx.pool`, its time written into
+/// `times.acquire`), then — only on a PSLR pass — [`run_frame`] on the
+/// aligned frame. Scenarios without a [`ColdStartSpec`] skip straight to
+/// [`run_frame`].
 ///
 /// Dwell captures, correlator banks (with their cached template spectra),
-/// and correlation/energy slabs all lease from `arena`, so steady-state
+/// and correlation/energy slabs all lease from `ctx.arena`, so steady-state
 /// acquisition allocates nothing beyond the per-frame scoreboard.
-pub fn run_cold_start_frame_with(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
+pub fn run_cold_start_frame(
+    ctx: &FrameCtx,
     scenario: &IsacScenario,
     payload: &[u8],
     seed: u64,
-    arena: &FrameArena,
-) -> ColdStartOutcome {
-    let mut times = StageNanos::default();
-    run_cold_start_frame_with_times(pool, sys, scenario, payload, seed, arena, &mut times)
-}
-
-/// [`run_cold_start_frame_with`] reporting per-stage wall time into `times`
-/// (`times.acquire` covers the correlator-bank stage 0; the aligned stages
-/// fill their own fields through [`run_isac_frame_with_times`]). Same
-/// bit-identity as the untimed entry point, which wraps this one.
-pub fn run_cold_start_frame_with_times(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    arena: &FrameArena,
     times: &mut StageNanos,
 ) -> ColdStartOutcome {
     if scenario.cold_start.is_none() {
-        let frame = run_isac_frame_with_times(pool, sys, scenario, payload, seed, arena, times);
         return ColdStartOutcome {
             acquisition: None,
             scores: Vec::new(),
-            frame: Some(frame),
+            frame: Some(run_frame(ctx, scenario, payload, seed, times)),
         };
     }
 
+    let (pool, sys, arena) = (ctx.pool, ctx.sys, ctx.arena);
+    let mut lap = stopwatch();
     let mut scores = Vec::new();
-    let t = Instant::now();
     let acquisition = {
         let _span = biscatter_obs::span!("isac.acquire");
         let cfg = acquire_config(sys);
@@ -957,10 +943,9 @@ pub fn run_cold_start_frame_with_times(
         let mut scratch: Lease<AcquireScratch> = arena.acquire.take_or(AcquireScratch::default);
         acquire_all(pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores)
     };
-    times.acquire = t.elapsed().as_nanos() as u64;
+    times.acquire = lap();
 
-    let frame = acquisition
-        .map(|_| run_isac_frame_with_times(pool, sys, scenario, payload, seed, arena, times));
+    let frame = acquisition.map(|_| run_frame(ctx, scenario, payload, seed, times));
     ColdStartOutcome {
         acquisition,
         scores,

@@ -1,14 +1,14 @@
 //! The opt-in f32 fast tier for the frame hot path (stages 2–4 in single
 //! precision), with the f64 pipeline as its accuracy oracle.
 //!
-//! [`run_isac_frame_f32_with`] mirrors [`super::run_isac_frame_with`] stage
-//! for stage: synthesis and the tag-side downlink decode stay in f64 (they
-//! are control-path, not hot), then dechirp, align, and Doppler run through
-//! the `*_32` kernels in `biscatter_dsp::simd` on f32 slabs. The
-//! range–Doppler power widens back to f64 as it lands in the shared
-//! [`RangeDopplerMap`], so stage 5 — localization, CFAR, uplink decisions —
-//! is the *same code* on either tier; only the numbers feeding it differ at
-//! the level of f32 rounding.
+//! [`super::run_frame`] on the `F32` tier composes the stage functions
+//! here: synthesis and the tag-side downlink decode stay in f64 (they are
+//! control-path, not hot), then dechirp, align, and Doppler run through the
+//! `*_32` kernels in `biscatter_dsp::simd` on f32 slabs. The range–Doppler
+//! power widens back to f64 as it lands in the shared [`RangeDopplerMap`],
+//! so stage 5 — localization, CFAR, uplink decisions — is the *same code*
+//! on either tier; only the numbers feeding it differ at the level of f32
+//! rounding.
 //!
 //! **Contract.** There is no bit-identity promise between tiers, and no
 //! shared noise realization either: the f32 tier draws its noise from the
@@ -28,13 +28,11 @@
 //! frames are dominated by per-tag scoring, not the stages this tier
 //! accelerates.
 
-use super::{sensing_detections32, synthesize_frame, FrameArena, IsacOutcome, IsacScenario};
+use super::{sensing_detections32, IsacOutcome, IsacScenario};
 use crate::downlink::FrameOutcome;
 use crate::system::BiScatterSystem;
 use biscatter_compute::ComputePool;
-use biscatter_dsp::arena::Lease;
 use biscatter_dsp::signal::NoiseSource;
-use biscatter_obs::recorder::StageNanos;
 use biscatter_radar::receiver::doppler::{range_doppler_into_f32, RangeDopplerMap};
 use biscatter_radar::receiver::f32path::{align_frame_into_f32, AlignedFrame32};
 use biscatter_radar::receiver::localize::locate_tag;
@@ -44,7 +42,6 @@ use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
 use biscatter_rf::scene::Scene;
 use biscatter_rf::slab::SampleSlab32;
-use std::time::Instant;
 
 /// Which numeric tier the frame hot path runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -214,125 +211,28 @@ pub fn detect_stage_with_f32(
     }
 }
 
-/// [`super::run_isac_frame_with`] on the f32 fast tier: one integrated
-/// frame with stages 2–4 in single precision, recycling f32 slabs through
-/// `arena`. Multi-tag scenarios fall through to the f64 oracle path (see
-/// the module docs).
-pub fn run_isac_frame_f32_with(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    arena: &FrameArena,
-) -> IsacOutcome {
-    let mut times = StageNanos::default();
-    run_isac_frame_f32_with_times(pool, sys, scenario, payload, seed, arena, &mut times)
-}
-
-/// [`run_isac_frame_f32_with`] reporting per-stage wall time into `times`,
-/// the f32 twin of [`super::run_isac_frame_with_times`]. Timing adds only
-/// `Instant` reads around stage calls; tier numerics are untouched.
-pub fn run_isac_frame_f32_with_times(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    arena: &FrameArena,
-    times: &mut StageNanos,
-) -> IsacOutcome {
-    if !scenario.extra_tags.is_empty() {
-        return super::run_isac_frame_with_times(pool, sys, scenario, payload, seed, arena, times);
-    }
-    let t0 = Instant::now();
-    let synth = synthesize_frame(sys, scenario, payload, seed);
-    times.synthesize = t0.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut if_slab: Lease<SampleSlab32> = arena.if_slabs32.take_or(SampleSlab32::new);
-    dechirp_stage_into_f32(pool, sys, &synth.train, &synth.scene, seed, &mut if_slab);
-    times.dechirp = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut pair: Lease<AlignedPair32> = arena.aligned32.take_or(AlignedPair32::default);
-    align_stage_into_f32(pool, sys, &synth.train, &if_slab, &mut pair);
-    drop(if_slab);
-    times.align = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut map: Lease<RangeDopplerMap> = arena.maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into_f32(pool, &pair, &mut map);
-    times.doppler = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut mean_power: Lease<Vec<f64>> = arena.scratch.take_or(Vec::new);
-    let out = detect_stage_with_f32(scenario, &pair, &map, synth.downlink, &mut mean_power);
-    times.detect = t.elapsed().as_nanos() as u64;
-    out
-}
-
-/// [`run_isac_frame_f32_with`] without explicit plumbing: global pool, fresh
-/// arena. Test/diagnostic convenience, not a hot-path entry point.
-pub fn run_isac_frame_f32(
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-) -> IsacOutcome {
-    run_isac_frame_f32_with(
-        ComputePool::global(),
-        sys,
-        scenario,
-        payload,
-        seed,
-        &FrameArena::default(),
-    )
-}
-
-/// Runs one frame on the requested tier — the single dispatch point config
-/// plumbing (runtime cells, fleet shards) goes through.
-pub fn run_isac_frame_tiered(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    arena: &FrameArena,
-    tier: PrecisionTier,
-) -> IsacOutcome {
-    match tier {
-        PrecisionTier::F64 => super::run_isac_frame_with(pool, sys, scenario, payload, seed, arena),
-        PrecisionTier::F32 => run_isac_frame_f32_with(pool, sys, scenario, payload, seed, arena),
-    }
-}
-
-/// [`run_isac_frame_tiered`] reporting per-stage wall time into `times` —
-/// the dispatch point the flight-recorder-instrumented runtime cells call.
-#[allow(clippy::too_many_arguments)]
-pub fn run_isac_frame_tiered_times(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    arena: &FrameArena,
-    tier: PrecisionTier,
-    times: &mut StageNanos,
-) -> IsacOutcome {
-    match tier {
-        PrecisionTier::F64 => {
-            super::run_isac_frame_with_times(pool, sys, scenario, payload, seed, arena, times)
-        }
-        PrecisionTier::F32 => {
-            run_isac_frame_f32_with_times(pool, sys, scenario, payload, seed, arena, times)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::{run_frame, run_isac_frame, FrameArena, FrameCtx, TagDeployment};
     use super::*;
+    use biscatter_obs::recorder::StageNanos;
+    use biscatter_radar::receiver::uplink::UplinkScheme;
+
+    fn run_tier(
+        sys: &BiScatterSystem,
+        scenario: &IsacScenario,
+        payload: &[u8],
+        seed: u64,
+        tier: PrecisionTier,
+    ) -> IsacOutcome {
+        let ctx = FrameCtx {
+            pool: ComputePool::global(),
+            sys,
+            arena: &FrameArena::default(),
+            tier,
+        };
+        run_frame(&ctx, scenario, payload, seed, &mut StageNanos::default())
+    }
 
     #[test]
     fn tier_names_roundtrip() {
@@ -349,7 +249,7 @@ mod tests {
         let bits = vec![true, false, true, true];
         let mut scenario = IsacScenario::single_tag(3.0, 1302.0).with_office_clutter();
         scenario.uplink_bits = bits.clone();
-        let out = run_isac_frame_f32(&sys, &scenario, b"CMD1", 17);
+        let out = run_tier(&sys, &scenario, b"CMD1", 17, PrecisionTier::F32);
         assert!(out.downlink.parsed);
         let loc = out.location.expect("tag located on f32 tier");
         assert!((loc.range_m - 3.0).abs() < 0.10, "range {}", loc.range_m);
@@ -357,7 +257,7 @@ mod tests {
         assert!(!out.detections.is_empty());
         // And bit-for-bit agreement with the oracle, which is the actual
         // tier contract (ground-truth recovery depends on SNR, not tier).
-        let oracle = super::super::run_isac_frame(&sys, &scenario, b"CMD1", 17);
+        let oracle = run_isac_frame(&sys, &scenario, b"CMD1", 17);
         assert_eq!(out.uplink_bits, oracle.uplink_bits);
     }
 
@@ -365,19 +265,26 @@ mod tests {
     fn tiered_dispatch_selects_paths() {
         let sys = BiScatterSystem::paper_9ghz();
         let scenario = IsacScenario::single_tag(4.0, 1302.0);
-        let arena = FrameArena::default();
-        let pool = ComputePool::global();
-        let oracle =
-            run_isac_frame_tiered(pool, &sys, &scenario, b"X", 21, &arena, PrecisionTier::F64);
-        let reference = super::super::run_isac_frame_with(pool, &sys, &scenario, b"X", 21, &arena);
-        assert_eq!(oracle, reference);
-        let fast =
-            run_isac_frame_tiered(pool, &sys, &scenario, b"X", 21, &arena, PrecisionTier::F32);
+        let oracle = run_tier(&sys, &scenario, b"X", 21, PrecisionTier::F64);
+        assert_eq!(oracle, run_isac_frame(&sys, &scenario, b"X", 21));
+        let fast = run_tier(&sys, &scenario, b"X", 21, PrecisionTier::F32);
         // Same tag, same bin-level answer even though values differ in the
         // low bits.
         assert_eq!(
             fast.location.map(|l| l.range_bin),
             oracle.location.map(|l| l.range_bin)
+        );
+        // Multi-tag scenarios stay on the f64 path whatever the tier.
+        let multi = scenario.with_extra_tag(TagDeployment {
+            range_m: 6.0,
+            mod_freq_hz: 2604.0,
+            uplink_bits: Vec::new(),
+            uplink_scheme: UplinkScheme::Ook { freq_hz: 2604.0 },
+            uplink_bit_duration_s: 32.0 * 120e-6,
+        });
+        assert_eq!(
+            run_tier(&sys, &multi, b"X", 21, PrecisionTier::F32),
+            run_isac_frame(&sys, &multi, b"X", 21)
         );
     }
 }

@@ -114,6 +114,7 @@ fn steady_state_frame_stages_allocate_nothing() {
             doppler: total_ns / 3,
             ..StageNanos::default()
         },
+        failed: false,
         snr_db: f64::NAN,
         pslr_db: f64::NAN,
         decoded_bits: 0,

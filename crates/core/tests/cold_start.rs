@@ -4,11 +4,30 @@
 //! deterministic and pool-size invariant.
 
 use biscatter_compute::ComputePool;
+use biscatter_core::isac::precision::PrecisionTier;
 use biscatter_core::isac::{
-    acquire_config, acquire_hypotheses, run_cold_start_frame_with, synthesize_cold_start_capture,
-    ColdStartSpec, FrameArena, IsacScenario,
+    acquire_config, acquire_hypotheses, run_cold_start_frame, synthesize_cold_start_capture,
+    ColdStartOutcome, ColdStartSpec, FrameArena, FrameCtx, IsacScenario,
 };
+use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::system::BiScatterSystem;
+
+/// One f64 cold-start frame on `pool` with a fresh arena.
+fn cold_start(
+    pool: &ComputePool,
+    sys: &BiScatterSystem,
+    scenario: &IsacScenario,
+    payload: &[u8],
+    seed: u64,
+) -> ColdStartOutcome {
+    let ctx = FrameCtx {
+        pool,
+        sys,
+        arena: &FrameArena::default(),
+        tier: PrecisionTier::F64,
+    };
+    run_cold_start_frame(&ctx, scenario, payload, seed, &mut StageNanos::default())
+}
 
 fn mod_freq(bin: usize) -> f64 {
     bin as f64 / (128.0 * 120e-6)
@@ -24,8 +43,7 @@ fn cold_start_recovers_offset_and_slope_then_runs_frame() {
         IsacScenario::single_tag(3.0, mod_freq(16)).with_cold_start(true_offset_s, slope_idx);
 
     let pool = ComputePool::new(1);
-    let arena = FrameArena::default();
-    let out = run_cold_start_frame_with(&pool, &sys, &scenario, b"CMD1", 7, &arena);
+    let out = cold_start(&pool, &sys, &scenario, b"CMD1", 7);
 
     let acq = out.acquisition.expect("tag acquired");
     assert_eq!(acq.hypothesis, slope_idx, "wrong slope hypothesis won");
@@ -61,8 +79,7 @@ fn noise_only_dwell_is_rejected() {
     });
 
     let pool = ComputePool::new(1);
-    let arena = FrameArena::default();
-    let out = run_cold_start_frame_with(&pool, &sys, &scenario, b"CMD1", 7, &arena);
+    let out = cold_start(&pool, &sys, &scenario, b"CMD1", 7);
     assert!(out.acquisition.is_none(), "noise-only dwell acquired");
     assert!(out.frame.is_none(), "frame ran without acquisition");
     assert!(!out.scores.is_empty(), "scores reported even on rejection");
@@ -75,9 +92,9 @@ fn cold_start_is_deterministic_and_pool_invariant() {
 
     let serial = ComputePool::new(1);
     let wide = ComputePool::new(4);
-    let a = run_cold_start_frame_with(&serial, &sys, &scenario, b"GO", 11, &FrameArena::default());
-    let b = run_cold_start_frame_with(&serial, &sys, &scenario, b"GO", 11, &FrameArena::default());
-    let c = run_cold_start_frame_with(&wide, &sys, &scenario, b"GO", 11, &FrameArena::default());
+    let a = cold_start(&serial, &sys, &scenario, b"GO", 11);
+    let b = cold_start(&serial, &sys, &scenario, b"GO", 11);
+    let c = cold_start(&wide, &sys, &scenario, b"GO", 11);
     assert_eq!(a, b, "same seed, same pool diverged");
     assert_eq!(a, c, "parallel acquisition differs from serial");
 }
@@ -109,7 +126,7 @@ fn scenarios_without_cold_start_skip_acquisition() {
     let sys = BiScatterSystem::paper_9ghz();
     let scenario = IsacScenario::single_tag(3.0, mod_freq(16));
     let pool = ComputePool::new(1);
-    let out = run_cold_start_frame_with(&pool, &sys, &scenario, b"CMD1", 1, &FrameArena::default());
+    let out = cold_start(&pool, &sys, &scenario, b"CMD1", 1);
     assert!(out.acquisition.is_none());
     assert!(out.scores.is_empty());
     assert!(out.frame.expect("plain frame ran").downlink.parsed);

@@ -9,7 +9,7 @@
 //!    exactly. Noiseless because the tiers draw different noise
 //!    realizations by design — this layer isolates pure kernel rounding.
 //! 2. **Noisy detection products** (fixed seeds at the bench SNR): full
-//!    frames through `run_isac_frame_f32` must agree with the oracle on
+//!    frames through `run_frame` on the f32 tier must agree with the oracle on
 //!    everything stage 5 computes — located range bin, decoded uplink
 //!    bits, and CFAR detection count.
 //!
@@ -23,8 +23,9 @@ use std::sync::Mutex;
 use biscatter_compute::ComputePool;
 use biscatter_core::dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
 use biscatter_core::dsp::signal::NoiseSource;
-use biscatter_core::isac::precision::run_isac_frame_f32;
-use biscatter_core::isac::{run_isac_frame, IsacScenario};
+use biscatter_core::isac::precision::PrecisionTier;
+use biscatter_core::isac::{run_frame, run_isac_frame, FrameArena, FrameCtx, IsacScenario};
+use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::{
     range_doppler_into, range_doppler_into_f32, RangeDopplerMap,
 };
@@ -155,7 +156,13 @@ fn noisy_frames_agree_on_detection_products() {
     for seed in [15u64, 26, 31, 33, 52] {
         let mut scenario = IsacScenario::single_tag(3.0, 1302.0).with_office_clutter();
         scenario.uplink_bits = bits.clone();
-        let fast = run_isac_frame_f32(&sys, &scenario, b"CMD1", seed);
+        let ctx = FrameCtx {
+            pool: ComputePool::global(),
+            sys: &sys,
+            arena: &FrameArena::default(),
+            tier: PrecisionTier::F32,
+        };
+        let fast = run_frame(&ctx, &scenario, b"CMD1", seed, &mut StageNanos::default());
         let oracle = run_isac_frame(&sys, &scenario, b"CMD1", seed);
         assert_eq!(
             fast.location.map(|l| l.range_bin),

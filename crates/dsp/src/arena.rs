@@ -7,9 +7,9 @@
 //! lists (warm-up); after that every checkout is a `Vec::pop` and every
 //! return a `Vec::push` within existing capacity.
 //!
-//! Pools are `Arc`-internal and thread-safe, so leases can flow through the
-//! runtime pipeline's queues and be returned from a different thread than
-//! the one that checked them out.
+//! Pools are `Arc`-internal and thread-safe, so one arena serves every frame
+//! worker of a cell, and a lease may be returned from a different thread
+//! than the one that checked it out.
 //!
 //! Pools built with [`Pool::named`] additionally publish lease hit/miss
 //! counters and an outstanding-lease high-water gauge into the

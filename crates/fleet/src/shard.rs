@@ -28,6 +28,10 @@
 //! depend on the shard count. Lossy policies shed load (which frames are
 //! shed depends on drain timing), but sessions stay intact and ordered via
 //! [`HandoffBus::skip`].
+//!
+//! A frame that panics is contained by its shard
+//! ([`Cell::try_process`]): it is counted as failed, a roaming frame's
+//! window is skipped like a shed one, and every other frame carries on.
 
 use std::thread;
 use std::time::{Duration, Instant};
@@ -57,8 +61,9 @@ pub struct FleetConfig {
     pub intake_quota: usize,
     /// What admission does when a cell is at quota.
     pub admission: AdmissionPolicy,
-    /// Per-cell runtime configuration (arena/queue sizing; the shard path
-    /// processes frames inline, so stage worker counts are not used here).
+    /// Per-cell runtime configuration (precision tier; the shard path
+    /// processes frames inline, so the streaming intake and `workers` are
+    /// not used here).
     pub cell: RuntimeConfig,
     /// Threads in each shard's intra-frame compute pool.
     pub intra_frame_threads: usize,
@@ -90,6 +95,9 @@ pub struct FleetReport {
     pub admission_drops: u64,
     /// Frames refused by reject admission during this run.
     pub admission_rejects: u64,
+    /// Frames whose processing panicked during this run; completed +
+    /// dropped + rejected + failed = offered.
+    pub frames_failed: u64,
     /// Cross-cell session handoffs during this run.
     pub handoffs: u64,
     /// Wall-clock duration of the run.
@@ -192,7 +200,7 @@ impl Fleet {
         let cells = &self.cells;
         let intra_threads = self.cfg.intra_frame_threads;
 
-        let (mut outcomes, drops, rejects) = thread::scope(|scope| {
+        let (mut outcomes, drops, rejects, failed) = thread::scope(|scope| {
             let feeder = scope.spawn(move || {
                 let mut drops = 0u64;
                 let mut rejects = 0u64;
@@ -228,13 +236,15 @@ impl Fleet {
 
             let mut per_cell: Vec<Vec<(u64, IsacOutcome)>> =
                 (0..n_cells).map(|_| Vec::new()).collect();
+            let mut failed = 0;
             for h in shard_handles {
-                for (cell, outs) in h.join().expect("shard thread panicked") {
-                    per_cell[cell] = outs;
+                for slot in h.join().expect("shards contain frame panics") {
+                    failed += slot.failed;
+                    per_cell[slot.cell.id()] = slot.outcomes;
                 }
             }
             let (drops, rejects) = feeder.join().expect("feeder thread panicked");
-            (per_cell, drops, rejects)
+            (per_cell, drops, rejects, failed)
         });
         for v in &mut outcomes {
             v.sort_by_key(|&(id, _)| id);
@@ -251,6 +261,7 @@ impl Fleet {
             snapshot,
             admission_drops: drops,
             admission_rejects: rejects,
+            frames_failed: failed,
             handoffs: bus.handoffs(),
             elapsed,
         }
@@ -265,18 +276,21 @@ struct CellSlot<'a> {
     pending: Option<CellJob>,
     intake_closed: bool,
     outcomes: Vec<(u64, IsacOutcome)>,
+    /// Frames that panicked.
+    failed: u64,
 }
 
-/// One shard: cooperative round-robin over the cells it owns.
-fn run_shard(
+/// One shard: cooperative round-robin over the cells it owns. Returns the
+/// slots with their outcomes.
+fn run_shard<'a>(
     shard: usize,
     shards: usize,
     sys: &BiScatterSystem,
-    cells: &[Cell],
+    cells: &'a [Cell],
     admission: &Admission,
     bus: &HandoffBus,
     intra_threads: usize,
-) -> Vec<(usize, Vec<(u64, IsacOutcome)>)> {
+) -> Vec<CellSlot<'a>> {
     let _span = biscatter_obs::span!("fleet.shard");
     let mut slots: Vec<CellSlot> = cells
         .iter()
@@ -287,6 +301,7 @@ fn run_shard(
             pending: None,
             intake_closed: false,
             outcomes: Vec::new(),
+            failed: 0,
         })
         .collect();
     if slots.is_empty() {
@@ -338,9 +353,6 @@ fn run_shard(
         }
     }
     slots
-        .into_iter()
-        .map(|s| (s.cell.id(), s.outcomes))
-        .collect()
 }
 
 /// True when `cj` can be processed now (stationary frame, or its session
@@ -350,7 +362,8 @@ fn session_ready(bus: &HandoffBus, cj: &CellJob) -> bool {
 }
 
 /// Runs one frame on its cell and, for mobile frames, appends the decoded
-/// window to the tag's uplink session.
+/// window to the tag's uplink session. A frame that panics is counted, and
+/// its window skipped so the session gate keeps advancing.
 fn process(
     slot: &mut CellSlot,
     sys: &BiScatterSystem,
@@ -359,7 +372,13 @@ fn process(
     cj: CellJob,
 ) {
     let _span = biscatter_obs::span!("fleet.process");
-    let outcome = slot.cell.process(pool, &cj.job);
+    let Some(outcome) = slot.cell.try_process(pool, &cj.job, Instant::now()) else {
+        slot.failed += 1;
+        if let Some(hop) = cj.hop {
+            bus.skip(hop.tag, hop.seq);
+        }
+        return;
+    };
     if let Some(hop) = cj.hop {
         let cpb = chirps_per_bit(cj.job.scenario.uplink_bit_duration_s, sys.radar.t_period);
         let bits = outcome.uplink_bits.clone().unwrap_or_default();

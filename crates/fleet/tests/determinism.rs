@@ -6,6 +6,10 @@
 //! session bits must equal the single-cell oracle bit-for-bit, and every
 //! cell's frame outcomes must equal the one-shot serial path.
 
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
+
 use biscatter_core::isac::run_isac_frame;
 use biscatter_fleet::{AdmissionPolicy, Fleet, FleetConfig};
 use biscatter_runtime::source::{streaming_system, MobilitySpec};
@@ -125,4 +129,61 @@ fn lossy_admission_keeps_sessions_live_and_ordered() {
     // Decoded bits are a prefix-free subsequence of the session windows;
     // with zero drops they'd equal the oracle, with drops they are shorter.
     assert!(session.bits.len() <= oracle.len());
+}
+
+/// A frame that panics (a NaN tag range) is contained by its shard: the
+/// run returns, every other frame matches the one-shot path, and the
+/// sessions stay intact — a failed roaming window is skipped, so its tag's
+/// session holds every other window's bits in order.
+#[test]
+fn panicking_frames_are_contained_by_their_shard() {
+    let sys = streaming_system();
+    let spec = MobilitySpec {
+        n_cells: 4,
+        mobile_tags: 2,
+        n_ticks: 4,
+        dwell_ticks: 2,
+        base_seed: 47,
+    };
+    let mut jobs = spec.jobs(&sys);
+    let stationary = jobs.iter().position(|cj| cj.hop.is_none()).unwrap();
+    let roaming = jobs.iter().rposition(|cj| cj.hop.is_some()).unwrap();
+    for i in [stationary, roaming] {
+        jobs[i].job.scenario.tag_range_m = f64::NAN;
+    }
+    let cfg = FleetConfig {
+        n_cells: spec.n_cells,
+        intake_quota: 2,
+        ..FleetConfig::default()
+    };
+    let fleet = Fleet::new(sys.clone(), cfg);
+    let (tx, rx) = mpsc::channel();
+    let input = jobs.clone();
+    thread::spawn(move || tx.send(fleet.run(input)).ok());
+    let report = rx
+        .recv_timeout(Duration::from_secs(600))
+        .expect("fleet hung on a panicking frame");
+
+    assert_eq!(report.frames_failed, 2);
+    assert_eq!(report.frames_completed(), jobs.len() as u64 - 2);
+    let mut session_bits = vec![Vec::new(); spec.mobile_tags];
+    for (i, cj) in jobs.iter().enumerate() {
+        let got = report.outcomes[cj.cell]
+            .iter()
+            .find(|(id, _)| *id == cj.job.id);
+        if i == stationary || i == roaming {
+            assert!(got.is_none(), "failed frame {} has an outcome", cj.job.id);
+            continue;
+        }
+        let one_shot = run_isac_frame(&sys, &cj.job.scenario, &cj.job.payload, cj.job.seed);
+        assert_eq!(got.map(|(_, o)| o), Some(&one_shot), "frame {}", cj.job.id);
+        if let Some(hop) = cj.hop {
+            session_bits[hop.tag].extend(one_shot.uplink_bits.unwrap_or_default());
+        }
+    }
+    assert_eq!(report.sessions.len(), spec.mobile_tags);
+    for s in &report.sessions {
+        assert_eq!(s.next_seq, spec.n_ticks as u64, "tag {}", s.tag);
+        assert_eq!(s.bits, session_bits[s.tag], "tag {} session bits", s.tag);
+    }
 }

@@ -14,8 +14,8 @@
 //! * **Bounded memory.** Once full, a ring overwrites oldest-first and
 //!   counts the overwritten records, like the trace rings.
 //! * **Structured.** A record carries the frame id, per-stage nanoseconds
-//!   ([`StageNanos`], filled by the timed frame entry points in
-//!   `core::isac`), the located SNR, the acquisition PSLR, decoded-bit and
+//!   ([`StageNanos`], filled by the frame entry points in `core::isac`),
+//!   whether the frame failed, the located SNR, the acquisition PSLR, decoded-bit and
 //!   CFAR counts, and the cumulative queue/admission drop count at capture
 //!   time — the exact signals the [`crate::health`] engine and the
 //!   [`crate::serve`] `/frames` endpoint consume.
@@ -32,9 +32,10 @@ use crate::trace;
 /// Default per-cell ring capacity, in frame records (~136 B each).
 pub const DEFAULT_CAPACITY: usize = 1024;
 
-/// Per-stage processing time of one frame, nanoseconds. Filled by the timed
-/// frame entry points (`core::isac::run_isac_frame_with_times` and friends);
-/// stages that did not run (e.g. `acquire` on a warm frame) stay 0.
+/// Per-stage processing time of one frame, nanoseconds. Filled by the
+/// frame entry points (`core::isac::run_frame` and
+/// `core::isac::run_cold_start_frame`); stages that did not run (e.g.
+/// `acquire` on a warm frame) stay 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Stage 0: cold-start correlator-bank acquisition (0 on warm frames).
@@ -69,10 +70,15 @@ pub struct FrameRecord {
     /// Capture timestamp, nanoseconds since the trace epoch
     /// ([`trace::now_ns`]) — lines records up with trace spans.
     pub t_ns: u64,
-    /// End-to-end processing time of the frame, nanoseconds.
+    /// End-to-end time of the frame, nanoseconds: from when it entered the
+    /// cell (its job was queued, on a streaming cell) to when it finished.
     pub total_ns: u64,
-    /// Per-stage breakdown of `total_ns`.
+    /// Per-stage service time; `total_ns - stages.total()` is the time the
+    /// frame waited.
     pub stages: StageNanos,
+    /// The frame panicked and produced no outcome (its other fields then
+    /// carry no measurements).
+    pub failed: bool,
     /// Post-processing SNR of the located tag signature, dB. `NaN` when the
     /// tag was not located this frame.
     pub snr_db: f64,
@@ -108,6 +114,7 @@ impl FrameRecord {
         ] {
             m.insert(k.to_string(), Value::Number(v as f64));
         }
+        m.insert("failed".to_string(), Value::Bool(self.failed));
         m.insert("snr_db".to_string(), Value::Number(self.snr_db));
         m.insert("pslr_db".to_string(), Value::Number(self.pslr_db));
         m.insert(
@@ -275,6 +282,7 @@ mod tests {
                 detect: 10,
                 ..StageNanos::default()
             },
+            failed: false,
             snr_db: 21.5,
             pslr_db: f64::NAN,
             decoded_bits: 8,

@@ -151,6 +151,7 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
                 detect: 1,
                 ..StageNanos::default()
             },
+            failed: false,
             snr_db,
             pslr_db: f64::NAN,
             decoded_bits,

@@ -1,19 +1,14 @@
 //! # biscatter-runtime
 //!
-//! Streaming ISAC runtime for BiScatter: a staged frame pipeline that
-//! ingests continuous frames from many simulated radar+tag deployments and
-//! pushes them through the integrated sensing/communication chain with
-//! worker pools, bounded queues, configurable backpressure, and per-stage
-//! metrics.
-//!
-//! The one-shot path ([`biscatter_core::isac::run_isac_frame`]) processes a
-//! frame start-to-finish on one thread. This crate runs the *same five
-//! stages* (frame synthesis → dechirp/IF → align + IF correction →
-//! range–Doppler → uplink demod + CFAR/localization) as a pipeline, so
-//! frame `k+1` can be synthesized while frame `k` is still being aligned.
-//! Per-frame seeds make the result independent of scheduling: under the
-//! lossless `Block` policy the streamed outcomes are bit-identical to the
-//! serial path.
+//! Streaming ISAC runtime for BiScatter: radar cells ([`Cell`]) that run
+//! continuous frames from many simulated radar+tag deployments through the
+//! integrated sensing/communication chain — the *same five stages* as the
+//! one-shot [`biscatter_core::isac::run_isac_frame`], through
+//! [`biscatter_core::isac::run_frame`] on the cell's arena and precision
+//! tier — either inline or on frame workers behind one bounded intake with
+//! configurable backpressure (see [`pipeline`]). Per-frame seeds make the
+//! result independent of scheduling: under the lossless `Block` policy the
+//! streamed outcomes on the `F64` tier are bit-identical to the serial path.
 //!
 //! Frames whose job carries a [`biscatter_core::isac::ColdStartSpec`] first
 //! pass through the correlator-bank acquisition stage
@@ -47,10 +42,7 @@ pub use biscatter_compute as compute;
 pub use biscatter_obs as obs;
 
 pub use biscatter_core::isac::precision::PrecisionTier;
-pub use metrics::{
-    LatencyHistogram, LatencySnapshot, MetricsSnapshot, RegistrySnapshot, StageMetrics,
-    StageSnapshot,
-};
-pub use pipeline::{run_serial, run_streaming, Cell, RunReport, RuntimeConfig, StageWorkers};
+pub use metrics::{LatencyHistogram, LatencySnapshot, MetricsSnapshot, RegistrySnapshot};
+pub use pipeline::{run_serial, run_streaming, Cell, RunReport, RuntimeConfig};
 pub use queue::{Backpressure, BoundedQueue, TryPop, TryPushError};
 pub use source::{streaming_system, CellJob, FrameJob, MobilitySpec, SessionHop, WorkloadSpec};

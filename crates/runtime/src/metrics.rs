@@ -1,118 +1,35 @@
-//! Per-stage runtime metrics: frame counters, queue congestion, and
-//! log-bucketed latency histograms with percentile estimation.
+//! Streaming-run metrics: frame counts, end-to-end latency, and a copy of
+//! the metric registry.
 //!
 //! The histogram types themselves ([`LatencyHistogram`], [`LatencySnapshot`])
-//! now live in [`biscatter_obs::metrics`] so every crate can record
-//! latencies; they are re-exported here unchanged. Counters are lock-free
-//! (`AtomicU64` with relaxed ordering — they are statistics, not
-//! synchronization), so recording from worker threads costs a few atomic
-//! adds per frame. Each stage also mirrors its latency into a global
-//! registry histogram (`runtime.stage.<name>.ns`), so cross-subsystem
-//! snapshots see stage timing next to planner/arena/pool telemetry. A
-//! [`MetricsSnapshot`] is an immutable copy taken after (or during) a run —
-//! including a [`RegistrySnapshot`] of every registered metric — exportable
-//! as aligned text or JSON via [`biscatter_core::json`].
+//! live in [`biscatter_obs::metrics`] so every crate can record latencies;
+//! they are re-exported here unchanged. Per-stage time is not kept here: it
+//! is measured once per frame into the flight recorder's `StageNanos`. A
+//! [`MetricsSnapshot`] is an immutable copy taken after a run — including a
+//! [`RegistrySnapshot`] of every registered metric — exportable as text or
+//! JSON via [`biscatter_core::json`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use biscatter_core::json::Value;
-use biscatter_obs::metrics::Histogram;
 
 pub use biscatter_obs::metrics::{LatencyHistogram, LatencySnapshot, RegistrySnapshot};
 
-/// Live counters for one pipeline stage.
-pub struct StageMetrics {
-    name: &'static str,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    latency: LatencyHistogram,
-    /// Cumulative registry mirror of `latency` (`runtime.stage.<name>.ns`):
-    /// the local histogram is per-run, the registry one is per-process.
-    registry_latency: Histogram,
-}
-
-impl StageMetrics {
-    pub fn new(name: &'static str) -> Self {
-        Self::scoped("", name)
-    }
-
-    /// Like [`new`](Self::new) but registers the mirror histogram at
-    /// `<prefix>runtime.stage.<name>.ns`. A multi-cell process passes
-    /// `"cell<id>."` so each cell's stage timing stays separable; the empty
-    /// prefix keeps the legacy unscoped name.
-    pub fn scoped(prefix: &str, name: &'static str) -> Self {
-        StageMetrics {
-            name,
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            latency: LatencyHistogram::default(),
-            registry_latency: biscatter_obs::registry()
-                .histogram(&format!("{prefix}runtime.stage.{name}.ns")),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one frame flowing through the stage in `took` processing time.
-    pub fn record_frame(&self, took: Duration) {
-        self.frames_in.fetch_add(1, Ordering::Relaxed);
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(took);
-        self.registry_latency.record(took);
-    }
-
-    /// Records a frame that entered the stage but was not emitted
-    /// (e.g. the downstream queue was closed).
-    pub fn record_swallowed(&self, took: Duration) {
-        self.frames_in.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(took);
-        self.registry_latency.record(took);
-    }
-
-    /// Copies the counters into an immutable [`StageSnapshot`], attaching the
-    /// stage's input-queue congestion stats.
-    pub fn snapshot(&self, queue_high_water: usize, queue_drops: u64) -> StageSnapshot {
-        StageSnapshot {
-            name: self.name,
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            queue_high_water,
-            queue_drops,
-            latency: self.latency.snapshot(),
-        }
-    }
-}
-
-/// Immutable per-stage statistics inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone)]
-pub struct StageSnapshot {
-    pub name: &'static str,
-    pub frames_in: u64,
-    pub frames_out: u64,
-    /// Deepest the stage's *input* queue ever got.
-    pub queue_high_water: usize,
-    /// Frames evicted from the stage's input queue under drop-oldest.
-    pub queue_drops: u64,
-    pub latency: LatencySnapshot,
-}
-
-/// Full metrics picture of one pipeline run.
+/// Full metrics picture of one streaming run.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    pub stages: Vec<StageSnapshot>,
-    /// End-to-end latency (job enqueued -> outcome at sink).
+    /// End-to-end latency of completed frames (job queued -> outcome).
     pub end_to_end: LatencySnapshot,
-    /// Frames that reached the sink.
+    /// Frames that produced an outcome.
     pub frames_completed: u64,
-    /// Total frames dropped across all queues.
+    /// Frames whose processing panicked (contained by their worker).
+    pub frames_failed: u64,
+    /// Frames the intake dropped under drop-oldest backpressure.
     pub total_drops: u64,
     pub elapsed: Duration,
     /// Every metric in the global registry at snapshot time (plan cache,
     /// arenas, compute pool, multitag, queue gauges, ...). Cumulative per
-    /// process, unlike the per-run stage counters above.
+    /// process, unlike the per-run counts above.
     pub registry: RegistrySnapshot,
 }
 
@@ -125,47 +42,23 @@ impl MetricsSnapshot {
         self.frames_completed as f64 / self.elapsed.as_secs_f64()
     }
 
-    /// Renders an aligned human-readable table, followed by the registry
-    /// metrics listing.
+    /// Renders a human-readable summary, followed by the registry metrics
+    /// listing.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "pipeline: {} frames in {:.3} s ({:.1} frames/s), {} dropped\n",
+        let e = &self.end_to_end;
+        let mut out = format!(
+            "stream: {} frames in {:.3} s ({:.1} frames/s), {} dropped, {} failed\n\
+             end-to-end: p50 {:.1?} p90 {:.1?} p99 {:.1?} max {:.1?}\n",
             self.frames_completed,
             self.elapsed.as_secs_f64(),
             self.frames_per_sec(),
             self.total_drops,
-        ));
-        out.push_str(&format!(
-            "{:<12} {:>8} {:>8} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-            "stage", "in", "out", "hiwat", "drops", "p50", "p90", "p99", "max"
-        ));
-        for s in &self.stages {
-            out.push_str(&format!(
-                "{:<12} {:>8} {:>8} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-                s.name,
-                s.frames_in,
-                s.frames_out,
-                s.queue_high_water,
-                s.queue_drops,
-                fmt_dur(s.latency.percentile(0.50)),
-                fmt_dur(s.latency.percentile(0.90)),
-                fmt_dur(s.latency.percentile(0.99)),
-                fmt_dur(s.latency.max()),
-            ));
-        }
-        out.push_str(&format!(
-            "{:<12} {:>8} {:>8} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-            "end-to-end",
-            self.end_to_end.count(),
-            self.end_to_end.count(),
-            "-",
-            "-",
-            fmt_dur(self.end_to_end.percentile(0.50)),
-            fmt_dur(self.end_to_end.percentile(0.90)),
-            fmt_dur(self.end_to_end.percentile(0.99)),
-            fmt_dur(self.end_to_end.max()),
-        ));
+            self.frames_failed,
+            e.percentile(0.50),
+            e.percentile(0.90),
+            e.percentile(0.99),
+            e.max(),
+        );
         if !self.registry.is_empty() {
             out.push_str("registry:\n");
             out.push_str(&self.registry.to_text());
@@ -177,45 +70,15 @@ impl MetricsSnapshot {
     /// under `"registry"`).
     pub fn to_json(&self) -> Value {
         let mut root = std::collections::BTreeMap::new();
-        root.insert(
-            "frames_completed".to_string(),
-            Value::Number(self.frames_completed as f64),
-        );
-        root.insert(
-            "total_drops".to_string(),
-            Value::Number(self.total_drops as f64),
-        );
-        root.insert(
-            "elapsed_s".to_string(),
-            Value::Number(self.elapsed.as_secs_f64()),
-        );
-        root.insert(
-            "frames_per_sec".to_string(),
-            Value::Number(self.frames_per_sec()),
-        );
-        root.insert(
-            "stages".to_string(),
-            Value::Array(
-                self.stages
-                    .iter()
-                    .map(|s| {
-                        let mut m = s.latency.json_fields();
-                        m.insert("name".to_string(), Value::String(s.name.to_string()));
-                        m.insert("frames_in".to_string(), Value::Number(s.frames_in as f64));
-                        m.insert("frames_out".to_string(), Value::Number(s.frames_out as f64));
-                        m.insert(
-                            "queue_high_water".to_string(),
-                            Value::Number(s.queue_high_water as f64),
-                        );
-                        m.insert(
-                            "queue_drops".to_string(),
-                            Value::Number(s.queue_drops as f64),
-                        );
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        );
+        for (k, v) in [
+            ("frames_completed", self.frames_completed as f64),
+            ("frames_failed", self.frames_failed as f64),
+            ("total_drops", self.total_drops as f64),
+            ("elapsed_s", self.elapsed.as_secs_f64()),
+            ("frames_per_sec", self.frames_per_sec()),
+        ] {
+            root.insert(k.to_string(), Value::Number(v));
+        }
         root.insert(
             "end_to_end".to_string(),
             Value::Object(self.end_to_end.json_fields()),
@@ -225,63 +88,37 @@ impl MetricsSnapshot {
     }
 }
 
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", d.as_secs_f64())
-    } else if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{}ns", ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_renders_text_and_json() {
-        let stage = StageMetrics::new("demo");
-        stage.record_frame(Duration::from_micros(150));
-        stage.record_frame(Duration::from_micros(250));
         let e2e = LatencyHistogram::default();
         e2e.record(Duration::from_millis(2));
+        biscatter_obs::registry()
+            .counter("runtime.metrics_test")
+            .inc();
         let snap = MetricsSnapshot {
-            stages: vec![stage.snapshot(1, 0)],
             end_to_end: e2e.snapshot(),
             frames_completed: 2,
+            frames_failed: 1,
             total_drops: 0,
             elapsed: Duration::from_millis(10),
             registry: biscatter_obs::registry().snapshot(),
         };
         let text = snap.to_text();
-        assert!(text.contains("demo"));
-        assert!(text.contains("end-to-end"));
-        // The stage mirrored its latency into the registry histogram.
-        assert!(snap
-            .registry
-            .histogram("runtime.stage.demo.ns")
-            .is_some_and(|h| h.count() >= 2));
-        assert!(text.contains("registry:"));
+        for want in ["2 frames", "1 failed", "end-to-end", "registry:"] {
+            assert!(text.contains(want), "{want} missing from {text}");
+        }
         let json = snap.to_json().to_pretty();
         let parsed = biscatter_core::json::parse(&json).expect("snapshot JSON parses");
-        assert_eq!(
-            parsed.get("frames_completed").and_then(Value::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(
-            parsed
-                .get("stages")
-                .and_then(Value::as_array)
-                .map(|a| a.len()),
-            Some(1)
-        );
+        let field = |k: &str| parsed.get(k).and_then(Value::as_f64);
+        assert_eq!(field("frames_completed"), Some(2.0));
+        assert_eq!(field("frames_failed"), Some(1.0));
         assert!(parsed
             .get("registry")
-            .and_then(|r| r.get("histograms"))
+            .and_then(|r| r.get("counters"))
             .is_some());
     }
 }

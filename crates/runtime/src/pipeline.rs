@@ -1,129 +1,65 @@
-//! The staged streaming pipeline.
+//! A radar cell and its frame workers.
 //!
-//! Frame jobs flow through five stages, each on its own worker pool, joined
-//! by bounded queues:
+//! A [`Cell`] runs every frame whole, through
+//! [`biscatter_core::isac::run_frame`] on the cell's arena and precision
+//! tier: inline on the caller's thread ([`Cell::process`], what a fleet
+//! shard calls as it multiplexes many cells), or on `workers` frame workers
+//! fed by one bounded intake ([`Cell::run_streaming`]). Workers take whole
+//! frames rather than one stage each because synthesis is most of a frame:
+//! a thread per stage would leave every core but the synthesis one mostly
+//! idle.
 //!
-//! ```text
-//! source -> [synthesize] -> [dechirp] -> [align] -> [doppler] -> [detect] -> sink
-//! ```
-//!
-//! Every queue applies the configured [`Backpressure`] policy, so a slow
-//! stage either throttles its upstream (lossless `Block`) or sheds the
-//! oldest in-flight frames (`DropOldest`, counted per queue).
-//!
-//! Shutdown is graceful by construction: the source closes the first queue
-//! after the last job, and each pool's final worker closes its downstream
-//! queue when its input drains — the close ripples to the sink with no frame
-//! abandoned mid-flight.
+//! The intake applies the configured [`Backpressure`] policy: a slow cell
+//! either throttles the source (lossless `Block`) or sheds the oldest queued
+//! frames (`DropOldest`, counted in `<prefix>runtime.queue.intake.drops`).
+//! A frame that panics is contained by its worker: it is counted in
+//! `<prefix>runtime.frames.failed` and written as a failed flight record,
+//! and the other frames carry on.
 //!
 //! Because every job carries its own seed (see [`crate::source`]), outcomes
-//! are bit-identical to the one-shot [`run_isac_frame`] path regardless of
-//! worker count, queue sizing, or scheduling — under `Block`, the streaming
-//! and serial paths are interchangeable.
+//! do not depend on worker count, queue sizing, or scheduling: on the `F64`
+//! tier under `Block`, the streamed outcomes are bit-identical to the
+//! one-shot [`run_isac_frame`] path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use biscatter_compute::ComputePool;
-use biscatter_core::downlink::FrameOutcome;
-use biscatter_core::dsp::arena::Lease;
-use biscatter_core::isac::precision::{run_isac_frame_tiered_times, PrecisionTier};
+use biscatter_core::isac::precision::PrecisionTier;
 use biscatter_core::isac::{
-    align_stage_into, dechirp_stage_into, detect_stage_multi, detect_stage_with,
-    doppler_stage_into, run_cold_start_frame_with_times, run_isac_frame, synthesize_frame,
-    warm_dsp_plans, AlignedPair, ColdStartOutcome, FrameArena, IsacOutcome, SynthesizedFrame,
+    run_cold_start_frame, run_frame, run_isac_frame, warm_dsp_plans, ColdStartOutcome, FrameArena,
+    FrameCtx, IsacOutcome,
 };
 use biscatter_core::system::BiScatterSystem;
-use biscatter_radar::receiver::doppler::RangeDopplerMap;
-use biscatter_radar::receiver::multitag::{MultiTagScratch, TagBank};
-use biscatter_rf::frame::ChirpTrain;
-use biscatter_rf::slab::SampleSlab;
 
 use biscatter_obs::metrics::{Counter, Histogram};
 use biscatter_obs::recorder::{self, FlightRecorder, FrameRecord, StageNanos};
 use biscatter_obs::trace;
 
-use crate::metrics::{LatencyHistogram, MetricsSnapshot, StageMetrics};
+use crate::metrics::{LatencyHistogram, MetricsSnapshot};
 use crate::queue::{Backpressure, BoundedQueue};
 use crate::source::FrameJob;
 
-/// Worker-thread count for each stage.
-#[derive(Debug, Clone, Copy)]
-pub struct StageWorkers {
-    pub synthesize: usize,
-    pub dechirp: usize,
-    pub align: usize,
-    pub doppler: usize,
-    pub detect: usize,
-}
-
-impl StageWorkers {
-    /// The same number of workers on every stage.
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0, "stages need at least one worker");
-        StageWorkers {
-            synthesize: n,
-            dechirp: n,
-            align: n,
-            doppler: n,
-            detect: n,
-        }
-    }
-
-    /// Sizes pools from the machine's parallelism. Frame synthesis dominates
-    /// per-frame cost (the tag-side envelope capture + symbol decisions),
-    /// with align a distant second, so those stages get the extra workers;
-    /// the cheap stages (doppler, detect) stay single-threaded.
-    pub fn auto() -> Self {
-        let cores = thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 8 {
-            StageWorkers {
-                synthesize: 4,
-                dechirp: 2,
-                align: 2,
-                doppler: 1,
-                detect: 1,
-            }
-        } else if cores >= 4 {
-            StageWorkers {
-                synthesize: 2,
-                dechirp: 1,
-                align: 2,
-                doppler: 1,
-                detect: 1,
-            }
-        } else {
-            StageWorkers::uniform(1)
-        }
-    }
-
-    /// Total worker threads across all stages.
-    pub fn total(&self) -> usize {
-        self.synthesize + self.dechirp + self.align + self.doppler + self.detect
-    }
-}
-
-/// Streaming runtime configuration.
+/// Cell runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Capacity of every inter-stage queue.
+    /// Capacity of the streaming intake queue.
     pub queue_capacity: usize,
-    /// What producers do when a queue is full.
+    /// What the source does when the intake is full.
     pub policy: Backpressure,
-    /// Worker pool sizes.
-    pub workers: StageWorkers,
+    /// Frame workers [`Cell::run_streaming`] runs, each taking whole frames
+    /// off the intake. Defaults to the machine's available parallelism.
+    pub workers: usize,
     /// Threads of the shared intra-frame compute pool: the DSP stages fan
     /// chirps / range columns of a *single* frame across this pool. Defaults
-    /// to 1 (parallelism comes from frame-level pipelining); raise it when
-    /// frames are large and cores outnumber the stage workers.
+    /// to 1 (parallelism comes from the frame workers); raise it when frames
+    /// are large and cores outnumber the workers.
     pub intra_frame_threads: usize,
-    /// Numeric tier for the inline frame path ([`Cell::process`], what fleet
-    /// shards call per frame): `F64` is the oracle with bit-identity
-    /// guarantees, `F32` the validated fast tier. The staged streaming
-    /// pipeline ([`Cell::run_streaming`]) always runs the f64 oracle — its
-    /// envelopes carry f64 leases.
+    /// Numeric tier of every frame the cell runs, inline or streamed: `F64`
+    /// is the oracle with bit-identity guarantees, `F32` the validated fast
+    /// tier.
     pub precision: PrecisionTier,
 }
 
@@ -132,7 +68,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             queue_capacity: 8,
             policy: Backpressure::Block,
-            workers: StageWorkers::auto(),
+            workers: thread::available_parallelism().map_or(1, |n| n.get()),
             intra_frame_threads: 1,
             precision: PrecisionTier::F64,
         }
@@ -141,131 +77,20 @@ impl Default for RuntimeConfig {
 
 /// Everything a streaming run produced.
 pub struct RunReport {
-    /// `(frame id, outcome)` pairs, restored to frame-id order at the sink.
+    /// `(frame id, outcome)` pairs in frame-id order; failed and dropped
+    /// frames are absent.
     pub outcomes: Vec<(u64, IsacOutcome)>,
-    /// Per-stage and end-to-end metrics.
+    /// End-to-end metrics and the registry snapshot.
     pub metrics: MetricsSnapshot,
-}
-
-// Inter-stage envelopes. Each carries the job (for scenario/seed/id), the
-// enqueue timestamp (for end-to-end latency), and exactly the data the next
-// stage needs. The bulk payloads are arena `Lease`s, not owned buffers:
-// when an envelope is dropped — at the stage that no longer needs its data,
-// or mid-queue under `DropOldest` — the buffers return to the shared
-// [`FrameArena`] and the next frame reuses them, which is what keeps queue
-// memory bounded *and* steady-state frames allocation-free.
-struct EnvJob {
-    job: FrameJob,
-    born: Instant,
-}
-struct EnvSynth {
-    job: FrameJob,
-    born: Instant,
-    synth: SynthesizedFrame,
-    stages: StageNanos,
-}
-struct EnvIf {
-    job: FrameJob,
-    born: Instant,
-    train: ChirpTrain,
-    downlink: FrameOutcome,
-    if_data: Lease<SampleSlab>,
-    stages: StageNanos,
-}
-struct EnvAligned {
-    job: FrameJob,
-    born: Instant,
-    downlink: FrameOutcome,
-    pair: Lease<AlignedPair>,
-    stages: StageNanos,
-}
-struct EnvMapped {
-    job: FrameJob,
-    born: Instant,
-    downlink: FrameOutcome,
-    pair: Lease<AlignedPair>,
-    map: Lease<RangeDopplerMap>,
-    stages: StageNanos,
-}
-struct EnvDone {
-    id: u64,
-    born: Instant,
-    outcome: IsacOutcome,
-    stages: StageNanos,
-}
-
-/// Spawns `workers` threads that drain `input` through `f` into `output`.
-/// Each worker runs `init` once before its drain loop — the FFT-heavy
-/// stages use it to warm the thread-local plan cache
-/// ([`biscatter_core::isac::warm_dsp_plans`]) so plan construction is paid
-/// at spawn, not inside the first frame's latency. The last worker to
-/// observe the drained input closes `output`, propagating shutdown
-/// downstream.
-fn spawn_pool<'s, I, O, F, G>(
-    scope: &'s thread::Scope<'s, '_>,
-    workers: usize,
-    input: &Arc<BoundedQueue<I>>,
-    output: &Arc<BoundedQueue<O>>,
-    metrics: &Arc<StageMetrics>,
-    init: G,
-    f: F,
-) where
-    I: Send + 's,
-    O: Send + 's,
-    F: Fn(I) -> O + Send + Sync + 's,
-    G: Fn() + Send + Sync + 's,
-{
-    assert!(workers > 0, "stages need at least one worker");
-    let f = Arc::new(f);
-    let init = Arc::new(init);
-    let alive = Arc::new(AtomicUsize::new(workers));
-    for _ in 0..workers {
-        let input = Arc::clone(input);
-        let output = Arc::clone(output);
-        let metrics = Arc::clone(metrics);
-        let f = Arc::clone(&f);
-        let init = Arc::clone(&init);
-        let alive = Arc::clone(&alive);
-        scope.spawn(move || {
-            init();
-            while let Some(item) = input.pop() {
-                let t0 = Instant::now();
-                let out = f(item);
-                let took = t0.elapsed();
-                if output.push(out) {
-                    metrics.record_frame(took);
-                } else {
-                    metrics.record_swallowed(took);
-                }
-            }
-            if alive.fetch_sub(1, Ordering::AcqRel) == 1 {
-                output.close();
-            }
-        });
-    }
 }
 
 /// A radar cell as a value: one system, one runtime configuration, one
 /// frame arena, and a metric scope.
 ///
-/// PRs 1–5 assumed a single pipeline per process; the fleet layer
-/// (`biscatter-fleet`) instead instantiates many cells and schedules them
-/// across worker shards, so everything that used to be implicitly
-/// process-global — arena pools, queue gauges, stage histograms — is scoped
-/// under the cell's `cell<id>.` metric prefix.
-///
-/// Two entry points share the cell's arena and scope:
-/// * [`Cell::run_streaming`] — the full staged pipeline (source → five
-///   worker pools → sink), the same machinery as the free [`run_streaming`]
-///   but with per-cell metric names.
-/// * [`Cell::process`] — one frame, inline on the calling thread through
-///   the zero-allocation arena path
-///   ([`biscatter_core::isac::run_isac_frame_with`], or the f32 fast tier
-///   when the config selects it); this is what a fleet shard calls when it
-///   multiplexes many cells onto one thread.
-///
-/// On the default `F64` tier both paths are bit-identical to the one-shot
-/// [`run_isac_frame`] because every job carries its own seed.
+/// The fleet layer (`biscatter-fleet`) instantiates many cells and
+/// schedules them across worker shards, so everything that would otherwise
+/// be process-global — arena pools, the intake gauges, frame counters — is
+/// scoped under the cell's `cell<id>.` metric prefix.
 pub struct Cell {
     id: usize,
     prefix: String,
@@ -273,43 +98,36 @@ pub struct Cell {
     cfg: RuntimeConfig,
     arena: FrameArena,
     frames: Counter,
+    failed: Counter,
     frame_ns: Histogram,
     /// Always-on flight recorder ring (shared with the scrape server through
     /// the global `recorder` table).
     recorder: Arc<FlightRecorder>,
     /// Cached handles to every cumulative drop counter charged to this cell
-    /// (admission intake + the six stage queues), so capture-time totals
-    /// are atomic loads — no registry lookups on the frame path.
+    /// (admission intake + the streaming intake), so capture-time totals are
+    /// atomic loads — no registry lookups on the frame path.
     drop_counters: Vec<Counter>,
 }
 
 impl Cell {
     /// A cell whose metrics live under `cell<id>.` (e.g.
-    /// `cell3.runtime.queue.detect.depth`, `cell3.arena.isac.maps.*`).
+    /// `cell3.runtime.queue.intake.depth`, `cell3.arena.isac.maps.*`).
     pub fn new(id: usize, sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
         Self::with_prefix(id, format!("cell{id}."), sys, cfg)
     }
 
     /// A cell with the legacy unscoped metric names — what the free
-    /// [`run_streaming`] uses, and what single-pipeline processes expect.
+    /// [`run_streaming`] uses, and what single-cell processes expect.
     pub fn standalone(sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
         Self::with_prefix(0, String::new(), sys, cfg)
     }
 
     fn with_prefix(id: usize, prefix: String, sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
         let r = biscatter_obs::registry();
-        let frames = r.counter(&format!("{prefix}runtime.frames"));
-        let frame_ns = r.histogram(&format!("{prefix}runtime.frame.ns"));
-        let arena = FrameArena::scoped(&prefix);
         let drop_counters = [
             "fleet.intake.drops",
             "fleet.intake.rejected",
-            "runtime.queue.synthesize.drops",
-            "runtime.queue.dechirp.drops",
-            "runtime.queue.align.drops",
-            "runtime.queue.doppler.drops",
-            "runtime.queue.detect.drops",
-            "runtime.queue.sink.drops",
+            "runtime.queue.intake.drops",
         ]
         .iter()
         .map(|name| r.counter(&format!("{prefix}{name}")))
@@ -317,12 +135,13 @@ impl Cell {
         Cell {
             recorder: recorder::for_cell(id as u32),
             id,
+            frames: r.counter(&format!("{prefix}runtime.frames")),
+            failed: r.counter(&format!("{prefix}runtime.frames.failed")),
+            frame_ns: r.histogram(&format!("{prefix}runtime.frame.ns")),
+            arena: FrameArena::scoped(&prefix),
             prefix,
             sys,
             cfg,
-            arena,
-            frames,
-            frame_ns,
             drop_counters,
         }
     }
@@ -332,17 +151,8 @@ impl Cell {
         self.id
     }
 
-    /// The metric-name prefix (`"cell<id>."`, or empty for standalone).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// The radar/tag system this cell simulates and processes.
-    pub fn system(&self) -> &BiScatterSystem {
-        &self.sys
-    }
-
-    /// The runtime configuration (queue sizing, backpressure, workers).
+    /// The runtime configuration (intake sizing, backpressure, workers,
+    /// tier).
     pub fn config(&self) -> &RuntimeConfig {
         &self.cfg
     }
@@ -353,190 +163,155 @@ impl Cell {
         &self.arena
     }
 
-    /// The cell's flight recorder (the same ring
-    /// `biscatter_obs::recorder::for_cell(id)` resolves).
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
+    fn ctx<'a>(&'a self, pool: &'a ComputePool) -> FrameCtx<'a> {
+        FrameCtx {
+            pool,
+            sys: &self.sys,
+            arena: &self.arena,
+            tier: self.cfg.precision,
+        }
     }
 
-    /// Cumulative queue + admission drops charged to this cell right now —
-    /// a sum of atomic loads over the cached counter handles.
-    fn queue_drops_now(&self) -> u64 {
-        self.drop_counters.iter().map(Counter::get).sum()
-    }
-
-    /// Captures one frame into the flight recorder. Allocation-free: the
-    /// record is `Copy` and the ring was preallocated, so the zero-alloc
-    /// audits run with this in the measuring window.
-    fn record_frame(
+    /// Counts one frame and writes its flight record. `total_ns` runs from
+    /// `born`. `outcome` is `None` when no aligned frame ran: a rejected
+    /// acquisition, or a `failed` frame. Allocation-free: the record is
+    /// `Copy` and the ring was preallocated, so the zero-alloc audits run
+    /// with this in the measuring window.
+    fn record(
         &self,
         frame_id: u64,
-        total_ns: u64,
+        born: Instant,
         stages: StageNanos,
         pslr_db: f64,
-        outcome: &IsacOutcome,
+        outcome: Option<&IsacOutcome>,
+        failed: bool,
     ) {
-        let snr_db = outcome.location.as_ref().map_or(f64::NAN, |l| l.snr_db);
-        let decoded_bits = if outcome.tags.is_empty() {
-            outcome.uplink_bits.as_ref().map_or(0, |b| b.len())
+        let total = born.elapsed();
+        if failed {
+            self.failed.inc();
         } else {
-            outcome
-                .tags
-                .iter()
-                .map(|t| t.uplink.as_ref().map_or(0, |u| u.bits.len()))
-                .sum()
-        } as u32;
+            self.frames.inc();
+            self.frame_ns.record(total);
+        }
+        let decoded_bits = outcome.map_or(0, |o| {
+            if o.tags.is_empty() {
+                o.uplink_bits.as_ref().map_or(0, |b| b.len())
+            } else {
+                o.tags
+                    .iter()
+                    .map(|t| t.uplink.as_ref().map_or(0, |u| u.bits.len()))
+                    .sum()
+            }
+        }) as u32;
         self.recorder.record(FrameRecord {
             frame_id,
             cell_id: self.id as u32,
             t_ns: recorder::now_ns(),
-            total_ns,
+            total_ns: total.as_nanos() as u64,
             stages,
-            snr_db,
+            failed,
+            snr_db: outcome
+                .and_then(|o| o.location.as_ref())
+                .map_or(f64::NAN, |l| l.snr_db),
             pslr_db,
             decoded_bits,
-            cfar_detections: outcome.detections.len() as u32,
-            queue_drops: self.queue_drops_now(),
+            cfar_detections: outcome.map_or(0, |o| o.detections.len() as u32),
+            queue_drops: self.drop_counters.iter().map(Counter::get).sum(),
         });
     }
 
     /// Runs one frame inline on the calling thread through the cell's arena
     /// (allocation-free after warm-up) and records it in the cell's frame
-    /// counter and latency histogram. On the default `F64` tier the outcome
-    /// is bit-identical to [`run_isac_frame`]; the `F32` tier trades the
-    /// low bits of the hot path for speed (see
-    /// [`biscatter_core::isac::precision`]).
+    /// counter, latency histogram, and flight recorder. On the default `F64`
+    /// tier the outcome is bit-identical to [`run_isac_frame`]; the `F32`
+    /// tier trades the low bits of the hot path for speed (see
+    /// [`biscatter_core::isac::precision`]). A panic in the frame propagates
+    /// to the caller.
     pub fn process(&self, pool: &ComputePool, job: &FrameJob) -> IsacOutcome {
+        self.frame(pool, job, Instant::now())
+    }
+
+    /// [`Cell::process`] with the frame's flight record timed from `born`.
+    fn frame(&self, pool: &ComputePool, job: &FrameJob, born: Instant) -> IsacOutcome {
         let _fs = trace::frame_scope(job.id);
         let _span = biscatter_obs::span!("runtime.frame");
-        let t0 = Instant::now();
         let mut stages = StageNanos::default();
-        let outcome = run_isac_frame_tiered_times(
-            pool,
-            &self.sys,
+        let outcome = run_frame(
+            &self.ctx(pool),
             &job.scenario,
             &job.payload,
             job.seed,
-            &self.arena,
-            self.cfg.precision,
             &mut stages,
         );
-        let total = t0.elapsed();
-        self.frames.inc();
-        self.frame_ns.record(total);
-        self.record_frame(job.id, total.as_nanos() as u64, stages, f64::NAN, &outcome);
+        self.record(job.id, born, stages, f64::NAN, Some(&outcome), false);
         outcome
+    }
+
+    /// [`Cell::process`] with a panicking frame contained: the panic is
+    /// counted in `<prefix>runtime.frames.failed`, written as a failed
+    /// flight record, and `None` comes back. `born` is when the frame
+    /// entered the cell; its flight record's `total_ns` runs from there, so
+    /// the time it waited shows as `total_ns - stages.total()`.
+    pub fn try_process(
+        &self,
+        pool: &ComputePool,
+        job: &FrameJob,
+        born: Instant,
+    ) -> Option<IsacOutcome> {
+        match panic::catch_unwind(AssertUnwindSafe(|| self.frame(pool, job, born))) {
+            Ok(outcome) => Some(outcome),
+            Err(_) => {
+                self.record(job.id, born, StageNanos::default(), f64::NAN, None, true);
+                None
+            }
+        }
     }
 
     /// Runs one cold-start frame inline: acquisition stage 0 (the correlator
     /// bank over the raw dwell, leasing its capture/bank/slab buffers from
     /// the cell's arena) and then — only if the tag passed the PSLR gate —
-    /// the standard aligned frame. Jobs whose scenarios carry no
+    /// the aligned frame on the cell's tier, exactly as [`Cell::process`]
+    /// runs it. Jobs whose scenarios carry no
     /// [`biscatter_core::isac::ColdStartSpec`] behave like [`Cell::process`]
     /// with the outcome wrapped in a [`ColdStartOutcome`]. Recorded in the
     /// same frame counter/latency histogram as aligned frames.
     pub fn process_cold_start(&self, pool: &ComputePool, job: &FrameJob) -> ColdStartOutcome {
+        let born = Instant::now();
         let _fs = trace::frame_scope(job.id);
         let _span = biscatter_obs::span!("runtime.frame");
-        let t0 = Instant::now();
         let mut stages = StageNanos::default();
-        let outcome = run_cold_start_frame_with_times(
-            pool,
-            &self.sys,
+        let outcome = run_cold_start_frame(
+            &self.ctx(pool),
             &job.scenario,
             &job.payload,
             job.seed,
-            &self.arena,
             &mut stages,
         );
-        let total = t0.elapsed();
-        self.frames.inc();
-        self.frame_ns.record(total);
         let pslr_db = outcome.acquisition.as_ref().map_or(f64::NAN, |a| a.pslr_db);
-        match &outcome.frame {
-            Some(frame) => {
-                self.record_frame(job.id, total.as_nanos() as u64, stages, pslr_db, frame)
-            }
-            None => {
-                // Rejected acquisition: no aligned frame ran, but the dwell
-                // still cost time and belongs in the flight record.
-                self.recorder.record(FrameRecord {
-                    frame_id: job.id,
-                    cell_id: self.id as u32,
-                    t_ns: recorder::now_ns(),
-                    total_ns: total.as_nanos() as u64,
-                    stages,
-                    snr_db: f64::NAN,
-                    pslr_db,
-                    decoded_bits: 0,
-                    cfar_detections: 0,
-                    queue_drops: self.queue_drops_now(),
-                });
-            }
-        }
+        self.record(job.id, born, stages, pslr_db, outcome.frame.as_ref(), false);
         outcome
     }
 
-    /// Streams `jobs` through the staged pipeline and collects every
-    /// outcome. The calling thread acts as the sink; worker threads are
-    /// scoped, so the method returns only after every stage has shut down.
+    /// Streams `jobs` through the cell's frame workers and collects every
+    /// outcome. A source thread queues each job with its enqueue time on the
+    /// bounded intake; each of `workers` threads pops whole frames and runs
+    /// them through [`Cell::try_process`], so a frame's recorded `total_ns`
+    /// includes its queue wait. Threads are scoped, so the method returns
+    /// only after every worker has shut down.
     pub fn run_streaming(&self, jobs: Vec<FrameJob>) -> RunReport {
-        let sys = &self.sys;
         let cfg = &self.cfg;
-        let p = self.prefix.as_str();
-        let n_jobs = jobs.len();
-        let cap = cfg.queue_capacity;
-        // One compute pool shared by the DSP stages for intra-frame fan-out.
-        // Its background workers warm their thread-local FFT planners at
-        // spawn, the same `warm_dsp_plans` hook the stage workers run in
-        // `spawn_pool`.
-        let warm_sys = sys.clone();
+        assert!(cfg.workers > 0, "a cell needs at least one frame worker");
+        let intake = BoundedQueue::<(FrameJob, Instant)>::named_at(
+            cfg.queue_capacity,
+            cfg.policy,
+            &format!("{}runtime.queue.intake", self.prefix),
+        );
+        // One compute pool shared by the workers for intra-frame fan-out;
+        // its background threads warm their thread-local FFT planners at
+        // spawn, as each worker does before its first frame.
+        let warm_sys = self.sys.clone();
         let intra =
             ComputePool::with_init(cfg.intra_frame_threads, move || warm_dsp_plans(&warm_sys));
-        let intra = &intra;
-        // Recyclable buffers shared by all stage workers; leases travel
-        // inside the envelopes and return here when dropped.
-        let arena = &self.arena;
-        // Queues are named after their consuming stage, so the registry shows
-        // each edge's live depth / high-water / drops as
-        // `<prefix>runtime.queue.<stage>.*`.
-        let q = |stage: &str| format!("{p}runtime.queue.{stage}");
-        let q_synth = Arc::new(BoundedQueue::<EnvJob>::named_at(
-            cap,
-            cfg.policy,
-            &q("synthesize"),
-        ));
-        let q_dechirp = Arc::new(BoundedQueue::<EnvSynth>::named_at(
-            cap,
-            cfg.policy,
-            &q("dechirp"),
-        ));
-        let q_align = Arc::new(BoundedQueue::<EnvIf>::named_at(
-            cap,
-            cfg.policy,
-            &q("align"),
-        ));
-        let q_doppler = Arc::new(BoundedQueue::<EnvAligned>::named_at(
-            cap,
-            cfg.policy,
-            &q("doppler"),
-        ));
-        let q_detect = Arc::new(BoundedQueue::<EnvMapped>::named_at(
-            cap,
-            cfg.policy,
-            &q("detect"),
-        ));
-        let q_sink = Arc::new(BoundedQueue::<EnvDone>::named_at(
-            cap,
-            cfg.policy,
-            &q("sink"),
-        ));
-
-        let m_synth = Arc::new(StageMetrics::scoped(p, "synthesize"));
-        let m_dechirp = Arc::new(StageMetrics::scoped(p, "dechirp"));
-        let m_align = Arc::new(StageMetrics::scoped(p, "align"));
-        let m_doppler = Arc::new(StageMetrics::scoped(p, "doppler"));
-        let m_detect = Arc::new(StageMetrics::scoped(p, "detect"));
         let e2e = LatencyHistogram::default();
 
         // `BISCATTER_TRACE=<path>` turns span recording on for the run and
@@ -552,224 +327,51 @@ impl Cell {
         biscatter_obs::serve::spawn_from_env();
 
         let t0 = Instant::now();
-        let mut outcomes: Vec<(u64, IsacOutcome)> = thread::scope(|scope| {
-            {
-                let q = Arc::clone(&q_synth);
-                scope.spawn(move || {
-                    for job in jobs {
-                        let _fs = trace::frame_scope(job.id);
-                        let _span = biscatter_obs::span!("runtime.source");
-                        let env = EnvJob {
-                            born: Instant::now(),
-                            job,
-                        };
-                        if !q.push(env) {
-                            break;
+        let results: Vec<(u64, Option<IsacOutcome>)> = thread::scope(|scope| {
+            scope.spawn(|| {
+                for job in jobs {
+                    let _fs = trace::frame_scope(job.id);
+                    let _span = biscatter_obs::span!("runtime.source");
+                    if !intake.push((job, Instant::now())) {
+                        break;
+                    }
+                }
+                intake.close();
+            });
+            let workers: Vec<_> = (0..cfg.workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        warm_dsp_plans(&self.sys);
+                        let mut done = Vec::new();
+                        while let Some((job, born)) = intake.pop() {
+                            let outcome = self.try_process(&intra, &job, born);
+                            if outcome.is_some() {
+                                e2e.record(born.elapsed());
+                            }
+                            done.push((job.id, outcome));
                         }
-                    }
-                    q.close();
-                });
-            }
-
-            spawn_pool(
-                scope,
-                cfg.workers.synthesize,
-                &q_synth,
-                &q_dechirp,
-                &m_synth,
-                || {},
-                |e: EnvJob| {
-                    let _fs = trace::frame_scope(e.job.id);
-                    let t = Instant::now();
-                    let synth = synthesize_frame(sys, &e.job.scenario, &e.job.payload, e.job.seed);
-                    let stages = StageNanos {
-                        synthesize: t.elapsed().as_nanos() as u64,
-                        ..StageNanos::default()
-                    };
-                    EnvSynth {
-                        job: e.job,
-                        born: e.born,
-                        synth,
-                        stages,
-                    }
-                },
-            );
-            spawn_pool(
-                scope,
-                cfg.workers.dechirp,
-                &q_dechirp,
-                &q_align,
-                &m_dechirp,
-                || {},
-                {
-                    let arena = arena.clone();
-                    move |e: EnvSynth| {
-                        let _fs = trace::frame_scope(e.job.id);
-                        let t = Instant::now();
-                        let mut if_data = arena.if_slabs.take_or(SampleSlab::new);
-                        dechirp_stage_into(
-                            intra,
-                            sys,
-                            &e.synth.train,
-                            &e.synth.scene,
-                            e.job.seed,
-                            &mut if_data,
-                        );
-                        let mut stages = e.stages;
-                        stages.dechirp = t.elapsed().as_nanos() as u64;
-                        EnvIf {
-                            job: e.job,
-                            born: e.born,
-                            train: e.synth.train,
-                            downlink: e.synth.downlink,
-                            if_data,
-                            stages,
-                        }
-                    }
-                },
-            );
-            spawn_pool(
-                scope,
-                cfg.workers.align,
-                &q_align,
-                &q_doppler,
-                &m_align,
-                || warm_dsp_plans(sys),
-                {
-                    let arena = arena.clone();
-                    move |e: EnvIf| {
-                        let _fs = trace::frame_scope(e.job.id);
-                        let t = Instant::now();
-                        let mut pair = arena.aligned.take_or(AlignedPair::default);
-                        align_stage_into(intra, sys, &e.train, &*e.if_data, &mut pair);
-                        // `e.if_data` drops here: the slab returns to the arena.
-                        let mut stages = e.stages;
-                        stages.align = t.elapsed().as_nanos() as u64;
-                        EnvAligned {
-                            job: e.job,
-                            born: e.born,
-                            downlink: e.downlink,
-                            pair,
-                            stages,
-                        }
-                    }
-                },
-            );
-            spawn_pool(
-                scope,
-                cfg.workers.doppler,
-                &q_doppler,
-                &q_detect,
-                &m_doppler,
-                || warm_dsp_plans(sys),
-                {
-                    let arena = arena.clone();
-                    move |e: EnvAligned| {
-                        let _fs = trace::frame_scope(e.job.id);
-                        let t = Instant::now();
-                        let mut map = arena.maps.take_or(RangeDopplerMap::default);
-                        doppler_stage_into(intra, &e.pair, &mut map);
-                        let mut stages = e.stages;
-                        stages.doppler = t.elapsed().as_nanos() as u64;
-                        EnvMapped {
-                            job: e.job,
-                            born: e.born,
-                            downlink: e.downlink,
-                            pair: e.pair,
-                            map,
-                            stages,
-                        }
-                    }
-                },
-            );
-            spawn_pool(
-                scope,
-                cfg.workers.detect,
-                &q_detect,
-                &q_sink,
-                &m_detect,
-                || warm_dsp_plans(sys),
-                {
-                    let arena = arena.clone();
-                    move |e: EnvMapped| {
-                        let _fs = trace::frame_scope(e.job.id);
-                        let t = Instant::now();
-                        let mut mean_power = arena.scratch.take_or(Vec::new);
-                        let outcome = if e.job.scenario.extra_tags.is_empty() {
-                            detect_stage_with(
-                                &e.job.scenario,
-                                &e.pair,
-                                &e.map,
-                                e.downlink,
-                                &mut mean_power,
-                            )
-                        } else {
-                            // Multi-tag frames go through the batched engine. The
-                            // bank lease keeps its cached per-tag templates when
-                            // it cycles back to a frame with the same tag set.
-                            let mut bank = arena.banks.take_or(TagBank::default);
-                            let mut scratch = arena.multitag.take_or(MultiTagScratch::default);
-                            detect_stage_multi(
-                                intra,
-                                &e.job.scenario,
-                                &e.pair,
-                                &e.map,
-                                e.downlink,
-                                &mut bank,
-                                &mut scratch,
-                                &mut mean_power,
-                            )
-                        };
-                        // Pair, map, and scratch leases drop here — recycled.
-                        let mut stages = e.stages;
-                        stages.detect = t.elapsed().as_nanos() as u64;
-                        EnvDone {
-                            id: e.job.id,
-                            born: e.born,
-                            outcome,
-                            stages,
-                        }
-                    }
-                },
-            );
-
-            // The caller's thread is the sink: it restores frame-id order
-            // after the unordered worker pools.
-            let mut acc = Vec::with_capacity(n_jobs);
-            while let Some(done) = q_sink.pop() {
-                let _fs = trace::frame_scope(done.id);
-                let _span = biscatter_obs::span!("runtime.sink");
-                let lat = done.born.elapsed();
-                e2e.record(lat);
-                self.frames.inc();
-                self.frame_ns.record(lat);
-                self.record_frame(
-                    done.id,
-                    lat.as_nanos() as u64,
-                    done.stages,
-                    f64::NAN,
-                    &done.outcome,
-                );
-                acc.push((done.id, done.outcome));
-            }
-            acc
+                        done
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("frame workers contain frame panics"))
+                .collect()
         });
         let elapsed = t0.elapsed();
-        outcomes.sort_by_key(|&(id, _)| id);
 
-        let stages = vec![
-            m_synth.snapshot(q_synth.high_water(), q_synth.drops()),
-            m_dechirp.snapshot(q_dechirp.high_water(), q_dechirp.drops()),
-            m_align.snapshot(q_align.high_water(), q_align.drops()),
-            m_doppler.snapshot(q_doppler.high_water(), q_doppler.drops()),
-            m_detect.snapshot(q_detect.high_water(), q_detect.drops()),
-        ];
-        let total_drops = stages.iter().map(|s| s.queue_drops).sum::<u64>() + q_sink.drops();
+        let frames_failed = results.iter().filter(|(_, o)| o.is_none()).count() as u64;
+        let mut outcomes: Vec<(u64, IsacOutcome)> = results
+            .into_iter()
+            .filter_map(|(id, o)| Some((id, o?)))
+            .collect();
+        outcomes.sort_by_key(|&(id, _)| id);
         let metrics = MetricsSnapshot {
-            stages,
             end_to_end: e2e.snapshot(),
             frames_completed: outcomes.len() as u64,
-            total_drops,
+            frames_failed,
+            total_drops: intake.drops(),
             elapsed,
             registry: biscatter_obs::registry().snapshot(),
         };
@@ -780,8 +382,8 @@ impl Cell {
     }
 }
 
-/// Streams `jobs` through the staged pipeline with the legacy process-global
-/// metric names and collects every outcome. Equivalent to
+/// Streams `jobs` through a cell's frame workers with the legacy
+/// process-global metric names and collects every outcome. Equivalent to
 /// [`Cell::standalone`] followed by [`Cell::run_streaming`].
 pub fn run_streaming(sys: &BiScatterSystem, jobs: Vec<FrameJob>, cfg: &RuntimeConfig) -> RunReport {
     Cell::standalone(sys.clone(), *cfg).run_streaming(jobs)
@@ -811,15 +413,4 @@ pub fn run_serial(sys: &BiScatterSystem, jobs: &[FrameJob]) -> Vec<(u64, IsacOut
     jobs.iter()
         .map(|j| (j.id, run_isac_frame(sys, &j.scenario, &j.payload, j.seed)))
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn worker_totals() {
-        assert_eq!(StageWorkers::uniform(2).total(), 10);
-        assert!(StageWorkers::auto().total() >= 5);
-    }
 }

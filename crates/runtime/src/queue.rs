@@ -1,12 +1,12 @@
 //! Bounded MPMC queue with selectable backpressure, built on
 //! `std::sync::{Mutex, Condvar}`.
 //!
-//! Every inter-stage edge of the streaming pipeline is one of these. The
-//! queue tracks its own depth high-water mark and drop count, so stage
-//! metrics can report how congested each edge ran. Queues built with
-//! [`BoundedQueue::named`] additionally publish their depth (sampled at
-//! every push) and eviction count as `runtime.queue.<name>.*` registry
-//! metrics, giving live congestion visibility mid-run.
+//! A cell's streaming intake and the fleet's per-cell admission intakes are
+//! each one of these. The queue tracks its own depth high-water mark and
+//! drop count; queues built with [`BoundedQueue::named_at`] additionally
+//! publish their depth (sampled at every push and pop), high-water mark, and
+//! eviction count as `<base>.*` registry metrics, giving live congestion
+//! visibility mid-run.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -86,19 +86,12 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// [`new`](Self::new), additionally publishing `runtime.queue.<name>.depth`
-    /// (sampled at each push) and `.high_water` gauges plus a `.drops`
-    /// eviction counter to the global metric registry.
-    pub fn named(capacity: usize, policy: Backpressure, name: &str) -> Self {
-        Self::named_at(capacity, policy, &format!("runtime.queue.{name}"))
-    }
-
-    /// Like [`named`](Self::named) but takes the full registry base name
-    /// instead of prepending `runtime.queue.`. Multi-cell processes scope
-    /// their queues as `cell<id>.runtime.queue.<stage>` (and the fleet
-    /// intake as `cell<id>.fleet.intake`) so concurrent pipelines report
-    /// disjoint gauges; the legacy unscoped names remain the single-cell
-    /// default.
+    /// [`new`](Self::new), additionally publishing `<base>.depth` and
+    /// `<base>.high_water` gauges plus a `<base>.drops` eviction counter to
+    /// the global metric registry. Multi-cell processes scope their queues
+    /// as `cell<id>.runtime.queue.intake` (and the fleet intake as
+    /// `cell<id>.fleet.intake`) so concurrent cells report disjoint gauges;
+    /// the unscoped `runtime.queue.intake` remains the single-cell default.
     pub fn named_at(capacity: usize, policy: Backpressure, base: &str) -> Self {
         let r = biscatter_obs::registry();
         let mut q = Self::new(capacity, policy);

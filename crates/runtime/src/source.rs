@@ -3,17 +3,17 @@
 //!
 //! Every job carries its own seed, derived from the workload's base seed and
 //! the frame id with splitmix64. Frame results therefore depend only on the
-//! job, never on worker scheduling — the streaming pipeline and the one-shot
-//! path produce identical outcomes for the same spec.
+//! job, never on worker scheduling — streaming cells and the one-shot path
+//! produce identical outcomes for the same spec.
 
 use biscatter_core::isac::{ClutterSpec, ColdStartSpec, IsacScenario, MoverSpec, TagDeployment};
 use biscatter_core::system::BiScatterSystem;
 use biscatter_radar::receiver::uplink::UplinkScheme;
 
-/// One frame's worth of work for the pipeline.
+/// One frame's worth of work for a cell.
 #[derive(Debug, Clone)]
 pub struct FrameJob {
-    /// Monotonically increasing frame id (also the sink's sort key).
+    /// Monotonically increasing frame id (also the outcomes' sort key).
     pub id: u64,
     /// Which simulated radar emits this frame.
     pub radar_id: usize,

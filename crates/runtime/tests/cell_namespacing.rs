@@ -1,7 +1,7 @@
 //! Per-cell metric namespacing regression test (ISSUE 6 satellite).
 //!
 //! Two cells running concurrently in one process must report *disjoint*
-//! metric scopes — every pool gauge, queue gauge, and stage histogram a
+//! metric scopes — every pool gauge, intake gauge, and frame histogram a
 //! cell touches lives under its own `cell<i>.` prefix — and each scope must
 //! report that cell's numbers, not a sum mangled together in shared names.
 //!
@@ -54,22 +54,12 @@ fn concurrent_cells_report_disjoint_correct_gauges() {
     assert_eq!(view_a.counter("runtime.frames"), Some(5));
     assert_eq!(view_b.counter("runtime.frames"), Some(9));
     for view in [&view_a, &view_b] {
-        for stage in [
-            "synthesize",
-            "dechirp",
-            "align",
-            "doppler",
-            "detect",
-            "sink",
-        ] {
-            let depth = view.gauge(&format!("runtime.queue.{stage}.depth"));
-            assert_eq!(depth, Some(0.0), "queue drained at shutdown: {stage}");
-            let hiwat = view.gauge(&format!("runtime.queue.{stage}.high_water"));
-            assert!(
-                hiwat.is_some_and(|v| v >= 1.0),
-                "queue {stage} was never used"
-            );
-        }
+        let depth = view.gauge("runtime.queue.intake.depth");
+        assert_eq!(depth, Some(0.0), "intake drained at shutdown");
+        let hiwat = view.gauge("runtime.queue.intake.high_water");
+        assert!(hiwat.is_some_and(|v| v >= 1.0), "intake was never used");
+        assert_eq!(view.counter("runtime.queue.intake.drops"), Some(0));
+        assert_eq!(view.counter("runtime.frames.failed"), Some(0));
         assert!(
             view.counter("arena.isac.if_slabs.lease_hits").is_some(),
             "arena pools must live inside the cell scope"

@@ -1,13 +1,13 @@
-//! End-to-end telemetry audit for the streaming pipeline.
+//! End-to-end telemetry audit for the streaming runtime.
 //!
 //! Runs a real multi-frame stream with tracing enabled and an intra-frame
 //! compute pool, then drains the trace rings and the metric registry and
 //! checks the whole observability story at once:
 //!
-//! - every completed frame id shows spans from the source, all four DSP
-//!   stages (dechirp / align / doppler / detect), and at least one
-//!   compute-pool worker — i.e. the frame id propagated from the source
-//!   thread through the stage workers into the pool's fork-join regions;
+//! - every completed frame id shows spans from the source, the frame
+//!   worker, all five ISAC stages, and at least one compute-pool worker —
+//!   i.e. the frame id propagated from the source thread through the frame
+//!   worker into the pool's fork-join regions;
 //! - the plan cache and the frame arena report non-zero hit rates, proving
 //!   the hot-path instrumentation observed the reuse the DESIGN doc claims.
 //!
@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use biscatter_compute::ComputePool;
 use biscatter_obs::trace::{self, TraceCollector};
-use biscatter_runtime::pipeline::{run_streaming, Cell, RuntimeConfig, StageWorkers};
+use biscatter_runtime::pipeline::{run_streaming, Cell, RuntimeConfig};
 use biscatter_runtime::queue::Backpressure;
 use biscatter_runtime::source::{cold_start_jobs, streaming_system, WorkloadSpec};
 
@@ -34,7 +34,7 @@ fn every_frame_is_traced_end_to_end() {
     let cfg = RuntimeConfig {
         queue_capacity: 4,
         policy: Backpressure::Block,
-        workers: StageWorkers::uniform(1),
+        workers: 1,
         intra_frame_threads: 2,
         ..RuntimeConfig::default()
     };
@@ -74,20 +74,21 @@ fn every_frame_is_traced_end_to_end() {
     }
     assert!(
         threads_with_spans.len() >= 3,
-        "expected spans from several threads (source, stage workers, pool), got {}",
+        "expected spans from several threads (source, frame worker, pool), got {}",
         threads_with_spans.len()
     );
 
-    // Every completed frame was traced at the source, through each DSP
-    // stage, and inside at least one compute-pool worker.
+    // Every completed frame was traced at the source, in its frame worker,
+    // through each ISAC stage, and inside at least one compute-pool worker.
     let required = [
         "runtime.source",
+        "runtime.frame",
+        "isac.synthesize",
         "isac.dechirp",
         "isac.align",
         "isac.doppler",
         "isac.detect",
         "compute.worker",
-        "runtime.sink",
     ];
     for (id, _) in &report.outcomes {
         let names = by_frame
@@ -122,21 +123,12 @@ fn every_frame_is_traced_end_to_end() {
         "intra-frame pool never forked"
     );
 
-    // Stage queues published their congestion gauges.
-    for stage in [
-        "synthesize",
-        "dechirp",
-        "align",
-        "doppler",
-        "detect",
-        "sink",
-    ] {
-        let name = format!("runtime.queue.{stage}.high_water");
-        let hw = reg
-            .gauge(&name)
-            .unwrap_or_else(|| panic!("registry is missing gauge `{name}`"));
-        assert!(hw >= 1.0, "queue {stage} high-water gauge never moved");
-    }
+    // The intake published its congestion gauges: used, drained, and
+    // lossless under blocking backpressure.
+    let hw = reg.gauge("runtime.queue.intake.high_water");
+    assert!(hw.is_some_and(|hw| hw >= 1.0), "intake high water {hw:?}");
+    assert_eq!(reg.gauge("runtime.queue.intake.depth"), Some(0.0));
+    assert_eq!(counter("runtime.queue.intake.drops"), 0);
 
     // Every cold-start frame shows the acquisition stage's spans — the
     // stage wrapper, the correlator bank, and its fan-out/scan phases — and

@@ -4,14 +4,29 @@
 //! range processing) so multi-hundred-frame streams stay affordable in debug
 //! builds.
 
-use biscatter_runtime::pipeline::{run_serial, run_streaming, RuntimeConfig, StageWorkers};
-use biscatter_runtime::queue::Backpressure;
-use biscatter_runtime::source::{multi_tag_jobs, streaming_system, WorkloadSpec};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
-/// The ISSUE acceptance workload: a seeded 4-radar × 8-tag stream of 200+
-/// frames through bounded queues must lose nothing under blocking
-/// backpressure, and the metrics must account for every frame at every
-/// stage.
+use biscatter_compute::ComputePool;
+use biscatter_obs::recorder;
+use biscatter_runtime::pipeline::{run_serial, run_streaming, Cell, RuntimeConfig};
+use biscatter_runtime::queue::Backpressure;
+use biscatter_runtime::source::{cold_start_jobs, multi_tag_jobs, streaming_system, WorkloadSpec};
+use biscatter_runtime::PrecisionTier;
+
+/// Cell `id`'s metrics (each test uses its own cell id, so scopes don't mix).
+fn cell_view(id: usize) -> biscatter_obs::metrics::RegistrySnapshot {
+    let prefix = format!("cell{id}.");
+    biscatter_obs::registry()
+        .snapshot()
+        .filter_prefix(&prefix)
+        .strip_prefix(&prefix)
+}
+
+/// The acceptance workload: a seeded 4-radar × 8-tag stream of 200+
+/// frames through a bounded intake must lose nothing under blocking
+/// backpressure, and the metrics must account for every frame.
 #[test]
 fn blocking_stream_of_200_frames_is_lossless() {
     let sys = streaming_system();
@@ -19,31 +34,30 @@ fn blocking_stream_of_200_frames_is_lossless() {
     let cfg = RuntimeConfig {
         queue_capacity: 4,
         policy: Backpressure::Block,
-        workers: StageWorkers::auto(),
         ..RuntimeConfig::default()
     };
-    let report = run_streaming(&sys, spec.jobs(&sys), &cfg);
+    let report = Cell::new(81, sys.clone(), cfg).run_streaming(spec.jobs(&sys));
 
     assert_eq!(report.outcomes.len(), 200, "no frame may be lost");
     assert_eq!(report.metrics.frames_completed, 200);
+    assert_eq!(report.metrics.frames_failed, 0);
     assert_eq!(report.metrics.total_drops, 0);
-    // Sink restored frame order.
+    // Outcomes come back in frame order.
     for (i, (id, _)) in report.outcomes.iter().enumerate() {
         assert_eq!(*id, i as u64);
     }
-    // Every stage saw every frame exactly once, and bounded queues stayed
-    // bounded.
-    for s in &report.metrics.stages {
-        assert_eq!(s.frames_in, 200, "stage {} frames_in", s.name);
-        assert_eq!(s.frames_out, 200, "stage {} frames_out", s.name);
-        assert!(
-            s.queue_high_water <= cfg.queue_capacity,
-            "stage {} queue exceeded capacity",
-            s.name
-        );
-        assert_eq!(s.latency.count(), 200);
-    }
     assert_eq!(report.metrics.end_to_end.count(), 200);
+    // The intake drained, stayed bounded, and dropped nothing; every frame
+    // was counted.
+    let view = cell_view(81);
+    assert_eq!(view.gauge("runtime.queue.intake.depth"), Some(0.0));
+    let hiwat = view.gauge("runtime.queue.intake.high_water").unwrap();
+    assert!(
+        (1.0..=cfg.queue_capacity as f64).contains(&hiwat),
+        "high water {hiwat}"
+    );
+    assert_eq!(view.counter("runtime.queue.intake.drops"), Some(0));
+    assert_eq!(view.counter("runtime.frames"), Some(200));
 
     // The pipeline does real ISAC work: most frames decode and localize.
     let decoded = report
@@ -70,7 +84,7 @@ fn streaming_matches_one_shot_path() {
     let jobs = spec.jobs(&sys);
     let serial = run_serial(&sys, &jobs);
 
-    for (workers, capacity) in [(StageWorkers::uniform(1), 2), (StageWorkers::uniform(2), 5)] {
+    for (workers, capacity) in [(1, 2), (2, 5), (3, 3)] {
         let cfg = RuntimeConfig {
             queue_capacity: capacity,
             policy: Backpressure::Block,
@@ -95,7 +109,7 @@ fn multi_tag_stream_matches_one_shot_path() {
     let jobs = multi_tag_jobs(&sys, 12, 4, 11);
     let serial = run_serial(&sys, &jobs);
 
-    for (workers, capacity) in [(StageWorkers::uniform(1), 2), (StageWorkers::uniform(2), 4)] {
+    for (workers, capacity) in [(1, 2), (2, 4), (3, 3)] {
         let cfg = RuntimeConfig {
             queue_capacity: capacity,
             policy: Backpressure::Block,
@@ -146,8 +160,8 @@ fn streaming_is_deterministic_across_runs() {
     assert_eq!(a.outcomes, b.outcomes);
 }
 
-/// Drop-oldest backpressure on an overloaded queue sheds frames and counts
-/// every shed frame; blocking never sheds.
+/// Drop-oldest backpressure on an overloaded intake sheds frames and counts
+/// every shed frame.
 #[test]
 fn drop_oldest_sheds_and_accounts() {
     let sys = streaming_system();
@@ -155,17 +169,25 @@ fn drop_oldest_sheds_and_accounts() {
     let cfg = RuntimeConfig {
         queue_capacity: 1,
         policy: Backpressure::DropOldest,
-        workers: StageWorkers::uniform(1),
+        workers: 1,
         ..RuntimeConfig::default()
     };
-    let report = run_streaming(&sys, spec.jobs(&sys), &cfg);
-    // Conservation: completed + dropped = offered. (The source never blocks
-    // under drop-oldest, so all 30 jobs enter the first queue.)
+    let report = Cell::new(82, sys.clone(), cfg).run_streaming(spec.jobs(&sys));
+    // Conservation: completed + dropped + failed = offered. (The source
+    // never blocks under drop-oldest, so all 30 jobs enter the intake.)
+    let m = &report.metrics;
     assert_eq!(
-        report.metrics.frames_completed + report.metrics.total_drops,
+        m.frames_completed + m.total_drops + m.frames_failed,
         30,
         "dropped frames must be accounted for"
     );
+    let view = cell_view(82);
+    assert_eq!(
+        view.counter("runtime.queue.intake.drops"),
+        Some(m.total_drops)
+    );
+    assert_eq!(view.gauge("runtime.queue.intake.high_water"), Some(1.0));
+    assert_eq!(view.counter("runtime.frames"), Some(m.frames_completed));
     // Results that did come through are still frame-id ordered.
     let ids: Vec<u64> = report.outcomes.iter().map(|(id, _)| *id).collect();
     let mut sorted = ids.clone();
@@ -193,7 +215,6 @@ fn pipelined_beats_serial_on_multicore() {
     let cfg = RuntimeConfig {
         queue_capacity: 8,
         policy: Backpressure::Block,
-        workers: StageWorkers::auto(),
         ..RuntimeConfig::default()
     };
     let t1 = std::time::Instant::now();
@@ -219,20 +240,96 @@ fn metrics_snapshot_exports() {
         &RuntimeConfig::default(),
     );
     let text = report.metrics.to_text();
-    for stage in ["synthesize", "dechirp", "align", "doppler", "detect"] {
-        assert!(text.contains(stage), "text snapshot missing {stage}");
-    }
+    assert!(text.contains("8 frames"), "text snapshot: {text}");
+    assert!(text.contains("end-to-end"), "text snapshot: {text}");
     let json = report.metrics.to_json().to_pretty();
     let parsed = biscatter_core::json::parse(&json).expect("snapshot JSON parses");
-    assert_eq!(
-        parsed
-            .get("frames_completed")
-            .and_then(biscatter_core::json::Value::as_f64),
-        Some(8.0)
-    );
-    let stages = parsed
-        .get("stages")
-        .and_then(biscatter_core::json::Value::as_array)
-        .expect("stages array");
-    assert_eq!(stages.len(), 5);
+    let field = |k: &str| parsed.get(k).and_then(biscatter_core::json::Value::as_f64);
+    assert_eq!(field("frames_completed"), Some(8.0));
+    assert_eq!(field("frames_failed"), Some(0.0));
+    assert_eq!(field("total_drops"), Some(0.0));
+}
+
+/// An F32 cell streams on its own tier: each streamed outcome equals
+/// `Cell::process` on the same job.
+#[test]
+fn f32_cell_streams_what_process_returns() {
+    let sys = streaming_system();
+    let jobs = WorkloadSpec::four_by_eight(8, 13).jobs(&sys);
+    let cfg = RuntimeConfig {
+        workers: 2,
+        precision: PrecisionTier::F32,
+        ..RuntimeConfig::default()
+    };
+    let cell = Cell::new(83, sys.clone(), cfg);
+    let streamed = cell.run_streaming(jobs.clone());
+    assert_eq!(streamed.outcomes.len(), jobs.len());
+    let pool = ComputePool::new(1);
+    for ((id, s), job) in streamed.outcomes.iter().zip(&jobs) {
+        assert_eq!(*id, job.id);
+        assert_eq!(*s, cell.process(&pool, job), "frame {id} left the f32 tier");
+    }
+}
+
+/// A frame that panics (a NaN tag range) is contained by its worker: the
+/// stream returns, the other 23 outcomes match the serial path bit for bit,
+/// and the failure is counted and flight-recorded.
+#[test]
+fn panicking_frame_is_contained() {
+    let sys = streaming_system();
+    let mut jobs = WorkloadSpec::four_by_eight(24, 7).jobs(&sys);
+    jobs[5].scenario.tag_range_m = f64::NAN;
+    let healthy: Vec<_> = jobs.iter().filter(|j| j.id != 5).cloned().collect();
+    let serial = run_serial(&sys, &healthy);
+
+    let cfg = RuntimeConfig {
+        workers: 2,
+        ..RuntimeConfig::default()
+    };
+    let cell = Cell::new(84, sys.clone(), cfg);
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || tx.send(cell.run_streaming(jobs)).ok());
+    let report = rx
+        .recv_timeout(Duration::from_secs(600))
+        .expect("stream hung on a panicking frame");
+
+    let m = &report.metrics;
+    assert_eq!(m.frames_failed, 1);
+    assert_eq!(m.frames_completed + m.total_drops + m.frames_failed, 24);
+    assert_eq!(report.outcomes, serial);
+    assert_eq!(cell_view(84).counter("runtime.frames.failed"), Some(1));
+    let failed: Vec<u64> = recorder::for_cell(84)
+        .snapshot()
+        .iter()
+        .filter(|r| r.failed)
+        .map(|r| r.frame_id)
+        .collect();
+    assert_eq!(failed, vec![5]);
+}
+
+/// `Cell::process_cold_start` runs its aligned frame on the cell's tier: an
+/// acquired job's frame equals `Cell::process` on the same job, on either
+/// tier.
+#[test]
+fn cold_start_frame_runs_on_the_cell_tier() {
+    let sys = streaming_system();
+    let jobs = cold_start_jobs(&sys, 2, 19);
+    let pool = ComputePool::new(1);
+    for (id, tier) in [(85, PrecisionTier::F64), (86, PrecisionTier::F32)] {
+        let cfg = RuntimeConfig {
+            precision: tier,
+            ..RuntimeConfig::default()
+        };
+        let cell = Cell::new(id, sys.clone(), cfg);
+        for job in &jobs {
+            let cold = cell.process_cold_start(&pool, job);
+            assert!(cold.acquisition.is_some(), "job {} not acquired", job.id);
+            assert_eq!(
+                cold.frame,
+                Some(cell.process(&pool, job)),
+                "{tier:?} cold-start frame {} left the cell's tier",
+                job.id
+            );
+        }
+    }
 }

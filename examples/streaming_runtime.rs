@@ -1,15 +1,15 @@
 //! Streaming ISAC runtime demo: 4 radars × 8 tags, 200 continuous frames.
 //!
-//! Streams the workload through the staged pipeline twice — once with
-//! lossless blocking backpressure, once with drop-oldest shedding on tiny
-//! queues — and prints per-stage metrics plus the JSON snapshot.
+//! Streams the workload through a cell's frame workers twice — once with
+//! lossless blocking backpressure, once with drop-oldest shedding on a tiny
+//! intake — and prints the run metrics plus the JSON snapshot.
 //!
 //! ```sh
 //! cargo run --release --example streaming_runtime
 //! ```
 //!
 //! Set `BISCATTER_TRACE=<path>` to additionally record spans from every
-//! thread (source, stage workers, intra-frame compute pool) and dump a
+//! thread (source, frame workers, intra-frame compute pool) and dump a
 //! Perfetto-loadable Chrome trace — with the metric registry embedded under
 //! a `"registry"` key — when the run shuts down:
 //!
@@ -19,7 +19,7 @@
 //! # then open the file at https://ui.perfetto.dev
 //! ```
 
-use biscatter_runtime::pipeline::{run_streaming, RuntimeConfig, StageWorkers};
+use biscatter_runtime::pipeline::{run_streaming, RuntimeConfig};
 use biscatter_runtime::queue::Backpressure;
 use biscatter_runtime::source::{streaming_system, WorkloadSpec};
 
@@ -34,13 +34,12 @@ fn main() {
         spec.n_radars, spec.tags_per_radar, spec.n_frames, spec.base_seed
     );
 
-    // Lossless run: blocking backpressure, bounded queues. Two intra-frame
+    // Lossless run: blocking backpressure, bounded intake. Two intra-frame
     // threads so the shared compute pool's fork-join spans show up in the
     // trace alongside the stage spans.
     let cfg = RuntimeConfig {
         queue_capacity: 8,
         policy: Backpressure::Block,
-        workers: StageWorkers::auto(),
         intra_frame_threads: 2,
         ..RuntimeConfig::default()
     };
@@ -57,7 +56,7 @@ fn main() {
         .filter(|(_, o)| o.downlink.parsed)
         .count();
     println!(
-        "\n=== blocking backpressure (queue capacity {}) ===",
+        "\n=== blocking backpressure (intake capacity {}) ===",
         cfg.queue_capacity
     );
     println!(
@@ -69,18 +68,18 @@ fn main() {
     );
     println!("{}", report.metrics.to_text());
 
-    // Overload run: tiny queues with drop-oldest shedding.
+    // Overload run: a tiny intake with drop-oldest shedding.
     // (Also two intra-frame threads: each run dumps the trace at shutdown,
     // and the last dump wins, so the shed run must record the same span mix.)
     let lossy = RuntimeConfig {
         queue_capacity: 2,
         policy: Backpressure::DropOldest,
-        workers: StageWorkers::uniform(1),
+        workers: 1,
         intra_frame_threads: 2,
         ..RuntimeConfig::default()
     };
     let shed = run_streaming(&sys, WorkloadSpec::four_by_eight(60, 42).jobs(&sys), &lossy);
-    println!("=== drop-oldest on capacity-2 queues (60 frames) ===");
+    println!("=== drop-oldest on a capacity-2 intake (60 frames) ===");
     println!("{}", shed.metrics.to_text());
 
     println!("=== JSON snapshot (blocking run) ===");
