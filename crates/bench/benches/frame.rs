@@ -25,16 +25,15 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use biscatter_bench::dispatch_json_fields;
+use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::dispatch::{tier, SimdTier};
-use biscatter_core::isac::precision::{
-    align_stage_into_f32, dechirp_stage_into_f32, doppler_stage_into_f32, AlignedPair32,
-};
+use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     align_stage_into, dechirp_stage_into, doppler_stage_into, synthesize_frame, warm_dsp_plans,
     AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
-use biscatter_core::rf::slab::{SampleSlab, SampleSlab32};
+use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::compute::ComputePool;
 
@@ -71,61 +70,44 @@ fn count_one() {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// One frame through the hot stages (2–4), leaving the outputs in `pair` /
-/// `map` for inspection.
-fn run_frame(
+/// One frame through the hot stages (2–4) in precision `T`, leasing the IF
+/// slab from `slabs` and leaving the outputs in `pair` / `map` for
+/// inspection.
+fn run_frame<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    arena: &FrameArena,
-    pair: &mut AlignedPair,
+    slabs: &Pool<SampleSlab<T>>,
+    pair: &mut AlignedPair<T>,
     map: &mut RangeDopplerMap,
     seed: u64,
 ) {
-    let mut slab = arena.if_slabs.take_or(SampleSlab::new);
+    let mut slab = slabs.take_or(SampleSlab::new);
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
     align_stage_into(pool, sys, &synth.train, &*slab, pair);
     doppler_stage_into(pool, pair, map);
 }
 
-/// The same frame through the f32 fast tier (stages 2–4 in single
-/// precision), recycling f32 slabs through the arena's `if_slabs32` /
-/// `aligned32` pools.
-fn run_frame_f32(
-    pool: &ComputePool,
-    sys: &BiScatterSystem,
-    synth: &SynthesizedFrame,
-    arena: &FrameArena,
-    pair: &mut AlignedPair32,
-    map: &mut RangeDopplerMap,
-    seed: u64,
-) {
-    let mut slab = arena.if_slabs32.take_or(SampleSlab32::new);
-    dechirp_stage_into_f32(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-    align_stage_into_f32(pool, sys, &synth.train, &slab, pair);
-    doppler_stage_into_f32(pool, pair, map);
-}
-
-/// Median per-frame seconds over `samples` runs (one warm-up discarded); in
-/// quick mode the frame runs exactly once.
-fn median_frame_s(
+/// Median per-frame seconds over `samples` runs (one warm-up discarded) in
+/// precision `T`; in quick mode the frame runs exactly once.
+fn median_frame_s<T: Real>(
     quick: bool,
     samples: usize,
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
 ) -> f64 {
-    let arena = FrameArena::default();
-    let mut pair = AlignedPair::default();
+    let slabs = Pool::new();
+    let mut pair = AlignedPair::<T>::default();
     let mut map = RangeDopplerMap::default();
-    run_frame(pool, sys, synth, &arena, &mut pair, &mut map, 1);
+    run_frame(pool, sys, synth, &slabs, &mut pair, &mut map, 1);
     if quick {
         return 0.0;
     }
     let mut times: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
-        run_frame(pool, sys, synth, &arena, &mut pair, &mut map, 1);
+        run_frame(pool, sys, synth, &slabs, &mut pair, &mut map, 1);
         times.push(t0.elapsed().as_secs_f64());
         black_box(map.at(0, 0));
     }
@@ -133,30 +115,21 @@ fn median_frame_s(
     times[times.len() / 2]
 }
 
-/// [`median_frame_s`] for the f32 fast tier.
-fn median_frame_f32_s(
-    quick: bool,
-    samples: usize,
+/// Steady-state heap allocations of one arena-path frame in precision `T`
+/// on `pool`, after three warm-up frames.
+fn steady_state_allocs<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-) -> f64 {
-    let arena = FrameArena::default();
-    let mut pair = AlignedPair32::default();
-    let mut map = RangeDopplerMap::default();
-    run_frame_f32(pool, sys, synth, &arena, &mut pair, &mut map, 1);
-    if quick {
-        return 0.0;
+    slabs: &Pool<SampleSlab<T>>,
+) -> isize {
+    let (mut pair, mut map) = (AlignedPair::<T>::default(), RangeDopplerMap::default());
+    for _ in 0..3 {
+        run_frame(pool, sys, synth, slabs, &mut pair, &mut map, 1);
     }
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        run_frame_f32(pool, sys, synth, &arena, &mut pair, &mut map, 1);
-        times.push(t0.elapsed().as_secs_f64());
-        black_box(map.at(0, 0));
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+    ALLOCS.with(|c| c.set(0));
+    run_frame(pool, sys, synth, slabs, &mut pair, &mut map, 1);
+    ALLOCS.with(|c| c.replace(-1))
 }
 
 fn main() {
@@ -177,8 +150,24 @@ fn main() {
     let arena_b = FrameArena::default();
     let (mut pair_s, mut map_s) = (AlignedPair::default(), RangeDopplerMap::default());
     let (mut pair_p, mut map_p) = (AlignedPair::default(), RangeDopplerMap::default());
-    run_frame(&serial, &sys, &synth, &arena_a, &mut pair_s, &mut map_s, 1);
-    run_frame(&pooled, &sys, &synth, &arena_b, &mut pair_p, &mut map_p, 1);
+    run_frame(
+        &serial,
+        &sys,
+        &synth,
+        &arena_a.if_slabs,
+        &mut pair_s,
+        &mut map_s,
+        1,
+    );
+    run_frame(
+        &pooled,
+        &sys,
+        &synth,
+        &arena_b.if_slabs,
+        &mut pair_p,
+        &mut map_p,
+        1,
+    );
     assert_eq!(
         pair_s.comms.profiles, pair_p.comms.profiles,
         "pooled comms profiles diverged from serial"
@@ -200,27 +189,14 @@ fn main() {
         pooled.threads()
     );
 
-    // --- Steady-state allocation count on the arena path. ----------------
-    // Two warm-up frames already ran above on arena_a; a third must not
-    // touch the heap at all.
-    run_frame(&serial, &sys, &synth, &arena_a, &mut pair_s, &mut map_s, 1);
-    ALLOCS.with(|c| c.set(0));
-    run_frame(&serial, &sys, &synth, &arena_a, &mut pair_s, &mut map_s, 1);
-    let steady_allocs = ALLOCS.with(|c| c.replace(-1));
+    // --- Steady-state allocation count on the arena path, per precision. -
+    let steady_allocs = steady_state_allocs::<f64>(&serial, &sys, &synth, &arena_a.if_slabs);
     println!("steady-state allocations (stages 2-4, arena path): {steady_allocs}");
     assert_eq!(
         steady_allocs, 0,
         "arena frame path allocated in steady state"
     );
-
-    // --- Steady-state allocation count on the f32 arena path. ------------
-    let (mut pair32, mut map32) = (AlignedPair32::default(), RangeDopplerMap::default());
-    for _ in 0..3 {
-        run_frame_f32(&serial, &sys, &synth, &arena_a, &mut pair32, &mut map32, 1);
-    }
-    ALLOCS.with(|c| c.set(0));
-    run_frame_f32(&serial, &sys, &synth, &arena_a, &mut pair32, &mut map32, 1);
-    let steady_allocs_f32 = ALLOCS.with(|c| c.replace(-1));
+    let steady_allocs_f32 = steady_state_allocs::<f32>(&serial, &sys, &synth, &arena_a.if_slabs32);
     println!("steady-state allocations (stages 2-4, f32 arena path): {steady_allocs_f32}");
     assert_eq!(
         steady_allocs_f32, 0,
@@ -228,8 +204,8 @@ fn main() {
     );
 
     // --- Per-frame latency, serial vs pooled. ----------------------------
-    let serial_s = median_frame_s(quick, samples, &serial, &sys, &synth);
-    let pooled_s = median_frame_s(quick, samples, &pooled, &sys, &synth);
+    let serial_s = median_frame_s::<f64>(quick, samples, &serial, &sys, &synth);
+    let pooled_s = median_frame_s::<f64>(quick, samples, &pooled, &sys, &synth);
     let speedup = if pooled_s > 0.0 {
         serial_s / pooled_s
     } else {
@@ -243,7 +219,7 @@ fn main() {
     );
 
     // --- f32 fast tier, single thread vs the serial f64 oracle. ----------
-    let serial_f32_s = median_frame_f32_s(quick, samples, &serial, &sys, &synth);
+    let serial_f32_s = median_frame_s::<f32>(quick, samples, &serial, &sys, &synth);
     let f32_speedup = if serial_f32_s > 0.0 {
         serial_s / serial_f32_s
     } else {

@@ -22,7 +22,9 @@ use crate::downlink::FrameOutcome;
 use crate::system::BiScatterSystem;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::arena::{Lease, Pool};
+use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
+use biscatter_dsp::Real;
 use biscatter_link::packet::DownlinkPacket;
 use biscatter_obs::recorder::StageNanos;
 use biscatter_radar::receiver::acquire::{
@@ -41,12 +43,9 @@ use biscatter_radar::sequencer::isac_frame;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
 use biscatter_rf::scene::{Scatterer, Scene, TagModulation};
-use biscatter_rf::slab::{ChirpRows, SampleSlab, SampleSlab32};
+use biscatter_rf::slab::{ChirpRows, SampleSlab};
 use biscatter_tag::decoder::DownlinkDecoder;
-use precision::{
-    align_stage_into_f32, dechirp_stage_into_f32, detect_stage_with_f32, doppler_stage_into_f32,
-    AlignedPair32, PrecisionTier,
-};
+use precision::PrecisionTier;
 use std::time::Instant;
 
 pub mod precision;
@@ -227,10 +226,11 @@ pub struct IsacOutcome {
 // ---------------------------------------------------------------------------
 // Frame stages.
 //
-// The integrated frame decomposes into five stage functions.
-// `run_isac_frame` is their allocating composition, the oracle; `run_frame`
-// composes the same functions on an arena and a precision tier, and is what
-// the runtime and the fleet call for every frame.
+// The integrated frame decomposes into five stage functions. Stages 2–5 are
+// generic over the sample precision (`Real`: f64 or f32). `run_isac_frame`
+// is their allocating f64 composition, the oracle; `run_frame` composes the
+// same functions on an arena and a precision tier, and is what the runtime
+// and the fleet call for every frame.
 //
 // The FFT-heavy stages (align, doppler, and the tag-side decode inside
 // synthesize) reach their transforms through `biscatter_dsp::planner`'s
@@ -246,7 +246,7 @@ pub struct IsacOutcome {
 /// moves plan construction out of first-frame latency; it is idempotent and
 /// cheap when the plans already exist.
 pub fn warm_dsp_plans(sys: &BiScatterSystem) {
-    biscatter_dsp::planner::with_planner(|p| {
+    with_planner(|p: &mut FftPlanner| {
         let n_fft = biscatter_dsp::fft::next_pow2(sys.rx.n_fft.max(2));
         let _ = p.rfft_plan(n_fft);
         let _ = p.plan(biscatter_dsp::fft::next_pow2(sys.frame_chirps.max(1)));
@@ -266,13 +266,14 @@ pub struct SynthesizedFrame {
     pub downlink: FrameOutcome,
 }
 
-/// Stage 3 output: aligned range profiles for both receive paths.
+/// Stage 3 output: aligned range profiles for both receive paths, in
+/// sample precision `T`.
 #[derive(Debug, Clone, Default)]
-pub struct AlignedPair {
+pub struct AlignedPair<T = f64> {
     /// Comms/localization path (background subtracted).
-    pub comms: AlignedFrame,
+    pub comms: AlignedFrame<T>,
     /// Sensing path (no background subtraction: static world is the signal).
-    pub sensing: AlignedFrame,
+    pub sensing: AlignedFrame<T>,
 }
 
 /// Recyclable buffers for the frame hot path (stages 2–5).
@@ -306,9 +307,9 @@ pub struct FrameArena {
     pub multitag: Pool<MultiTagScratch>,
     /// Stage 2 IF sample slabs for the f32 fast tier (unused — and unsized —
     /// when every frame runs the f64 oracle path).
-    pub if_slabs32: Pool<SampleSlab32>,
+    pub if_slabs32: Pool<SampleSlab<f32>>,
     /// Stage 3 aligned frame pairs for the f32 fast tier.
-    pub aligned32: Pool<precision::AlignedPair32>,
+    pub aligned32: Pool<AlignedPair<f32>>,
     /// Cold-start acquisition dwell captures.
     pub captures: Pool<Vec<f64>>,
     /// Cold-start correlator banks (cached template spectra stay warm as
@@ -483,16 +484,20 @@ pub fn dechirp_stage(
     rx.dechirp_train(train, scene, 0.0, &mut if_noise)
 }
 
-/// [`dechirp_stage`] writing into a reusable sample slab, fanning chirp
-/// synthesis across `pool` (noise stays serial, so results are
-/// bit-identical to the serial path for any worker count).
-pub fn dechirp_stage_into(
+/// [`dechirp_stage`] writing into a reusable sample slab in precision `T`,
+/// fanning chirp synthesis across `pool` (noise stays serial, so results
+/// are bit-identical to the serial path for any worker count). Chirp
+/// geometry runs in f64 either way; in f32 the noise comes from the fast
+/// inverse-CDF generator — seeded and deterministic, but a *different*
+/// realization than the oracle's Box–Muller draw, so cross-tier agreement
+/// is statistical at operating SNR, not per-sample.
+pub fn dechirp_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     train: &ChirpTrain,
     scene: &Scene,
     seed: u64,
-    out: &mut SampleSlab,
+    out: &mut SampleSlab<T>,
 ) {
     let _span = biscatter_obs::span!("isac.dechirp");
     let rx = IfReceiver {
@@ -504,29 +509,42 @@ pub fn dechirp_stage_into(
 }
 
 /// Stage 3 — align + IF correction: per-chirp range FFTs resampled onto the
-/// common range grid, once per receive path (with and without background
-/// subtraction), recycling `out`'s profile buffers and grid `Arc`s and
+/// common range grid, recycling `out`'s profile buffers and grid `Arc`s and
 /// fanning per-chirp FFT + resample across `pool`. Accepts any
 /// [`ChirpRows`] capture.
-pub fn align_stage_into<R: ChirpRows + ?Sized>(
+///
+/// Both receive paths come from one transform pass: the sensing frame is
+/// aligned without background subtraction, and the comms frame is a copy
+/// with chirp 0's profile subtracted from every row — bit for bit what a
+/// second full align with subtraction would produce, at half the transform
+/// cost.
+pub fn align_stage_into<T: Real, R: ChirpRows<T> + ?Sized>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     train: &ChirpTrain,
     if_data: &R,
-    out: &mut AlignedPair,
+    out: &mut AlignedPair<T>,
 ) {
     let _span = biscatter_obs::span!("isac.align");
-    align_frame_into(pool, &sys.rx, train, if_data, &mut out.comms);
     let sensing_cfg = RxConfig {
         background_subtraction: false,
         ..sys.rx.clone()
     };
     align_frame_into(pool, &sensing_cfg, train, if_data, &mut out.sensing);
+    out.comms.copy_from(&out.sensing);
+    if sys.rx.background_subtraction {
+        out.comms.subtract_background();
+    }
 }
 
 /// Stage 4 — range–Doppler: slow-time FFT of the comms-path frame,
 /// recycling `out`'s power slab and splitting range columns across `pool`.
-pub fn doppler_stage_into(pool: &ComputePool, pair: &AlignedPair, out: &mut RangeDopplerMap) {
+/// The power lands in an f64 map whatever the frame's precision.
+pub fn doppler_stage_into<T: Real>(
+    pool: &ComputePool,
+    pair: &AlignedPair<T>,
+    out: &mut RangeDopplerMap,
+) {
     let _span = biscatter_obs::span!("isac.doppler");
     range_doppler_into(pool, &pair.comms, out);
 }
@@ -536,10 +554,11 @@ pub fn doppler_stage_into(pool: &ComputePool, pair: &AlignedPair, out: &mut Rang
 /// CFAR detection on the sensing path. `downlink` is the stage-1 tag-side
 /// result, passed through into the assembled outcome. `mean_power` is
 /// scratch, so the only allocations left are the outcome's own products
-/// (location, bits, detections).
-pub fn detect_stage_with(
+/// (location, bits, detections). The map, the uplink amplitudes, and the
+/// mean power are f64 in either precision, so the detection code is shared.
+pub fn detect_stage_with<T: Real>(
     scenario: &IsacScenario,
-    pair: &AlignedPair,
+    pair: &AlignedPair<T>,
     map: &RangeDopplerMap,
     downlink: FrameOutcome,
     mean_power: &mut Vec<f64>,
@@ -572,9 +591,9 @@ pub fn detect_stage_with(
 }
 
 /// CFAR detection on the sensing path: mean power over slow time per range
-/// bin, fed to the detector. Shared by the single- and multi-tag detect
-/// stages.
-fn sensing_detections(pair: &AlignedPair, mean_power: &mut Vec<f64>) -> Vec<Detection> {
+/// bin (each `|·|²` widened into the f64 accumulator), fed to the detector.
+/// Shared by the single- and multi-tag detect stages.
+fn sensing_detections<T: Real>(pair: &AlignedPair<T>, mean_power: &mut Vec<f64>) -> Vec<Detection> {
     let sensing_frame = &pair.sensing;
     let n = sensing_frame.n_chirps() as f64;
     // Accumulate profiles-outer so each pass walks one contiguous profile
@@ -583,29 +602,7 @@ fn sensing_detections(pair: &AlignedPair, mean_power: &mut Vec<f64>) -> Vec<Dete
     mean_power.clear();
     mean_power.resize(sensing_frame.range_grid.len(), 0.0);
     for p in &sensing_frame.profiles {
-        biscatter_dsp::simd::norm_sq_accum(mean_power, p);
-    }
-    for acc in mean_power.iter_mut() {
-        *acc /= n;
-    }
-    CfarDetector::default().detect(mean_power, &sensing_frame.range_grid)
-}
-
-/// [`sensing_detections`] for the f32 tier: per-sample `|·|²` is computed in
-/// f32 and widened into the f64 accumulator, so the CFAR detector consumes
-/// the same value domain on either tier.
-pub(crate) fn sensing_detections32(
-    pair: &precision::AlignedPair32,
-    mean_power: &mut Vec<f64>,
-) -> Vec<Detection> {
-    let sensing_frame = &pair.sensing;
-    let n = sensing_frame.n_chirps() as f64;
-    mean_power.clear();
-    mean_power.resize(sensing_frame.range_grid.len(), 0.0);
-    for p in &sensing_frame.profiles {
-        for (acc, z) in mean_power.iter_mut().zip(p) {
-            *acc += z.norm_sq() as f64;
-        }
+        T::norm_sq_accum(mean_power, p);
     }
     for acc in mean_power.iter_mut() {
         *acc /= n;
@@ -623,10 +620,10 @@ pub(crate) fn sensing_detections32(
 /// outcome (`location`, `uplink_bits`) mirror `tags[0]`, with the same
 /// bits-requested policy as the single-tag stage.
 #[allow(clippy::too_many_arguments)]
-pub fn detect_stage_multi(
+pub fn detect_stage_multi<T: Real>(
     pool: &ComputePool,
     scenario: &IsacScenario,
-    pair: &AlignedPair,
+    pair: &AlignedPair<T>,
     map: &RangeDopplerMap,
     downlink: FrameOutcome,
     bank: &mut TagBank,
@@ -722,14 +719,50 @@ fn stopwatch() -> impl FnMut() -> u64 {
 /// `ctx.arena`, with each stage's wall time written into `times` (the flight
 /// recorder's [`StageNanos`]; timing is `Instant` reads only).
 ///
-/// The tier is picked once, after synthesis: `F32` runs stages 2–5 on the
-/// single-precision path of [`precision`], except for scenarios with extra
-/// tags — the batched multi-tag engine consumes f64 profiles, so those stay
-/// on the f64 path. On the f64 path the outcome is bit-identical to
-/// [`run_isac_frame`] for any pool size, and after warm-up stages 2–4
-/// allocate nothing (see [`FrameArena`]).
+/// The tier picks the sample precision of stages 2–5: `F32` runs them in
+/// single precision ([`precision`]), except for scenarios with extra tags,
+/// which stay on f64 — warehouse-density frames are dominated by per-tag
+/// scoring, not by the stages the f32 tier accelerates. On f64 the outcome
+/// is bit-identical to [`run_isac_frame`] for any pool size, and after
+/// warm-up stages 2–4 allocate nothing on either precision (see
+/// [`FrameArena`]).
 pub fn run_frame(
     ctx: &FrameCtx,
+    scenario: &IsacScenario,
+    payload: &[u8],
+    seed: u64,
+    times: &mut StageNanos,
+) -> IsacOutcome {
+    let arena = ctx.arena;
+    if ctx.tier == PrecisionTier::F32 && scenario.extra_tags.is_empty() {
+        run_stages(
+            ctx,
+            &arena.if_slabs32,
+            &arena.aligned32,
+            scenario,
+            payload,
+            seed,
+            times,
+        )
+    } else {
+        run_stages(
+            ctx,
+            &arena.if_slabs,
+            &arena.aligned,
+            scenario,
+            payload,
+            seed,
+            times,
+        )
+    }
+}
+
+/// The stage sequence of [`run_frame`] in precision `T`, leasing the slab
+/// and pair buffers of that precision from `slabs` / `aligned`.
+fn run_stages<T: Real>(
+    ctx: &FrameCtx,
+    slabs: &Pool<SampleSlab<T>>,
+    aligned: &Pool<AlignedPair<T>>,
     scenario: &IsacScenario,
     payload: &[u8],
     seed: u64,
@@ -740,27 +773,10 @@ pub fn run_frame(
     let synth = synthesize_frame(sys, scenario, payload, seed);
     times.synthesize = lap();
 
-    if ctx.tier == PrecisionTier::F32 && scenario.extra_tags.is_empty() {
-        let mut if_slab = arena.if_slabs32.take_or(SampleSlab32::new);
-        dechirp_stage_into_f32(pool, sys, &synth.train, &synth.scene, seed, &mut if_slab);
-        times.dechirp = lap();
-        let mut pair = arena.aligned32.take_or(AlignedPair32::default);
-        align_stage_into_f32(pool, sys, &synth.train, &if_slab, &mut pair);
-        drop(if_slab);
-        times.align = lap();
-        let mut map = arena.maps.take_or(RangeDopplerMap::default);
-        doppler_stage_into_f32(pool, &pair, &mut map);
-        times.doppler = lap();
-        let mut mean_power = arena.scratch.take_or(Vec::new);
-        let out = detect_stage_with_f32(scenario, &pair, &map, synth.downlink, &mut mean_power);
-        times.detect = lap();
-        return out;
-    }
-
-    let mut if_slab = arena.if_slabs.take_or(SampleSlab::new);
+    let mut if_slab = slabs.take_or(SampleSlab::new);
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut if_slab);
     times.dechirp = lap();
-    let mut pair = arena.aligned.take_or(AlignedPair::default);
+    let mut pair = aligned.take_or(AlignedPair::default);
     align_stage_into(pool, sys, &synth.train, &*if_slab, &mut pair);
     drop(if_slab);
     times.align = lap();
@@ -835,7 +851,7 @@ pub fn acquire_config(sys: &BiScatterSystem) -> AcquireConfig {
 /// of [`warm_dsp_plans`], same idempotency.
 pub fn warm_acquire_plans(sys: &BiScatterSystem) {
     let fs = sys.radar.if_sample_rate;
-    biscatter_dsp::planner::with_planner(|p| {
+    with_planner(|p: &mut FftPlanner| {
         for h in acquire_hypotheses(sys) {
             let n = biscatter_dsp::fft::next_pow2(2 * h.template_len(fs).max(1)).max(2);
             let _ = p.rfft_plan(n);

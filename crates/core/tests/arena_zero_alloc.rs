@@ -6,7 +6,10 @@
 //! resample scratch are recycled through the [`FrameArena`] and thread-local
 //! caches. This test enforces the claim with a counting global allocator:
 //! two warm-up frames size every buffer, then a third frame must allocate
-//! exactly zero times on the measuring thread.
+//! exactly zero times on the measuring thread. The stages are generic over
+//! the sample precision, so the same audited window runs once per
+//! instantiation: f64 (the oracle) and f32 (the fast tier), each leasing
+//! from its own arena pools.
 //!
 //! Tracing is **enabled** for the whole test: the obs layer promises that
 //! enabled-path span recording never allocates in steady state (the
@@ -24,10 +27,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use biscatter_compute::ComputePool;
+use biscatter_core::dsp::arena::Pool;
+use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     acquire_config, acquire_hypotheses, align_stage_into, dechirp_stage_into, doppler_stage_into,
     synthesize_cold_start_capture, synthesize_frame, warm_acquire_plans, warm_dsp_plans,
-    AlignedPair, FrameArena, IsacScenario,
+    AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
 use biscatter_core::system::BiScatterSystem;
@@ -71,6 +76,35 @@ fn count_one() {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Runs `f` inside the measuring window; returns its result and the number
+/// of heap allocations it made on this thread.
+fn audited<R>(f: impl FnOnce() -> R) -> (R, isize) {
+    ALLOCS.with(|c| c.set(0));
+    let r = f();
+    (r, ALLOCS.with(|c| c.replace(-1)))
+}
+
+/// Stages 2–4 of one frame in precision `T`, leasing every buffer from the
+/// arena pools of that precision; returns one map cell as a checksum.
+fn hot_stages<T: Real>(
+    pool: &ComputePool,
+    sys: &BiScatterSystem,
+    synth: &SynthesizedFrame,
+    slabs: &Pool<SampleSlab<T>>,
+    aligned: &Pool<AlignedPair<T>>,
+    maps: &Pool<RangeDopplerMap>,
+    seed: u64,
+) -> f64 {
+    let mut slab = slabs.take_or(SampleSlab::new);
+    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
+    let mut pair = aligned.take_or(AlignedPair::default);
+    align_stage_into(pool, sys, &synth.train, &*slab, &mut pair);
+    drop(slab);
+    let mut map = maps.take_or(RangeDopplerMap::default);
+    doppler_stage_into(pool, &pair, &mut map);
+    map.at(0, 0)
+}
+
 #[test]
 fn steady_state_frame_stages_allocate_nothing() {
     biscatter_core::obs::trace::set_enabled(true);
@@ -81,22 +115,40 @@ fn steady_state_frame_stages_allocate_nothing() {
     let arena = FrameArena::default();
     warm_dsp_plans(&sys);
 
-    let run_frame = |seed: u64| {
-        let mut slab = arena.if_slabs.take_or(SampleSlab::new);
-        dechirp_stage_into(&pool, &sys, &synth.train, &synth.scene, seed, &mut slab);
-        let mut pair = arena.aligned.take_or(AlignedPair::default);
-        align_stage_into(&pool, &sys, &synth.train, &*slab, &mut pair);
-        drop(slab);
-        let mut map = arena.maps.take_or(RangeDopplerMap::default);
-        doppler_stage_into(&pool, &pair, &mut map);
-        map.at(0, 0)
+    let f64_frame = |seed| {
+        hot_stages(
+            &pool,
+            &sys,
+            &synth,
+            &arena.if_slabs,
+            &arena.aligned,
+            &arena.maps,
+            seed,
+        )
+    };
+    let f32_frame = |seed| {
+        hot_stages(
+            &pool,
+            &sys,
+            &synth,
+            &arena.if_slabs32,
+            &arena.aligned32,
+            &arena.maps,
+            seed,
+        )
     };
 
     // Warm-up: sizes the arena buffers, thread-local scratch, plan caches,
     // and the pool free lists (first lease drop grows each free list once).
-    let warm_a = run_frame(1);
-    let warm_b = run_frame(1);
+    let warm_a = f64_frame(1);
+    let warm_b = f64_frame(1);
     assert_eq!(warm_a, warm_b, "warm-up frames must be deterministic");
+    let warm32_a = f32_frame(1);
+    let warm32_b = f32_frame(1);
+    assert_eq!(
+        warm32_a, warm32_b,
+        "f32 warm-up frames must be deterministic"
+    );
 
     // The flight recorder rides the frame path (the runtime records one
     // `FrameRecord` per frame at capture time), so it is audited inside the
@@ -124,12 +176,13 @@ fn steady_state_frame_stages_allocate_nothing() {
 
     // Measured steady-state frame, recorder included. Eight records into a
     // capacity-4 ring exercises both the fill and the overwrite path.
-    ALLOCS.with(|c| c.set(0));
-    let measured = run_frame(1);
-    for i in 0..8 {
-        recorder.record(flight_record(i, 1_000_000));
-    }
-    let n = ALLOCS.with(|c| c.replace(-1));
+    let (measured, n) = audited(|| {
+        let measured = f64_frame(1);
+        for i in 0..8 {
+            recorder.record(flight_record(i, 1_000_000));
+        }
+        measured
+    });
     assert_eq!(measured, warm_b, "measured frame must match warm-up output");
     assert_eq!(
         n, 0,
@@ -137,6 +190,14 @@ fn steady_state_frame_stages_allocate_nothing() {
     );
     assert_eq!(recorder.total_recorded(), 8);
     assert_eq!(recorder.overwritten(), 4);
+
+    // The same window on the f32 instantiation of the stages.
+    let (measured, n) = audited(|| f32_frame(1));
+    assert_eq!(measured, warm32_b, "measured f32 frame must match warm-up");
+    assert_eq!(
+        n, 0,
+        "steady-state f32 dechirp/align/doppler performed {n} heap allocations"
+    );
 
     // Same audit for acquisition stage 0: after warm-up, the correlator
     // bank over a dwell — overlap-add FFT correlation, energy folding,
@@ -158,9 +219,8 @@ fn steady_state_frame_stages_allocate_nothing() {
     assert_eq!(warm_a, warm_b, "warm-up acquisitions must be deterministic");
     assert!(warm_a.is_some(), "warm-up dwell not acquired");
 
-    ALLOCS.with(|c| c.set(0));
-    let measured = acquire_all(&pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores);
-    let n = ALLOCS.with(|c| c.replace(-1));
+    let (measured, n) =
+        audited(|| acquire_all(&pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores));
     assert_eq!(measured, warm_b, "measured acquisition must match warm-up");
     assert_eq!(
         n, 0,

@@ -14,29 +14,30 @@
 use std::time::Instant;
 
 use biscatter_compute::ComputePool;
+use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::dispatch::{tier, SimdTier};
-use biscatter_core::isac::precision::{
-    align_stage_into_f32, dechirp_stage_into_f32, doppler_stage_into_f32, AlignedPair32,
-};
+use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     align_stage_into, dechirp_stage_into, doppler_stage_into, synthesize_frame, warm_dsp_plans,
-    AlignedPair, FrameArena, IsacScenario,
+    AlignedPair, IsacScenario,
 };
 use biscatter_core::system::BiScatterSystem;
 use biscatter_radar::receiver::doppler::RangeDopplerMap;
-use biscatter_rf::slab::{SampleSlab, SampleSlab32};
+use biscatter_rf::slab::SampleSlab;
 
-fn time_frames(pool: &ComputePool, sys: &BiScatterSystem, reps: usize) -> (f64, f64) {
+/// Mean seconds per frame of stages 2–4 in precision `T` on `pool`, and the
+/// frame's checksum (reps must reproduce it bit for bit).
+fn time_frames<T: Real>(pool: &ComputePool, sys: &BiScatterSystem, reps: usize) -> (f64, f64) {
     let scenario = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_office_clutter();
     let synth = synthesize_frame(sys, &scenario, b"CMD1", 7);
-    let arena = FrameArena::default();
+    let (slabs, aligned, maps) = (Pool::new(), Pool::new(), Pool::new());
     let run_frame = |seed: u64| {
-        let mut slab = arena.if_slabs.take_or(SampleSlab::new);
+        let mut slab = slabs.take_or(SampleSlab::<T>::new);
         dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-        let mut pair = arena.aligned.take_or(AlignedPair::default);
+        let mut pair = aligned.take_or(AlignedPair::<T>::default);
         align_stage_into(pool, sys, &synth.train, &*slab, &mut pair);
         drop(slab);
-        let mut map = arena.maps.take_or(RangeDopplerMap::default);
+        let mut map = maps.take_or(RangeDopplerMap::default);
         doppler_stage_into(pool, &pair, &mut map);
         map.at(0, 0)
     };
@@ -61,8 +62,8 @@ fn pooled_frame_meets_speedup_target_on_multicore() {
     let reps = 5;
     let serial = ComputePool::new(1);
     let pooled = ComputePool::new(cores.min(8));
-    let (t_serial, sum_serial) = time_frames(&serial, &sys, reps);
-    let (t_pooled, sum_pooled) = time_frames(&pooled, &sys, reps);
+    let (t_serial, sum_serial) = time_frames::<f64>(&serial, &sys, reps);
+    let (t_pooled, sum_pooled) = time_frames::<f64>(&pooled, &sys, reps);
     assert_eq!(sum_serial, sum_pooled, "pooled output diverged from serial");
 
     let speedup = t_serial / t_pooled;
@@ -80,30 +81,6 @@ fn pooled_frame_meets_speedup_target_on_multicore() {
     }
 }
 
-fn time_frames_f32(pool: &ComputePool, sys: &BiScatterSystem, reps: usize) -> f64 {
-    let scenario = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_office_clutter();
-    let synth = synthesize_frame(sys, &scenario, b"CMD1", 7);
-    let arena = FrameArena::default();
-    let run_frame = |seed: u64| {
-        let mut slab = arena.if_slabs32.take_or(SampleSlab32::new);
-        dechirp_stage_into_f32(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-        let mut pair = arena.aligned32.take_or(AlignedPair32::default);
-        align_stage_into_f32(pool, sys, &synth.train, &slab, &mut pair);
-        drop(slab);
-        let mut map = arena.maps.take_or(RangeDopplerMap::default);
-        doppler_stage_into_f32(pool, &pair, &mut map);
-        map.at(0, 0)
-    };
-    for _ in 0..2 {
-        run_frame(1);
-    }
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_frame(1);
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
-
 #[test]
 fn f32_tier_meets_speedup_target_under_avx2_dispatch() {
     let sys = BiScatterSystem::paper_9ghz();
@@ -111,8 +88,8 @@ fn f32_tier_meets_speedup_target_under_avx2_dispatch() {
 
     let reps = 5;
     let serial = ComputePool::new(1);
-    let (t_f64, _) = time_frames(&serial, &sys, reps);
-    let t_f32 = time_frames_f32(&serial, &sys, reps);
+    let (t_f64, _) = time_frames::<f64>(&serial, &sys, reps);
+    let (t_f32, _) = time_frames::<f32>(&serial, &sys, reps);
 
     let speedup = t_f64 / t_f32;
     let t = tier();

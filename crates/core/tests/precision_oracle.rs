@@ -23,20 +23,18 @@ use std::sync::Mutex;
 use biscatter_compute::ComputePool;
 use biscatter_core::dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
 use biscatter_core::dsp::signal::NoiseSource;
+use biscatter_core::dsp::Real;
 use biscatter_core::isac::precision::PrecisionTier;
 use biscatter_core::isac::{run_frame, run_isac_frame, FrameArena, FrameCtx, IsacScenario};
 use biscatter_core::obs::recorder::StageNanos;
-use biscatter_core::radar::receiver::doppler::{
-    range_doppler_into, range_doppler_into_f32, RangeDopplerMap,
-};
-use biscatter_core::radar::receiver::f32path::{align_frame_into_f32, AlignedFrame32};
+use biscatter_core::radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
 use biscatter_core::radar::receiver::localize::signature_score_into;
 use biscatter_core::radar::receiver::{align_frame_into, AlignedFrame, RxConfig};
 use biscatter_core::rf::chirp::Chirp;
 use biscatter_core::rf::frame::ChirpTrain;
 use biscatter_core::rf::if_gen::IfReceiver;
 use biscatter_core::rf::scene::{Scatterer, Scene};
-use biscatter_core::rf::slab::{SampleSlab, SampleSlab32};
+use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use proptest::prelude::*;
 
@@ -52,9 +50,9 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 const N_CHIRPS: usize = 32;
 const T_PERIOD: f64 = 120e-6;
 
-/// Runs the stage 2–4 chain (dechirp → align → doppler) on both tiers over
-/// the same scene with `noise_sigma` AWGN and returns both maps.
-fn run_chains(scene: &Scene, noise_sigma: f64, seed: u64) -> (RangeDopplerMap, RangeDopplerMap) {
+/// Runs the stage 2–4 chain (dechirp → align → doppler) in precision `T`
+/// over `scene` with `noise_sigma` AWGN.
+fn run_chain<T: Real>(scene: &Scene, noise_sigma: f64, seed: u64) -> RangeDopplerMap {
     let chirps = vec![Chirp::new(9e9, 1e9, 96e-6); N_CHIRPS];
     let train = ChirpTrain::with_fixed_period(&chirps, T_PERIOD).unwrap();
     let rx = IfReceiver {
@@ -64,23 +62,22 @@ fn run_chains(scene: &Scene, noise_sigma: f64, seed: u64) -> (RangeDopplerMap, R
     let pool = ComputePool::global();
     let cfg = RxConfig::default();
 
-    let mut slab64 = SampleSlab::new();
-    let mut n64 = NoiseSource::new(seed);
-    rx.dechirp_train_into(pool, &train, scene, 0.0, &mut n64, &mut slab64);
-    let mut frame64 = AlignedFrame::default();
-    align_frame_into(pool, &cfg, &train, &slab64, &mut frame64);
-    let mut map64 = RangeDopplerMap::default();
-    range_doppler_into(pool, &frame64, &mut map64);
+    let mut slab = SampleSlab::<T>::new();
+    let mut noise = NoiseSource::new(seed);
+    rx.dechirp_train_into(pool, &train, scene, 0.0, &mut noise, &mut slab);
+    let mut frame = AlignedFrame::default();
+    align_frame_into(pool, &cfg, &train, &slab, &mut frame);
+    let mut map = RangeDopplerMap::default();
+    range_doppler_into(pool, &frame, &mut map);
+    map
+}
 
-    let mut slab32 = SampleSlab32::new();
-    let mut n32 = NoiseSource::new(seed);
-    rx.dechirp_train_into_f32(pool, &train, scene, 0.0, &mut n32, &mut slab32);
-    let mut frame32 = AlignedFrame32::default();
-    align_frame_into_f32(pool, &cfg, &train, &slab32, &mut frame32);
-    let mut map32 = RangeDopplerMap::default();
-    range_doppler_into_f32(pool, &frame32, &mut map32);
-
-    (map64, map32)
+/// The same chain on both tiers: `(f64 map, f32 map)`.
+fn run_chains(scene: &Scene, noise_sigma: f64, seed: u64) -> (RangeDopplerMap, RangeDopplerMap) {
+    (
+        run_chain::<f64>(scene, noise_sigma, seed),
+        run_chain::<f32>(scene, noise_sigma, seed),
+    )
 }
 
 fn argmax(s: &[f64]) -> usize {

@@ -1,46 +1,95 @@
 //! A minimal complex-number type.
 //!
-//! The BiScatter simulation only needs double-precision complex arithmetic,
-//! so rather than pulling in an external crate we define [`Cpx`] here. The
-//! type is `Copy`, 16 bytes, and supports the usual field operations plus the
-//! handful of transcendental helpers the DSP code needs (`exp`, polar
-//! conversion, conjugation, magnitude).
+//! Rather than pulling in an external crate we define [`Complex`] here,
+//! generic over the two sample precisions ([`Real`]: `f64` and `f32`), with
+//! [`Cpx`] naming the double-precision type most of the workspace uses. The
+//! type is `Copy`, two packed components, and supports the usual field
+//! operations; the transcendental helpers (`exp`, polar conversion,
+//! magnitude, phase) are double precision only — the f32 tier evaluates
+//! geometry in f64 and rounds once with [`Complex::from_f64`].
 
+use crate::real::Real;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A complex number `re + i*im` in double precision.
+/// A complex number `re + i*im`.
 ///
 /// `#[repr(C)]` so the AVX2 kernels in [`crate::simd`] may reinterpret
-/// `&[Cpx]` as packed `re, im` pairs of `f64`.
+/// `&[Complex<T>]` as packed `re, im` pairs of `T`.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Cpx {
+pub struct Complex<T> {
     /// Real part.
-    pub re: f64,
+    pub re: T,
     /// Imaginary part.
-    pub im: f64,
+    pub im: T,
 }
 
-impl Cpx {
+/// A double-precision complex number.
+pub type Cpx = Complex<f64>;
+
+impl<T: Real> Complex<T> {
     /// The additive identity, `0 + 0i`.
-    pub const ZERO: Cpx = Cpx { re: 0.0, im: 0.0 };
+    pub const ZERO: Self = Complex {
+        re: T::ZERO,
+        im: T::ZERO,
+    };
     /// The multiplicative identity, `1 + 0i`.
-    pub const ONE: Cpx = Cpx { re: 1.0, im: 0.0 };
+    pub const ONE: Self = Complex {
+        re: T::ONE,
+        im: T::ZERO,
+    };
     /// The imaginary unit, `0 + 1i`.
-    pub const I: Cpx = Cpx { re: 0.0, im: 1.0 };
+    pub const I: Self = Complex {
+        re: T::ZERO,
+        im: T::ONE,
+    };
 
     /// Creates a complex number from rectangular parts.
     #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
-        Cpx { re, im }
+    pub const fn new(re: T, im: T) -> Self {
+        Complex { re, im }
     }
 
     /// Creates a purely real complex number.
     #[inline]
-    pub const fn real(re: f64) -> Self {
-        Cpx { re, im: 0.0 }
+    pub const fn real(re: T) -> Self {
+        Complex { re, im: T::ZERO }
     }
 
+    /// Rounds a double-precision value into this precision (exact for
+    /// f64) — the one place the f32 tier loses accuracy, so tables
+    /// (twiddles, phasors) are computed exactly in f64 and converted once.
+    #[inline]
+    pub fn from_f64(z: Cpx) -> Self {
+        Complex::new(T::from_f64(z.re), T::from_f64(z.im))
+    }
+
+    /// Widens to double precision (exact).
+    #[inline]
+    pub fn to_f64(self) -> Cpx {
+        Complex::new(self.re.to_f64(), self.im.to_f64())
+    }
+
+    /// Complex conjugate.
+    #[inline]
+    pub fn conj(self) -> Self {
+        Complex::new(self.re, -self.im)
+    }
+
+    /// Squared magnitude `re^2 + im^2` (cheaper than [`Cpx::abs`]).
+    #[inline]
+    pub fn norm_sq(self) -> T {
+        self.re * self.re + self.im * self.im
+    }
+
+    /// Scales by a real factor.
+    #[inline]
+    pub fn scale(self, k: T) -> Self {
+        Complex::new(self.re * k, self.im * k)
+    }
+}
+
+impl Cpx {
     /// Creates a complex number from polar form `r * e^{i*theta}`.
     #[inline]
     pub fn from_polar(r: f64, theta: f64) -> Self {
@@ -51,18 +100,6 @@ impl Cpx {
     #[inline]
     pub fn cis(theta: f64) -> Self {
         Cpx::new(theta.cos(), theta.sin())
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Cpx::new(self.re, -self.im)
-    }
-
-    /// Squared magnitude `re^2 + im^2` (cheaper than [`Cpx::abs`]).
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.re * self.re + self.im * self.im
     }
 
     /// Magnitude (Euclidean norm).
@@ -91,12 +128,6 @@ impl Cpx {
         Cpx::new(self.re / d, -self.im / d)
     }
 
-    /// Scales by a real factor.
-    #[inline]
-    pub fn scale(self, k: f64) -> Self {
-        Cpx::new(self.re * k, self.im * k)
-    }
-
     /// Returns true if either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -110,27 +141,27 @@ impl Cpx {
     }
 }
 
-impl Add for Cpx {
-    type Output = Cpx;
+impl<T: Real> Add for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn add(self, rhs: Cpx) -> Cpx {
-        Cpx::new(self.re + rhs.re, self.im + rhs.im)
+    fn add(self, rhs: Self) -> Self {
+        Complex::new(self.re + rhs.re, self.im + rhs.im)
     }
 }
 
-impl Sub for Cpx {
-    type Output = Cpx;
+impl<T: Real> Sub for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn sub(self, rhs: Cpx) -> Cpx {
-        Cpx::new(self.re - rhs.re, self.im - rhs.im)
+    fn sub(self, rhs: Self) -> Self {
+        Complex::new(self.re - rhs.re, self.im - rhs.im)
     }
 }
 
-impl Mul for Cpx {
-    type Output = Cpx;
+impl<T: Real> Mul for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: Cpx) -> Cpx {
-        Cpx::new(
+    fn mul(self, rhs: Self) -> Self {
+        Complex::new(
             self.re * rhs.re - self.im * rhs.im,
             self.re * rhs.im + self.im * rhs.re,
         )
@@ -146,39 +177,39 @@ impl Div for Cpx {
     }
 }
 
-impl Neg for Cpx {
-    type Output = Cpx;
+impl<T: Real> Neg for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn neg(self) -> Cpx {
-        Cpx::new(-self.re, -self.im)
+    fn neg(self) -> Self {
+        Complex::new(-self.re, -self.im)
     }
 }
 
-impl AddAssign for Cpx {
+impl<T: Real> AddAssign for Complex<T> {
     #[inline]
-    fn add_assign(&mut self, rhs: Cpx) {
+    fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
 
-impl SubAssign for Cpx {
+impl<T: Real> SubAssign for Complex<T> {
     #[inline]
-    fn sub_assign(&mut self, rhs: Cpx) {
+    fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
 
-impl MulAssign for Cpx {
+impl<T: Real> MulAssign for Complex<T> {
     #[inline]
-    fn mul_assign(&mut self, rhs: Cpx) {
+    fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
 }
 
-impl Mul<f64> for Cpx {
-    type Output = Cpx;
+impl<T: Real> Mul<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: f64) -> Cpx {
+    fn mul(self, rhs: T) -> Self {
         self.scale(rhs)
     }
 }
@@ -304,5 +335,29 @@ mod tests {
     fn display_formats() {
         assert_eq!(Cpx::new(1.0, 2.0).to_string(), "1+2i");
         assert_eq!(Cpx::new(1.0, -2.0).to_string(), "1-2i");
+    }
+
+    #[test]
+    fn from_f64_rounds_once() {
+        let z = Complex::<f32>::from_f64(Cpx::cis(1.0));
+        assert_eq!(z.re, (1.0f64.cos()) as f32);
+        assert_eq!(z.im, (1.0f64.sin()) as f32);
+        assert!((z.norm_sq() - 1.0).abs() < 1e-6);
+        assert_eq!(Cpx::from_f64(Cpx::cis(1.0)), Cpx::cis(1.0));
+    }
+
+    #[test]
+    #[allow(unsafe_code)] // layout probe: reads through a raw f32 pointer
+    fn layout_is_interleaved_pairs() {
+        assert_eq!(std::mem::size_of::<Complex<f32>>(), 8);
+        assert_eq!(std::mem::size_of::<Cpx>(), 16);
+        let v = [Complex::<f32>::new(1.0, 2.0), Complex::new(3.0, 4.0)];
+        let base = v.as_ptr() as *const f32;
+        // repr(C): re at offset 0, im at offset 1, per element.
+        unsafe {
+            assert_eq!(*base, 1.0);
+            assert_eq!(*base.add(1), 2.0);
+            assert_eq!(*base.add(3), 4.0);
+        }
     }
 }

@@ -17,13 +17,12 @@
 //! | module | contents |
 //! |---|---|
 //! | [`arena`] | reusable buffer pools (`Pool`/`Lease`) for the zero-allocation frame path |
-//! | [`complex`] | `Cpx` complex number type and arithmetic |
-//! | [`c32`] | `Cpx32` single-precision complex type for the f32 fast tier |
+//! | [`real`] | the sealed `Real` sample-precision trait (`f64`, `f32`) the frame path is generic over |
+//! | [`complex`] | `Complex<T>` complex number type and arithmetic (`Cpx` = `Complex<f64>`) |
 //! | [`dispatch`] | runtime SIMD tier selection (`BISCATTER_SIMD`, CPU detection) |
-//! | [`simd`] | scalar/AVX2 kernel bodies for the frame hot loops |
+//! | [`simd`] | scalar/AVX2 kernel bodies for the frame hot loops, per precision |
 //! | [`fft`] | radix-2 Cooley–Tukey and Bluestein FFT/IFFT, real-input helper |
-//! | [`planner`] | cached FFT plans, in-place/scratch APIs, packed real FFT |
-//! | [`fft32`] | f32 forward-only radix-2 plans for the fast tier |
+//! | [`planner`] | cached FFT plans per precision, in-place/scratch APIs, packed real FFT |
 //! | [`window`] | Hann, Hamming, Blackman(-Harris), Kaiser, flat-top windows |
 //! | [`goertzel`] | single-bin DFT evaluation, sliding Goertzel, filter banks |
 //! | [`filter`] | windowed-sinc FIR design, biquad IIR, RC single-pole, moving average |
@@ -43,14 +42,13 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod c32;
 pub mod complex;
 pub mod dispatch;
 pub mod fft;
-pub mod fft32;
 pub mod filter;
 pub mod goertzel;
 pub mod planner;
+pub mod real;
 pub mod resample;
 pub mod signal;
 #[allow(unsafe_code)]
@@ -60,9 +58,9 @@ pub mod stats;
 pub mod stft;
 pub mod window;
 
-pub use c32::Cpx32;
-pub use complex::Cpx;
+pub use complex::{Complex, Cpx};
 pub use dispatch::SimdTier;
+pub use real::Real;
 
 /// Speed of light in vacuum, metres per second.
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;

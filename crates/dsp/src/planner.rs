@@ -24,21 +24,28 @@
 //!   streaming runtime's stage pools) each hold their own plan cache with no
 //!   locking.
 //!
+//! Everything here is generic over the sample precision ([`Real`]). f64
+//! plans serve every length, forward and inverse. f32 plans — the frame
+//! tier's range and Doppler FFTs — keep a narrower contract: power-of-two
+//! lengths, forward transforms only. Their twiddle tables are evaluated
+//! exactly in f64 and rounded once, so table error is one ulp rather than an
+//! accumulated recurrence; there is no bit contract between the precisions.
+//!
 //! ## Scratch-buffer conventions
 //!
 //! `process`/`process_inverse` allocate scratch only when the plan needs it
 //! (Bluestein); power-of-two plans never allocate. The `*_with_scratch`
-//! variants take a caller-owned `Vec<Cpx>` that is resized as needed and can
-//! be reused across calls — [`FftPlanner`] routes its entry points through
-//! its own scratch, so planner users get allocation-free steady state without
-//! managing buffers themselves. Scratch contents are unspecified on return.
+//! variants take a caller-owned `Vec<Complex<T>>` that is resized as needed
+//! and can be reused across calls — [`FftPlanner`] routes its entry points
+//! through its own scratch, so planner users get allocation-free steady
+//! state without managing buffers themselves. Scratch contents are
+//! unspecified on return.
 
-use crate::complex::Cpx;
+use crate::complex::{Complex, Cpx};
 use crate::fft::{is_pow2, next_pow2};
-use crate::simd;
+use crate::real::Real;
 use crate::TAU;
 use biscatter_obs::metrics::Counter;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -80,12 +87,12 @@ fn cache_metrics() -> &'static PlanCacheMetrics {
 /// [`FftPlan::process`] call reuses the tables. Plans are immutable — share
 /// them freely via [`Rc`] (they are thread-local by design; see
 /// [`with_planner`]).
-pub struct FftPlan {
+pub struct FftPlan<T = f64> {
     n: usize,
-    kind: PlanKind,
+    kind: PlanKind<T>,
 }
 
-enum PlanKind {
+enum PlanKind<T> {
     /// `n <= 1`: the transform is the identity.
     Trivial,
     /// Iterative radix-2 Cooley–Tukey with precomputed tables.
@@ -99,31 +106,35 @@ enum PlanKind {
         /// no strided gather. Entries are bit-identical to the classic
         /// strided table (`j/len` and `(j·stride)/n` round identically);
         /// the inverse conjugates on the fly.
-        stage_tw: Vec<Cpx>,
+        stage_tw: Vec<Complex<T>>,
     },
     /// Bluestein chirp-z: DFT as circular convolution at length `m`.
     Bluestein {
         /// Power-of-two convolution length `>= 2n - 1`.
         m: usize,
         /// `chirp[k] = e^{-i π k² / n}` (forward convention), `k in 0..n`.
-        chirp: Vec<Cpx>,
+        chirp: Vec<Complex<T>>,
         /// Forward FFT (length `m`) of the zero-padded conjugate-chirp
         /// kernel `b[k] = b[m-k] = conj(chirp[k])`.
-        kernel_spec: Vec<Cpx>,
+        kernel_spec: Vec<Complex<T>>,
         /// Inner power-of-two plan of length `m`.
-        inner: Rc<FftPlan>,
+        inner: Rc<FftPlan<T>>,
     },
 }
 
-impl FftPlan {
+impl<T: Real> FftPlan<T> {
     /// Builds a plan for length `n`, constructing any inner power-of-two
     /// plan itself. Prefer [`FftPlanner::plan`], which shares inner plans
     /// across cached lengths.
-    pub fn new(n: usize) -> FftPlan {
+    ///
+    /// # Panics
+    /// Panics if `n` is not a power of two and the precision has no
+    /// Bluestein plans (f32).
+    pub fn new(n: usize) -> Self {
         Self::build(n, |m| Rc::new(FftPlan::new(m)))
     }
 
-    fn build(n: usize, inner_plan: impl FnOnce(usize) -> Rc<FftPlan>) -> FftPlan {
+    fn build(n: usize, inner_plan: impl FnOnce(usize) -> Rc<Self>) -> Self {
         if n <= 1 {
             return FftPlan {
                 n,
@@ -138,7 +149,9 @@ impl FftPlan {
             let mut stage_tw = Vec::with_capacity(n.saturating_sub(2));
             let mut len = 4;
             while len <= n {
-                stage_tw.extend((0..len / 2).map(|j| Cpx::cis(-TAU * j as f64 / len as f64)));
+                stage_tw.extend(
+                    (0..len / 2).map(|j| Complex::from_f64(Cpx::cis(-TAU * j as f64 / len as f64))),
+                );
                 len <<= 1;
             }
             return FftPlan {
@@ -147,16 +160,20 @@ impl FftPlan {
             };
         }
 
+        assert!(
+            T::FULL_PLANNER,
+            "f32 plans require a power-of-two length, got {n}"
+        );
         let m = next_pow2(2 * n - 1);
         let inner = inner_plan(m);
         // k² mod 2n keeps the phase argument small and exact for large k.
-        let chirp: Vec<Cpx> = (0..n)
+        let chirp: Vec<Complex<T>> = (0..n)
             .map(|k| {
                 let k2 = (k as u64 * k as u64) % (2 * n as u64);
-                Cpx::cis(-std::f64::consts::PI * k2 as f64 / n as f64)
+                Complex::from_f64(Cpx::cis(-std::f64::consts::PI * k2 as f64 / n as f64))
             })
             .collect();
-        let mut kernel_spec = vec![Cpx::ZERO; m];
+        let mut kernel_spec = vec![Complex::ZERO; m];
         kernel_spec[0] = chirp[0].conj();
         for k in 1..n {
             let c = chirp[k].conj();
@@ -190,7 +207,7 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `data.len()` differs from the planned length.
-    pub fn process(&self, data: &mut [Cpx]) {
+    pub fn process(&self, data: &mut [Complex<T>]) {
         let mut scratch = Vec::new();
         self.process_with_scratch(data, &mut scratch);
     }
@@ -198,8 +215,9 @@ impl FftPlan {
     /// In-place inverse DFT, including the `1/N` normalization.
     ///
     /// # Panics
-    /// Panics if `data.len()` differs from the planned length.
-    pub fn process_inverse(&self, data: &mut [Cpx]) {
+    /// Panics if `data.len()` differs from the planned length, or for f32
+    /// plans (forward only).
+    pub fn process_inverse(&self, data: &mut [Complex<T>]) {
         let mut scratch = Vec::new();
         self.process_inverse_with_scratch(data, &mut scratch);
     }
@@ -207,7 +225,7 @@ impl FftPlan {
     /// [`FftPlan::process`] with a caller-owned scratch buffer (resized as
     /// needed, contents unspecified afterwards). Power-of-two plans ignore
     /// it entirely.
-    pub fn process_with_scratch(&self, data: &mut [Cpx], scratch: &mut Vec<Cpx>) {
+    pub fn process_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut Vec<Complex<T>>) {
         assert_eq!(
             data.len(),
             self.n,
@@ -225,18 +243,23 @@ impl FftPlan {
                 inner,
             } => {
                 scratch.clear();
-                scratch.resize(*m, Cpx::ZERO);
-                simd::cmul_into(&mut scratch[..self.n], data, chirp);
+                scratch.resize(*m, Complex::ZERO);
+                T::cmul_into(&mut scratch[..self.n], data, chirp);
                 inner.process(scratch);
-                simd::cmul_assign(scratch, kernel_spec);
+                T::cmul_assign(scratch, kernel_spec);
                 inner.process_inverse(scratch);
-                simd::cmul_into(data, &scratch[..self.n], chirp);
+                T::cmul_into(data, &scratch[..self.n], chirp);
             }
         }
     }
 
     /// [`FftPlan::process_inverse`] with a caller-owned scratch buffer.
-    pub fn process_inverse_with_scratch(&self, data: &mut [Cpx], scratch: &mut Vec<Cpx>) {
+    pub fn process_inverse_with_scratch(
+        &self,
+        data: &mut [Complex<T>],
+        scratch: &mut Vec<Complex<T>>,
+    ) {
+        assert!(T::FULL_PLANNER, "f32 plans are forward-only");
         assert_eq!(
             data.len(),
             self.n,
@@ -248,7 +271,7 @@ impl FftPlan {
             PlanKind::Trivial => {}
             PlanKind::Radix2 { bitrev, stage_tw } => {
                 radix2(data, bitrev, stage_tw, true);
-                let s = 1.0 / self.n as f64;
+                let s = T::from_f64(1.0 / self.n as f64);
                 for z in data.iter_mut() {
                     *z = z.scale(s);
                 }
@@ -260,7 +283,7 @@ impl FftPlan {
                     *z = z.conj();
                 }
                 self.process_with_scratch(data, scratch);
-                let s = 1.0 / self.n as f64;
+                let s = T::from_f64(1.0 / self.n as f64);
                 for z in data.iter_mut() {
                     *z = z.conj().scale(s);
                 }
@@ -274,8 +297,13 @@ impl FftPlan {
 /// between butterflies and no accumulated phase drift — unlike the
 /// incremental `w *= wlen` recurrence in [`crate::fft::reference`]. The
 /// per-stage loops live in [`crate::simd`] behind runtime dispatch; both
-/// tiers produce bit-identical f64 results.
-fn radix2(data: &mut [Cpx], bitrev: &[u32], stage_tw: &[Cpx], inverse: bool) {
+/// dispatch tiers produce bit-identical f64 results.
+fn radix2<T: Real>(
+    data: &mut [Complex<T>],
+    bitrev: &[u32],
+    stage_tw: &[Complex<T>],
+    inverse: bool,
+) {
     let n = data.len();
     for (i, &rev) in bitrev.iter().enumerate() {
         let j = rev as usize;
@@ -288,48 +316,48 @@ fn radix2(data: &mut [Cpx], bitrev: &[u32], stage_tw: &[Cpx], inverse: bool) {
     }
     // First stage: every twiddle is 1, so the butterflies are pure
     // add/subtract pairs — no table reads, no complex multiplies.
-    simd::fft_first_stage(data);
+    T::fft_first_stage(data);
     let mut len = 4;
     while len <= n {
         let half = len / 2;
-        simd::fft_stage(data, &stage_tw[half - 2..half - 2 + half], len, inverse);
+        T::fft_stage(data, &stage_tw[half - 2..half - 2 + half], len, inverse);
         len <<= 1;
     }
 }
 
-/// A real-input FFT plan for even lengths.
+/// A real-input FFT plan for even lengths (powers of two in f32).
 ///
 /// Packs the `N` real samples into `N/2` complex values
 /// (`z[k] = x[2k] + i·x[2k+1]`), transforms at half length, and unzips into
 /// the `N/2 + 1` half spectrum (the upper bins of a real signal's spectrum
 /// are the conjugate mirror, so nothing is lost).
-pub struct RfftPlan {
+pub struct RfftPlan<T = f64> {
     n: usize,
     /// Complex plan of length `n/2`.
-    inner: Rc<FftPlan>,
+    inner: Rc<FftPlan<T>>,
     /// `twiddle[k] = e^{-i 2π k / n}` for `k in 0..=n/2`.
-    twiddle: Vec<Cpx>,
+    twiddle: Vec<Complex<T>>,
 }
 
-impl RfftPlan {
+impl<T: Real> RfftPlan<T> {
     /// Builds a real-FFT plan for even `n >= 2`. Prefer
     /// [`FftPlanner::rfft_plan`], which caches and shares the inner plan.
     ///
     /// # Panics
     /// Panics if `n` is odd or zero (odd lengths have no packed fast path;
     /// use a complex [`FftPlan`] on a widened buffer instead).
-    pub fn new(n: usize) -> RfftPlan {
+    pub fn new(n: usize) -> Self {
         Self::build(n, |h| Rc::new(FftPlan::new(h)))
     }
 
-    fn build(n: usize, inner_plan: impl FnOnce(usize) -> Rc<FftPlan>) -> RfftPlan {
+    fn build(n: usize, inner_plan: impl FnOnce(usize) -> Rc<FftPlan<T>>) -> Self {
         assert!(
             n >= 2 && n % 2 == 0,
             "RfftPlan requires even n >= 2, got {n}"
         );
         let inner = inner_plan(n / 2);
         let twiddle = (0..=n / 2)
-            .map(|k| Cpx::cis(-TAU * k as f64 / n as f64))
+            .map(|k| Complex::from_f64(Cpx::cis(-TAU * k as f64 / n as f64)))
             .collect();
         RfftPlan { n, inner, twiddle }
     }
@@ -356,7 +384,12 @@ impl RfftPlan {
     ///
     /// # Panics
     /// Panics if `input.len()` differs from the planned length.
-    pub fn process_with_scratch(&self, input: &[f64], out: &mut Vec<Cpx>, scratch: &mut Vec<Cpx>) {
+    pub fn process_with_scratch(
+        &self,
+        input: &[T],
+        out: &mut Vec<Complex<T>>,
+        scratch: &mut Vec<Complex<T>>,
+    ) {
         assert_eq!(
             input.len(),
             self.n,
@@ -366,7 +399,7 @@ impl RfftPlan {
         );
         let h = self.n / 2;
         scratch.clear();
-        scratch.extend((0..h).map(|k| Cpx::new(input[2 * k], input[2 * k + 1])));
+        scratch.extend((0..h).map(|k| Complex::new(input[2 * k], input[2 * k + 1])));
         self.inner.process(scratch);
 
         // Unzip: with Z the packed transform, E[k]/O[k] the transforms of
@@ -376,9 +409,11 @@ impl RfftPlan {
         //   X[k] = E[k] + e^{-i 2π k / n} · O[k]
         // (indices mod h, so Z[h] wraps to Z[0]). The loop lives in
         // [`crate::simd`] behind runtime dispatch.
-        simd::rfft_unzip(scratch, &self.twiddle, h, out);
+        T::rfft_unzip(scratch, &self.twiddle, h, out);
     }
+}
 
+impl RfftPlan {
     /// Inverse transform: reconstructs the `n` real samples from the half
     /// spectrum `spec` (bins `0..=n/2`), written to `out` (cleared and
     /// resized). Normalization is included, so `inverse(process(x))`
@@ -409,7 +444,7 @@ impl RfftPlan {
             spec.len()
         );
         let h = self.n / 2;
-        simd::irfft_zip(spec, &self.twiddle, h, scratch);
+        crate::simd::irfft_zip(spec, &self.twiddle, h, scratch);
         self.inner.process_inverse(scratch);
         out.clear();
         out.reserve(self.n);
@@ -424,26 +459,28 @@ impl RfftPlan {
 /// plus internal scratch buffers, giving allocation-free in-place transforms
 /// once a length has been seen.
 #[derive(Default)]
-pub struct FftPlanner {
-    plans: HashMap<usize, Rc<FftPlan>>,
-    rplans: HashMap<usize, Rc<RfftPlan>>,
+pub struct FftPlanner<T = f64> {
+    plans: HashMap<usize, Rc<FftPlan<T>>>,
+    rplans: HashMap<usize, Rc<RfftPlan<T>>>,
     /// Bluestein convolution scratch, passed to `process_with_scratch`.
-    scratch: Vec<Cpx>,
+    scratch: Vec<Complex<T>>,
     /// Complex working buffer for real-input transforms.
-    pack: Vec<Cpx>,
+    pack: Vec<Complex<T>>,
     /// Real working buffer lent out by [`FftPlanner::with_real_scratch`].
-    real_scratch: Vec<f64>,
+    real_scratch: Vec<T>,
+    /// Complex working buffer lent out by [`FftPlanner::with_cpx_scratch`].
+    cpx_scratch: Vec<Complex<T>>,
 }
 
-impl FftPlanner {
+impl<T: Real> FftPlanner<T> {
     /// An empty planner.
-    pub fn new() -> FftPlanner {
-        FftPlanner::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The cached plan for length `n`, building it on first use. Bluestein
     /// lengths share their inner power-of-two plan with the cache.
-    pub fn plan(&mut self, n: usize) -> Rc<FftPlan> {
+    pub fn plan(&mut self, n: usize) -> Rc<FftPlan<T>> {
         let cm = cache_metrics();
         if let Some(p) = self.plans.get(&n) {
             cm.hits.inc();
@@ -469,8 +506,8 @@ impl FftPlanner {
     /// use (its half-length inner plan is shared with [`FftPlanner::plan`]).
     ///
     /// # Panics
-    /// Panics if `n` is odd or zero.
-    pub fn rfft_plan(&mut self, n: usize) -> Rc<RfftPlan> {
+    /// Panics if `n` is odd or zero (or, in f32, not a power of two).
+    pub fn rfft_plan(&mut self, n: usize) -> Rc<RfftPlan<T>> {
         let cm = cache_metrics();
         if let Some(p) = self.rplans.get(&n) {
             cm.hits.inc();
@@ -485,13 +522,16 @@ impl FftPlanner {
     }
 
     /// In-place forward DFT through the cached plan for `data.len()`.
-    pub fn fft_in_place(&mut self, data: &mut [Cpx]) {
+    pub fn fft_in_place(&mut self, data: &mut [Complex<T>]) {
         let plan = self.plan(data.len());
         plan.process_with_scratch(data, &mut self.scratch);
     }
 
     /// In-place inverse DFT (normalized by `1/N`) through the cached plan.
-    pub fn ifft_in_place(&mut self, data: &mut [Cpx]) {
+    ///
+    /// # Panics
+    /// Panics for f32 planners (forward only).
+    pub fn ifft_in_place(&mut self, data: &mut [Complex<T>]) {
         let plan = self.plan(data.len());
         plan.process_inverse_with_scratch(data, &mut self.scratch);
     }
@@ -500,7 +540,7 @@ impl FftPlanner {
     /// (cleared and resized to `N/2 + 1`; empty input gives empty output).
     /// Even lengths use the packed [`RfftPlan`]; odd lengths fall back to a
     /// widened complex transform through the plan cache.
-    pub fn rfft_half_into(&mut self, input: &[f64], out: &mut Vec<Cpx>) {
+    pub fn rfft_half_into(&mut self, input: &[T], out: &mut Vec<Complex<T>>) {
         let n = input.len();
         if n == 0 {
             out.clear();
@@ -514,7 +554,7 @@ impl FftPlanner {
             let plan = self.plan(n);
             let mut buf = std::mem::take(&mut self.pack);
             buf.clear();
-            buf.extend(input.iter().map(|&x| Cpx::real(x)));
+            buf.extend(input.iter().map(|&x| Complex::real(x)));
             plan.process_with_scratch(&mut buf, &mut self.scratch);
             out.clear();
             out.extend_from_slice(&buf[..n / 2 + 1]);
@@ -522,6 +562,40 @@ impl FftPlanner {
         }
     }
 
+    /// Lends a zeroed real buffer of length `len` alongside the planner, so
+    /// callers can window/pack into reusable storage and transform it in one
+    /// scope without allocating per call.
+    pub fn with_real_scratch<R>(
+        &mut self,
+        len: usize,
+        f: impl FnOnce(&mut Self, &mut Vec<T>) -> R,
+    ) -> R {
+        let mut buf = std::mem::take(&mut self.real_scratch);
+        buf.clear();
+        buf.resize(len, T::ZERO);
+        let r = f(self, &mut buf);
+        self.real_scratch = buf;
+        r
+    }
+
+    /// [`FftPlanner::with_real_scratch`] for a complex buffer: per-thread
+    /// working storage (a spectrum, a block of Doppler columns) that stays
+    /// allocated across calls.
+    pub fn with_cpx_scratch<R>(
+        &mut self,
+        len: usize,
+        f: impl FnOnce(&mut Self, &mut Vec<Complex<T>>) -> R,
+    ) -> R {
+        let mut buf = std::mem::take(&mut self.cpx_scratch);
+        buf.clear();
+        buf.resize(len, Complex::ZERO);
+        let r = f(self, &mut buf);
+        self.cpx_scratch = buf;
+        r
+    }
+}
+
+impl FftPlanner {
     /// Real signal (length `2·(spec.len() − 1)`) from its half spectrum,
     /// through the cached [`RfftPlan`]: the packed inverse of
     /// [`FftPlanner::rfft_half_into`], normalization included.
@@ -553,37 +627,20 @@ impl FftPlanner {
         }
         out
     }
-
-    /// Lends a zeroed real buffer of length `len` alongside the planner, so
-    /// callers can window/pack into reusable storage and transform it in one
-    /// scope without allocating per call.
-    pub fn with_real_scratch<R>(
-        &mut self,
-        len: usize,
-        f: impl FnOnce(&mut FftPlanner, &mut Vec<f64>) -> R,
-    ) -> R {
-        let mut buf = std::mem::take(&mut self.real_scratch);
-        buf.clear();
-        buf.resize(len, 0.0);
-        let r = f(self, &mut buf);
-        self.real_scratch = buf;
-        r
-    }
 }
 
-thread_local! {
-    static PLANNER: RefCell<FftPlanner> = RefCell::new(FftPlanner::new());
-}
-
-/// Runs `f` with this thread's planner. Every thread gets its own plan
-/// cache, so worker pools (e.g. the streaming runtime's stages) share plans
-/// within a thread and never contend across threads.
+/// Runs `f` with this thread's planner for precision `T`. Every thread gets
+/// its own plan cache per precision, so worker pools (e.g. the runtime's
+/// frame workers) share plans within a thread and never contend across
+/// threads. The planner also lends the per-thread working buffers
+/// ([`FftPlanner::with_real_scratch`], [`FftPlanner::with_cpx_scratch`])
+/// that generic frame code needs, since a `thread_local!` cannot be generic.
 ///
 /// # Panics
-/// Panics if called re-entrantly from within `f` (the planner is a single
-/// `RefCell`); keep planner scopes flat.
-pub fn with_planner<R>(f: impl FnOnce(&mut FftPlanner) -> R) -> R {
-    PLANNER.with(|p| f(&mut p.borrow_mut()))
+/// Panics if called re-entrantly from within `f` for the same precision
+/// (the planner is a single `RefCell`); keep planner scopes flat.
+pub fn with_planner<T: Real, R>(f: impl FnOnce(&mut FftPlanner<T>) -> R) -> R {
+    T::planner().with(|p| f(&mut p.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -632,7 +689,7 @@ mod tests {
 
     #[test]
     fn planner_caches_plans() {
-        let mut planner = FftPlanner::new();
+        let mut planner: FftPlanner = FftPlanner::new();
         let a = planner.plan(64);
         let b = planner.plan(64);
         assert!(Rc::ptr_eq(&a, &b));
@@ -729,5 +786,59 @@ mod tests {
         }
         let relative = worst / n as f64;
         assert!(relative <= 1e-9, "relative leakage {relative:e}");
+    }
+
+    fn real_vec(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 37 + 11) % 100) as f64 / 50.0 - 1.0)
+            .collect()
+    }
+
+    #[test]
+    fn f32_plan_tracks_f64_plan() {
+        let mut p64 = FftPlanner::new();
+        for &n in &[1usize, 2, 4, 64, 512] {
+            let x = real_vec(n);
+            let mut want: Vec<Cpx> = x.iter().map(|&v| Cpx::real(v)).collect();
+            p64.fft_in_place(&mut want);
+            let mut got: Vec<Complex<f32>> = x.iter().map(|&v| Complex::real(v as f32)).collect();
+            FftPlan::new(n).process(&mut got);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                let err = (g.to_f64() - *w).abs();
+                assert!(err < 2e-4 * n as f64, "n={n} bin {k}: err {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_rfft_tracks_f64_rfft() {
+        let mut p64 = FftPlanner::new();
+        let mut p32 = FftPlanner::<f32>::new();
+        for &n in &[2usize, 8, 256, 1024] {
+            let x = real_vec(n);
+            let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+            let mut want = Vec::new();
+            p64.rfft_half_into(&x, &mut want);
+            let mut got = Vec::new();
+            p32.rfft_half_into(&x32, &mut got);
+            assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                let err = (g.to_f64() - *w).abs();
+                assert!(err < 2e-4 * n as f64, "n={n} bin {k}: err {err}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn f32_plan_rejects_non_pow2() {
+        let _ = FftPlan::<f32>::new(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "forward-only")]
+    fn f32_plan_rejects_inverse() {
+        let mut x = vec![Complex::<f32>::ZERO; 8];
+        FftPlan::new(8).process_inverse(&mut x);
     }
 }

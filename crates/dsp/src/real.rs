@@ -1,0 +1,243 @@
+//! The two sample precisions of the frame hot path.
+//!
+//! The receive chain — dechirp, per-chirp range FFT, IF correction,
+//! background subtraction, slow-time FFT — is written once, generic over
+//! [`Real`], and instantiated for `f64` (the oracle, with bit-identity
+//! guarantees across pool sizes and dispatch tiers) and `f32` (the opt-in
+//! fast tier, validated against the oracle by error bounds). Geometry —
+//! ranges, phases, grids, window gains — is always evaluated in f64 and
+//! rounded once into the sample type with [`Real::from_f64`].
+//!
+//! The trait is sealed: its impls are the only place where the two
+//! precisions differ. Each impl chooses
+//!
+//! * which [`crate::simd`] kernel body to call (the kernels themselves stay
+//!   type-specific),
+//! * the noise generator (Box–Muller for f64, the inverse-CDF
+//!   [`NoiseSource::gaussian_fast`] for f32),
+//! * its per-thread [`FftPlanner`], and
+//! * its window table ([`CachedWindow::coeffs`] or
+//!   [`CachedWindow::coeffs_f32`]).
+
+use crate::complex::{Complex, Cpx};
+use crate::planner::FftPlanner;
+use crate::signal::NoiseSource;
+use crate::simd;
+use crate::window::CachedWindow;
+use std::cell::RefCell;
+use std::fmt::Debug;
+use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::thread::LocalKey;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
+/// A sample precision of the frame hot path: `f64` or `f32`.
+pub trait Real:
+    sealed::Sealed
+    + Copy
+    + Default
+    + PartialEq
+    + Debug
+    + Send
+    + Sync
+    + 'static
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+{
+    /// Additive identity.
+    const ZERO: Self;
+    /// Multiplicative identity.
+    const ONE: Self;
+    /// Whether plans in this precision serve every length and the inverse
+    /// transform (f64), or only forward power-of-two transforms (f32: the
+    /// frame tier's range and Doppler FFTs never need more).
+    const FULL_PLANNER: bool;
+
+    /// Rounds an f64 value into this precision (exact for f64).
+    fn from_f64(x: f64) -> Self;
+    /// Widens to f64 (exact).
+    fn to_f64(self) -> f64;
+
+    /// First radix-2 stage: `(u, v) → (u + v, u − v)` over adjacent pairs.
+    fn fft_first_stage(data: &mut [Complex<Self>]);
+    /// One radix-2 butterfly stage of width `len` with this stage's
+    /// contiguous twiddles (conjugated when `inverse`).
+    fn fft_stage(data: &mut [Complex<Self>], tw: &[Complex<Self>], len: usize, inverse: bool);
+    /// Pointwise `out[i] = x[i] * w[i]` (the Bluestein chirp multiplies).
+    /// The default is the portable loop; only full planners reach it.
+    fn cmul_into(out: &mut [Complex<Self>], x: &[Complex<Self>], w: &[Complex<Self>]) {
+        for ((o, &a), &b) in out.iter_mut().zip(x).zip(w) {
+            *o = a * b;
+        }
+    }
+    /// Pointwise `a[i] *= b[i]` (the Bluestein kernel multiply).
+    fn cmul_assign(a: &mut [Complex<Self>], b: &[Complex<Self>]) {
+        for (s, &w) in a.iter_mut().zip(b) {
+            *s *= w;
+        }
+    }
+    /// The packed-real-FFT unzip into `h + 1` half-spectrum bins.
+    fn rfft_unzip(
+        z: &[Complex<Self>],
+        tw: &[Complex<Self>],
+        h: usize,
+        out: &mut Vec<Complex<Self>>,
+    );
+    /// Adds one scatterer's IF tone, `amp_i · Re(e^{i phase0} · rot^i)`.
+    fn osc_accum(out: &mut [Self], amps: Option<&[Self]>, const_amp: Self, phase0: Cpx, rot: Cpx);
+    /// `acc[i] += |row[i]|²`, each square widened into the f64 accumulator.
+    fn norm_sq_accum(acc: &mut [f64], row: &[Complex<Self>]);
+
+    /// Adds white Gaussian noise of standard deviation `sigma` to `signal`.
+    fn add_awgn(noise: &mut NoiseSource, signal: &mut [Self], sigma: f64);
+    /// This thread's planner for this precision (see
+    /// [`crate::planner::with_planner`]).
+    fn planner() -> &'static LocalKey<RefCell<FftPlanner<Self>>>;
+    /// A cached window's coefficients in this precision.
+    fn window(w: &CachedWindow) -> &[Self];
+}
+
+impl Real for f64 {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+    const FULL_PLANNER: bool = true;
+
+    #[inline]
+    fn from_f64(x: f64) -> f64 {
+        x
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+
+    #[inline]
+    fn fft_first_stage(data: &mut [Cpx]) {
+        simd::fft_first_stage(data);
+    }
+    #[inline]
+    fn fft_stage(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
+        simd::fft_stage(data, tw, len, inverse);
+    }
+    #[inline]
+    fn cmul_into(out: &mut [Cpx], x: &[Cpx], w: &[Cpx]) {
+        simd::cmul_into(out, x, w);
+    }
+    #[inline]
+    fn cmul_assign(a: &mut [Cpx], b: &[Cpx]) {
+        simd::cmul_assign(a, b);
+    }
+    #[inline]
+    fn rfft_unzip(z: &[Cpx], tw: &[Cpx], h: usize, out: &mut Vec<Cpx>) {
+        simd::rfft_unzip(z, tw, h, out);
+    }
+    #[inline]
+    fn osc_accum(out: &mut [f64], amps: Option<&[f64]>, const_amp: f64, phase0: Cpx, rot: Cpx) {
+        simd::osc_accum(out, amps, const_amp, phase0, rot);
+    }
+    #[inline]
+    fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
+        simd::norm_sq_accum(acc, row);
+    }
+
+    #[inline]
+    fn add_awgn(noise: &mut NoiseSource, signal: &mut [f64], sigma: f64) {
+        noise.add_awgn(signal, sigma);
+    }
+    fn planner() -> &'static LocalKey<RefCell<FftPlanner<f64>>> {
+        thread_local! {
+            static PLANNER: RefCell<FftPlanner<f64>> = RefCell::new(FftPlanner::new());
+        }
+        &PLANNER
+    }
+    #[inline]
+    fn window(w: &CachedWindow) -> &[f64] {
+        &w.coeffs
+    }
+}
+
+impl Real for f32 {
+    const ZERO: f32 = 0.0;
+    const ONE: f32 = 1.0;
+    const FULL_PLANNER: bool = false;
+
+    #[inline]
+    fn from_f64(x: f64) -> f32 {
+        x as f32
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+
+    #[inline]
+    fn fft_first_stage(data: &mut [Complex<f32>]) {
+        simd::fft_first_stage_32(data);
+    }
+    #[inline]
+    fn fft_stage(data: &mut [Complex<f32>], tw: &[Complex<f32>], len: usize, inverse: bool) {
+        debug_assert!(!inverse, "f32 plans are forward-only");
+        simd::fft_stage_32(data, tw, len);
+    }
+    #[inline]
+    fn rfft_unzip(z: &[Complex<f32>], tw: &[Complex<f32>], h: usize, out: &mut Vec<Complex<f32>>) {
+        simd::rfft_unzip_32(z, tw, h, out);
+    }
+    #[inline]
+    fn osc_accum(out: &mut [f32], amps: Option<&[f32]>, const_amp: f32, phase0: Cpx, rot: Cpx) {
+        simd::osc_accum_32(out, amps, const_amp, phase0, rot);
+    }
+    #[inline]
+    fn norm_sq_accum(acc: &mut [f64], row: &[Complex<f32>]) {
+        simd::norm_sq_accum_32(acc, row);
+    }
+
+    /// Inverse-CDF deviates rounded once to f32: roughly 4× cheaper per
+    /// sample than Box–Muller, which would otherwise dominate the f32
+    /// dechirp stage. Seeded and deterministic, but a different realization
+    /// than the f64 generator draws from the same seed.
+    #[inline]
+    fn add_awgn(noise: &mut NoiseSource, signal: &mut [f32], sigma: f64) {
+        for s in signal.iter_mut() {
+            *s += (noise.gaussian_fast() * sigma) as f32;
+        }
+    }
+    fn planner() -> &'static LocalKey<RefCell<FftPlanner<f32>>> {
+        thread_local! {
+            static PLANNER: RefCell<FftPlanner<f32>> = RefCell::new(FftPlanner::new());
+        }
+        &PLANNER
+    }
+    #[inline]
+    fn window(w: &CachedWindow) -> &[f32] {
+        &w.coeffs_f32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn f32_noise_is_seeded_and_scaled() {
+        let mut a = vec![0.0f32; 100_000];
+        let mut b = vec![0.0f32; 100_000];
+        f32::add_awgn(&mut NoiseSource::new(29), &mut a, 0.5);
+        f32::add_awgn(&mut NoiseSource::new(29), &mut b, 0.5);
+        assert_eq!(a, b, "same seed must replay exactly");
+        let n = a.len() as f64;
+        let mean = a.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let var = a.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((var.sqrt() - 0.5).abs() < 0.01, "std {}", var.sqrt());
+    }
+}

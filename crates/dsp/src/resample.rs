@@ -6,6 +6,9 @@
 //! [`resample_to_grid`] is that operation. The tag's acquisition stage uses
 //! [`linear_interp`] when estimating the chirp period from fractional peaks.
 
+use crate::complex::Complex;
+use crate::real::Real;
+
 /// Linearly interpolates `samples` at fractional index `idx`.
 ///
 /// Indices outside `[0, n-1]` clamp to the endpoints. Returns 0 for an empty
@@ -53,74 +56,35 @@ pub fn resample_to_grid(src_grid: &[f64], values: &[f64], dst_grid: &[f64]) -> V
 }
 
 /// Complex-valued variant of [`resample_to_grid`] writing into a reusable
-/// output buffer (cleared first): resamples `values` on `src_grid` onto
-/// `dst_grid`, interpolating real and imaginary parts independently with
-/// exactly the same bracketing and weights as the real version. Component
-/// for component it performs the identical floating-point operations, so a
-/// caller that previously split a complex profile into two real resamples
-/// gets bit-identical results from this fused path.
-///
-/// # Panics
-/// Panics if `src_grid` and `values` lengths differ.
-pub fn resample_to_grid_cpx_into(
-    src_grid: &[f64],
-    values: &[crate::complex::Cpx],
-    dst_grid: &[f64],
-    out: &mut Vec<crate::complex::Cpx>,
-) {
-    use crate::complex::Cpx;
-    assert_eq!(src_grid.len(), values.len(), "grid/value length mismatch");
-    out.clear();
-    out.reserve(dst_grid.len());
-    if src_grid.is_empty() {
-        out.resize(dst_grid.len(), Cpx::ZERO);
-        return;
-    }
-    for &x in dst_grid {
-        let v = match src_grid.binary_search_by(|v| v.partial_cmp(&x).unwrap()) {
-            Ok(i) => values[i],
-            Err(0) => values[0],
-            Err(i) if i >= src_grid.len() => values[values.len() - 1],
-            Err(i) => {
-                let x0 = src_grid[i - 1];
-                let x1 = src_grid[i];
-                let t = (x - x0) / (x1 - x0);
-                // Same formula as the real-valued path, applied per
-                // component: a*(1-t) + b*t.
-                let (a, b) = (values[i - 1], values[i]);
-                Cpx::new(a.re * (1.0 - t) + b.re * t, a.im * (1.0 - t) + b.im * t)
-            }
-        };
-        out.push(v);
-    }
-}
-
-/// Single-precision variant of [`resample_to_grid_cpx_into`] for the f32
-/// frame tier: grids stay in f64 (geometry is always double precision), the
-/// profile values are [`crate::c32::Cpx32`], and the interpolation weight
-/// `t` is computed in f64 then applied in f32.
+/// output buffer (cleared first), in either sample precision: resamples
+/// `values` on `src_grid` onto `dst_grid`, interpolating real and imaginary
+/// parts independently with exactly the same bracketing and weights as the
+/// real version. Grids stay in f64 (geometry is always double precision);
+/// the weight `t` is computed in f64 and rounded once into the sample type,
+/// so in f64 this performs, component for component, the identical
+/// floating-point operations as [`resample_to_grid`].
 ///
 /// Instead of a per-point binary search this uses a monotone two-pointer
 /// sweep — destination grids in the IF-correction stage are increasing, so
 /// the bracketing index only ever moves forward and the whole resample is
-/// `O(n_src + n_dst)` rather than `O(n_dst · log n_src)`. Non-monotone
-/// destinations still work (the pointer backs up), they just lose the
-/// linear-time guarantee.
+/// `O(n_src + n_dst)` rather than `O(n_dst · log n_src)`. On a strictly
+/// increasing source grid the bracket is the one the binary search finds.
+/// Non-monotone destinations still work (the pointer backs up), they just
+/// lose the linear-time guarantee.
 ///
 /// # Panics
 /// Panics if `src_grid` and `values` lengths differ.
-pub fn resample_to_grid_cpx32_into(
+pub fn resample_to_grid_cpx_into<T: Real>(
     src_grid: &[f64],
-    values: &[crate::c32::Cpx32],
+    values: &[Complex<T>],
     dst_grid: &[f64],
-    out: &mut Vec<crate::c32::Cpx32>,
+    out: &mut Vec<Complex<T>>,
 ) {
-    use crate::c32::Cpx32;
     assert_eq!(src_grid.len(), values.len(), "grid/value length mismatch");
     out.clear();
     out.reserve(dst_grid.len());
     if src_grid.is_empty() {
-        out.resize(dst_grid.len(), Cpx32::ZERO);
+        out.resize(dst_grid.len(), Complex::ZERO);
         return;
     }
     let n = src_grid.len();
@@ -143,9 +107,14 @@ pub fn resample_to_grid_cpx32_into(
         } else {
             let x0 = src_grid[i - 1];
             let x1 = src_grid[i];
-            let t = ((x - x0) / (x1 - x0)) as f32;
+            let t = T::from_f64((x - x0) / (x1 - x0));
+            // Same formula as the real-valued path, applied per
+            // component: a*(1-t) + b*t.
             let (a, b) = (values[i - 1], values[i]);
-            Cpx32::new(a.re * (1.0 - t) + b.re * t, a.im * (1.0 - t) + b.im * t)
+            Complex::new(
+                a.re * (T::ONE - t) + b.re * t,
+                a.im * (T::ONE - t) + b.im * t,
+            )
         };
         out.push(v);
     }
@@ -191,6 +160,7 @@ pub fn resample_len(samples: &[f64], new_len: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Cpx;
 
     #[test]
     fn interp_exact_indices() {
@@ -265,6 +235,36 @@ mod tests {
             .unwrap();
         let peak_r = grid_b[peak_idx];
         assert!((peak_r - 5.0).abs() < 0.5, "peak moved to {peak_r}");
+    }
+
+    #[test]
+    fn cpx_resample_is_the_real_resample_per_component() {
+        // Exact hits, interior points, both clamped ends, and a backwards
+        // jump in the destination: every component must be bit-identical
+        // to the binary-search real resample.
+        let src: Vec<f64> = (0..40)
+            .map(|i| 0.37 * i as f64 + 0.01 * (i * i) as f64)
+            .collect();
+        let re: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).sin()).collect();
+        let im: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).cos()).collect();
+        let values: Vec<Cpx> = re.iter().zip(&im).map(|(&a, &b)| Cpx::new(a, b)).collect();
+        let mut dst = linspace(-1.0, 35.0, 97);
+        dst.extend([src[5], src[17], 3.3, 40.0, 0.0]);
+        let mut out = Vec::new();
+        resample_to_grid_cpx_into(&src, &values, &dst, &mut out);
+        let want_re = resample_to_grid(&src, &re, &dst);
+        let want_im = resample_to_grid(&src, &im, &dst);
+        for (k, z) in out.iter().enumerate() {
+            assert_eq!(z.re.to_bits(), want_re[k].to_bits(), "re at {k}");
+            assert_eq!(z.im.to_bits(), want_im[k].to_bits(), "im at {k}");
+        }
+        // The f32 instantiation tracks it to f32 rounding.
+        let values32: Vec<Complex<f32>> = values.iter().map(|&z| Complex::from_f64(z)).collect();
+        let mut out32 = Vec::new();
+        resample_to_grid_cpx_into(&src, &values32, &dst, &mut out32);
+        for (a, b) in out32.iter().zip(&out) {
+            assert!((a.to_f64() - *b).abs() < 1e-6);
+        }
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl NoiseSource {
         }
     }
 
-    /// f32 variant of [`NoiseSource::add_awgn`] that draws the *identical*
-    /// f64 Gaussian sequence (same generator state consumption, so f64 and
-    /// f32 slabs with the same seed see the same noise realization) and adds
-    /// each deviate rounded to f32. This is the kernel-test reference; the
-    /// frame-rate f32 tier uses [`NoiseSource::add_awgn_f32_fast`] instead.
-    pub fn add_awgn_f32(&mut self, signal: &mut [f32], sigma: f64) {
-        for s in signal.iter_mut() {
-            *s += (self.gaussian() * sigma) as f32;
-        }
-    }
-
     /// Fast standard normal sample: one uniform draw mapped through the
     /// inverse normal CDF (no `ln`/`sin`/`cos` on the ~97.6% central path).
     ///
@@ -139,15 +128,6 @@ impl NoiseSource {
     #[inline]
     pub fn gaussian_fast(&mut self) -> f64 {
         inv_norm_cdf(self.uniform())
-    }
-
-    /// Fast AWGN for the f32 frame tier: [`NoiseSource::gaussian_fast`]
-    /// deviates rounded once to f32. Roughly 4x cheaper per sample than the
-    /// Box–Muller path, which otherwise dominates the f32 dechirp stage.
-    pub fn add_awgn_f32_fast(&mut self, signal: &mut [f32], sigma: f64) {
-        for s in signal.iter_mut() {
-            *s += (self.gaussian_fast() * sigma) as f32;
-        }
     }
 }
 
@@ -371,16 +351,6 @@ mod tests {
                 inv_norm_cdf(p)
             );
         }
-    }
-
-    #[test]
-    fn add_awgn_f32_fast_statistics() {
-        let mut src = NoiseSource::new(29);
-        let mut x = vec![0.0f32; 100_000];
-        src.add_awgn_f32_fast(&mut x, 0.5);
-        let wide: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        assert!(mean(&wide).abs() < 0.01);
-        assert!((std_dev(&wide) - 0.5).abs() < 0.01);
     }
 
     #[test]

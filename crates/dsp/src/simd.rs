@@ -6,8 +6,11 @@
 //! module in the workspace's DSP layer that contains `unsafe` — each
 //! `unsafe` block is a `#[target_feature(enable = "avx2")]` body reached
 //! strictly behind runtime feature detection, plus the raw loads/stores
-//! inside it (`Cpx`/`Cpx32` are `repr(C)`, so a slice of them is a packed
+//! inside it (`Complex<T>` is `repr(C)`, so a slice of them is a packed
 //! `re, im` sequence).
+//!
+//! The kernels are type-specific; generic code reaches them through the
+//! [`crate::real::Real`] impls, which pick the f64 or f32 (`*_32`) body.
 //!
 //! ## The f64 bit-identity contract
 //!
@@ -31,9 +34,11 @@
 //! frame tier as a whole is validated against the f64 oracle by error
 //! bounds (see `biscatter-core`'s precision tests).
 
-use crate::c32::Cpx32;
-use crate::complex::Cpx;
+use crate::complex::{Complex, Cpx};
 use crate::dispatch::{tier, SimdTier};
+
+/// Single-precision complex sample, as the f32 kernels see it.
+type Cpx32 = Complex<f32>;
 
 // ---------------------------------------------------------------------------
 // f64 complex kernels (radix-2 stages, pointwise multiplies, rfft unzip).
@@ -555,6 +560,18 @@ fn fft_stage_32_scalar(data: &mut [Cpx32], tw: &[Cpx32], len: usize) {
     }
 }
 
+/// `acc[i] += |row[i]|²` for f32 rows: each square is computed in f32 and
+/// widened into the f64 accumulator (the f32 sensing path's mean power).
+///
+/// # Panics
+/// Panics if the slice lengths differ.
+pub fn norm_sq_accum_32(acc: &mut [f64], row: &[Cpx32]) {
+    assert_eq!(acc.len(), row.len());
+    for (a, z) in acc.iter_mut().zip(row) {
+        *a += z.norm_sq() as f64;
+    }
+}
+
 /// f32 packed-real-FFT unzip (see [`rfft_unzip`]); `out` cleared/resized.
 pub fn rfft_unzip_32(z: &[Cpx32], tw: &[Cpx32], h: usize, out: &mut Vec<Cpx32>) {
     assert_eq!(z.len(), h);
@@ -577,8 +594,8 @@ pub fn rfft_unzip_32(z: &[Cpx32], tw: &[Cpx32], h: usize, out: &mut Vec<Cpx32>) 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
+    use super::Cpx32;
     use super::OSC_RENORM_SAMPLES;
-    use crate::c32::Cpx32;
     use crate::complex::Cpx;
     use std::arch::x86_64::*;
 
@@ -1332,7 +1349,7 @@ mod tests {
         let n = 64;
         let len = 16;
         let tw: Vec<Cpx32> = (0..len / 2)
-            .map(|j| Cpx32::cis(-TAU * j as f64 / len as f64))
+            .map(|j| Cpx32::from_f64(Cpx::cis(-TAU * j as f64 / len as f64)))
             .collect();
         let data: Vec<Cpx32> = cvec(n).iter().map(|&z| Cpx32::from_f64(z)).collect();
         let before = tier();

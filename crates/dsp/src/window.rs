@@ -91,7 +91,8 @@ pub struct CachedWindow {
     pub coeffs: Vec<f64>,
     /// The same coefficients rounded to f32 once, for the f32 frame tier
     /// (windowing happens per sample, so the fast path must not convert on
-    /// the fly).
+    /// the fly). Generic code reads either table through
+    /// [`crate::real::Real::window`].
     pub coeffs_f32: Vec<f32>,
     /// Mean of the coefficients (see [`WindowKind::coherent_gain`]).
     pub coherent_gain: f64,

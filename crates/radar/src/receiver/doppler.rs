@@ -7,15 +7,12 @@
 //! appears at its switch modulation frequency (and odd harmonics, the sinc
 //! structure the paper notes in §3.3).
 
-use super::f32path::AlignedFrame32;
 use super::AlignedFrame;
 use biscatter_compute::ComputePool;
-use biscatter_dsp::c32::Cpx32;
-use biscatter_dsp::complex::Cpx;
-use biscatter_dsp::fft32::with_planner32;
-use biscatter_dsp::planner::with_planner;
+use biscatter_dsp::complex::Complex;
+use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::window::WindowKind;
-use std::cell::RefCell;
+use biscatter_dsp::Real;
 use std::sync::Arc;
 
 /// A range–Doppler (range–modulation) power map.
@@ -141,25 +138,29 @@ impl RangeDopplerMap {
 /// applied along slow time to contain leakage from the strong static clutter
 /// at 0 Hz. Convenience wrapper over [`range_doppler_into`] on the global
 /// compute pool.
-pub fn range_doppler(frame: &AlignedFrame) -> RangeDopplerMap {
+pub fn range_doppler<T: Real>(frame: &AlignedFrame<T>) -> RangeDopplerMap {
     let mut out = RangeDopplerMap::default();
     range_doppler_into(ComputePool::global(), frame, &mut out);
     out
 }
 
-thread_local! {
-    /// Per-thread slow-time column buffer for the in-place Doppler FFT.
-    static COLUMN: RefCell<Vec<Cpx>> = const { RefCell::new(Vec::new()) };
-}
-
 /// [`range_doppler`] on an explicit pool, recycling `out`'s power slab.
+///
+/// The slow-time FFT runs in the frame's sample precision; each bin's
+/// `|·|²` is widened to f64 as it lands in the map, so every downstream
+/// consumer (signature scoring, CFAR, uplink) runs unchanged on either
+/// precision.
 ///
 /// Range columns are split into contiguous bands across the pool; each
 /// column is an independent gather → FFT → |·|² with a fixed operation
 /// order, so the parallel map is bit-identical to the serial one. Steady
-/// state reuses the slab, the shared grid `Arc`, and per-thread column
-/// buffers — no allocation per frame.
-pub fn range_doppler_into(pool: &ComputePool, frame: &AlignedFrame, out: &mut RangeDopplerMap) {
+/// state reuses the slab, the shared grid `Arc`, and the per-thread column
+/// block lent by the precision's planner — no allocation per frame.
+pub fn range_doppler_into<T: Real>(
+    pool: &ComputePool,
+    frame: &AlignedFrame<T>,
+    out: &mut RangeDopplerMap,
+) {
     let n_chirps = frame.n_chirps();
     let n_range = frame.range_grid.len();
     let n_doppler = biscatter_dsp::fft::next_pow2(n_chirps);
@@ -178,108 +179,47 @@ pub fn range_doppler_into(pool: &ComputePool, frame: &AlignedFrame, out: &mut Ra
         .div_ceil(4 * pool.threads())
         .clamp(8, n_range.max(8));
     let profiles = &frame.profiles;
-    pool.par_columns(&mut out.power, n_doppler, n_range, col_chunk, |band| {
-        // Window and plan come from per-thread caches; looked up inside the
-        // closure because both are `Rc`-based and must not cross threads.
-        let window = WindowKind::Hann.cached(n_chirps);
-        let plan = with_planner(|p| p.plan(n_doppler));
-        COLUMN.with(|col| {
-            let mut column = col.borrow_mut();
-            column.clear();
-            column.resize(n_doppler, Cpx::ZERO);
-            for r in band.cols() {
-                for (c, z) in column.iter_mut().enumerate() {
-                    *z = if c < n_chirps {
-                        profiles[c][r] * window.coeffs[c]
-                    } else {
-                        Cpx::ZERO
-                    };
-                }
-                plan.process(&mut column);
-                for (d, z) in column.iter().enumerate() {
-                    band.set(d, r, z.norm_sq());
-                }
-            }
-        });
-    });
-}
-
-thread_local! {
-    /// Per-thread slow-time column buffer for the f32 in-place Doppler FFT.
-    static COLUMN32: RefCell<Vec<Cpx32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// [`range_doppler_into`] for the f32 fast tier: the slow-time FFT runs in
-/// single precision and each bin's `|·|²` is widened to f64 as it lands in
-/// the shared [`RangeDopplerMap`], so every downstream consumer (signature
-/// scoring, CFAR, uplink) runs unchanged on either tier's output. Same
-/// band-parallel structure and buffer reuse as the f64 path.
-pub fn range_doppler_into_f32(
-    pool: &ComputePool,
-    frame: &AlignedFrame32,
-    out: &mut RangeDopplerMap,
-) {
-    let n_chirps = frame.n_chirps();
-    let n_range = frame.range_grid.len();
-    let n_doppler = biscatter_dsp::fft::next_pow2(n_chirps);
-
-    out.n_doppler = n_doppler;
-    out.t_period = frame.t_period;
-    if !Arc::ptr_eq(&out.range_grid, &frame.range_grid) {
-        out.range_grid = Arc::clone(&frame.range_grid);
-    }
-    out.power.clear();
-    out.power.resize(n_doppler * n_range, 0.0);
-
-    let col_chunk = n_range
-        .div_ceil(4 * pool.threads())
-        .clamp(8, n_range.max(8));
-    let profiles = &frame.profiles;
     // Columns are gathered in blocks of 8 so each pass over the chirp rows
-    // reads 8 adjacent cells (one cache line of Cpx32) per row instead of a
-    // single strided element — the naive per-column gather pointer-chases
-    // all `n_chirps` row Vecs once per range bin and dominates this stage.
+    // reads 8 adjacent cells per row instead of a single strided element —
+    // the naive per-column gather pointer-chases all `n_chirps` row Vecs
+    // once per range bin and dominates this stage.
     const BLK: usize = 8;
     pool.par_columns(&mut out.power, n_doppler, n_range, col_chunk, |band| {
+        // Window, plan, and column block come from per-thread caches;
+        // looked up inside the closure because they are `Rc`/thread-local
+        // and must not cross threads.
         let window = WindowKind::Hann.cached(n_chirps);
-        let plan = with_planner32(|p| p.plan(n_doppler));
-        COLUMN32.with(|col| {
-            let mut scratch = col.borrow_mut();
-            scratch.clear();
-            scratch.resize(BLK * n_doppler, Cpx32::ZERO);
-            let cols = band.cols();
-            let mut r0 = cols.start;
-            while r0 < cols.end {
-                let w = (cols.end - r0).min(BLK);
-                for c in 0..n_chirps {
-                    let row = &profiles[c][r0..r0 + w];
-                    let wc = window.coeffs_f32[c];
-                    for (j, &v) in row.iter().enumerate() {
-                        scratch[j * n_doppler + c] = v.scale(wc);
+        let coeffs = T::window(&window);
+        with_planner(|p: &mut FftPlanner<T>| {
+            let plan = p.plan(n_doppler);
+            p.with_cpx_scratch(BLK * n_doppler, |_, scratch| {
+                let cols = band.cols();
+                let mut r0 = cols.start;
+                while r0 < cols.end {
+                    let w = (cols.end - r0).min(BLK);
+                    for (c, (row, &wc)) in profiles.iter().zip(coeffs).enumerate() {
+                        for (j, &v) in row[r0..r0 + w].iter().enumerate() {
+                            scratch[j * n_doppler + c] = v.scale(wc);
+                        }
                     }
-                }
-                for j in 0..w {
-                    let column = &mut scratch[j * n_doppler..(j + 1) * n_doppler];
-                    // Re-zero the pad tail: the previous block's FFT output
-                    // is still sitting there.
-                    for z in column[n_chirps..].iter_mut() {
-                        *z = Cpx32::ZERO;
+                    for column in scratch.chunks_exact_mut(n_doppler).take(w) {
+                        // Re-zero the pad tail: the previous block's FFT
+                        // output is still sitting there.
+                        column[n_chirps..].fill(Complex::ZERO);
+                        plan.process(column);
                     }
-                    plan.process(column);
-                }
-                // Write powers row-major: 8 adjacent cells per doppler row
-                // (one cache line of the power slab) instead of a strided
-                // column walk per range bin — the writes, not the FFTs, are
-                // what the naive loop spends its time on. The strided reads
-                // land in the L1-resident scratch.
-                for d in 0..n_doppler {
-                    for j in 0..w {
-                        let z = scratch[j * n_doppler + d];
-                        band.set(d, r0 + j, z.norm_sq() as f64);
+                    // Write powers row-major: `w` adjacent cells per Doppler
+                    // row (one cache line of the power slab) instead of a
+                    // strided column walk per range bin. The strided reads
+                    // land in the L1-resident block.
+                    for d in 0..n_doppler {
+                        for j in 0..w {
+                            band.set(d, r0 + j, scratch[j * n_doppler + d].norm_sq().to_f64());
+                        }
                     }
+                    r0 += w;
                 }
-                r0 += w;
-            }
+            })
         });
     });
 }

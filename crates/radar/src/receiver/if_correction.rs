@@ -9,8 +9,9 @@
 //! static.
 
 use super::range_profile::bin_freq;
-use biscatter_dsp::complex::Cpx;
+use biscatter_dsp::complex::Complex;
 use biscatter_dsp::resample::resample_to_grid_cpx_into;
+use biscatter_dsp::Real;
 use biscatter_rf::chirp::Chirp;
 use std::cell::RefCell;
 
@@ -29,13 +30,13 @@ pub fn bin_ranges_into(chirp: &Chirp, fs: f64, n_fft: usize, n_bins: usize, out:
 
 /// Resamples a complex half-spectrum onto the common `grid` (metres),
 /// interpolating the real and imaginary parts pairwise.
-pub fn to_range_grid(
-    profile: &[Cpx],
+pub fn to_range_grid<T: Real>(
+    profile: &[Complex<T>],
     chirp: &Chirp,
     fs: f64,
     n_fft: usize,
     grid: &[f64],
-) -> Vec<Cpx> {
+) -> Vec<Complex<T>> {
     let mut out = Vec::new();
     to_range_grid_into(profile, chirp, fs, n_fft, grid, &mut out);
     out
@@ -47,17 +48,18 @@ thread_local! {
     static BIN_RANGES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// [`to_range_grid`] writing into a reusable buffer. The interpolation runs
-/// on the complex samples directly but performs bit-identical arithmetic to
-/// resampling the real and imaginary parts separately (see
-/// [`resample_to_grid_cpx_into`]).
-pub fn to_range_grid_into(
-    profile: &[Cpx],
+/// [`to_range_grid`] writing into a reusable buffer. The bin ranges and
+/// the interpolation weights are computed in f64 in either precision; in
+/// f64 the interpolation runs on the complex samples directly but performs
+/// bit-identical arithmetic to resampling the real and imaginary parts
+/// separately (see [`resample_to_grid_cpx_into`]).
+pub fn to_range_grid_into<T: Real>(
+    profile: &[Complex<T>],
     chirp: &Chirp,
     fs: f64,
     n_fft: usize,
     grid: &[f64],
-    out: &mut Vec<Cpx>,
+    out: &mut Vec<Complex<T>>,
 ) {
     BIN_RANGES.with(|src| {
         let mut src = src.borrow_mut();

@@ -18,11 +18,16 @@
 //!    and parabolic-interpolating the range peak ([`localize`]), and
 //! 7. **demodulates the uplink** bits from the slow-time sequence at the
 //!    tag's range ([`uplink`]).
+//!
+//! Steps 1–5 and the uplink amplitude extraction are generic over the
+//! sample precision ([`Real`]): f64 is the oracle, f32 the opt-in fast tier.
+//! Geometry (bin ranges, the common grid, interpolation weights) stays f64
+//! in both, and the range–Doppler power lands in an f64 map, so everything
+//! from localization on is the same code on either precision.
 
 pub mod acquire;
 pub mod aoa;
 pub mod doppler;
-pub mod f32path;
 pub mod if_correction;
 pub mod localize;
 pub mod multitag;
@@ -31,11 +36,12 @@ pub mod uplink;
 pub mod velocity;
 
 use biscatter_compute::ComputePool;
-use biscatter_dsp::complex::Cpx;
+use biscatter_dsp::complex::Complex;
+use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::resample::linspace;
+use biscatter_dsp::Real;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::slab::ChirpRows;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Receiver processing configuration.
@@ -83,19 +89,20 @@ impl RxConfig {
 }
 
 /// A frame of per-chirp complex range profiles on the common grid, ready for
-/// slow-time processing.
+/// slow-time processing, in sample precision `T`.
 #[derive(Debug, Clone)]
-pub struct AlignedFrame {
+pub struct AlignedFrame<T = f64> {
     /// `profiles[chirp][range_bin]`, complex.
-    pub profiles: Vec<Vec<Cpx>>,
-    /// The common range grid, metres. Shared (`Arc`) so downstream products
-    /// like the range–Doppler map reference it instead of cloning.
+    pub profiles: Vec<Vec<Complex<T>>>,
+    /// The common range grid, metres (f64 in either precision: geometry
+    /// never drops precision). Shared (`Arc`) so downstream products like
+    /// the range–Doppler map reference it instead of cloning.
     pub range_grid: Arc<[f64]>,
     /// Chirp slot period, s (slow-time sample interval).
     pub t_period: f64,
 }
 
-impl Default for AlignedFrame {
+impl<T> Default for AlignedFrame<T> {
     fn default() -> Self {
         AlignedFrame {
             profiles: Vec::new(),
@@ -105,7 +112,7 @@ impl Default for AlignedFrame {
     }
 }
 
-impl AlignedFrame {
+impl<T: Real> AlignedFrame<T> {
     /// Number of chirps (slow-time length).
     pub fn n_chirps(&self) -> usize {
         self.profiles.len()
@@ -117,8 +124,44 @@ impl AlignedFrame {
     }
 
     /// Slow-time complex sequence at range-grid index `bin`.
-    pub fn slow_time(&self, bin: usize) -> Vec<Cpx> {
+    pub fn slow_time(&self, bin: usize) -> Vec<Complex<T>> {
         self.profiles.iter().map(|p| p[bin]).collect()
+    }
+
+    /// Overwrites this frame with `src`'s profiles, grid, and period,
+    /// reusing the profile rows' capacity (and sharing the grid `Arc`).
+    pub fn copy_from(&mut self, src: &AlignedFrame<T>) {
+        let n = src.profiles.len();
+        self.profiles.truncate(n);
+        self.profiles.resize_with(n, Vec::new);
+        for (dst, row) in self.profiles.iter_mut().zip(&src.profiles) {
+            dst.clear();
+            dst.extend_from_slice(row);
+        }
+        if !Arc::ptr_eq(&self.range_grid, &src.range_grid) {
+            self.range_grid = Arc::clone(&src.range_grid);
+        }
+        self.t_period = src.t_period;
+    }
+
+    /// Background subtraction (paper §3.3): subtracts chirp 0's profile
+    /// from every row. Row 0 computes `x − x` in place rather than storing
+    /// zeros, so IEEE semantics (+0.0 sign, NaN propagation) are those of
+    /// subtracting a copy of the row from itself.
+    pub fn subtract_background(&mut self) {
+        let Some((first, rest)) = self.profiles.split_first_mut() else {
+            return;
+        };
+        for p in rest.iter_mut() {
+            for (v, r) in p.iter_mut().zip(first.iter()) {
+                *v -= *r;
+            }
+        }
+        #[allow(clippy::eq_op)]
+        for v in first.iter_mut() {
+            let x = *v;
+            *v = x - x;
+        }
     }
 }
 
@@ -129,20 +172,14 @@ impl AlignedFrame {
 /// (any [`ChirpRows`] container: nested `Vec`s, a `SampleSlab`, or one
 /// antenna's view of an `ArrayCapture`). Convenience wrapper over
 /// [`align_frame_into`] running on the global compute pool.
-pub fn align_frame<R: ChirpRows + ?Sized>(
+pub fn align_frame<T: Real, R: ChirpRows<T> + ?Sized>(
     cfg: &RxConfig,
     train: &ChirpTrain,
     if_per_chirp: &R,
-) -> AlignedFrame {
+) -> AlignedFrame<T> {
     let mut out = AlignedFrame::default();
     align_frame_into(ComputePool::global(), cfg, train, if_per_chirp, &mut out);
     out
-}
-
-thread_local! {
-    /// Per-thread half-spectrum scratch shared by every chirp a worker
-    /// aligns, so steady-state alignment allocates nothing.
-    static SPECTRUM: RefCell<Vec<Cpx>> = const { RefCell::new(Vec::new()) };
 }
 
 /// [`align_frame`] on an explicit pool, recycling `out`'s buffers.
@@ -150,14 +187,15 @@ thread_local! {
 /// Chirps fan out across `pool` (each is an independent FFT + resample
 /// writing its own profile row, so the parallel result is bit-identical to
 /// the serial loop); the background subtraction stays serial. The range grid
-/// `Arc` and the per-chirp profile vectors are reused across calls, which
-/// makes repeated frames allocation-free in steady state.
-pub fn align_frame_into<R: ChirpRows + ?Sized>(
+/// `Arc`, the per-chirp profile vectors, and the per-thread spectrum scratch
+/// (lent by the precision's planner) are reused across calls, which makes
+/// repeated frames allocation-free in steady state.
+pub fn align_frame_into<T: Real, R: ChirpRows<T> + ?Sized>(
     pool: &ComputePool,
     cfg: &RxConfig,
     train: &ChirpTrain,
     if_per_chirp: &R,
-    out: &mut AlignedFrame,
+    out: &mut AlignedFrame<T>,
 ) {
     assert_eq!(
         train.len(),
@@ -187,48 +225,84 @@ pub fn align_frame_into<R: ChirpRows + ?Sized>(
     let slots = train.slots();
     pool.par_chunks(&mut out.profiles, 1, |c, row| {
         let samples = if_per_chirp.row(c);
-        SPECTRUM.with(|spec| {
-            let mut spectrum = spec.borrow_mut();
-            range_profile::complex_profile_into(samples, cfg.n_fft, &mut spectrum);
-            let profile = &mut row[0];
-            if cfg.if_correction {
-                if_correction::to_range_grid_into(
-                    &spectrum,
-                    &slots[c].chirp,
-                    cfg.if_sample_rate,
-                    cfg.n_fft,
-                    grid,
-                    profile,
-                );
-            } else {
-                // Uncorrected: reinterpret raw bins as if they were the grid
-                // (truncate/pad), reproducing the paper's Fig. 7(a) ambiguity.
-                profile.clear();
-                profile.extend(spectrum.iter().take(grid.len()));
-                profile.resize(grid.len(), Cpx::ZERO);
-            }
+        with_planner(|p: &mut FftPlanner<T>| {
+            p.with_cpx_scratch(0, |p, spectrum| {
+                range_profile::complex_profile_into(p, samples, cfg.n_fft, spectrum);
+                let profile = &mut row[0];
+                if cfg.if_correction {
+                    if_correction::to_range_grid_into(
+                        spectrum,
+                        &slots[c].chirp,
+                        cfg.if_sample_rate,
+                        cfg.n_fft,
+                        grid,
+                        profile,
+                    );
+                } else {
+                    // Uncorrected: reinterpret raw bins as if they were the
+                    // grid (truncate/pad), reproducing the paper's Fig. 7(a)
+                    // ambiguity.
+                    profile.clear();
+                    profile.extend(spectrum.iter().take(grid.len()));
+                    profile.resize(grid.len(), Complex::ZERO);
+                }
+            })
         });
     });
 
-    if cfg.background_subtraction && !out.profiles.is_empty() {
-        // The seed cloned row 0 and subtracted it from every row including
-        // itself; split the borrow instead and self-subtract row 0 in place
-        // (x - x is the same operation bit for bit, no clone needed).
-        let (first, rest) = out.profiles.split_at_mut(1);
-        let reference = &first[0];
-        for p in rest.iter_mut() {
-            for (v, r) in p.iter_mut().zip(reference.iter()) {
-                *v -= *r;
-            }
-        }
-        // Not `*v = 0.0`: x - x keeps IEEE semantics (+0.0 sign, NaN
-        // propagation) identical to the seed's clone-then-subtract.
-        #[allow(clippy::eq_op)]
-        for v in first[0].iter_mut() {
-            let x = *v;
-            *v = x - x;
-        }
+    if cfg.background_subtraction {
+        out.subtract_background();
     }
 
     out.t_period = train.slots().first().map_or(0.0, |s| s.period());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use biscatter_dsp::signal::NoiseSource;
+    use biscatter_rf::chirp::Chirp;
+    use biscatter_rf::if_gen::IfReceiver;
+    use biscatter_rf::scene::{Scatterer, Scene};
+    use biscatter_rf::slab::SampleSlab;
+
+    // The f32 chain's accuracy against the f64 one is pinned by
+    // `biscatter-core`'s precision oracle; this checks the frame shape of
+    // the uncorrected path, which the oracle does not exercise.
+    fn uncorrected_frame_has_grid_shape<T: Real>() {
+        let cfg = RxConfig {
+            if_correction: false,
+            background_subtraction: false,
+            ..RxConfig::default()
+        };
+        let chirps = vec![Chirp::new(9e9, 1e9, 96e-6); 8];
+        let train = ChirpTrain::with_fixed_period(&chirps, 120e-6).unwrap();
+        let rx = IfReceiver {
+            sample_rate_hz: 10e6,
+            noise_sigma: 0.0,
+        };
+        let scene = Scene::new().with(Scatterer::clutter(3.0, 1.0));
+        let mut slab = SampleSlab::<T>::new();
+        let mut noise = NoiseSource::new(1);
+        rx.dechirp_train_into(
+            ComputePool::global(),
+            &train,
+            &scene,
+            0.0,
+            &mut noise,
+            &mut slab,
+        );
+        let frame = align_frame(&cfg, &train, &slab);
+        assert_eq!(frame.n_chirps(), 8);
+        for p in &frame.profiles {
+            assert_eq!(p.len(), cfg.n_range_bins);
+        }
+        assert!((frame.chirp_rate() - 1.0 / 120e-6).abs() < 1e-6);
+    }
+
+    #[test]
+    fn uncorrected_frames_have_grid_shape_in_both_precisions() {
+        uncorrected_frame_has_grid_shape::<f64>();
+        uncorrected_frame_has_grid_shape::<f32>();
+    }
 }

@@ -43,6 +43,7 @@ use super::AlignedFrame;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::goertzel::GoertzelCoeffs;
 use biscatter_dsp::spectrum::{noise_floor_inplace, parabolic_peak, Peak};
+use biscatter_dsp::Real;
 use biscatter_obs::metrics::Counter;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -180,7 +181,7 @@ impl TagBank {
     }
 
     /// Builds (or keeps) the template cache for this map/frame geometry.
-    fn ensure_cache(&mut self, map: &RangeDopplerMap, frame: &AlignedFrame) {
+    fn ensure_cache<T: Real>(&mut self, map: &RangeDopplerMap, frame: &AlignedFrame<T>) {
         let matches = self.cache.as_ref().is_some_and(|c| {
             c.n_doppler == map.n_doppler
                 && c.map_t_period == map.t_period
@@ -283,11 +284,11 @@ pub struct MultiTagScratch {
 /// [`locate_tag`](super::localize::locate_tag) followed by
 /// [`demodulate`](super::uplink::demodulate) independently per tag, at any
 /// `pool` size.
-pub fn detect_all(
+pub fn detect_all<T: Real>(
     pool: &ComputePool,
     bank: &mut TagBank,
     map: &RangeDopplerMap,
-    frame: &AlignedFrame,
+    frame: &AlignedFrame<T>,
     scratch: &mut MultiTagScratch,
     out: &mut Vec<TagDetection>,
 ) {
@@ -411,7 +412,7 @@ pub fn detect_all(
             for c in band.cols() {
                 let prof = &profiles[c];
                 for (r, row) in rows.iter().enumerate() {
-                    band.set(r, c, prof[row.bin].abs());
+                    band.set(r, c, prof[row.bin].to_f64().abs());
                 }
             }
         });

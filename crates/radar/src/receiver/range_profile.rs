@@ -7,50 +7,56 @@
 //! for CSSK frames where chirp lengths vary and any slope-correlated
 //! amplitude ripple would masquerade as tag modulation in the Doppler domain.
 
-use biscatter_dsp::complex::Cpx;
+use biscatter_dsp::complex::{Complex, Cpx};
 use biscatter_dsp::fft::next_pow2;
-use biscatter_dsp::planner::with_planner;
+use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::window::WindowKind;
+use biscatter_dsp::Real;
 
 /// Complex half-spectrum (bins `0..n_fft/2 + 1`) of one chirp's IF samples,
 /// amplitude-normalized as described in the module docs.
 ///
-/// Convenience wrapper over [`complex_profile_into`] that allocates the
-/// returned profile; frame loops should pass a reusable buffer to the
-/// `_into` variant instead.
-pub fn complex_profile(if_samples: &[f64], n_fft: usize) -> Vec<Cpx> {
+/// Convenience wrapper over [`complex_profile_into`] on this thread's
+/// planner that allocates the returned profile; frame loops should pass a
+/// reusable buffer to the `_into` variant instead.
+pub fn complex_profile<T: Real>(if_samples: &[T], n_fft: usize) -> Vec<Complex<T>> {
     let mut out = Vec::new();
-    complex_profile_into(if_samples, n_fft, &mut out);
+    with_planner(|p| complex_profile_into(p, if_samples, n_fft, &mut out));
     out
 }
 
-/// [`complex_profile`] writing into a reusable buffer (cleared and resized
-/// to `n_fft/2 + 1`).
+/// [`complex_profile`] through the planner `p`, writing into a reusable
+/// buffer (cleared and resized to `n_fft/2 + 1`).
 ///
 /// The IF samples are real, so the transform runs the planner's packed
 /// real-input plan (half the work of the complex FFT the seed used), with
 /// the window coefficients and the padded buffer both coming from
 /// thread-local caches — steady-state calls perform no allocation at all.
-pub fn complex_profile_into(if_samples: &[f64], n_fft: usize, out: &mut Vec<Cpx>) {
+/// The window table and the normalization are evaluated in f64 and rounded
+/// once into the sample precision.
+pub fn complex_profile_into<T: Real>(
+    p: &mut FftPlanner<T>,
+    if_samples: &[T],
+    n_fft: usize,
+    out: &mut Vec<Complex<T>>,
+) {
     let n = if_samples.len();
     let n_fft = next_pow2(n_fft.max(n));
     if n == 0 {
         out.clear();
-        out.resize(n_fft / 2 + 1, Cpx::ZERO);
+        out.resize(n_fft / 2 + 1, Complex::ZERO);
         return;
     }
     let win = WindowKind::Hann.cached(n);
-    let norm = 1.0 / (n as f64 * win.coherent_gain);
-    with_planner(|p| {
-        p.with_real_scratch(n_fft, |p, buf| {
-            for ((b, &s), &w) in buf.iter_mut().zip(if_samples).zip(&win.coeffs) {
-                *b = s * w;
-            }
-            p.rfft_half_into(buf, out);
-            for z in out.iter_mut() {
-                *z = z.scale(norm);
-            }
-        })
+    let norm = T::from_f64(1.0 / (n as f64 * win.coherent_gain));
+    p.with_real_scratch(n_fft, |p, buf| {
+        for ((b, &s), &w) in buf.iter_mut().zip(if_samples).zip(T::window(&win)) {
+            *b = s * w;
+        }
+        p.rfft_half_into(buf, out);
+        for z in out.iter_mut() {
+            *z = z.scale(norm);
+        }
     });
 }
 
@@ -100,7 +106,7 @@ mod tests {
 
     #[test]
     fn empty_input_gives_zero_profile() {
-        let p = complex_profile(&[], 256);
+        let p = complex_profile::<f64>(&[], 256);
         assert_eq!(p.len(), 129);
         assert!(p.iter().all(|z| z.abs() == 0.0));
     }

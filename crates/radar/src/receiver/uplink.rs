@@ -9,6 +9,7 @@
 
 use super::AlignedFrame;
 use biscatter_dsp::goertzel::GoertzelCoeffs;
+use biscatter_dsp::Real;
 use std::cell::RefCell;
 
 /// Uplink modulation schemes the radar can demodulate.
@@ -55,29 +56,22 @@ pub fn chirps_per_bit(bit_duration_s: f64, t_period: f64) -> usize {
 }
 
 /// Returns `None` if the frame is shorter than one bit window.
-pub fn demodulate(
-    frame: &AlignedFrame,
+pub fn demodulate<T: Real>(
+    frame: &AlignedFrame<T>,
     range_bin: usize,
     scheme: UplinkScheme,
     bit_duration_s: f64,
 ) -> Option<UplinkDecode> {
     // Amplitude sequence at the tag's range (magnitude discards the static
-    // phase and any residual from background subtraction).
-    let amp: Vec<f64> = frame.profiles.iter().map(|p| p[range_bin].abs()).collect();
-    demodulate_amps(&amp, frame.t_period, scheme, bit_duration_s)
-}
-
-/// [`demodulate`] from a pre-extracted slow-time amplitude sequence (one
-/// value per chirp) with slot period `t_period`. This is the shared decision
-/// core: the f64 path extracts amplitudes from an [`AlignedFrame`], the f32
-/// fast tier widens its single-precision profiles to f64 at the located bin
-/// and decides through the exact same filters and thresholds.
-pub fn demodulate_amps(
-    amp: &[f64],
-    t_period: f64,
-    scheme: UplinkScheme,
-    bit_duration_s: f64,
-) -> Option<UplinkDecode> {
+    // phase and any residual from background subtraction), widened to f64
+    // first so either precision decides through the same filters and
+    // thresholds.
+    let amp: Vec<f64> = frame
+        .profiles
+        .iter()
+        .map(|p| p[range_bin].to_f64().abs())
+        .collect();
+    let t_period = frame.t_period;
     let chirps_per_bit = chirps_per_bit(bit_duration_s, t_period);
     if chirps_per_bit < 2 || amp.len() < chirps_per_bit {
         return None;
@@ -89,12 +83,12 @@ pub fn demodulate_amps(
     match scheme {
         UplinkScheme::Ook { freq_hz } => {
             let g = GoertzelCoeffs::new(freq_hz / fs_slow);
-            decode_ook_windows(amp, chirps_per_bit, n_bits, &g, &mut out);
+            decode_ook_windows(&amp, chirps_per_bit, n_bits, &g, &mut out);
         }
         UplinkScheme::Fsk { freq0_hz, freq1_hz } => {
             let g0 = GoertzelCoeffs::new(freq0_hz / fs_slow);
             let g1 = GoertzelCoeffs::new(freq1_hz / fs_slow);
-            decode_fsk_windows(amp, chirps_per_bit, n_bits, &g0, &g1, &mut out);
+            decode_fsk_windows(&amp, chirps_per_bit, n_bits, &g0, &g1, &mut out);
         }
     }
     Some(out)

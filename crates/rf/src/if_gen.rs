@@ -21,31 +21,13 @@
 //! the per-sample amplitude evaluation entirely — together the dominant cost
 //! of frame synthesis in clutter-rich scenes.
 
-use std::cell::RefCell;
-
 use crate::chirp::Chirp;
 use crate::scene::{Scatterer, Scene, TagModulation};
-use crate::slab::{ArrayCapture, SampleSlab, SampleSlab32};
+use crate::slab::{ArrayCapture, SampleSlab};
 use biscatter_compute::ComputePool;
+use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
-use biscatter_dsp::{Cpx, SPEED_OF_LIGHT, TAU};
-
-/// Adds one scatterer's IF contribution to `out` using the phase-oscillator
-/// recurrence `ph ← ph · rot` (`rot = e^{i 2π f_IF / fs}`), with the
-/// amplitude taken per sample from `amps` (`None` = the constant
-/// `const_amp`, valid when the scatterer is unmodulated).
-///
-/// The inner loop lives in `biscatter_dsp::simd` behind runtime dispatch:
-/// the serial recurrence is blocked into four independent phase streams
-/// advanced by `rot⁴`, renormalized every 256 samples. The error bound is
-/// the serial recurrence's — amplitude drift ≤ ~`2Rε ≈ 1.1e-13` relative
-/// between renormalizations, phase drift ~`nε` radians over an `n`-sample
-/// chirp — see DESIGN.md §9 and §14. Results are bit-identical across
-/// dispatch tiers (scalar vs AVX2).
-#[inline]
-fn accumulate_oscillator(out: &mut [f64], ph: Cpx, rot: Cpx, amps: Option<&[f64]>, const_amp: f64) {
-    biscatter_dsp::simd::osc_accum(out, amps, const_amp, ph, rot);
-}
+use biscatter_dsp::{Cpx, Real, SPEED_OF_LIGHT, TAU};
 
 /// Per-scatterer dechirp geometry at one chirp start: the IF tone phasor
 /// rotation and starting phase. `None` when the scatterer is behind the
@@ -66,53 +48,42 @@ fn scatterer_tone(s: &Scatterer, chirp: &Chirp, fs: f64, t_start: f64) -> Option
 }
 
 /// Fills `amps[i] = s.amplitude_at(t_start + i/fs)` for a modulated
-/// scatterer; returns `None` (leaving `amps` untouched) when the amplitude
-/// is constant so callers can skip the per-sample evaluation entirely.
-#[inline]
-fn modulated_amplitudes<'a>(
-    s: &Scatterer,
-    t_start: f64,
-    fs: f64,
-    amps: &'a mut [f64],
-) -> Option<&'a [f64]> {
-    if s.modulation == TagModulation::None {
-        return None;
-    }
-    for (i, a) in amps.iter_mut().enumerate() {
-        *a = s.amplitude_at(t_start + i as f64 / fs);
-    }
-    Some(amps)
-}
-
-/// f32 variant of [`modulated_amplitudes`] for the f32 frame tier: the
-/// amplitude waveform is still *evaluated* in f64 (absolute-time switch
-/// phase needs the precision) and each sample is rounded once.
+/// scatterer, rounded once into the sample precision; returns `None`
+/// (leaving `amps` untouched) when the amplitude is constant so callers can
+/// skip the per-sample evaluation entirely.
 ///
-/// Unlike the f64 path this hoists the modulation match out of the sample
-/// loop and replaces `rem_euclid(1.0)` with `x − x.floor()` — bit-identical
-/// for the non-negative phases that occur here (both are exact below 2⁵³),
-/// but a couple of vector instructions instead of an `fmod` call per
-/// sample. The generic `amplitude_at` walk costs more than the oscillator
-/// accumulation it feeds.
+/// The waveform is evaluated in f64 (absolute-time switch phase needs the
+/// precision). The modulation `match` is hoisted out of the sample loop and
+/// `rem_euclid(1.0)` becomes `x − x.floor()`: the two compare identically
+/// against the duty threshold for every finite `x` (both are exact for
+/// `x ≥ 0`, and round the same exact value otherwise), so the fill matches
+/// [`Scatterer::amplitude_at`] bit for bit — at a couple of vector
+/// instructions instead of an `fmod` call per sample.
 #[inline]
-fn modulated_amplitudes_32<'a>(
+fn modulated_amplitudes<'a, T: Real>(
     s: &Scatterer,
     t_start: f64,
     fs: f64,
-    amps: &'a mut [f32],
-) -> Option<&'a [f32]> {
+    amps: &'a mut [T],
+) -> Option<&'a [T]> {
     #[inline]
     fn fract_pos(x: f64) -> f64 {
         x - x.floor()
     }
-    let level = |active: bool, amp: f64, leak: f64| if active { amp } else { amp * leak };
+    let level = |active: bool| {
+        T::from_f64(if active {
+            s.amplitude
+        } else {
+            s.amplitude * s.leak
+        })
+    };
     match &s.modulation {
         TagModulation::None => return None,
         TagModulation::Subcarrier { freq_hz, duty } => {
             let (f, duty) = (*freq_hz, *duty);
             for (i, a) in amps.iter_mut().enumerate() {
                 let t = t_start + i as f64 / fs;
-                *a = level(fract_pos(t * f) < duty, s.amplitude, s.leak) as f32;
+                *a = level(fract_pos(t * f) < duty);
             }
         }
         TagModulation::OokBits {
@@ -129,7 +100,7 @@ fn modulated_amplitudes_32<'a>(
                     let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
                     bits[idx] && fract_pos(t * f) < 0.5
                 };
-                *a = level(active, s.amplitude, s.leak) as f32;
+                *a = level(active);
             }
         }
         TagModulation::FskBits {
@@ -147,83 +118,33 @@ fn modulated_amplitudes_32<'a>(
                     let f = if bits[idx] { *freq1_hz } else { *freq0_hz };
                     fract_pos(t * f) < 0.5
                 };
-                *a = level(active, s.amplitude, s.leak) as f32;
+                *a = level(active);
             }
         }
     }
     Some(amps)
 }
 
-thread_local! {
-    /// Per-thread amplitude scratch for modulated scatterers, so parallel
-    /// chirp synthesis neither shares a buffer nor allocates per chirp.
-    static AMPS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    /// f32 counterpart of [`AMPS`] for the f32 frame tier.
-    static AMPS32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with an `n`-sample thread-local scratch buffer (contents
-/// unspecified; every consumer overwrites before reading).
-fn with_amps<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    AMPS.with(|cell| {
-        let mut amps = cell.borrow_mut();
-        if amps.len() < n {
-            amps.resize(n, 0.0);
-        }
-        f(&mut amps[..n])
-    })
-}
-
-/// f32 counterpart of [`with_amps`].
-fn with_amps32<R>(n: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    AMPS32.with(|cell| {
-        let mut amps = cell.borrow_mut();
-        if amps.len() < n {
-            amps.resize(n, 0.0);
-        }
-        f(&mut amps[..n])
-    })
-}
-
-/// Synthesizes one chirp's noiseless IF signal into `out` (assumed zeroed):
-/// the sum of every scatterer's oscillator tone, in scene order. Pure —
+/// Synthesizes one chirp's noiseless IF signal into `out` (assumed zeroed)
+/// at antenna `k` of a uniform linear array with `spacing_wavelengths`
+/// element pitch: the sum of every scatterer's oscillator tone, in scene
+/// order, each starting phase advanced by `k · 2π d_λ sin θ` (the
+/// narrowband array model; `k = 0` is the single-antenna receiver). Pure —
 /// consumes no RNG state — so chirps can be synthesized in any order (or in
 /// parallel) and still produce bit-identical samples.
-fn synth_chirp(out: &mut [f64], chirp: &Chirp, scene: &Scene, fs: f64, t_start: f64) {
-    with_amps(out.len(), |amps| {
-        for s in &scene.scatterers {
-            let Some((phase0, rot)) = scatterer_tone(s, chirp, fs, t_start) else {
-                continue;
-            };
-            let amps = modulated_amplitudes(s, t_start, fs, &mut *amps);
-            accumulate_oscillator(out, Cpx::cis(phase0), rot, amps, s.amplitude);
-        }
-    });
-}
-
-/// f32 variant of [`synth_chirp`] for the f32 frame tier. Geometry
-/// (ranges, starting phases, rotations) is computed in f64 exactly as the
-/// f64 path does; only the per-sample accumulation runs in f32 (eight
-/// blocked phase streams, see `biscatter_dsp::simd::osc_accum_32`).
-fn synth_chirp_32(out: &mut [f32], chirp: &Chirp, scene: &Scene, fs: f64, t_start: f64) {
-    with_amps32(out.len(), |amps| {
-        for s in &scene.scatterers {
-            let Some((phase0, rot)) = scatterer_tone(s, chirp, fs, t_start) else {
-                continue;
-            };
-            let amps = modulated_amplitudes_32(s, t_start, fs, &mut *amps);
-            biscatter_dsp::simd::osc_accum_32(out, amps, s.amplitude as f32, Cpx::cis(phase0), rot);
-        }
-    });
-}
-
-/// [`synth_chirp`] for antenna `k` of a uniform linear array: each
-/// scatterer's starting phase gains `k · 2π d_λ sin θ` (the narrowband
-/// array model). Per-sample operations match the antenna-inner loop of the
-/// serial array dechirp exactly, so parallelizing over `(antenna, chirp)`
-/// keeps outputs bit-identical.
-fn synth_chirp_rx(
-    out: &mut [f64],
+///
+/// Each tone is a phase oscillator `ph ← ph · rot` (`rot = e^{i 2π f_IF /
+/// fs}`) whose inner loop lives in `biscatter_dsp::simd` behind runtime
+/// dispatch: the serial recurrence is blocked into independent phase
+/// streams (four in f64, eight in f32) renormalized every 256 samples, with
+/// the amplitude taken per sample for modulated scatterers and hoisted for
+/// unmodulated ones. In f64 the error bound is the serial recurrence's —
+/// amplitude drift ≤ ~`2Rε ≈ 1.1e-13` relative between renormalizations,
+/// phase drift ~`nε` radians over an `n`-sample chirp — and the result is
+/// bit-identical across dispatch tiers (DESIGN.md §9 and §14). Geometry is
+/// always f64; only the per-sample accumulation runs in `T`.
+fn synth_chirp<T: Real>(
+    out: &mut [T],
     chirp: &Chirp,
     scene: &Scene,
     fs: f64,
@@ -231,16 +152,18 @@ fn synth_chirp_rx(
     k: usize,
     spacing_wavelengths: f64,
 ) {
-    with_amps(out.len(), |amps| {
-        for s in &scene.scatterers {
-            let Some((phase0, rot)) = scatterer_tone(s, chirp, fs, t_start) else {
-                continue;
-            };
-            let array_phase = TAU * spacing_wavelengths * s.azimuth_rad.sin();
-            let amps = modulated_amplitudes(s, t_start, fs, &mut *amps);
-            let ph0 = Cpx::cis(phase0 + k as f64 * array_phase);
-            accumulate_oscillator(out, ph0, rot, amps, s.amplitude);
-        }
+    with_planner(|p: &mut FftPlanner<T>| {
+        p.with_real_scratch(out.len(), |_, amps| {
+            for s in &scene.scatterers {
+                let Some((phase0, rot)) = scatterer_tone(s, chirp, fs, t_start) else {
+                    continue;
+                };
+                let array_phase = TAU * spacing_wavelengths * s.azimuth_rad.sin();
+                let amps = modulated_amplitudes(s, t_start, fs, &mut amps[..]);
+                let ph0 = Cpx::cis(phase0 + k as f64 * array_phase);
+                T::osc_accum(out, amps, T::from_f64(s.amplitude), ph0, rot);
+            }
+        })
     });
 }
 
@@ -272,7 +195,7 @@ impl IfReceiver {
     ) -> Vec<f64> {
         let n = chirp.if_samples(self.sample_rate_hz);
         let mut out = vec![0.0f64; n];
-        synth_chirp(&mut out, chirp, scene, self.sample_rate_hz, t_start);
+        synth_chirp(&mut out, chirp, scene, self.sample_rate_hz, t_start, 0, 0.0);
         if self.noise_sigma > 0.0 {
             noise.add_awgn(&mut out, self.noise_sigma);
         }
@@ -296,7 +219,7 @@ impl IfReceiver {
         let n = chirp.if_samples(self.sample_rate_hz);
         let mut out = vec![vec![0.0f64; n]; n_rx];
         for (k, rx) in out.iter_mut().enumerate() {
-            synth_chirp_rx(
+            synth_chirp(
                 rx,
                 chirp,
                 scene,
@@ -372,7 +295,7 @@ impl IfReceiver {
             let (offsets, data) = out.parts_mut();
             pool.par_ragged(data, offsets, |row, samples| {
                 let (rx, c) = (row / n_chirps, row % n_chirps);
-                synth_chirp_rx(
+                synth_chirp(
                     samples,
                     &slots[c].chirp,
                     scene,
@@ -417,6 +340,8 @@ impl IfReceiver {
                 scene,
                 fs,
                 t_frame_start + train.slot_start(c),
+                0,
+                0.0,
             );
         });
         if self.noise_sigma > 0.0 {
@@ -427,18 +352,27 @@ impl IfReceiver {
         out
     }
 
-    /// Zero-allocation variant of [`IfReceiver::dechirp_train`]: lays the
-    /// frame out in a reusable [`SampleSlab`] and fans chirp synthesis out
-    /// across `pool`. Bit-identical to the sequential path (see
-    /// [`IfReceiver::dechirp_train_array_into`] for the argument).
-    pub fn dechirp_train_into(
+    /// Zero-allocation variant of [`IfReceiver::dechirp_train`], in either
+    /// sample precision: lays the frame out in a reusable [`SampleSlab`] and
+    /// fans chirp synthesis out across `pool`. Bit-identical to the
+    /// sequential path (see [`IfReceiver::dechirp_train_array_into`] for the
+    /// argument).
+    ///
+    /// Chirp geometry is computed in f64 either way. In f32 the per-sample
+    /// synthesis runs in single precision and the noise comes from the
+    /// precision's own generator (the fast inverse-CDF draw, see
+    /// [`Real::add_awgn`]) — seeded and deterministic, but a *different*
+    /// realization than f64's Box–Muller; cross-precision validation is
+    /// statistical (detection/decode agreement at operating SNR) plus
+    /// noiseless kernel bounds, not sample equality.
+    pub fn dechirp_train_into<T: Real>(
         &self,
         pool: &ComputePool,
         train: &crate::frame::ChirpTrain,
         scene: &Scene,
         t_frame_start: f64,
         noise: &mut NoiseSource,
-        out: &mut SampleSlab,
+        out: &mut SampleSlab<T>,
     ) {
         let fs = self.sample_rate_hz;
         let slots = train.slots();
@@ -452,51 +386,14 @@ impl IfReceiver {
                     scene,
                     fs,
                     t_frame_start + train.slot_start(r),
+                    0,
+                    0.0,
                 );
             });
         }
         if self.noise_sigma > 0.0 {
             for r in 0..out.rows() {
-                noise.add_awgn(out.row_mut(r), self.noise_sigma);
-            }
-        }
-    }
-
-    /// f32 tier of [`IfReceiver::dechirp_train_into`]: same layout, same
-    /// chirp geometry (computed in f64), with the per-sample synthesis
-    /// running in single precision and the noise drawn from the fast
-    /// inverse-CDF generator (`NoiseSource::add_awgn_f32_fast`) — Box–Muller
-    /// would otherwise dominate this stage. The realization is seeded and
-    /// deterministic but *differs* from the f64 path's; cross-tier
-    /// validation is statistical (detection/decode agreement at operating
-    /// SNR) plus noiseless kernel bounds, not sample equality.
-    pub fn dechirp_train_into_f32(
-        &self,
-        pool: &ComputePool,
-        train: &crate::frame::ChirpTrain,
-        scene: &Scene,
-        t_frame_start: f64,
-        noise: &mut NoiseSource,
-        out: &mut SampleSlab32,
-    ) {
-        let fs = self.sample_rate_hz;
-        let slots = train.slots();
-        out.layout_rows(slots.iter().map(|s| s.chirp.if_samples(fs)));
-        {
-            let (offsets, data) = out.parts_mut();
-            pool.par_ragged(data, offsets, |r, row| {
-                synth_chirp_32(
-                    row,
-                    &slots[r].chirp,
-                    scene,
-                    fs,
-                    t_frame_start + train.slot_start(r),
-                );
-            });
-        }
-        if self.noise_sigma > 0.0 {
-            for r in 0..out.rows() {
-                noise.add_awgn_f32_fast(out.row_mut(r), self.noise_sigma);
+                T::add_awgn(noise, out.row_mut(r), self.noise_sigma);
             }
         }
     }
@@ -697,7 +594,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let pool = ComputePool::new(threads);
             let mut noise = NoiseSource::new(11);
-            let mut slab = SampleSlab::new();
+            let mut slab: SampleSlab = SampleSlab::new();
             receiver.dechirp_train_into(&pool, &train, &scene, 0.0, &mut noise, &mut slab);
             assert_eq!(slab.rows(), reference.len());
             for (c, row) in reference.iter().enumerate() {
@@ -760,11 +657,11 @@ mod tests {
         };
         let pool = ComputePool::new(1);
         let mut n64 = NoiseSource::new(21);
-        let mut slab = SampleSlab::new();
+        let mut slab: SampleSlab = SampleSlab::new();
         receiver.dechirp_train_into(&pool, &train, &scene, 0.0, &mut n64, &mut slab);
         let mut n32 = NoiseSource::new(21);
-        let mut slab32 = SampleSlab32::new();
-        receiver.dechirp_train_into_f32(&pool, &train, &scene, 0.0, &mut n32, &mut slab32);
+        let mut slab32 = SampleSlab::<f32>::new();
+        receiver.dechirp_train_into(&pool, &train, &scene, 0.0, &mut n32, &mut slab32);
         assert_eq!(slab32.rows(), slab.rows());
         for r in 0..slab.rows() {
             for (i, (&g, &w)) in slab32.row(r).iter().zip(slab.row(r)).enumerate() {
@@ -786,12 +683,12 @@ mod tests {
             noise_sigma: 0.25,
         };
         let pool = ComputePool::new(1);
-        let mut a = SampleSlab32::new();
-        let mut b = SampleSlab32::new();
+        let mut a = SampleSlab::<f32>::new();
+        let mut b = SampleSlab::<f32>::new();
         let mut na = NoiseSource::new(33);
         let mut nb = NoiseSource::new(33);
-        receiver.dechirp_train_into_f32(&pool, &train, &scene, 0.0, &mut na, &mut a);
-        receiver.dechirp_train_into_f32(&pool, &train, &scene, 0.0, &mut nb, &mut b);
+        receiver.dechirp_train_into(&pool, &train, &scene, 0.0, &mut na, &mut a);
+        receiver.dechirp_train_into(&pool, &train, &scene, 0.0, &mut nb, &mut b);
         let mut sum_sq = 0.0f64;
         let mut n = 0usize;
         for r in 0..a.rows() {

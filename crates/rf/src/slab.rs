@@ -13,39 +13,43 @@
 //!
 //! [`ChirpRows`] abstracts "an ordered set of per-chirp sample rows" so the
 //! radar's alignment stage accepts either representation (or the legacy
-//! nested `Vec`s) through one code path.
+//! nested `Vec`s) through one code path. Slabs and rows are generic over the
+//! sample precision ([`Real`]); the bare names mean f64.
 
-/// Read access to the per-chirp sample rows of one capture.
-pub trait ChirpRows: Sync {
+use biscatter_dsp::Real;
+
+/// Read access to the per-chirp sample rows of one capture, in precision
+/// `T`.
+pub trait ChirpRows<T = f64>: Sync {
     /// Number of chirp rows.
     fn n_rows(&self) -> usize;
     /// The samples of row `r`.
-    fn row(&self, r: usize) -> &[f64];
+    fn row(&self, r: usize) -> &[T];
 }
 
-impl ChirpRows for [Vec<f64>] {
+impl<T: Real> ChirpRows<T> for [Vec<T>] {
     fn n_rows(&self) -> usize {
         self.len()
     }
-    fn row(&self, r: usize) -> &[f64] {
+    fn row(&self, r: usize) -> &[T] {
         &self[r]
     }
 }
 
-impl ChirpRows for Vec<Vec<f64>> {
+impl<T: Real> ChirpRows<T> for Vec<Vec<T>> {
     fn n_rows(&self) -> usize {
         self.len()
     }
-    fn row(&self, r: usize) -> &[f64] {
+    fn row(&self, r: usize) -> &[T] {
         &self[r]
     }
 }
 
-impl<T: ChirpRows + ?Sized> ChirpRows for &T {
+impl<T: Real, R: ChirpRows<T> + ?Sized> ChirpRows<T> for &R {
     fn n_rows(&self) -> usize {
         (**self).n_rows()
     }
-    fn row(&self, r: usize) -> &[f64] {
+    fn row(&self, r: usize) -> &[T] {
         (**self).row(r)
     }
 }
@@ -54,13 +58,23 @@ impl<T: ChirpRows + ?Sized> ChirpRows for &T {
 /// vector, delimited by a non-decreasing `offsets` table
 /// (`row r = data[offsets[r]..offsets[r + 1]]`). Relaying out the slab
 /// reuses existing capacity.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SampleSlab {
-    data: Vec<f64>,
+#[derive(Debug, Clone, PartialEq)]
+pub struct SampleSlab<T = f64> {
+    data: Vec<T>,
     offsets: Vec<usize>,
 }
 
-impl SampleSlab {
+/// The f32 slab, under the name the `biscatter-e2e` benchmark imports.
+pub type SampleSlab32 = SampleSlab<f32>;
+
+impl<T: Real> Default for SampleSlab<T> {
+    /// An empty slab, the same as [`SampleSlab::new`].
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Real> SampleSlab<T> {
     /// Creates an empty slab.
     pub fn new() -> Self {
         SampleSlab {
@@ -80,7 +94,7 @@ impl SampleSlab {
             total += len;
             self.offsets.push(total);
         }
-        self.data.resize(total, 0.0);
+        self.data.resize(total, T::ZERO);
     }
 
     /// Number of rows.
@@ -94,95 +108,35 @@ impl SampleSlab {
     }
 
     /// The samples of row `r`.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub fn row(&self, r: usize) -> &[T] {
         &self.data[self.offsets[r]..self.offsets[r + 1]]
     }
 
     /// Mutable samples of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         &mut self.data[self.offsets[r]..self.offsets[r + 1]]
     }
 
     /// The offsets table (length `rows() + 1`) and the mutable flat data,
     /// split so both can feed `ComputePool::par_ragged`.
-    pub fn parts_mut(&mut self) -> (&[usize], &mut [f64]) {
+    pub fn parts_mut(&mut self) -> (&[usize], &mut [T]) {
         (&self.offsets, &mut self.data)
     }
 }
 
-impl ChirpRows for SampleSlab {
+impl<T: Real> ChirpRows<T> for SampleSlab<T> {
     fn n_rows(&self) -> usize {
         self.rows()
     }
-    fn row(&self, r: usize) -> &[f64] {
+    fn row(&self, r: usize) -> &[T] {
         SampleSlab::row(self, r)
-    }
-}
-
-/// Single-precision [`SampleSlab`] for the f32 frame tier: same ragged
-/// layout and capacity-reuse behaviour, `f32` samples. Kept as a separate
-/// type (rather than a generic) so the widely-implemented [`ChirpRows`]
-/// trait and its `f64` consumers stay untouched.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SampleSlab32 {
-    data: Vec<f32>,
-    offsets: Vec<usize>,
-}
-
-impl SampleSlab32 {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        SampleSlab32 {
-            data: Vec::new(),
-            offsets: vec![0],
-        }
-    }
-
-    /// Clears the slab and lays out `lens` zero-filled rows, reusing
-    /// capacity from previous frames.
-    pub fn layout_rows(&mut self, lens: impl Iterator<Item = usize>) {
-        self.data.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        let mut total = 0usize;
-        for len in lens {
-            total += len;
-            self.offsets.push(total);
-        }
-        self.data.resize(total, 0.0);
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of samples across all rows.
-    pub fn samples(&self) -> usize {
-        *self.offsets.last().unwrap()
-    }
-
-    /// The samples of row `r`.
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[self.offsets[r]..self.offsets[r + 1]]
-    }
-
-    /// Mutable samples of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[self.offsets[r]..self.offsets[r + 1]]
-    }
-
-    /// The offsets table (length `rows() + 1`) and the mutable flat data,
-    /// split so both can feed `ComputePool::par_ragged`.
-    pub fn parts_mut(&mut self) -> (&[usize], &mut [f32]) {
-        (&self.offsets, &mut self.data)
     }
 }
 
 /// A multi-antenna capture stored rx-major in one flat buffer:
 /// `[rx][chirp][sample]`. All antennas share the same per-chirp layout
 /// (`chirp_offsets`), so antenna `k`'s block starts at `k * rx_stride()`.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayCapture {
     data: Vec<f64>,
     /// Per-chirp start offsets within one antenna block (length
@@ -192,6 +146,13 @@ pub struct ArrayCapture {
     /// (rx, chirp) order — the table `ComputePool::par_ragged` consumes.
     flat_offsets: Vec<usize>,
     n_rx: usize,
+}
+
+impl Default for ArrayCapture {
+    /// An empty capture, the same as [`ArrayCapture::new`].
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ArrayCapture {
@@ -295,7 +256,7 @@ mod tests {
 
     #[test]
     fn slab_layout_and_rows() {
-        let mut slab = SampleSlab::new();
+        let mut slab: SampleSlab = SampleSlab::new();
         slab.layout_rows([3usize, 0, 2].into_iter());
         assert_eq!(slab.rows(), 3);
         assert_eq!(slab.samples(), 5);
@@ -308,7 +269,7 @@ mod tests {
 
     #[test]
     fn slab_relayout_reuses_and_zeroes() {
-        let mut slab = SampleSlab::new();
+        let mut slab: SampleSlab = SampleSlab::new();
         slab.layout_rows([4usize, 4].into_iter());
         slab.row_mut(1).fill(9.0);
         let cap = {
@@ -318,6 +279,20 @@ mod tests {
         assert_eq!(cap, 8);
         slab.layout_rows([2usize, 2].into_iter());
         assert!(slab.row(0).iter().chain(slab.row(1)).all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn default_is_new() {
+        // A default value must be usable before its first layout: the
+        // offsets table already holds its leading 0.
+        let slab = SampleSlab::<f64>::default();
+        assert_eq!(slab, SampleSlab::new());
+        assert_eq!((slab.rows(), slab.samples()), (0, 0));
+        assert_eq!(SampleSlab::<f32>::default(), SampleSlab::new());
+        assert_eq!(SampleSlab::<f32>::default().rows(), 0);
+        let cap = ArrayCapture::default();
+        assert_eq!(cap, ArrayCapture::new());
+        assert_eq!((cap.n_chirps(), cap.rx_stride()), (0, 0));
     }
 
     #[test]
