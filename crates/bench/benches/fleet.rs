@@ -230,8 +230,9 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"multi-cell fleet runtime (crates/bench/benches/fleet.rs)\",\n  {dispatch},\n  \"note\": \"deterministic mobility workload ({n_ticks} ticks, one roaming + one stationary tag per cell, dwell 3 ticks) run through the fleet scheduler under lossless admission; frames/s and handoffs/s from wall-clock over the whole run on this machine. overload = same 16-cell workload through one shard with a quota-1 drop-oldest intake, reporting shed load. steady_state_allocs counted by a wrapping global allocator over one hot-path frame (stages 2-4) through a warmed fleet cell arena; acceptance: 0.\",\n  \"per_config\": [\n{per_config}\n  ],\n  \"overload\": {{\"cells\": {}, \"shards\": {}, \"frames\": {}, \"admission_drops\": {}, \"frames_per_s\": {:.1}}},\n  \"steady_state_allocs\": {steady_allocs}\n}}\n",
+        "{{\n  \"bench\": \"multi-cell fleet runtime (crates/bench/benches/fleet.rs)\",\n  {dispatch},\n  \"cores\": {cores},\n  \"note\": \"deterministic mobility workload ({n_ticks} ticks, one roaming + one stationary tag per cell, dwell 3 ticks) run through the fleet scheduler under lossless admission; frames/s and handoffs/s from wall-clock over the whole run on this machine. overload = same 16-cell workload through one shard with a quota-1 drop-oldest intake, reporting shed load. steady_state_allocs counted by a wrapping global allocator over one hot-path frame (stages 2-4) through a warmed fleet cell arena; acceptance: 0.\",\n  \"per_config\": [\n{per_config}\n  ],\n  \"overload\": {{\"cells\": {}, \"shards\": {}, \"frames\": {}, \"admission_drops\": {}, \"frames_per_s\": {:.1}}},\n  \"steady_state_allocs\": {steady_allocs}\n}}\n",
         over.cells, over.shards, over.frames, over.drops, over.frames_per_s,
         dispatch = biscatter_bench::dispatch_json_fields(),
     );

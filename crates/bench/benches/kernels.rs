@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the processing kernels that dominate both
 //! ends of the link: the tag's per-slot symbol decision (what the MCU runs
-//! per bit), the sliding Goertzel, the radar range FFT + IF correction, the
-//! range–Doppler map, and a full end-to-end downlink frame.
+//! per bit) and its whole downlink decode, the sliding Goertzel, the radar
+//! range FFT + IF correction, the range–Doppler map, and a full end-to-end
+//! downlink frame.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -11,13 +12,15 @@ use biscatter_core::dsp::fft::fft;
 use biscatter_core::dsp::goertzel::goertzel_power;
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::Cpx;
-use biscatter_core::link::packet::DownlinkSymbol;
+use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
 use biscatter_core::radar::receiver::doppler::range_doppler;
 use biscatter_core::radar::receiver::{align_frame, RxConfig};
+use biscatter_core::radar::sequencer::isac_frame;
 use biscatter_core::rf::frame::ChirpTrain;
 use biscatter_core::rf::if_gen::IfReceiver;
 use biscatter_core::rf::scene::{Scatterer, Scene};
 use biscatter_core::system::BiScatterSystem;
+use biscatter_core::tag::decoder::DownlinkDecoder;
 
 fn bench_dsp(c: &mut Criterion) {
     let mut g = c.benchmark_group("dsp");
@@ -48,6 +51,33 @@ fn bench_tag(c: &mut Criterion) {
     g.bench_function("downlink_frame_4bytes", |b| {
         let mut n = NoiseSource::new(2);
         b.iter(|| run_frame_synced(&sys, &decider, black_box(b"PING"), 20.0, &mut n))
+    });
+
+    // The tag's whole downlink receive chain (period estimate, slot timing,
+    // the timing-refinement sweep, packet parsing) on one capture of the
+    // streaming geometry: a 32-chirp frame carrying a 4-byte command, as
+    // seen by a tag 3 m from the radar.
+    let mut stream = BiScatterSystem::paper_9ghz();
+    stream.frame_chirps = 32;
+    let packet = DownlinkPacket::new(b"CMD1".to_vec());
+    let (train, _, _) = isac_frame(
+        &packet,
+        &stream.alphabet,
+        stream.radar.t_period,
+        stream.frame_chirps,
+    )
+    .unwrap();
+    let mut noise = NoiseSource::new(3);
+    let adc = stream
+        .front_end
+        .capture_train(&train, stream.downlink_snr_at(3.0), 0.0, &mut noise);
+    let decoder = DownlinkDecoder::new(stream.nominal_decider());
+    g.bench_function("downlink_decode_32chirp", |b| {
+        b.iter(|| {
+            let result = decoder.decode(black_box(&adc), Some(4)).unwrap();
+            assert_eq!(result.payload.as_deref(), Ok(&b"CMD1"[..]));
+            result
+        })
     });
     g.finish();
 }

@@ -91,20 +91,25 @@ impl SpreadCode {
         if period_samples == 0 || group == 0 {
             return Vec::new();
         }
-        // Candidate lookup: for data index i, its position in the decider
-        // bank is 1 + i (the bank orders [header, data.., sync]).
+        // Every candidate's score in each of the group's slots; for data
+        // index i, the position in the decider bank is 1 + i (the bank
+        // orders [header, data.., sync]).
+        let n_cand = decider.candidates.len();
+        let mut bank = decider.bank(period_samples);
+        let mut scores = vec![f64::NEG_INFINITY; self.length * n_cand];
         let mut out = Vec::new();
         let mut start = 0usize;
         while start + group <= samples.len() {
+            for (j, row) in scores.chunks_exact_mut(n_cand).enumerate() {
+                let slot = &samples[start + j * period_samples..start + (j + 1) * period_samples];
+                bank.scores(slot, row);
+            }
             let mut best = (0u16, f64::NEG_INFINITY);
             for cand in 0..n_data as u16 {
                 let mut score = 0.0;
                 for j in 0..self.length {
                     let idx = self.chip_index(cand, j, n_data);
-                    let c = &decider.candidates[1 + idx as usize];
-                    let slot =
-                        &samples[start + j * period_samples..start + (j + 1) * period_samples];
-                    score += decider.candidate_score(slot, c);
+                    score += scores[j * n_cand + 1 + idx as usize];
                 }
                 if score > best.1 {
                     best = (cand, score);

@@ -19,6 +19,9 @@
 //! recording a `FrameRecord` (fill and wrap alike) happens inside the
 //! measuring window too.
 //!
+//! The tag's downlink decode is audited in the same test against a bound
+//! instead of zero (see the end of the test).
+//!
 //! The counter is thread-local, so the (single) test is immune to allocator
 //! traffic from the harness's other threads. This file must keep exactly one
 //! `#[test]` for that isolation to stay meaningful.
@@ -28,14 +31,18 @@ use std::cell::Cell;
 
 use biscatter_compute::ComputePool;
 use biscatter_core::dsp::arena::Pool;
+use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     acquire_config, acquire_hypotheses, align_stage_into, dechirp_stage_into, doppler_stage_into,
     synthesize_cold_start_capture, synthesize_frame, warm_acquire_plans, warm_dsp_plans,
     AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
 };
+use biscatter_core::link::packet::DownlinkPacket;
 use biscatter_core::obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
+use biscatter_core::radar::sequencer::isac_frame;
 use biscatter_core::system::BiScatterSystem;
+use biscatter_core::tag::decoder::DownlinkDecoder;
 use biscatter_radar::receiver::acquire::{acquire_all, AcquireScratch, CorrelatorBank};
 use biscatter_radar::receiver::doppler::RangeDopplerMap;
 use biscatter_rf::slab::SampleSlab;
@@ -226,4 +233,28 @@ fn steady_state_frame_stages_allocate_nothing() {
         n, 0,
         "steady-state acquisition performed {n} heap allocations"
     );
+
+    // The tag's downlink decode is bounded rather than zero: it owns a few
+    // buffers (the period search's envelope, the slot-timing tables, one
+    // decision bank, the hypotheses' symbols) and returns fresh vectors, but
+    // after warm-up (which fills this thread's Hann window cache) it must
+    // not allocate per slot, per hypothesis or per candidate. The same
+    // payload in a 32-chirp and a 128-chirp frame must stay under one bound.
+    let decoder = DownlinkDecoder::new(sys.nominal_decider());
+    for chirps in [32, 128] {
+        let packet = DownlinkPacket::new(b"CMD1".to_vec());
+        let (train, _, _) = isac_frame(&packet, &sys.alphabet, sys.radar.t_period, chirps).unwrap();
+        let mut noise = NoiseSource::new(chirps as u64);
+        let adc = sys
+            .front_end
+            .capture_train(&train, sys.downlink_snr_at(3.0), 0.0, &mut noise);
+        let warm = decoder.decode(&adc, Some(4)).unwrap();
+        let (measured, n) = audited(|| decoder.decode(&adc, Some(4)).unwrap());
+        assert_eq!(measured.payload.as_deref(), Ok(&b"CMD1"[..]));
+        assert_eq!(measured.symbols, warm.symbols);
+        assert!(
+            n <= 64,
+            "decoding a {chirps}-chirp capture performed {n} heap allocations"
+        );
+    }
 }

@@ -48,19 +48,17 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
         return None;
     }
     let mut corrs = Vec::with_capacity(lag_max - lag_min + 1);
-    let mut global_max = f64::NEG_INFINITY;
-    for lag in lag_min..=lag_max {
-        let n = p.len() - lag;
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += p[i] * p[i + lag];
-        }
-        let norm = acc / n as f64;
-        corrs.push(norm);
-        if norm > global_max {
-            global_max = norm;
-        }
+    let mut lag = lag_min;
+    while lag + 3 <= lag_max {
+        corrs.extend(autocorrelations::<4>(&p, lag));
+        lag += 4;
     }
+    for lag in lag..=lag_max {
+        corrs.extend(autocorrelations::<1>(&p, lag));
+    }
+    let global_max = corrs
+        .iter()
+        .fold(f64::NEG_INFINITY, |max, &c| if c > max { c } else { max });
     if global_max <= 0.0 {
         return None;
     }
@@ -99,14 +97,10 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
     }
     // Parabolic refinement over the three lags around the winner.
     let lag = best.0;
-    let corr_at = |l: usize| -> f64 {
-        let n = p.len() - l;
-        (0..n).map(|i| p[i] * p[i + l]).sum::<f64>() / n as f64
-    };
     let refined = if lag > lag_min && lag < lag_max {
-        let l = corr_at(lag - 1);
+        let l = corrs[lag - 1 - lag_min];
         let c = best.1;
-        let r = corr_at(lag + 1);
+        let r = corrs[lag + 1 - lag_min];
         let denom = l - 2.0 * c + r;
         if denom.abs() > 1e-300 {
             lag as f64 + (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
@@ -117,6 +111,29 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
         lag as f64
     };
     Some(refined / fs)
+}
+
+/// Normalized autocorrelations `Σ_i p[i]·p[i+l] / (p.len() - l)` for the
+/// `N` lags `l = lag..lag + N`, side by side in one pass so their
+/// accumulation chains overlap. Each lag sums its products in index order,
+/// exactly as a loop over that lag alone would. Needs
+/// `p.len() >= lag + N`.
+fn autocorrelations<const N: usize>(p: &[f64], lag: usize) -> [f64; N] {
+    // Lane j has p.len() - lag - j products; all lanes share the first
+    // `joint`, where sample i meets the N samples from i + lag on.
+    let joint = p.len() - lag - (N - 1);
+    let mut acc = [0.0f64; N];
+    for (&x, lagged) in p[..joint].iter().zip(p[lag..].windows(N)) {
+        for j in 0..N {
+            acc[j] += x * lagged[j];
+        }
+    }
+    for (j, acc) in acc.iter_mut().enumerate() {
+        for i in joint..p.len() - lag - j {
+            *acc += p[i] * p[i + lag + j];
+        }
+    }
+    std::array::from_fn(|j| acc[j] / (p.len() - lag - j) as f64)
 }
 
 /// The paper's large-FFT period estimate: the spectrum of a window spanning
@@ -166,12 +183,14 @@ pub fn estimate_period_fft(samples: &[f64], fs: f64, t_max_s: f64) -> Option<f64
     Some(1.0 / spacing)
 }
 
-/// Joint fine search for slot timing: scans periods within ±2 samples of the
-/// coarse estimate (quarter-sample steps) and all offsets, minimizing the
-/// mean envelope power inside the assumed inter-chirp gap (the last
-/// `gap_fraction` of each slot — guaranteed idle for every CSSK symbol by
-/// the MAX_DUTY constraint). Slot starts accumulate in floating point, so a
-/// fractional-sample period error cannot drift across a long packet.
+/// Joint fine search for slot timing: scans periods within ±8 samples of the
+/// coarse estimate (quarter-sample steps) and all offsets, maximizing the
+/// mean power step across slot boundaries. Each boundary is preceded by
+/// idle (the last `gap_fraction` of every slot is guaranteed idle for every
+/// CSSK symbol by the MAX_DUTY constraint); the step is measured over
+/// windows of `0.4 · gap_fraction` of a period (2–16 samples). Slot starts
+/// are placed at `round(offset + k·period)`, so a fractional-sample period
+/// error cannot drift across a long packet.
 ///
 /// Returns `(period_samples, offset_samples)`.
 pub fn estimate_slot_timing(
@@ -182,51 +201,71 @@ pub fn estimate_slot_timing(
     if coarse_period < 8 || samples.len() < 2 * coarse_period {
         return (coarse_period as f64, 0);
     }
-    let power: Vec<f64> = samples.iter().map(|&x| x * x).collect();
-    // Prefix sums make per-window power O(1).
-    let mut cum = Vec::with_capacity(power.len() + 1);
+    let len = samples.len();
+    // Prefix sums of the envelope power make per-window power O(1).
+    let mut cum = Vec::with_capacity(len + 1);
     cum.push(0.0);
-    for &v in &power {
-        cum.push(cum.last().unwrap() + v);
+    for &x in samples {
+        cum.push(cum.last().unwrap() + x * x);
     }
-    let window_power =
-        |lo: usize, hi: usize| -> f64 { cum[hi.min(cum.len() - 1)] - cum[lo.min(cum.len() - 1)] };
 
     // Boundary-contrast metric: the chirp always starts exactly at the slot
     // boundary, preceded by at least `gap_fraction` of idle. The true timing
     // maximizes mean(power just after each boundary) - mean(power just
     // before), and the optimum is sharp (within one sample), unlike the flat
-    // gap-energy valley.
+    // gap-energy valley. Every hypothesis reads the same per-boundary
+    // contrasts, so they are tabulated once: `contrast[b - w]` for each
+    // boundary `b` with a whole window on both sides (`w <= b <= len - w`).
     let w = ((coarse_period as f64 * gap_fraction * 0.4).round() as usize).clamp(2, 16);
+    let contrast: Vec<f64> = (w..(len + 1).saturating_sub(w))
+        .map(|b| (cum[b + w] - cum[b]) - (cum[b] - cum[b - w]))
+        .collect();
+    drop(cum);
+
+    // Per offset, for one period: the summed contrasts, and the change in
+    // the number of summed boundaries from the previous offset.
+    let mut sums = vec![0.0f64; coarse_period];
+    let mut count_steps = vec![0isize; coarse_period + 1];
     let mut best = (coarse_period as f64, 0usize, f64::NEG_INFINITY);
     // The coarse autocorrelation can be several samples off when the beat
     // tone is slow (few cycles per chirp, random phase), so search a wide
     // ±8-sample band at quarter-sample resolution.
-    let mut step = -32i32;
-    while step <= 32 {
+    for step in -32i32..=32 {
         let period = coarse_period as f64 + step as f64 * 0.25;
-        step += 1;
         if period < 8.0 {
             continue;
         }
-        let n_slots = (samples.len() as f64 / period).floor() as usize;
+        let n_slots = (len as f64 / period).floor() as usize;
         if n_slots < 2 {
             continue;
         }
-        for offset in 0..coarse_period {
-            let mut contrast = 0.0;
-            let mut count = 0usize;
-            for k in 0..n_slots {
-                let boundary = (offset as f64 + k as f64 * period).round() as usize;
-                if boundary < w || boundary + w > power.len() {
-                    continue;
-                }
-                contrast +=
-                    window_power(boundary, boundary + w) - window_power(boundary - w, boundary);
-                count += 1;
+        sums.fill(0.0);
+        count_steps.fill(0);
+        // The period in quarter samples (exact: it is a multiple of 0.25).
+        let quarters = (4.0 * period) as usize;
+        for k in 0..n_slots {
+            // Boundary k of offset o sits at round(o + k·period), which is
+            // o + round(k·period) = o + (k·quarters + 2) / 4 exactly, as
+            // o + k·period is exact. Offsets whose boundary has both windows
+            // in range add its contrast, in slot order.
+            let r = (k * quarters + 2) / 4;
+            let lo = w.saturating_sub(r);
+            let hi = (len + 1).saturating_sub(w + r).min(coarse_period);
+            if lo >= hi {
+                continue;
             }
+            let row = &contrast[lo + r - w..hi + r - w];
+            for (sum, &c) in sums[lo..hi].iter_mut().zip(row) {
+                *sum += c;
+            }
+            count_steps[lo] += 1;
+            count_steps[hi] -= 1;
+        }
+        let mut count = 0isize;
+        for (offset, (&sum, &dc)) in sums.iter().zip(&count_steps).enumerate() {
+            count += dc;
             if count > 0 {
-                let mean = contrast / count as f64;
+                let mean = sum / count as f64;
                 if mean > best.2 {
                     best = (period, offset, mean);
                 }
@@ -234,63 +273,6 @@ pub fn estimate_slot_timing(
         }
     }
     (best.0, best.1)
-}
-
-/// Refines slot timing from chirp rising edges.
-///
-/// Every chirp starts exactly at a slot boundary (the inter-chirp delay sits
-/// at the slot's *end*), so the rising edges of the smoothed power envelope
-/// are a drift-free ruler: their median spacing gives the period to
-/// sub-sample precision over the whole capture, and the first edge gives the
-/// offset. `coarse_period` (samples) gates which edge spacings are accepted
-/// (±25 %).
-///
-/// Returns `(period_samples, offset_samples)` or `None` if fewer than two
-/// clean edges are found.
-pub fn refine_slot_timing(samples: &[f64], coarse_period: usize, fs: f64) -> Option<(f64, usize)> {
-    if coarse_period < 8 || samples.len() < 2 * coarse_period {
-        return None;
-    }
-    let _ = fs;
-    let power: Vec<f64> = samples.iter().map(|&x| x * x).collect();
-    let smooth_win = (coarse_period / 12).max(4);
-    let smooth = biscatter_dsp::filter::moving_average(&power, smooth_win);
-    let lo = smooth.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = smooth.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if hi <= lo {
-        return None;
-    }
-    let th_up = lo + 0.5 * (hi - lo);
-    let th_down = lo + 0.3 * (hi - lo);
-    // Hysteresis edge detection.
-    let mut edges = Vec::new();
-    let mut armed = true;
-    for (i, &v) in smooth.iter().enumerate() {
-        if armed && v > th_up {
-            edges.push(i);
-            armed = false;
-        } else if !armed && v < th_down {
-            armed = true;
-        }
-    }
-    if edges.len() < 2 {
-        return None;
-    }
-    // Accept spacings near the coarse period and take their median.
-    let mut diffs: Vec<f64> = edges
-        .windows(2)
-        .map(|w| (w[1] - w[0]) as f64)
-        .filter(|&d| d > 0.75 * coarse_period as f64 && d < 1.25 * coarse_period as f64)
-        .collect();
-    if diffs.is_empty() {
-        return None;
-    }
-    diffs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let period = diffs[diffs.len() / 2];
-    // Offset: first edge, pulled back by the smoothing window's group delay.
-    let delay = smooth_win / 2;
-    let offset = edges[0].saturating_sub(delay);
-    Some((period, offset % period.round().max(1.0) as usize))
 }
 
 /// Estimates the slot-boundary offset within one period.

@@ -69,34 +69,41 @@ impl CalibrationTable {
             // Fine search with the *decoder's own* Hann-windowed Goertzel
             // metric, averaged over the repetitions: because decoding scores
             // candidates the same way, any estimator bias cancels between
-            // calibration and operation.
+            // calibration and operation. Every grid frequency is a probe
+            // candidate of the same duration, scoring the first `n_window`
+            // samples of a repetition: one bank scores them all per
+            // repetition, and each probe sums its repetitions in order.
             let span = (0.1 * coarse).max(2.0 * fs / n_window.max(1) as f64);
             let grid = 80usize;
+            let probes = SymbolDecider::from_candidates(
+                (0..=grid)
+                    .map(|g| coarse - span / 2.0 + span * g as f64 / grid as f64)
+                    .filter(|&f| f > 0.0)
+                    .map(|f| Candidate {
+                        symbol: sym,
+                        duration_s: duration,
+                        beat_freq_hz: f,
+                    })
+                    .collect(),
+                fs,
+            );
+            let mut bank = probes.bank(n_window);
+            let mut scores = vec![0.0; probes.candidates.len()];
+            let mut totals = vec![0.0; probes.candidates.len()];
+            for rep in 0..reps.max(1) {
+                let start = rep * period_samples;
+                if start + n_window > samples.len() {
+                    break;
+                }
+                bank.scores(&samples[start..start + n_window], &mut scores);
+                for (total, score) in totals.iter_mut().zip(&scores) {
+                    *total += score;
+                }
+            }
             let mut best = (coarse, f64::NEG_INFINITY);
-            for g in 0..=grid {
-                let f = coarse - span / 2.0 + span * g as f64 / grid as f64;
-                if f <= 0.0 {
-                    continue;
-                }
-                let probe = Candidate {
-                    symbol: sym,
-                    duration_s: duration,
-                    beat_freq_hz: f,
-                };
-                let scorer = SymbolDecider::from_candidates(vec![probe], fs);
-                let mut total = 0.0;
-                for rep in 0..reps.max(1) {
-                    let start = rep * period_samples;
-                    if start + n_window > samples.len() {
-                        break;
-                    }
-                    total += scorer.candidate_score(
-                        &samples[start..start + period_samples.min(samples.len() - start)],
-                        &probe,
-                    );
-                }
+            for (probe, &total) in probes.candidates.iter().zip(&totals) {
                 if total > best.1 {
-                    best = (f, total);
+                    best = (probe.beat_freq_hz, total);
                 }
             }
             let measured = best.0;

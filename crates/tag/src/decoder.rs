@@ -7,7 +7,7 @@
 //! parser.
 
 use crate::acquisition::{estimate_period, estimate_slot_timing};
-use crate::demod::SymbolDecider;
+use crate::demod::{SlotBank, SymbolDecider};
 use biscatter_link::packet::{parse_downlink, DownlinkSymbol, PacketError};
 
 /// The assembled downlink decoder.
@@ -93,25 +93,7 @@ impl DownlinkDecoder {
         // the true timing maximizes the power step across slot boundaries.
         let gap_fraction = 1.0 - biscatter_rf::frame::MAX_DUTY;
         let (period0, offset0) = estimate_slot_timing(samples, coarse, gap_fraction);
-        // Final refinement on the decoder's own metric: among nearby
-        // (period, offset) hypotheses, keep the one whose slot decisions
-        // score highest. This absorbs the residual fraction-of-a-sample
-        // timing error that the shortest (sync-slope) chirps are most
-        // sensitive to.
-        let mut best = (period0, offset0, f64::NEG_INFINITY, Vec::new());
-        for dp in -2i32..=2 {
-            let period = period0 + dp as f64 * 0.25;
-            for doff in -2i32..=2 {
-                let Some(offset) = offset0.checked_add_signed(doff as isize) else {
-                    continue;
-                };
-                let (symbols, score) = self.decider.decide_stream_scored(samples, period, offset);
-                if score > best.2 {
-                    best = (period, offset, score, symbols);
-                }
-            }
-        }
-        let (period, offset, _, symbols) = best;
+        let (period, offset, symbols) = self.refine_timing(samples, period0, offset0);
         let payload = parse_downlink(&symbols, self.bits_per_symbol(), expected_len);
         Ok(DecodeResult {
             period_s: period / fs,
@@ -120,6 +102,134 @@ impl DownlinkDecoder {
             payload,
         })
     }
+
+    /// Final refinement on the decoder's own metric: among the 25
+    /// (period, offset) hypotheses within ±0.5 sample of period and ±2
+    /// samples of offset around `(period0, offset0)`, keeps the one whose
+    /// slot decisions score highest in sum (the first strict maximum,
+    /// period outer, offset inner), with its symbol stream. This absorbs
+    /// the residual fraction-of-a-sample timing error that the shortest
+    /// (sync-slope) chirps are most sensitive to.
+    ///
+    /// Hypothesis `(p, o)` decides slot `k` on the samples from
+    /// `round(o + k·p)`; a trailing slot of at least half a period is
+    /// zero-padded and decided too. Many hypotheses put slot `k` on the
+    /// same samples, so the sweep runs slot by slot and decides each
+    /// distinct `(start, span)` once, handing the decision to every
+    /// hypothesis that lands there.
+    fn refine_timing(
+        &self,
+        samples: &[f64],
+        period0: f64,
+        offset0: usize,
+    ) -> (f64, usize, Vec<DownlinkSymbol>) {
+        let len = samples.len();
+        // One bank per distinct span, with the span it was laid out for.
+        let mut banks: Vec<(usize, SlotBank)> = Vec::new();
+        let mut sweeps = Vec::with_capacity(25);
+        for dp in -2i32..=2 {
+            let period = period0 + dp as f64 * 0.25;
+            for doff in -2i32..=2 {
+                let Some(offset) = offset0.checked_add_signed(doff as isize) else {
+                    continue;
+                };
+                let live = period >= 4.0;
+                let plen = period.round() as usize;
+                let span = self.decider.span(plen);
+                let bank = banks.iter().position(|b| b.0 == span).unwrap_or_else(|| {
+                    banks.push((span, self.decider.bank(span)));
+                    banks.len() - 1
+                });
+                sweeps.push(Sweep {
+                    period,
+                    offset,
+                    plen,
+                    bank,
+                    total: if live { 0.0 } else { f64::NEG_INFINITY },
+                    slots: 0,
+                    live,
+                });
+            }
+        }
+
+        // `decided[k * n + h]`: hypothesis `h`'s symbol in slot `k`.
+        let n = sweeps.len();
+        let rows = sweeps
+            .iter()
+            .filter(|s| s.live)
+            .map(|s| (len as f64 / s.period).ceil() as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut decided = Vec::with_capacity(rows * n);
+        // This slot's distinct decisions: `(start, bank, symbol, score)`.
+        let mut memo: Vec<(usize, usize, DownlinkSymbol, f64)> = Vec::with_capacity(n);
+        let mut pad = Vec::new();
+        let mut k = 0usize;
+        while sweeps.iter().any(|s| s.live) {
+            memo.clear();
+            decided.resize((k + 1) * n, DownlinkSymbol::Header);
+            for (h, s) in sweeps.iter_mut().enumerate().filter(|(_, s)| s.live) {
+                let start = (s.offset as f64 + k as f64 * s.period).round() as usize;
+                let last = start + s.plen > len;
+                if start >= len || (last && (len - start) * 2 < s.plen) {
+                    s.live = false;
+                    continue;
+                }
+                let (symbol, score) = match memo.iter().find(|m| m.0 == start && m.1 == s.bank) {
+                    Some(&(_, _, symbol, score)) => (symbol, score),
+                    None => {
+                        let (span, bank) = &mut banks[s.bank];
+                        let span = *span;
+                        let slot = if start + span <= len {
+                            &samples[start..start + span]
+                        } else {
+                            pad.clear();
+                            pad.extend_from_slice(&samples[start..]);
+                            pad.resize(span, 0.0);
+                            &pad[..]
+                        };
+                        let (symbol, score) = bank.decide(slot);
+                        memo.push((start, s.bank, symbol, score));
+                        (symbol, score)
+                    }
+                };
+                s.total += score;
+                decided[k * n + h] = symbol;
+                s.slots += 1;
+                s.live = !last;
+            }
+            k += 1;
+        }
+
+        let mut best = (period0, offset0, f64::NEG_INFINITY, None);
+        for (h, s) in sweeps.iter().enumerate() {
+            if s.total > best.2 {
+                best = (s.period, s.offset, s.total, Some(h));
+            }
+        }
+        let symbols = match best.3 {
+            Some(h) => (0..sweeps[h].slots).map(|k| decided[k * n + h]).collect(),
+            None => Vec::new(),
+        };
+        (best.0, best.1, symbols)
+    }
+}
+
+/// One hypothesis of [`DownlinkDecoder::refine_timing`] as its slots are
+/// decided.
+struct Sweep {
+    period: f64,
+    offset: usize,
+    /// Slot length, `round(period)`.
+    plen: usize,
+    /// The bank its slots are decided with.
+    bank: usize,
+    /// Winning scores summed in slot order.
+    total: f64,
+    /// Slots decided so far.
+    slots: usize,
+    /// Whether slot `slots` may still exist.
+    live: bool,
 }
 
 #[cfg(test)]
@@ -206,6 +316,90 @@ mod tests {
         let samples = transmit(&alphabet, &fe, &packet, 16.0, 0.0, 3);
         let result = dec.decode(&samples, Some(4)).unwrap();
         assert_eq!(result.payload.unwrap(), vec![0x12, 0x34, 0x56, 0x78]);
+    }
+
+    /// Scores one (period, offset) hypothesis on its own, slot after slot:
+    /// the refinement's definition, which the shared sweep must reproduce.
+    fn score_alone(
+        decider: &SymbolDecider,
+        samples: &[f64],
+        period: f64,
+        offset: usize,
+    ) -> (Vec<DownlinkSymbol>, f64) {
+        if period < 4.0 {
+            return (Vec::new(), f64::NEG_INFINITY);
+        }
+        let plen = period.round() as usize;
+        let (mut out, mut total) = (Vec::new(), 0.0);
+        for k in 0.. {
+            let start = (offset as f64 + k as f64 * period).round() as usize;
+            if start >= samples.len() {
+                break;
+            }
+            let mut slot = samples[start..samples.len().min(start + plen)].to_vec();
+            let partial = slot.len() < plen;
+            if partial && slot.len() * 2 < plen {
+                break;
+            }
+            slot.resize(plen, 0.0);
+            let (sym, score) = decider.decide_slot(&slot);
+            out.push(sym);
+            total += score;
+            if partial {
+                break;
+            }
+        }
+        (out, total)
+    }
+
+    #[test]
+    fn shared_sweep_matches_hypotheses_scored_alone() {
+        let (alphabet, fe, dec) = setup(5);
+        let fs = dec.decider.fs;
+        let packet = DownlinkPacket::new(b"SWEEP".to_vec());
+        let mut checked = 0;
+        for (i, (snr_db, offset_s, cut)) in [
+            (30.0, 0.0, 0),
+            (12.0, 41e-6, 37),
+            (5.0, 0.0, 75),
+            (3.0, 88e-6, 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let samples = transmit(&alphabet, &fe, &packet, snr_db, offset_s, 20 + i as u64);
+            // Cutting the capture short leaves a partial last slot.
+            let samples = &samples[..samples.len() - cut];
+            let Ok(got) = dec.decode(samples, Some(5)) else {
+                continue;
+            };
+            let coarse_s = estimate_period(samples, fs, dec.t_period_min, dec.t_period_max);
+            let coarse = (coarse_s.unwrap() * fs).round() as usize;
+            let gap = 1.0 - biscatter_rf::frame::MAX_DUTY;
+            let (period0, offset0) = estimate_slot_timing(samples, coarse, gap);
+            let mut want = (period0, offset0, f64::NEG_INFINITY, Vec::new());
+            for dp in -2i32..=2 {
+                let period = period0 + dp as f64 * 0.25;
+                for doff in -2isize..=2 {
+                    let Some(offset) = offset0.checked_add_signed(doff) else {
+                        continue;
+                    };
+                    let (symbols, score) = score_alone(&dec.decider, samples, period, offset);
+                    if score > want.2 {
+                        want = (period, offset, score, symbols);
+                    }
+                }
+            }
+            assert_eq!(
+                got.period_s.to_bits(),
+                (want.0 / fs).to_bits(),
+                "capture {i}"
+            );
+            assert_eq!(got.offset_samples, want.1, "capture {i}");
+            assert_eq!(got.symbols, want.3, "capture {i}");
+            checked += 1;
+        }
+        assert_eq!(checked, 4, "every capture should get past acquisition");
     }
 
     #[test]

@@ -3,12 +3,21 @@
 //! For each slot, the decoder evaluates a matched Goertzel bank: candidate
 //! symbol `s` has chirp duration `T_s` and expected beat frequency `f_s`
 //! (from the alphabet and the tag's calibrated `ΔT`). The detector computes
-//! the mean-removed Goertzel power of the first `T_s` of the slot at `f_s`,
-//! normalized by the window length squared (so long and short candidates
-//! compare fairly), and picks the argmax — the low-power ML-style detector
-//! the paper's §3.2.2/§4.1 Goertzel discussion points to.
+//! the mean-removed, Hann-windowed Goertzel power of the first `T_s` of the
+//! slot at `f_s`, normalized by the window length squared (so long and
+//! short candidates compare fairly), and picks the argmax — the low-power
+//! ML-style detector the paper's §3.2.2/§4.1 Goertzel discussion points to.
+//!
+//! Once the slot length is known, everything about a candidate except the
+//! slot's samples is fixed: its window length, Hann coefficients and
+//! Goertzel coefficients. A [`SlotBank`] holds them for one slot length and
+//! scores every slot of that length with the fused
+//! [`GoertzelCoeffs::powers_windowed`] kernel, four candidates per pass.
 
-use biscatter_dsp::goertzel::goertzel_power;
+use std::rc::Rc;
+
+use biscatter_dsp::goertzel::{GoertzelCoeffs, WindowedLane};
+use biscatter_dsp::window::{CachedWindow, WindowKind};
 use biscatter_link::packet::DownlinkSymbol;
 use biscatter_radar::cssk::CsskAlphabet;
 
@@ -64,18 +73,28 @@ impl SymbolDecider {
         SymbolDecider { candidates, fs }
     }
 
+    /// Lays the bank out for slots of `slot_len` samples.
+    pub fn bank(&self, slot_len: usize) -> SlotBank {
+        SlotBank::new(&self.candidates, self.fs, slot_len)
+    }
+
+    /// How many leading samples of a `slot_len`-sample slot any candidate
+    /// reads. Two slots that agree on these samples get the same decision,
+    /// whatever their lengths.
+    pub(crate) fn span(&self, slot_len: usize) -> usize {
+        self.candidates
+            .iter()
+            .map(|c| window_len(c, self.fs))
+            .max()
+            .unwrap_or(0)
+            .min(slot_len)
+    }
+
     /// Decides the symbol in one slot's samples (`slot` should span the
     /// whole `T_period`). Returns the winning symbol and its normalized
     /// score.
     pub fn decide_slot(&self, slot: &[f64]) -> (DownlinkSymbol, f64) {
-        let mut best = (DownlinkSymbol::Header, f64::NEG_INFINITY);
-        for c in &self.candidates {
-            let score = self.candidate_score(slot, c);
-            if score > best.1 {
-                best = (c.symbol, score);
-            }
-        }
-        best
+        self.bank(slot.len()).decide(slot)
     }
 
     /// The normalized matched score of one candidate on a slot.
@@ -86,21 +105,9 @@ impl SymbolDecider {
     /// neighbouring candidates and can deterministically flip adjacent-slope
     /// decisions even at high SNR.
     pub fn candidate_score(&self, slot: &[f64], c: &Candidate) -> f64 {
-        let n = ((c.duration_s * self.fs).round() as usize).min(slot.len());
-        if n < 4 {
-            return f64::NEG_INFINITY;
-        }
-        let window = &slot[..n];
-        let mean = window.iter().sum::<f64>() / n as f64;
-        let ac: Vec<f64> = window
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let w = 0.5 - 0.5 * (std::f64::consts::TAU * i as f64 / n as f64).cos();
-                (x - mean) * w
-            })
-            .collect();
-        goertzel_power(&ac, c.beat_freq_hz / self.fs) / (n as f64 * n as f64)
+        let mut score = [f64::NEG_INFINITY];
+        SlotBank::new(std::slice::from_ref(c), self.fs, slot.len()).scores(slot, &mut score);
+        score[0]
     }
 
     /// Decodes a run of consecutive slots (each `period_samples` long) from a
@@ -109,93 +116,141 @@ impl SymbolDecider {
         if period_samples == 0 {
             return Vec::new();
         }
+        let mut bank = self.bank(period_samples);
         samples
             .chunks_exact(period_samples)
-            .map(|slot| self.decide_slot(slot).0)
+            .map(|slot| bank.decide(slot).0)
             .collect()
     }
+}
 
-    /// Like [`SymbolDecider::decide_stream_at`] but also returns the summed
-    /// winning-candidate score — the decoder's own measure of how well a
-    /// (period, offset) hypothesis fits, used for fine timing refinement.
-    pub fn decide_stream_scored(
-        &self,
-        samples: &[f64],
-        period: f64,
-        offset: usize,
-    ) -> (Vec<DownlinkSymbol>, f64) {
-        if period < 4.0 {
-            return (Vec::new(), f64::NEG_INFINITY);
+/// Samples candidate `c` scores in a slot of unbounded length.
+fn window_len(c: &Candidate, fs: f64) -> usize {
+    (c.duration_s * fs).round() as usize
+}
+
+/// A decision bank laid out for slots of one length: per candidate, the
+/// number of samples it scores, its Hann window and its Goertzel
+/// coefficients. Build one with [`SymbolDecider::bank`] and reuse it for
+/// every slot of that length; a slot passed to it must hold at least that
+/// many samples (only the leading ones any candidate reads are used).
+#[derive(Debug, Clone)]
+pub struct SlotBank {
+    /// Candidates that score at least four samples, in bank order; the rest
+    /// score `-inf` and can never win.
+    lanes: Vec<BankLane>,
+    /// Leading slot samples the lanes read: the longest lane.
+    span: usize,
+    /// Running sums of the slot being scored: `prefix[i]` is the sum of its
+    /// first `i` samples, accumulated left to right.
+    prefix: Vec<f64>,
+}
+
+#[derive(Debug, Clone)]
+struct BankLane {
+    /// Position in the candidate list.
+    index: usize,
+    symbol: DownlinkSymbol,
+    /// Samples scored: `min(T_s·fs, slot length)`.
+    n: usize,
+    coeffs: GoertzelCoeffs,
+    hann: Rc<CachedWindow>,
+}
+
+impl SlotBank {
+    fn new(candidates: &[Candidate], fs: f64, slot_len: usize) -> SlotBank {
+        let lanes: Vec<BankLane> = candidates
+            .iter()
+            .enumerate()
+            .filter_map(|(index, c)| {
+                let n = window_len(c, fs).min(slot_len);
+                (n >= 4).then(|| BankLane {
+                    index,
+                    symbol: c.symbol,
+                    n,
+                    coeffs: GoertzelCoeffs::new(c.beat_freq_hz / fs),
+                    hann: WindowKind::Hann.cached(n),
+                })
+            })
+            .collect();
+        let span = lanes.iter().map(|l| l.n).max().unwrap_or(0);
+        SlotBank {
+            lanes,
+            span,
+            prefix: Vec::with_capacity(span + 1),
         }
-        let plen = period.round() as usize;
-        let mut out = Vec::new();
-        let mut total = 0.0;
-        let mut k = 0usize;
-        loop {
-            let start = (offset as f64 + k as f64 * period).round() as usize;
-            if start >= samples.len() {
-                break;
-            }
-            let end = start + plen;
-            if end <= samples.len() {
-                let (sym, score) = self.decide_slot(&samples[start..end]);
-                out.push(sym);
-                total += score;
-            } else {
-                let avail = samples.len() - start;
-                if avail * 2 < plen {
-                    break;
-                }
-                let mut slot = samples[start..].to_vec();
-                slot.resize(plen, 0.0);
-                let (sym, score) = self.decide_slot(&slot);
-                out.push(sym);
-                total += score;
-                break;
-            }
-            k += 1;
-        }
-        (out, total)
     }
 
-    /// Decodes slots at fractional-period spacing: slot `k` starts at sample
-    /// `round(offset + k * period)`. Avoids the cumulative drift that integer
-    /// chunking suffers when the estimated period is off by a fraction of a
-    /// sample. The trailing partial slot (if ≥ half a period) is zero-padded
-    /// and decided too.
-    pub fn decide_stream_at(
-        &self,
-        samples: &[f64],
-        period: f64,
-        offset: usize,
-    ) -> Vec<DownlinkSymbol> {
-        if period < 4.0 {
-            return Vec::new();
-        }
-        let plen = period.round() as usize;
-        let mut out = Vec::new();
-        let mut k = 0usize;
-        loop {
-            let start = (offset as f64 + k as f64 * period).round() as usize;
-            if start >= samples.len() {
-                break;
+    /// The winning symbol and its normalized score on `slot` (the first
+    /// strict maximum in bank order; `(Header, -inf)` when no candidate
+    /// fits the slot).
+    pub fn decide(&mut self, slot: &[f64]) -> (DownlinkSymbol, f64) {
+        let mut best = (DownlinkSymbol::Header, f64::NEG_INFINITY);
+        self.for_each_score(slot, |lane, score| {
+            if score > best.1 {
+                best = (lane.symbol, score);
             }
-            let end = start + plen;
-            if end <= samples.len() {
-                out.push(self.decide_slot(&samples[start..end]).0);
-            } else {
-                let avail = samples.len() - start;
-                if avail * 2 < plen {
-                    break;
-                }
-                let mut slot = samples[start..].to_vec();
-                slot.resize(plen, 0.0);
-                out.push(self.decide_slot(&slot).0);
-                break;
-            }
-            k += 1;
+        });
+        best
+    }
+
+    /// Every candidate's normalized score on `slot`, in candidate order,
+    /// into `out` (`-inf` for candidates too short to score).
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than the candidate list.
+    pub fn scores(&mut self, slot: &[f64], out: &mut [f64]) {
+        out.fill(f64::NEG_INFINITY);
+        self.for_each_score(slot, |lane, score| out[lane.index] = score);
+    }
+
+    /// Scores the lanes four per kernel pass and hands each `(lane, score)`
+    /// to `visit` in bank order.
+    fn for_each_score(&mut self, slot: &[f64], mut visit: impl FnMut(&BankLane, f64)) {
+        let slot = &slot[..self.span];
+        // Zero-sum prefixes may differ from `iter().sum()` in the sign of
+        // zero, which the squared power erases.
+        self.prefix.clear();
+        self.prefix.push(0.0);
+        let mut acc = 0.0;
+        for &x in slot {
+            acc += x;
+            self.prefix.push(acc);
         }
-        out
+        let prefix = &self.prefix;
+        let mut quads = self.lanes.chunks_exact(4);
+        for quad in &mut quads {
+            let inputs: [WindowedLane<'_>; 4] = std::array::from_fn(|j| quad[j].input(prefix));
+            let powers = GoertzelCoeffs::powers_windowed(inputs, slot);
+            for (lane, power) in quad.iter().zip(powers) {
+                visit(lane, lane.score(power));
+            }
+        }
+        for lane in quads.remainder() {
+            let WindowedLane {
+                coeffs,
+                shift,
+                window,
+            } = lane.input(prefix);
+            visit(lane, lane.score(coeffs.power_windowed(slot, shift, window)));
+        }
+    }
+}
+
+impl BankLane {
+    /// The kernel lane for a slot with running sums `prefix`: the mean of
+    /// the lane's samples is removed, then its Hann window applied.
+    fn input<'a>(&'a self, prefix: &[f64]) -> WindowedLane<'a> {
+        WindowedLane {
+            coeffs: self.coeffs,
+            shift: prefix[self.n] / self.n as f64,
+            window: &self.hann.coeffs,
+        }
+    }
+
+    /// Normalizes a power by the window length squared.
+    fn score(&self, power: f64) -> f64 {
+        power / (self.n as f64 * self.n as f64)
     }
 }
 
@@ -307,6 +362,81 @@ mod tests {
         let tiny = vec![0.0; 3];
         let c = decider.candidates[0];
         assert_eq!(decider.candidate_score(&tiny, &c), f64::NEG_INFINITY);
+        assert_eq!(
+            decider.decide_slot(&tiny),
+            (DownlinkSymbol::Header, f64::NEG_INFINITY)
+        );
+    }
+
+    /// The scorer written out the long way: mean removal and an inline Hann
+    /// window into a scratch copy, then a plain Goertzel pass. The oracle
+    /// the bank must match bit for bit.
+    fn reference_score(slot: &[f64], c: &Candidate, fs: f64) -> f64 {
+        let n = ((c.duration_s * fs).round() as usize).min(slot.len());
+        if n < 4 {
+            return f64::NEG_INFINITY;
+        }
+        let window = &slot[..n];
+        let mean = window.iter().sum::<f64>() / n as f64;
+        let ac: Vec<f64> = window
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let w = 0.5 - 0.5 * (std::f64::consts::TAU * i as f64 / n as f64).cos();
+                (x - mean) * w
+            })
+            .collect();
+        biscatter_dsp::goertzel::goertzel_power(&ac, c.beat_freq_hz / fs) / (n as f64 * n as f64)
+    }
+
+    #[test]
+    fn bank_matches_reference_scorer_bit_for_bit() {
+        let (alphabet, fe, decider) = setup(5);
+        let symbols: Vec<DownlinkSymbol> = (0..12).map(|i| DownlinkSymbol::Data(i * 2)).collect();
+        let stream = capture_symbols(&alphabet, &fe, &symbols, 10.0, 6);
+        let mut scores = vec![0.0; decider.candidates.len()];
+        // Whole slots, and slots shorter than the longest chirps, so that
+        // truncated windows and candidates too short to score show up too.
+        for slot_len in [120usize, 101, 64, 21, 5] {
+            let mut bank = decider.bank(slot_len);
+            for slot in stream.chunks_exact(slot_len).take(12) {
+                bank.scores(slot, &mut scores);
+                let mut want = (DownlinkSymbol::Header, f64::NEG_INFINITY);
+                for (c, &got) in decider.candidates.iter().zip(&scores) {
+                    let r = reference_score(slot, c, decider.fs);
+                    assert_eq!(got.to_bits(), r.to_bits(), "{:?}, {slot_len}", c.symbol);
+                    let alone = decider.candidate_score(slot, c);
+                    assert_eq!(alone.to_bits(), r.to_bits(), "{:?}, {slot_len}", c.symbol);
+                    if r > want.1 {
+                        want = (c.symbol, r);
+                    }
+                }
+                let got = bank.decide(slot);
+                assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+                assert_eq!(decider.decide_slot(slot), got);
+            }
+        }
+    }
+
+    #[test]
+    fn decider_is_send_sync_clone() {
+        fn check<T: Send + Sync + Clone>() {}
+        check::<SymbolDecider>();
+    }
+
+    #[test]
+    fn span_is_the_longest_window_that_fits() {
+        let (_, _, decider) = setup(5);
+        let longest = decider
+            .candidates
+            .iter()
+            .map(|c| (c.duration_s * decider.fs).round() as usize)
+            .max()
+            .unwrap();
+        assert!(longest < 120);
+        assert_eq!(decider.span(120), longest);
+        assert_eq!(decider.span(121), longest);
+        assert_eq!(decider.span(50), 50);
     }
 
     #[test]
