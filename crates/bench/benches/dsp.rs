@@ -206,8 +206,9 @@ fn main() {
             )
         })
         .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"DSP fast path (crates/bench/benches/dsp.rs)\",\n  {dispatch},\n  \"note\": \"medians of {samples} samples; reference = seed incremental-twiddle engine (fft::reference), fresh_plan = FftPlan::new per call, cached_plan = planner-cached tables reused across calls. plan-reuse criterion: speedup_cached_vs_fresh_plan at n=1024 >= 2x.\",\n  \"fft\": [\n{}\n  ],\n  \"rfft\": {{\n    \"n\": {n_real},\n    \"complex_fft_ns\": {complex_of_real_ns:.0},\n    \"packed_real_ns\": {rfft_ns:.0},\n    \"speedup\": {:.2}\n  }},\n  \"dechirp\": {{\n    \"scene\": \"clutter + mover + tag, {n_if} samples\",\n    \"cos_baseline_ns\": {cos_ns:.0},\n    \"oscillator_ns\": {osc_ns:.0},\n    \"speedup\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"DSP fast path (crates/bench/benches/dsp.rs)\",\n  {dispatch},\n  \"cores\": {cores},\n  \"note\": \"medians of {samples} samples; reference = seed incremental-twiddle engine (fft::reference), fresh_plan = FftPlan::new per call, cached_plan = planner-cached tables reused across calls. plan-reuse criterion: speedup_cached_vs_fresh_plan at n=1024 >= 2x.\",\n  \"fft\": [\n{}\n  ],\n  \"rfft\": {{\n    \"n\": {n_real},\n    \"complex_fft_ns\": {complex_of_real_ns:.0},\n    \"packed_real_ns\": {rfft_ns:.0},\n    \"speedup\": {:.2}\n  }},\n  \"dechirp\": {{\n    \"scene\": \"clutter + mover + tag, {n_if} samples\",\n    \"cos_baseline_ns\": {cos_ns:.0},\n    \"oscillator_ns\": {osc_ns:.0},\n    \"speedup\": {:.2}\n  }}\n}}\n",
         fft_json.join(",\n"),
         ratio(complex_of_real_ns, rfft_ns),
         ratio(cos_ns, osc_ns),

@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the processing kernels that dominate both
 //! ends of the link: the tag's per-slot symbol decision (what the MCU runs
-//! per bit) and its whole downlink decode, the sliding Goertzel, the radar
-//! range FFT + IF correction, the range–Doppler map, and a full end-to-end
-//! downlink frame.
+//! per bit) and its whole downlink decode, the sliding Goertzel, the radar's
+//! IF synthesis of a 24-tag frame, the range FFT + IF correction, the
+//! range–Doppler map, and a full end-to-end downlink frame.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -12,6 +12,7 @@ use biscatter_core::dsp::fft::fft;
 use biscatter_core::dsp::goertzel::goertzel_power;
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::Cpx;
+use biscatter_core::isac::{dechirp_stage_into, synthesize_frame};
 use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
 use biscatter_core::radar::receiver::doppler::range_doppler;
 use biscatter_core::radar::receiver::{align_frame, RxConfig};
@@ -19,8 +20,11 @@ use biscatter_core::radar::sequencer::isac_frame;
 use biscatter_core::rf::frame::ChirpTrain;
 use biscatter_core::rf::if_gen::IfReceiver;
 use biscatter_core::rf::scene::{Scatterer, Scene};
+use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_core::tag::decoder::DownlinkDecoder;
+use biscatter_runtime::compute::ComputePool;
+use biscatter_runtime::source::multi_tag_jobs;
 
 fn bench_dsp(c: &mut Criterion) {
     let mut g = c.benchmark_group("dsp");
@@ -82,6 +86,26 @@ fn bench_tag(c: &mut Criterion) {
     g.finish();
 }
 
+/// The radar's IF synthesis of one frame of the paper's §5 dense
+/// deployment: 24 tags toggling their switches, the `warehouse_k24` frame
+/// `frame_digest.rs` pins, on a 1-thread pool into one reused slab.
+fn bench_rf(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rf");
+    g.sample_size(10);
+    let sys = BiScatterSystem::paper_9ghz();
+    let job = multi_tag_jobs(&sys, 1, 24, 11).remove(0);
+    let synth = synthesize_frame(&sys, &job.scenario, &job.payload, job.seed);
+    let pool = ComputePool::new(1);
+    let mut slab = SampleSlab::<f64>::new();
+    g.bench_function("dechirp_k24", |b| {
+        b.iter(|| {
+            dechirp_stage_into(&pool, &sys, &synth.train, &synth.scene, job.seed, &mut slab);
+            black_box(slab.row(0)[0])
+        })
+    });
+    g.finish();
+}
+
 fn bench_radar(c: &mut Criterion) {
     let mut g = c.benchmark_group("radar");
     g.sample_size(10);
@@ -126,5 +150,12 @@ fn bench_e2e(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dsp, bench_tag, bench_radar, bench_e2e);
+criterion_group!(
+    benches,
+    bench_dsp,
+    bench_tag,
+    bench_rf,
+    bench_radar,
+    bench_e2e
+);
 criterion_main!(benches);

@@ -5,9 +5,10 @@
 //! * the plan-based fast path in [`crate::planner`] — cached bit-reversal
 //!   and exact twiddle tables, Bluestein chirp/kernel spectra precomputed
 //!   per length, in-place processing, and a packed real-input transform;
-//! * [`reference`] — the original per-call engine (incremental twiddle
-//!   recurrence, fresh Bluestein setup every call), kept as the oracle for
-//!   regression tests and as the "unplanned" baseline in the DSP benches.
+//! * [`reference`](mod@reference) — the original per-call engine
+//!   (incremental twiddle recurrence, fresh Bluestein setup every call),
+//!   kept as the oracle for regression tests and as the "unplanned"
+//!   baseline in the DSP benches.
 //!
 //! The free functions here ([`fft`]/[`ifft`]/[`rfft`]/[`rfft_mag`]) keep
 //! their original allocating signatures but route through the thread-local

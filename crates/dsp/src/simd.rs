@@ -367,9 +367,9 @@ pub fn peak_max(x: &[f64]) -> (usize, f64) {
 // Oscillator accumulation (the dechirp inner loop).
 // ---------------------------------------------------------------------------
 
-/// Samples between oscillator renormalizations — matches the serial
-/// recurrence's bound (see `biscatter-rf::if_gen::RENORM_INTERVAL`): the
-/// amplitude error after 256 complex multiplies is ≈ 1.1e-13 relative.
+/// Samples between oscillator renormalizations — the serial recurrence's
+/// bound (DESIGN.md §9.2): the amplitude error after 256 complex multiplies
+/// is ≈ 1.1e-13 relative.
 const OSC_RENORM_SAMPLES: usize = 256;
 
 /// Adds one scatterer's IF tone to `out`:
@@ -380,8 +380,8 @@ const OSC_RENORM_SAMPLES: usize = 256;
 /// phase streams** advanced by `rot⁴`, so the four multiplies per block
 /// have no dependence chain — the form both tiers share (the scalar body
 /// is the 4-lane loop the autovectorizer lowers, the AVX2 body the same
-/// ops on two 2-complex vectors). Streams renormalize every
-/// [`OSC_RENORM_SAMPLES`] samples via `1/√(re²+im²)`.
+/// ops on two 2-complex vectors). Streams renormalize every 256 samples
+/// via `1/√(re²+im²)`.
 ///
 /// Both tiers perform identical elementwise IEEE-754 operations, so the
 /// result is bit-identical across dispatch tiers (though not to the

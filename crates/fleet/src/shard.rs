@@ -1,11 +1,10 @@
 //! The fleet scheduler: N radar cells multiplexed over S worker shards.
 //!
-//! Each [`Cell`](biscatter_runtime::pipeline::Cell) is a value — its own
-//! arena, config, and metric scope — and shard `s` owns the cells with
-//! `cell % shards == s`. A shard is one thread running a cooperative
-//! round-robin over its cells: non-blocking intake takes
-//! ([`Admission::try_take`]), at most one *pending* (sequence-gated) frame
-//! stashed per cell, and a short sleep only when a full pass makes no
+//! Each [`Cell`] is a value — its own arena, config, and metric scope — and
+//! shard `s` owns the cells with `cell % shards == s`. A shard is one thread
+//! running a cooperative round-robin over its cells: non-blocking intake
+//! takes ([`Admission::try_take`]), at most one *pending* (sequence-gated)
+//! frame stashed per cell, and a short sleep only when a full pass makes no
 //! progress. A single feeder thread admits the workload in tick order
 //! through the [`Admission`] front door.
 //!

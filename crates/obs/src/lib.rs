@@ -39,6 +39,33 @@ pub mod trace;
 
 pub use metrics::registry;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard when a thread panicked while holding it.
+///
+/// A panic in one frame or scrape must not take the observability plane
+/// down with it, and it need not: every value these locks guard stays valid
+/// wherever a holder can stop. A ring stores a record before it moves its
+/// cursor, and metric maps are only ever inserted into, so the worst a
+/// poisoned lock leaves behind is a count off by one.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Poisons `m` the way a crashing frame would: a thread panics while it
+/// holds the lock.
+#[cfg(test)]
+pub(crate) fn poison<T: ?Sized + Send>(m: &Mutex<T>) {
+    let joined = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _guard = m.lock();
+            panic!("poisoning the lock on purpose");
+        })
+        .join()
+    });
+    assert!(joined.is_err() && m.is_poisoned());
+}
+
 /// Opens a [`trace::Span`] guard: `span!("isac.align")` tags it with the
 /// thread's current frame id, `span!("isac.align", frame_id)` with an
 /// explicit one. Bind the result (`let _span = span!(...)`) — the span

@@ -305,7 +305,7 @@ impl Registry {
     /// Returns the counter registered under `name`, creating it at zero on
     /// first use. Cache the handle — this takes the registry lock.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap();
+        let mut map = crate::lock(&self.counters);
         if let Some(cell) = map.get(name) {
             return Counter(Arc::clone(cell));
         }
@@ -317,7 +317,7 @@ impl Registry {
     /// Returns the gauge registered under `name`, creating it at `0.0` on
     /// first use. Cache the handle — this takes the registry lock.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap();
+        let mut map = crate::lock(&self.gauges);
         if let Some(cell) = map.get(name) {
             return Gauge(Arc::clone(cell));
         }
@@ -329,7 +329,7 @@ impl Registry {
     /// Returns the histogram registered under `name`, creating it empty on
     /// first use. Cache the handle — this takes the registry lock.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.histograms.lock().unwrap();
+        let mut map = crate::lock(&self.histograms);
         if let Some(h) = map.get(name) {
             return Histogram(Arc::clone(h));
         }
@@ -341,24 +341,15 @@ impl Registry {
     /// Copies every registered metric into an immutable snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
+            counters: crate::lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
+            gauges: crate::lock(&self.gauges)
                 .iter()
                 .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap()
+            histograms: crate::lock(&self.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -690,5 +681,29 @@ mod tests {
         assert!(text.contains("x.hits"));
         let json = snap.to_json().to_compact();
         assert!(json.contains("\"x.depth\""));
+    }
+
+    #[test]
+    fn poisoned_registry_keeps_registering_and_rendering() {
+        let reg = registry();
+        reg.counter("poison_test.frames").add(3);
+        reg.gauge("poison_test.snr_db").set(21.5);
+        reg.histogram("poison_test.frame_ns").record_ns(1_000);
+        crate::poison(&reg.counters);
+        crate::poison(&reg.gauges);
+        crate::poison(&reg.histograms);
+        reg.counter("poison_test.frames").inc();
+        reg.counter("poison_test.drops").inc();
+        reg.gauge("poison_test.snr_db").set(22.0);
+        reg.histogram("poison_test.frame_ns").record_ns(2_000);
+        let snap = reg.snapshot().filter_prefix("poison_test.");
+        assert_eq!(snap.counter("poison_test.frames"), Some(4));
+        assert_eq!(snap.counter("poison_test.drops"), Some(1));
+        assert_eq!(snap.gauge("poison_test.snr_db"), Some(22.0));
+        let h = snap.histogram("poison_test.frame_ns").map(|h| h.count());
+        assert_eq!(h, Some(2));
+        assert!(snap.to_text().contains("poison_test.drops"));
+        assert!(snap.to_json().get("gauges").is_some());
+        assert!(crate::serve::prometheus_text(&snap).contains("poison_test_frames"));
     }
 }

@@ -172,7 +172,7 @@ impl FlightRecorder {
     /// Records one frame. Zero heap allocation: the ring was sized at
     /// construction, so this is a mutex lock and a struct store.
     pub fn record(&self, rec: FrameRecord) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = crate::lock(&self.state);
         st.total += 1;
         if st.buf.len() < st.buf.capacity() {
             st.buf.push(rec);
@@ -188,7 +188,7 @@ impl FlightRecorder {
     /// recorder keeps flying while dashboards read. Allocates (scrape path,
     /// not frame path).
     pub fn snapshot(&self) -> Vec<FrameRecord> {
-        let st = self.state.lock().unwrap();
+        let st = crate::lock(&self.state);
         let mut out = Vec::with_capacity(st.buf.len());
         out.extend_from_slice(&st.buf[st.next..]);
         out.extend_from_slice(&st.buf[..st.next]);
@@ -197,12 +197,12 @@ impl FlightRecorder {
 
     /// Records ever pushed into this ring.
     pub fn total_recorded(&self) -> u64 {
-        self.state.lock().unwrap().total
+        crate::lock(&self.state).total
     }
 
     /// Records lost to ring overwrite since creation.
     pub fn overwritten(&self) -> u64 {
-        self.state.lock().unwrap().overwritten
+        crate::lock(&self.state).overwritten
     }
 }
 
@@ -227,7 +227,7 @@ fn configured_capacity() -> usize {
 /// the scrape server resolve the same storage. Cache the handle — this
 /// takes the table lock.
 pub fn for_cell(cell_id: u32) -> Arc<FlightRecorder> {
-    let mut t = table().lock().unwrap();
+    let mut t = crate::lock(table());
     if let Some(r) = t.iter().find(|r| r.cell_id == cell_id) {
         return Arc::clone(r);
     }
@@ -241,7 +241,7 @@ pub fn for_cell(cell_id: u32) -> Arc<FlightRecorder> {
 
 /// Every registered recorder, ascending by cell id.
 pub fn all() -> Vec<Arc<FlightRecorder>> {
-    let mut v: Vec<Arc<FlightRecorder>> = table().lock().unwrap().iter().cloned().collect();
+    let mut v: Vec<Arc<FlightRecorder>> = crate::lock(table()).iter().cloned().collect();
     v.sort_by_key(|r| r.cell_id);
     v
 }
@@ -333,5 +333,24 @@ mod tests {
         assert_eq!(b.total_recorded(), 1);
         assert!(all().iter().any(|r| r.cell_id() == 900));
         assert!(dump_jsonl().contains("\"cell_id\":900.0"));
+    }
+
+    #[test]
+    fn poisoned_ring_and_table_keep_recording() {
+        let r = for_cell(901);
+        let on_cell = |id| FrameRecord {
+            cell_id: 901,
+            ..rec(id)
+        };
+        r.record(on_cell(1));
+        crate::poison(&r.state);
+        crate::poison(table());
+        r.record(on_cell(2));
+        assert_eq!((r.total_recorded(), r.overwritten()), (2, 0));
+        let ids: Vec<u64> = r.snapshot().iter().map(|x| x.frame_id).collect();
+        assert_eq!(ids, vec![1, 2]);
+        assert!(Arc::ptr_eq(&for_cell(901), &r));
+        assert!(all().iter().any(|x| x.cell_id() == 901));
+        assert_eq!(dump_jsonl().matches("\"cell_id\":901.0").count(), 2);
     }
 }

@@ -227,10 +227,7 @@ fn route(method: &str, path: &str) -> Response {
             prometheus_text(&registry().snapshot()),
         ),
         "/health" => {
-            let reports = health::global()
-                .lock()
-                .unwrap()
-                .observe_registry(&registry().snapshot());
+            let reports = crate::lock(health::global()).observe_registry(&registry().snapshot());
             let worst_critical = reports
                 .iter()
                 .any(|r| r.state == health::HealthState::Critical);

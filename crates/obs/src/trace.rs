@@ -101,7 +101,7 @@ struct Ring {
 
 impl Ring {
     fn push(&self, rec: SpanRecord) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = crate::lock(&self.state);
         if st.buf.len() < st.buf.capacity() {
             st.buf.push(rec);
         } else {
@@ -114,7 +114,7 @@ impl Ring {
 
     /// Copies out records oldest-first and resets the ring (capacity kept).
     fn drain(&self) -> (Vec<SpanRecord>, u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = crate::lock(&self.state);
         let split = st.next;
         let mut spans = Vec::with_capacity(st.buf.len());
         spans.extend_from_slice(&st.buf[split..]);
@@ -153,7 +153,7 @@ fn new_ring() -> Arc<Ring> {
             dropped: 0,
         }),
     });
-    all_rings().lock().unwrap().push(Arc::clone(&ring));
+    crate::lock(all_rings()).push(Arc::clone(&ring));
     ring
 }
 
@@ -310,7 +310,7 @@ impl TraceCollector {
 
     /// Drains every registered ring.
     pub fn drain() -> TraceCollector {
-        let rings = all_rings().lock().unwrap();
+        let rings = crate::lock(all_rings());
         TraceCollector {
             threads: rings
                 .iter()
@@ -436,7 +436,7 @@ pub fn export_accumulated(
 pub fn accumulated_chrome_trace(
     extra: impl IntoIterator<Item = (String, Value)>,
 ) -> (Value, ExportSummary) {
-    let mut accum = accumulator().lock().unwrap();
+    let mut accum = crate::lock(accumulator());
     accum.merge(TraceCollector::drain());
     let doc = accum.chrome_trace_extra(extra);
     let summary = ExportSummary {

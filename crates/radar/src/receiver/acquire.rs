@@ -15,11 +15,12 @@
 //!   blocks of `L = n_fft − M + 1` samples, each zero-padded block goes
 //!   through a cached [`RfftPlan`](biscatter_dsp::planner::RfftPlan), is
 //!   multiplied by the **conjugate template spectrum**, returns through the
-//!   packed inverse real FFT ([`RfftPlan::inverse`]
-//!   (biscatter_dsp::planner::RfftPlan::inverse)), and the block's linear
-//!   correlation piece — positive lags up front, negative lags wrapped at
-//!   the tail — is overlap-added into the output. O(N log M) per
-//!   hypothesis, exact to rounding (the oracle property test pins ≤ 1e-9).
+//!   packed inverse real FFT
+//!   ([`RfftPlan::inverse`](biscatter_dsp::planner::RfftPlan::inverse)),
+//!   and the block's linear correlation piece — positive lags up front,
+//!   negative lags wrapped at the tail — is overlap-added into the output.
+//!   O(N log M) per hypothesis, exact to rounding (the oracle property test
+//!   pins ≤ 1e-9).
 //! * **Geometry-keyed template cache** — a [`CorrelatorBank`] caches each
 //!   hypothesis's conjugated spectrum (and its time-domain samples for the
 //!   naive baseline), keyed on the sample rate and hypothesis set, exactly

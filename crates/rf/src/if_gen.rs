@@ -16,13 +16,14 @@
 //! chirps — exactly what the radar's slow-time FFT later exploits.
 //!
 //! Each scatterer's tone is synthesized with a complex phase oscillator (one
-//! complex multiply per sample, renormalized every [`RENORM_INTERVAL`]
-//! samples) instead of a per-sample `cos()`, and unmodulated scatterers skip
-//! the per-sample amplitude evaluation entirely — together the dominant cost
-//! of frame synthesis in clutter-rich scenes.
+//! complex multiply per sample, renormalized every 256 samples) instead of a
+//! per-sample `cos()`, and a tag's switch is evaluated once per switch edge
+//! rather than once per sample: its amplitudes are filled by runs, and a
+//! chirp that sees one level (every unmodulated scatterer, and a tag between
+//! two edges) takes the oscillator's constant-amplitude branch.
 
 use crate::chirp::Chirp;
-use crate::scene::{Scatterer, Scene, TagModulation};
+use crate::scene::{Scatterer, Scene, SwitchState};
 use crate::slab::{ArrayCapture, SampleSlab};
 use biscatter_compute::ComputePool;
 use biscatter_dsp::planner::{with_planner, FftPlanner};
@@ -47,82 +48,72 @@ fn scatterer_tone(s: &Scatterer, chirp: &Chirp, fs: f64, t_start: f64) -> Option
     Some((phase0, Cpx::cis(TAU * f_if / fs)))
 }
 
-/// Fills `amps[i] = s.amplitude_at(t_start + i/fs)` for a modulated
-/// scatterer, rounded once into the sample precision; returns `None`
-/// (leaving `amps` untouched) when the amplitude is constant so callers can
-/// skip the per-sample evaluation entirely.
+/// A scatterer's amplitude over one chirp, `s.amplitude_at(t_start + i/fs)`
+/// rounded once into the sample precision, in the form
+/// [`Real::osc_accum`] takes it: `(None, level)` when one level covers the
+/// whole chirp (`amps` untouched), otherwise `(Some(amps), _)` with `amps`
+/// filled sample by sample.
 ///
-/// The waveform is evaluated in f64 (absolute-time switch phase needs the
-/// precision). The modulation `match` is hoisted out of the sample loop and
-/// `rem_euclid(1.0)` becomes `x − x.floor()`: the two compare identically
-/// against the duty threshold for every finite `x` (both are exact for
-/// `x ≥ 0`, and round the same exact value otherwise), so the fill matches
-/// [`Scatterer::amplitude_at`] bit for bit — at a couple of vector
-/// instructions instead of an `fmod` call per sample.
-#[inline]
-fn modulated_amplitudes<'a, T: Real>(
+/// The switch state is evaluated in f64 (absolute-time switch phase needs
+/// the precision), but only at run edges, not at every sample: sample times
+/// grow with `i`, so each state of [`switch_state`] covers one contiguous
+/// run of samples. A chirp whose first and last samples share a state is
+/// therefore a single run. Otherwise each run's end is found by galloping
+/// out from its start and bisecting on the exact per-sample state, and the
+/// run is filled with its level — so every sample gets the level the
+/// per-sample evaluation gives it, at a few state evaluations per switch
+/// edge instead of one per sample.
+///
+/// [`switch_state`]: crate::scene::TagModulation::switch_state
+fn switched_amplitudes<'a, T: Real>(
     s: &Scatterer,
     t_start: f64,
     fs: f64,
     amps: &'a mut [T],
-) -> Option<&'a [T]> {
-    #[inline]
-    fn fract_pos(x: f64) -> f64 {
-        x - x.floor()
-    }
-    let level = |active: bool| {
-        T::from_f64(if active {
+) -> (Option<&'a [T]>, T) {
+    let state = |i: usize| s.modulation.switch_state(t_start + i as f64 / fs);
+    let level = |st: SwitchState| {
+        T::from_f64(if st.reflective {
             s.amplitude
         } else {
             s.amplitude * s.leak
         })
     };
-    match &s.modulation {
-        TagModulation::None => return None,
-        TagModulation::Subcarrier { freq_hz, duty } => {
-            let (f, duty) = (*freq_hz, *duty);
-            for (i, a) in amps.iter_mut().enumerate() {
-                let t = t_start + i as f64 / fs;
-                *a = level(fract_pos(t * f) < duty);
-            }
-        }
-        TagModulation::OokBits {
-            freq_hz,
-            bit_duration_s,
-            bits,
-        } => {
-            let f = *freq_hz;
-            for (i, a) in amps.iter_mut().enumerate() {
-                let t = t_start + i as f64 / fs;
-                let active = if bits.is_empty() {
-                    false
-                } else {
-                    let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
-                    bits[idx] && fract_pos(t * f) < 0.5
-                };
-                *a = level(active);
-            }
-        }
-        TagModulation::FskBits {
-            freq0_hz,
-            freq1_hz,
-            bit_duration_s,
-            bits,
-        } => {
-            for (i, a) in amps.iter_mut().enumerate() {
-                let t = t_start + i as f64 / fs;
-                let active = if bits.is_empty() {
-                    false
-                } else {
-                    let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
-                    let f = if bits[idx] { *freq1_hz } else { *freq0_hz };
-                    fract_pos(t * f) < 0.5
-                };
-                *a = level(active);
-            }
-        }
+    let n = amps.len();
+    let first = state(0);
+    let last = state(n.saturating_sub(1));
+    if first == last {
+        return (None, level(first));
     }
-    Some(amps)
+    let (mut start, mut run) = (0, first);
+    while run != last {
+        // `state(start)` is `run` and `state(n − 1)` is not. Gallop out
+        // until a probe leaves the run, then bisect: `lo` stays in the
+        // run and `hi` past it, with `next = state(hi)`.
+        let (mut lo, mut hi, mut next, mut step) = (start, n - 1, last, 1);
+        while lo + step < hi {
+            let st = state(lo + step);
+            if st != run {
+                (hi, next) = (lo + step, st);
+                break;
+            }
+            lo += step;
+            step *= 2;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            let st = state(mid);
+            if st == run {
+                lo = mid;
+            } else {
+                (hi, next) = (mid, st);
+            }
+        }
+        amps[start..hi].fill(level(run));
+        (start, run) = (hi, next);
+    }
+    amps[start..].fill(level(run));
+    (Some(amps), level(first))
 }
 
 /// Synthesizes one chirp's noiseless IF signal into `out` (assumed zeroed)
@@ -137,12 +128,13 @@ fn modulated_amplitudes<'a, T: Real>(
 /// fs}`) whose inner loop lives in `biscatter_dsp::simd` behind runtime
 /// dispatch: the serial recurrence is blocked into independent phase
 /// streams (four in f64, eight in f32) renormalized every 256 samples, with
-/// the amplitude taken per sample for modulated scatterers and hoisted for
-/// unmodulated ones. In f64 the error bound is the serial recurrence's —
-/// amplitude drift ≤ ~`2Rε ≈ 1.1e-13` relative between renormalizations,
-/// phase drift ~`nε` radians over an `n`-sample chirp — and the result is
-/// bit-identical across dispatch tiers (DESIGN.md §9 and §14). Geometry is
-/// always f64; only the per-sample accumulation runs in `T`.
+/// the amplitude taken per sample for chirps a tag's switch toggles in and
+/// hoisted for one-level ones. In f64 the error bound is the serial
+/// recurrence's — amplitude drift ≤ ~`2Rε ≈ 1.1e-13` relative between
+/// renormalizations, phase drift ~`nε` radians over an `n`-sample chirp —
+/// and the result is bit-identical across dispatch tiers (DESIGN.md §9 and
+/// §14). Geometry is always f64; only the per-sample accumulation runs in
+/// `T`.
 fn synth_chirp<T: Real>(
     out: &mut [T],
     chirp: &Chirp,
@@ -159,9 +151,9 @@ fn synth_chirp<T: Real>(
                     continue;
                 };
                 let array_phase = TAU * spacing_wavelengths * s.azimuth_rad.sin();
-                let amps = modulated_amplitudes(s, t_start, fs, &mut amps[..]);
+                let (amps, level) = switched_amplitudes(s, t_start, fs, &mut amps[..]);
                 let ph0 = Cpx::cis(phase0 + k as f64 * array_phase);
-                T::osc_accum(out, amps, T::from_f64(s.amplitude), ph0, rot);
+                T::osc_accum(out, amps, level, ph0, rot);
             }
         })
     });
@@ -416,7 +408,7 @@ mod tests {
 
     /// The seed implementation evaluated `amp·cos(phase0 + 2π f_IF t)` per
     /// sample; the oscillator recurrence must reproduce it to well below the
-    /// simulation's noise floor (see `RENORM_INTERVAL` for the bound).
+    /// simulation's noise floor (DESIGN.md §9.2 gives the bound).
     #[test]
     fn oscillator_matches_direct_cos() {
         let chirp = Chirp::new(9e9, 1e9, 200e-6); // 400 samples at 2 MHz
@@ -709,5 +701,254 @@ mod tests {
         let mut noise = NoiseSource::new(7);
         let samples = rx().dechirp(&chirp, &scene, 0.0, &mut noise);
         assert!(samples.iter().all(|&x| x == 0.0));
+    }
+
+    /// The per-sample amplitude fill that `switched_amplitudes` replaced,
+    /// kept verbatim as its oracle: every sample re-derives the switch
+    /// state from `t_start + i/fs`. `None` means the constant amplitude
+    /// `s.amplitude`.
+    fn per_sample_amplitudes<'a, T: Real>(
+        s: &Scatterer,
+        t_start: f64,
+        fs: f64,
+        amps: &'a mut [T],
+    ) -> Option<&'a [T]> {
+        #[inline]
+        fn fract_pos(x: f64) -> f64 {
+            x - x.floor()
+        }
+        let level = |active: bool| {
+            T::from_f64(if active {
+                s.amplitude
+            } else {
+                s.amplitude * s.leak
+            })
+        };
+        match &s.modulation {
+            TagModulation::None => return None,
+            TagModulation::Subcarrier { freq_hz, duty } => {
+                let (f, duty) = (*freq_hz, *duty);
+                for (i, a) in amps.iter_mut().enumerate() {
+                    let t = t_start + i as f64 / fs;
+                    *a = level(fract_pos(t * f) < duty);
+                }
+            }
+            TagModulation::OokBits {
+                freq_hz,
+                bit_duration_s,
+                bits,
+            } => {
+                let f = *freq_hz;
+                for (i, a) in amps.iter_mut().enumerate() {
+                    let t = t_start + i as f64 / fs;
+                    let active = if bits.is_empty() {
+                        false
+                    } else {
+                        let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
+                        bits[idx] && fract_pos(t * f) < 0.5
+                    };
+                    *a = level(active);
+                }
+            }
+            TagModulation::FskBits {
+                freq0_hz,
+                freq1_hz,
+                bit_duration_s,
+                bits,
+            } => {
+                for (i, a) in amps.iter_mut().enumerate() {
+                    let t = t_start + i as f64 / fs;
+                    let active = if bits.is_empty() {
+                        false
+                    } else {
+                        let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
+                        let f = if bits[idx] { *freq1_hz } else { *freq0_hz };
+                        fract_pos(t * f) < 0.5
+                    };
+                    *a = level(active);
+                }
+            }
+        }
+        Some(amps)
+    }
+
+    /// Asserts that the run fill hands the oscillator the oracle's
+    /// amplitude bits at every one of `n` samples, and that a one-level
+    /// chirp leaves the buffer unwritten. Returns whether it was one level.
+    fn assert_fill_matches<T: Real>(s: &Scatterer, t_start: f64, fs: f64, n: usize) -> bool {
+        let mut oracle = vec![T::ZERO; n];
+        let want = match per_sample_amplitudes(s, t_start, fs, &mut oracle) {
+            Some(a) => a.to_vec(),
+            None => vec![T::from_f64(s.amplitude); n],
+        };
+        let mut buf = vec![T::from_f64(f64::NAN); n];
+        let (amps, level) = switched_amplitudes(s, t_start, fs, &mut buf);
+        let one_level = amps.is_none();
+        let got = amps.map_or_else(|| vec![level; n], <[T]>::to_vec);
+        let bits = |x: T| x.to_f64().to_bits();
+        if let Some(i) = (0..n).find(|&i| bits(got[i]) != bits(want[i])) {
+            panic!(
+                "{}: sample {i} of {n} is {:?}, per-sample {:?} ({s:?}, t_start {t_start}, fs {fs})",
+                std::any::type_name::<T>(),
+                got[i],
+                want[i]
+            );
+        }
+        if one_level {
+            assert!(buf.iter().all(|x| x.to_f64().is_nan()), "buffer written");
+        }
+        one_level
+    }
+
+    fn assert_fill_matches_both(s: &Scatterer, t_start: f64, fs: f64, n: usize) -> bool {
+        assert_fill_matches::<f32>(s, t_start, fs, n);
+        assert_fill_matches::<f64>(s, t_start, fs, n)
+    }
+
+    fn tag_with(modulation: TagModulation, leak: f64) -> Scatterer {
+        Scatterer {
+            modulation,
+            leak,
+            ..Scatterer::tag(3.0, 0.7, 1.0)
+        }
+    }
+
+    fn ook(freq_hz: f64, bit_duration_s: f64, bits: &[u8]) -> TagModulation {
+        TagModulation::OokBits {
+            freq_hz,
+            bit_duration_s,
+            bits: bits.iter().map(|&b| b == 1).collect(),
+        }
+    }
+
+    fn fsk(freq0_hz: f64, freq1_hz: f64, bit_duration_s: f64, bits: &[u8]) -> TagModulation {
+        TagModulation::FskBits {
+            freq0_hz,
+            freq1_hz,
+            bit_duration_s,
+            bits: bits.iter().map(|&b| b == 1).collect(),
+        }
+    }
+
+    #[test]
+    fn run_fill_matches_per_sample_edge_cases() {
+        let sub = |freq_hz, duty| TagModulation::Subcarrier { freq_hz, duty };
+        // Bits shorter than a subcarrier half-cycle: the wrapped bit index
+        // repeats within one cycle, so a fill keyed on it mis-fills this
+        // chirp.
+        assert_fill_matches_both(
+            &tag_with(ook(9309.4, 0.25e-6, &[0, 1, 0]), 0.01),
+            0.0155,
+            4e6,
+            1024,
+        );
+        // Switch edges landing exactly on samples: f = fs/m, t_start = k/fs.
+        let fs = 2e6;
+        for m in [2.0, 3.0, 40.0, 64.0] {
+            for k in [0.0, 1.0, 12_345.0, 4e6 + 7.0] {
+                let t0 = k / fs;
+                assert_fill_matches_both(&tag_with(sub(fs / m, 0.5), 0.01), t0, fs, 400);
+                let bit = 5.0 * m / fs;
+                let ook = ook(fs / m, bit, &[1, 0, 1, 1]);
+                assert_fill_matches_both(&tag_with(ook, 0.01), t0, fs, 400);
+                let fsk = fsk(fs / m, fs / (2.0 * m), bit, &[0, 1, 1]);
+                assert_fill_matches_both(&tag_with(fsk, 0.01), t0, fs, 400);
+            }
+        }
+        // Duty 0 and 1 (and beyond): the switch never leaves one state
+        // within a cycle.
+        for duty in [0.0, 1.0, -0.5, 1.5] {
+            for t0 in [0.0, 3e-4, 1.25] {
+                assert_fill_matches_both(&tag_with(sub(3300.0, duty), 0.01), t0, 2e6, 192);
+            }
+        }
+        // Empty bits absorb; leak 0 silences the absorptive state.
+        for leak in [0.0, 0.01] {
+            assert_fill_matches_both(&tag_with(ook(1e3, 1e-4, &[]), leak), 0.01, 2e6, 200);
+            let empty_fsk = fsk(1e3, 2e3, 1e-4, &[]);
+            assert_fill_matches_both(&tag_with(empty_fsk, leak), 0.01, 2e6, 200);
+            assert_fill_matches_both(&tag_with(sub(2.5e4, 0.3), leak), 1e-3, 2e6, 200);
+            assert_fill_matches_both(&tag_with(TagModulation::None, leak), 0.5, 2e6, 200);
+        }
+        // Bits shorter than one sample, and subcarriers near the sample rate.
+        for t0 in [0.0, 0.0155, 2.0] {
+            let fast_ook = ook(9e5, 0.3 / 4e6, &[1, 0, 1, 1, 0]);
+            assert_fill_matches_both(&tag_with(fast_ook, 0.01), t0, 4e6, 700);
+            let fast_fsk = fsk(1.9e6, 3.1e5, 0.7 / 4e6, &[0, 1]);
+            assert_fill_matches_both(&tag_with(fast_fsk, 0.01), t0, 4e6, 700);
+            assert_fill_matches_both(&tag_with(sub(3.9e6, 0.5), 0.01), t0, 4e6, 700);
+        }
+        // A chirp late in a long frame, where t·f is large.
+        for t0 in [3600.0 + 1.5e-5, 86_400.123_456] {
+            assert_fill_matches_both(&tag_with(sub(3311.7, 0.5), 0.01), t0, 2e6, 192);
+            let slow_ook = ook(3311.7, 8.0 * 120e-6, &[1, 0, 0, 1, 1, 0, 1]);
+            assert_fill_matches_both(&tag_with(slow_ook, 0.01), t0, 2e6, 192);
+            let slow_fsk = fsk(2100.0, 3311.7, 50e-6, &[1, 0, 1]);
+            assert_fill_matches_both(&tag_with(slow_fsk, 0.01), t0, 2e6, 192);
+        }
+        // Zero- and one-sample chirps.
+        for n in [0, 1, 2] {
+            assert_fill_matches_both(&tag_with(sub(3e5, 0.5), 0.01), 1e-3, 2e6, n);
+        }
+    }
+
+    /// Seeded random modulations, sample rates, chirp lengths and start
+    /// times, spanning slow switches (one level per chirp), fast ones
+    /// (edges every sample), exact on-sample edges and negative times.
+    #[test]
+    fn run_fill_matches_per_sample_sweep() {
+        let mut rng = NoiseSource::new(0x5EED_F111);
+        let cases = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            400_000
+        };
+        let mut one_level = 0;
+        for _ in 0..cases {
+            let mut below = |k: usize| (rng.uniform() * k as f64) as usize;
+            let fs = [2e6, 4e6, 10e6][below(3)];
+            let n = 1 + below(512);
+            let exact = below(4) == 0;
+            let modulation_kind = below(4);
+            let n_bits = below(6);
+            let leak = [0.0, 0.01, 0.3][below(3)];
+            let bits: Vec<u8> = (0..n_bits).map(|_| below(2) as u8).collect();
+            let mut log_uniform = |lo: f64, hi: f64| lo * (hi / lo).powf(rng.uniform());
+            let (f0, f1, bit_s) = if exact {
+                let m = |u: f64| 1.0 + (u * 64.0).floor();
+                let (m0, m1, mb) = (m(rng.uniform()), m(rng.uniform()), m(rng.uniform()));
+                (fs / m0, fs / m1, mb / fs)
+            } else {
+                (
+                    log_uniform(1.0, fs),
+                    log_uniform(1.0, fs),
+                    log_uniform(0.1 / fs, 1e-2),
+                )
+            };
+            let t_start = match (exact, (rng.uniform() * 4.0) as usize) {
+                (true, _) => (rng.uniform() * 1e7).floor() / fs,
+                (false, 0) => 0.0,
+                (false, 1) => rng.uniform() * 1e-2,
+                (false, 2) => rng.uniform() * 100.0,
+                _ => -rng.uniform() * 1e-3,
+            };
+            let modulation = match modulation_kind {
+                0 => TagModulation::None,
+                1 => TagModulation::Subcarrier {
+                    freq_hz: f0,
+                    duty: rng.uniform() * 1.2 - 0.1,
+                },
+                2 => ook(f0, bit_s, &bits),
+                _ => fsk(f0, f1, bit_s, &bits),
+            };
+            let mut s = tag_with(modulation, leak);
+            s.amplitude = 1e-3 * 1e4f64.powf(rng.uniform());
+            one_level += usize::from(assert_fill_matches_both(&s, t_start, fs, n));
+        }
+        // Both paths must be well exercised.
+        assert!(
+            (cases / 5..cases * 4 / 5).contains(&one_level),
+            "{one_level} of {cases} chirps had one level"
+        );
     }
 }

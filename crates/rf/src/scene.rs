@@ -48,23 +48,62 @@ impl TagModulation {
     /// `leak` is the residual reflection in the absorptive state
     /// (switch isolation).
     pub fn reflectivity(&self, t: f64, leak: f64) -> f64 {
-        let on = |freq: f64, duty: f64| {
-            let phase = (t * freq).rem_euclid(1.0);
-            phase < duty
+        if self.switch_state(t).reflective {
+            1.0
+        } else {
+            leak
+        }
+    }
+
+    /// The switch's state at absolute time `t` — the one place the
+    /// switching waveform is defined.
+    ///
+    /// As `t` grows, `bit` never decreases; while it holds, `cycle` moves
+    /// one way only; and while both hold, the phase `x − ⌊x⌋` is a rounded
+    /// `x − cycle`, so `reflective` flips at most once. Equal states
+    /// therefore cover an interval of time, which is what lets the IF
+    /// generator fill a chirp's amplitudes by runs. `bit` is the raw,
+    /// unwrapped index for that reason: a wrapped one repeats, and a bit
+    /// shorter than a subcarrier half-cycle would then split a run.
+    ///
+    /// The phase is `x − x.floor()` rather than `x.rem_euclid(1.0)`: for
+    /// every finite `x` the two compare identically against the duty
+    /// threshold (both are exact for `x ≥ 0` and round the same exact value
+    /// otherwise), and this form is a couple of instructions.
+    pub(crate) fn switch_state(&self, t: f64) -> SwitchState {
+        let subcarrier = |bit: usize, freq: f64, duty: f64| {
+            let x = t * freq;
+            SwitchState {
+                bit,
+                cycle: x.floor() as i64,
+                reflective: x - x.floor() < duty,
+            }
         };
-        let active = match self {
-            TagModulation::None => true,
-            TagModulation::Subcarrier { freq_hz, duty } => on(*freq_hz, *duty),
+        // The switch held in one position for as long as `bit` lasts.
+        let held = |bit: usize, reflective: bool| SwitchState {
+            bit,
+            cycle: 0,
+            reflective,
+        };
+        let bit_index = |bit_duration_s: f64| (t / bit_duration_s).floor() as usize;
+        match self {
+            TagModulation::None => held(0, true),
+            TagModulation::Subcarrier { freq_hz, duty } => subcarrier(0, *freq_hz, *duty),
+            TagModulation::OokBits { bits, .. } | TagModulation::FskBits { bits, .. }
+                if bits.is_empty() =>
+            {
+                held(0, false)
+            }
             TagModulation::OokBits {
                 freq_hz,
                 bit_duration_s,
                 bits,
             } => {
-                if bits.is_empty() {
-                    false
+                let bit = bit_index(*bit_duration_s);
+                if bits[bit % bits.len()] {
+                    subcarrier(bit, *freq_hz, 0.5)
                 } else {
-                    let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
-                    bits[idx] && on(*freq_hz, 0.5)
+                    held(bit, false)
                 }
             }
             TagModulation::FskBits {
@@ -73,21 +112,27 @@ impl TagModulation {
                 bit_duration_s,
                 bits,
             } => {
-                if bits.is_empty() {
-                    false
+                let bit = bit_index(*bit_duration_s);
+                let f = if bits[bit % bits.len()] {
+                    *freq1_hz
                 } else {
-                    let idx = ((t / bit_duration_s).floor() as usize) % bits.len();
-                    let f = if bits[idx] { *freq1_hz } else { *freq0_hz };
-                    on(f, 0.5)
-                }
+                    *freq0_hz
+                };
+                subcarrier(bit, f, 0.5)
             }
-        };
-        if active {
-            1.0
-        } else {
-            leak
         }
     }
+}
+
+/// A tag switch's state at one instant: see [`TagModulation::switch_state`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SwitchState {
+    /// Raw (unwrapped) uplink bit index, `⌊t / bit_duration⌋`; 0 without bits.
+    pub bit: usize,
+    /// Subcarrier cycle, `⌊t · f⌋`; 0 while the switch is held.
+    pub cycle: i64,
+    /// Whether the Van Atta array reflects.
+    pub reflective: bool,
 }
 
 /// A point reflector in the scene.
@@ -253,6 +298,29 @@ mod tests {
         let t0 = count_toggles(0.0);
         let t1 = count_toggles(0.1);
         assert!(t1 > t0 + 50, "bit1 ({t1}) should toggle ~2x bit0 ({t0})");
+    }
+
+    /// The switch phase `x − ⌊x⌋` is the value `x.rem_euclid(1.0)` gives
+    /// (up to the sign of zero), so every duty comparison comes out the same:
+    /// both are exact for `x ≥ 0`, and round the same exact value below.
+    #[test]
+    fn floor_phase_equals_rem_euclid() {
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        let mut checked = 0;
+        while checked < 1_000_000 {
+            bits = bits
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let any = f64::from_bits(bits);
+            // Every exponent, and values just off integers of either sign.
+            let near = (bits >> 40) as f64 * if bits & 1 == 0 { 1.0 } else { -1.0 };
+            for x in [any, near, near.next_up(), near.next_down(), any * 1e-300] {
+                if x.is_finite() {
+                    assert_eq!(x - x.floor(), x.rem_euclid(1.0), "x = {x:e}");
+                    checked += 1;
+                }
+            }
+        }
     }
 
     #[test]

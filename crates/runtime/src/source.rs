@@ -65,9 +65,11 @@ impl WorkloadSpec {
                 let tag_id = (id as usize / self.n_radars) % self.tags_per_radar;
                 let seed = splitmix64(self.base_seed ^ (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
 
-                // Tags sit 1.5–8 m out on a per-radar grid; subcarriers are
-                // spread across Doppler bins 12..28 so neighbouring tags stay
-                // separable on the range–Doppler map.
+                // Tags sit 1.5–8 m out on a per-radar grid; subcarriers sit
+                // on Doppler bins 12, 14, …, 12 + 2·(tags − 1). A frame of
+                // `frame_chirps` chirps resolves bins only below
+                // `frame_chirps / 2`: on the 32-chirp streaming frame that is
+                // bin 16, so the tags on bins 16 and up cannot be located.
                 let range_m = 1.5 + 0.75 * tag_id as f64 + 0.2 * radar_id as f64;
                 let dopp_bin = 12 + 2 * tag_id;
                 let mod_freq_hz = dopp_bin as f64 / frame_s;
@@ -131,8 +133,10 @@ pub fn multi_tag_jobs(
                     })
                     .collect()
             };
-            // Odd Doppler bins 5, 7, 9, … keep the tags' fundamentals (and
-            // any in-band harmonics) on distinct map rows.
+            // Tags sit on odd Doppler bins 5, 7, 9, …. Odd harmonics of an
+            // odd bin are odd, so they land on other tags' rows instead of
+            // staying apart: the primary's 3rd and 5th fall on bins 15 and
+            // 25.
             let freq_for = |slot: usize| (5 + 2 * slot) as f64 / frame_s;
             let mut scenario = IsacScenario::single_tag(2.0, freq_for(0));
             scenario.uplink_bits = bits_for(0);
