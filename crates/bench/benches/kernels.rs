@@ -58,31 +58,29 @@ fn bench_tag(c: &mut Criterion) {
     });
 
     // The tag's whole downlink receive chain (period estimate, slot timing,
-    // the timing-refinement sweep, packet parsing) on one capture of the
-    // streaming geometry: a 32-chirp frame carrying a 4-byte command, as
-    // seen by a tag 3 m from the radar.
-    let mut stream = BiScatterSystem::paper_9ghz();
-    stream.frame_chirps = 32;
-    let packet = DownlinkPacket::new(b"CMD1".to_vec());
-    let (train, _, _) = isac_frame(
-        &packet,
-        &stream.alphabet,
-        stream.radar.t_period,
-        stream.frame_chirps,
-    )
-    .unwrap();
-    let mut noise = NoiseSource::new(3);
-    let adc = stream
-        .front_end
-        .capture_train(&train, stream.downlink_snr_at(3.0), 0.0, &mut noise);
-    let decoder = DownlinkDecoder::new(stream.nominal_decider());
-    g.bench_function("downlink_decode_32chirp", |b| {
-        b.iter(|| {
-            let result = decoder.decode(black_box(&adc), Some(4)).unwrap();
-            assert_eq!(result.payload.as_deref(), Ok(&b"CMD1"[..]));
-            result
-        })
-    });
+    // the timing-refinement sweep, packet parsing) on one capture carrying
+    // a 4-byte command: a 32-chirp frame of the streaming geometry, seen by
+    // a tag 3 m from the radar, and a full 128-chirp `paper_9ghz` frame, the
+    // one `warehouse_k24` decodes, seen by its primary tag at 2 m.
+    for (chirps, range_m, seed) in [(32, 3.0, 3), (128, 2.0, 4)] {
+        let mut sys = BiScatterSystem::paper_9ghz();
+        sys.frame_chirps = chirps;
+        let packet = DownlinkPacket::new(b"CMD1".to_vec());
+        let (train, _, _) =
+            isac_frame(&packet, &sys.alphabet, sys.radar.t_period, sys.frame_chirps).unwrap();
+        let mut noise = NoiseSource::new(seed);
+        let adc =
+            sys.front_end
+                .capture_train(&train, sys.downlink_snr_at(range_m), 0.0, &mut noise);
+        let decoder = DownlinkDecoder::new(sys.nominal_decider());
+        g.bench_function(&format!("downlink_decode_{chirps}chirp"), |b| {
+            b.iter(|| {
+                let result = decoder.decode(black_box(&adc), Some(4)).unwrap();
+                assert_eq!(result.payload.as_deref(), Ok(&b"CMD1"[..]));
+                result
+            })
+        });
+    }
     g.finish();
 }
 

@@ -91,34 +91,33 @@ impl SpreadCode {
         if period_samples == 0 || group == 0 {
             return Vec::new();
         }
-        // Every candidate's score in each of the group's slots; for data
-        // index i, the position in the decider bank is 1 + i (the bank
-        // orders [header, data.., sync]).
+        // Every candidate's score in every slot of the complete groups, one
+        // batch; for data index i, the position in the decider bank is
+        // 1 + i (the bank orders [header, data.., sync]).
         let n_cand = decider.candidates.len();
-        let mut bank = decider.bank(period_samples);
-        let mut scores = vec![f64::NEG_INFINITY; self.length * n_cand];
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        while start + group <= samples.len() {
-            for (j, row) in scores.chunks_exact_mut(n_cand).enumerate() {
-                let slot = &samples[start + j * period_samples..start + (j + 1) * period_samples];
-                bank.scores(slot, row);
-            }
-            let mut best = (0u16, f64::NEG_INFINITY);
-            for cand in 0..n_data as u16 {
-                let mut score = 0.0;
-                for j in 0..self.length {
-                    let idx = self.chip_index(cand, j, n_data);
-                    score += scores[j * n_cand + 1 + idx as usize];
+        let slots = samples.len() / group * self.length;
+        let starts: Vec<usize> = (0..slots).map(|k| k * period_samples).collect();
+        let mut scores = vec![f64::NEG_INFINITY; slots * n_cand];
+        decider
+            .bank(period_samples)
+            .scores_batch(samples, &starts, &mut scores);
+        scores
+            .chunks_exact(self.length * n_cand)
+            .map(|scores| {
+                let mut best = (0u16, f64::NEG_INFINITY);
+                for cand in 0..n_data as u16 {
+                    let mut score = 0.0;
+                    for j in 0..self.length {
+                        let idx = self.chip_index(cand, j, n_data);
+                        score += scores[j * n_cand + 1 + idx as usize];
+                    }
+                    if score > best.1 {
+                        best = (cand, score);
+                    }
                 }
-                if score > best.1 {
-                    best = (cand, score);
-                }
-            }
-            out.push(best.0);
-            start += group;
-        }
-        out
+                best.0
+            })
+            .collect()
     }
 
     /// Effective data rate relative to plain CSSK (`1/L`).

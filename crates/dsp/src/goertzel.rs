@@ -26,9 +26,9 @@ use crate::TAU;
 /// tag and run the stateless [`GoertzelCoeffs::power_shifted`] per window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoertzelCoeffs {
-    coeff: f64,
-    cos_w: f64,
-    sin_w: f64,
+    pub(crate) coeff: f64,
+    pub(crate) cos_w: f64,
+    pub(crate) sin_w: f64,
 }
 
 impl GoertzelCoeffs {
@@ -64,82 +64,6 @@ impl GoertzelCoeffs {
         let im = s1 * self.sin_w;
         re * re + im * im
     }
-
-    /// Windowed form of [`GoertzelCoeffs::power_shifted`]: each recurrence
-    /// step consumes `(x - shift) * w`, so mean removal, windowing and the
-    /// filter run as one pass over `samples[..window.len()]`. The result is
-    /// bit-identical to materializing `(x - shift) * w` and running
-    /// [`goertzel_power`] on it.
-    pub fn power_windowed(&self, samples: &[f64], shift: f64, window: &[f64]) -> f64 {
-        let [power] = GoertzelCoeffs::powers_windowed(
-            [WindowedLane {
-                coeffs: *self,
-                shift,
-                window,
-            }],
-            samples,
-        );
-        power
-    }
-
-    /// `N` independent [`GoertzelCoeffs::power_windowed`] recurrences over
-    /// leading runs of the same samples, advanced side by side so that their
-    /// dependency chains overlap. Lane `j` covers
-    /// `samples[..lanes[j].window.len()]`. Each lane performs exactly the
-    /// operations of its own one-lane call, in the same order, so every
-    /// result is bit-identical to it.
-    ///
-    /// # Panics
-    /// Panics if a lane's window is longer than `samples`.
-    pub fn powers_windowed<const N: usize>(
-        lanes: [WindowedLane<'_>; N],
-        samples: &[f64],
-    ) -> [f64; N] {
-        let mut s1 = [0.0f64; N];
-        let mut s2 = [0.0f64; N];
-        // Joint part: every lane still has samples. Each window is sliced to
-        // the joint length first, so the loop indexes slices of one length.
-        let joint = lanes.iter().map(|l| l.window.len()).min().unwrap_or(0);
-        let xs = &samples[..joint];
-        let heads = lanes.map(|l| &l.window[..joint]);
-        for (i, &x) in xs.iter().enumerate() {
-            for j in 0..N {
-                let lane = &lanes[j];
-                let s0 = (x - lane.shift) * heads[j][i] + lane.coeffs.coeff * s1[j] - s2[j];
-                s2[j] = s1[j];
-                s1[j] = s0;
-            }
-        }
-        // Tails: each longer lane finishes alone.
-        for j in 0..N {
-            let lane = &lanes[j];
-            let n = lane.window.len();
-            for (&x, &w) in samples[joint..n].iter().zip(&lane.window[joint..]) {
-                let s0 = (x - lane.shift) * w + lane.coeffs.coeff * s1[j] - s2[j];
-                s2[j] = s1[j];
-                s1[j] = s0;
-            }
-        }
-        std::array::from_fn(|j| {
-            let c = &lanes[j].coeffs;
-            let re = s1[j] * c.cos_w - s2[j];
-            let im = s1[j] * c.sin_w;
-            re * re + im * im
-        })
-    }
-}
-
-/// One lane of [`GoertzelCoeffs::powers_windowed`]: the frequency to
-/// evaluate, the value to subtract from every sample, and the window, whose
-/// length is the number of samples the lane consumes.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowedLane<'a> {
-    /// Recurrence coefficients of the frequency.
-    pub coeffs: GoertzelCoeffs,
-    /// Subtracted from each sample before windowing (typically the mean).
-    pub shift: f64,
-    /// Window coefficients, one per consumed sample.
-    pub window: &'a [f64],
 }
 
 /// Spectral power of `samples` at `f_norm` with the window mean removed —
@@ -544,37 +468,6 @@ mod tests {
         let folded = goertzel_power_dc_removed(&x, f_norm);
         let materialized = goertzel_power(&shifted, f_norm);
         assert_eq!(folded.to_bits(), materialized.to_bits());
-    }
-
-    #[test]
-    fn windowed_lanes_match_materialized_filter() {
-        let x: Vec<f64> = (0..97)
-            .map(|i| (TAU * 0.13 * i as f64).sin() * 0.9 + 1.7 + 0.01 * i as f64)
-            .collect();
-        let reference = |f_norm: f64, shift: f64, w: &[f64]| {
-            let ac: Vec<f64> = x.iter().zip(w).map(|(&v, &w)| (v - shift) * w).collect();
-            goertzel_power(&ac, f_norm)
-        };
-        // Unequal lengths, so the joint part and every tail both run.
-        let windows: Vec<Vec<f64>> = [97usize, 40, 63, 5]
-            .iter()
-            .map(|&n| (0..n).map(|i| 0.3 + (i % 7) as f64 * 0.1).collect())
-            .collect();
-        let freqs = [0.13, 0.02, 0.31, 0.49];
-        let shifts = [1.7, -0.4, 0.0, 3.25];
-        let coeffs = freqs.map(GoertzelCoeffs::new);
-        let lanes: [WindowedLane<'_>; 4] = std::array::from_fn(|j| WindowedLane {
-            coeffs: coeffs[j],
-            shift: shifts[j],
-            window: &windows[j],
-        });
-        let four = GoertzelCoeffs::powers_windowed(lanes, &x);
-        for j in 0..4 {
-            let want = reference(freqs[j], shifts[j], &windows[j]).to_bits();
-            assert_eq!(four[j].to_bits(), want, "lane {j}");
-            let one = coeffs[j].power_windowed(&x, shifts[j], &windows[j]);
-            assert_eq!(one.to_bits(), want, "one-lane call {j}");
-        }
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //! * conjugation is a sign-bit XOR (exactly `-x.im`, including signed
 //!   zeros), and renormalization uses `1/√(re²+im²)` built from
 //!   correctly-rounded `mul/add/sqrt/div` — no `hypot`, which has no vector
-//!   equivalent.
+//!   equivalent;
+//! * recurrences (the windowed Goertzel) put independent streams in the
+//!   vector lanes, never successive steps of one stream, so each stream
+//!   runs the scalar steps in the scalar order.
 //!
 //! The f32 kernels (`*_32`) carry no bit contract across tiers; the f32
 //! frame tier as a whole is validated against the f64 oracle by error
@@ -36,6 +39,7 @@
 
 use crate::complex::{Complex, Cpx};
 use crate::dispatch::{tier, SimdTier};
+use crate::goertzel::GoertzelCoeffs;
 
 /// Single-precision complex sample, as the f32 kernels see it.
 type Cpx32 = Complex<f32>;
@@ -364,6 +368,132 @@ pub fn peak_max(x: &[f64]) -> (usize, f64) {
 }
 
 // ---------------------------------------------------------------------------
+// Windowed Goertzel recurrences (the tag's symbol decisions).
+// ---------------------------------------------------------------------------
+
+/// One job of [`goertzel_windowed`]: one frequency and one window, run over
+/// four sample streams, each with its own shift.
+#[derive(Debug, Clone, Copy)]
+pub struct GoertzelJob<'a> {
+    /// Recurrence coefficients of the frequency.
+    pub coeffs: GoertzelCoeffs,
+    /// Window coefficients, one per recurrence step: the job consumes rows
+    /// `0..window.len()`.
+    pub window: &'a [f64],
+    /// Subtracted from each stream's samples before windowing (typically
+    /// the stream's mean).
+    pub shifts: [f64; 4],
+    /// The job's four streams are entries `4·column..4·column + 4` of each
+    /// row.
+    pub column: usize,
+}
+
+/// Windowed Goertzel powers of `jobs` over start-major rows: row `i` holds
+/// sample `i` of every stream, `rows[i·stride + s]` for stream `s`. Stream
+/// `l` of job `j` runs, for `i` in `0..window.len()`,
+/// `s0 = ((x − shift)·w + coeff·s1) − s2` with
+/// `x = rows[i·stride + 4·column + l]` and `w = window[i]`, and ends with
+/// `powers[4·j + l] = (s1·cos ω − s2)² + (s1·sin ω)²`.
+///
+/// The jobs run four at a time, in order: the four advance side by side
+/// while all of them have rows left, then each longer one finishes alone.
+/// Every stream performs exactly the operations of materializing
+/// `(x − shift)·w` and running [`crate::goertzel::goertzel_power`] on it,
+/// in the same order, so the result is bit-identical to that on both tiers
+/// (the AVX2 body is the same operations on a vector of four streams, with
+/// no FMA).
+///
+/// # Panics
+/// Panics if `powers` does not hold four values per job, if a job's column
+/// lies outside a row, or if a window is longer than the rows.
+pub fn goertzel_windowed(
+    rows: &[f64],
+    stride: usize,
+    jobs: &[GoertzelJob<'_>],
+    powers: &mut [f64],
+) {
+    assert_eq!(4 * jobs.len(), powers.len());
+    for job in jobs {
+        assert!(
+            4 * job.column + 4 <= stride,
+            "column {} outside a {stride}-wide row",
+            job.column
+        );
+        assert!(
+            job.window.len() * stride <= rows.len(),
+            "a {}-step window runs past the rows",
+            job.window.len()
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier; every
+        // job's column and window were checked against the rows above.
+        unsafe { avx2::goertzel_windowed(rows, stride, jobs, powers) };
+        return;
+    }
+    for (group, out) in jobs.chunks(4).zip(powers.chunks_mut(16)) {
+        match group.len() {
+            1 => goertzel_group::<1>(rows, stride, group, out),
+            2 => goertzel_group::<2>(rows, stride, group, out),
+            3 => goertzel_group::<3>(rows, stride, group, out),
+            _ => goertzel_group::<4>(rows, stride, group, out),
+        }
+    }
+}
+
+/// The scalar body for a group of exactly `J` jobs, so that it keeps the
+/// group's recurrences in registers.
+fn goertzel_group<const J: usize>(
+    rows: &[f64],
+    stride: usize,
+    jobs: &[GoertzelJob<'_>],
+    powers: &mut [f64],
+) {
+    let jobs: &[GoertzelJob<'_>; J] = jobs.try_into().expect("caller matched the group size");
+    let mut s1 = [[0.0f64; 4]; J];
+    let mut s2 = [[0.0f64; 4]; J];
+    let joint = jobs.iter().map(|j| j.window.len()).min().unwrap_or(0);
+    for (i, row) in rows.chunks_exact(stride).take(joint).enumerate() {
+        for j in 0..J {
+            goertzel_step(&mut s1[j], &mut s2[j], &jobs[j], row, i);
+        }
+    }
+    for j in 0..J {
+        let n = jobs[j].window.len();
+        for (i, row) in rows.chunks_exact(stride).enumerate().take(n).skip(joint) {
+            goertzel_step(&mut s1[j], &mut s2[j], &jobs[j], row, i);
+        }
+    }
+    for (j, out) in powers.chunks_exact_mut(4).enumerate() {
+        let c = &jobs[j].coeffs;
+        for (l, p) in out.iter_mut().enumerate() {
+            let re = s1[j][l] * c.cos_w - s2[j][l];
+            let im = s1[j][l] * c.sin_w;
+            *p = re * re + im * im;
+        }
+    }
+}
+
+/// One recurrence step of a job's four streams on `row`, step `i`.
+#[inline(always)]
+fn goertzel_step(
+    s1: &mut [f64; 4],
+    s2: &mut [f64; 4],
+    job: &GoertzelJob<'_>,
+    row: &[f64],
+    i: usize,
+) {
+    let x = &row[4 * job.column..4 * job.column + 4];
+    let w = job.window[i];
+    for l in 0..4 {
+        let s0 = (x[l] - job.shifts[l]) * w + job.coeffs.coeff * s1[l] - s2[l];
+        s2[l] = s1[l];
+        s1[l] = s0;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Oscillator accumulation (the dechirp inner loop).
 // ---------------------------------------------------------------------------
 
@@ -595,6 +725,7 @@ pub fn rfft_unzip_32(z: &[Cpx32], tw: &[Cpx32], h: usize, out: &mut Vec<Cpx32>) 
 #[allow(unsafe_code)]
 mod avx2 {
     use super::Cpx32;
+    use super::GoertzelJob;
     use super::OSC_RENORM_SAMPLES;
     use crate::complex::Cpx;
     use std::arch::x86_64::*;
@@ -948,6 +1079,98 @@ mod avx2 {
         unreachable!("maximum of a NaN-free slice must be an element of it")
     }
 
+    /// One recurrence step of four streams:
+    /// `((x − shift)·w + coeff·s1) − s2`, the scalar body's operations.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn goertzel_step_pd(
+        x: __m256d,
+        shift: __m256d,
+        w: __m256d,
+        coeff: __m256d,
+        s1: __m256d,
+        s2: __m256d,
+    ) -> __m256d {
+        let t = _mm256_mul_pd(_mm256_sub_pd(x, shift), w);
+        _mm256_sub_pd(_mm256_add_pd(t, _mm256_mul_pd(coeff, s1)), s2)
+    }
+
+    /// # Safety
+    /// The CPU supports AVX2, `powers` holds four values per job, and every
+    /// job's `4·column + 4 <= stride` and `window.len() · stride <= rows.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn goertzel_windowed(
+        rows: &[f64],
+        stride: usize,
+        jobs: &[GoertzelJob<'_>],
+        powers: &mut [f64],
+    ) {
+        for (group, out) in jobs.chunks(4).zip(powers.chunks_mut(16)) {
+            match group.len() {
+                1 => goertzel_group::<1>(rows, stride, group, out),
+                2 => goertzel_group::<2>(rows, stride, group, out),
+                3 => goertzel_group::<3>(rows, stride, group, out),
+                _ => goertzel_group::<4>(rows, stride, group, out),
+            }
+        }
+    }
+
+    /// Exactly `J` jobs, their recurrences in `J` vector registers.
+    ///
+    /// # Safety
+    /// As [`goertzel_windowed`], with `J` jobs.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn goertzel_group<const J: usize>(
+        rows: &[f64],
+        stride: usize,
+        jobs: &[GoertzelJob<'_>],
+        powers: &mut [f64],
+    ) {
+        let zero = _mm256_setzero_pd();
+        let (mut cols, mut wins) = ([rows.as_ptr(); J], [rows.as_ptr(); J]);
+        let (mut shift, mut coeff) = ([zero; J], [zero; J]);
+        let (mut s1, mut s2) = ([zero; J], [zero; J]);
+        for j in 0..J {
+            // Wrapping: a job with an empty window may name a column past
+            // empty rows; it never reads through the pointer.
+            cols[j] = cols[j].wrapping_add(4 * jobs[j].column);
+            wins[j] = jobs[j].window.as_ptr();
+            shift[j] = _mm256_loadu_pd(jobs[j].shifts.as_ptr());
+            coeff[j] = _mm256_set1_pd(jobs[j].coeffs.coeff);
+        }
+        // Step `i` of job `j` reads row `i` and window entry `i`, both in
+        // bounds for `i < window.len()` (the caller's checks).
+        let joint = jobs[..J].iter().map(|j| j.window.len()).min().unwrap_or(0);
+        for i in 0..joint {
+            for j in 0..J {
+                let x = _mm256_loadu_pd(cols[j].add(i * stride));
+                let w = _mm256_set1_pd(*wins[j].add(i));
+                (s1[j], s2[j]) = (
+                    goertzel_step_pd(x, shift[j], w, coeff[j], s1[j], s2[j]),
+                    s1[j],
+                );
+            }
+        }
+        for (j, job) in jobs[..J].iter().enumerate() {
+            for i in joint..job.window.len() {
+                let x = _mm256_loadu_pd(cols[j].add(i * stride));
+                let w = _mm256_set1_pd(*wins[j].add(i));
+                (s1[j], s2[j]) = (
+                    goertzel_step_pd(x, shift[j], w, coeff[j], s1[j], s2[j]),
+                    s1[j],
+                );
+            }
+        }
+        for j in 0..J {
+            let c = &jobs[j].coeffs;
+            let re = _mm256_sub_pd(_mm256_mul_pd(s1[j], _mm256_set1_pd(c.cos_w)), s2[j]);
+            let im = _mm256_mul_pd(s1[j], _mm256_set1_pd(c.sin_w));
+            let p = _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im));
+            _mm256_storeu_pd(powers[4 * j..4 * j + 4].as_mut_ptr(), p);
+        }
+    }
+
     /// Renormalizes two packed complex doubles in place:
     /// each complex is scaled by `1/√(re²+im²)` (swap-add builds the norm
     /// in both lanes; add commutes, so both lanes round identically).
@@ -1138,9 +1361,10 @@ mod tests {
             .collect()
     }
 
-    /// Runs `f` once on each available tier and asserts the outputs are
-    /// bit-identical (skips the comparison on machines without AVX2).
-    fn assert_tiers_match<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) {
+    /// Runs `f` once on each available tier, asserts the outputs are
+    /// bit-identical (skips the comparison on machines without AVX2) and
+    /// returns the scalar tier's.
+    fn assert_tiers_match<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) -> T {
         let before = tier();
         force_tier(SimdTier::Scalar);
         let scalar = f();
@@ -1150,6 +1374,7 @@ mod tests {
             assert_eq!(scalar, vector, "scalar and AVX2 tiers diverged");
         }
         force_tier(before);
+        scalar
     }
 
     #[test]
@@ -1278,6 +1503,81 @@ mod tests {
                 (s1, s2, s3, acc)
             });
         }
+    }
+
+    #[test]
+    fn goertzel_windowed_tiers_match_materialized_filter() {
+        // xorshift64: deterministic shifts, frequencies, windows and rows.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut lengths = 0..;
+        for case in 0..400 {
+            // One to four vectors of streams per row; one to nine jobs, so
+            // that the kernel runs whole groups of four and a remainder.
+            let vectors = 1 + case % 4;
+            let count = 1 + (case / 4) % 9;
+            let stride = 4 * vectors;
+            let rows: Vec<f64> = (0..131 * stride).map(|_| 4.0 * uniform() - 2.0).collect();
+            // Every length 0..=130 shows up, in jobs of equal length (the
+            // batched decisions) and of mixed lengths (joint part and tails).
+            let same = case % 3 == 0;
+            let n0 = lengths.next().unwrap() % 131;
+            let windows: Vec<Vec<f64>> = (0..count)
+                .map(|_| {
+                    let n = if same {
+                        n0
+                    } else {
+                        lengths.next().unwrap() % 131
+                    };
+                    (0..n).map(|_| uniform()).collect()
+                })
+                .collect();
+            let freqs: Vec<f64> = (0..count).map(|_| 0.5 * uniform()).collect();
+            let jobs: Vec<GoertzelJob<'_>> = (0..count)
+                .map(|j| GoertzelJob {
+                    coeffs: GoertzelCoeffs::new(freqs[j]),
+                    window: &windows[j],
+                    shifts: std::array::from_fn(|_| 3.0 * uniform() - 1.5),
+                    column: (uniform() * vectors as f64) as usize,
+                })
+                .collect();
+            let powers = assert_tiers_match(|| {
+                let mut powers = vec![f64::NAN; 4 * count];
+                goertzel_windowed(&rows, stride, &jobs, &mut powers);
+                powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+            });
+            for (j, job) in jobs.iter().enumerate() {
+                for l in 0..4 {
+                    let ac: Vec<f64> = (job.window.iter().enumerate())
+                        .map(|(i, &w)| (rows[i * stride + 4 * job.column + l] - job.shifts[l]) * w)
+                        .collect();
+                    let want = crate::goertzel::goertzel_power(&ac, freqs[j]);
+                    assert_eq!(
+                        powers[4 * j + l],
+                        want.to_bits(),
+                        "case {case}, job {j}, stream {l}"
+                    );
+                }
+            }
+        }
+        // An empty window reads nothing, whatever its column.
+        let empty = GoertzelJob {
+            coeffs: GoertzelCoeffs::new(0.2),
+            window: &[],
+            shifts: [1.0; 4],
+            column: 3,
+        };
+        let powers = assert_tiers_match(|| {
+            let mut powers = [f64::NAN; 4];
+            goertzel_windowed(&[], 16, &[empty], &mut powers);
+            powers.map(f64::to_bits)
+        });
+        assert_eq!(powers, [0.0f64.to_bits(); 4]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! gate never waits for bits that will never arrive.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use biscatter_obs::metrics::Counter;
 
@@ -88,11 +88,21 @@ impl Default for HandoffBus {
 }
 
 impl HandoffBus {
+    /// Locks the session ledger. A shard that panics while holding it must
+    /// not stall every mobile tag in the fleet, and need not: a session is
+    /// inserted whole, and an append moves the owner before it adds the
+    /// window's bits and advances the sequence, so a holder that stops
+    /// midway leaves at worst an ownership change whose window the gate
+    /// still waits for.
+    fn ledger(&self) -> MutexGuard<'_, BTreeMap<usize, UplinkSession>> {
+        biscatter_obs::lock(&self.sessions)
+    }
+
     /// True when window `seq` of `tag` is the next the session accepts —
     /// i.e. every earlier window was appended or skipped. A fresh tag
     /// accepts window 0.
     pub fn ready(&self, tag: usize, seq: u64) -> bool {
-        let sessions = self.sessions.lock().unwrap();
+        let sessions = self.ledger();
         match sessions.get(&tag) {
             Some(s) => seq == s.next_seq,
             None => seq == 0,
@@ -115,7 +125,7 @@ impl HandoffBus {
         chirps_per_bit: usize,
         bits: &[bool],
     ) -> bool {
-        let mut sessions = self.sessions.lock().unwrap();
+        let mut sessions = self.ledger();
         let s = sessions
             .entry(tag)
             .or_insert_with(|| UplinkSession::new(tag, cell, chirps_per_bit));
@@ -153,7 +163,7 @@ impl HandoffBus {
     /// *appended* window; a session that only ever skips keeps the
     /// placeholder framing of 0).
     pub fn skip(&self, tag: usize, seq: u64) {
-        let mut sessions = self.sessions.lock().unwrap();
+        let mut sessions = self.ledger();
         let s = sessions
             .entry(tag)
             .or_insert_with(|| UplinkSession::new(tag, usize::MAX, 0));
@@ -167,7 +177,7 @@ impl HandoffBus {
 
     /// Number of open sessions.
     pub fn len(&self) -> usize {
-        self.sessions.lock().unwrap().len()
+        self.ledger().len()
     }
 
     /// True when no session was ever opened.
@@ -177,17 +187,12 @@ impl HandoffBus {
 
     /// Total ownership changes across all sessions.
     pub fn handoffs(&self) -> u64 {
-        self.sessions
-            .lock()
-            .unwrap()
-            .values()
-            .map(|s| s.handoffs)
-            .sum()
+        self.ledger().values().map(|s| s.handoffs).sum()
     }
 
     /// Snapshot of every session, ordered by tag.
     pub fn sessions(&self) -> Vec<UplinkSession> {
-        self.sessions.lock().unwrap().values().cloned().collect()
+        self.ledger().values().cloned().collect()
     }
 }
 
@@ -211,6 +216,28 @@ mod tests {
         assert_eq!(s.owner, 3);
         assert_eq!(s.handoffs, 1);
         assert_eq!(bus.handoffs(), 1);
+    }
+
+    #[test]
+    fn poisoned_ledger_keeps_sessions_working() {
+        let bus = HandoffBus::default();
+        assert!(!bus.append(7, 0, 0, 4, &[true]));
+        // A shard panics while it holds the ledger.
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _ledger = bus.ledger();
+                panic!("poisoning the ledger on purpose");
+            })
+            .join()
+        });
+        assert!(joined.is_err() && bus.sessions.is_poisoned());
+        assert!(bus.ready(7, 1));
+        assert!(bus.append(7, 1, 2, 4, &[false]), "a handoff to cell 2");
+        bus.skip(7, 2);
+        assert!(bus.ready(7, 3));
+        assert_eq!((bus.len(), bus.is_empty(), bus.handoffs()), (1, false, 1));
+        let s = &bus.sessions()[0];
+        assert_eq!((s.bits.as_slice(), s.owner), (&[true, false][..], 2));
     }
 
     #[test]

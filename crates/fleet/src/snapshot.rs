@@ -43,7 +43,10 @@ impl FleetSnapshot {
     pub fn collect(n_cells: usize) -> Self {
         let full = biscatter_obs::registry().snapshot();
         let mut snap = Self::from_registry(&full, n_cells);
-        snap.health = health::global().lock().unwrap().observe_registry(&full);
+        // The same engine and lock the `/health` route observes through
+        // `obs::lock` (DESIGN §16.1): a panicked scrape leaves its state
+        // valid, so the next snapshot still gets verdicts.
+        snap.health = biscatter_obs::lock(health::global()).observe_registry(&full);
         snap.health.retain(|r| (r.cell_id as usize) < n_cells);
         snap
     }

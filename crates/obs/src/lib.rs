@@ -39,7 +39,7 @@ pub mod trace;
 
 pub use metrics::registry;
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard when a thread panicked while holding it.
 ///
@@ -48,8 +48,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// wherever a holder can stop. A ring stores a record before it moves its
 /// cursor, and metric maps are only ever inserted into, so the worst a
 /// poisoned lock leaves behind is a count off by one.
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+///
+/// The runtime's queues and the fleet's handoff ledger take their locks
+/// here too. A lock belongs here only when the same holds for its value;
+/// each caller says why next to the lock.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] on a lock taken with [`lock`], recovering the guard
+/// the same way when another holder panicked.
+pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Poisons `m` the way a crashing frame would: a thread panics while it

@@ -9,7 +9,7 @@
 //! visibility mid-run.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use biscatter_obs::metrics::{Counter, Gauge};
 
@@ -103,11 +103,21 @@ impl<T> BoundedQueue<T> {
         q
     }
 
+    /// Locks the queue state. A thread that panics while holding it must not
+    /// wedge every producer and consumer of the queue, and need not: each
+    /// update under the lock is one deque push or pop, the closed flag, or
+    /// a count, whole on its own, so the state stays valid wherever a holder
+    /// stops. The worst it leaves behind is an eviction counted whose
+    /// replacement never arrived.
+    fn state(&self) -> MutexGuard<'_, State<T>> {
+        biscatter_obs::lock(&self.state)
+    }
+
     /// Enqueues `item`. Under [`Backpressure::Block`] this waits for room;
     /// under [`Backpressure::DropOldest`] it evicts the oldest item instead.
     /// Returns `false` (dropping `item`) if the queue is closed.
     pub fn push(&self, item: T) -> bool {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.state();
         loop {
             if st.closed {
                 return false;
@@ -117,7 +127,7 @@ impl<T> BoundedQueue<T> {
             }
             match self.policy {
                 Backpressure::Block => {
-                    st = self.not_full.wait(st).expect("queue lock");
+                    st = biscatter_obs::wait(&self.not_full, st);
                 }
                 Backpressure::DropOldest => {
                     st.items.pop_front();
@@ -142,7 +152,7 @@ impl<T> BoundedQueue<T> {
     /// Dequeues the oldest item, waiting while the queue is empty but open.
     /// Returns `None` once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.state();
         loop {
             if let Some(item) = st.items.pop_front() {
                 if let Some(m) = &self.metrics {
@@ -154,14 +164,14 @@ impl<T> BoundedQueue<T> {
             if st.closed {
                 return None;
             }
-            st = self.not_empty.wait(st).expect("queue lock");
+            st = biscatter_obs::wait(&self.not_empty, st);
         }
     }
 
     /// Non-blocking pop for cooperative schedulers that multiplex several
     /// queues on one thread: returns immediately instead of waiting.
     pub fn try_pop(&self) -> TryPop<T> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.state();
         if let Some(item) = st.items.pop_front() {
             if let Some(m) = &self.metrics {
                 m.depth.set(st.items.len() as f64);
@@ -181,7 +191,7 @@ impl<T> BoundedQueue<T> {
     /// rejecting admission policy can count and discard it) and drops it
     /// with `Err` when closed. Never evicts, regardless of policy.
     pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.state();
         if st.closed {
             return Err(TryPushError::Closed);
         }
@@ -203,7 +213,7 @@ impl<T> BoundedQueue<T> {
     /// can account for it — the fleet's drop-oldest admission needs the
     /// victim to keep handoff sessions live. Returns `Err(item)` if closed.
     pub fn push_evict(&self, item: T) -> Result<Option<T>, T> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.state();
         if st.closed {
             return Err(item);
         }
@@ -229,7 +239,7 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue: producers fail fast, consumers drain what remains.
     pub fn close(&self) {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.state();
         st.closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
@@ -237,17 +247,17 @@ impl<T> BoundedQueue<T> {
 
     /// Current queue depth.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
+        self.state().items.len()
     }
 
     /// Deepest the queue ever got.
     pub fn high_water(&self) -> usize {
-        self.state.lock().expect("queue lock").high_water
+        self.state().high_water
     }
 
     /// Items evicted under [`Backpressure::DropOldest`].
     pub fn drops(&self) -> u64 {
-        self.state.lock().expect("queue lock").drops
+        self.state().drops
     }
 }
 
@@ -347,6 +357,40 @@ mod tests {
         assert_eq!(q.pop(), Some(3));
         q.close();
         assert_eq!(q.push_evict(4), Err(4));
+    }
+
+    #[test]
+    fn poisoned_lock_keeps_the_queue_working() {
+        let q = Arc::new(BoundedQueue::new(2, Backpressure::Block));
+        assert!(q.push(1));
+        // A frame worker panics while it holds the queue's lock.
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _st = q.state();
+                panic!("poisoning the queue on purpose");
+            })
+            .join()
+        });
+        assert!(joined.is_err() && q.state.is_poisoned());
+        assert!(q.push(2));
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.try_push(3), Err(TryPushError::Full(3)));
+        // The producer finds the queue full and waits on the poisoned lock
+        // unless the pop below has already made room; either way it pushes.
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push(3))
+        };
+        assert_eq!(q.pop(), Some(1));
+        assert!(producer.join().unwrap());
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.try_pop(), TryPop::Item(3));
+        assert_eq!(q.push_evict(4), Ok(None));
+        q.close();
+        assert!(!q.push(5));
+        assert_eq!(q.pop(), Some(4));
+        assert_eq!(q.pop(), None);
+        assert_eq!((q.high_water(), q.drops()), (2, 0));
     }
 
     #[test]

@@ -71,8 +71,9 @@ impl CalibrationTable {
             // candidates the same way, any estimator bias cancels between
             // calibration and operation. Every grid frequency is a probe
             // candidate of the same duration, scoring the first `n_window`
-            // samples of a repetition: one bank scores them all per
-            // repetition, and each probe sums its repetitions in order.
+            // samples of a repetition: one bank scores them all on every
+            // repetition in one batch, and each probe sums its repetitions
+            // in order.
             let span = (0.1 * coarse).max(2.0 * fs / n_window.max(1) as f64);
             let grid = 80usize;
             let probes = SymbolDecider::from_candidates(
@@ -87,16 +88,18 @@ impl CalibrationTable {
                     .collect(),
                 fs,
             );
-            let mut bank = probes.bank(n_window);
-            let mut scores = vec![0.0; probes.candidates.len()];
-            let mut totals = vec![0.0; probes.candidates.len()];
-            for rep in 0..reps.max(1) {
-                let start = rep * period_samples;
-                if start + n_window > samples.len() {
-                    break;
-                }
-                bank.scores(&samples[start..start + n_window], &mut scores);
-                for (total, score) in totals.iter_mut().zip(&scores) {
+            let starts: Vec<usize> = (0..reps.max(1))
+                .map(|rep| rep * period_samples)
+                .take_while(|start| start + n_window <= samples.len())
+                .collect();
+            let n_probes = probes.candidates.len();
+            let mut scores = vec![0.0; starts.len() * n_probes];
+            probes
+                .bank(n_window)
+                .scores_batch(&samples, &starts, &mut scores);
+            let mut totals = vec![0.0; n_probes];
+            for rep in scores.chunks_exact(n_probes) {
+                for (total, score) in totals.iter_mut().zip(rep) {
                     *total += score;
                 }
             }

@@ -114,9 +114,9 @@ impl DownlinkDecoder {
     /// Hypothesis `(p, o)` decides slot `k` on the samples from
     /// `round(o + k·p)`; a trailing slot of at least half a period is
     /// zero-padded and decided too. Many hypotheses put slot `k` on the
-    /// same samples, so the sweep runs slot by slot and decides each
-    /// distinct `(start, span)` once, handing the decision to every
-    /// hypothesis that lands there.
+    /// same samples, so the sweep runs slot by slot: it collects slot `k`'s
+    /// distinct starts on each bank, decides them in one batch, and hands
+    /// each decision to every hypothesis that lands there.
     fn refine_timing(
         &self,
         samples: &[f64],
@@ -126,7 +126,7 @@ impl DownlinkDecoder {
         let len = samples.len();
         // One bank per distinct span, with the span it was laid out for.
         let mut banks: Vec<(usize, SlotBank)> = Vec::new();
-        let mut sweeps = Vec::with_capacity(25);
+        let mut sweeps = Vec::with_capacity(HYPOTHESES);
         for dp in -2i32..=2 {
             let period = period0 + dp as f64 * 0.25;
             for doff in -2i32..=2 {
@@ -148,6 +148,9 @@ impl DownlinkDecoder {
                     total: if live { 0.0 } else { f64::NEG_INFINITY },
                     slots: 0,
                     live,
+                    start: 0,
+                    last: false,
+                    pick: 0,
                 });
             }
         }
@@ -161,42 +164,41 @@ impl DownlinkDecoder {
             .max()
             .unwrap_or(0);
         let mut decided = Vec::with_capacity(rows * n);
-        // This slot's distinct decisions: `(start, bank, symbol, score)`.
-        let mut memo: Vec<(usize, usize, DownlinkSymbol, f64)> = Vec::with_capacity(n);
-        let mut pad = Vec::new();
+        // One bank's batch for this slot: its distinct starts and decisions.
+        let mut starts = [0usize; HYPOTHESES];
+        let mut decisions = [(DownlinkSymbol::Header, f64::NEG_INFINITY); HYPOTHESES];
         let mut k = 0usize;
         while sweeps.iter().any(|s| s.live) {
-            memo.clear();
             decided.resize((k + 1) * n, DownlinkSymbol::Header);
-            for (h, s) in sweeps.iter_mut().enumerate().filter(|(_, s)| s.live) {
-                let start = (s.offset as f64 + k as f64 * s.period).round() as usize;
-                let last = start + s.plen > len;
-                if start >= len || (last && (len - start) * 2 < s.plen) {
-                    s.live = false;
-                    continue;
+            for s in sweeps.iter_mut().filter(|s| s.live) {
+                s.start = (s.offset as f64 + k as f64 * s.period).round() as usize;
+                s.last = s.start + s.plen > len;
+                s.live = s.start < len && !(s.last && (len - s.start) * 2 < s.plen);
+            }
+            for (b, (_, bank)) in banks.iter_mut().enumerate() {
+                let mut batch = 0;
+                for s in sweeps.iter_mut().filter(|s| s.live && s.bank == b) {
+                    s.pick = match starts[..batch].iter().position(|&x| x == s.start) {
+                        Some(pick) => pick,
+                        None => {
+                            starts[batch] = s.start;
+                            batch += 1;
+                            batch - 1
+                        }
+                    };
                 }
-                let (symbol, score) = match memo.iter().find(|m| m.0 == start && m.1 == s.bank) {
-                    Some(&(_, _, symbol, score)) => (symbol, score),
-                    None => {
-                        let (span, bank) = &mut banks[s.bank];
-                        let span = *span;
-                        let slot = if start + span <= len {
-                            &samples[start..start + span]
-                        } else {
-                            pad.clear();
-                            pad.extend_from_slice(&samples[start..]);
-                            pad.resize(span, 0.0);
-                            &pad[..]
-                        };
-                        let (symbol, score) = bank.decide(slot);
-                        memo.push((start, s.bank, symbol, score));
-                        (symbol, score)
+                bank.decide_batch(samples, &starts[..batch], &mut decisions[..batch]);
+                for (h, s) in sweeps.iter_mut().enumerate() {
+                    if s.live && s.bank == b {
+                        let (symbol, score) = decisions[s.pick];
+                        s.total += score;
+                        decided[k * n + h] = symbol;
+                        s.slots += 1;
                     }
-                };
-                s.total += score;
-                decided[k * n + h] = symbol;
-                s.slots += 1;
-                s.live = !last;
+                }
+            }
+            for s in sweeps.iter_mut() {
+                s.live &= !s.last;
             }
             k += 1;
         }
@@ -215,6 +217,10 @@ impl DownlinkDecoder {
     }
 }
 
+/// The (period, offset) hypotheses [`DownlinkDecoder::refine_timing`]
+/// scores: five periods by five offsets.
+const HYPOTHESES: usize = 25;
+
 /// One hypothesis of [`DownlinkDecoder::refine_timing`] as its slots are
 /// decided.
 struct Sweep {
@@ -230,6 +236,11 @@ struct Sweep {
     slots: usize,
     /// Whether slot `slots` may still exist.
     live: bool,
+    /// Where slot `slots` starts, whether it is the last one, and its
+    /// position in its bank's batch.
+    start: usize,
+    last: bool,
+    pick: usize,
 }
 
 #[cfg(test)]

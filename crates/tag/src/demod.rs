@@ -11,12 +11,14 @@
 //! Once the slot length is known, everything about a candidate except the
 //! slot's samples is fixed: its window length, Hann coefficients and
 //! Goertzel coefficients. A [`SlotBank`] holds them for one slot length and
-//! scores every slot of that length with the fused
-//! [`GoertzelCoeffs::powers_windowed`] kernel, four candidates per pass.
+//! scores batches of slots of that length with the fused
+//! [`goertzel_windowed`] kernel, four slots to a vector.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
-use biscatter_dsp::goertzel::{GoertzelCoeffs, WindowedLane};
+use biscatter_dsp::goertzel::GoertzelCoeffs;
+use biscatter_dsp::simd::{goertzel_windowed, GoertzelJob};
 use biscatter_dsp::window::{CachedWindow, WindowKind};
 use biscatter_link::packet::DownlinkSymbol;
 use biscatter_radar::cssk::CsskAlphabet;
@@ -116,11 +118,13 @@ impl SymbolDecider {
         if period_samples == 0 {
             return Vec::new();
         }
-        let mut bank = self.bank(period_samples);
-        samples
-            .chunks_exact(period_samples)
-            .map(|slot| bank.decide(slot).0)
-            .collect()
+        let starts: Vec<usize> = (0..samples.len() / period_samples)
+            .map(|k| k * period_samples)
+            .collect();
+        let mut decided = vec![(DownlinkSymbol::Header, f64::NEG_INFINITY); starts.len()];
+        self.bank(period_samples)
+            .decide_batch(samples, &starts, &mut decided);
+        decided.into_iter().map(|(symbol, _)| symbol).collect()
     }
 }
 
@@ -129,21 +133,39 @@ fn window_len(c: &Candidate, fs: f64) -> usize {
     (c.duration_s * fs).round() as usize
 }
 
+/// Most slots laid out at once: eight vectors of four.
+const BATCH: usize = 32;
+
+/// Most (candidate, vector) jobs handed to the kernel in one call.
+const JOBS: usize = 16;
+
 /// A decision bank laid out for slots of one length: per candidate, the
 /// number of samples it scores, its Hann window and its Goertzel
 /// coefficients. Build one with [`SymbolDecider::bank`] and reuse it for
-/// every slot of that length; a slot passed to it must hold at least that
-/// many samples (only the leading ones any candidate reads are used).
+/// every slot of that length. It decides slots in batches: the slots
+/// starting at each of a list of positions in one capture, read up to the
+/// longest window (only the leading samples any candidate reads are used),
+/// with zeros past the capture's end.
+///
+/// A batch is laid out start-major, four slots to a vector: row `i` of the
+/// layout holds sample `i` of every slot. Each candidate's window and
+/// coefficients are then shared by the whole vector, and every slot keeps
+/// its own running sums (left to right, as in a slot scored alone), so a
+/// decision does not depend on the batch it was made in.
 #[derive(Debug, Clone)]
 pub struct SlotBank {
     /// Candidates that score at least four samples, in bank order; the rest
     /// score `-inf` and can never win.
     lanes: Vec<BankLane>,
+    /// Length of the candidate list the bank was built from.
+    candidates: usize,
     /// Leading slot samples the lanes read: the longest lane.
     span: usize,
-    /// Running sums of the slot being scored: `prefix[i]` is the sum of its
-    /// first `i` samples, accumulated left to right.
-    prefix: Vec<f64>,
+    /// A batch's start-major rows, then each slot's running sums in the same
+    /// layout (`sums[i·stride + s]`: the sum of slot `s`'s first `i + 1`
+    /// samples), then each lane's shift and power on each slot. Handed on
+    /// to the next bank built on this thread when the bank is dropped.
+    scratch: Vec<f64>,
 }
 
 #[derive(Debug, Clone)]
@@ -175,23 +197,40 @@ impl SlotBank {
             .collect();
         let span = lanes.iter().map(|l| l.n).max().unwrap_or(0);
         SlotBank {
-            lanes,
+            candidates: candidates.len(),
             span,
-            prefix: Vec::with_capacity(span + 1),
+            scratch: SPARE_SCRATCH.take(),
+            lanes,
         }
     }
 
     /// The winning symbol and its normalized score on `slot` (the first
     /// strict maximum in bank order; `(Header, -inf)` when no candidate
-    /// fits the slot).
+    /// fits the slot): a batch of one.
     pub fn decide(&mut self, slot: &[f64]) -> (DownlinkSymbol, f64) {
-        let mut best = (DownlinkSymbol::Header, f64::NEG_INFINITY);
-        self.for_each_score(slot, |lane, score| {
-            if score > best.1 {
-                best = (lane.symbol, score);
+        let mut best = [(DownlinkSymbol::Header, f64::NEG_INFINITY)];
+        self.decide_batch(&slot[..self.span], &[0], &mut best);
+        best[0]
+    }
+
+    /// Decides the slot at each of `starts` in `samples`, into the same
+    /// position of `out` (as [`SlotBank::decide`] would on each slot).
+    ///
+    /// # Panics
+    /// Panics if `out` and `starts` differ in length.
+    pub fn decide_batch(
+        &mut self,
+        samples: &[f64],
+        starts: &[usize],
+        out: &mut [(DownlinkSymbol, f64)],
+    ) {
+        assert_eq!(out.len(), starts.len());
+        out.fill((DownlinkSymbol::Header, f64::NEG_INFINITY));
+        self.for_each_score(samples, starts, |slot, lane, score| {
+            if score > out[slot].1 {
+                out[slot] = (lane.symbol, score);
             }
         });
-        best
     }
 
     /// Every candidate's normalized score on `slot`, in candidate order,
@@ -201,53 +240,142 @@ impl SlotBank {
     /// Panics if `out` is shorter than the candidate list.
     pub fn scores(&mut self, slot: &[f64], out: &mut [f64]) {
         out.fill(f64::NEG_INFINITY);
-        self.for_each_score(slot, |lane, score| out[lane.index] = score);
+        let row = &mut out[..self.candidates];
+        self.scores_batch(&slot[..self.span], &[0], row);
     }
 
-    /// Scores the lanes four per kernel pass and hands each `(lane, score)`
-    /// to `visit` in bank order.
-    fn for_each_score(&mut self, slot: &[f64], mut visit: impl FnMut(&BankLane, f64)) {
-        let slot = &slot[..self.span];
-        // Zero-sum prefixes may differ from `iter().sum()` in the sign of
-        // zero, which the squared power erases.
-        self.prefix.clear();
-        self.prefix.push(0.0);
-        let mut acc = 0.0;
-        for &x in slot {
-            acc += x;
-            self.prefix.push(acc);
+    /// Every candidate's normalized score on the slot at each of `starts`
+    /// in `samples`: row `k` of `out` (one column per candidate) holds the
+    /// scores of the slot at `starts[k]`, as [`SlotBank::scores`].
+    ///
+    /// # Panics
+    /// Panics if `out` does not hold one row per start.
+    pub fn scores_batch(&mut self, samples: &[f64], starts: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), starts.len() * self.candidates);
+        out.fill(f64::NEG_INFINITY);
+        let columns = self.candidates;
+        self.for_each_score(samples, starts, |slot, lane, score| {
+            out[slot * columns + lane.index] = score;
+        });
+    }
+
+    /// Scores every lane on the slot at each of `starts`, at most [`BATCH`]
+    /// slots per layout, and hands each `(slot, lane, score)` to `visit`;
+    /// each slot sees its lanes in bank order.
+    fn for_each_score(
+        &mut self,
+        samples: &[f64],
+        starts: &[usize],
+        mut visit: impl FnMut(usize, &BankLane, f64),
+    ) {
+        let SlotBank {
+            lanes,
+            span,
+            scratch,
+            ..
+        } = self;
+        let span = *span;
+        if lanes.is_empty() {
+            return;
         }
-        let prefix = &self.prefix;
-        let mut quads = self.lanes.chunks_exact(4);
-        for quad in &mut quads {
-            let inputs: [WindowedLane<'_>; 4] = std::array::from_fn(|j| quad[j].input(prefix));
-            let powers = GoertzelCoeffs::powers_windowed(inputs, slot);
-            for (lane, power) in quad.iter().zip(powers) {
-                visit(lane, lane.score(power));
+        for (first, chunk) in starts.chunks(BATCH).enumerate() {
+            let first = first * BATCH;
+            let stride = 4 * chunk.len().div_ceil(4);
+            let cells = span * stride;
+            let needed = 2 * cells + 2 * lanes.len() * stride;
+            if scratch.len() < needed {
+                scratch.resize(needed, 0.0);
             }
-        }
-        for lane in quads.remainder() {
-            let WindowedLane {
-                coeffs,
-                shift,
-                window,
-            } = lane.input(prefix);
-            visit(lane, lane.score(coeffs.power_windowed(slot, shift, window)));
+            let (rows, rest) = scratch.split_at_mut(cells);
+            let (sums, rest) = rest.split_at_mut(cells);
+            let (shifts, scores) = rest.split_at_mut(lanes.len() * stride);
+            // Row `i` holds sample `i` of every slot, zero past the capture
+            // end; the running sums then go row by row. Zero-sum prefixes may
+            // differ from `iter().sum()` in the sign of zero, which the
+            // squared power erases. The streams past the last slot keep
+            // whatever the scratch held: their scores are never read.
+            for (i, row) in rows.chunks_exact_mut(stride).enumerate() {
+                for (x, &start) in row.iter_mut().zip(chunk) {
+                    *x = samples.get(start.saturating_add(i)).copied().unwrap_or(0.0);
+                }
+            }
+            let mut acc = [0.0f64; BATCH];
+            for (row, sum) in rows.chunks_exact(stride).zip(sums.chunks_exact_mut(stride)) {
+                for ((a, s), &x) in acc[..chunk.len()].iter_mut().zip(sum).zip(row) {
+                    *a += x;
+                    *s = *a;
+                }
+            }
+            // Each lane's shift on every slot: the mean of the samples it
+            // scores.
+            for (lane, shift) in lanes.iter().zip(shifts.chunks_exact_mut(stride)) {
+                let sum = &sums[(lane.n - 1) * stride..][..chunk.len()];
+                for (m, &total) in shift.iter_mut().zip(sum) {
+                    *m = total / lane.n as f64;
+                }
+            }
+            // (lane, vector) jobs lane-major, up to `JOBS` per kernel call,
+            // which runs them four at a time: four vectors of slots on one
+            // candidate, or, in small batches, neighbouring candidates. Job
+            // `t` reads its shifts from, and writes its powers to, the same
+            // four entries of the lane-major tables.
+            let idle = GoertzelJob {
+                coeffs: lanes[0].coeffs,
+                window: &[],
+                shifts: [0.0; 4],
+                column: 0,
+            };
+            let mut jobs = [idle; JOBS];
+            let vectors = stride / 4;
+            let total = lanes.len() * vectors;
+            let pairs = (0..lanes.len()).flat_map(|l| (0..vectors).map(move |v| (l, v)));
+            for (t, (l, column)) in pairs.enumerate() {
+                jobs[t % JOBS] = GoertzelJob {
+                    coeffs: lanes[l].coeffs,
+                    window: &lanes[l].hann.coeffs,
+                    shifts: shifts[4 * t..4 * t + 4].try_into().expect("four streams"),
+                    column,
+                };
+                let filled = t % JOBS + 1;
+                if filled == JOBS || t + 1 == total {
+                    let done = 4 * (t + 1);
+                    let powers = &mut scores[done - 4 * filled..done];
+                    goertzel_windowed(rows, stride, &jobs[..filled], powers);
+                }
+            }
+            // Lane by lane, so each slot still sees its lanes in bank order.
+            for (lane, row) in lanes.iter().zip(scores.chunks_exact(stride)) {
+                for (slot, &power) in row[..chunk.len()].iter().enumerate() {
+                    visit(first + slot, lane, lane.score(power));
+                }
+            }
         }
     }
 }
 
-impl BankLane {
-    /// The kernel lane for a slot with running sums `prefix`: the mean of
-    /// the lane's samples is removed, then its Hann window applied.
-    fn input<'a>(&'a self, prefix: &[f64]) -> WindowedLane<'a> {
-        WindowedLane {
-            coeffs: self.coeffs,
-            shift: prefix[self.n] / self.n as f64,
-            window: &self.hann.coeffs,
-        }
-    }
+thread_local! {
+    /// The batch scratch of the last bank dropped on this thread, for the
+    /// next bank built here: decodes on a warm thread lay out their batches
+    /// without allocating.
+    static SPARE_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
+impl Drop for SlotBank {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        // `try_with`: a bank dropped while its thread exits frees its own.
+        let _ = SPARE_SCRATCH.try_with(|spare| {
+            let other = spare.take();
+            spare.set(if other.capacity() > scratch.capacity() {
+                other
+            } else {
+                scratch
+            });
+        });
+    }
+}
+
+impl BankLane {
     /// Normalizes a power by the window length squared.
     fn score(&self, power: f64) -> f64 {
         power / (self.n as f64 * self.n as f64)
@@ -414,6 +542,74 @@ mod tests {
                 let got = bank.decide(slot);
                 assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
                 assert_eq!(decider.decide_slot(slot), got);
+            }
+        }
+    }
+
+    /// The slot a batch decides at `start`: `len` samples from there, zeros
+    /// past the end of the capture.
+    fn padded_slot(samples: &[f64], start: usize, len: usize) -> Vec<f64> {
+        let mut slot: Vec<f64> = samples.iter().skip(start).take(len).copied().collect();
+        slot.resize(len, 0.0);
+        slot
+    }
+
+    #[test]
+    fn batches_match_reference_scorer_bit_for_bit() {
+        let (alphabet, fe, decider) = setup(5);
+        let symbols: Vec<DownlinkSymbol> =
+            (0..12).map(|i| DownlinkSymbol::Data(i * 2 + 1)).collect();
+        let stream = capture_symbols(&alphabet, &fe, &symbols, 8.0, 7);
+        let len = stream.len();
+        let n_cand = decider.candidates.len();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        // Batch sizes 0–25 (the timing sweep's range; an empty batch ends
+        // almost every decode) and one of 70, which takes three layouts.
+        for slot_len in [120usize, 64, 21, 5] {
+            let mut bank = decider.bank(slot_len);
+            for size in (0..=25).chain([70]) {
+                // Arbitrary starts, repeated starts, and slots that run past
+                // the end of the capture or start beyond it.
+                let mut starts: Vec<usize> = Vec::with_capacity(size);
+                for _ in 0..size {
+                    let start = match below(10) {
+                        0..=4 => below(len),
+                        5 | 6 => len - 1 - below(slot_len),
+                        7 => len + below(3),
+                        _ if !starts.is_empty() => starts[below(starts.len())],
+                        _ => 0,
+                    };
+                    starts.push(start);
+                }
+                let mut decided = vec![(DownlinkSymbol::Sync, 0.0); size];
+                bank.decide_batch(&stream, &starts, &mut decided);
+                let mut scores = vec![0.0; size * n_cand];
+                bank.scores_batch(&stream, &starts, &mut scores);
+                for (k, &start) in starts.iter().enumerate() {
+                    let slot = padded_slot(&stream, start, slot_len);
+                    let mut want = (DownlinkSymbol::Header, f64::NEG_INFINITY);
+                    for (c, cand) in decider.candidates.iter().enumerate() {
+                        let r = reference_score(&slot, cand, decider.fs);
+                        let got = scores[k * n_cand + c];
+                        assert_eq!(
+                            got.to_bits(),
+                            r.to_bits(),
+                            "{slot_len}, {size}, {start}, {c}"
+                        );
+                        if r > want.1 {
+                            want = (cand.symbol, r);
+                        }
+                    }
+                    let got = decided[k];
+                    assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+                    assert_eq!(bank.decide(&slot), got);
+                }
             }
         }
     }
