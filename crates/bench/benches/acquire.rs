@@ -6,61 +6,29 @@
 //!   O(N·M) time-domain correlation baseline (`acquire_all_naive`, same
 //!   folding/scoring), at 1 / 2 / 4 / 8 / 16 slope hypotheses on the
 //!   reference dwell (1024-sample templates, 8 × 1200-sample windows);
-//! * steady-state heap allocations of one bank pass (counted by a wrapping
-//!   global allocator; must be 0);
+//! * steady-state heap allocations of one bank pass (must be 0);
 //! * overlap-add-vs-oracle equivalence: the FFT correlation matches the
 //!   time-domain oracle to ≤ 1e-9 at every hypothesis count, and both
 //!   engines reach the same acquisition decision.
 //!
-//! A plain `main` (harness = false) so the medians can be written to JSON.
-//! `--quick` runs one pass per path and skips the JSON write, but still
-//! enforces the oracle equivalence and zero-allocation assertions — the CI
-//! smoke mode fails if the overlap-add engine ever drifts from the direct
+//! `--quick` runs one pass per path and writes nothing, but still enforces
+//! the oracle equivalence and zero-allocation assertions — the CI smoke
+//! mode fails if the overlap-add engine ever drifts from the direct
 //! correlation.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-use std::time::Instant;
 
+use biscatter_bench::harness::{self, Args, Fields, Sampler};
+use biscatter_core::json::Value;
+use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::acquire::{
     acquire_all, acquire_all_naive, fft_correlate_into, naive_correlate_into, AcquireConfig,
     AcquireScratch, CorrelatorBank, SlopeHypothesis,
 };
 use biscatter_runtime::compute::ComputePool;
 
-thread_local! {
-    /// `-1` = not counting; `>= 0` = allocations observed on this thread.
-    static ALLOCS: Cell<isize> = const { Cell::new(-1) };
-}
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn count_one() {
-    let _ = ALLOCS.try_with(|c| {
-        let v = c.get();
-        if v >= 0 {
-            c.set(v + 1);
-        }
-    });
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Reference dwell: 1024-sample templates (102.4 µs chirps at 10 MS/s)
 /// folding over 8 slot-period windows of 1200 samples.
@@ -114,25 +82,10 @@ fn build_dwell(cfg: &AcquireConfig) -> Vec<f64> {
     raw
 }
 
-/// Median seconds per call over `samples` runs (after one warm-up); quick
-/// mode skips timing entirely.
-fn median_s(quick: bool, samples: usize, mut run: impl FnMut()) -> f64 {
-    if quick {
-        return 0.0;
-    }
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        run();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let args = Args::parse();
     let samples = 11;
+    let sampler = Sampler::new(&args, samples);
 
     let cfg = config();
     let raw = build_dwell(&cfg);
@@ -161,18 +114,27 @@ fn main() {
     let counts = [1usize, 2, 4, 8, 16];
     let mut rows = Vec::new();
     let mut speedup_at_8 = 0.0;
-    let mut steady_allocs_at_8: isize = -1;
+    let mut steady_allocs_at_8 = 0;
 
     for nh in counts {
         let hyps = hypotheses(nh);
         let mut bank = CorrelatorBank::default();
         bank.set_hypotheses(&hyps);
-        let mut scratch = AcquireScratch::default();
+        let mut naive_bank = CorrelatorBank::default();
+        naive_bank.set_hypotheses(&hyps);
+        let (mut scratch, mut naive_scratch) =
+            (AcquireScratch::default(), AcquireScratch::default());
         let (mut fast_scores, mut slow_scores) = (Vec::new(), Vec::new());
 
         // --- Decision equivalence: both engines must agree. --------------
         let fast = acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut fast_scores);
-        let slow = acquire_all_naive(&mut bank, &cfg, &raw, &mut scratch, &mut slow_scores);
+        let slow = acquire_all_naive(
+            &mut naive_bank,
+            &cfg,
+            &raw,
+            &mut naive_scratch,
+            &mut slow_scores,
+        );
         let fast = fast.unwrap_or_else(|| panic!("nh={nh}: FFT bank missed the planted chirp"));
         let slow = slow.unwrap_or_else(|| panic!("nh={nh}: baseline missed the planted chirp"));
         assert_eq!(fast.hypothesis, slow.hypothesis, "nh={nh}: winners differ");
@@ -186,70 +148,84 @@ fn main() {
         // --- Steady-state allocations of one bank pass (at nh=8). --------
         if nh == 8 {
             acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut fast_scores);
-            ALLOCS.with(|c| c.set(0));
-            acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut fast_scores);
-            steady_allocs_at_8 = ALLOCS.with(|c| c.replace(-1));
+            steady_allocs_at_8 = counted(|| {
+                acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut fast_scores);
+            })
+            .1;
             assert_eq!(
                 steady_allocs_at_8, 0,
                 "correlator bank allocated in steady state"
             );
         }
 
-        // --- Per-dwell acquisition latency, bank vs naive. ----------------
-        let bank_s = median_s(quick, samples, || {
-            let a = acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut fast_scores);
-            black_box(a);
-        });
-        let naive_s = median_s(quick, samples, || {
-            let a = acquire_all_naive(&mut bank, &cfg, &raw, &mut scratch, &mut slow_scores);
-            black_box(a);
-        });
-        let speedup = if bank_s > 0.0 { naive_s / bank_s } else { 0.0 };
+        // --- Per-dwell acquisition latency, naive vs bank. ----------------
+        let times = sampler.interleave(&mut [
+            &mut || {
+                let a = acquire_all_naive(
+                    &mut naive_bank,
+                    &cfg,
+                    &raw,
+                    &mut naive_scratch,
+                    &mut slow_scores,
+                );
+                black_box(a);
+            },
+            &mut || {
+                let a = acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut fast_scores);
+                black_box(a);
+            },
+        ]);
+        let (naive, fft) = (&times[0], &times[1]);
+        let speedup = naive.median() / fft.median();
         if nh == 8 {
             speedup_at_8 = speedup;
         }
         println!(
-            "nh={nh:2}: naive {:9.1} us, bank {:9.1} us, speedup {speedup:.2}x \
+            "nh={nh:2}: naive {naive}, bank {fft}, speedup {speedup:.2}x \
              (winner offset {} @ PSLR {:.1} dB)",
-            naive_s * 1e6,
-            bank_s * 1e6,
-            fast.offset_samples,
-            fast.pslr_db,
+            fast.offset_samples, fast.pslr_db,
         );
-        rows.push((nh, naive_s, bank_s, speedup));
+        let mut row = Fields::default();
+        row.num("hypotheses", nh as f64)
+            .row("naive_dwell", "ns", naive)
+            .row("bank_dwell", "ns", fft)
+            .num("speedup", speedup);
+        rows.push(row.into());
     }
 
-    if quick {
-        println!("--quick: smoke run only, results/BENCH_acquire.json not rewritten");
-        return;
-    }
-
-    assert!(
-        speedup_at_8 >= 3.0,
-        "acceptance: the correlator bank at 8 hypotheses must be >= 3x the \
-         naive baseline, got {speedup_at_8:.2}x"
-    );
-
-    let per_nh: Vec<String> = rows
-        .iter()
-        .map(|(nh, naive, bank, sp)| {
-            format!(
-                "    {{ \"hypotheses\": {nh}, \"naive_dwell_ns\": {:.0}, \"bank_dwell_ns\": {:.0}, \"speedup\": {sp:.2} }}",
-                naive * 1e9,
-                bank * 1e9
-            )
-        })
-        .collect();
     let dwell_len = raw.len();
-    let json = format!(
-        "{{\n  \"bench\": \"correlator-bank acquisition (crates/bench/benches/acquire.rs)\",\n  {dispatch},\n  \"note\": \"acquisition of one {dwell_len}-sample dwell ({N_WINDOWS} x {WINDOW}-sample windows, {TEMPLATE_LEN}-sample chirp templates) across slope-hypothesis counts, medians of {samples} runs after warm-up on a 1-thread pool; naive = O(N*M) time-domain correlation with identical energy folding + PSLR scoring, bank = zero-padded real-FFT overlap-add with cached conjugate template spectra (acquire_all). steady_state_allocs counted by a wrapping global allocator over one bank pass at 8 hypotheses; acceptance: 0 allocs, FFT-vs-oracle correlation <= 1e-9, identical decisions, and >= 3x at 8 hypotheses.\",\n  \"template_len\": {TEMPLATE_LEN},\n  \"window\": {WINDOW},\n  \"n_windows\": {N_WINDOWS},\n  \"dwell_len\": {dwell_len},\n  \"per_hypothesis_count\": [\n{}\n  ],\n  \"speedup_at_8\": {speedup_at_8:.2},\n  \"steady_state_allocs\": {steady_allocs_at_8},\n  \"oracle_equivalent\": true\n}}\n",
-        per_nh.join(",\n"),
-        dispatch = biscatter_bench::dispatch_json_fields(),
+    let mut fields = Fields::default();
+    fields
+        .num("template_len", TEMPLATE_LEN as f64)
+        .num("window", WINDOW as f64)
+        .num("n_windows", N_WINDOWS as f64)
+        .num("dwell_len", dwell_len as f64)
+        .set("per_hypothesis_count", Value::Array(rows))
+        .num("speedup_at_8", speedup_at_8)
+        .num("steady_state_allocs", steady_allocs_at_8 as f64)
+        .set("oracle_equivalent", Value::Bool(true));
+    harness::record(
+        &args,
+        "acquire",
+        "correlator-bank acquisition",
+        &format!(
+            "acquisition of one {dwell_len}-sample dwell ({N_WINDOWS} x {WINDOW}-sample windows, \
+             {TEMPLATE_LEN}-sample chirp templates) across slope-hypothesis counts, {samples} \
+             interleaved samples after warm-up on a 1-thread pool; naive = O(N*M) time-domain \
+             correlation with identical energy folding + PSLR scoring, bank = zero-padded \
+             real-FFT overlap-add with cached conjugate template spectra (acquire_all). speedup \
+             is the ratio of medians. steady_state_allocs counted by obs::alloc over one bank \
+             pass at 8 hypotheses; acceptance: 0 allocs, FFT-vs-oracle correlation <= 1e-9, \
+             identical decisions, and >= 3x at 8 hypotheses."
+        ),
+        fields,
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_acquire.json"
-    );
-    std::fs::write(path, &json).expect("write BENCH_acquire.json");
-    println!("wrote {path}");
+
+    if !args.quick {
+        assert!(
+            speedup_at_8 >= 3.0,
+            "acceptance: the correlator bank at 8 hypotheses must be >= 3x the \
+             naive baseline, got {speedup_at_8:.2}x"
+        );
+    }
 }

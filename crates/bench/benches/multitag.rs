@@ -5,21 +5,19 @@
 //!   batched `detect_all` vs the sequential per-tag `locate_tag` +
 //!   `demodulate` loop, at K = 1 / 8 / 64 / 256 tags on one 512-chirp ×
 //!   4096-range-bin (high-range-resolution) frame;
-//! * steady-state heap allocations of one batched pass (counted by a
-//!   wrapping global allocator; must be 0);
+//! * steady-state heap allocations of one batched pass (must be 0);
 //! * a batched-vs-sequential bit-equality check at every K.
 //!
-//! A plain `main` (harness = false) so the medians can be written to JSON.
-//! `--quick` runs one pass per path and skips the JSON write, but still
-//! enforces the bit-equality and zero-allocation assertions — the CI smoke
-//! mode fails if the batched engine ever diverges from the per-tag loop.
+//! `--quick` runs one pass per path and writes nothing, but still enforces
+//! the bit-equality and zero-allocation assertions — the CI smoke mode
+//! fails if the batched engine ever diverges from the per-tag loop.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-use std::time::Instant;
 
+use biscatter_bench::harness::{self, Args, Fields, Sampler};
 use biscatter_core::dsp::complex::Cpx;
+use biscatter_core::json::Value;
+use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::range_doppler;
 use biscatter_core::radar::receiver::localize::locate_tag;
 use biscatter_core::radar::receiver::multitag::{
@@ -29,38 +27,8 @@ use biscatter_core::radar::receiver::uplink::{demodulate, UplinkScheme};
 use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_runtime::compute::ComputePool;
 
-thread_local! {
-    /// `-1` = not counting; `>= 0` = allocations observed on this thread.
-    static ALLOCS: Cell<isize> = const { Cell::new(-1) };
-}
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn count_one() {
-    let _ = ALLOCS.try_with(|c| {
-        let v = c.get();
-        if v >= 0 {
-            c.set(v + 1);
-        }
-    });
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const N_CHIRPS: usize = 512;
 const N_RANGE: usize = 4096;
@@ -160,25 +128,10 @@ fn sequential_detect(
     }
 }
 
-/// Median seconds per call over `samples` runs (after one warm-up); quick
-/// mode skips timing entirely.
-fn median_s(quick: bool, samples: usize, mut run: impl FnMut()) -> f64 {
-    if quick {
-        return 0.0;
-    }
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        run();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let args = Args::parse();
     let samples = 15;
+    let sampler = Sampler::new(&args, samples);
 
     let frame = build_frame();
     let map = range_doppler(&frame);
@@ -187,7 +140,7 @@ fn main() {
     let ks = [1usize, 8, 64, 256];
     let mut rows = Vec::new();
     let mut speedup_at_64 = 0.0;
-    let mut steady_allocs_at_64: isize = -1;
+    let mut steady_allocs_at_64 = 0;
 
     for k in ks {
         let tags = profiles(k);
@@ -212,9 +165,10 @@ fn main() {
         // --- Steady-state allocations of one batched pass (at K=64). -----
         if k == 64 {
             detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
-            ALLOCS.with(|c| c.set(0));
-            detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
-            steady_allocs_at_64 = ALLOCS.with(|c| c.replace(-1));
+            steady_allocs_at_64 = counted(|| {
+                detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
+            })
+            .1;
             assert_eq!(
                 steady_allocs_at_64, 0,
                 "batched multi-tag path allocated in steady state"
@@ -222,61 +176,62 @@ fn main() {
             assert_eq!(batched, reference, "steady-state pass changed results");
         }
 
-        // --- Per-frame detect latency, batched vs sequential. ------------
-        let batched_s = median_s(quick, samples, || {
-            detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
-            black_box(batched.len());
-        });
-        let sequential_s = median_s(quick, samples, || {
-            sequential_detect(&frame, &map, &tags, &mut reference);
-            black_box(reference.len());
-        });
-        let speedup = if batched_s > 0.0 {
-            sequential_s / batched_s
-        } else {
-            0.0
-        };
+        // --- Per-frame detect latency, sequential vs batched. ------------
+        let times = sampler.interleave(&mut [
+            &mut || {
+                sequential_detect(&frame, &map, &tags, &mut reference);
+                black_box(reference.len());
+            },
+            &mut || {
+                detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
+                black_box(batched.len());
+            },
+        ]);
+        let (sequential, batch) = (&times[0], &times[1]);
+        let speedup = sequential.median() / batch.median();
         if k == 64 {
             speedup_at_64 = speedup;
         }
         println!(
-            "K={k:3}: sequential {:8.1} us, batched {:8.1} us, speedup {speedup:.2}x \
+            "K={k:3}: sequential {sequential}, batched {batch}, speedup {speedup:.2}x \
              ({located}/{k} located, {decoded}/{k} decoded)",
-            sequential_s * 1e6,
-            batched_s * 1e6,
         );
-        rows.push((k, sequential_s, batched_s, speedup));
+        let mut row = Fields::default();
+        row.num("tags", k as f64)
+            .row("sequential_frame", "ns", sequential)
+            .row("batched_frame", "ns", batch)
+            .num("speedup", speedup);
+        rows.push(row.into());
     }
 
-    if quick {
-        println!("--quick: smoke run only, results/BENCH_multitag.json not rewritten");
-        return;
+    let mut fields = Fields::default();
+    fields
+        .num("n_chirps", N_CHIRPS as f64)
+        .num("n_range_bins", N_RANGE as f64)
+        .set("per_k", Value::Array(rows))
+        .num("speedup_at_64", speedup_at_64)
+        .num("steady_state_allocs", steady_allocs_at_64 as f64)
+        .set("bit_identical", Value::Bool(true));
+    harness::record(
+        &args,
+        "multitag",
+        "batched multi-tag detection",
+        &format!(
+            "one-pass localization + uplink decode for K registered tags on one \
+             {N_CHIRPS}-chirp x {N_RANGE}-range-bin frame, {samples} interleaved samples after \
+             warm-up on a 1-thread pool; sequential = per-tag locate_tag + demodulate loop, \
+             batched = multitag::detect_all with a warm TagBank + MultiTagScratch. speedup is \
+             the ratio of medians. steady_state_allocs counted by obs::alloc over one batched \
+             K=64 pass; acceptance: 0 allocs, bit-identical outputs at every K, and >= 3x at \
+             K=64."
+        ),
+        fields,
+    );
+
+    if !args.quick {
+        assert!(
+            speedup_at_64 >= 3.0,
+            "acceptance: batched K=64 must be >= 3x the per-tag loop, got {speedup_at_64:.2}x"
+        );
     }
-
-    assert!(
-        speedup_at_64 >= 3.0,
-        "acceptance: batched K=64 must be >= 3x the per-tag loop, got {speedup_at_64:.2}x"
-    );
-
-    let per_k: Vec<String> = rows
-        .iter()
-        .map(|(k, seq, bat, sp)| {
-            format!(
-                "    {{ \"tags\": {k}, \"sequential_frame_ns\": {:.0}, \"batched_frame_ns\": {:.0}, \"speedup\": {sp:.2} }}",
-                seq * 1e9,
-                bat * 1e9
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"batched multi-tag detection (crates/bench/benches/multitag.rs)\",\n  {dispatch},\n  \"note\": \"one-pass localization + uplink decode for K registered tags on one {N_CHIRPS}-chirp x {N_RANGE}-range-bin frame, medians of {samples} runs after warm-up on a 1-thread pool; sequential = per-tag locate_tag + demodulate loop, batched = multitag::detect_all with a warm TagBank + MultiTagScratch. steady_state_allocs counted by a wrapping global allocator over one batched K=64 pass; acceptance: 0 allocs, bit-identical outputs at every K, and >= 3x at K=64.\",\n  \"n_chirps\": {N_CHIRPS},\n  \"n_range_bins\": {N_RANGE},\n  \"per_k\": [\n{}\n  ],\n  \"speedup_at_64\": {speedup_at_64:.2},\n  \"steady_state_allocs\": {steady_allocs_at_64},\n  \"bit_identical\": true\n}}\n",
-        per_k.join(",\n"),
-        dispatch = biscatter_bench::dispatch_json_fields(),
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_multitag.json"
-    );
-    std::fs::write(path, &json).expect("write BENCH_multitag.json");
-    println!("wrote {path}");
 }

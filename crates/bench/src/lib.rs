@@ -3,6 +3,7 @@
 //! One function per table/figure of the paper's evaluation, each returning a
 //! [`biscatter_core::experiment::Experiment`] whose rows mirror what the
 //! paper plots. The `repro` binary and the `cargo bench` targets call these.
+//! The `cargo bench` targets time and record through [`harness`].
 //!
 //! Fidelity knob: the environment variable `BISCATTER_FRAMES` scales the
 //! Monte-Carlo frame count per operating point (default 60; the paper uses
@@ -12,8 +13,18 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod harness;
 
+use biscatter_core::dsp::arena::Pool;
+use biscatter_core::dsp::Real;
 use biscatter_core::experiment::Experiment;
+use biscatter_core::isac::{
+    align_stage_into, dechirp_stage_into, doppler_stage_into, AlignedPair, SynthesizedFrame,
+};
+use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
+use biscatter_core::rf::slab::SampleSlab;
+use biscatter_core::system::BiScatterSystem;
+use biscatter_runtime::compute::ComputePool;
 
 /// JSON fragment recording the SIMD dispatch configuration of the current
 /// process — tier name, lane widths, and the detected CPU feature set.
@@ -31,6 +42,25 @@ pub fn dispatch_json_fields() -> String {
         t.lanes_f32(),
         biscatter_core::dsp::dispatch::detected_cpu_features(),
     )
+}
+
+/// Stages 2–4 of one frame (dechirp → align → doppler) in precision `T`,
+/// the hot path the `frame`, `obs` and `fleet` benches time and audit:
+/// the IF slab is leased from `slabs`, and the outputs are left in `pair`
+/// and `map`.
+pub fn hot_stages<T: Real>(
+    pool: &ComputePool,
+    sys: &BiScatterSystem,
+    synth: &SynthesizedFrame,
+    slabs: &Pool<SampleSlab<T>>,
+    pair: &mut AlignedPair<T>,
+    map: &mut RangeDopplerMap,
+    seed: u64,
+) {
+    let mut slab = slabs.take_or(SampleSlab::new);
+    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
+    align_stage_into(pool, sys, &synth.train, &*slab, pair);
+    doppler_stage_into(pool, pair, map);
 }
 
 /// Monte-Carlo frames per operating point (`BISCATTER_FRAMES`, default 60).

@@ -29,10 +29,12 @@
 //!
 //! # Safety
 //!
-//! This crate and `biscatter_dsp::simd` (the AVX2 kernel bodies behind
-//! runtime feature detection) are the only places in the workspace that
-//! contain `unsafe` (everything else is `#![forbid(unsafe_code)]`). The
-//! unsafe core here is small and fully local: lifetime erasure of scoped
+//! This crate, `biscatter_dsp::simd` (the AVX2 kernel bodies behind
+//! runtime feature detection) and `biscatter_obs::alloc` (the counting
+//! `GlobalAlloc` the allocation audits install) are the only places in the
+//! workspace that contain `unsafe`: `dsp` and `obs` are
+//! `#![deny(unsafe_code)]` with that one module exempt, and everything else
+//! is `#![forbid(unsafe_code)]`. The unsafe core here is small and fully local: lifetime erasure of scoped
 //! closures (sound because every scope waits for its latch before
 //! returning, even when unwinding — enforced by a wait-on-drop guard) and
 //! raw-pointer partitioning of slices into provably disjoint regions

@@ -26,9 +26,6 @@
 //! traffic from the harness's other threads. This file must keep exactly one
 //! `#[test]` for that isolation to stay meaningful.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use biscatter_compute::ComputePool;
 use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::signal::NoiseSource;
@@ -39,6 +36,7 @@ use biscatter_core::isac::{
     AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::link::packet::DownlinkPacket;
+use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
 use biscatter_core::radar::sequencer::isac_frame;
 use biscatter_core::system::BiScatterSystem;
@@ -47,49 +45,8 @@ use biscatter_radar::receiver::acquire::{acquire_all, AcquireScratch, Correlator
 use biscatter_radar::receiver::doppler::RangeDopplerMap;
 use biscatter_rf::slab::SampleSlab;
 
-thread_local! {
-    /// `-1` = not counting; `>= 0` = allocations observed on this thread.
-    static ALLOCS: Cell<isize> = const { Cell::new(-1) };
-}
-
-struct CountingAlloc;
-
-// The counting wrapper defers everything to `System`; it only bumps the
-// thread-local counter when the measuring window is open.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn count_one() {
-    // `try_with` so allocations during thread teardown can't panic.
-    let _ = ALLOCS.try_with(|c| {
-        let v = c.get();
-        if v >= 0 {
-            c.set(v + 1);
-        }
-    });
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Runs `f` inside the measuring window; returns its result and the number
-/// of heap allocations it made on this thread.
-fn audited<R>(f: impl FnOnce() -> R) -> (R, isize) {
-    ALLOCS.with(|c| c.set(0));
-    let r = f();
-    (r, ALLOCS.with(|c| c.replace(-1)))
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Stages 2–4 of one frame in precision `T`, leasing every buffer from the
 /// arena pools of that precision; returns one map cell as a checksum.
@@ -183,7 +140,7 @@ fn steady_state_frame_stages_allocate_nothing() {
 
     // Measured steady-state frame, recorder included. Eight records into a
     // capacity-4 ring exercises both the fill and the overwrite path.
-    let (measured, n) = audited(|| {
+    let (measured, n) = counted(|| {
         let measured = f64_frame(1);
         for i in 0..8 {
             recorder.record(flight_record(i, 1_000_000));
@@ -199,7 +156,7 @@ fn steady_state_frame_stages_allocate_nothing() {
     assert_eq!(recorder.overwritten(), 4);
 
     // The same window on the f32 instantiation of the stages.
-    let (measured, n) = audited(|| f32_frame(1));
+    let (measured, n) = counted(|| f32_frame(1));
     assert_eq!(measured, warm32_b, "measured f32 frame must match warm-up");
     assert_eq!(
         n, 0,
@@ -227,7 +184,7 @@ fn steady_state_frame_stages_allocate_nothing() {
     assert!(warm_a.is_some(), "warm-up dwell not acquired");
 
     let (measured, n) =
-        audited(|| acquire_all(&pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores));
+        counted(|| acquire_all(&pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores));
     assert_eq!(measured, warm_b, "measured acquisition must match warm-up");
     assert_eq!(
         n, 0,
@@ -251,7 +208,7 @@ fn steady_state_frame_stages_allocate_nothing() {
             .front_end
             .capture_train(&train, sys.downlink_snr_at(3.0), 0.0, &mut noise);
         let warm = decoder.decode(&adc, Some(4)).unwrap();
-        let (measured, n) = audited(|| decoder.decode(&adc, Some(4)).unwrap());
+        let (measured, n) = counted(|| decoder.decode(&adc, Some(4)).unwrap());
         assert_eq!(measured.payload.as_deref(), Ok(&b"CMD1"[..]));
         assert_eq!(measured.symbols, warm.symbols);
         assert!(

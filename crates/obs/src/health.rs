@@ -6,10 +6,10 @@
 //! [`HealthState::Degraded`], [`HealthState::Critical`] — from three
 //! windowed signals:
 //!
-//! 1. **Drop rate** — delta of cumulative queue/admission drops over delta
-//!    of processed frames between successive observations (cumulative
-//!    counters alone cannot distinguish an old incident from an ongoing
-//!    one).
+//! 1. **Drop rate** — delta of cumulative lost frames (queue/admission
+//!    drops and frames that failed) over delta of processed frames between
+//!    successive observations (cumulative counters alone cannot
+//!    distinguish an old incident from an ongoing one).
 //! 2. **SNR sag** — an EWMA over the located-tag SNR reported in flight
 //!    records, compared against explicit dB floors.
 //! 3. **p99 latency** — the frame-latency p99 against a configurable SLO
@@ -72,8 +72,8 @@ impl HealthState {
 /// environment (see [`HealthConfig::from_env`]).
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
-    /// Windowed drop rate (drops / (frames + drops)) above which a cell is
-    /// Degraded.
+    /// Windowed drop rate (drops / (frames + drops), where a failed frame
+    /// counts as a drop) above which a cell is Degraded.
     pub drop_rate_degraded: f64,
     /// Windowed drop rate above which a cell is Critical.
     pub drop_rate_critical: f64,
@@ -154,7 +154,8 @@ impl HealthConfig {
 pub struct CellObservation {
     /// Cumulative frames processed by the cell.
     pub frames: u64,
-    /// Cumulative queue + admission drops charged to the cell.
+    /// Cumulative frames lost by the cell: queue + admission drops plus
+    /// frames that failed.
     pub drops: u64,
     /// Mean located-tag SNR since the previous observation, dB; `None` when
     /// no tag was located in the window (the EWMA holds).
@@ -171,7 +172,8 @@ pub struct CellHealthReport {
     pub cell_id: u32,
     /// Current classified state.
     pub state: HealthState,
-    /// Windowed drop rate from the most recent observation.
+    /// Windowed drop rate from the most recent observation: frames lost
+    /// (dropped, rejected or failed) over frames lost plus processed.
     pub drop_rate: f64,
     /// Current SNR EWMA, dB (`NaN` until a tag has been located).
     pub snr_ewma_db: f64,
@@ -382,12 +384,16 @@ impl HealthEngine {
                 }
             };
             let frames = snap.counter(&scoped("runtime.frames")).unwrap_or(0);
+            // A failed frame is not counted in `runtime.frames`, so it is
+            // lost like a dropped one.
             let drops: u64 = snap
                 .counters
                 .iter()
                 .filter(|(k, _)| {
                     (k.starts_with(&prefix) || (id == 0 && parse_cell_scope(k).is_none()))
-                        && (k.ends_with(".drops") || k.ends_with(".rejected"))
+                        && (k.ends_with(".drops")
+                            || k.ends_with(".rejected")
+                            || k.ends_with("runtime.frames.failed"))
                 })
                 .map(|&(_, v)| v)
                 .sum();

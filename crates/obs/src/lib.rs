@@ -26,10 +26,21 @@
 //! * [`serve`] — a std-only HTTP/1.1 scrape server (`BISCATTER_METRICS_ADDR`)
 //!   exposing `/metrics` (Prometheus text v0.0.4), `/health`, `/frames`,
 //!   and `/trace`.
+//!
+//! [`alloc`] is the workspace's one counting allocator, which the
+//! zero-allocation audits and the benches install in their own binaries.
+//!
+//! ## Unsafe policy
+//!
+//! The crate is `deny(unsafe_code)`; the single exemption is [`alloc`],
+//! whose `GlobalAlloc` impl is `unsafe` by definition and forwards every
+//! call to `System` unchanged.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
+pub mod alloc;
 pub mod health;
 pub mod json;
 pub mod metrics;

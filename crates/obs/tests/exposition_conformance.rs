@@ -229,3 +229,29 @@ fn health_walks_healthy_degraded_critical_healthy_with_hysteresis() {
     // And it stays Healthy on further clean windows, with no new transitions.
     assert_eq!(observe(&mut engine, 600, 55), (HealthState::Healthy, 3));
 }
+
+#[test]
+fn a_cell_whose_frames_all_fail_reaches_critical() {
+    // A cell whose every frame panics: its failures grow while its
+    // processed frames stay flat, and nothing is dropped or rejected.
+    // Cell id 74 keeps this test's `cell<i>.health.*` metrics apart.
+    const CELL: u32 = 74;
+    let mut engine = HealthEngine::new(HealthConfig::default());
+    let snapshot = |frames: u64, failed: u64| RegistrySnapshot {
+        counters: vec![
+            (format!("cell{CELL}.runtime.frames"), frames),
+            (format!("cell{CELL}.runtime.frames.failed"), failed),
+        ],
+        gauges: Vec::new(),
+        histograms: Vec::new(),
+    };
+    let observe = |engine: &mut HealthEngine, frames, failed| {
+        let reports = engine.observe_registry(&snapshot(frames, failed));
+        let r = reports.iter().find(|r| r.cell_id == CELL).expect("cell 74");
+        (r.state, r.drop_rate)
+    };
+
+    assert_eq!(observe(&mut engine, 100, 0), (HealthState::Healthy, 0.0));
+    assert_eq!(observe(&mut engine, 100, 10), (HealthState::Critical, 1.0));
+    assert_eq!(observe(&mut engine, 100, 50), (HealthState::Critical, 1.0));
+}

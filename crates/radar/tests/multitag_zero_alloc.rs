@@ -19,11 +19,9 @@
 //! traffic from the harness's other threads. This file must keep exactly one
 //! `#[test]` for that isolation to stay meaningful.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use biscatter_compute::ComputePool;
 use biscatter_dsp::signal::NoiseSource;
+use biscatter_obs::alloc::{counted, CountingAlloc};
 use biscatter_obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
 use biscatter_radar::receiver::doppler::range_doppler;
 use biscatter_radar::receiver::multitag::{detect_all, MultiTagScratch, TagBank, TagProfile};
@@ -34,41 +32,8 @@ use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
 use biscatter_rf::scene::{Scatterer, Scene};
 
-thread_local! {
-    /// `-1` = not counting; `>= 0` = allocations observed on this thread.
-    static ALLOCS: Cell<isize> = const { Cell::new(-1) };
-}
-
-struct CountingAlloc;
-
-// The counting wrapper defers everything to `System`; it only bumps the
-// thread-local counter when the measuring window is open.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn count_one() {
-    // `try_with` so allocations during thread teardown can't panic.
-    let _ = ALLOCS.try_with(|c| {
-        let v = c.get();
-        if v >= 0 {
-            c.set(v + 1);
-        }
-    });
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const N_CHIRPS: usize = 64;
 const T_PERIOD: f64 = 120e-6;
@@ -130,36 +95,36 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
     let recorder = FlightRecorder::with_capacity(0, 2);
 
     // Measured steady-state detection, flight-record capture included.
-    ALLOCS.with(|c| c.set(0));
-    detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
-    let snr_db = out
-        .iter()
-        .filter_map(|d| d.location.as_ref().map(|l| l.snr_db))
-        .next()
-        .unwrap_or(f64::NAN);
-    let decoded_bits: u32 = out
-        .iter()
-        .filter_map(|d| d.uplink.as_ref().map(|u| u.bits.len() as u32))
-        .sum();
-    for pass in 0..3 {
-        recorder.record(FrameRecord {
-            frame_id: pass,
-            cell_id: 0,
-            t_ns: 0,
-            total_ns: 1,
-            stages: StageNanos {
-                detect: 1,
-                ..StageNanos::default()
-            },
-            failed: false,
-            snr_db,
-            pslr_db: f64::NAN,
-            decoded_bits,
-            cfar_detections: out.len() as u32,
-            queue_drops: 0,
-        });
-    }
-    let n = ALLOCS.with(|c| c.replace(-1));
+    let ((), n) = counted(|| {
+        detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+        let snr_db = out
+            .iter()
+            .filter_map(|d| d.location.as_ref().map(|l| l.snr_db))
+            .next()
+            .unwrap_or(f64::NAN);
+        let decoded_bits: u32 = out
+            .iter()
+            .filter_map(|d| d.uplink.as_ref().map(|u| u.bits.len() as u32))
+            .sum();
+        for pass in 0..3 {
+            recorder.record(FrameRecord {
+                frame_id: pass,
+                cell_id: 0,
+                t_ns: 0,
+                total_ns: 1,
+                stages: StageNanos {
+                    detect: 1,
+                    ..StageNanos::default()
+                },
+                failed: false,
+                snr_db,
+                pslr_db: f64::NAN,
+                decoded_bits,
+                cfar_detections: out.len() as u32,
+                queue_drops: 0,
+            });
+        }
+    });
     assert_eq!(out, warm, "measured detection must match warm-up output");
     assert_eq!(
         n, 0,
