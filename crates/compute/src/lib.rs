@@ -352,12 +352,13 @@ impl ComputePool {
         }
     }
 
-    /// The process-wide shared pool, sized by the `BISCATTER_THREADS`
-    /// environment variable when set (and ≥ 1), else by
-    /// [`std::thread::available_parallelism`].
+    /// The process-wide shared pool, one thread per core
+    /// ([`std::thread::available_parallelism`]).
     pub fn global() -> &'static ComputePool {
         static GLOBAL: OnceLock<ComputePool> = OnceLock::new();
-        GLOBAL.get_or_init(|| ComputePool::new(default_threads()))
+        GLOBAL.get_or_init(|| {
+            ComputePool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        })
     }
 
     /// Total thread count including the caller.
@@ -620,21 +621,6 @@ impl Drop for ComputePool {
     }
 }
 
-/// Returns the global pool's default size: `BISCATTER_THREADS` when set to
-/// a positive integer, else [`std::thread::available_parallelism`].
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("BISCATTER_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 // ---------------------------------------------------------------------------
 // Scope
 // ---------------------------------------------------------------------------
@@ -689,11 +675,6 @@ impl<T> ColumnBand<'_, T> {
     /// The column range this band may write.
     pub fn cols(&self) -> std::ops::Range<usize> {
         self.lo..self.hi
-    }
-
-    /// Number of rows in the underlying slab.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
     }
 
     /// Stores `value` at `(row, col)`; panics if the cell lies outside this
@@ -778,7 +759,7 @@ mod tests {
             let mut slab = vec![0usize; n_rows * n_cols];
             pool.par_columns(&mut slab, n_rows, n_cols, 4, |band| {
                 for col in band.cols() {
-                    for row in 0..band.n_rows() {
+                    for row in 0..n_rows {
                         band.set(row, col, row * 100 + col);
                     }
                 }

@@ -11,9 +11,9 @@
 //! worker of a cell, and a lease may be returned from a different thread
 //! than the one that checked it out.
 //!
-//! Pools built with [`Pool::named`] additionally publish lease hit/miss
+//! Pools built with [`Pool::named_at`] additionally publish lease hit/miss
 //! counters and an outstanding-lease high-water gauge into the
-//! [`biscatter_obs`] registry (`arena.<name>.*`), so a streaming run can
+//! [`biscatter_obs`] registry (`<base>.*`), so a streaming run can
 //! prove its free lists actually recycle; anonymous [`Pool::new`] pools
 //! stay metric-free. The stat updates are relaxed atomics — no extra
 //! locking, no allocation on the lease path.
@@ -75,16 +75,10 @@ impl<T> Pool<T> {
         }
     }
 
-    /// Creates an empty pool that reports `arena.<name>.lease_hits`,
-    /// `arena.<name>.lease_misses`, and the `arena.<name>.outstanding_hiwat`
-    /// gauge to the global metric registry. Pools sharing a name share the
-    /// registry cells (their stats sum).
-    pub fn named(name: &str) -> Self {
-        Self::named_at(&format!("arena.{name}"))
-    }
-
-    /// Like [`Pool::named`] but takes the full registry base name instead of
-    /// prepending `arena.`. This is how a multi-cell process keeps pools
+    /// Creates an empty pool that reports `<base>.lease_hits`,
+    /// `<base>.lease_misses`, and the `<base>.outstanding_hiwat` gauge to
+    /// the global metric registry. Pools sharing a name share the registry
+    /// cells (their stats sum). This is how a multi-cell process keeps pools
     /// from colliding: cell 3's pipeline registers its pools at
     /// `cell3.arena.isac.*` while a standalone run keeps the legacy
     /// unscoped `arena.isac.*` names.
@@ -136,13 +130,6 @@ pub struct Lease<T> {
     pool: Arc<PoolInner<T>>,
 }
 
-impl<T> Lease<T> {
-    /// Detaches the value from its pool (it will not be returned).
-    pub fn into_inner(mut self) -> T {
-        self.value.take().expect("lease already emptied")
-    }
-}
-
 impl<T> Deref for Lease<T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -158,8 +145,7 @@ impl<T> DerefMut for Lease<T> {
 
 impl<T> Drop for Lease<T> {
     fn drop(&mut self) {
-        // The lease ends here whether the value is returned or was detached
-        // by into_inner, so the outstanding count always decrements once.
+        // The lease ends here, so the outstanding count decrements once.
         if let Some(stats) = &self.pool.stats {
             stats.outstanding.fetch_sub(1, Ordering::Relaxed);
         }
@@ -190,14 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn into_inner_detaches() {
-        let pool: Pool<Vec<u8>> = Pool::new();
-        let v = pool.take_or(|| vec![1, 2, 3]).into_inner();
-        assert_eq!(v, vec![1, 2, 3]);
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
     fn clones_share_free_list() {
         let pool: Pool<String> = Pool::new();
         let clone = pool.clone();
@@ -218,7 +196,7 @@ mod tests {
 
     #[test]
     fn named_pool_reports_hits_misses_and_hiwat() {
-        let pool: Pool<Vec<u8>> = Pool::named("test.arena_unit");
+        let pool: Pool<Vec<u8>> = Pool::named_at("arena.test.arena_unit");
         let snap = || biscatter_obs::registry().snapshot();
         let base_hits = snap().counter("arena.test.arena_unit.lease_hits").unwrap();
         let base_misses = snap()

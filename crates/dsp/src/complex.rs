@@ -38,11 +38,6 @@ impl<T: Real> Complex<T> {
         re: T::ONE,
         im: T::ZERO,
     };
-    /// The imaginary unit, `0 + 1i`.
-    pub const I: Self = Complex {
-        re: T::ZERO,
-        im: T::ONE,
-    };
 
     /// Creates a complex number from rectangular parts.
     #[inline]
@@ -90,12 +85,6 @@ impl<T: Real> Complex<T> {
 }
 
 impl Cpx {
-    /// Creates a complex number from polar form `r * e^{i*theta}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Cpx::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// `e^{i*theta}`: a unit phasor at angle `theta` (radians).
     #[inline]
     pub fn cis(theta: f64) -> Self {
@@ -114,30 +103,11 @@ impl Cpx {
         self.im.atan2(self.re)
     }
 
-    /// Complex exponential `e^{self}`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        Cpx::new(r * self.im.cos(), r * self.im.sin())
-    }
-
     /// Multiplicative inverse. Returns NaN components when `self` is zero.
     #[inline]
     pub fn recip(self) -> Self {
         let d = self.norm_sq();
         Cpx::new(self.re / d, -self.im / d)
-    }
-
-    /// Returns true if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
-
-    /// Returns true if both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -280,13 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn i_squared_is_minus_one() {
-        assert!(close(Cpx::I * Cpx::I, Cpx::real(-1.0)));
-    }
-
-    #[test]
     fn polar_roundtrip() {
-        let z = Cpx::from_polar(2.0, 0.7);
+        let z = Cpx::cis(0.7) * 2.0;
         assert!((z.abs() - 2.0).abs() < EPS);
         assert!((z.arg() - 0.7).abs() < EPS);
     }
@@ -301,19 +266,14 @@ mod tests {
 
     #[test]
     fn conj_negates_phase() {
-        let z = Cpx::from_polar(1.3, 0.9);
+        let z = Cpx::cis(0.9) * 1.3;
         assert!((z.conj().arg() + 0.9).abs() < EPS);
     }
 
     #[test]
-    fn exp_of_i_pi_is_minus_one() {
-        let z = (Cpx::I * std::f64::consts::PI).exp();
-        assert!(close(z, Cpx::real(-1.0)));
-    }
-
-    #[test]
     fn recip_of_zero_is_nan() {
-        assert!(Cpx::ZERO.recip().is_nan());
+        let z = Cpx::ZERO.recip();
+        assert!(z.re.is_nan() && z.im.is_nan());
     }
 
     #[test]

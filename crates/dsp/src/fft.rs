@@ -10,10 +10,10 @@
 //!   kept as the oracle for regression tests and as the "unplanned"
 //!   baseline in the DSP benches.
 //!
-//! The free functions here ([`fft`]/[`ifft`]/[`rfft`]/[`rfft_mag`]) keep
-//! their original allocating signatures but route through the thread-local
-//! planner ([`crate::planner::with_planner`]), so every caller gets cached
-//! plans automatically; hot paths that want zero steady-state allocation use
+//! The free functions here ([`fft`]/[`ifft`]/[`rfft`]) keep their original
+//! allocating signatures but route through the thread-local planner
+//! ([`crate::planner::with_planner`]), so every caller gets cached plans
+//! automatically; hot paths that want zero steady-state allocation use
 //! the planner's in-place APIs directly.
 //!
 //! The forward transform is unnormalized
@@ -35,33 +35,6 @@ pub fn next_pow2(n: usize) -> usize {
 /// Returns true if `n` is a power of two (and nonzero).
 pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
-}
-
-/// In-place radix-2 decimation-in-time FFT (through the thread-local plan
-/// cache).
-///
-/// # Panics
-/// Panics if `data.len()` is not a power of two.
-pub fn fft_pow2_in_place(data: &mut [Cpx]) {
-    assert!(
-        is_pow2(data.len()),
-        "radix-2 FFT requires power-of-two length, got {}",
-        data.len()
-    );
-    with_planner(|p| p.fft_in_place(data));
-}
-
-/// In-place radix-2 inverse FFT, including the `1/N` normalization.
-///
-/// # Panics
-/// Panics if `data.len()` is not a power of two.
-pub fn ifft_pow2_in_place(data: &mut [Cpx]) {
-    assert!(
-        is_pow2(data.len()),
-        "radix-2 FFT requires power-of-two length, got {}",
-        data.len()
-    );
-    with_planner(|p| p.ifft_in_place(data));
 }
 
 /// Forward DFT of arbitrary length. Power-of-two inputs use radix-2
@@ -88,16 +61,6 @@ pub fn rfft(input: &[f64]) -> Vec<Cpx> {
     with_planner(|p| p.rfft_full(input))
 }
 
-/// Magnitude spectrum of a real signal: `|FFT|` for bins `0..=N/2`.
-/// Computes only the half spectrum (no mirror is materialized).
-pub fn rfft_mag(input: &[f64]) -> Vec<f64> {
-    with_planner(|p| {
-        let mut half = Vec::new();
-        p.rfft_half_into(input, &mut half);
-        half.iter().map(|z| z.abs()).collect()
-    })
-}
-
 /// Frequency (Hz) of FFT `bin` for a transform of length `n` at sample rate
 /// `fs`. Bins in the upper half map to negative frequencies.
 pub fn bin_to_freq(bin: usize, n: usize, fs: f64) -> f64 {
@@ -107,12 +70,6 @@ pub fn bin_to_freq(bin: usize, n: usize, fs: f64) -> f64 {
     } else {
         (b as f64 - n as f64) * fs / n as f64
     }
-}
-
-/// The (fractional) FFT bin corresponding to frequency `freq` at sample rate
-/// `fs` for an `n`-point transform.
-pub fn freq_to_bin(freq: f64, n: usize, fs: f64) -> f64 {
-    freq * n as f64 / fs
 }
 
 /// The original per-call FFT engine, predating the plan cache.
@@ -205,7 +162,9 @@ pub mod reference {
         }
     }
 
-    /// Inverse DFT of arbitrary length (normalized by `1/N`).
+    /// Inverse DFT of arbitrary length (normalized by `1/N`); the oracle
+    /// for the planner's inverse path in the unit tests.
+    #[cfg(test)]
     pub fn ifft(input: &[Cpx]) -> Vec<Cpx> {
         if is_pow2(input.len()) {
             let mut v = input.to_vec();
@@ -395,8 +354,6 @@ mod tests {
                 .collect();
             let widened: Vec<Cpx> = x.iter().map(|&v| Cpx::real(v)).collect();
             assert_close(&rfft(&x), &fft(&widened), 1e-9 * n as f64);
-            let mag = rfft_mag(&x);
-            assert_eq!(mag.len(), n / 2 + 1);
         }
     }
 
@@ -407,7 +364,7 @@ mod tests {
         for bin in 0..n {
             let f = bin_to_freq(bin, n, fs);
             // Negative frequencies wrap: re-derive the bin modulo n.
-            let b = freq_to_bin(f, n, fs).round() as i64;
+            let b = (f * n as f64 / fs).round() as i64;
             assert_eq!(b.rem_euclid(n as i64) as usize, bin);
         }
     }
@@ -422,17 +379,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn pow2_in_place_rejects_odd() {
-        let mut x = vec![Cpx::ZERO; 3];
-        fft_pow2_in_place(&mut x);
-    }
-
-    #[test]
     fn empty_and_single() {
         assert!(fft(&[]).is_empty());
         assert!(rfft(&[]).is_empty());
-        assert!(rfft_mag(&[]).is_empty());
         let one = [Cpx::new(2.0, 3.0)];
         assert_close(&fft(&one), &one, 1e-15);
     }

@@ -1,183 +1,7 @@
-//! Digital filters: FIR design and application, IIR biquads, the single-pole
-//! RC low-pass used to model the envelope detector's internal filter, and a
-//! moving-average smoother.
+//! Digital filters: the single-pole RC low-pass used to model the envelope
+//! detector's internal filter, and a moving-average smoother.
 
 use crate::TAU;
-
-/// Designs a linear-phase low-pass FIR filter by the windowed-sinc method.
-///
-/// `cutoff_norm` is the -6 dB cutoff as a fraction of the sample rate
-/// (`f_c / f_s`, must be in `(0, 0.5)`), `taps` is the filter length (odd
-/// lengths give an integer group delay of `(taps-1)/2`). A Hamming window is
-/// applied and the taps are normalized for unit DC gain.
-///
-/// # Panics
-/// Panics if `taps == 0` or `cutoff_norm` is outside `(0, 0.5)`.
-pub fn fir_lowpass(taps: usize, cutoff_norm: f64) -> Vec<f64> {
-    assert!(taps > 0, "taps must be nonzero");
-    assert!(
-        cutoff_norm > 0.0 && cutoff_norm < 0.5,
-        "cutoff must be in (0, 0.5), got {cutoff_norm}"
-    );
-    let m = (taps - 1) as f64 / 2.0;
-    let mut h: Vec<f64> = (0..taps)
-        .map(|i| {
-            let x = i as f64 - m;
-            let sinc = if x.abs() < 1e-12 {
-                2.0 * cutoff_norm
-            } else {
-                (TAU * cutoff_norm * x).sin() / (std::f64::consts::PI * x)
-            };
-            // Hamming window (symmetric).
-            let w = 0.54 - 0.46 * (TAU * i as f64 / (taps - 1).max(1) as f64).cos();
-            sinc * w
-        })
-        .collect();
-    let sum: f64 = h.iter().sum();
-    for v in &mut h {
-        *v /= sum;
-    }
-    h
-}
-
-/// Designs a band-pass FIR by spectral shifting of a low-pass prototype.
-///
-/// Passband is `[f_lo, f_hi]` in normalized frequency; both must satisfy
-/// `0 < f_lo < f_hi < 0.5`.
-pub fn fir_bandpass(taps: usize, f_lo: f64, f_hi: f64) -> Vec<f64> {
-    assert!(
-        0.0 < f_lo && f_lo < f_hi && f_hi < 0.5,
-        "need 0 < f_lo < f_hi < 0.5"
-    );
-    let half_bw = (f_hi - f_lo) / 2.0;
-    let center = (f_hi + f_lo) / 2.0;
-    let lp = fir_lowpass(taps, half_bw);
-    let m = (taps - 1) as f64 / 2.0;
-    lp.iter()
-        .enumerate()
-        .map(|(i, &h)| 2.0 * h * (TAU * center * (i as f64 - m)).cos())
-        .collect()
-}
-
-/// Convolves `signal` with `taps`, returning a same-length output aligned to
-/// compensate the filter's group delay (taps are assumed linear-phase). The
-/// edges are handled by zero extension.
-pub fn fir_filter(signal: &[f64], taps: &[f64]) -> Vec<f64> {
-    let n = signal.len();
-    let t = taps.len();
-    if n == 0 || t == 0 {
-        return vec![0.0; n];
-    }
-    let delay = (t - 1) / 2;
-    let mut out = vec![0.0; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        // Output sample i corresponds to full-convolution index i + delay.
-        let conv_idx = i + delay;
-        for (k, &h) in taps.iter().enumerate() {
-            if let Some(j) = conv_idx.checked_sub(k) {
-                if j < n {
-                    acc += h * signal[j];
-                }
-            }
-        }
-        *o = acc;
-    }
-    out
-}
-
-/// A direct-form-I biquad (second-order IIR) section.
-///
-/// Transfer function `H(z) = (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2)`.
-#[derive(Debug, Clone)]
-pub struct Biquad {
-    b0: f64,
-    b1: f64,
-    b2: f64,
-    a1: f64,
-    a2: f64,
-    x1: f64,
-    x2: f64,
-    y1: f64,
-    y2: f64,
-}
-
-impl Biquad {
-    /// Creates a biquad from raw coefficients (denominator normalized, `a0 = 1`).
-    pub fn from_coefficients(b0: f64, b1: f64, b2: f64, a1: f64, a2: f64) -> Self {
-        Biquad {
-            b0,
-            b1,
-            b2,
-            a1,
-            a2,
-            x1: 0.0,
-            x2: 0.0,
-            y1: 0.0,
-            y2: 0.0,
-        }
-    }
-
-    /// Butterworth-response low-pass biquad (RBJ cookbook) with cutoff
-    /// `cutoff_norm = f_c / f_s` in `(0, 0.5)` and quality factor `q`
-    /// (0.7071 for a maximally flat 2nd-order stage).
-    pub fn lowpass(cutoff_norm: f64, q: f64) -> Self {
-        assert!(cutoff_norm > 0.0 && cutoff_norm < 0.5);
-        let w0 = TAU * cutoff_norm;
-        let alpha = w0.sin() / (2.0 * q);
-        let cos_w0 = w0.cos();
-        let a0 = 1.0 + alpha;
-        Biquad::from_coefficients(
-            (1.0 - cos_w0) / 2.0 / a0,
-            (1.0 - cos_w0) / a0,
-            (1.0 - cos_w0) / 2.0 / a0,
-            -2.0 * cos_w0 / a0,
-            (1.0 - alpha) / a0,
-        )
-    }
-
-    /// High-pass counterpart of [`Biquad::lowpass`].
-    pub fn highpass(cutoff_norm: f64, q: f64) -> Self {
-        assert!(cutoff_norm > 0.0 && cutoff_norm < 0.5);
-        let w0 = TAU * cutoff_norm;
-        let alpha = w0.sin() / (2.0 * q);
-        let cos_w0 = w0.cos();
-        let a0 = 1.0 + alpha;
-        Biquad::from_coefficients(
-            (1.0 + cos_w0) / 2.0 / a0,
-            -(1.0 + cos_w0) / a0,
-            (1.0 + cos_w0) / 2.0 / a0,
-            -2.0 * cos_w0 / a0,
-            (1.0 - alpha) / a0,
-        )
-    }
-
-    /// Processes one sample.
-    #[inline]
-    pub fn process(&mut self, x: f64) -> f64 {
-        let y = self.b0 * x + self.b1 * self.x1 + self.b2 * self.x2
-            - self.a1 * self.y1
-            - self.a2 * self.y2;
-        self.x2 = self.x1;
-        self.x1 = x;
-        self.y2 = self.y1;
-        self.y1 = y;
-        y
-    }
-
-    /// Filters a whole buffer, returning the output.
-    pub fn process_block(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Clears the delay-line state.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
-    }
-}
 
 /// Single-pole RC low-pass: `y[n] = y[n-1] + a (x[n] - y[n-1])`.
 ///
@@ -202,27 +26,11 @@ impl SinglePoleLowPass {
         }
     }
 
-    /// Creates the filter directly from the smoothing coefficient in `(0, 1]`.
-    pub fn from_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        SinglePoleLowPass { alpha, y: 0.0 }
-    }
-
     /// Processes one sample.
     #[inline]
     pub fn process(&mut self, x: f64) -> f64 {
         self.y += self.alpha * (x - self.y);
         self.y
-    }
-
-    /// Filters a whole buffer.
-    pub fn process_block(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Resets the state to zero.
-    pub fn reset(&mut self) {
-        self.y = 0.0;
     }
 }
 
@@ -249,92 +57,17 @@ pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
 mod tests {
     use super::*;
 
-    fn tone(n: usize, f_norm: f64) -> Vec<f64> {
-        (0..n).map(|i| (TAU * f_norm * i as f64).sin()).collect()
-    }
-
     fn rms(x: &[f64]) -> f64 {
         (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
     }
 
     #[test]
-    fn fir_lowpass_unit_dc_gain() {
-        let h = fir_lowpass(63, 0.1);
-        assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fir_lowpass_passes_low_blocks_high() {
-        let h = fir_lowpass(101, 0.1);
-        let lo = fir_filter(&tone(2000, 0.02), &h);
-        let hi = fir_filter(&tone(2000, 0.4), &h);
-        // Compare steady-state RMS (skip the transient edges).
-        let lo_rms = rms(&lo[200..1800]);
-        let hi_rms = rms(&hi[200..1800]);
-        assert!(lo_rms > 0.6, "low tone attenuated: {lo_rms}");
-        assert!(hi_rms < 0.01, "high tone leaked: {hi_rms}");
-    }
-
-    #[test]
-    fn fir_bandpass_selects_band() {
-        let h = fir_bandpass(201, 0.1, 0.2);
-        let inband = rms(&fir_filter(&tone(3000, 0.15), &h)[300..2700]);
-        let below = rms(&fir_filter(&tone(3000, 0.03), &h)[300..2700]);
-        let above = rms(&fir_filter(&tone(3000, 0.35), &h)[300..2700]);
-        assert!(inband > 0.5);
-        assert!(below < 0.02);
-        assert!(above < 0.02);
-    }
-
-    #[test]
-    fn fir_filter_identity() {
-        let x = tone(64, 0.1);
-        let y = fir_filter(&x, &[1.0]);
-        for (a, b) in x.iter().zip(&y) {
-            assert!((a - b).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn fir_filter_empty_inputs() {
-        assert!(fir_filter(&[], &[1.0, 2.0]).is_empty());
-        assert_eq!(fir_filter(&[1.0, 2.0], &[]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn biquad_lowpass_attenuates() {
-        let mut f = Biquad::lowpass(0.05, std::f64::consts::FRAC_1_SQRT_2);
-        let lo = f.process_block(&tone(4000, 0.01));
-        f.reset();
-        let hi = f.process_block(&tone(4000, 0.4));
-        assert!(rms(&lo[1000..]) > 0.6);
-        assert!(rms(&hi[1000..]) < 0.02);
-    }
-
-    #[test]
-    fn biquad_highpass_attenuates() {
-        let mut f = Biquad::highpass(0.2, std::f64::consts::FRAC_1_SQRT_2);
-        let lo = f.process_block(&tone(4000, 0.01));
-        f.reset();
-        let hi = f.process_block(&tone(4000, 0.4));
-        assert!(rms(&lo[1000..]) < 0.02);
-        assert!(rms(&hi[1000..]) > 0.6);
-    }
-
-    #[test]
-    fn biquad_dc_gain_unity_for_lowpass() {
-        let mut f = Biquad::lowpass(0.1, std::f64::consts::FRAC_1_SQRT_2);
-        let y = f.process_block(&vec![1.0; 2000]);
-        assert!((y[1999] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn single_pole_steps_toward_input() {
-        let mut f = SinglePoleLowPass::from_alpha(0.5);
+        let fresh = || SinglePoleLowPass { alpha: 0.5, y: 0.0 };
+        let mut f = fresh();
         assert_eq!(f.process(1.0), 0.5);
         assert_eq!(f.process(1.0), 0.75);
-        f.reset();
-        assert_eq!(f.process(2.0), 1.0);
+        assert_eq!(fresh().process(2.0), 1.0);
     }
 
     #[test]
@@ -343,13 +76,12 @@ mod tests {
         // attenuated, DC passed.
         let fs = 100e3;
         let mut f = SinglePoleLowPass::from_cutoff(1e3, fs);
-        let hi: Vec<f64> = (0..5000)
-            .map(|i| (TAU * 30e3 / fs * i as f64).sin())
+        let y: Vec<f64> = (0..5000)
+            .map(|i| f.process((TAU * 30e3 / fs * i as f64).sin()))
             .collect();
-        let y = f.process_block(&hi);
         assert!(rms(&y[1000..]) < 0.05);
-        f.reset();
-        let dc = f.process_block(&vec![1.0; 5000]);
+        let mut f = SinglePoleLowPass::from_cutoff(1e3, fs);
+        let dc: Vec<f64> = (0..5000).map(|_| f.process(1.0)).collect();
         assert!((dc[4999] - 1.0).abs() < 1e-3);
     }
 

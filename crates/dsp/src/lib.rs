@@ -3,7 +3,7 @@
 //! Self-contained DSP building blocks used throughout the BiScatter
 //! reproduction. Everything here is implemented from scratch (no external
 //! DSP dependencies): a complex-number type, FFTs (radix-2 and Bluestein for
-//! arbitrary lengths), window functions, the Goertzel algorithm, FIR/IIR
+//! arbitrary lengths), window functions, the Goertzel algorithm, smoothing
 //! filters, resampling, spectral estimation, statistics, and signal
 //! synthesis/noise generation.
 //!
@@ -21,16 +21,15 @@
 //! | [`complex`] | `Complex<T>` complex number type and arithmetic (`Cpx` = `Complex<f64>`) |
 //! | [`dispatch`] | runtime SIMD tier selection (`BISCATTER_SIMD`, CPU detection) |
 //! | [`simd`] | scalar/AVX2 kernel bodies for the frame hot loops, per precision |
-//! | [`fft`] | radix-2 Cooley–Tukey and Bluestein FFT/IFFT, real-input helper |
+//! | [`fft`] | radix-2 Cooley–Tukey and Bluestein FFT, real-input helper, reference engine |
 //! | [`planner`] | cached FFT plans per precision, in-place/scratch APIs, packed real FFT |
-//! | [`window`] | Hann, Hamming, Blackman(-Harris), Kaiser, flat-top windows |
-//! | [`goertzel`] | single-bin DFT evaluation, sliding Goertzel, filter banks |
-//! | [`filter`] | windowed-sinc FIR design, biquad IIR, RC single-pole, moving average |
-//! | [`resample`] | linear interpolation, grid rescaling, decimation |
-//! | [`spectrum`] | periodogram, peak search, parabolic interpolation, noise floor, SNR |
-//! | [`stft`] | short-time Fourier transform / spectrogram |
-//! | [`stats`] | mean/variance, dB conversions, erfc/Q-function, theoretical BER |
-//! | [`signal`] | tone/chirp/square synthesis, AWGN, utility generators |
+//! | [`window`] | Hann, Hamming, Blackman(-Harris), flat-top windows, cached per length |
+//! | [`goertzel`] | single-bin DFT evaluation: one-shot, streaming, cached coefficients |
+//! | [`filter`] | RC single-pole low-pass, moving average |
+//! | [`resample`] | linear interpolation, grid rescaling |
+//! | [`spectrum`] | periodogram, peak search, parabolic interpolation, noise floor |
+//! | [`stats`] | mean/variance, power dB conversions, percentiles, Wilson interval |
+//! | [`signal`] | tone/chirp synthesis, seeded Gaussian noise |
 //!
 //! ## Unsafe policy
 //!
@@ -55,7 +54,6 @@ pub mod signal;
 pub mod simd;
 pub mod spectrum;
 pub mod stats;
-pub mod stft;
 pub mod window;
 
 pub use complex::{Complex, Cpx};

@@ -192,16 +192,6 @@ impl<T: Real> FftPlan<T> {
         }
     }
 
-    /// The transform length this plan serves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for the trivial `n <= 1` plan.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward DFT (unnormalized). Allocates scratch internally for
     /// Bluestein lengths; power-of-two lengths never allocate.
     ///
@@ -340,16 +330,12 @@ pub struct RfftPlan<T = f64> {
 }
 
 impl<T: Real> RfftPlan<T> {
-    /// Builds a real-FFT plan for even `n >= 2`. Prefer
-    /// [`FftPlanner::rfft_plan`], which caches and shares the inner plan.
+    /// Builds a real-FFT plan for even `n >= 2` around `inner_plan(n / 2)`;
+    /// [`FftPlanner::rfft_plan`] calls it with the cached inner plan.
     ///
     /// # Panics
     /// Panics if `n` is odd or zero (odd lengths have no packed fast path;
     /// use a complex [`FftPlan`] on a widened buffer instead).
-    pub fn new(n: usize) -> Self {
-        Self::build(n, |h| Rc::new(FftPlan::new(h)))
-    }
-
     fn build(n: usize, inner_plan: impl FnOnce(usize) -> Rc<FftPlan<T>>) -> Self {
         assert!(
             n >= 2 && n % 2 == 0,
@@ -360,21 +346,6 @@ impl<T: Real> RfftPlan<T> {
             .map(|k| Complex::from_f64(Cpx::cis(-TAU * k as f64 / n as f64)))
             .collect();
         RfftPlan { n, inner, twiddle }
-    }
-
-    /// The real input length this plan serves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false: real-FFT plans require even `n >= 2`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of half-spectrum bins produced: `n/2 + 1`.
-    pub fn output_len(&self) -> usize {
-        self.n / 2 + 1
     }
 
     /// Forward transform of `input` (length `n`) into the half spectrum
@@ -696,7 +667,7 @@ mod tests {
         // A Bluestein length's inner plan is shared with the pow2 cache.
         let _ = planner.plan(100); // inner m = 256
         let inner = planner.plan(256);
-        assert_eq!(inner.len(), 256);
+        assert_eq!(inner.n, 256);
     }
 
     #[test]

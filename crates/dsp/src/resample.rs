@@ -132,31 +132,6 @@ pub fn linspace(start: f64, stop: f64, n: usize) -> Vec<f64> {
     }
 }
 
-/// Decimates by an integer factor, keeping every `factor`-th sample starting
-/// from index 0. The caller is responsible for anti-alias filtering first.
-///
-/// # Panics
-/// Panics if `factor == 0`.
-pub fn decimate(samples: &[f64], factor: usize) -> Vec<f64> {
-    assert!(factor > 0, "decimation factor must be nonzero");
-    samples.iter().copied().step_by(factor).collect()
-}
-
-/// Resamples `samples` (assumed uniformly spaced) to exactly `new_len` points
-/// by linear interpolation of the index axis.
-pub fn resample_len(samples: &[f64], new_len: usize) -> Vec<f64> {
-    if new_len == 0 || samples.is_empty() {
-        return Vec::new();
-    }
-    if new_len == 1 {
-        return vec![samples[0]];
-    }
-    let scale = (samples.len() - 1) as f64 / (new_len - 1) as f64;
-    (0..new_len)
-        .map(|i| linear_interp(samples, i as f64 * scale))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,30 +248,5 @@ mod tests {
         assert_eq!(linspace(2.0, 9.0, 1), vec![2.0]);
         let g = linspace(0.0, 1.0, 3);
         assert_eq!(g, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn decimate_keeps_every_kth() {
-        let x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(decimate(&x, 2), vec![0.0, 2.0, 4.0]);
-        assert_eq!(decimate(&x, 3), vec![0.0, 3.0]);
-        assert_eq!(decimate(&x, 1).len(), 6);
-    }
-
-    #[test]
-    fn resample_len_roundtrip() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let up = resample_len(&x, 19);
-        let down = resample_len(&up, 10);
-        for (a, b) in x.iter().zip(&down) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn resample_len_edges() {
-        assert!(resample_len(&[], 5).is_empty());
-        assert!(resample_len(&[1.0], 0).is_empty());
-        assert_eq!(resample_len(&[1.0, 2.0], 1), vec![1.0]);
     }
 }

@@ -1,6 +1,6 @@
 //! Signal synthesis and noise generation.
 //!
-//! Deterministic generators (tones, linear chirps, square waves) plus a
+//! Deterministic generators (tones, linear chirps) plus a
 //! self-contained Gaussian noise source. The noise source wraps a small
 //! xorshift PRNG with a Box–Muller transform so that every Monte-Carlo run is
 //! reproducible from a `u64` seed without threading `rand` generics through
@@ -27,29 +27,6 @@ pub fn chirp(n: usize, f0: f64, slope: f64, fs: f64, amp: f64, phase: f64) -> Ve
             let t = i as f64 / fs;
             amp * (TAU * (f0 * t + 0.5 * slope * t * t) + phase).cos()
         })
-        .collect()
-}
-
-/// Generates `n` samples of a unipolar square wave (values 0/1) with the
-/// given frequency, sample rate, and duty cycle in `(0, 1)`.
-pub fn square_wave(n: usize, f: f64, fs: f64, duty: f64) -> Vec<f64> {
-    (0..n)
-        .map(|i| {
-            let phase = (f * i as f64 / fs).fract();
-            if phase < duty {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
-/// Generates a bipolar (±1) square wave.
-pub fn square_wave_bipolar(n: usize, f: f64, fs: f64) -> Vec<f64> {
-    square_wave(n, f, fs, 0.5)
-        .into_iter()
-        .map(|v| 2.0 * v - 1.0)
         .collect()
 }
 
@@ -185,12 +162,6 @@ fn inv_norm_cdf(p: f64) -> f64 {
     }
 }
 
-/// Noise standard deviation that yields the requested SNR (dB) against a
-/// signal of the given RMS level: `sigma = rms / 10^(snr/20)`.
-pub fn sigma_for_snr(signal_rms: f64, snr_db: f64) -> f64 {
-    signal_rms / 10f64.powf(snr_db / 20.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,20 +202,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn square_wave_duty_cycle() {
-        let x = square_wave(1000, 10.0, 1000.0, 0.25);
-        let high = x.iter().filter(|&&v| v == 1.0).count();
-        assert!((high as f64 / 1000.0 - 0.25).abs() < 0.02);
-    }
-
-    #[test]
-    fn square_wave_bipolar_is_pm_one() {
-        let x = square_wave_bipolar(100, 5.0, 100.0);
-        assert!(x.iter().all(|&v| v == 1.0 || v == -1.0));
-        assert!((mean(&x)).abs() < 0.05);
     }
 
     #[test]
@@ -294,28 +251,6 @@ mod tests {
         let mut x = vec![0.0; 1000];
         src.add_awgn(&mut x, 0.5);
         assert!((std_dev(&x) - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn sigma_for_snr_values() {
-        // 0 dB: sigma == rms.
-        assert!((sigma_for_snr(1.0, 0.0) - 1.0).abs() < 1e-12);
-        // 20 dB: sigma = rms / 10.
-        assert!((sigma_for_snr(1.0, 20.0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn achieved_snr_matches_request() {
-        let fs = 10_000.0;
-        let sig = tone(50_000, 1000.0, fs, 1.0, 0.0);
-        let target_db = 10.0;
-        let sigma = sigma_for_snr(rms(&sig), target_db);
-        let mut src = NoiseSource::new(5);
-        let noise = src.awgn(sig.len(), sigma);
-        let p_sig = rms(&sig).powi(2);
-        let p_noise = rms(&noise).powi(2);
-        let snr_db = 10.0 * (p_sig / p_noise).log10();
-        assert!((snr_db - target_db).abs() < 0.2, "snr {snr_db}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Spectral estimation: periodograms, peak search with parabolic refinement,
-//! noise-floor estimation, and in-band SNR measurement.
+//! and noise-floor estimation.
 //!
 //! These are the measurement primitives behind both ends of the link: the tag
 //! finds its beat-frequency peak here, and the radar measures uplink SNR and
@@ -69,22 +69,6 @@ pub fn find_peak(power: &[f64]) -> Option<Peak> {
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())?;
     Some(refine_peak(power, bin))
-}
-
-/// Finds the strongest peak restricted to bins `[lo, hi]` (inclusive, clamped).
-pub fn find_peak_in_band(power: &[f64], lo: usize, hi: usize) -> Option<Peak> {
-    if power.is_empty() || lo > hi {
-        return None;
-    }
-    let hi = hi.min(power.len() - 1);
-    if lo > hi {
-        return None;
-    }
-    let (bin, _) = power[lo..=hi]
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())?;
-    Some(refine_peak(power, lo + bin))
 }
 
 /// Finds all local maxima above `threshold`, each parabolic-refined, sorted
@@ -192,17 +176,6 @@ pub fn noise_floor_inplace(power: &mut [f64]) -> f64 {
     median / std::f64::consts::LN_2
 }
 
-/// SNR (linear) of the strongest tone in `power`: peak power over the
-/// median-estimated noise floor. Returns `None` on an empty spectrum.
-pub fn tone_snr(power: &[f64]) -> Option<f64> {
-    let peak = find_peak(power)?;
-    let floor = noise_floor(power);
-    if floor <= 0.0 {
-        return Some(f64::INFINITY);
-    }
-    Some(peak.power / floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,18 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn find_peak_in_band_restricts() {
-        let mut power = vec![0.0; 100];
-        power[10] = 5.0;
-        power[50] = 10.0;
-        let p = find_peak_in_band(&power, 0, 30).unwrap();
-        assert_eq!(p.bin, 10);
-        let p = find_peak_in_band(&power, 30, 99).unwrap();
-        assert_eq!(p.bin, 50);
-        assert!(find_peak_in_band(&power, 80, 20).is_none());
-    }
-
-    #[test]
     fn find_peaks_above_orders_by_power() {
         let mut power = vec![0.1; 64];
         power[10] = 3.0;
@@ -311,36 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn tone_snr_increases_with_amplitude() {
-        let fs = 1000.0;
-        let n = 1024;
-        // Deterministic pseudo-noise.
-        let noise: Vec<f64> = (0..n)
-            .map(|i| ((i as f64 * 12.9898).sin() * 43758.5453).fract() - 0.5)
-            .collect();
-        let weak: Vec<f64> = tone(n, 200.0, fs, 0.5)
-            .iter()
-            .zip(&noise)
-            .map(|(s, n)| s + n)
-            .collect();
-        let strong: Vec<f64> = tone(n, 200.0, fs, 5.0)
-            .iter()
-            .zip(&noise)
-            .map(|(s, n)| s + n)
-            .collect();
-        let (_, pw) = periodogram(&weak, fs, WindowKind::Hann);
-        let (_, ps) = periodogram(&strong, fs, WindowKind::Hann);
-        let snr_w = tone_snr(&pw).unwrap();
-        let snr_s = tone_snr(&ps).unwrap();
-        assert!(snr_s > snr_w * 10.0);
-    }
-
-    #[test]
     fn empty_spectrum_helpers() {
         assert!(find_peak(&[]).is_none());
         assert_eq!(noise_floor(&[]), 0.0);
         assert_eq!(noise_floor_inplace(&mut []), 0.0);
-        assert!(tone_snr(&[]).is_none());
     }
 
     #[test]

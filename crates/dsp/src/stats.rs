@@ -1,7 +1,5 @@
-//! Statistics and link-budget math helpers: dB conversions, moments,
-//! the Gaussian Q-function, and textbook BER references used to sanity-check
-//! simulated bit-error rates (e.g. the paper's claim that 4 dB SNR ≈ 1e-2
-//! BER for non-coherent OOK).
+//! Statistics helpers: power dB conversions, moments, percentiles, and the
+//! Wilson confidence interval for Monte-Carlo bit-error rates.
 
 /// Converts a linear power ratio to decibels.
 pub fn pow_to_db(p: f64) -> f64 {
@@ -11,36 +9,6 @@ pub fn pow_to_db(p: f64) -> f64 {
 /// Converts decibels to a linear power ratio.
 pub fn db_to_pow(db: f64) -> f64 {
     10f64.powf(db / 10.0)
-}
-
-/// Converts a linear amplitude ratio to decibels.
-pub fn amp_to_db(a: f64) -> f64 {
-    20.0 * a.log10()
-}
-
-/// Converts decibels to a linear amplitude ratio.
-pub fn db_to_amp(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
-/// Converts power in milliwatts to dBm.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
-}
-
-/// Converts dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
-}
-
-/// Converts dBm to watts.
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    dbm_to_mw(dbm) / 1000.0
-}
-
-/// Converts watts to dBm.
-pub fn watts_to_dbm(w: f64) -> f64 {
-    mw_to_dbm(w * 1000.0)
 }
 
 /// Arithmetic mean. Returns 0 for an empty slice.
@@ -73,21 +41,6 @@ pub fn rms(x: &[f64]) -> f64 {
     (x.iter().map(|&v| v * v).sum::<f64>() / x.len() as f64).sqrt()
 }
 
-/// Median of a slice (averages the middle pair for even lengths).
-/// Returns 0 for an empty slice.
-pub fn median(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    let mut s = x.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    if s.len() % 2 == 1 {
-        s[s.len() / 2]
-    } else {
-        0.5 * (s[s.len() / 2 - 1] + s[s.len() / 2])
-    }
-}
-
 /// The `q`-th percentile (0–100) by linear interpolation of order statistics.
 pub fn percentile(x: &[f64], q: f64) -> f64 {
     if x.is_empty() {
@@ -103,71 +56,6 @@ pub fn percentile(x: &[f64], q: f64) -> f64 {
     } else {
         s[i]
     }
-}
-
-/// Complementary error function, Abramowitz & Stegun 7.1.26 rational
-/// approximation (|error| < 1.5e-7), extended to negative arguments by
-/// `erfc(-x) = 2 - erfc(x)`.
-pub fn erfc(x: f64) -> f64 {
-    if x < 0.0 {
-        return 2.0 - erfc(-x);
-    }
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    poly * (-x * x).exp()
-}
-
-/// Gaussian Q-function: `Q(x) = P(N(0,1) > x) = erfc(x / sqrt(2)) / 2`.
-pub fn q_function(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Theoretical BER of coherent BPSK over AWGN at the given Eb/N0 (linear).
-pub fn ber_bpsk(ebn0: f64) -> f64 {
-    q_function((2.0 * ebn0).sqrt())
-}
-
-/// Theoretical BER of non-coherent OOK (envelope detection) at the given
-/// *average* SNR (linear): `0.5 exp(-SNR/2)` — the standard high-SNR
-/// approximation for envelope-detected on-off keying.
-pub fn ber_ook_noncoherent(snr: f64) -> f64 {
-    0.5 * (-snr / 2.0).exp()
-}
-
-/// Theoretical BER of non-coherent binary FSK: `0.5 exp(-SNR/2)` with SNR
-/// interpreted per-bit.
-pub fn ber_fsk_noncoherent(ebn0: f64) -> f64 {
-    0.5 * (-ebn0 / 2.0).exp()
-}
-
-/// Theoretical BER of coherent (matched-filter) OOK: `Q(sqrt(2 * SNR))`.
-///
-/// This is the convention behind the paper's §5.1 statement that 4 dB uplink
-/// SNR corresponds to a theoretical BER of ~1e-2 for simple on-off keying.
-pub fn ber_ook_coherent(snr: f64) -> f64 {
-    q_function((2.0 * snr).sqrt())
-}
-
-/// Symbol-error rate of non-coherent M-ary FSK (union bound):
-/// `(M-1)/2 * exp(-Es/N0 / 2)` clamped to 1. This is the relevant reference
-/// for CSSK, which is an M-ary frequency alphabet decoded by energy
-/// comparison.
-pub fn ser_mfsk_noncoherent(m: usize, esn0: f64) -> f64 {
-    if m < 2 {
-        return 0.0;
-    }
-    (((m - 1) as f64) / 2.0 * (-esn0 / 2.0).exp()).min(1.0)
-}
-
-/// Converts an M-ary symbol-error rate to the equivalent bit-error rate for
-/// orthogonal signalling: `BER = SER * (M/2) / (M-1)`.
-pub fn ser_to_ber_orthogonal(m: usize, ser: f64) -> f64 {
-    if m < 2 {
-        return 0.0;
-    }
-    ser * (m as f64 / 2.0) / (m as f64 - 1.0)
 }
 
 /// Wilson score interval for a proportion: returns `(low, high)` for
@@ -195,18 +83,8 @@ mod tests {
     fn db_roundtrips() {
         for &v in &[0.001, 0.5, 1.0, 2.0, 1e6] {
             assert!((db_to_pow(pow_to_db(v)) - v).abs() / v < 1e-12);
-            assert!((db_to_amp(amp_to_db(v)) - v).abs() / v < 1e-12);
         }
         assert!((pow_to_db(100.0) - 20.0).abs() < 1e-12);
-        assert!((amp_to_db(10.0) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dbm_conversions() {
-        assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
-        assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
-        assert!((dbm_to_watts(30.0) - 1.0).abs() < 1e-12);
-        assert!((watts_to_dbm(0.001) - 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -223,84 +101,15 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(rms(&[]), 0.0);
-        assert_eq!(median(&[]), 0.0);
     }
 
     #[test]
     fn median_and_percentile() {
         let x = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(median(&x), 3.0);
         assert_eq!(percentile(&x, 0.0), 1.0);
         assert_eq!(percentile(&x, 100.0), 5.0);
         assert_eq!(percentile(&x, 50.0), 3.0);
-        let y = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(median(&y), 2.5);
-    }
-
-    #[test]
-    fn erfc_known_values() {
-        assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-        // erfc(1) = 0.15729920705...
-        assert!((erfc(1.0) - 0.15729920705).abs() < 1e-6);
-        // symmetry
-        assert!((erfc(-1.0) - (2.0 - 0.15729920705)).abs() < 1e-6);
-        assert!(erfc(5.0) < 2e-12);
-    }
-
-    #[test]
-    fn q_function_values() {
-        assert!((q_function(0.0) - 0.5).abs() < 1e-9);
-        // Q(1.6449) ~ 0.05
-        assert!((q_function(1.6449) - 0.05).abs() < 1e-4);
-    }
-
-    #[test]
-    fn bpsk_ber_at_known_point() {
-        // BPSK at Eb/N0 = 9.6 dB gives BER ~ 1e-5.
-        let ber = ber_bpsk(db_to_pow(9.6));
-        assert!(ber > 1e-6 && ber < 2e-5, "got {ber}");
-    }
-
-    #[test]
-    fn ook_ber_matches_paper_claim() {
-        // Paper §5.1: 4 dB SNR ~ BER 1e-2 for simple OOK (coherent formula).
-        let ber = ber_ook_coherent(db_to_pow(4.0));
-        assert!(ber > 3e-3 && ber < 5e-2, "got {ber}");
-    }
-
-    #[test]
-    fn ook_noncoherent_known_value() {
-        // 0.5 exp(-snr/2) at 4 dB (snr = 2.512) = 0.1424...
-        let ber = ber_ook_noncoherent(db_to_pow(4.0));
-        assert!((ber - 0.1424).abs() < 1e-3, "got {ber}");
-    }
-
-    #[test]
-    fn ber_monotone_in_snr() {
-        let mut last = 1.0;
-        for db in 0..20 {
-            let b = ber_ook_noncoherent(db_to_pow(db as f64));
-            assert!(b < last);
-            last = b;
-        }
-    }
-
-    #[test]
-    fn mfsk_ser_grows_with_m() {
-        let esn0 = db_to_pow(10.0);
-        let s2 = ser_mfsk_noncoherent(2, esn0);
-        let s16 = ser_mfsk_noncoherent(16, esn0);
-        assert!(s16 > s2);
-        assert!(ser_mfsk_noncoherent(1, esn0) == 0.0);
-        assert!(ser_mfsk_noncoherent(1024, 0.0) == 1.0); // clamped
-    }
-
-    #[test]
-    fn ser_ber_conversion() {
-        // For M=2 orthogonal signalling BER == SER.
-        assert!((ser_to_ber_orthogonal(2, 0.1) - 0.1).abs() < 1e-12);
-        // For large M, BER -> SER/2 * M/(M-1) ~ SER/2.
-        assert!((ser_to_ber_orthogonal(1024, 0.1) - 0.05005).abs() < 1e-4);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 2.5);
     }
 
     #[test]

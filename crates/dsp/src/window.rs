@@ -4,7 +4,7 @@
 //! control spectral leakage between adjacent CSSK beat frequencies; the radar
 //! receiver windows chirps before the range FFT. All windows are returned as
 //! owned `Vec<f64>` of the requested length using the *periodic* convention
-//! unless stated otherwise (suitable for FFT analysis).
+//! (suitable for FFT analysis).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -49,21 +49,6 @@ impl WindowKind {
         }
     }
 
-    /// Coherent gain: mean of the window coefficients. Dividing a windowed
-    /// FFT peak by `n * coherent_gain` recovers the tone amplitude.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        w.iter().sum::<f64>() / n as f64
-    }
-
-    /// Equivalent noise bandwidth in bins: `n * sum(w^2) / sum(w)^2`.
-    pub fn enbw_bins(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        let s1: f64 = w.iter().sum();
-        let s2: f64 = w.iter().map(|x| x * x).sum();
-        n as f64 * s2 / (s1 * s1)
-    }
-
     /// The coefficients and coherent gain for `(self, n)` from a
     /// thread-local cache. Per-chirp processing windows the same length
     /// hundreds of times per frame; the cache turns each repeat into a hash
@@ -94,7 +79,9 @@ pub struct CachedWindow {
     /// the fly). Generic code reads either table through
     /// [`crate::real::Real::window`].
     pub coeffs_f32: Vec<f32>,
-    /// Mean of the coefficients (see [`WindowKind::coherent_gain`]).
+    /// Coherent gain: mean of the coefficients (1 for an empty window).
+    /// Dividing a windowed FFT peak by `n * coherent_gain` recovers the tone
+    /// amplitude.
     pub coherent_gain: f64,
 }
 
@@ -133,54 +120,6 @@ fn cosine_window(n: usize, a: &[f64]) -> Vec<f64> {
                 .sum()
         })
         .collect()
-}
-
-/// Kaiser window with shape parameter `beta` (symmetric convention).
-///
-/// `beta` trades main-lobe width against sidelobe level; `beta = 0` is
-/// rectangular, `beta ≈ 8.6` gives Blackman-like sidelobes.
-pub fn kaiser(n: usize, beta: f64) -> Vec<f64> {
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![1.0];
-    }
-    let denom = bessel_i0(beta);
-    let m = (n - 1) as f64;
-    (0..n)
-        .map(|i| {
-            let r = 2.0 * i as f64 / m - 1.0;
-            bessel_i0(beta * (1.0 - r * r).max(0.0).sqrt()) / denom
-        })
-        .collect()
-}
-
-/// Modified Bessel function of the first kind, order zero, via its power
-/// series. Converges rapidly for the `beta` range used by Kaiser windows.
-pub fn bessel_i0(x: f64) -> f64 {
-    let mut sum = 1.0;
-    let mut term = 1.0;
-    let half_x = x / 2.0;
-    for k in 1..=50 {
-        term *= (half_x / k as f64) * (half_x / k as f64);
-        sum += term;
-        if term < sum * 1e-17 {
-            break;
-        }
-    }
-    sum
-}
-
-/// Multiplies `signal` by `window` element-wise in place.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn apply(signal: &mut [f64], window: &[f64]) {
-    assert_eq!(signal.len(), window.len(), "window length mismatch");
-    for (s, &w) in signal.iter_mut().zip(window) {
-        *s *= w;
-    }
 }
 
 #[cfg(test)]
@@ -227,57 +166,16 @@ mod tests {
 
     #[test]
     fn coherent_gain_rect_is_one() {
-        assert!((WindowKind::Rect.coherent_gain(37) - 1.0).abs() < 1e-12);
+        assert!((WindowKind::Rect.cached(37).coherent_gain - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn coherent_gain_hann_is_half() {
-        assert!((WindowKind::Hann.coherent_gain(256) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn enbw_values() {
-        // Known ENBW: rect = 1.0, Hann = 1.5 bins.
-        assert!((WindowKind::Rect.enbw_bins(512) - 1.0).abs() < 1e-9);
-        assert!((WindowKind::Hann.enbw_bins(512) - 1.5).abs() < 1e-2);
-    }
-
-    #[test]
-    fn kaiser_beta_zero_is_rect() {
-        let w = kaiser(16, 0.0);
-        for &x in &w {
-            assert!((x - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn kaiser_symmetric() {
-        let w = kaiser(33, 8.6);
-        for i in 0..w.len() {
-            assert!((w[i] - w[w.len() - 1 - i]).abs() < 1e-12);
-        }
-        assert!((w[16] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bessel_i0_known_values() {
-        assert!((bessel_i0(0.0) - 1.0).abs() < 1e-15);
-        // I0(1) = 1.2660658777520083...
-        assert!((bessel_i0(1.0) - 1.2660658777520083).abs() < 1e-12);
-        // I0(5) = 27.239871823604442...
-        assert!((bessel_i0(5.0) - 27.239871823604442).abs() < 1e-9);
-    }
-
-    #[test]
-    fn apply_multiplies() {
-        let mut s = vec![2.0; 4];
-        apply(&mut s, &[0.0, 0.5, 1.0, 2.0]);
-        assert_eq!(s, vec![0.0, 1.0, 2.0, 4.0]);
+        assert!((WindowKind::Hann.cached(256).coherent_gain - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_window_ok() {
         assert!(WindowKind::Hann.coefficients(0).is_empty());
-        assert!(kaiser(0, 5.0).is_empty());
     }
 }

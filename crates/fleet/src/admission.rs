@@ -80,11 +80,6 @@ impl Admission {
         }
     }
 
-    /// The configured overload policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
     /// Offers one frame to its destination cell's intake, applying the
     /// overload policy when the quota is exhausted.
     pub fn offer(&self, job: CellJob) -> Admit {
@@ -138,11 +133,6 @@ impl Admission {
             q.close();
         }
     }
-
-    /// Frames evicted across all intakes (drop-oldest policy).
-    pub fn drops(&self) -> u64 {
-        self.intakes.iter().map(BoundedQueue::drops).sum()
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +157,11 @@ mod tests {
         assert_eq!(bounced.cell, 0);
         let snap = biscatter_obs::registry().snapshot();
         assert!(snap.counter("cell0.fleet.intake.rejected").unwrap() >= 1);
-        assert_eq!(adm.drops(), 0, "rejection is not eviction");
+        assert_eq!(
+            adm.intakes.iter().map(BoundedQueue::drops).sum::<u64>(),
+            0,
+            "rejection is not eviction"
+        );
     }
 
     #[test]
@@ -181,7 +175,7 @@ mod tests {
             Admit::Evicted(victim) => assert_eq!(victim.hop, first_hop),
             other => panic!("expected eviction, got {other:?}"),
         }
-        assert_eq!(adm.drops(), 1);
+        assert_eq!(adm.intakes.iter().map(BoundedQueue::drops).sum::<u64>(), 1);
     }
 
     #[test]

@@ -43,8 +43,6 @@ use biscatter_runtime::pipeline::{Cell, RuntimeConfig};
 use biscatter_runtime::queue::TryPop;
 use biscatter_runtime::source::CellJob;
 
-use biscatter_obs::trace;
-
 use crate::admission::{Admission, AdmissionPolicy, Admit};
 use crate::handoff::{HandoffBus, UplinkSession};
 use crate::snapshot::FleetSnapshot;
@@ -174,23 +172,16 @@ impl Fleet {
     /// threads mobile-tag sessions across cells. Returns when every
     /// admitted frame is processed.
     ///
-    /// Set `BISCATTER_TRACE=<path>` to dump a Perfetto trace (fleet,
-    /// runtime, ISAC, DSP, and compute spans plus the registry snapshot)
-    /// at the end of the run; the dump is re-entrant across runs and cells.
+    /// Spans are recorded when the process has switched tracing on
+    /// ([`biscatter_obs::trace::set_enabled`]); writing the trace out is the
+    /// caller's job (`examples/fleet.rs` does it once, after its last run
+    /// and before its checks replay the frames, with that run's fleet
+    /// snapshot embedded).
     pub fn run(&self, jobs: Vec<CellJob>) -> FleetReport {
         let n_cells = self.cfg.n_cells;
         let shards = self.cfg.shards;
         let admission = Admission::new(n_cells, self.cfg.intake_quota, self.cfg.admission);
         let bus = HandoffBus::default();
-
-        let trace_path = std::env::var("BISCATTER_TRACE").ok();
-        if trace_path.is_some() {
-            trace::set_enabled(true);
-        }
-        // `BISCATTER_METRICS_ADDR=<host:port>` starts the live scrape
-        // server: `/metrics`, `/health`, `/frames`, `/trace` stay up for
-        // the rest of the process. Idempotent — only the first call binds.
-        biscatter_obs::serve::spawn_from_env();
 
         let t0 = Instant::now();
         let admission = &admission;
@@ -251,9 +242,6 @@ impl Fleet {
         let elapsed = t0.elapsed();
 
         let snapshot = FleetSnapshot::collect(n_cells);
-        if let Some(path) = trace_path {
-            dump_trace(&path, &snapshot);
-        }
         FleetReport {
             outcomes,
             sessions: bus.sessions(),
@@ -384,24 +372,4 @@ fn process(
         bus.append(hop.tag, hop.seq, slot.cell.id(), cpb, &bits);
     }
     slot.outcomes.push((cj.job.id, outcome));
-}
-
-/// Re-entrant Perfetto dump (shared accumulator — see
-/// [`trace::export_accumulated`]) with the registry embedded under
-/// `"registry"` and the fleet aggregation under `"fleet"`.
-fn dump_trace(path: &str, snapshot: &FleetSnapshot) {
-    let extra = [
-        (
-            "registry".to_string(),
-            biscatter_obs::registry().snapshot().to_json(),
-        ),
-        ("fleet".to_string(), snapshot.to_json()),
-    ];
-    match trace::export_accumulated(path, extra) {
-        Ok(summary) => eprintln!(
-            "BISCATTER_TRACE: wrote {} spans from {} threads to {path}",
-            summary.spans, summary.threads,
-        ),
-        Err(err) => eprintln!("BISCATTER_TRACE: failed to write {path}: {err}"),
-    }
 }

@@ -23,38 +23,6 @@ impl BerCounter {
         BerCounter::default()
     }
 
-    /// Compares two byte slices bit-by-bit (up to the shorter length) and
-    /// accumulates. Length mismatch beyond the common prefix counts every
-    /// missing bit as an error.
-    pub fn add_bytes(&mut self, sent: &[u8], received: &[u8]) {
-        let common = sent.len().min(received.len());
-        for i in 0..common {
-            self.bits += 8;
-            self.errors += u64::from((sent[i] ^ received[i]).count_ones());
-        }
-        let missing = sent.len().abs_diff(received.len()) as u64 * 8;
-        self.bits += missing;
-        self.errors += missing;
-    }
-
-    /// Compares two bit slices and accumulates (same missing-bit rule).
-    pub fn add_bits(&mut self, sent: &[bool], received: &[bool]) {
-        let common = sent.len().min(received.len());
-        for i in 0..common {
-            self.bits += 1;
-            self.errors += u64::from(sent[i] != received[i]);
-        }
-        let missing = sent.len().abs_diff(received.len()) as u64;
-        self.bits += missing;
-        self.errors += missing;
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &BerCounter) {
-        self.bits += other.bits;
-        self.errors += other.errors;
-    }
-
     /// The observed bit-error rate (0 when nothing was compared).
     pub fn ber(&self) -> f64 {
         if self.bits == 0 {
@@ -84,68 +52,27 @@ impl BerCounter {
     }
 }
 
-/// Counts symbol errors between two symbol sequences.
-pub fn symbol_errors(sent: &[u16], received: &[u16]) -> (u64, u64) {
-    let common = sent.len().min(received.len());
-    let mut errors = sent.iter().zip(received).filter(|(a, b)| a != b).count() as u64;
-    errors += sent.len().abs_diff(received.len()) as u64;
-    (errors, common.max(sent.len().max(received.len())) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn counter(bits: u64, errors: u64) -> BerCounter {
+        BerCounter { bits, errors }
+    }
+
     #[test]
     fn perfect_transmission() {
-        let mut c = BerCounter::new();
-        c.add_bytes(b"hello", b"hello");
-        assert_eq!(c.bits, 40);
-        assert_eq!(c.errors, 0);
-        assert_eq!(c.ber(), 0.0);
+        assert_eq!(counter(40, 0).ber(), 0.0);
     }
 
     #[test]
     fn counts_flipped_bits() {
-        let mut c = BerCounter::new();
-        c.add_bytes(&[0b1111_0000], &[0b1111_0011]);
-        assert_eq!(c.errors, 2);
-        assert_eq!(c.bits, 8);
-        assert_eq!(c.ber(), 0.25);
-    }
-
-    #[test]
-    fn missing_bytes_count_as_errors() {
-        let mut c = BerCounter::new();
-        c.add_bytes(&[0xAA, 0xBB], &[0xAA]);
-        assert_eq!(c.bits, 16);
-        assert_eq!(c.errors, 8);
-    }
-
-    #[test]
-    fn bit_slices() {
-        let mut c = BerCounter::new();
-        c.add_bits(&[true, false, true], &[true, true, true]);
-        assert_eq!(c.errors, 1);
-        assert_eq!(c.bits, 3);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = BerCounter::new();
-        a.add_bytes(&[0xFF], &[0x00]);
-        let mut b = BerCounter::new();
-        b.add_bytes(&[0x00], &[0x00]);
-        a.merge(&b);
-        assert_eq!(a.bits, 16);
-        assert_eq!(a.errors, 8);
-        assert_eq!(a.ber(), 0.5);
+        assert_eq!(counter(8, 2).ber(), 0.25);
     }
 
     #[test]
     fn ber_floor_on_zero_errors() {
-        let mut c = BerCounter::new();
-        c.add_bytes(&[0u8; 125], &[0u8; 125]); // 1000 bits
+        let c = counter(1000, 0);
         assert_eq!(c.ber(), 0.0);
         assert!((c.ber_floor() - 1e-3).abs() < 1e-15);
     }
@@ -160,23 +87,11 @@ mod tests {
 
     #[test]
     fn confidence_shrinks_with_samples() {
-        let mut small = BerCounter::new();
-        small.add_bytes(&[0x0F], &[0x00]); // 4/8
-        let mut large = BerCounter::new();
-        for _ in 0..1000 {
-            large.add_bytes(&[0x0F], &[0x00]);
-        }
+        let small = counter(8, 4);
+        let large = counter(8000, 4000);
         let (sl, sh) = small.confidence_interval();
         let (ll, lh) = large.confidence_interval();
         assert!(lh - ll < sh - sl);
         assert!((large.ber() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn symbol_error_counting() {
-        let (e, n) = symbol_errors(&[1, 2, 3, 4], &[1, 9, 3, 4]);
-        assert_eq!((e, n), (1, 4));
-        let (e, n) = symbol_errors(&[1, 2, 3], &[1, 2]);
-        assert_eq!((e, n), (1, 3));
     }
 }

@@ -47,11 +47,19 @@ impl TagAddress {
     }
 }
 
-/// Allocates non-colliding uplink modulation frequencies to tags.
+/// Allocates uplink modulation frequencies to tags.
 ///
 /// Frequencies must differ by at least the radar's slow-time (Doppler)
 /// resolution `1 / (N_chirps · T_period)` so the tags' modulation peaks land
 /// in separate Doppler bins; a comfortable margin of several bins is used.
+///
+/// What the plan guarantees: assignments are at least `spacing_hz` (the
+/// margin) apart and stay at or below `f_max_hz = 0.9 ×` the slow-time
+/// Nyquist. It does **not** keep a tag off another tag's harmonics: a
+/// square-wave subcarrier carries strong odd harmonics, and at margin 8 the
+/// plan assigns Doppler bins 12, 20, 28, 36, …, where 36 = 3 × 12 and
+/// 60 = 5 × 12 = 3 × 20. A harmonic-aware plan is open item 1c in
+/// ROADMAP.md.
 #[derive(Debug, Clone)]
 pub struct ModFreqPlanner {
     /// Lowest assignable subcarrier, Hz. Must be high enough to clear the
@@ -74,10 +82,10 @@ impl ModFreqPlanner {
         let nyquist = 0.5 / t_period_s;
         let spacing_hz = margin_bins.max(1) as f64 * doppler_res;
         ModFreqPlanner {
-            // Offset the base frequency by half a spacing so no assignment
-            // is an integer multiple of another: a square-wave subcarrier
-            // has strong odd harmonics, and harmonically related tags would
-            // alias into each other's matched-filter slices.
+            // Eight Doppler bins clear the static-clutter region around DC;
+            // the extra half spacing shifts the whole comb but does not stop
+            // one assignment from being an odd multiple of another (see the
+            // type docs).
             f_min_hz: 8.0 * doppler_res + 0.5 * spacing_hz,
             f_max_hz: 0.9 * nyquist,
             spacing_hz,
@@ -106,11 +114,6 @@ impl ModFreqPlanner {
             return 0;
         }
         ((self.f_max_hz - self.f_min_hz) / self.spacing_hz).floor() as usize + 1
-    }
-
-    /// The current assignments.
-    pub fn assignments(&self) -> &[(TagId, f64)] {
-        &self.assigned
     }
 }
 
@@ -201,7 +204,7 @@ mod tests {
         let f1 = p.assign(TagId(9)).unwrap();
         let f1b = p.assign(TagId(9)).unwrap();
         assert_eq!(f1, f1b);
-        assert_eq!(p.assignments().len(), 1);
+        assert_eq!(p.assigned.len(), 1);
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl HealthState {
 }
 
 /// Thresholds and dynamics of the health classifier. All are explicit —
-/// there is no adaptive magic — and every one can be overridden via
-/// environment (see [`HealthConfig::from_env`]).
+/// there is no adaptive magic. The process-wide engine ([`global`]) runs on
+/// the defaults; an engine built with [`HealthEngine::new`] takes any.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
     /// Windowed drop rate (drops / (frames + drops), where a failed frame
@@ -105,45 +105,6 @@ impl Default for HealthConfig {
             ewma_alpha: 0.2,
             recovery_ticks: 3,
         }
-    }
-}
-
-impl HealthConfig {
-    /// Defaults overridden by environment variables:
-    /// `BISCATTER_HEALTH_DROP_DEGRADED` / `_DROP_CRITICAL` (rates in
-    /// \[0, 1\]), `BISCATTER_HEALTH_SNR_DEGRADED_DB` / `_SNR_CRITICAL_DB`,
-    /// `BISCATTER_HEALTH_P99_SLO_MS` (milliseconds),
-    /// `BISCATTER_HEALTH_RECOVERY_TICKS`, `BISCATTER_HEALTH_EWMA_ALPHA`.
-    /// Unparsable values fall back silently to the default.
-    pub fn from_env() -> Self {
-        fn envf(name: &str) -> Option<f64> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
-        }
-        let mut c = HealthConfig::default();
-        if let Some(v) = envf("BISCATTER_HEALTH_DROP_DEGRADED") {
-            c.drop_rate_degraded = v;
-        }
-        if let Some(v) = envf("BISCATTER_HEALTH_DROP_CRITICAL") {
-            c.drop_rate_critical = v;
-        }
-        if let Some(v) = envf("BISCATTER_HEALTH_SNR_DEGRADED_DB") {
-            c.snr_degraded_db = v;
-        }
-        if let Some(v) = envf("BISCATTER_HEALTH_SNR_CRITICAL_DB") {
-            c.snr_critical_db = v;
-        }
-        if let Some(v) = envf("BISCATTER_HEALTH_P99_SLO_MS") {
-            c.p99_slo_ns = (v * 1e6).max(0.0) as u64;
-        }
-        if let Some(v) = envf("BISCATTER_HEALTH_EWMA_ALPHA") {
-            if v > 0.0 && v <= 1.0 {
-                c.ewma_alpha = v;
-            }
-        }
-        if let Some(v) = envf("BISCATTER_HEALTH_RECOVERY_TICKS") {
-            c.recovery_ticks = v.max(0.0) as u32;
-        }
-        c
     }
 }
 
@@ -248,11 +209,6 @@ impl HealthEngine {
             cfg,
             cells: BTreeMap::new(),
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Severity of one raw observation against the thresholds, before
@@ -479,11 +435,11 @@ pub fn reports_json(reports: &[CellHealthReport]) -> Value {
     Value::Object(root)
 }
 
-/// The process-wide health engine (configured from the environment on first
-/// use). The fleet control loop feeds it; `/health` reads it.
+/// The process-wide health engine, on the default [`HealthConfig`]. The
+/// fleet control loop feeds it; `/health` reads it.
 pub fn global() -> &'static Mutex<HealthEngine> {
     static ENGINE: OnceLock<Mutex<HealthEngine>> = OnceLock::new();
-    ENGINE.get_or_init(|| Mutex::new(HealthEngine::new(HealthConfig::from_env())))
+    ENGINE.get_or_init(|| Mutex::new(HealthEngine::new(HealthConfig::default())))
 }
 
 #[cfg(test)]

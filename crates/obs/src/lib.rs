@@ -23,9 +23,12 @@
 //! * [`health`] — a per-cell health engine classifying
 //!   Healthy/Degraded/Critical from windowed drop rates, SNR EWMAs, and
 //!   p99 latency vs an SLO, with hysteresis on de-escalation.
-//! * [`serve`] — a std-only HTTP/1.1 scrape server (`BISCATTER_METRICS_ADDR`)
-//!   exposing `/metrics` (Prometheus text v0.0.4), `/health`, `/frames`,
-//!   and `/trace`.
+//! * [`serve`] — a std-only HTTP/1.1 scrape server, started by the process
+//!   at its edge, exposing `/metrics` (Prometheus text v0.0.4), `/health`,
+//!   `/frames`, and `/trace`.
+//!
+//! The crate reads no environment: processes turn tracing on, start the
+//! scrape server and write traces themselves.
 //!
 //! [`alloc`] is the workspace's one counting allocator, which the
 //! zero-allocation audits and the benches install in their own binaries.
@@ -88,15 +91,11 @@ pub(crate) fn poison<T: ?Sized + Send>(m: &Mutex<T>) {
 }
 
 /// Opens a [`trace::Span`] guard: `span!("isac.align")` tags it with the
-/// thread's current frame id, `span!("isac.align", frame_id)` with an
-/// explicit one. Bind the result (`let _span = span!(...)`) — the span
-/// measures until the guard drops.
+/// thread's current frame id. Bind the result (`let _span = span!(...)`) —
+/// the span measures until the guard drops.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         $crate::trace::span($name)
-    };
-    ($name:expr, $frame:expr) => {
-        $crate::trace::span_frame($name, $frame)
     };
 }

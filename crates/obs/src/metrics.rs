@@ -262,11 +262,6 @@ impl Gauge {
             }
         }
     }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
 }
 
 /// Handle to a named histogram in the registry. Clones share the histogram.
@@ -284,11 +279,6 @@ impl Histogram {
     #[inline]
     pub fn record_ns(&self, ns: u64) {
         self.0.record_ns(ns);
-    }
-
-    /// Copies the histogram into an immutable snapshot.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        self.0.snapshot()
     }
 }
 
@@ -607,18 +597,19 @@ mod tests {
     fn set_max_is_nan_safe() {
         let r = Registry::default();
         let g = r.gauge("x.hiwater");
+        let get = || r.snapshot().gauge("x.hiwater").unwrap();
         g.set_max(3.0);
         g.set_max(f64::NAN); // NaN can never be a maximum: ignored
-        assert_eq!(g.get(), 3.0);
+        assert_eq!(get(), 3.0);
         // A NaN stored via `set` must not wedge the high-water mark.
         g.set(f64::NAN);
-        assert!(g.get().is_nan());
+        assert!(get().is_nan());
         g.set_max(1.5);
-        assert_eq!(g.get(), 1.5);
+        assert_eq!(get(), 1.5);
         g.set_max(f64::NEG_INFINITY); // still smaller than 1.5: ignored
-        assert_eq!(g.get(), 1.5);
+        assert_eq!(get(), 1.5);
         g.set_max(f64::INFINITY);
-        assert_eq!(g.get(), f64::INFINITY);
+        assert_eq!(get(), f64::INFINITY);
     }
 
     #[test]
@@ -665,17 +656,15 @@ mod tests {
         let g = r.gauge("x.depth");
         g.set(4.0);
         g.set_max(2.0); // lower: ignored
-        g.set_max(9.5);
-        assert_eq!(r.gauge("x.depth").get(), 9.5);
+        r.gauge("x.depth").set_max(9.5); // a second handle, the same cell
 
-        let h = r.histogram("x.lat");
-        h.record(Duration::from_micros(5));
-        assert_eq!(r.histogram("x.lat").snapshot().count(), 1);
+        r.histogram("x.lat").record(Duration::from_micros(5));
+        r.histogram("x.lat").record(Duration::from_micros(7));
 
         let snap = r.snapshot();
         assert_eq!(snap.counter("x.hits"), Some(3));
         assert_eq!(snap.gauge("x.depth"), Some(9.5));
-        assert_eq!(snap.histogram("x.lat").map(LatencySnapshot::count), Some(1));
+        assert_eq!(snap.histogram("x.lat").map(LatencySnapshot::count), Some(2));
         assert!(snap.counter("missing").is_none());
         let text = snap.to_text();
         assert!(text.contains("x.hits"));

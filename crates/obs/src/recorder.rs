@@ -164,11 +164,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The cell this recorder belongs to.
-    pub fn cell_id(&self) -> u32 {
-        self.cell_id
-    }
-
     /// Records one frame. Zero heap allocation: the ring was sized at
     /// construction, so this is a mutex lock and a struct store.
     pub fn record(&self, rec: FrameRecord) {
@@ -211,18 +206,8 @@ fn table() -> &'static Mutex<Vec<Arc<FlightRecorder>>> {
     TABLE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn configured_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("BISCATTER_RECORDER_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAPACITY)
-    })
-}
-
 /// The process-wide recorder for `cell_id`, created on first use with
-/// [`DEFAULT_CAPACITY`] records (override via `BISCATTER_RECORDER_CAPACITY`).
+/// [`DEFAULT_CAPACITY`] records.
 /// Handles are `Arc` clones of one ring per cell id: the runtime's cell and
 /// the scrape server resolve the same storage. Cache the handle — this
 /// takes the table lock.
@@ -231,10 +216,7 @@ pub fn for_cell(cell_id: u32) -> Arc<FlightRecorder> {
     if let Some(r) = t.iter().find(|r| r.cell_id == cell_id) {
         return Arc::clone(r);
     }
-    let r = Arc::new(FlightRecorder::with_capacity(
-        cell_id,
-        configured_capacity(),
-    ));
+    let r = Arc::new(FlightRecorder::with_capacity(cell_id, DEFAULT_CAPACITY));
     t.push(Arc::clone(&r));
     r
 }
@@ -331,7 +313,7 @@ mod tests {
             ..rec(1)
         });
         assert_eq!(b.total_recorded(), 1);
-        assert!(all().iter().any(|r| r.cell_id() == 900));
+        assert!(all().iter().any(|r| r.cell_id == 900));
         assert!(dump_jsonl().contains("\"cell_id\":900.0"));
     }
 
@@ -350,7 +332,7 @@ mod tests {
         let ids: Vec<u64> = r.snapshot().iter().map(|x| x.frame_id).collect();
         assert_eq!(ids, vec![1, 2]);
         assert!(Arc::ptr_eq(&for_cell(901), &r));
-        assert!(all().iter().any(|x| x.cell_id() == 901));
+        assert!(all().iter().any(|x| x.cell_id == 901));
         assert_eq!(dump_jsonl().matches("\"cell_id\":901.0").count(), 2);
     }
 }

@@ -23,15 +23,16 @@
 //! `-Inf` / `NaN`, the Prometheus text spellings — unlike JSON, where the
 //! workspace pins non-finite to `null`.
 //!
-//! The runtime opts in via the `BISCATTER_METRICS_ADDR` environment
-//! variable (see [`spawn_from_env`]); `127.0.0.1:0` binds an ephemeral
-//! port, printed to stderr at startup.
+//! A process starts the server at its edge with [`MetricsServer::start`]
+//! (the `streaming_runtime` and `fleet` examples do so when
+//! `BISCATTER_METRICS_ADDR` is set); `127.0.0.1:0` binds an ephemeral port.
+//! The server lives until its handle is dropped.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::metrics::{bucket_upper_ns, registry, RegistrySnapshot, BUCKETS};
@@ -387,30 +388,6 @@ impl Drop for MetricsServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
-}
-
-/// Starts the process-wide scrape server if `BISCATTER_METRICS_ADDR` is set
-/// — idempotent, so the runtime and the fleet can both call it; only the
-/// first call binds. Returns the bound address when a server is (already)
-/// running. The server lives for the remainder of the process.
-pub fn spawn_from_env() -> Option<SocketAddr> {
-    static SERVER: OnceLock<Option<MetricsServer>> = OnceLock::new();
-    SERVER
-        .get_or_init(|| {
-            let addr = std::env::var("BISCATTER_METRICS_ADDR").ok()?;
-            match MetricsServer::start(&addr) {
-                Ok(s) => {
-                    eprintln!("obs::serve: listening on http://{}/metrics", s.addr());
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("obs::serve: failed to bind {addr}: {e}");
-                    None
-                }
-            }
-        })
-        .as_ref()
-        .map(|s| s.addr())
 }
 
 #[cfg(test)]

@@ -57,7 +57,8 @@ pub fn set_enabled(on: bool) {
 
 /// Sets the capacity (in records) of rings created *after* this call;
 /// existing rings keep their size. Returns the previous value.
-pub fn set_ring_capacity(records: usize) -> usize {
+#[cfg(test)]
+fn set_ring_capacity(records: usize) -> usize {
     RING_CAPACITY.swap(records.max(1), Ordering::Relaxed)
 }
 
@@ -206,7 +207,7 @@ impl Drop for FrameScope {
 }
 
 /// An open span; records itself into this thread's ring when dropped.
-/// Created by [`span`] / [`span_frame`] (or the [`crate::span!`] macro).
+/// Created by [`span`] (or the [`crate::span!`] macro).
 #[must_use = "a span measures until it is dropped; bind it to a variable"]
 pub struct Span {
     name: &'static str,
@@ -230,25 +231,6 @@ pub fn span(name: &'static str) -> Span {
     Span {
         name,
         frame_id: current_frame(),
-        start_ns: now_ns(),
-        armed: true,
-    }
-}
-
-/// Opens a span tagged with an explicit frame id.
-#[inline]
-pub fn span_frame(name: &'static str, frame_id: u64) -> Span {
-    if !enabled() {
-        return Span {
-            name,
-            frame_id: NO_FRAME,
-            start_ns: 0,
-            armed: false,
-        };
-    }
-    Span {
-        name,
-        frame_id,
         start_ns: now_ns(),
         armed: true,
     }
@@ -462,7 +444,6 @@ mod tests {
         {
             let _fs = frame_scope(7);
             let _s = span("stage.align");
-            let _inner = span_frame("stage.inner", 9);
         }
         drop(span("stage.noframe"));
         record_span("pool.worker", 7, 10, 20);
@@ -478,7 +459,7 @@ mod tests {
         set_enabled(false);
 
         let col = TraceCollector::drain();
-        assert_eq!(col.span_count(), 5);
+        assert_eq!(col.span_count(), 4);
         let names: Vec<&str> = col.iter_spans().map(|(_, s)| s.name).collect();
         assert!(!names.contains(&"off.disabled"));
         let align = col
@@ -487,14 +468,8 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(align.frame_id, 7);
-        let inner = col
-            .iter_spans()
-            .find(|(_, s)| s.name == "stage.inner")
-            .unwrap()
-            .1;
-        assert_eq!(inner.frame_id, 9);
-        // Drop order: inner closes before align, which closes before the
-        // frame scope, so both saw frame 7 state correctly restored after.
+        // Drop order: align closes before the frame scope, which restores
+        // the no-frame state after.
         assert_eq!(current_frame(), NO_FRAME);
         let noframe = col
             .iter_spans()
@@ -513,7 +488,7 @@ mod tests {
         )]);
         let parsed = crate::json::parse(&doc.to_pretty()).unwrap();
         let events = parsed.get("traceEvents").and_then(Value::as_array).unwrap();
-        // 5 spans + one metadata event per thread that ever recorded.
+        // 4 spans + one metadata event per thread that ever recorded.
         let metas = events
             .iter()
             .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
@@ -522,7 +497,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .collect();
-        assert_eq!(xs.len(), 5);
+        assert_eq!(xs.len(), 4);
         assert!(metas >= 2);
         let ev = xs
             .iter()

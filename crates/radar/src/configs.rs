@@ -79,23 +79,6 @@ impl RadarConfig {
         }
     }
 
-    /// A conceptual 77 GHz automotive radar (AWR-class, 4 GHz sweep).
-    pub fn automotive_77ghz() -> Self {
-        RadarConfig {
-            name: "automotive 77 GHz",
-            f0: 77.0e9,
-            bandwidth: 4.0e9,
-            max_bandwidth: 4.0e9,
-            t_chirp_min: 10e-6,
-            t_period: 100e-6,
-            if_sample_rate: 10e6,
-            tx_power_dbm: 12.0,
-            antenna_gain_dbi: 10.0,
-            noise_figure_db: 14.0,
-            clock_quality: 0.8,
-        }
-    }
-
     /// Returns a copy with a different configured bandwidth.
     ///
     /// # Panics
@@ -108,13 +91,6 @@ impl RadarConfig {
             self.max_bandwidth
         );
         self.bandwidth = bandwidth;
-        self
-    }
-
-    /// Returns a copy with a different chirp period.
-    pub fn with_period(mut self, t_period: f64) -> Self {
-        assert!(t_period > self.t_chirp_min, "period too short");
-        self.t_period = t_period;
         self
     }
 
@@ -133,16 +109,12 @@ impl RadarConfig {
     pub fn center_freq(&self) -> f64 {
         self.f0 + self.bandwidth / 2.0
     }
-
-    /// Range resolution `c / 2B`, metres.
-    pub fn range_resolution(&self) -> f64 {
-        biscatter_dsp::SPEED_OF_LIGHT / (2.0 * self.bandwidth)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use biscatter_rf::chirp::Chirp;
 
     #[test]
     fn presets_distinct() {
@@ -155,9 +127,9 @@ mod tests {
 
     #[test]
     fn range_resolutions() {
-        assert!((RadarConfig::lmx2492_9ghz().range_resolution() - 0.15).abs() < 0.01);
-        assert!((RadarConfig::tinyrad_24ghz().range_resolution() - 0.60).abs() < 0.01);
-        assert!((RadarConfig::automotive_77ghz().range_resolution() - 0.0375).abs() < 0.001);
+        let res = |r: RadarConfig| Chirp::new(r.f0, r.bandwidth, r.t_chirp_min).range_resolution();
+        assert!((res(RadarConfig::lmx2492_9ghz()) - 0.15).abs() < 0.01);
+        assert!((res(RadarConfig::tinyrad_24ghz()) - 0.60).abs() < 0.01);
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl CorrelatorBank {
         self.cache = None;
     }
 
-    /// The current hypothesis set.
-    pub fn hypotheses(&self) -> &[SlopeHypothesis] {
-        &self.hypotheses
-    }
-
     /// Longest template (samples) at `fs` across the bank.
     pub fn max_template_len(&self, fs: f64) -> usize {
         self.hypotheses
@@ -267,22 +262,6 @@ impl CorrelatorBank {
             })
             .collect();
         self.cache = Some((fs, templates));
-    }
-
-    /// FFT overlap-add correlation of `raw` against hypothesis `h`'s
-    /// template, written to `corr` (cleared and resized to
-    /// `raw.len() − M + 1` valid lags). Public so tests and benches can pin
-    /// the bank's correlation path against the time-domain oracle.
-    ///
-    /// # Panics
-    /// Panics if `h` is out of range or `raw` is shorter than the template.
-    pub fn correlate_into(&mut self, h: usize, fs: f64, raw: &[f64], corr: &mut Vec<f64>) {
-        self.ensure_cache(fs);
-        let tmpl = &self.cache.as_ref().expect("cache just built").1[h];
-        assert!(raw.len() >= tmpl.len(), "dwell shorter than template");
-        corr.clear();
-        corr.resize(raw.len() - tmpl.len() + 1, 0.0);
-        overlap_add_correlate(tmpl, raw, corr);
     }
 
     fn templates(&self) -> &[Template] {
@@ -430,10 +409,9 @@ pub fn naive_correlate_into(template: &[f64], raw: &[f64], corr: &mut Vec<f64>) 
     }
 }
 
-/// FFT overlap-add correlation of `raw` against an arbitrary template —
-/// the free-function twin of [`CorrelatorBank::correlate_into`] for
-/// property tests (builds the template spectrum per call; the bank caches
-/// it).
+/// FFT overlap-add correlation of `raw` against an arbitrary template, for
+/// property tests: the correlation the bank runs, but building the template
+/// spectrum per call (the bank caches it).
 ///
 /// # Panics
 /// Panics if the template is empty or longer than `raw`.

@@ -44,27 +44,6 @@ impl Default for RangeDopplerMap {
 }
 
 impl RangeDopplerMap {
-    /// Builds a map from a row-major power slab; `power.len()` must be
-    /// `n_doppler * range_grid.len()`.
-    pub fn from_flat(
-        power: Vec<f64>,
-        range_grid: Arc<[f64]>,
-        n_doppler: usize,
-        t_period: f64,
-    ) -> Self {
-        assert_eq!(
-            power.len(),
-            n_doppler * range_grid.len(),
-            "power slab must be n_doppler x n_range"
-        );
-        RangeDopplerMap {
-            power,
-            range_grid,
-            n_doppler,
-            t_period,
-        }
-    }
-
     /// Number of range bins per Doppler row.
     pub fn n_range(&self) -> usize {
         self.range_grid.len()
@@ -73,18 +52,6 @@ impl RangeDopplerMap {
     /// Power at Doppler bin `d`, range bin `r`.
     pub fn at(&self, d: usize, r: usize) -> f64 {
         self.power[d * self.n_range() + r]
-    }
-
-    /// Overwrites the power at Doppler bin `d`, range bin `r`.
-    pub fn set(&mut self, d: usize, r: usize, value: f64) {
-        let n_range = self.n_range();
-        self.power[d * n_range + r] = value;
-    }
-
-    /// Modulation frequency of Doppler bin `k` (bins above `n/2` are
-    /// negative frequencies).
-    pub fn doppler_freq(&self, k: usize) -> f64 {
-        biscatter_dsp::fft::bin_to_freq(k, self.n_doppler, 1.0 / self.t_period)
     }
 
     /// The Doppler bin closest to modulation frequency `f_hz` (positive
@@ -101,16 +68,10 @@ impl RangeDopplerMap {
     }
 
     /// Sums power over a small window of Doppler bins around `center`
-    /// (inclusive ± `half_width`), clamped to the positive-frequency half.
-    pub fn range_slice_banded(&self, center: usize, half_width: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.range_slice_banded_into(center, half_width, &mut out);
-        out
-    }
-
-    /// [`range_slice_banded`](Self::range_slice_banded) into a caller-owned
-    /// buffer (cleared and resized), so hot paths can reuse scratch instead
-    /// of allocating a fresh band per harmonic per call.
+    /// (inclusive ± `half_width`, clamped to the positive-frequency half)
+    /// into a caller-owned buffer (cleared and resized), so hot paths can
+    /// reuse scratch instead of allocating a fresh band per harmonic per
+    /// call.
     pub fn range_slice_banded_into(&self, center: usize, half_width: usize, out: &mut Vec<f64>) {
         let (lo, hi) = self.band_bins(center, half_width);
         let n_range = self.n_range();
@@ -124,7 +85,8 @@ impl RangeDopplerMap {
     }
 
     /// The clamped inclusive Doppler-bin window `[lo, hi]` that
-    /// [`range_slice_banded`](Self::range_slice_banded) sums around `center`.
+    /// [`range_slice_banded_into`](Self::range_slice_banded_into) sums around
+    /// `center`.
     /// Exposed so the multi-tag engine can dedup identical bands across tags
     /// while reproducing the exact same row set.
     pub fn band_bins(&self, center: usize, half_width: usize) -> (usize, usize) {
@@ -288,7 +250,7 @@ mod tests {
     #[test]
     fn static_clutter_stays_at_dc() {
         let scene = Scene::new().with(Scatterer::clutter(3.0, 2.0));
-        let mut map = run_frame(&scene, 64, 2);
+        let map = run_frame(&scene, 64, 2);
         // Background subtraction removes chirp-0 copy; disable its effect by
         // checking relative power: all energy at DC region vs elsewhere.
         let idx = grid_index(&map, 3.0);
@@ -296,7 +258,6 @@ mod tests {
         // mid-band bins should be noise-level.
         let mid = map.n_doppler / 4;
         let p_mid = map.at(mid, idx);
-        map.set(0, idx, 0.0);
         let total_off_dc: f64 = (2..map.n_doppler / 2).map(|d| map.at(d, idx)).sum();
         assert!(p_mid < 1e-3, "static target leaked to mid-band: {p_mid}");
         assert!(total_off_dc < 1e-2, "off-DC energy {total_off_dc}");
@@ -314,7 +275,7 @@ mod tests {
             .map(|d| (d, map.at(d, idx)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        let f_est = map.doppler_freq(best);
+        let f_est = biscatter_dsp::fft::bin_to_freq(best, map.n_doppler, 1.0 / map.t_period);
         // Expected Doppler: phase of the IF changes 2*f0*v/c per second...
         // our IF model rebuilds tau per chirp, so range migration produces
         // the beat; expected f_d = 2 v f_center / c ≈ 63 Hz (within a bin
@@ -333,18 +294,20 @@ mod tests {
         let map = run_frame(&scene, 128, 4);
         let c = map.bin_for_freq(f_mod);
         let single = map.range_slice(c).to_vec();
-        let banded = map.range_slice_banded(c, 1);
+        let mut banded = Vec::new();
+        map.range_slice_banded_into(c, 1, &mut banded);
         let idx = grid_index(&map, 5.0);
         assert!(banded[idx] >= single[idx]);
     }
 
     #[test]
     fn doppler_freq_bins() {
-        let map =
-            RangeDopplerMap::from_flat(vec![0.0; 32], vec![0.0, 1.0, 2.0, 3.0].into(), 8, 1e-3);
-        assert_eq!(map.doppler_freq(0), 0.0);
-        assert!((map.doppler_freq(1) - 125.0).abs() < 1e-9);
-        assert!(map.doppler_freq(7) < 0.0);
+        let map = RangeDopplerMap {
+            power: vec![0.0; 32],
+            range_grid: vec![0.0, 1.0, 2.0, 3.0].into(),
+            n_doppler: 8,
+            t_period: 1e-3,
+        };
         assert_eq!(map.bin_for_freq(125.0), 1);
         assert_eq!(map.bin_for_freq(1e9), 4); // clamped to Nyquist bin
     }

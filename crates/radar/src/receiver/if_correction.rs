@@ -15,31 +15,11 @@ use biscatter_dsp::Real;
 use biscatter_rf::chirp::Chirp;
 use std::cell::RefCell;
 
-/// The range (metres) of each half-spectrum bin for a given chirp.
-pub fn bin_ranges(chirp: &Chirp, fs: f64, n_fft: usize, n_bins: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    bin_ranges_into(chirp, fs, n_fft, n_bins, &mut out);
-    out
-}
-
-/// [`bin_ranges`] writing into a reusable buffer (cleared first).
+/// The range (metres) of each half-spectrum bin for a given chirp, written
+/// into a reusable buffer (cleared first).
 pub fn bin_ranges_into(chirp: &Chirp, fs: f64, n_fft: usize, n_bins: usize, out: &mut Vec<f64>) {
     out.clear();
     out.extend((0..n_bins).map(|k| chirp.range_for_beat_freq(bin_freq(k, n_fft, fs))));
-}
-
-/// Resamples a complex half-spectrum onto the common `grid` (metres),
-/// interpolating the real and imaginary parts pairwise.
-pub fn to_range_grid<T: Real>(
-    profile: &[Complex<T>],
-    chirp: &Chirp,
-    fs: f64,
-    n_fft: usize,
-    grid: &[f64],
-) -> Vec<Complex<T>> {
-    let mut out = Vec::new();
-    to_range_grid_into(profile, chirp, fs, n_fft, grid, &mut out);
-    out
 }
 
 thread_local! {
@@ -48,7 +28,9 @@ thread_local! {
     static BIN_RANGES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// [`to_range_grid`] writing into a reusable buffer. The bin ranges and
+/// Resamples a complex half-spectrum onto the common `grid` (metres),
+/// interpolating the real and imaginary parts pairwise, into a reusable
+/// buffer. The bin ranges and
 /// the interpolation weights are computed in f64 in either precision; in
 /// f64 the interpolation runs on the complex samples directly but performs
 /// bit-identical arithmetic to resampling the real and imaginary parts
@@ -72,11 +54,30 @@ pub fn to_range_grid_into<T: Real>(
 mod tests {
     use super::*;
     use crate::receiver::range_profile::{complex_profile, power_profile};
+    use biscatter_dsp::complex::Cpx;
     use biscatter_dsp::resample::linspace;
     use biscatter_dsp::signal::NoiseSource;
     use biscatter_dsp::spectrum::find_peak;
     use biscatter_rf::if_gen::IfReceiver;
     use biscatter_rf::scene::{Scatterer, Scene};
+
+    fn bin_ranges(chirp: &Chirp, fs: f64, n_fft: usize, n_bins: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        bin_ranges_into(chirp, fs, n_fft, n_bins, &mut out);
+        out
+    }
+
+    fn to_range_grid(
+        profile: &[Cpx],
+        chirp: &Chirp,
+        fs: f64,
+        n_fft: usize,
+        grid: &[f64],
+    ) -> Vec<Cpx> {
+        let mut out = Vec::new();
+        to_range_grid_into(profile, chirp, fs, n_fft, grid, &mut out);
+        out
+    }
 
     fn rx() -> IfReceiver {
         IfReceiver {

@@ -33,7 +33,6 @@ pub mod localize;
 pub mod multitag;
 pub mod range_profile;
 pub mod uplink;
-pub mod velocity;
 
 use biscatter_compute::ComputePool;
 use biscatter_dsp::complex::Complex;
@@ -81,11 +80,6 @@ impl RxConfig {
     pub fn range_grid(&self) -> Vec<f64> {
         linspace(0.0, self.max_range_m, self.n_range_bins)
     }
-
-    /// Grid spacing in metres.
-    pub fn grid_step_m(&self) -> f64 {
-        self.max_range_m / (self.n_range_bins - 1) as f64
-    }
 }
 
 /// A frame of per-chirp complex range profiles on the common grid, ready for
@@ -121,11 +115,6 @@ impl<T: Real> AlignedFrame<T> {
     /// Slow-time sample rate = chirp rate, Hz.
     pub fn chirp_rate(&self) -> f64 {
         1.0 / self.t_period
-    }
-
-    /// Slow-time complex sequence at range-grid index `bin`.
-    pub fn slow_time(&self, bin: usize) -> Vec<Complex<T>> {
-        self.profiles.iter().map(|p| p[bin]).collect()
     }
 
     /// Overwrites this frame with `src`'s profiles, grid, and period,

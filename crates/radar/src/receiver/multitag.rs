@@ -165,21 +165,6 @@ impl TagBank {
         }
     }
 
-    /// The registered tags, in detection order.
-    pub fn profiles(&self) -> &[TagProfile] {
-        &self.profiles
-    }
-
-    /// Number of registered tags.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Returns true when no tags are registered.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
     /// Builds (or keeps) the template cache for this map/frame geometry.
     fn ensure_cache<T: Real>(&mut self, map: &RangeDopplerMap, frame: &AlignedFrame<T>) {
         let matches = self.cache.as_ref().is_some_and(|c| {
@@ -324,8 +309,8 @@ pub fn detect_all<T: Real>(
 
     // Stage 1: accumulate each unique harmonic band once, one band per
     // task. Each element is computed as the zero-then-ascending-row sum of
-    // `range_slice_banded` but written in a single fused pass (no zero-fill
-    // prepass, no read-modify-write per row).
+    // `range_slice_banded_into` but written in a single fused pass (no
+    // zero-fill prepass, no read-modify-write per row).
     band_slab.resize(bands.len() * n_range, 0.0);
     pool.par_chunks(&mut band_slab[..], n_range, |b, acc| {
         let (lo, hi) = bands[b];
@@ -445,8 +430,8 @@ pub fn detect_all<T: Real>(
 /// Fills `acc` with the Doppler band `lo..=hi` summed off the map in one
 /// write pass. Every element is evaluated as `((0.0 + row_lo[j]) + ...) +
 /// row_hi[j]` — the exact zero-fill-then-ascending-row-add sequence of
-/// `range_slice_banded` — so the result is bit-identical to the sequential
-/// path while touching `acc` once.
+/// `range_slice_banded_into` — so the result is bit-identical to the
+/// sequential path while touching `acc` once.
 fn accumulate_band(map: &RangeDopplerMap, lo: usize, hi: usize, acc: &mut [f64]) {
     // The fused 1-/2-/3-row sums and the wide fallback live in
     // `biscatter_dsp::simd` behind runtime dispatch; the value sequences

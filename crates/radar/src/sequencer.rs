@@ -3,9 +3,9 @@
 //! Converts a [`DownlinkPacket`]
 //! into the on-air [`ChirpTrain`]: every
 //! symbol becomes one chirp of the alphabet's duration on the fixed
-//! `T_period` grid. Also builds sensing-only trains (fixed slope) and
-//! padded ISAC frames (packet followed by sensing chirps, so one frame
-//! carries communication *and* enough chirps for Doppler processing).
+//! `T_period` grid. Also builds padded ISAC frames (packet followed by
+//! header-slope sensing chirps, so one frame carries communication *and*
+//! enough chirps for Doppler processing).
 
 use crate::cssk::CsskAlphabet;
 use biscatter_link::packet::{DownlinkPacket, DownlinkSymbol};
@@ -22,17 +22,6 @@ pub fn packet_to_train(
     let chirps: Vec<Chirp> = symbols.iter().map(|&s| alphabet.chirp_for(s)).collect();
     let train = ChirpTrain::with_fixed_period(&chirps, t_period)?;
     Ok((train, symbols))
-}
-
-/// Builds a sensing-only train: `n_chirps` identical chirps using the
-/// header slope (the longest chirp, maximizing unambiguous range).
-pub fn sensing_train(
-    alphabet: &CsskAlphabet,
-    n_chirps: usize,
-    t_period: f64,
-) -> Result<ChirpTrain, FrameError> {
-    let chirp = alphabet.chirp_for(DownlinkSymbol::Header);
-    ChirpTrain::with_fixed_period(&vec![chirp; n_chirps], t_period)
 }
 
 /// Builds an integrated ISAC frame: the packet's chirps followed by header-
@@ -89,15 +78,6 @@ mod tests {
         for (slot, &sym) in train.slots().iter().zip(&symbols) {
             assert!((slot.chirp.duration - a.duration_for(sym)).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn sensing_train_uniform() {
-        let a = alphabet();
-        let train = sensing_train(&a, 64, 120e-6).unwrap();
-        assert_eq!(train.len(), 64);
-        let d0 = train.slots()[0].chirp.duration;
-        assert!(train.slots().iter().all(|s| s.chirp.duration == d0));
     }
 
     #[test]

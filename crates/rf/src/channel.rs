@@ -1,5 +1,5 @@
-//! Propagation channel: path loss, the radar equation, multipath rays, and
-//! thermal noise — the substitution for the paper's over-the-air office
+//! Propagation channel: path loss, the radar equation, and thermal noise —
+//! the substitution for the paper's over-the-air office
 //! environment (0.5–7 m, "substantial multipath propagation").
 //!
 //! Downlink (radar → tag) is a one-way link: received power follows Friis.
@@ -83,67 +83,6 @@ impl TwoWayLink {
     }
 }
 
-/// A discrete multipath ray: an extra propagation path with its own excess
-/// delay and attenuation relative to the direct path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultipathRay {
-    /// Excess path length relative to the direct path, metres
-    /// (total path = direct + excess).
-    pub excess_path_m: f64,
-    /// Attenuation relative to the direct path, dB (positive = weaker).
-    pub attenuation_db: f64,
-}
-
-/// The propagation environment: a direct path plus optional multipath rays
-/// and a noise temperature elevation.
-#[derive(Debug, Clone, Default)]
-pub struct Environment {
-    /// Multipath rays (beyond the direct path). An empty list models an
-    /// anechoic setting; the paper's office has several strong reflectors.
-    pub rays: Vec<MultipathRay>,
-}
-
-impl Environment {
-    /// An ideal free-space environment with no multipath.
-    pub fn free_space() -> Self {
-        Environment { rays: Vec::new() }
-    }
-
-    /// A typical office: a strong floor/ceiling bounce and two wall bounces,
-    /// loosely calibrated to indoor X-band measurements.
-    pub fn office() -> Self {
-        Environment {
-            rays: vec![
-                MultipathRay {
-                    excess_path_m: 1.2,
-                    attenuation_db: 9.0,
-                },
-                MultipathRay {
-                    excess_path_m: 3.5,
-                    attenuation_db: 14.0,
-                },
-                MultipathRay {
-                    excess_path_m: 6.1,
-                    attenuation_db: 18.0,
-                },
-            ],
-        }
-    }
-
-    /// Sums direct + multipath power for a one-way link at distance `d_m`
-    /// (powers add incoherently — appropriate for the wideband FMCW signals
-    /// here, where rays separate in delay).
-    pub fn one_way_total_rx_dbm(&self, link: &OneWayLink, d_m: f64) -> f64 {
-        let direct = db_to_pow(link.rx_power_dbm(d_m));
-        let multi: f64 = self
-            .rays
-            .iter()
-            .map(|r| db_to_pow(link.rx_power_dbm(d_m + r.excess_path_m) - r.attenuation_db))
-            .sum();
-        pow_to_db(direct + multi)
-    }
-}
-
 /// Downlink SNR model: maps distance to the SNR of the beat tone at the tag
 /// decoder's ADC.
 ///
@@ -167,17 +106,6 @@ impl DownlinkBudget {
     /// SNR (dB) of the beat tone at distance `d_m`.
     pub fn snr_db(&self, d_m: f64) -> f64 {
         self.link.rx_power_dbm(d_m) - self.tag_insertion_loss_db - self.decoder_noise_floor_dbm
-    }
-
-    /// Distance (m) at which the link achieves `snr_db`, inverting the FSPL
-    /// (useful for sweeping SNR via distance as the paper does).
-    pub fn distance_for_snr(&self, snr_db: f64) -> f64 {
-        let budget = self.link.tx_power_dbm + self.link.tx_gain_dbi + self.link.rx_gain_dbi
-            - self.tag_insertion_loss_db
-            - self.decoder_noise_floor_dbm;
-        let fspl = budget - snr_db;
-        // fspl = 20 log10(4 pi d f / c)  =>  d = c 10^(fspl/20) / (4 pi f)
-        SPEED_OF_LIGHT * 10f64.powf(fspl / 20.0) / (4.0 * std::f64::consts::PI * self.link.freq_hz)
     }
 }
 
@@ -284,24 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn multipath_adds_power() {
-        let link = OneWayLink {
-            tx_power_dbm: 7.0,
-            tx_gain_dbi: 6.0,
-            rx_gain_dbi: 6.0,
-            freq_hz: 9.5e9,
-        };
-        let fs = Environment::free_space().one_way_total_rx_dbm(&link, 3.0);
-        let office = Environment::office().one_way_total_rx_dbm(&link, 3.0);
-        assert!(office > fs);
-        assert!(
-            office - fs < 3.0,
-            "multipath shouldn't dominate: +{}",
-            office - fs
-        );
-    }
-
-    #[test]
     fn downlink_budget_7m_operating_point() {
         // Calibration target from the paper (Fig. 13 caption): ~16 dB SNR at
         // 7 m with the 9 GHz prototype.
@@ -317,24 +227,6 @@ mod tests {
         };
         let snr = budget.snr_db(7.0);
         assert!((snr - 16.0).abs() < 1.0, "got {snr} dB at 7 m");
-    }
-
-    #[test]
-    fn distance_for_snr_inverts_snr_db() {
-        let budget = DownlinkBudget {
-            link: OneWayLink {
-                tx_power_dbm: 7.0,
-                tx_gain_dbi: 6.0,
-                rx_gain_dbi: 6.0,
-                freq_hz: 9.5e9,
-            },
-            tag_insertion_loss_db: 10.0,
-            decoder_noise_floor_dbm: -76.0,
-        };
-        for &snr in &[5.0, 16.0, 30.0] {
-            let d = budget.distance_for_snr(snr);
-            assert!((budget.snr_db(d) - snr).abs() < 1e-9, "snr {snr}: d {d}");
-        }
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl Chirp {
         TAU * (self.f0 * t + 0.5 * self.slope() * t * t)
     }
 
-    /// Samples the real passband waveform at rate `fs` over the sweep.
-    /// Intended for validation at scaled-down carrier frequencies; full-rate
-    /// GHz synthesis is deliberately avoided elsewhere (see DESIGN.md §5).
-    pub fn sample_passband(&self, fs: f64, amplitude: f64) -> Vec<f64> {
-        let n = (self.duration * fs).round() as usize;
-        (0..n)
-            .map(|i| amplitude * self.phase(i as f64 / fs).cos())
-            .collect()
-    }
-
     /// Range resolution this chirp provides: `c / 2B` (paper eq. 5).
     pub fn range_resolution(&self) -> f64 {
         SPEED_OF_LIGHT / (2.0 * self.bandwidth)
@@ -180,16 +170,6 @@ mod tests {
         assert!((r_l / r_s - 10.0).abs() < 1e-9);
         // Values: R = fs c T / 2B = 2e6*3e8*20e-6/2e9 = 6 m.
         assert!((r_s - 5.996).abs() < 0.01, "got {r_s}");
-    }
-
-    #[test]
-    fn passband_sampling_count_and_energy() {
-        let c = Chirp::new(1e5, 1e5, 1e-3);
-        let fs = 2e6;
-        let s = c.sample_passband(fs, 2.0);
-        assert_eq!(s.len(), 2000);
-        let rms = (s.iter().map(|x| x * x).sum::<f64>() / s.len() as f64).sqrt();
-        assert!((rms - 2.0 / 2f64.sqrt()).abs() < 0.05);
     }
 
     #[test]

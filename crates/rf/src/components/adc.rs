@@ -46,22 +46,6 @@ impl Adc {
         let code = code.clamp(-(max_code + 1.0), max_code);
         code * lsb
     }
-
-    /// Quantizes a buffer.
-    pub fn quantize_block(&self, x: &[f64]) -> Vec<f64> {
-        x.iter().map(|&v| self.quantize(v)).collect()
-    }
-
-    /// Theoretical quantization-limited SNR for a full-scale sinusoid:
-    /// `6.02 * bits + 1.76` dB.
-    pub fn ideal_snr_db(&self) -> f64 {
-        6.02 * self.bits as f64 + 1.76
-    }
-
-    /// Nyquist frequency.
-    pub fn nyquist_hz(&self) -> f64 {
-        self.sample_rate_hz / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -123,18 +107,13 @@ mod tests {
         let sig: Vec<f64> = (0..n)
             .map(|i| 0.99 * (std::f64::consts::TAU * 0.013 * i as f64).sin())
             .collect();
-        let q = adc.quantize_block(&sig);
+        let q: Vec<f64> = sig.iter().map(|&v| adc.quantize(v)).collect();
         let err: Vec<f64> = sig.iter().zip(&q).map(|(a, b)| a - b).collect();
         let snr_db = 20.0 * (rms(&sig) / rms(&err)).log10();
-        let ideal = adc.ideal_snr_db();
+        let ideal = 6.02 * adc.bits as f64 + 1.76;
         assert!(
             (snr_db - ideal).abs() < 3.0,
             "measured {snr_db} vs ideal {ideal}"
         );
-    }
-
-    #[test]
-    fn nyquist() {
-        assert_eq!(Adc::mcu_12bit_1mhz().nyquist_hz(), 500e3);
     }
 }

@@ -55,11 +55,6 @@ impl DelayLine {
         self.length_m / (self.velocity_factor_at(f_hz) * SPEED_OF_LIGHT)
     }
 
-    /// Group delay at the reference frequency.
-    pub fn delay(&self) -> f64 {
-        self.delay_at(self.ref_freq_hz)
-    }
-
     /// Total insertion loss, dB (loss grows ~√f above the reference, the
     /// skin-effect trend).
     pub fn insertion_loss_db(&self, f_hz: f64) -> f64 {
@@ -89,11 +84,6 @@ impl DelayLinePair {
         let mut long = proto;
         long.length_m = base_length_m + delta_l_m;
         DelayLinePair { short, long }
-    }
-
-    /// Length difference `ΔL`, metres.
-    pub fn delta_l(&self) -> f64 {
-        self.long.length_m - self.short.length_m
     }
 
     /// Differential delay `ΔT` at frequency `f` (paper eq. 10, but evaluated
@@ -161,11 +151,6 @@ impl MeanderLine {
         effective_permittivity(self.epsilon_r)
     }
 
-    /// Group delay, seconds.
-    pub fn delay(&self) -> f64 {
-        self.trace_length_m * self.epsilon_eff().sqrt() / SPEED_OF_LIGHT
-    }
-
     /// Velocity factor equivalent (`1/sqrt(eps_eff)`), for use as a
     /// [`DelayLine`].
     pub fn velocity_factor(&self) -> f64 {
@@ -225,7 +210,7 @@ mod tests {
     fn coax_delay_matches_formula() {
         // 1 m of k=0.7 coax: delay = 1 / (0.7 * c) = 4.76 ns.
         let line = DelayLine::coax(1.0, 9.5e9);
-        assert!((line.delay() - 4.763e-9).abs() < 1e-11);
+        assert!((line.delay_at(9.5e9) - 4.763e-9).abs() < 1e-11);
     }
 
     #[test]
@@ -295,7 +280,8 @@ mod tests {
     #[test]
     fn meander_paper_design_delay() {
         let m = MeanderLine::paper_9ghz_design();
-        assert!((m.delay() - 1.26e-9).abs() < 1e-12, "delay {}", m.delay());
+        let delay = m.as_delay_line().delay_at(m.design_freq_hz);
+        assert!((delay - 1.26e-9).abs() < 1e-12, "delay {delay}");
     }
 
     #[test]
@@ -327,7 +313,8 @@ mod tests {
     fn meander_as_delay_line_consistent() {
         let m = MeanderLine::paper_9ghz_design();
         let dl = m.as_delay_line();
-        assert!((dl.delay_at(m.design_freq_hz) - m.delay()).abs() < 1e-13);
+        let microstrip = m.trace_length_m * m.epsilon_eff().sqrt() / SPEED_OF_LIGHT;
+        assert!((dl.delay_at(m.design_freq_hz) - microstrip).abs() < 1e-13);
     }
 
     #[test]

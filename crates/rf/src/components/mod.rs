@@ -9,7 +9,6 @@
 //! quantization — not full electromagnetic detail.
 
 pub mod adc;
-pub mod antenna;
 pub mod delay_line;
 pub mod envelope_detector;
 pub mod rf_switch;
@@ -17,7 +16,6 @@ pub mod splitter;
 pub mod van_atta;
 
 pub use adc::Adc;
-pub use antenna::Antenna;
 pub use delay_line::DelayLine;
 pub use envelope_detector::EnvelopeDetector;
 pub use rf_switch::{RfSwitch, SwitchState};

@@ -42,113 +42,15 @@ impl RfSwitch {
         }
     }
 
-    /// Amplitude transmission factor (linear) toward the *reflection* path
-    /// for the given state. `Reflective` passes with insertion loss;
-    /// `Absorptive` leaks only the isolation residual.
-    pub fn reflection_amplitude(&self, state: SwitchState) -> f64 {
-        match state {
-            SwitchState::Reflective => 10f64.powf(-self.insertion_loss_db / 20.0),
-            SwitchState::Absorptive => 10f64.powf(-self.isolation_db / 20.0),
-        }
-    }
-
-    /// Amplitude transmission factor toward the *decoder* path.
-    /// Only the absorptive state feeds the decoder.
-    pub fn decoder_amplitude(&self, state: SwitchState) -> f64 {
-        match state {
-            SwitchState::Reflective => 10f64.powf(-self.isolation_db / 20.0),
-            SwitchState::Absorptive => 10f64.powf(-self.insertion_loss_db / 20.0),
-        }
-    }
-
-    /// Modulation depth achievable by toggling states: the power ratio
-    /// between reflective and absorptive reflections, dB.
-    pub fn modulation_depth_db(&self) -> f64 {
-        self.isolation_db - self.insertion_loss_db
-    }
-
     /// Returns true if the switch supports toggling at `rate_hz`.
     pub fn supports_rate(&self, rate_hz: f64) -> bool {
         rate_hz <= self.max_switch_rate_hz
-    }
-
-    /// The switch state at time `t` when driven by a square wave of
-    /// frequency `mod_freq_hz` with the given duty cycle.
-    ///
-    /// # Panics
-    /// Panics if the rate exceeds the switch capability.
-    pub fn state_at(&self, t: f64, mod_freq_hz: f64, duty: f64) -> SwitchState {
-        assert!(
-            self.supports_rate(mod_freq_hz),
-            "modulation {mod_freq_hz} Hz exceeds switch limit {} Hz",
-            self.max_switch_rate_hz
-        );
-        let phase = (t * mod_freq_hz).rem_euclid(1.0);
-        if phase < duty {
-            SwitchState::Reflective
-        } else {
-            SwitchState::Absorptive
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reflective_passes_absorptive_blocks() {
-        let sw = RfSwitch::adrf5144();
-        let on = sw.reflection_amplitude(SwitchState::Reflective);
-        let off = sw.reflection_amplitude(SwitchState::Absorptive);
-        assert!(on > 0.9);
-        assert!(off < 0.02);
-    }
-
-    #[test]
-    fn decoder_path_mirrors_reflection_path() {
-        let sw = RfSwitch::adrf5144();
-        assert!(
-            sw.decoder_amplitude(SwitchState::Absorptive)
-                > sw.decoder_amplitude(SwitchState::Reflective)
-        );
-    }
-
-    #[test]
-    fn modulation_depth() {
-        let sw = RfSwitch::adrf5144();
-        assert!((sw.modulation_depth_db() - 39.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn state_follows_square_wave() {
-        let sw = RfSwitch::adrf5144();
-        let f = 1000.0;
-        assert_eq!(sw.state_at(0.0, f, 0.5), SwitchState::Reflective);
-        assert_eq!(sw.state_at(0.00049, f, 0.5), SwitchState::Reflective);
-        assert_eq!(sw.state_at(0.00051, f, 0.5), SwitchState::Absorptive);
-        assert_eq!(sw.state_at(0.001, f, 0.5), SwitchState::Reflective);
-    }
-
-    #[test]
-    fn duty_cycle_respected() {
-        let sw = RfSwitch::adrf5144();
-        let f = 100.0;
-        let samples = 10_000;
-        let reflective = (0..samples)
-            .filter(|&i| {
-                sw.state_at(i as f64 / samples as f64 * 0.1, f, 0.25) == SwitchState::Reflective
-            })
-            .count();
-        assert!((reflective as f64 / samples as f64 - 0.25).abs() < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds switch limit")]
-    fn rate_limit_enforced() {
-        let sw = RfSwitch::adrf5144();
-        sw.state_at(0.0, 100e6, 0.5);
-    }
 
     #[test]
     fn supports_rate_boundary() {

@@ -46,11 +46,6 @@ impl Splitter {
     pub fn combine_loss_db(&self) -> f64 {
         3.0103 + self.excess_loss_db
     }
-
-    /// Amplitude transmission factor (linear) for a port.
-    pub fn port_amplitude(&self, port: SplitPort) -> f64 {
-        10f64.powf(-self.port_loss_db(port) / 20.0)
-    }
 }
 
 /// Output port selector for [`Splitter::port_loss_db`].
@@ -76,8 +71,8 @@ mod tests {
     #[test]
     fn ideal_split_conserves_power() {
         let s = Splitter::ideal();
-        let pa = s.port_amplitude(SplitPort::A).powi(2);
-        let pb = s.port_amplitude(SplitPort::B).powi(2);
+        let pa = 10f64.powf(-s.port_loss_db(SplitPort::A) / 10.0);
+        let pb = 10f64.powf(-s.port_loss_db(SplitPort::B) / 10.0);
         assert!((pa + pb - 1.0).abs() < 1e-4);
     }
 

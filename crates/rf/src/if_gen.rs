@@ -198,8 +198,10 @@ impl IfReceiver {
     /// linear RX array with `spacing_wavelengths` element pitch. A scatterer
     /// at azimuth `θ` arrives at antenna `k` with an extra phase of
     /// `2π k d_λ sin θ` (the narrowband array model); noise is independent
-    /// per antenna.
-    pub fn dechirp_array(
+    /// per antenna. The oracle the array-synthesis tests check
+    /// [`IfReceiver::dechirp_train_array_into`] against.
+    #[cfg(test)]
+    fn dechirp_array(
         &self,
         chirp: &Chirp,
         scene: &Scene,
@@ -263,8 +265,8 @@ impl IfReceiver {
     /// consumes no RNG (each row's samples are the same floating-point ops
     /// in the same order regardless of scheduling), and the stateful noise
     /// source is applied afterwards on the caller thread in the serial
-    /// order — chirp-major, antenna-minor, exactly as the per-chirp
-    /// [`IfReceiver::dechirp_array`] loop would.
+    /// order — chirp-major, antenna-minor, exactly as a per-chirp loop
+    /// would (the unit tests keep that loop as the oracle).
     // One parameter per physical input; bundling them would just move the
     // argument list into a struct literal at every call site.
     #[allow(clippy::too_many_arguments)]

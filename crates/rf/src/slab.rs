@@ -102,11 +102,6 @@ impl<T: Real> SampleSlab<T> {
         self.offsets.len() - 1
     }
 
-    /// Total number of samples across all rows.
-    pub fn samples(&self) -> usize {
-        *self.offsets.last().unwrap()
-    }
-
     /// The samples of row `r`.
     pub fn row(&self, r: usize) -> &[T] {
         &self.data[self.offsets[r]..self.offsets[r + 1]]
@@ -259,7 +254,7 @@ mod tests {
         let mut slab: SampleSlab = SampleSlab::new();
         slab.layout_rows([3usize, 0, 2].into_iter());
         assert_eq!(slab.rows(), 3);
-        assert_eq!(slab.samples(), 5);
+        assert_eq!(slab.data.len(), 5);
         slab.row_mut(0).fill(1.0);
         slab.row_mut(2).fill(3.0);
         assert_eq!(slab.row(0), &[1.0, 1.0, 1.0]);
@@ -287,7 +282,7 @@ mod tests {
         // offsets table already holds its leading 0.
         let slab = SampleSlab::<f64>::default();
         assert_eq!(slab, SampleSlab::new());
-        assert_eq!((slab.rows(), slab.samples()), (0, 0));
+        assert_eq!((slab.rows(), slab.data.len()), (0, 0));
         assert_eq!(SampleSlab::<f32>::default(), SampleSlab::new());
         assert_eq!(SampleSlab::<f32>::default().rows(), 0);
         let cap = ArrayCapture::default();

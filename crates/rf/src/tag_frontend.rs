@@ -7,15 +7,16 @@
 //!
 //! `Δφ(t) = φ(t) − φ(t − ΔT) = 2π (f0 ΔT + α ΔT t − α ΔT²/2)`.
 //!
-//! Two simulation paths are provided (DESIGN.md §5):
+//! Two simulation paths exist (DESIGN.md §5):
 //!
 //! * **analytic envelope** ([`TagFrontEnd::capture_train`]) — evaluates the
 //!   exact phase difference per ADC sample, adds calibrated noise and ADC
 //!   quantization. This is what all BER experiments run on (kHz rate → fast).
-//! * **scaled passband** ([`TagFrontEnd::capture_passband`]) — synthesizes
-//!   the actual RF waveform at a frequency-scaled carrier and pushes it
-//!   through the real component chain (sum of arms → square law → LPF).
-//!   Used in tests to prove the analytic model exact.
+//! * **scaled passband** (`TagFrontEnd::capture_passband`, compiled for
+//!   tests only) — synthesizes the actual RF waveform at a frequency-scaled
+//!   carrier and pushes it through the real component chain (sum of arms →
+//!   square law → LPF). The unit tests use it to prove the analytic model
+//!   exact.
 
 use crate::chirp::Chirp;
 use crate::components::delay_line::DelayLinePair;
@@ -146,8 +147,10 @@ impl TagFrontEnd {
     ///
     /// Intended for *scaled* carriers (e.g. `f0` of a few hundred kHz) where
     /// `fs_rf` is tractable; the physics is scale-invariant in `α ΔT`.
-    /// Returns the detector output at `fs_rf` (decimate as needed).
-    pub fn capture_passband(&self, chirp: &Chirp, fs_rf: f64) -> Vec<f64> {
+    /// Returns the detector output at `fs_rf` (decimate as needed). The
+    /// reference the envelope path's tests compare against.
+    #[cfg(test)]
+    fn capture_passband(&self, chirp: &Chirp, fs_rf: f64) -> Vec<f64> {
         let n = (chirp.duration * fs_rf).round() as usize;
         let dt_short = self.pair.short.delay_at(chirp.center_freq());
         let dt_long = self.pair.long.delay_at(chirp.center_freq());

@@ -298,6 +298,10 @@ impl Cell {
     /// them through [`Cell::try_process`], so a frame's recorded `total_ns`
     /// includes its queue wait. Threads are scoped, so the method returns
     /// only after every worker has shut down.
+    ///
+    /// Spans are recorded when the process has switched tracing on
+    /// ([`trace::set_enabled`]); writing the trace out is the caller's job
+    /// (`examples/streaming_runtime.rs` does it once at exit).
     pub fn run_streaming(&self, jobs: Vec<FrameJob>) -> RunReport {
         let cfg = &self.cfg;
         assert!(cfg.workers > 0, "a cell needs at least one frame worker");
@@ -313,18 +317,6 @@ impl Cell {
         let intra =
             ComputePool::with_init(cfg.intra_frame_threads, move || warm_dsp_plans(&warm_sys));
         let e2e = LatencyHistogram::default();
-
-        // `BISCATTER_TRACE=<path>` turns span recording on for the run and
-        // dumps a Perfetto-loadable Chrome trace (plus the registry
-        // snapshot) there at shutdown. Tracing that was already enabled
-        // stays enabled either way.
-        let trace_path = std::env::var("BISCATTER_TRACE").ok();
-        if trace_path.is_some() {
-            trace::set_enabled(true);
-        }
-        // `BISCATTER_METRICS_ADDR=<host:port>` starts the live scrape server
-        // (idempotent across cells and runs — only the first call binds).
-        biscatter_obs::serve::spawn_from_env();
 
         let t0 = Instant::now();
         let results: Vec<(u64, Option<IsacOutcome>)> = thread::scope(|scope| {
@@ -375,9 +367,6 @@ impl Cell {
             elapsed,
             registry: biscatter_obs::registry().snapshot(),
         };
-        if let Some(path) = trace_path {
-            dump_trace(&path, &metrics);
-        }
         RunReport { outcomes, metrics }
     }
 }
@@ -387,23 +376,6 @@ impl Cell {
 /// [`Cell::standalone`] followed by [`Cell::run_streaming`].
 pub fn run_streaming(sys: &BiScatterSystem, jobs: Vec<FrameJob>, cfg: &RuntimeConfig) -> RunReport {
     Cell::standalone(sys.clone(), *cfg).run_streaming(jobs)
-}
-
-/// Writes the Perfetto trace for everything recorded so far (plus the
-/// registry snapshot under the extra `"registry"` key, which trace viewers
-/// ignore) to `path`. Re-entrant: spans accumulate across calls in a
-/// process-wide collector, so repeated runs — or many cells dumping at
-/// their own shutdown — each write a superset, never clobbering earlier
-/// spans. Failures are reported, not fatal — telemetry must not take down a
-/// run that already finished.
-fn dump_trace(path: &str, metrics: &MetricsSnapshot) {
-    match trace::export_accumulated(path, [("registry".to_string(), metrics.registry.to_json())]) {
-        Ok(summary) => eprintln!(
-            "BISCATTER_TRACE: wrote {} spans from {} threads to {path}",
-            summary.spans, summary.threads,
-        ),
-        Err(err) => eprintln!("BISCATTER_TRACE: failed to write {path}: {err}"),
-    }
 }
 
 /// Reference path: the same jobs, one at a time, on the calling thread via

@@ -8,15 +8,8 @@
 //! * [`estimate_period`] — autocorrelation of the envelope power over
 //!   plausible period lags. The header's repeating on/off envelope peaks the
 //!   autocorrelation exactly at `T_period`.
-//! * [`estimate_period_fft`] — the paper's large-FFT variant: a window
-//!   spanning many header chirps shows a line comb spaced `1/T_period`
-//!   around the beat frequency; the comb spacing gives the period.
-//! * [`estimate_offset`] — slides a gap template over one period: the
-//!   offset minimizing energy inside the expected inter-chirp gap aligns
+//! * [`estimate_slot_timing`] — the joint period/offset search that aligns
 //!   slot boundaries (Fig. 6(e)).
-
-use biscatter_dsp::planner::with_planner;
-use biscatter_dsp::spectrum::find_peaks_above;
 
 /// Estimates the chirp period (seconds) from raw ADC samples by normalized
 /// autocorrelation of instantaneous power. Searches lags in
@@ -136,53 +129,6 @@ fn autocorrelations<const N: usize>(p: &[f64], lag: usize) -> [f64; N] {
     std::array::from_fn(|j| acc[j] / (p.len() - lag - j) as f64)
 }
 
-/// The paper's large-FFT period estimate: the spectrum of a window spanning
-/// many header chirps is a comb with line spacing `1/T_period`; the median
-/// spacing of the strongest lines gives the period. Less robust than the
-/// autocorrelation at low SNR but matches the paper's description; provided
-/// for the Fig. 6 ablation.
-pub fn estimate_period_fft(samples: &[f64], fs: f64, t_max_s: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    // Mean-removed magnitude half-spectrum through the tag thread's plan
-    // cache. ADC captures are tens of thousands of samples, so the packed
-    // real-input plan (even lengths) and the cached Bluestein kernel (odd
-    // lengths) matter here more than anywhere else in the tag pipeline.
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let mag: Vec<f64> = with_planner(|p| {
-        p.with_real_scratch(samples.len(), |p, buf| {
-            for (b, &s) in buf.iter_mut().zip(samples) {
-                *b = s - mean;
-            }
-            let mut spec = Vec::new();
-            p.rfft_half_into(buf, &mut spec);
-            spec.iter().map(|z| z.abs()).collect()
-        })
-    });
-    let n_fft = (mag.len() - 1) * 2;
-    let df = fs / n_fft as f64;
-    // Strongest lines above 5x the median magnitude.
-    let mut sorted = mag.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = sorted[sorted.len() / 2];
-    let peaks = find_peaks_above(&mag, 5.0 * median);
-    if peaks.len() < 3 {
-        return None;
-    }
-    // Take the top lines by power, sort by frequency, use the median gap.
-    let mut bins: Vec<f64> = peaks.iter().take(12).map(|p| p.refined_bin).collect();
-    bins.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut gaps: Vec<f64> = bins.windows(2).map(|w| (w[1] - w[0]) * df).collect();
-    gaps.retain(|&g| g > 1.0 / t_max_s / 2.0);
-    if gaps.is_empty() {
-        return None;
-    }
-    gaps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let spacing = gaps[gaps.len() / 2];
-    Some(1.0 / spacing)
-}
-
 /// Joint fine search for slot timing: scans periods within ±8 samples of the
 /// coarse estimate (quarter-sample steps) and all offsets, maximizing the
 /// mean power step across slot boundaries. Each boundary is preceded by
@@ -275,42 +221,6 @@ pub fn estimate_slot_timing(
     (best.0, best.1)
 }
 
-/// Estimates the slot-boundary offset within one period.
-///
-/// For each candidate offset, sums envelope power inside the assumed
-/// inter-chirp gap (the last `gap_fraction` of each slot) across all slots;
-/// the true offset minimizes it (the gap holds only noise). Returns the
-/// offset in samples `[0, period_samples)`.
-pub fn estimate_offset(samples: &[f64], period_samples: usize, gap_fraction: f64) -> usize {
-    if period_samples == 0 || samples.len() < period_samples {
-        return 0;
-    }
-    let gap_len = ((period_samples as f64 * gap_fraction).round() as usize).max(1);
-    let power: Vec<f64> = samples.iter().map(|&x| x * x).collect();
-    let mut best = (0usize, f64::INFINITY);
-    for offset in 0..period_samples {
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        // Gap occupies [period - gap_len, period) of each slot.
-        let mut slot_start = offset;
-        while slot_start + period_samples <= power.len() {
-            let gap_start = slot_start + period_samples - gap_len;
-            for &v in &power[gap_start..slot_start + period_samples] {
-                acc += v;
-                count += 1;
-            }
-            slot_start += period_samples;
-        }
-        if count > 0 {
-            let mean = acc / count as f64;
-            if mean < best.1 {
-                best = (offset, mean);
-            }
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,42 +263,5 @@ mod tests {
         // value is inside the search band (it trivially is), so instead we
         // check the estimator against a *short* buffer where it must refuse.
         assert!(estimate_period(&samples[..100], 1e6, 60e-6, 300e-6).is_none());
-    }
-
-    #[test]
-    fn period_fft_variant_agrees() {
-        let (samples, fs) = header_stream(32, 30.0, 0.0, 4);
-        let t = estimate_period_fft(&samples, fs, 300e-6).expect("period found");
-        assert!(
-            (t - 120e-6).abs() < 6e-6,
-            "FFT-comb period {t}, expected 120 µs"
-        );
-    }
-
-    #[test]
-    fn offset_recovered() {
-        let fs = 1e6f64;
-        for true_offset_s in [0.0f64, 17e-6, 55e-6, 100e-6] {
-            let (samples, _) = header_stream(16, 25.0, true_offset_s, 5);
-            let period_samples = (120e-6 * fs).round() as usize;
-            let est = estimate_offset(&samples, period_samples, 0.2);
-            // capture_train shifts the ADC clock *forward*: an offset of K
-            // samples moves the slot start to (period - K) mod period.
-            let true_start =
-                (period_samples - (true_offset_s * fs).round() as usize) % period_samples;
-            let err = (est as i64 - true_start as i64).rem_euclid(period_samples as i64);
-            let err = err.min(period_samples as i64 - err);
-            assert!(
-                err <= 3,
-                "offset {true_offset_s}: estimated {est}, true {true_start}"
-            );
-        }
-    }
-
-    #[test]
-    fn offset_degenerate_inputs() {
-        assert_eq!(estimate_offset(&[], 10, 0.2), 0);
-        assert_eq!(estimate_offset(&[1.0; 5], 10, 0.2), 0);
-        assert_eq!(estimate_offset(&[1.0; 100], 0, 0.2), 0);
     }
 }

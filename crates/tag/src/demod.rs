@@ -105,8 +105,10 @@ impl SymbolDecider {
     /// handful of beat cycles per chirp, the negative-frequency image of the
     /// real envelope tone otherwise leaks phase-dependent energy into
     /// neighbouring candidates and can deterministically flip adjacent-slope
-    /// decisions even at high SNR.
-    pub fn candidate_score(&self, slot: &[f64], c: &Candidate) -> f64 {
+    /// decisions even at high SNR. The unit tests' single-candidate
+    /// reference for the batched bank.
+    #[cfg(test)]
+    fn candidate_score(&self, slot: &[f64], c: &Candidate) -> f64 {
         let mut score = [f64::NEG_INFINITY];
         SlotBank::new(std::slice::from_ref(c), self.fs, slot.len()).scores(slot, &mut score);
         score[0]
@@ -238,7 +240,8 @@ impl SlotBank {
     ///
     /// # Panics
     /// Panics if `out` is shorter than the candidate list.
-    pub fn scores(&mut self, slot: &[f64], out: &mut [f64]) {
+    #[cfg(test)]
+    fn scores(&mut self, slot: &[f64], out: &mut [f64]) {
         out.fill(f64::NEG_INFINITY);
         let row = &mut out[..self.candidates];
         self.scores_batch(&slot[..self.span], &[0], row);
@@ -246,7 +249,8 @@ impl SlotBank {
 
     /// Every candidate's normalized score on the slot at each of `starts`
     /// in `samples`: row `k` of `out` (one column per candidate) holds the
-    /// scores of the slot at `starts[k]`, as [`SlotBank::scores`].
+    /// normalized scores of the slot at `starts[k]` (`-inf` for candidates
+    /// too short to score).
     ///
     /// # Panics
     /// Panics if `out` does not hold one row per start.

@@ -14,7 +14,6 @@
 //! | [`calibration`] | one-time slope→beat-frequency calibration (paper §3.2.1) |
 //! | [`modulator`] | uplink switch control: OOK/FSK subcarrier generation within switch limits |
 //! | [`power`] | the power model of §4.1 (continuous 48 mW, sequential, custom-IC projection) |
-//! | [`schedule`] | sequential uplink/downlink window sizing and its power integration |
 //! | [`tag`] | the tag state machine: command handling, sleep/wake, uplink responses |
 
 #![forbid(unsafe_code)]
@@ -26,5 +25,4 @@ pub mod decoder;
 pub mod demod;
 pub mod modulator;
 pub mod power;
-pub mod schedule;
 pub mod tag;

@@ -2,13 +2,11 @@
 //!
 //! The tag's uplink is the switch waveform: a subcarrier square wave
 //! (localization beacon) optionally gated (OOK) or frequency-shifted (FSK)
-//! by data bits. This module owns the tag-side configuration, validates it
-//! against the switch's physical limits, and produces the
-//! [`TagModulation`] the RF scene model consumes — i.e. it is the code that
-//! would run on the tag MCU's PWM peripheral.
+//! by data bits. This module owns the tag-side configuration and validates
+//! it against the switch's physical limits — the settings the tag MCU's PWM
+//! peripheral would run with.
 
 use biscatter_rf::components::rf_switch::RfSwitch;
-use biscatter_rf::scene::TagModulation;
 
 /// Uplink modulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,42 +127,6 @@ impl Modulator {
         self.config = config;
         Ok(())
     }
-
-    /// Produces the reflectivity waveform for the RF scene model, carrying
-    /// `bits` (ignored for `Beacon`).
-    pub fn waveform(&self, bits: &[bool]) -> TagModulation {
-        match self.config.scheme {
-            ModScheme::Beacon => TagModulation::Subcarrier {
-                freq_hz: self.config.subcarrier_hz,
-                duty: 0.5,
-            },
-            ModScheme::Ook => TagModulation::OokBits {
-                freq_hz: self.config.subcarrier_hz,
-                bit_duration_s: self.config.bit_duration_s,
-                bits: bits.to_vec(),
-            },
-            ModScheme::Fsk => TagModulation::FskBits {
-                freq0_hz: self.config.subcarrier_hz,
-                freq1_hz: self.config.subcarrier_alt_hz,
-                bit_duration_s: self.config.bit_duration_s,
-                bits: bits.to_vec(),
-            },
-        }
-    }
-
-    /// Uplink bit rate, bits/s (0 for beacon mode).
-    pub fn bit_rate(&self) -> f64 {
-        match self.config.scheme {
-            ModScheme::Beacon => 0.0,
-            _ => 1.0 / self.config.bit_duration_s,
-        }
-    }
-
-    /// Residual reflectivity in the absorptive state (switch leakage,
-    /// linear amplitude).
-    pub fn leak(&self) -> f64 {
-        10f64.powf(-self.switch.isolation_db / 20.0)
-    }
 }
 
 #[cfg(test)]
@@ -261,29 +223,5 @@ mod tests {
         assert!(m.reconfigure(bad).is_err());
         // Config unchanged after failed reconfigure.
         assert_eq!(m.config, ok);
-    }
-
-    #[test]
-    fn waveform_variants() {
-        let m = Modulator::new(ModulatorConfig::default(), switch()).unwrap();
-        assert!(matches!(m.waveform(&[]), TagModulation::Subcarrier { .. }));
-        let mut ook = m.clone();
-        ook.reconfigure(ModulatorConfig {
-            scheme: ModScheme::Ook,
-            ..ModulatorConfig::default()
-        })
-        .unwrap();
-        assert!(matches!(
-            ook.waveform(&[true, false]),
-            TagModulation::OokBits { .. }
-        ));
-        assert!((ook.bit_rate() - 250.0).abs() < 1e-9);
-        assert_eq!(m.bit_rate(), 0.0);
-    }
-
-    #[test]
-    fn leak_matches_switch_isolation() {
-        let m = Modulator::new(ModulatorConfig::default(), switch()).unwrap();
-        assert!((m.leak() - 0.01).abs() < 1e-3);
     }
 }

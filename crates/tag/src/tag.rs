@@ -8,9 +8,9 @@
 //! its PWM beacon running (sequential mode) but ignores all commands except
 //! `Wake`.
 
-use crate::decoder::{DecodeError, DownlinkDecoder};
+use crate::decoder::DownlinkDecoder;
 use crate::modulator::{ModScheme, Modulator, ModulatorConfig};
-use biscatter_link::commands::{AddressedCommand, Command, COMMAND_WIRE_LEN};
+use biscatter_link::commands::{AddressedCommand, Command};
 use biscatter_link::mac::TagId;
 use biscatter_link::packet::UplinkFrame;
 
@@ -62,20 +62,6 @@ impl Tag {
             data_register: Vec::new(),
             last_uplink: None,
         }
-    }
-
-    /// Processes one ADC capture end-to-end: decode, parse the command, and
-    /// execute it if addressed to this tag.
-    pub fn process_capture(&mut self, samples: &[f64]) -> Result<TagAction, DecodeError> {
-        let result = self.decoder.decode(samples, Some(COMMAND_WIRE_LEN))?;
-        let payload = match result.payload {
-            Ok(p) => p,
-            Err(_) => return Ok(TagAction::None),
-        };
-        let Ok(cmd) = AddressedCommand::decode(&payload) else {
-            return Ok(TagAction::None);
-        };
-        Ok(self.handle_command(cmd))
     }
 
     /// Executes a parsed command (exposed separately so protocol tests can
@@ -133,11 +119,6 @@ impl Tag {
         }
     }
 
-    /// The scene-model waveform for the tag's current uplink activity.
-    pub fn uplink_waveform(&self, bits: &[bool]) -> biscatter_rf::scene::TagModulation {
-        self.modulator.waveform(bits)
-    }
-
     /// Switches the modulator into data mode and returns the frame bits for
     /// an uplink transmission.
     pub fn prepare_uplink(&mut self, frame: &UplinkFrame) -> Vec<bool> {
@@ -158,7 +139,9 @@ impl Tag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::DecodeError;
     use crate::demod::SymbolDecider;
+    use biscatter_link::commands::COMMAND_WIRE_LEN;
     use biscatter_link::mac::TagAddress;
     use biscatter_radar::cssk::CsskAlphabet;
     use biscatter_rf::components::rf_switch::RfSwitch;
@@ -172,6 +155,19 @@ mod tests {
             SymbolDecider::from_alphabet(&alphabet, fe.pair.delta_t(), fe.adc.sample_rate_hz);
         let modulator = Modulator::new(ModulatorConfig::default(), RfSwitch::adrf5144()).unwrap();
         Tag::new(TagId(id), DownlinkDecoder::new(decider), modulator)
+    }
+
+    /// Processes one ADC capture end-to-end: decode, parse the command, and
+    /// execute it if addressed to the tag.
+    fn process_capture(tag: &mut Tag, samples: &[f64]) -> Result<TagAction, DecodeError> {
+        let result = tag.decoder.decode(samples, Some(COMMAND_WIRE_LEN))?;
+        let Ok(payload) = result.payload else {
+            return Ok(TagAction::None);
+        };
+        let Ok(cmd) = AddressedCommand::decode(&payload) else {
+            return Ok(TagAction::None);
+        };
+        Ok(tag.handle_command(cmd))
     }
 
     fn addressed(to: TagAddress, command: Command) -> AddressedCommand {
@@ -303,7 +299,7 @@ mod tests {
         let (train, _) = packet_to_train(&packet, &alphabet, 120e-6).unwrap();
         let mut noise = NoiseSource::new(11);
         let samples = fe.capture_train(&train, 25.0, 0.0, &mut noise);
-        let action = tag.process_capture(&samples).unwrap();
+        let action = process_capture(&mut tag, &samples).unwrap();
         assert!(matches!(
             action,
             TagAction::Executed(Command::SetModulationFreq { freq_centihz: 30 })

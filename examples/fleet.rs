@@ -14,8 +14,10 @@
 //! cargo run --release --example fleet
 //! ```
 //!
-//! Set `BISCATTER_TRACE=<path>` to dump a Perfetto trace of the run
-//! (fleet / runtime / ISAC / DSP / compute spans + the metric registry):
+//! Set `BISCATTER_TRACE=<path>` to write a Perfetto trace of the fleet's
+//! runs once the last one returns, before the contract checks replay the
+//! frames (fleet / runtime / ISAC / DSP / compute spans + the metric
+//! registry and the fleet snapshot):
 //!
 //! ```sh
 //! BISCATTER_TRACE=/tmp/biscatter_fleet.json cargo run --release --example fleet
@@ -31,15 +33,19 @@
 //!     cargo run --release --example fleet
 //! ```
 
+#[path = "support/edge.rs"]
+mod edge;
+
 use biscatter_core::isac::run_isac_frame;
 use biscatter_fleet::{AdmissionPolicy, Fleet, FleetConfig};
 use biscatter_runtime::source::{streaming_system, MobilitySpec};
 
 fn main() {
     let sys = streaming_system();
-    if let Ok(path) = std::env::var("BISCATTER_TRACE") {
-        println!("tracing enabled; Perfetto trace will be written to {path}");
-    }
+    // Deployment settings are read here, at the process edge; the fleet
+    // itself reads no environment.
+    let trace_path = edge::trace_path();
+    let _server = edge::metrics_server();
 
     let spec = MobilitySpec {
         n_cells: 16,
@@ -81,6 +87,11 @@ fn main() {
         report.handoffs,
         report.admission_drops,
     );
+    // The trace covers the fleet's runs only: write it before the oracle
+    // replays below open spans of their own.
+    if let Some(path) = &trace_path {
+        edge::write_trace(path, [("fleet".to_string(), report.snapshot.to_json())]);
+    }
 
     // Contract 1: every cell's outcomes are bit-identical to the one-shot
     // serial path (per-frame seeds make results scheduling-independent).

@@ -9,15 +9,21 @@
 //! ```
 //!
 //! Set `BISCATTER_TRACE=<path>` to additionally record spans from every
-//! thread (source, frame workers, intra-frame compute pool) and dump a
+//! thread (source, frame workers, intra-frame compute pool) and write a
 //! Perfetto-loadable Chrome trace — with the metric registry embedded under
-//! a `"registry"` key — when the run shuts down:
+//! a `"registry"` key — when the demo exits:
 //!
 //! ```sh
 //! BISCATTER_TRACE=/tmp/biscatter_trace.json \
 //!     cargo run --release --example streaming_runtime
 //! # then open the file at https://ui.perfetto.dev
 //! ```
+//!
+//! Set `BISCATTER_METRICS_ADDR=<host:port>` to serve the live observability
+//! plane (`/metrics`, `/health`, `/frames`, `/trace`) while the demo runs.
+
+#[path = "support/edge.rs"]
+mod edge;
 
 use biscatter_runtime::pipeline::{run_streaming, RuntimeConfig};
 use biscatter_runtime::queue::Backpressure;
@@ -25,9 +31,10 @@ use biscatter_runtime::source::{streaming_system, WorkloadSpec};
 
 fn main() {
     let sys = streaming_system();
-    if let Ok(path) = std::env::var("BISCATTER_TRACE") {
-        println!("tracing enabled; Perfetto trace will be written to {path}");
-    }
+    // Deployment settings are read here, at the process edge; the runtime
+    // itself reads no environment.
+    let trace_path = edge::trace_path();
+    let _server = edge::metrics_server();
     let spec = WorkloadSpec::four_by_eight(200, 42);
     println!(
         "workload: {} radars x {} tags, {} frames (seed {})",
@@ -68,9 +75,8 @@ fn main() {
     );
     println!("{}", report.metrics.to_text());
 
-    // Overload run: a tiny intake with drop-oldest shedding.
-    // (Also two intra-frame threads: each run dumps the trace at shutdown,
-    // and the last dump wins, so the shed run must record the same span mix.)
+    // Overload run: a tiny intake with drop-oldest shedding, also with two
+    // intra-frame threads.
     let lossy = RuntimeConfig {
         queue_capacity: 2,
         policy: Backpressure::DropOldest,
@@ -84,4 +90,8 @@ fn main() {
 
     println!("=== JSON snapshot (blocking run) ===");
     println!("{}", report.metrics.to_json().to_pretty());
+
+    if let Some(path) = trace_path {
+        edge::write_trace(&path, []);
+    }
 }
