@@ -7,7 +7,9 @@
 //! * packed real-input FFT vs the widened complex transform of the same
 //!   real signal;
 //! * oscillator-recurrence dechirp vs a per-sample `cos()` baseline on a
-//!   3-scatterer scene.
+//!   3-scatterer scene;
+//! * the library's inverse-CDF noise fill vs a Box–Muller baseline over
+//!   one streaming frame's IF noise.
 //!
 //! Each comparison's rows are timed interleaved. `--quick` runs each body
 //! once and writes nothing — the CI smoke mode.
@@ -47,6 +49,30 @@ fn dechirp_cos_baseline(chirp: &Chirp, scene: &Scene, fs: f64, t_start: f64) -> 
         }
     }
     out
+}
+
+/// The noise comparison's size: about one `cell_stream` frame's IF noise
+/// deviates (32 chirps; the count varies with the slopes a payload picks).
+const NOISE_DRAWS: usize = 26_504;
+
+/// The Box–Muller draw the library used for f64 noise before the
+/// inverse-CDF generator replaced it: two uniforms make two deviates, and
+/// the second is cached for the next call. The noise comparison's baseline.
+struct BoxMuller {
+    src: NoiseSource,
+    cached: Option<f64>,
+}
+
+impl BoxMuller {
+    fn gaussian(&mut self) -> f64 {
+        if let Some(z) = self.cached.take() {
+            return z;
+        }
+        let r = (-2.0 * self.src.uniform().ln()).sqrt();
+        let theta = TAU * self.src.uniform();
+        self.cached = Some(r * theta.sin());
+        r * theta.cos()
+    }
 }
 
 fn main() {
@@ -154,11 +180,45 @@ fn main() {
         .row("oscillator", "ns", &t[1])
         .num("speedup", t[0].median() / t[1].median());
 
+    // --- Box–Muller vs inverse-CDF noise fill ----------------------------
+    let sigma = black_box(1.0);
+    let (mut bm_row, mut inv_row) = (vec![0.0f64; NOISE_DRAWS], vec![0.0f64; NOISE_DRAWS]);
+    let mut bm = BoxMuller {
+        src: NoiseSource::new(1),
+        cached: None,
+    };
+    let mut inv = NoiseSource::new(1);
+    let t = sampler.interleave(&mut [
+        &mut || {
+            for s in black_box(&mut bm_row).iter_mut() {
+                *s += bm.gaussian() * sigma;
+            }
+        },
+        &mut || inv.add_awgn(black_box(&mut inv_row[..]), sigma),
+    ]);
+    let per_draw = |s: &harness::Samples| s.median() / NOISE_DRAWS as f64;
+    println!(
+        "noise_{NOISE_DRAWS}  box-muller {}   inverse-cdf {}   ({:.1} vs {:.1} ns/draw)",
+        t[0],
+        t[1],
+        per_draw(&t[0]),
+        per_draw(&t[1])
+    );
+    let mut noise = Fields::default();
+    noise
+        .num("draws", NOISE_DRAWS as f64)
+        .row("box_muller", "ns", &t[0])
+        .row("inverse_cdf", "ns", &t[1])
+        .num("box_muller_ns_per_draw", per_draw(&t[0]))
+        .num("inverse_cdf_ns_per_draw", per_draw(&t[1]))
+        .num("speedup", t[0].median() / t[1].median());
+
     let mut fields = Fields::default();
     fields
         .set("fft", Value::Array(fft_rows))
         .set("rfft", rfft.into())
-        .set("dechirp", dechirp.into());
+        .set("dechirp", dechirp.into())
+        .set("noise", noise.into());
     harness::record(
         &args,
         "dsp",
@@ -166,8 +226,10 @@ fn main() {
         &format!(
             "{samples} interleaved samples per comparison; reference = seed incremental-twiddle \
              engine (fft::reference), fresh_plan = FftPlan::new per call, cached_plan = \
-             planner-cached tables reused across calls. speedups are ratios of medians. \
-             plan-reuse criterion: speedup_cached_vs_fresh_plan at n=1024 >= 2x."
+             planner-cached tables reused across calls. noise: one frame's IF noise fill, \
+             box_muller = the earlier f64 generator written out in the bench, inverse_cdf = \
+             NoiseSource::add_awgn. speedups are ratios of medians. plan-reuse criterion: \
+             speedup_cached_vs_fresh_plan at n=1024 >= 2x."
         ),
         fields,
     );

@@ -168,6 +168,10 @@ pub fn measure_ber_symbols_mapped(
                 counter.errors += u64::from((sent_raw >> b) & 1 != (got_raw >> b) & 1);
             }
         }
+        // A sent symbol the decider never reached is `bits` bit errors.
+        let undecided = (raw.len().saturating_sub(decided.len()) * bits) as u64;
+        counter.bits += undecided;
+        counter.errors += undecided;
     }
     counter
 }
@@ -202,13 +206,8 @@ mod tests {
         let sys = BiScatterSystem::paper_9ghz();
         let c = measure_ber_symbols(&sys, 30.0, 20, 8, 3);
         assert_eq!(c.errors, 0, "BER {} at 30 dB", c.ber());
-        // 153 of the 160 sent symbols are counted. Each slot's period is
-        // `d + (T - d)` for its chirp duration `d`; in 7 of these 20 frames
-        // the eight summed periods round to just under 8T, so the capture,
-        // floor(sum * fs) samples, is 959 long instead of 960,
-        // `decide_stream` fits only 7 full 120-sample slots, and the
-        // frame's last symbol goes uncounted.
-        assert_eq!(c.bits, 153 * sys.alphabet.bits_per_symbol as u64);
+        // Every one of the 160 sent symbols is decided and counted.
+        assert_eq!(c.bits, 160 * sys.alphabet.bits_per_symbol as u64);
     }
 
     #[test]

@@ -487,10 +487,10 @@ pub fn dechirp_stage(
 /// [`dechirp_stage`] writing into a reusable sample slab in precision `T`,
 /// fanning chirp synthesis across `pool` (noise stays serial, so results
 /// are bit-identical to the serial path for any worker count). Chirp
-/// geometry runs in f64 either way; in f32 the noise comes from the fast
-/// inverse-CDF generator — seeded and deterministic, but a *different*
-/// realization than the oracle's Box–Muller draw, so cross-tier agreement
-/// is statistical at operating SNR, not per-sample.
+/// geometry runs in f64 either way, and both precisions draw the same noise
+/// deviates (rounded once to f32 on that tier); the f32 tones carry single
+/// precision rounding, so cross-tier agreement is statistical at operating
+/// SNR, not per-sample.
 pub fn dechirp_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
@@ -891,10 +891,7 @@ pub fn synthesize_cold_start_capture(
     let m = hyp.template_len(fs);
     let snr_chirp = 10f64.powf(sys.uplink_snr_per_chirp(scenario.tag_range_m) / 10.0);
     let sigma = (amp * amp * m as f64 / (2.0 * snr_chirp)).sqrt();
-    let mut noise = NoiseSource::new(seed ^ 0xC01D_57A7);
-    for v in out.iter_mut() {
-        *v = noise.gaussian_scaled(sigma);
-    }
+    NoiseSource::new(seed ^ 0xC01D_57A7).add_awgn(out, sigma);
 
     if spec.tag_present {
         let chirp = biscatter_dsp::signal::chirp(m, 0.0, hyp.slope_hz_per_s, fs, amp, 0.0);

@@ -10,18 +10,17 @@
 //! `RangeDopplerMap`, so stage 5 — localization, CFAR, uplink decisions —
 //! is the *same code* on either tier; only the numbers feeding it differ at
 //! the level of f32 rounding. What stays type-specific lives in the `Real`
-//! impls: the kernel bodies, the noise generator, the per-thread FFT
-//! planner, and the window table.
+//! impls: the kernel bodies, the per-thread FFT planner, and the window
+//! table.
 //!
-//! **Contract.** There is no bit-identity promise between tiers, and no
-//! shared noise realization either: the f32 tier draws its noise from the
-//! fast inverse-CDF generator (`NoiseSource::gaussian_fast`), which is
-//! seeded and deterministic but a different sequence than the oracle's
-//! Box–Muller draw. Validation against the f64 oracle is therefore
-//! two-layered (see `tests/precision_oracle.rs`): noiseless frames bound
-//! per-cell relative error and localization argmax (pure kernel rounding),
-//! and noisy frames at bench SNR must agree with the oracle on every
-//! detection-level product — located bin, decoded bits, CFAR count. The
+//! **Contract.** There is no bit-identity promise between tiers. Both draw
+//! the same noise deviates (`NoiseSource::add_awgn` rounds each scaled
+//! deviate once to f32), but the tones and transforms round differently.
+//! Validation against the f64 oracle is therefore two-layered (see
+//! `tests/precision_oracle.rs`): noiseless frames bound per-cell relative
+//! error and localization argmax (pure kernel rounding), and noisy frames
+//! at bench SNR must agree with the oracle on every detection-level
+//! product — located bin, decoded bits, CFAR count. The
 //! f64 path itself keeps its bit-identity guarantees (serial vs pooled,
 //! scalar vs AVX2) untouched — selecting the f32 tier is the only way to
 //! observe different values.

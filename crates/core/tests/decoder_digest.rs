@@ -16,8 +16,10 @@
 //! The constants were computed on x86_64 Linux. Capture synthesis runs
 //! through the platform libm (`sin`, `cos`, `exp`), which may round
 //! differently on other targets, so the test only runs where the constants
-//! came from. A moved digest means decoder output bits moved: find out why
-//! before touching a constant.
+//! came from. A moved digest means decoder output bits moved, or the
+//! captures they decode did: find out why before touching a constant. The
+//! generator's own pin (`gaussian_stream_pinned` in `biscatter_dsp::signal`)
+//! tells a moved noise stream apart from a moved decoder.
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
@@ -144,7 +146,7 @@ fn digest(sys: &BiScatterSystem, salt: u64) -> (u64, usize) {
 }
 
 /// One digest per geometry, in [`geometries`] order.
-const DIGESTS: [u64; 3] = [0x70b0c41850123cf7, 0x51602cef804a6480, 0xdda5c000bd006ce3];
+const DIGESTS: [u64; 3] = [0x7c30392bd977dd11, 0x18169f7d32aa9e5a, 0x40f72c4af6168af0];
 
 #[test]
 fn decodes_match_recorded_digests() {

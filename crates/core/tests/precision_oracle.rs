@@ -6,8 +6,7 @@
 //!    scene geometries, every significant range–Doppler cell of the f32
 //!    chain must track the f64 chain to small relative error, and the
 //!    modulation-signature argmax (the bin localization reads) must agree
-//!    exactly. Noiseless because the tiers draw different noise
-//!    realizations by design — this layer isolates pure kernel rounding.
+//!    exactly. Noiseless, so this layer isolates pure kernel rounding.
 //! 2. **Noisy detection products** (fixed seeds at the bench SNR): full
 //!    frames through `run_frame` on the f32 tier must agree with the oracle on
 //!    everything stage 5 computes — located range bin, decoded uplink
@@ -143,8 +142,9 @@ proptest! {
     }
 }
 
-/// Layer 2: full frames at the bench SNR. The tiers draw different noise
-/// realizations, so values differ — but stage 5's products must not.
+/// Layer 2: full frames at the bench SNR. Both tiers draw the same noise
+/// deviates (rounded to f32 on the fast tier), but tones and transforms
+/// round differently, so values differ — stage 5's products must not.
 #[test]
 fn noisy_frames_agree_on_detection_products() {
     let _guard = lock();

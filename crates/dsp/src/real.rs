@@ -13,15 +13,12 @@
 //!
 //! * which [`crate::simd`] kernel body to call (the kernels themselves stay
 //!   type-specific),
-//! * the noise generator (Box–Muller for f64, the inverse-CDF
-//!   [`NoiseSource::gaussian_fast`] for f32),
 //! * its per-thread [`FftPlanner`], and
 //! * its window table ([`CachedWindow::coeffs`] or
 //!   [`CachedWindow::coeffs_f32`]).
 
 use crate::complex::{Complex, Cpx};
 use crate::planner::FftPlanner;
-use crate::signal::NoiseSource;
 use crate::simd;
 use crate::window::CachedWindow;
 use std::cell::RefCell;
@@ -96,9 +93,6 @@ pub trait Real:
     fn osc_accum(out: &mut [Self], amps: Option<&[Self]>, const_amp: Self, phase0: Cpx, rot: Cpx);
     /// `acc[i] += |row[i]|²`, each square widened into the f64 accumulator.
     fn norm_sq_accum(acc: &mut [f64], row: &[Complex<Self>]);
-
-    /// Adds white Gaussian noise of standard deviation `sigma` to `signal`.
-    fn add_awgn(noise: &mut NoiseSource, signal: &mut [Self], sigma: f64);
     /// This thread's planner for this precision (see
     /// [`crate::planner::with_planner`]).
     fn planner() -> &'static LocalKey<RefCell<FftPlanner<Self>>>;
@@ -148,11 +142,6 @@ impl Real for f64 {
     fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
         simd::norm_sq_accum(acc, row);
     }
-
-    #[inline]
-    fn add_awgn(noise: &mut NoiseSource, signal: &mut [f64], sigma: f64) {
-        noise.add_awgn(signal, sigma);
-    }
     fn planner() -> &'static LocalKey<RefCell<FftPlanner<f64>>> {
         thread_local! {
             static PLANNER: RefCell<FftPlanner<f64>> = RefCell::new(FftPlanner::new());
@@ -200,17 +189,6 @@ impl Real for f32 {
     fn norm_sq_accum(acc: &mut [f64], row: &[Complex<f32>]) {
         simd::norm_sq_accum_32(acc, row);
     }
-
-    /// Inverse-CDF deviates rounded once to f32: roughly 4× cheaper per
-    /// sample than Box–Muller, which would otherwise dominate the f32
-    /// dechirp stage. Seeded and deterministic, but a different realization
-    /// than the f64 generator draws from the same seed.
-    #[inline]
-    fn add_awgn(noise: &mut NoiseSource, signal: &mut [f32], sigma: f64) {
-        for s in signal.iter_mut() {
-            *s += (noise.gaussian_fast() * sigma) as f32;
-        }
-    }
     fn planner() -> &'static LocalKey<RefCell<FftPlanner<f32>>> {
         thread_local! {
             static PLANNER: RefCell<FftPlanner<f32>> = RefCell::new(FftPlanner::new());
@@ -220,24 +198,5 @@ impl Real for f32 {
     #[inline]
     fn window(w: &CachedWindow) -> &[f32] {
         &w.coeffs_f32
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f32_noise_is_seeded_and_scaled() {
-        let mut a = vec![0.0f32; 100_000];
-        let mut b = vec![0.0f32; 100_000];
-        f32::add_awgn(&mut NoiseSource::new(29), &mut a, 0.5);
-        f32::add_awgn(&mut NoiseSource::new(29), &mut b, 0.5);
-        assert_eq!(a, b, "same seed must replay exactly");
-        let n = a.len() as f64;
-        let mean = a.iter().map(|&v| v as f64).sum::<f64>() / n;
-        let var = a.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var.sqrt() - 0.5).abs() < 0.01, "std {}", var.sqrt());
     }
 }

@@ -60,7 +60,8 @@ pub fn percentile(x: &[f64], q: f64) -> f64 {
 
 /// Wilson score interval for a proportion: returns `(low, high)` for
 /// `errors` out of `trials` at ~95% confidence. Useful for reporting BER
-/// confidence from Monte-Carlo runs.
+/// confidence from Monte-Carlo runs. With 0 or `trials` errors the closed
+/// form's end is exactly 0 or 1, not `center ∓ half`'s rounding residue.
 pub fn wilson_interval(errors: u64, trials: u64) -> (f64, f64) {
     if trials == 0 {
         return (0.0, 1.0);
@@ -72,7 +73,11 @@ pub fn wilson_interval(errors: u64, trials: u64) -> (f64, f64) {
     let denom = 1.0 + z2 / n;
     let center = (p + z2 / (2.0 * n)) / denom;
     let half = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
-    ((center - half).max(0.0), (center + half).min(1.0))
+    let (low, high) = ((center - half).max(0.0), (center + half).min(1.0));
+    (
+        if errors == 0 { 0.0 } else { low },
+        if errors == trials { 1.0 } else { high },
+    )
 }
 
 #[cfg(test)]
@@ -121,5 +126,17 @@ mod tests {
         let (lo, hi) = wilson_interval(500, 1000);
         assert!(lo < 0.5 && hi > 0.5);
         assert!(hi - lo < 0.07);
+    }
+
+    #[test]
+    fn wilson_interval_endpoints_exact() {
+        // `center - half` leaves 5.42e-20 here, and `center + half` rounds
+        // to 0.9999999999999999 for a run that erred on every trial.
+        assert_eq!(wilson_interval(0, 7200).0, 0.0);
+        assert_eq!(wilson_interval(10_000, 10_000).1, 1.0);
+        for n in 1..2000 {
+            assert_eq!(wilson_interval(0, n).0, 0.0, "0 of {n}");
+            assert_eq!(wilson_interval(n, n).1, 1.0, "{n} of {n}");
+        }
     }
 }

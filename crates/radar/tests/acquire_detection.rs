@@ -46,7 +46,7 @@ fn dwell(
     let max_m = hyps.iter().map(|h| h.template_len(FS)).max().unwrap();
     let mut noise = NoiseSource::new(seed);
     let mut raw: Vec<f64> = (0..cfg.dwell_len(max_m))
-        .map(|_| noise.gaussian_scaled(sigma))
+        .map(|_| noise.gaussian() * sigma)
         .collect();
     if let Some(idx) = slope_idx {
         let mut tmpl = Vec::new();

@@ -353,12 +353,12 @@ impl IfReceiver {
     /// argument).
     ///
     /// Chirp geometry is computed in f64 either way. In f32 the per-sample
-    /// synthesis runs in single precision and the noise comes from the
-    /// precision's own generator (the fast inverse-CDF draw, see
-    /// [`Real::add_awgn`]) — seeded and deterministic, but a *different*
-    /// realization than f64's Box–Muller; cross-precision validation is
+    /// synthesis runs in single precision; the noise is the same deviate
+    /// stream in either precision ([`NoiseSource::add_awgn`]), each scaled
+    /// deviate rounded once to f32. Cross-precision validation is still
     /// statistical (detection/decode agreement at operating SNR) plus
-    /// noiseless kernel bounds, not sample equality.
+    /// noiseless kernel bounds, not sample equality: the tones differ by f32
+    /// rounding.
     pub fn dechirp_train_into<T: Real>(
         &self,
         pool: &ComputePool,
@@ -387,7 +387,7 @@ impl IfReceiver {
         }
         if self.noise_sigma > 0.0 {
             for r in 0..out.rows() {
-                T::add_awgn(noise, out.row_mut(r), self.noise_sigma);
+                noise.add_awgn(out.row_mut(r), self.noise_sigma);
             }
         }
     }

@@ -113,7 +113,10 @@ impl TagFrontEnd {
     ) -> Vec<f64> {
         let fs = self.adc.sample_rate_hz;
         let total = train.duration();
-        let n = (total * fs).floor() as usize;
+        // Rounded, not floored: `duration` sums `d + (T − d)` per slot and
+        // can land one ulp under `n·T`, which would drop the last sample of
+        // the last full slot.
+        let n = (total * fs).round() as usize;
         // AC beat amplitude is a² = 1; rms = 1/sqrt(2).
         let sigma = (1.0 / 2f64.sqrt()) / 10f64.powf(snr_db / 20.0);
 
@@ -132,11 +135,15 @@ impl TagFrontEnd {
                 slot_idx += 1;
             }
             let (t0, slot) = slots[slot_idx];
-            let env = self
-                .envelope_at(&slot.chirp, t - t0, phases[slot_idx])
-                .unwrap_or(0.0);
-            let sample = env + noise.gaussian_scaled(sigma);
-            out.push(self.adc.quantize(sample / 2.2 * self.adc.full_scale) * 2.2);
+            out.push(
+                self.envelope_at(&slot.chirp, t - t0, phases[slot_idx])
+                    .unwrap_or(0.0),
+            );
+        }
+        // One deviate per sample in sample order, after the phase draws.
+        noise.add_awgn(&mut out, sigma);
+        for s in out.iter_mut() {
+            *s = self.adc.quantize(*s / 2.2 * self.adc.full_scale) * 2.2;
         }
         out
     }
