@@ -2,10 +2,14 @@
 //!
 //! Usage:
 //! ```text
-//! repro [EXPERIMENT ...]       # run named experiments (default: all)
+//! repro [EXPERIMENT ...]       # run matching experiments (default: all)
 //! repro --list                 # list experiment names
 //! repro --out DIR [EXPERIMENT] # also write JSON + CSV into DIR
 //! ```
+//!
+//! An experiment runs when its name contains any `EXPERIMENT` argument as a
+//! substring (`repro fig13 fig15`); a full name selects just that one.
+//! No match exits with status 2.
 //!
 //! Environment: `BISCATTER_FRAMES` (Monte-Carlo frames per point, default
 //! 60), `BISCATTER_ISAC_FRAMES` (frames for localization points, default 8).
@@ -39,7 +43,7 @@ fn main() {
 
     let specs: Vec<ExperimentSpec> = all_specs()
         .into_iter()
-        .filter(|s| names.is_empty() || names.iter().any(|n| n == s.name))
+        .filter(|s| names.is_empty() || names.iter().any(|n| s.name.contains(n.as_str())))
         .collect();
     if specs.is_empty() {
         eprintln!("no matching experiments; try --list");

@@ -204,6 +204,8 @@ pub fn extension_aoa_2d() -> Experiment {
     use biscatter_core::rf::frame::ChirpTrain;
     use biscatter_core::rf::if_gen::IfReceiver;
     use biscatter_core::rf::scene::{Scatterer, Scene};
+    use biscatter_core::rf::slab::SampleSlab;
+    use biscatter_runtime::compute::ComputePool;
 
     let mut e = Experiment::new(
         "extension_aoa_2d",
@@ -226,9 +228,12 @@ pub fn extension_aoa_2d() -> Experiment {
             noise_sigma: 0.02,
         };
         let mut noise = NoiseSource::new((11_000i64 + az_deg as i64) as u64);
-        let capture = rx.dechirp_train_array(&train, &scene, 0.0, 2, spacing, &mut noise);
-        let frames: Vec<_> = (0..capture.n_rx())
-            .map(|k| align_frame(&sys.rx, &train, &capture.rx_view(k)))
+        let mut capture = vec![SampleSlab::new(); 2];
+        let pool = ComputePool::global();
+        rx.dechirp_train_array_into(pool, &train, &scene, 0.0, spacing, &mut noise, &mut capture);
+        let frames: Vec<_> = capture
+            .iter()
+            .map(|slab| align_frame(&sys.rx, &train, slab))
             .collect();
         match locate_tag_2d(&frames, spacing, f_mod, 10.0) {
             Some(pos) => {

@@ -2,8 +2,8 @@
 //!
 //! One function per table/figure of the paper's evaluation, each returning a
 //! [`biscatter_core::experiment::Experiment`] whose rows mirror what the
-//! paper plots. The `repro` binary and the `cargo bench` targets call these.
-//! The `cargo bench` targets time and record through [`harness`].
+//! paper plots. The `repro` binary runs these; the `cargo bench` targets
+//! time and record through [`harness`].
 //!
 //! Fidelity knob: the environment variable `BISCATTER_FRAMES` scales the
 //! Monte-Carlo frame count per operating point (default 60; the paper uses
@@ -180,12 +180,4 @@ pub fn all_specs() -> Vec<ExperimentSpec> {
             run: figures::tables::table_power_datarate,
         },
     ]
-}
-
-/// Runs one experiment by name; `None` if unknown.
-pub fn run_by_name(name: &str) -> Option<Experiment> {
-    all_specs()
-        .into_iter()
-        .find(|s| s.name == name)
-        .map(|s| (s.run)())
 }

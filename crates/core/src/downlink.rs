@@ -32,6 +32,18 @@ pub struct FrameOutcome {
     pub parsed: bool,
 }
 
+impl FrameOutcome {
+    /// The outcome of sending `sent` when the tag recovered `received`
+    /// (`None` when decoding or parsing failed).
+    pub fn new(sent: &[u8], received: Option<Vec<u8>>) -> Self {
+        FrameOutcome {
+            sent: sent.to_vec(),
+            parsed: received.is_some(),
+            received: received.unwrap_or_default(),
+        }
+    }
+}
+
 /// Runs one frame through the *full* tag pipeline at the given envelope SNR.
 pub fn run_frame(
     sys: &BiScatterSystem,
@@ -47,25 +59,8 @@ pub fn run_frame(
     let samples = sys
         .front_end
         .capture_train(&train, snr_db, time_offset_s, noise);
-    match decoder.decode(&samples, Some(payload.len())) {
-        Ok(result) => match result.payload {
-            Ok(bytes) => FrameOutcome {
-                sent: payload.to_vec(),
-                received: bytes,
-                parsed: true,
-            },
-            Err(_) => FrameOutcome {
-                sent: payload.to_vec(),
-                received: Vec::new(),
-                parsed: false,
-            },
-        },
-        Err(_) => FrameOutcome {
-            sent: payload.to_vec(),
-            received: Vec::new(),
-            parsed: false,
-        },
-    }
+    let received = decoder.decode(&samples, Some(payload.len()));
+    FrameOutcome::new(payload, received.ok().and_then(|r| r.payload.ok()))
 }
 
 /// Runs one frame with genie-aided alignment (no acquisition stage).
@@ -82,18 +77,8 @@ pub fn run_frame_synced(
     let samples = sys.front_end.capture_train(&train, snr_db, 0.0, noise);
     let period_samples = (sys.radar.t_period * sys.front_end.adc.sample_rate_hz).round() as usize;
     let symbols = decider.decide_stream(&samples, period_samples);
-    match parse_downlink(&symbols, sys.alphabet.bits_per_symbol, Some(payload.len())) {
-        Ok(bytes) => FrameOutcome {
-            sent: payload.to_vec(),
-            received: bytes,
-            parsed: true,
-        },
-        Err(_) => FrameOutcome {
-            sent: payload.to_vec(),
-            received: Vec::new(),
-            parsed: false,
-        },
-    }
+    let received = parse_downlink(&symbols, sys.alphabet.bits_per_symbol, Some(payload.len()));
+    FrameOutcome::new(payload, received.ok())
 }
 
 /// Measures *physical-layer* downlink BER with genie framing: random data
@@ -180,6 +165,19 @@ pub fn measure_ber_symbols_mapped(
 mod tests {
     use super::*;
     use biscatter_tag::decoder::DownlinkDecoder;
+
+    #[test]
+    fn outcome_parsed_iff_payload_received() {
+        let ok = FrameOutcome::new(b"PING", Some(b"PONG".to_vec()));
+        assert_eq!(
+            (ok.sent, ok.received, ok.parsed),
+            (b"PING".to_vec(), b"PONG".to_vec(), true)
+        );
+        let failed = FrameOutcome::new(b"PING", None);
+        assert_eq!((failed.received, failed.parsed), (Vec::new(), false));
+        // An empty payload that parsed is still parsed.
+        assert!(FrameOutcome::new(b"", Some(Vec::new())).parsed);
+    }
 
     #[test]
     fn high_snr_frame_perfect() {

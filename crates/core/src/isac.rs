@@ -43,7 +43,7 @@ use biscatter_radar::sequencer::isac_frame;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
 use biscatter_rf::scene::{Scatterer, Scene, TagModulation};
-use biscatter_rf::slab::{ChirpRows, SampleSlab};
+use biscatter_rf::slab::SampleSlab;
 use biscatter_tag::decoder::DownlinkDecoder;
 use precision::PrecisionTier;
 use std::time::Instant;
@@ -374,18 +374,8 @@ pub fn synthesize_frame(
         .front_end
         .capture_train(&train, snr_db, 0.0, &mut tag_noise);
     let decoder = DownlinkDecoder::new(sys.nominal_decider());
-    let downlink = match decoder.decode(&adc_stream, Some(payload.len())) {
-        Ok(result) => FrameOutcome {
-            sent: payload.to_vec(),
-            received: result.payload.unwrap_or_default(),
-            parsed: true,
-        },
-        Err(_) => FrameOutcome {
-            sent: payload.to_vec(),
-            received: Vec::new(),
-            parsed: false,
-        },
-    };
+    let received = decoder.decode(&adc_stream, Some(payload.len()));
+    let downlink = FrameOutcome::new(payload, received.ok().and_then(|r| r.payload.ok()));
 
     // --- Radar-side scene. ---
     let tag_amp = sys.tag_if_amplitude(scenario.tag_range_m);
@@ -467,30 +457,13 @@ fn tag_modulation(
 }
 
 /// Stage 2 — dechirp / IF generation: the radar mixes the scene's
-/// reflection of every chirp down to IF samples (per-chirp vectors; the
-/// slab-recycling variant is [`dechirp_stage_into`]).
-pub fn dechirp_stage(
-    sys: &BiScatterSystem,
-    train: &ChirpTrain,
-    scene: &Scene,
-    seed: u64,
-) -> Vec<Vec<f64>> {
-    let _span = biscatter_obs::span!("isac.dechirp");
-    let rx = IfReceiver {
-        sample_rate_hz: sys.rx.if_sample_rate,
-        noise_sigma: 1.0,
-    };
-    let mut if_noise = NoiseSource::new(seed ^ 0x5EED_0F1F_2F3F);
-    rx.dechirp_train(train, scene, 0.0, &mut if_noise)
-}
-
-/// [`dechirp_stage`] writing into a reusable sample slab in precision `T`,
-/// fanning chirp synthesis across `pool` (noise stays serial, so results
-/// are bit-identical to the serial path for any worker count). Chirp
-/// geometry runs in f64 either way, and both precisions draw the same noise
-/// deviates (rounded once to f32 on that tier); the f32 tones carry single
-/// precision rounding, so cross-tier agreement is statistical at operating
-/// SNR, not per-sample.
+/// reflection of every chirp down to IF samples, writing into a reusable
+/// sample slab in precision `T` and fanning chirp synthesis across `pool`
+/// (noise stays serial, so results are bit-identical to the serial path for
+/// any worker count). Chirp geometry runs in f64 either way, and both
+/// precisions draw the same noise deviates (rounded once to f32 on that
+/// tier); the f32 tones carry single precision rounding, so cross-tier
+/// agreement is statistical at operating SNR, not per-sample.
 pub fn dechirp_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
@@ -510,19 +483,18 @@ pub fn dechirp_stage_into<T: Real>(
 
 /// Stage 3 — align + IF correction: per-chirp range FFTs resampled onto the
 /// common range grid, recycling `out`'s profile buffers and grid `Arc`s and
-/// fanning per-chirp FFT + resample across `pool`. Accepts any
-/// [`ChirpRows`] capture.
+/// fanning per-chirp FFT + resample across `pool`.
 ///
 /// Both receive paths come from one transform pass: the sensing frame is
 /// aligned without background subtraction, and the comms frame is a copy
 /// with chirp 0's profile subtracted from every row — bit for bit what a
 /// second full align with subtraction would produce, at half the transform
 /// cost.
-pub fn align_stage_into<T: Real, R: ChirpRows<T> + ?Sized>(
+pub fn align_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     train: &ChirpTrain,
-    if_data: &R,
+    if_data: &SampleSlab<T>,
     out: &mut AlignedPair<T>,
 ) {
     let _span = biscatter_obs::span!("isac.align");
@@ -665,7 +637,8 @@ pub fn run_isac_frame(
 ) -> IsacOutcome {
     let pool = ComputePool::global();
     let synth = synthesize_frame(sys, scenario, payload, seed);
-    let if_data = dechirp_stage(sys, &synth.train, &synth.scene, seed);
+    let mut if_data = SampleSlab::<f64>::new();
+    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut if_data);
     let mut pair = AlignedPair::default();
     align_stage_into(pool, sys, &synth.train, &if_data, &mut pair);
     let mut map = RangeDopplerMap::default();

@@ -58,10 +58,10 @@ impl NoiseSource {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// Uniform sample in `(0, 1)` (never exactly 0, safe for `ln`).
+    /// Uniform sample in `(0, 1)` (never exactly 0 or 1, safe for `ln`).
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+        unit_open(self.next_u64())
     }
 
     /// Standard normal sample: one uniform draw mapped through the inverse
@@ -95,6 +95,20 @@ impl NoiseSource {
         for s in signal.iter_mut() {
             *s += T::from_f64(self.gaussian() * sigma);
         }
+    }
+}
+
+/// Maps the top 53 bits `k` of a raw draw to `(k + 1/2) / 2^53`, in the open
+/// unit interval. At `k = 2^53 − 1` the sum rounds up to `2^53`, so that one
+/// value is held at the largest double below 1; no other value moves.
+#[inline]
+fn unit_open(x: u64) -> f64 {
+    const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+    let u = ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+    if u < BELOW_ONE {
+        u
+    } else {
+        BELOW_ONE
     }
 }
 
@@ -292,6 +306,18 @@ mod tests {
                 "jump {jump:e} at p = {central}"
             );
         }
+    }
+
+    /// The extreme raw draws stay inside the open interval. Unclamped, the
+    /// top one rounds to exactly 1.0, where `inv_norm_cdf` is NaN.
+    #[test]
+    fn unit_open_excludes_both_ends() {
+        let top = unit_open(u64::MAX);
+        assert_eq!(top, 1.0 - f64::EPSILON / 2.0);
+        assert!(inv_norm_cdf(top).is_finite());
+        let bottom = unit_open(0);
+        assert_eq!(bottom, 0.5 / (1u64 << 53) as f64);
+        assert!(inv_norm_cdf(bottom).is_finite());
     }
 
     #[test]

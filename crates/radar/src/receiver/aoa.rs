@@ -104,11 +104,13 @@ pub fn locate_tag_2d(
 mod tests {
     use super::*;
     use crate::receiver::{align_frame, RxConfig};
+    use biscatter_compute::ComputePool;
     use biscatter_dsp::signal::NoiseSource;
     use biscatter_rf::chirp::Chirp;
     use biscatter_rf::frame::ChirpTrain;
     use biscatter_rf::if_gen::IfReceiver;
     use biscatter_rf::scene::{Scatterer, Scene};
+    use biscatter_rf::slab::SampleSlab;
 
     const SPACING: f64 = 0.5;
 
@@ -120,10 +122,13 @@ mod tests {
             noise_sigma: 0.01,
         };
         let mut noise = NoiseSource::new(seed);
-        let capture = rx.dechirp_train_array(&train, scene, 0.0, n_rx, SPACING, &mut noise);
+        let mut capture = vec![SampleSlab::new(); n_rx];
+        let pool = ComputePool::global();
+        rx.dechirp_train_array_into(pool, &train, scene, 0.0, SPACING, &mut noise, &mut capture);
         let cfg = RxConfig::default();
-        (0..capture.n_rx())
-            .map(|k| align_frame(&cfg, &train, &capture.rx_view(k)))
+        capture
+            .iter()
+            .map(|slab| align_frame(&cfg, &train, slab))
             .collect()
     }
 

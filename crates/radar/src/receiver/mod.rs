@@ -40,7 +40,7 @@ use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::resample::linspace;
 use biscatter_dsp::Real;
 use biscatter_rf::frame::ChirpTrain;
-use biscatter_rf::slab::ChirpRows;
+use biscatter_rf::slab::SampleSlab;
 use std::sync::Arc;
 
 /// Receiver processing configuration.
@@ -157,14 +157,13 @@ impl<T: Real> AlignedFrame<T> {
 /// Runs steps 2–4 of the chain: per-chirp range FFT, IF correction onto the
 /// common grid, optional background subtraction.
 ///
-/// `if_per_chirp.row(i)` are the dechirped samples of chirp `i` of `train`
-/// (any [`ChirpRows`] container: nested `Vec`s, a `SampleSlab`, or one
-/// antenna's view of an `ArrayCapture`). Convenience wrapper over
-/// [`align_frame_into`] running on the global compute pool.
-pub fn align_frame<T: Real, R: ChirpRows<T> + ?Sized>(
+/// `if_per_chirp.row(i)` are the dechirped samples of chirp `i` of `train`,
+/// at one antenna. Convenience wrapper over [`align_frame_into`] running on
+/// the global compute pool.
+pub fn align_frame<T: Real>(
     cfg: &RxConfig,
     train: &ChirpTrain,
-    if_per_chirp: &R,
+    if_per_chirp: &SampleSlab<T>,
 ) -> AlignedFrame<T> {
     let mut out = AlignedFrame::default();
     align_frame_into(ComputePool::global(), cfg, train, if_per_chirp, &mut out);
@@ -179,16 +178,16 @@ pub fn align_frame<T: Real, R: ChirpRows<T> + ?Sized>(
 /// `Arc`, the per-chirp profile vectors, and the per-thread spectrum scratch
 /// (lent by the precision's planner) are reused across calls, which makes
 /// repeated frames allocation-free in steady state.
-pub fn align_frame_into<T: Real, R: ChirpRows<T> + ?Sized>(
+pub fn align_frame_into<T: Real>(
     pool: &ComputePool,
     cfg: &RxConfig,
     train: &ChirpTrain,
-    if_per_chirp: &R,
+    if_per_chirp: &SampleSlab<T>,
     out: &mut AlignedFrame<T>,
 ) {
     assert_eq!(
         train.len(),
-        if_per_chirp.n_rows(),
+        if_per_chirp.rows(),
         "one IF capture per chirp required"
     );
     // Reuse the existing grid Arc when it still matches the config: a
@@ -253,7 +252,6 @@ mod tests {
     use biscatter_rf::chirp::Chirp;
     use biscatter_rf::if_gen::IfReceiver;
     use biscatter_rf::scene::{Scatterer, Scene};
-    use biscatter_rf::slab::SampleSlab;
 
     // The f32 chain's accuracy against the f64 one is pinned by
     // `biscatter-core`'s precision oracle; this checks the frame shape of

@@ -7,7 +7,9 @@
 //! (`dechirp_train_array_into`) → range FFT + IF correction
 //! (`align_frame_into`) → range–Doppler (`range_doppler_into`) — through
 //! pools of 1, 2, and 4 threads on a seeded scene and requires exact
-//! equality with the single-thread result at every stage.
+//! equality with the single-thread result at every stage. The serial
+//! capture itself is pinned absolutely, so a change that moves the array
+//! path's bits on every pool size alike is caught too.
 
 use biscatter_compute::ComputePool;
 use biscatter_dsp::signal::NoiseSource;
@@ -17,7 +19,7 @@ use biscatter_rf::chirp::Chirp;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
 use biscatter_rf::scene::{Scatterer, Scene};
-use biscatter_rf::slab::ArrayCapture;
+use biscatter_rf::slab::SampleSlab;
 
 fn scene() -> Scene {
     let f_mod = 16.0 / (64.0 * 120e-6);
@@ -31,7 +33,7 @@ fn scene() -> Scene {
 fn run_chain(
     pool: &ComputePool,
     n_rx: usize,
-) -> (ArrayCapture, Vec<AlignedFrame>, Vec<RangeDopplerMap>) {
+) -> (Vec<SampleSlab>, Vec<AlignedFrame>, Vec<RangeDopplerMap>) {
     // Mixed-slope train: exercises the per-chirp IF-correction resampling.
     let chirps: Vec<Chirp> = (0..64)
         .map(|i| Chirp::new(9e9, 1e9, if i % 2 == 0 { 96e-6 } else { 48e-6 }))
@@ -43,17 +45,8 @@ fn run_chain(
     };
     let scene = scene();
     let mut noise = NoiseSource::new(42);
-    let mut capture = ArrayCapture::new();
-    rx.dechirp_train_array_into(
-        pool,
-        &train,
-        &scene,
-        0.0,
-        n_rx,
-        0.5,
-        &mut noise,
-        &mut capture,
-    );
+    let mut capture = vec![SampleSlab::new(); n_rx];
+    rx.dechirp_train_array_into(pool, &train, &scene, 0.0, 0.5, &mut noise, &mut capture);
 
     let cfg = RxConfig {
         n_range_bins: 256,
@@ -61,9 +54,9 @@ fn run_chain(
     };
     let mut frames = Vec::new();
     let mut maps = Vec::new();
-    for k in 0..n_rx {
+    for slab in &capture {
         let mut frame = AlignedFrame::default();
-        align_frame_into(pool, &cfg, &train, &capture.rx_view(k), &mut frame);
+        align_frame_into(pool, &cfg, &train, slab, &mut frame);
         let mut map = RangeDopplerMap::default();
         range_doppler_into(pool, &frame, &mut map);
         frames.push(frame);
@@ -104,6 +97,28 @@ fn frame_chain_bit_identical_across_pool_sizes() {
     }
 }
 
+/// FNV-1a over the bits of the serial 2-antenna capture, antenna by
+/// antenna, chirp by chirp, sample by sample. Synthesis runs through the
+/// platform libm (`sin`, `cos`), which may round differently on other
+/// targets, so the pin is checked where it was recorded.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn serial_capture_pinned() {
+    let (capture, _, _) = run_chain(&ComputePool::new(1), 2);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for slab in &capture {
+        for c in 0..slab.rows() {
+            for v in slab.row(c) {
+                for b in v.to_bits().to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0x2eb6_1eef_fc72_1cf6, "array capture moved: {h:#018x}");
+}
+
 #[test]
 fn convenience_wrappers_match_explicit_pool() {
     // The global-pool wrappers must agree with an explicit 1-thread pool:
@@ -121,12 +136,12 @@ fn convenience_wrappers_match_explicit_pool() {
         noise_sigma: 0.01,
     };
     let mut noise = NoiseSource::new(42);
-    let capture = rx.dechirp_train_array(&train, &scene(), 0.0, n_rx, 0.5, &mut noise);
+    let capture = rx.dechirp_train(&train, &scene(), 0.0, &mut noise);
     let cfg = RxConfig {
         n_range_bins: 256,
         ..RxConfig::default()
     };
-    let frame = biscatter_radar::receiver::align_frame(&cfg, &train, &capture.rx_view(0));
+    let frame = biscatter_radar::receiver::align_frame(&cfg, &train, &capture);
     let map = biscatter_radar::receiver::doppler::range_doppler(&frame);
 
     assert_eq!(frame.profiles, frames_ref[0].profiles);

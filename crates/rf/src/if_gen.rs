@@ -24,7 +24,7 @@
 
 use crate::chirp::Chirp;
 use crate::scene::{Scatterer, Scene, SwitchState};
-use crate::slab::{ArrayCapture, SampleSlab};
+use crate::slab::SampleSlab;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
@@ -231,126 +231,32 @@ impl IfReceiver {
         out
     }
 
-    /// Multi-antenna variant of [`IfReceiver::dechirp_train`]: returns the
-    /// whole capture as one rx-major `[rx][chirp][sample]` slab. Synthesis
-    /// fans out over the global [`ComputePool`]; see
-    /// [`IfReceiver::dechirp_train_array_into`].
-    pub fn dechirp_train_array(
-        &self,
-        train: &crate::frame::ChirpTrain,
-        scene: &Scene,
-        t_frame_start: f64,
-        n_rx: usize,
-        spacing_wavelengths: f64,
-        noise: &mut NoiseSource,
-    ) -> ArrayCapture {
-        let mut out = ArrayCapture::new();
-        self.dechirp_train_array_into(
-            ComputePool::global(),
-            train,
-            scene,
-            t_frame_start,
-            n_rx,
-            spacing_wavelengths,
-            noise,
-            &mut out,
-        );
-        out
-    }
-
-    /// Synthesizes a multi-antenna capture into a reusable [`ArrayCapture`],
-    /// fanning the `n_rx × n_chirps` independent rows out across `pool`.
-    ///
-    /// Bit-identical to the serial chirp-by-chirp path: tone synthesis
-    /// consumes no RNG (each row's samples are the same floating-point ops
-    /// in the same order regardless of scheduling), and the stateful noise
-    /// source is applied afterwards on the caller thread in the serial
-    /// order — chirp-major, antenna-minor, exactly as a per-chirp loop
-    /// would (the unit tests keep that loop as the oracle).
-    // One parameter per physical input; bundling them would just move the
-    // argument list into a struct literal at every call site.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dechirp_train_array_into(
-        &self,
-        pool: &ComputePool,
-        train: &crate::frame::ChirpTrain,
-        scene: &Scene,
-        t_frame_start: f64,
-        n_rx: usize,
-        spacing_wavelengths: f64,
-        noise: &mut NoiseSource,
-        out: &mut ArrayCapture,
-    ) {
-        let fs = self.sample_rate_hz;
-        let slots = train.slots();
-        let n_chirps = slots.len();
-        out.layout(n_rx, slots.iter().map(|s| s.chirp.if_samples(fs)));
-        {
-            let (offsets, data) = out.parts_mut();
-            pool.par_ragged(data, offsets, |row, samples| {
-                let (rx, c) = (row / n_chirps, row % n_chirps);
-                synth_chirp(
-                    samples,
-                    &slots[c].chirp,
-                    scene,
-                    fs,
-                    t_frame_start + train.slot_start(c),
-                    rx,
-                    spacing_wavelengths,
-                );
-            });
-        }
-        if self.noise_sigma > 0.0 {
-            for c in 0..n_chirps {
-                for rx in 0..n_rx {
-                    noise.add_awgn(out.chirp_mut(rx, c), self.noise_sigma);
-                }
-            }
-        }
-    }
-
     /// Generates IF samples for every chirp of a train (absolute-time
-    /// aligned), returning one `Vec` per chirp. Synthesis fans out over the
-    /// global [`ComputePool`]; bit-identical to the sequential per-chirp
-    /// path (tone synthesis is RNG-free, noise is added serially in chirp
-    /// order afterwards).
+    /// aligned) into a fresh slab, one row per chirp: the allocating
+    /// convenience over [`IfReceiver::dechirp_train_into`] on the global
+    /// [`ComputePool`].
     pub fn dechirp_train(
         &self,
         train: &crate::frame::ChirpTrain,
         scene: &Scene,
         t_frame_start: f64,
         noise: &mut NoiseSource,
-    ) -> Vec<Vec<f64>> {
-        let fs = self.sample_rate_hz;
-        let slots = train.slots();
-        let mut out: Vec<Vec<f64>> = slots
-            .iter()
-            .map(|s| vec![0.0f64; s.chirp.if_samples(fs)])
-            .collect();
-        ComputePool::global().par_chunks(&mut out, 1, |c, row| {
-            synth_chirp(
-                &mut row[0],
-                &slots[c].chirp,
-                scene,
-                fs,
-                t_frame_start + train.slot_start(c),
-                0,
-                0.0,
-            );
-        });
-        if self.noise_sigma > 0.0 {
-            for row in out.iter_mut() {
-                noise.add_awgn(row, self.noise_sigma);
-            }
-        }
+    ) -> SampleSlab {
+        let mut out = SampleSlab::new();
+        self.dechirp_train_into(
+            ComputePool::global(),
+            train,
+            scene,
+            t_frame_start,
+            noise,
+            &mut out,
+        );
         out
     }
 
-    /// Zero-allocation variant of [`IfReceiver::dechirp_train`], in either
-    /// sample precision: lays the frame out in a reusable [`SampleSlab`] and
-    /// fans chirp synthesis out across `pool`. Bit-identical to the
-    /// sequential path (see [`IfReceiver::dechirp_train_array_into`] for the
-    /// argument).
+    /// Generates a train's IF samples into a reusable [`SampleSlab`], in
+    /// either sample precision: the single-antenna receiver, antenna 0 of
+    /// [`IfReceiver::dechirp_train_array_into`].
     ///
     /// Chirp geometry is computed in f64 either way. In f32 the per-sample
     /// synthesis runs in single precision; the noise is the same deviate
@@ -368,26 +274,65 @@ impl IfReceiver {
         noise: &mut NoiseSource,
         out: &mut SampleSlab<T>,
     ) {
+        self.dechirp_train_array_into(
+            pool,
+            train,
+            scene,
+            t_frame_start,
+            0.0,
+            noise,
+            std::slice::from_mut(out),
+        );
+    }
+
+    /// Synthesizes a train's IF samples at every antenna of a uniform linear
+    /// RX array with `spacing_wavelengths` element pitch, one slab per
+    /// antenna (`out.len()` antennas; antenna `k` fills `out[k]`). A
+    /// scatterer at azimuth `θ` arrives at antenna `k` with an extra phase of
+    /// `2π k d_λ sin θ` (the narrowband array model); noise is independent
+    /// per antenna. Each slab's rows fan out across `pool`.
+    ///
+    /// Bit-identical to the serial chirp-by-chirp path: tone synthesis
+    /// consumes no RNG (each row's samples are the same floating-point ops
+    /// in the same order regardless of scheduling), and the stateful noise
+    /// source is applied afterwards on the caller thread in the serial
+    /// order — chirp-major, antenna-minor, exactly as a per-chirp loop
+    /// would (the unit tests keep that loop as the oracle).
+    // One parameter per physical input; bundling them would just move the
+    // argument list into a struct literal at every call site.
+    #[allow(clippy::too_many_arguments)]
+    pub fn dechirp_train_array_into<T: Real>(
+        &self,
+        pool: &ComputePool,
+        train: &crate::frame::ChirpTrain,
+        scene: &Scene,
+        t_frame_start: f64,
+        spacing_wavelengths: f64,
+        noise: &mut NoiseSource,
+        out: &mut [SampleSlab<T>],
+    ) {
         let fs = self.sample_rate_hz;
         let slots = train.slots();
-        out.layout_rows(slots.iter().map(|s| s.chirp.if_samples(fs)));
-        {
-            let (offsets, data) = out.parts_mut();
-            pool.par_ragged(data, offsets, |r, row| {
+        for (k, slab) in out.iter_mut().enumerate() {
+            slab.layout_rows(slots.iter().map(|s| s.chirp.if_samples(fs)));
+            let (offsets, data) = slab.parts_mut();
+            pool.par_ragged(data, offsets, |c, row| {
                 synth_chirp(
                     row,
-                    &slots[r].chirp,
+                    &slots[c].chirp,
                     scene,
                     fs,
-                    t_frame_start + train.slot_start(r),
-                    0,
-                    0.0,
+                    t_frame_start + train.slot_start(c),
+                    k,
+                    spacing_wavelengths,
                 );
             });
         }
         if self.noise_sigma > 0.0 {
-            for r in 0..out.rows() {
-                noise.add_awgn(out.row_mut(r), self.noise_sigma);
+            for c in 0..slots.len() {
+                for slab in out.iter_mut() {
+                    noise.add_awgn(slab.row_mut(c), self.noise_sigma);
+                }
             }
         }
     }
@@ -542,10 +487,10 @@ mod tests {
         let per_chirp = rx().dechirp_train(&train, &scene, 0.0, &mut noise);
         let p = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
         // Chirps 0, 2 on; 1, 3 off (leak = 0).
-        assert!(p(&per_chirp[0]) > 1.0);
-        assert!(p(&per_chirp[1]) < 1e-9);
-        assert!(p(&per_chirp[2]) > 1.0);
-        assert!(p(&per_chirp[3]) < 1e-9);
+        assert!(p(per_chirp.row(0)) > 1.0);
+        assert!(p(per_chirp.row(1)) < 1e-9);
+        assert!(p(per_chirp.row(2)) > 1.0);
+        assert!(p(per_chirp.row(3)) < 1e-9);
     }
 
     #[test]
@@ -583,8 +528,12 @@ mod tests {
             sample_rate_hz: 2e6,
             noise_sigma: 0.1,
         };
+        // Serial baseline: one chirp at a time, noise drawn per chirp.
         let mut n_ref = NoiseSource::new(11);
-        let reference = receiver.dechirp_train(&train, &scene, 0.0, &mut n_ref);
+        let reference: Vec<Vec<f64>> = train
+            .iter_timed()
+            .map(|(t0, slot)| receiver.dechirp(&slot.chirp, &scene, t0, &mut n_ref))
+            .collect();
         for threads in [1usize, 2, 4] {
             let pool = ComputePool::new(threads);
             let mut noise = NoiseSource::new(11);
@@ -620,15 +569,15 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let pool = ComputePool::new(threads);
             let mut noise = NoiseSource::new(12);
-            let mut cap = ArrayCapture::new();
+            let mut slabs: Vec<SampleSlab> = vec![SampleSlab::new(); n_rx];
             receiver.dechirp_train_array_into(
-                &pool, &train, &scene, 0.0, n_rx, spacing, &mut noise, &mut cap,
+                &pool, &train, &scene, 0.0, spacing, &mut noise, &mut slabs,
             );
-            assert_eq!((cap.n_rx(), cap.n_chirps()), (n_rx, reference.len()));
+            assert!(slabs.iter().all(|s| s.rows() == reference.len()));
             for (c, per_antenna) in reference.iter().enumerate() {
                 for (k, want) in per_antenna.iter().enumerate() {
                     assert_eq!(
-                        cap.chirp(k, c),
+                        slabs[k].row(c),
                         &want[..],
                         "chirp {c} rx {k}, {threads} threads"
                     );
@@ -642,9 +591,9 @@ mod tests {
         let chirps = vec![Chirp::new(9e9, 1e9, 80e-6); 6];
         let train = ChirpTrain::with_fixed_period(&chirps, 100e-6).unwrap();
         let scene = busy_scene();
-        // Noiseless so the residual is pure f32 synthesis rounding; the
-        // noisy case diverges by design (the f32 tier draws its own fast
-        // realization, validated statistically at the frame level).
+        // Noiseless so the residual is pure f32 synthesis rounding; both
+        // precisions draw the same noise deviates, so noise would only add
+        // the rounding of each scaled deviate to f32.
         let receiver = IfReceiver {
             sample_rate_hz: 2e6,
             noise_sigma: 0.0,

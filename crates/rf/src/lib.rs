@@ -25,7 +25,7 @@
 //! | [`components`] | delay line, splitter, envelope detector, RF switch, Van Atta, ADC, antenna |
 //! | [`scene`] | point scatterers and modulated tag reflectors seen by the radar |
 //! | [`if_gen`] | dechirped IF-domain sample generation for a scene |
-//! | [`slab`] | flat per-chirp sample storage (`SampleSlab`, `ArrayCapture`) |
+//! | [`slab`] | flat per-chirp sample storage (`SampleSlab`) |
 //! | [`tag_frontend`] | the tag's differential (two-delay-line) decoder front-end |
 
 #![forbid(unsafe_code)]

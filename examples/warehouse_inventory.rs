@@ -112,12 +112,14 @@ fn main() {
 
         // 2D fix from the drone's 2-element RX array (extension module).
         let aoa = {
+            use biscatter_compute::ComputePool;
             use biscatter_core::radar::receiver::align_frame;
             use biscatter_core::radar::receiver::aoa::locate_tag_2d;
             use biscatter_core::rf::chirp::Chirp;
             use biscatter_core::rf::frame::ChirpTrain;
             use biscatter_core::rf::if_gen::IfReceiver;
             use biscatter_core::rf::scene::{Scatterer, Scene};
+            use biscatter_core::rf::slab::SampleSlab;
             let az = asset.azimuth_deg.to_radians();
             let mut scene2 =
                 Scene::new().with(Scatterer::tag(asset.range_m, 0.5, f_mod).at_azimuth(az));
@@ -131,9 +133,12 @@ fn main() {
                 noise_sigma: 0.02,
             };
             let mut n2 = biscatter_core::dsp::signal::NoiseSource::new(seed ^ 0xA0A);
-            let capture = rx2.dechirp_train_array(&train, &scene2, 0.0, 2, 0.5, &mut n2);
-            let frames: Vec<_> = (0..capture.n_rx())
-                .map(|k| align_frame(&sys.rx, &train, &capture.rx_view(k)))
+            let mut capture = vec![SampleSlab::new(); 2];
+            let pool = ComputePool::global();
+            rx2.dechirp_train_array_into(pool, &train, &scene2, 0.0, 0.5, &mut n2, &mut capture);
+            let frames: Vec<_> = capture
+                .iter()
+                .map(|slab| align_frame(&sys.rx, &train, slab))
                 .collect();
             locate_tag_2d(&frames, 0.5, f_mod, 10.0)
         };
