@@ -418,10 +418,10 @@ impl RfftPlan {
         crate::simd::irfft_zip(spec, &self.twiddle, h, scratch);
         self.inner.process_inverse(scratch);
         out.clear();
-        out.reserve(self.n);
-        for z in scratch.iter() {
-            out.push(z.re);
-            out.push(z.im);
+        out.resize(self.n, 0.0);
+        for (pair, z) in out.chunks_exact_mut(2).zip(scratch.iter()) {
+            pair[0] = z.re;
+            pair[1] = z.im;
         }
     }
 }
@@ -441,6 +441,8 @@ pub struct FftPlanner<T = f64> {
     real_scratch: Vec<T>,
     /// Complex working buffer lent out by [`FftPlanner::with_cpx_scratch`].
     cpx_scratch: Vec<Complex<T>>,
+    /// Table buffer lent out by [`FftPlanner::take_table`].
+    table: Vec<T>,
 }
 
 impl<T: Real> FftPlanner<T> {
@@ -547,6 +549,21 @@ impl<T: Real> FftPlanner<T> {
         let r = f(self, &mut buf);
         self.real_scratch = buf;
         r
+    }
+
+    /// Lends this thread's table buffer by value (contents unspecified,
+    /// capacity kept from earlier frames): storage for a table that this
+    /// thread builds and a pool fan-out then reads. The planner must not
+    /// stay borrowed across a fan-out — the caller runs tasks too, and
+    /// would re-enter it — so the buffer leaves the planner and comes back
+    /// through [`FftPlanner::put_table`].
+    pub fn take_table(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.table)
+    }
+
+    /// Returns the buffer [`FftPlanner::take_table`] lent.
+    pub fn put_table(&mut self, table: Vec<T>) {
+        self.table = table;
     }
 
     /// [`FftPlanner::with_real_scratch`] for a complex buffer: per-thread

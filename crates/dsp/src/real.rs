@@ -89,8 +89,11 @@ pub trait Real:
         h: usize,
         out: &mut Vec<Complex<Self>>,
     );
-    /// Adds one scatterer's IF tone, `amp_i · Re(e^{i phase0} · rot^i)`.
-    fn osc_accum(out: &mut [Self], amps: Option<&[Self]>, const_amp: Self, phase0: Cpx, rot: Cpx);
+    /// Writes one scatterer's unit IF tone, `out[i] = Re(e^{i phase0} · rot^i)`.
+    fn tone_fill(out: &mut [Self], phase0: Cpx, rot: Cpx);
+    /// Adds 1 to [`simd::TONES_PER_PASS`] level-weighted tones to `out` in
+    /// one pass, `out[i] += levels[0]·tones[0][i] + …`, summed left to right.
+    fn tones_accum(out: &mut [Self], tones: &[&[Self]], levels: &[Self]);
     /// `acc[i] += |row[i]|²`, each square widened into the f64 accumulator.
     fn norm_sq_accum(acc: &mut [f64], row: &[Complex<Self>]);
     /// This thread's planner for this precision (see
@@ -135,8 +138,12 @@ impl Real for f64 {
         simd::rfft_unzip(z, tw, h, out);
     }
     #[inline]
-    fn osc_accum(out: &mut [f64], amps: Option<&[f64]>, const_amp: f64, phase0: Cpx, rot: Cpx) {
-        simd::osc_accum(out, amps, const_amp, phase0, rot);
+    fn tone_fill(out: &mut [f64], phase0: Cpx, rot: Cpx) {
+        simd::tone_fill(out, phase0, rot);
+    }
+    #[inline]
+    fn tones_accum(out: &mut [f64], tones: &[&[f64]], levels: &[f64]) {
+        simd::tones_accum(out, tones, levels);
     }
     #[inline]
     fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
@@ -182,8 +189,12 @@ impl Real for f32 {
         simd::rfft_unzip_32(z, tw, h, out);
     }
     #[inline]
-    fn osc_accum(out: &mut [f32], amps: Option<&[f32]>, const_amp: f32, phase0: Cpx, rot: Cpx) {
-        simd::osc_accum_32(out, amps, const_amp, phase0, rot);
+    fn tone_fill(out: &mut [f32], phase0: Cpx, rot: Cpx) {
+        simd::tone_fill_32(out, phase0, rot);
+    }
+    #[inline]
+    fn tones_accum(out: &mut [f32], tones: &[&[f32]], levels: &[f32]) {
+        simd::tones_accum_32(out, tones, levels);
     }
     #[inline]
     fn norm_sq_accum(acc: &mut [f64], row: &[Complex<f32>]) {

@@ -3,8 +3,10 @@
 //! The radar's IF-correction stage (paper §3.3) converts each chirp's FFT
 //! bins to ranges and then *rescales* profiles from chirps of different
 //! slopes onto a common range grid using pairwise linear interpolation —
-//! [`resample_to_grid`] is that operation. The tag's acquisition stage uses
-//! [`linear_interp`] when estimating the chirp period from fractional peaks.
+//! [`resample_to_grid`] is that operation, and [`lerp_taps_into`] with
+//! [`apply_taps_into`] its form for many profiles on one pair of grids. The
+//! tag's acquisition stage uses [`linear_interp`] when estimating the chirp
+//! period from fractional peaks.
 
 use crate::complex::Complex;
 use crate::real::Real;
@@ -55,38 +57,36 @@ pub fn resample_to_grid(src_grid: &[f64], values: &[f64], dst_grid: &[f64]) -> V
         .collect()
 }
 
-/// Complex-valued variant of [`resample_to_grid`] writing into a reusable
-/// output buffer (cleared first), in either sample precision: resamples
-/// `values` on `src_grid` onto `dst_grid`, interpolating real and imaginary
-/// parts independently with exactly the same bracketing and weights as the
-/// real version. Grids stay in f64 (geometry is always double precision);
-/// the weight `t` is computed in f64 and rounded once into the sample type,
-/// so in f64 this performs, component for component, the identical
-/// floating-point operations as [`resample_to_grid`].
+/// How one destination point of a resample reads the source profile: the
+/// bracketing [`resample_to_grid`] finds for it, kept so that every profile
+/// on the same pair of grids skips the search.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tap {
+    /// `values[i]`: an endpoint, for a point outside the source span, or an
+    /// exact hit.
+    At(usize),
+    /// `values[i]·(1 − t) + values[i + 1]·t`. The weight is computed in f64
+    /// and rounded into the sample precision where it is applied.
+    Lerp(usize, f64),
+}
+
+/// The taps that resample a profile on `src_grid` (strictly increasing x
+/// values) onto `dst_grid`, into a reusable buffer (cleared first): the
+/// same bracketing and weights as [`resample_to_grid`], so applying them
+/// with [`apply_taps_into`] performs, in f64 and component for component,
+/// its floating-point operations. An empty source gives `At(0)` taps,
+/// which read an empty profile as zeros.
 ///
 /// Instead of a per-point binary search this uses a monotone two-pointer
 /// sweep — destination grids in the IF-correction stage are increasing, so
-/// the bracketing index only ever moves forward and the whole resample is
+/// the bracketing index only ever moves forward and the sweep is
 /// `O(n_src + n_dst)` rather than `O(n_dst · log n_src)`. On a strictly
 /// increasing source grid the bracket is the one the binary search finds.
 /// Non-monotone destinations still work (the pointer backs up), they just
 /// lose the linear-time guarantee.
-///
-/// # Panics
-/// Panics if `src_grid` and `values` lengths differ.
-pub fn resample_to_grid_cpx_into<T: Real>(
-    src_grid: &[f64],
-    values: &[Complex<T>],
-    dst_grid: &[f64],
-    out: &mut Vec<Complex<T>>,
-) {
-    assert_eq!(src_grid.len(), values.len(), "grid/value length mismatch");
+pub fn lerp_taps_into(src_grid: &[f64], dst_grid: &[f64], out: &mut Vec<Tap>) {
     out.clear();
     out.reserve(dst_grid.len());
-    if src_grid.is_empty() {
-        out.resize(dst_grid.len(), Complex::ZERO);
-        return;
-    }
     let n = src_grid.len();
     // `i` tracks the smallest index with `src_grid[i] >= x` — the same
     // bracketing a binary search would find on a strictly increasing grid.
@@ -98,26 +98,48 @@ pub fn resample_to_grid_cpx_into<T: Real>(
         while i < n && src_grid[i] < x {
             i += 1;
         }
-        let v = if i == 0 {
-            values[0]
+        out.push(if i == 0 {
+            Tap::At(0)
         } else if i >= n {
-            values[n - 1]
+            Tap::At(n - 1)
         } else if src_grid[i] == x {
-            values[i]
+            Tap::At(i)
         } else {
             let x0 = src_grid[i - 1];
             let x1 = src_grid[i];
-            let t = T::from_f64((x - x0) / (x1 - x0));
+            Tap::Lerp(i - 1, (x - x0) / (x1 - x0))
+        });
+    }
+}
+
+/// Resamples complex `values` through `taps` ([`lerp_taps_into`]) into a
+/// reusable buffer (cleared first), in either sample precision, the real
+/// and imaginary parts interpolated independently. Each weight is rounded
+/// once into the sample type, so in f64 this performs, component for
+/// component, the identical floating-point operations as
+/// [`resample_to_grid`].
+///
+/// # Panics
+/// Panics if a tap reads past `values` (taps built for a longer profile).
+pub fn apply_taps_into<T: Real>(values: &[Complex<T>], taps: &[Tap], out: &mut Vec<Complex<T>>) {
+    out.clear();
+    if values.is_empty() {
+        out.resize(taps.len(), Complex::ZERO);
+        return;
+    }
+    out.extend(taps.iter().map(|&tap| match tap {
+        Tap::At(i) => values[i],
+        Tap::Lerp(i, t) => {
+            let t = T::from_f64(t);
             // Same formula as the real-valued path, applied per
             // component: a*(1-t) + b*t.
-            let (a, b) = (values[i - 1], values[i]);
+            let (a, b) = (values[i], values[i + 1]);
             Complex::new(
                 a.re * (T::ONE - t) + b.re * t,
                 a.im * (T::ONE - t) + b.im * t,
             )
-        };
-        out.push(v);
-    }
+        }
+    }));
 }
 
 /// Builds a uniform grid of `n` points spanning `[start, stop]` inclusive.
@@ -225,8 +247,10 @@ mod tests {
         let values: Vec<Cpx> = re.iter().zip(&im).map(|(&a, &b)| Cpx::new(a, b)).collect();
         let mut dst = linspace(-1.0, 35.0, 97);
         dst.extend([src[5], src[17], 3.3, 40.0, 0.0]);
+        let mut taps = Vec::new();
+        lerp_taps_into(&src, &dst, &mut taps);
         let mut out = Vec::new();
-        resample_to_grid_cpx_into(&src, &values, &dst, &mut out);
+        apply_taps_into(&values, &taps, &mut out);
         let want_re = resample_to_grid(&src, &re, &dst);
         let want_im = resample_to_grid(&src, &im, &dst);
         for (k, z) in out.iter().enumerate() {
@@ -236,7 +260,7 @@ mod tests {
         // The f32 instantiation tracks it to f32 rounding.
         let values32: Vec<Complex<f32>> = values.iter().map(|&z| Complex::from_f64(z)).collect();
         let mut out32 = Vec::new();
-        resample_to_grid_cpx_into(&src, &values32, &dst, &mut out32);
+        apply_taps_into(&values32, &taps, &mut out32);
         for (a, b) in out32.iter().zip(&out) {
             assert!((a.to_f64() - *b).abs() < 1e-6);
         }

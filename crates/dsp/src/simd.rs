@@ -33,9 +33,12 @@
 //!   vector lanes, never successive steps of one stream, so each stream
 //!   runs the scalar steps in the scalar order.
 //!
-//! The f32 kernels (`*_32`) carry no bit contract across tiers; the f32
-//! frame tier as a whole is validated against the f64 oracle by error
-//! bounds (see `biscatter-core`'s precision tests).
+//! The f32 kernels (`*_32`) carry no bit contract across tiers, except the
+//! IF tone kernels (`tone_fill_32`, `tones_accum_32`), whose two bodies
+//! perform the same operations as each other (the f32 frame digests pin
+//! their output on both tiers); the f32 frame tier as a whole is validated
+//! against the f64 oracle by error bounds (see `biscatter-core`'s precision
+//! tests).
 
 use crate::complex::{Complex, Cpx};
 use crate::dispatch::{tier, SimdTier};
@@ -494,7 +497,8 @@ fn goertzel_step(
 }
 
 // ---------------------------------------------------------------------------
-// Oscillator accumulation (the dechirp inner loop).
+// IF tones (the dechirp inner loops): one oscillator fill, one fused
+// weighted sum.
 // ---------------------------------------------------------------------------
 
 /// Samples between oscillator renormalizations — the serial recurrence's
@@ -502,9 +506,10 @@ fn goertzel_step(
 /// is ≈ 1.1e-13 relative.
 const OSC_RENORM_SAMPLES: usize = 256;
 
-/// Adds one scatterer's IF tone to `out`:
-/// `out[i] += amp_i · Re(e^{i phase0} · rot^i)`, with `amp_i` taken from
-/// `amps` (or `const_amp` when `None`).
+/// The most tones one [`tones_accum`] pass adds.
+pub const TONES_PER_PASS: usize = 4;
+
+/// Writes one scatterer's unit IF tone, `out[i] = Re(e^{i phase0} · rot^i)`.
 ///
 /// The serial recurrence `ph ← ph · rot` is blocked into **4 independent
 /// phase streams** advanced by `rot⁴`, so the four multiplies per block
@@ -517,13 +522,7 @@ const OSC_RENORM_SAMPLES: usize = 256;
 /// result is bit-identical across dispatch tiers (though not to the
 /// pre-blocking serial recurrence, whose rounding path differed — the
 /// error bound is the same ≤ `2nε` amplitude / `nε` phase drift).
-///
-/// # Panics
-/// Panics if `amps` is `Some` with a length different from `out`.
-pub fn osc_accum(out: &mut [f64], amps: Option<&[f64]>, const_amp: f64, phase0: Cpx, rot: Cpx) {
-    if let Some(a) = amps {
-        assert_eq!(a.len(), out.len());
-    }
+pub fn tone_fill(out: &mut [f64], phase0: Cpx, rot: Cpx) {
     let p0 = phase0;
     let p1 = p0 * rot;
     let p2 = p1 * rot;
@@ -535,61 +534,39 @@ pub fn osc_accum(out: &mut [f64], amps: Option<&[f64]>, const_amp: f64, phase0: 
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 {
         // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::osc_accum(out, amps, const_amp, &mut ph, rot4) };
+        unsafe { avx2::tone_fill(out, &ph, rot4) };
         return;
     }
-    osc_accum_scalar(out, amps, const_amp, &mut ph, rot4);
+    tone_fill_scalar(out, &mut ph, rot4);
 }
 
-fn osc_accum_scalar(
-    out: &mut [f64],
-    amps: Option<&[f64]>,
-    const_amp: f64,
-    ph: &mut [Cpx; 4],
-    rot4: Cpx,
-) {
-    let n = out.len();
-    let n4 = n - n % 4;
+fn tone_fill_scalar(out: &mut [f64], ph: &mut [Cpx; 4], rot4: Cpx) {
+    let n4 = out.len() - out.len() % 4;
     let renorm_blocks = OSC_RENORM_SAMPLES / 4;
-    let mut blk = 0usize;
-    let mut i = 0usize;
-    while i < n4 {
-        for j in 0..4 {
-            let amp = match amps {
-                Some(a) => a[i + j],
-                None => const_amp,
-            };
-            out[i + j] += amp * ph[j].re;
-            ph[j] *= rot4;
+    for (blk, block) in out[..n4].chunks_exact_mut(4).enumerate() {
+        for (o, p) in block.iter_mut().zip(ph.iter_mut()) {
+            *o = p.re;
+            *p *= rot4;
         }
-        blk += 1;
-        if blk % renorm_blocks == 0 {
+        if (blk + 1) % renorm_blocks == 0 {
             for p in ph.iter_mut() {
                 let s = 1.0 / (p.re * p.re + p.im * p.im).sqrt();
                 *p = p.scale(s);
             }
         }
-        i += 4;
     }
     // Tail: streams 0..n%4 hold exactly the next samples' phasors.
-    for (j, o) in out[n4..].iter_mut().enumerate() {
-        let amp = match amps {
-            Some(a) => a[n4 + j],
-            None => const_amp,
-        };
-        *o += amp * ph[j].re;
+    for (o, p) in out[n4..].iter_mut().zip(ph.iter()) {
+        *o = p.re;
     }
 }
 
-/// f32 variant of [`osc_accum`]: 8 phase streams advanced by `rot⁸`.
+/// f32 variant of [`tone_fill`]: 8 phase streams advanced by `rot⁸`.
 /// Stream seeds and the block rotation are computed in f64 and rounded
 /// once, so the f32 phase error is dominated by the per-block rotation
 /// rounding (≈ `n/8` multiplies of one-ulp error ≲ 1e-5 rad over a chirp),
 /// kept bounded in magnitude by the same 256-sample renormalization.
-pub fn osc_accum_32(out: &mut [f32], amps: Option<&[f32]>, const_amp: f32, phase0: Cpx, rot: Cpx) {
-    if let Some(a) = amps {
-        assert_eq!(a.len(), out.len());
-    }
+pub fn tone_fill_32(out: &mut [f32], phase0: Cpx, rot: Cpx) {
     let mut seeds = [Cpx32::ZERO; 8];
     let mut p = phase0;
     for s in seeds.iter_mut() {
@@ -603,48 +580,101 @@ pub fn osc_accum_32(out: &mut [f32], amps: Option<&[f32]>, const_amp: f32, phase
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 {
         // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::osc_accum_32(out, amps, const_amp, &mut seeds, rot8) };
+        unsafe { avx2::tone_fill_32(out, &mut seeds, rot8) };
         return;
     }
-    osc_accum_32_scalar(out, amps, const_amp, &mut seeds, rot8);
+    tone_fill_32_scalar(out, &mut seeds, rot8);
 }
 
-fn osc_accum_32_scalar(
-    out: &mut [f32],
-    amps: Option<&[f32]>,
-    const_amp: f32,
-    ph: &mut [Cpx32; 8],
-    rot8: Cpx32,
-) {
-    let n = out.len();
-    let n8 = n - n % 8;
+fn tone_fill_32_scalar(out: &mut [f32], ph: &mut [Cpx32; 8], rot8: Cpx32) {
+    let n8 = out.len() - out.len() % 8;
     let renorm_blocks = OSC_RENORM_SAMPLES / 8;
-    let mut blk = 0usize;
-    let mut i = 0usize;
-    while i < n8 {
-        for j in 0..8 {
-            let amp = match amps {
-                Some(a) => a[i + j],
-                None => const_amp,
-            };
-            out[i + j] += amp * ph[j].re;
-            ph[j] *= rot8;
+    for (blk, block) in out[..n8].chunks_exact_mut(8).enumerate() {
+        for (o, p) in block.iter_mut().zip(ph.iter_mut()) {
+            *o = p.re;
+            *p *= rot8;
         }
-        blk += 1;
-        if blk % renorm_blocks == 0 {
+        if (blk + 1) % renorm_blocks == 0 {
             for p in ph.iter_mut() {
                 let s = 1.0 / (p.re * p.re + p.im * p.im).sqrt();
                 *p = p.scale(s);
             }
         }
-        i += 8;
     }
-    for (j, o) in out[n8..].iter_mut().enumerate() {
-        let amp = match amps {
-            Some(a) => a[n8 + j],
-            None => const_amp,
-        };
-        *o += amp * ph[j].re;
+    for (o, p) in out[n8..].iter_mut().zip(ph.iter()) {
+        *o = p.re;
+    }
+}
+
+/// Adds a level-weighted sum of tones to `out` in one pass:
+/// `out[i] ← ((out[i] + l₀·t₀[i]) + l₁·t₁[i]) + …`, every product rounded
+/// and then added, in `tones` order, with the running sum held in a
+/// register between the adds. That is, sample for sample, the IEEE
+/// sequence of adding each tone on its own, so splitting a row's tones
+/// into passes, or a row into stretches of constant levels, moves no bit —
+/// and both tiers perform the same elementwise operations.
+///
+/// # Panics
+/// Panics unless `tones` holds 1 to [`TONES_PER_PASS`] tones, one level
+/// each, and every tone is at least as long as `out`.
+pub fn tones_accum(out: &mut [f64], tones: &[&[f64]], levels: &[f64]) {
+    check_pass(out.len(), tones, levels);
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier; the pass
+        // shape and tone lengths were checked above.
+        unsafe {
+            match tones.len() {
+                1 => avx2::tones_accum::<1>(out, tones, levels),
+                2 => avx2::tones_accum::<2>(out, tones, levels),
+                3 => avx2::tones_accum::<3>(out, tones, levels),
+                _ => avx2::tones_accum::<4>(out, tones, levels),
+            }
+        }
+        return;
+    }
+    tones_accum_scalar(out, tones, levels);
+}
+
+/// f32 variant of [`tones_accum`], eight samples per vector.
+pub fn tones_accum_32(out: &mut [f32], tones: &[&[f32]], levels: &[f32]) {
+    check_pass(out.len(), tones, levels);
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: as in `tones_accum`.
+        unsafe {
+            match tones.len() {
+                1 => avx2::tones_accum_32::<1>(out, tones, levels),
+                2 => avx2::tones_accum_32::<2>(out, tones, levels),
+                3 => avx2::tones_accum_32::<3>(out, tones, levels),
+                _ => avx2::tones_accum_32::<4>(out, tones, levels),
+            }
+        }
+        return;
+    }
+    tones_accum_scalar(out, tones, levels);
+}
+
+fn check_pass<T>(n: usize, tones: &[&[T]], levels: &[T]) {
+    assert!(
+        (1..=TONES_PER_PASS).contains(&tones.len()),
+        "a pass adds 1 to {TONES_PER_PASS} tones, not {}",
+        tones.len()
+    );
+    assert_eq!(tones.len(), levels.len(), "one level per tone");
+    assert!(tones.iter().all(|t| t.len() >= n), "tone shorter than out");
+}
+
+fn tones_accum_scalar<T>(out: &mut [T], tones: &[&[T]], levels: &[T])
+where
+    T: Copy + std::ops::Add<Output = T> + std::ops::Mul<Output = T>,
+{
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut acc = *o;
+        for (t, &l) in tones.iter().zip(levels) {
+            acc = acc + l * t[i];
+        }
+        *o = acc;
     }
 }
 
@@ -1184,19 +1214,11 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn osc_accum(
-        out: &mut [f64],
-        amps: Option<&[f64]>,
-        const_amp: f64,
-        ph: &mut [Cpx; 4],
-        rot4: Cpx,
-    ) {
+    pub(super) unsafe fn tone_fill(out: &mut [f64], ph: &[Cpx; 4], rot4: Cpx) {
         let n = out.len();
         let n4 = n - n % 4;
         let renorm_blocks = OSC_RENORM_SAMPLES / 4;
         let op = out.as_mut_ptr();
-        let ap = amps.map(|a| a.as_ptr());
-        let camp = _mm256_set1_pd(const_amp);
         let rv = _mm256_setr_pd(rot4.re, rot4.im, rot4.re, rot4.im);
         let mut v01 = _mm256_setr_pd(ph[0].re, ph[0].im, ph[1].re, ph[1].im);
         let mut v23 = _mm256_setr_pd(ph[2].re, ph[2].im, ph[3].re, ph[3].im);
@@ -1205,14 +1227,7 @@ mod avx2 {
         while i < n4 {
             // [p0.re, p2.re, p1.re, p3.re] → natural stream order.
             let re_raw = _mm256_shuffle_pd(v01, v23, 0x0);
-            let re = _mm256_permute4x64_pd(re_raw, 0xD8);
-            let amp = match ap {
-                Some(p) => _mm256_loadu_pd(p.add(i)),
-                None => camp,
-            };
-            let contrib = _mm256_mul_pd(amp, re);
-            let acc = _mm256_add_pd(_mm256_loadu_pd(op.add(i)), contrib);
-            _mm256_storeu_pd(op.add(i), acc);
+            _mm256_storeu_pd(op.add(i), _mm256_permute4x64_pd(re_raw, 0xD8));
             v01 = cmul_pd(v01, rv);
             v23 = cmul_pd(v23, rv);
             blk += 1;
@@ -1222,19 +1237,47 @@ mod avx2 {
             }
             i += 4;
         }
-        // Spill the streams and run the (at most 3-sample) scalar tail.
+        // Spill the streams and write the (at most 3-sample) scalar tail.
         let mut spill = [0.0f64; 8];
         _mm256_storeu_pd(spill.as_mut_ptr(), v01);
         _mm256_storeu_pd(spill.as_mut_ptr().add(4), v23);
-        for (j, p) in ph.iter_mut().enumerate() {
-            *p = Cpx::new(spill[2 * j], spill[2 * j + 1]);
-        }
         for (j, o) in out[n4..].iter_mut().enumerate() {
-            let amp = match amps {
-                Some(a) => a[n4 + j],
-                None => const_amp,
-            };
-            *o += amp * ph[j].re;
+            *o = spill[2 * j];
+        }
+    }
+
+    /// [`super::tones_accum`] for a pass of `G` tones, four samples per
+    /// vector; the tail runs the same operations one sample at a time.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tones_accum<const G: usize>(
+        out: &mut [f64],
+        tones: &[&[f64]],
+        levels: &[f64],
+    ) {
+        let n = out.len();
+        let n4 = n - n % 4;
+        let op = out.as_mut_ptr();
+        let mut tp = [std::ptr::null::<f64>(); G];
+        let mut lv = [_mm256_setzero_pd(); G];
+        for g in 0..G {
+            tp[g] = tones[g].as_ptr();
+            lv[g] = _mm256_set1_pd(levels[g]);
+        }
+        let mut i = 0usize;
+        while i < n4 {
+            let mut acc = _mm256_loadu_pd(op.add(i));
+            for g in 0..G {
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(lv[g], _mm256_loadu_pd(tp[g].add(i))));
+            }
+            _mm256_storeu_pd(op.add(i), acc);
+            i += 4;
+        }
+        for i in n4..n {
+            let mut acc = *op.add(i);
+            for g in 0..G {
+                acc += levels[g] * *tp[g].add(i);
+            }
+            *op.add(i) = acc;
         }
     }
 
@@ -1283,19 +1326,11 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn osc_accum_32(
-        out: &mut [f32],
-        amps: Option<&[f32]>,
-        const_amp: f32,
-        ph: &mut [Cpx32; 8],
-        rot8: Cpx32,
-    ) {
+    pub(super) unsafe fn tone_fill_32(out: &mut [f32], ph: &mut [Cpx32; 8], rot8: Cpx32) {
         let n = out.len();
         let n8 = n - n % 8;
         let renorm_blocks = OSC_RENORM_SAMPLES / 8;
         let op = out.as_mut_ptr();
-        let ap = amps.map(|a| a.as_ptr());
-        let camp = _mm256_set1_ps(const_amp);
         let rv = {
             let r = [rot8; 4];
             _mm256_loadu_ps(r.as_ptr() as *const f32)
@@ -1309,13 +1344,7 @@ mod avx2 {
             // Gather the 8 real parts in stream order.
             let re_raw = _mm256_shuffle_ps(v_lo, v_hi, 0x88); // [p0 p1 p4 p5 | p2 p3 p6 p7]
             let re = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(re_raw), 0xD8));
-            let amp = match ap {
-                Some(p) => _mm256_loadu_ps(p.add(i)),
-                None => camp,
-            };
-            let contrib = _mm256_mul_ps(amp, re);
-            let acc = _mm256_add_ps(_mm256_loadu_ps(op.add(i)), contrib);
-            _mm256_storeu_ps(op.add(i), acc);
+            _mm256_storeu_ps(op.add(i), re);
             v_lo = cmul_ps(v_lo, rv);
             v_hi = cmul_ps(v_hi, rv);
             blk += 1;
@@ -1329,11 +1358,42 @@ mod avx2 {
         _mm256_storeu_ps(phm, v_lo);
         _mm256_storeu_ps(phm.add(8), v_hi);
         for (j, o) in out[n8..].iter_mut().enumerate() {
-            let amp = match amps {
-                Some(a) => a[n8 + j],
-                None => const_amp,
-            };
-            *o += amp * ph[j].re;
+            *o = ph[j].re;
+        }
+    }
+
+    /// [`super::tones_accum_32`] for a pass of `G` tones, eight samples
+    /// per vector.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tones_accum_32<const G: usize>(
+        out: &mut [f32],
+        tones: &[&[f32]],
+        levels: &[f32],
+    ) {
+        let n = out.len();
+        let n8 = n - n % 8;
+        let op = out.as_mut_ptr();
+        let mut tp = [std::ptr::null::<f32>(); G];
+        let mut lv = [_mm256_setzero_ps(); G];
+        for g in 0..G {
+            tp[g] = tones[g].as_ptr();
+            lv[g] = _mm256_set1_ps(levels[g]);
+        }
+        let mut i = 0usize;
+        while i < n8 {
+            let mut acc = _mm256_loadu_ps(op.add(i));
+            for g in 0..G {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(lv[g], _mm256_loadu_ps(tp[g].add(i))));
+            }
+            _mm256_storeu_ps(op.add(i), acc);
+            i += 8;
+        }
+        for i in n8..n {
+            let mut acc = *op.add(i);
+            for g in 0..G {
+                acc += levels[g] * *tp[g].add(i);
+            }
+            *op.add(i) = acc;
         }
     }
 }
@@ -1580,33 +1640,86 @@ mod tests {
         assert_eq!(powers, [0.0f64.to_bits(); 4]);
     }
 
+    /// A 1–4 tone pass over an `out` that already holds a partial sum.
+    fn accum_passes<T: Copy>(
+        out: &[T],
+        tones: &[Vec<T>],
+        levels: &[T],
+        accum: fn(&mut [T], &[&[T]], &[T]),
+    ) -> Vec<Vec<T>> {
+        (1..=TONES_PER_PASS)
+            .map(|g| {
+                let mut o = out.to_vec();
+                let t: Vec<&[T]> = tones[..g].iter().map(|t| &t[..]).collect();
+                accum(&mut o, &t, &levels[..g]);
+                o
+            })
+            .collect()
+    }
+
     #[test]
-    fn osc_accum_tiers_bit_identical() {
-        for n in [0usize, 3, 4, 255, 256, 960, 1027] {
-            let amps = rvec(n);
-            let rot = Cpx::cis(TAU * 0.037);
-            let ph0 = Cpx::cis(1.234);
-            for use_amps in [false, true] {
-                assert_tiers_match(|| {
-                    let mut out = vec![0.0f64; n];
-                    let a = if use_amps { Some(&amps[..]) } else { None };
-                    osc_accum(&mut out, a, 1.5, ph0, rot);
-                    out
-                });
+    fn tone_kernels_tiers_bit_identical() {
+        let rots = [0.037, -0.2113, 0.4999, 0.0061].map(|f| Cpx::cis(TAU * f));
+        let ph0s = [1.234, -2.9, 0.0, 0.77].map(Cpx::cis);
+        let levels = [1.5, -0.25, 3.0e-3, 0.7];
+        for n in [0usize, 1, 3, 4, 7, 8, 9, 255, 256, 257, 960, 1027] {
+            let (tones, sums) = assert_tiers_match(|| {
+                let tones: Vec<Vec<f64>> = (0..4)
+                    .map(|j| {
+                        let mut t = vec![f64::NAN; n];
+                        tone_fill(&mut t, ph0s[j], rots[j]);
+                        t
+                    })
+                    .collect();
+                let sums = accum_passes(&rvec(n), &tones, &levels, tones_accum);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (
+                    tones.iter().map(|t| bits(t)).collect::<Vec<_>>(),
+                    sums.iter().map(|s| bits(s)).collect::<Vec<_>>(),
+                )
+            });
+            // A pass is the per-tone sequence `out += l·t`, tone by tone.
+            let mut want = rvec(n);
+            for (g, sum) in sums.iter().enumerate() {
+                for (w, &t) in want.iter_mut().zip(&tones[g]) {
+                    *w += levels[g] * f64::from_bits(t);
+                }
+                let got: Vec<f64> = sum.iter().map(|&b| f64::from_bits(b)).collect();
+                assert_eq!(got, want, "n {n}, {} tones", g + 1);
             }
+            // The f32 bodies perform the same operations on both tiers too.
+            let levels32 = levels.map(|l| l as f32);
+            assert_tiers_match(|| {
+                let tones: Vec<Vec<f32>> = (0..4)
+                    .map(|j| {
+                        let mut t = vec![f32::NAN; n];
+                        tone_fill_32(&mut t, ph0s[j], rots[j]);
+                        t
+                    })
+                    .collect();
+                let out: Vec<f32> = rvec(n).iter().map(|&x| x as f32).collect();
+                let sums = accum_passes(&out, &tones, &levels32, tones_accum_32);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (
+                    tones.iter().map(|t| bits(t)).collect::<Vec<_>>(),
+                    sums.iter().map(|s| bits(s)).collect::<Vec<_>>(),
+                )
+            });
         }
     }
 
     #[test]
-    fn osc_accum_matches_direct_cos() {
+    fn tone_fill_matches_direct_cos() {
         // The blocked recurrence must track amp·cos(phase0 + i·θ) to well
         // below the simulation noise floor over a chirp-length run.
         let n = 2000;
         let theta = TAU * 0.0173;
         let rot = Cpx::cis(theta);
         let ph0 = Cpx::cis(0.5);
+        let mut tone = vec![0.0f64; n];
+        tone_fill(&mut tone, ph0, rot);
         let mut out = vec![0.0f64; n];
-        osc_accum(&mut out, None, 2.0, ph0, rot);
+        tones_accum(&mut out, &[&tone], &[2.0]);
         for (i, &o) in out.iter().enumerate() {
             let want = 2.0 * (0.5 + theta * i as f64).cos();
             assert!((o - want).abs() < 1e-9, "sample {i}: {o} vs {want}");
@@ -1614,27 +1727,28 @@ mod tests {
     }
 
     #[test]
-    fn osc_accum_32_tracks_f64() {
+    fn tone_fill_32_tracks_f64() {
         let n = 1500;
         let rot = Cpx::cis(TAU * 0.0217);
         let ph0 = Cpx::cis(2.1);
         let amps: Vec<f64> = rvec(n).iter().map(|v| 1.0 + 0.5 * v).collect();
-        let amps32: Vec<f32> = amps.iter().map(|&v| v as f32).collect();
-        let mut want = vec![0.0f64; n];
-        osc_accum(&mut want, Some(&amps), 0.0, ph0, rot);
+        let mut tone = vec![0.0f64; n];
+        tone_fill(&mut tone, ph0, rot);
+        let want: Vec<f64> = tone.iter().zip(&amps).map(|(t, a)| a * t).collect();
         for t in [SimdTier::Scalar, SimdTier::Avx2] {
             if t == SimdTier::Avx2 && !avx2_available() {
                 continue;
             }
             let before = tier();
             force_tier(t);
-            let mut got = vec![0.0f32; n];
-            osc_accum_32(&mut got, Some(&amps32), 0.0, ph0, rot);
+            let mut tone32 = vec![0.0f32; n];
+            tone_fill_32(&mut tone32, ph0, rot);
             force_tier(before);
-            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            for (i, ((&g, &a), &w)) in tone32.iter().zip(&amps).zip(&want).enumerate() {
+                let got = a as f32 * g;
                 assert!(
-                    (g as f64 - w).abs() < 1e-3,
-                    "tier {t:?} sample {i}: {g} vs {w}"
+                    (got as f64 - w).abs() < 1e-3,
+                    "tier {t:?} sample {i}: {got} vs {w}"
                 );
             }
         }

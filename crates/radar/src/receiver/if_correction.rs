@@ -9,9 +9,7 @@
 //! static.
 
 use super::range_profile::bin_freq;
-use biscatter_dsp::complex::Complex;
-use biscatter_dsp::resample::resample_to_grid_cpx_into;
-use biscatter_dsp::Real;
+use biscatter_dsp::resample::{lerp_taps_into, Tap};
 use biscatter_rf::chirp::Chirp;
 use std::cell::RefCell;
 
@@ -23,41 +21,47 @@ pub fn bin_ranges_into(chirp: &Chirp, fs: f64, n_fft: usize, n_bins: usize, out:
 }
 
 thread_local! {
-    /// Per-thread scratch for the source bin-range axis, so per-chirp
-    /// correction in a frame loop allocates nothing in steady state.
+    /// Per-thread scratch for the source bin-range axis, so deriving a
+    /// shape's taps allocates nothing in steady state.
     static BIN_RANGES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Resamples a complex half-spectrum onto the common `grid` (metres),
-/// interpolating the real and imaginary parts pairwise, into a reusable
-/// buffer. The bin ranges and
-/// the interpolation weights are computed in f64 in either precision; in
-/// f64 the interpolation runs on the complex samples directly but performs
-/// bit-identical arithmetic to resampling the real and imaginary parts
-/// separately (see [`resample_to_grid_cpx_into`]).
-pub fn to_range_grid_into<T: Real>(
-    profile: &[Complex<T>],
+/// The IF-correction taps of one chirp shape, into a reusable buffer
+/// (cleared first): how each point of the common `grid` (metres) reads an
+/// `n_bins`-bin half spectrum of `chirp`, whose bins map to metres through
+/// [`bin_ranges_into`] with `n_fft`. Every chirp of a shape (with the same
+/// profile length) reads its grid through the same taps, so a frame
+/// derives them once per shape; [`apply_taps_into`] then resamples each
+/// profile, interpolating its real and imaginary parts pairwise. The bin
+/// ranges and the weights are f64 in either precision, each weight rounded
+/// once into the sample type where it is applied.
+///
+/// [`apply_taps_into`]: biscatter_dsp::resample::apply_taps_into
+pub fn range_taps_into(
     chirp: &Chirp,
     fs: f64,
     n_fft: usize,
+    n_bins: usize,
     grid: &[f64],
-    out: &mut Vec<Complex<T>>,
+    out: &mut Vec<Tap>,
 ) {
     BIN_RANGES.with(|src| {
         let mut src = src.borrow_mut();
-        bin_ranges_into(chirp, fs, n_fft, profile.len(), &mut src);
-        resample_to_grid_cpx_into(&src, profile, grid, out);
+        bin_ranges_into(chirp, fs, n_fft, n_bins, &mut src);
+        lerp_taps_into(&src, grid, out);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::range_profile::{complex_profile, power_profile};
-    use biscatter_dsp::complex::Cpx;
-    use biscatter_dsp::resample::linspace;
+    use crate::configs::RadarConfig;
+    use crate::receiver::range_profile::{complex_profile, power_profile, transform_len};
+    use biscatter_dsp::complex::{Complex, Cpx};
+    use biscatter_dsp::resample::{apply_taps_into, linspace};
     use biscatter_dsp::signal::NoiseSource;
     use biscatter_dsp::spectrum::find_peak;
+    use biscatter_dsp::Real;
     use biscatter_rf::if_gen::IfReceiver;
     use biscatter_rf::scene::{Scatterer, Scene};
 
@@ -74,9 +78,106 @@ mod tests {
         n_fft: usize,
         grid: &[f64],
     ) -> Vec<Cpx> {
+        let mut taps = Vec::new();
+        range_taps_into(chirp, fs, n_fft, profile.len(), grid, &mut taps);
         let mut out = Vec::new();
-        to_range_grid_into(profile, chirp, fs, n_fft, grid, &mut out);
+        apply_taps_into(profile, &taps, &mut out);
         out
+    }
+
+    /// IF correction before per-shape taps, kept verbatim as their oracle:
+    /// every profile maps its own bins to metres and sweeps the grid for
+    /// its brackets and weights.
+    fn to_range_grid_into<T: Real>(
+        profile: &[Complex<T>],
+        chirp: &Chirp,
+        fs: f64,
+        n_fft: usize,
+        grid: &[f64],
+        out: &mut Vec<Complex<T>>,
+    ) {
+        let mut src_grid = Vec::new();
+        bin_ranges_into(chirp, fs, n_fft, profile.len(), &mut src_grid);
+        let values = profile;
+        out.clear();
+        out.reserve(grid.len());
+        if src_grid.is_empty() {
+            out.resize(grid.len(), Complex::ZERO);
+            return;
+        }
+        let n = src_grid.len();
+        let mut i = 0usize;
+        for &x in grid {
+            while i > 0 && src_grid[i - 1] >= x {
+                i -= 1;
+            }
+            while i < n && src_grid[i] < x {
+                i += 1;
+            }
+            let v = if i == 0 {
+                values[0]
+            } else if i >= n {
+                values[n - 1]
+            } else if src_grid[i] == x {
+                values[i]
+            } else {
+                let x0 = src_grid[i - 1];
+                let x1 = src_grid[i];
+                let t = T::from_f64((x - x0) / (x1 - x0));
+                let (a, b) = (values[i - 1], values[i]);
+                Complex::new(
+                    a.re * (T::ONE - t) + b.re * t,
+                    a.im * (T::ONE - t) + b.im * t,
+                )
+            };
+            out.push(v);
+        }
+    }
+
+    /// Per-shape taps against the per-profile correction, bit for bit, for
+    /// every chirp of the 5-bit 9 GHz alphabet on the runtime's 256-bin
+    /// grid and the default 1024-bin one (profile lengths as the range FFT
+    /// makes them, the `n_fft` bin mapping included).
+    fn taps_match_per_profile_correction<T: Real>() {
+        let radar = RadarConfig::lmx2492_9ghz();
+        let alphabet = radar.cssk_alphabet(5).unwrap();
+        let fs = radar.if_sample_rate;
+        let mut checked = 0;
+        for (n_fft, n_grid) in [(256usize, 256usize), (1024, 1024)] {
+            let grid = linspace(0.0, 15.0, n_grid);
+            for &duration in alphabet.durations() {
+                let chirp = Chirp::new(alphabet.f0, alphabet.bandwidth, duration);
+                let n_bins = transform_len(chirp.if_samples(fs), n_fft) / 2 + 1;
+                let mut taps = Vec::new();
+                range_taps_into(&chirp, fs, n_fft, n_bins, &grid, &mut taps);
+                for seed in 0..3u64 {
+                    let mut noise = NoiseSource::new(seed);
+                    let profile: Vec<Complex<T>> = (0..n_bins)
+                        .map(|_| {
+                            let z = Cpx::new(noise.gaussian(), noise.gaussian());
+                            Complex::from_f64(z)
+                        })
+                        .collect();
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    apply_taps_into(&profile, &taps, &mut got);
+                    to_range_grid_into(&profile, &chirp, fs, n_fft, &grid, &mut want);
+                    let bits = |v: &[Complex<T>]| -> Vec<(u64, u64)> {
+                        v.iter()
+                            .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{duration} s, n_fft {n_fft}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 2 * 3 * alphabet.n_slopes());
+    }
+
+    #[test]
+    fn taps_match_per_profile_correction_in_both_precisions() {
+        taps_match_per_profile_correction::<f64>();
+        taps_match_per_profile_correction::<f32>();
     }
 
     fn rx() -> IfReceiver {

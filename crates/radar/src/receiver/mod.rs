@@ -37,11 +37,19 @@ pub mod uplink;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::complex::Complex;
 use biscatter_dsp::planner::{with_planner, FftPlanner};
-use biscatter_dsp::resample::linspace;
+use biscatter_dsp::resample::{apply_taps_into, linspace, Tap};
 use biscatter_dsp::Real;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::slab::SampleSlab;
+use std::cell::Cell;
 use std::sync::Arc;
+
+thread_local! {
+    /// Per-thread storage for one shape's IF-correction taps: taken out
+    /// while that shape's rows fan out (the caller runs rows too) and put
+    /// back after, so steady-state frames reuse its capacity.
+    static TAPS: Cell<Vec<Tap>> = const { Cell::new(Vec::new()) };
+}
 
 /// Receiver processing configuration.
 #[derive(Debug, Clone)]
@@ -172,12 +180,16 @@ pub fn align_frame<T: Real>(
 
 /// [`align_frame`] on an explicit pool, recycling `out`'s buffers.
 ///
-/// Chirps fan out across `pool` (each is an independent FFT + resample
-/// writing its own profile row, so the parallel result is bit-identical to
-/// the serial loop); the background subtraction stays serial. The range grid
-/// `Arc`, the per-chirp profile vectors, and the per-thread spectrum scratch
-/// (lent by the precision's planner) are reused across calls, which makes
-/// repeated frames allocation-free in steady state.
+/// The IF correction's taps (which bins bracket each grid point, and with
+/// what weight) depend only on a chirp's shape and profile length, so they
+/// are derived once per shape ([`ChirpTrain::shape`]) on the calling thread;
+/// then that shape's chirps fan out across `pool` (each an independent FFT +
+/// resample writing its own profile row, so the parallel result is
+/// bit-identical to the serial loop). The background subtraction stays
+/// serial. The range grid `Arc`, the per-chirp profile vectors, the taps and
+/// the per-thread spectrum scratch (lent by the precision's planner) are
+/// reused across calls, which makes repeated frames allocation-free in
+/// steady state.
 pub fn align_frame_into<T: Real>(
     pool: &ComputePool,
     cfg: &RxConfig,
@@ -210,33 +222,56 @@ pub fn align_frame_into<T: Real>(
     out.profiles.resize_with(train.len(), Vec::new);
 
     let grid: &[f64] = &out.range_grid;
-    let slots = train.slots();
-    pool.par_chunks(&mut out.profiles, 1, |c, row| {
-        let samples = if_per_chirp.row(c);
+    let row_spectrum = |c: usize, f: &mut dyn FnMut(&[Complex<T>])| {
         with_planner(|p: &mut FftPlanner<T>| {
             p.with_cpx_scratch(0, |p, spectrum| {
-                range_profile::complex_profile_into(p, samples, cfg.n_fft, spectrum);
-                let profile = &mut row[0];
-                if cfg.if_correction {
-                    if_correction::to_range_grid_into(
-                        spectrum,
-                        &slots[c].chirp,
-                        cfg.if_sample_rate,
-                        cfg.n_fft,
-                        grid,
-                        profile,
-                    );
-                } else {
-                    // Uncorrected: reinterpret raw bins as if they were the
-                    // grid (truncate/pad), reproducing the paper's Fig. 7(a)
-                    // ambiguity.
-                    profile.clear();
-                    profile.extend(spectrum.iter().take(grid.len()));
-                    profile.resize(grid.len(), Complex::ZERO);
-                }
+                range_profile::complex_profile_into(p, if_per_chirp.row(c), cfg.n_fft, spectrum);
+                f(spectrum);
             })
         });
-    });
+    };
+    if cfg.if_correction {
+        // A row's taps follow from its chirp and its profile length, so
+        // they are derived once per (shape, length) before those rows fan
+        // out; the buffer leaves its thread-local while they do.
+        let bins =
+            |c: usize| range_profile::transform_len(if_per_chirp.row(c).len(), cfg.n_fft) / 2 + 1;
+        let mut taps = TAPS.take();
+        for (r, slot) in train.slots().iter().enumerate() {
+            let shape = train.shape(r);
+            let of_r = |c: usize| train.shape(c) == shape && bins(c) == bins(r);
+            if (shape..r).any(of_r) {
+                continue;
+            }
+            if_correction::range_taps_into(
+                &slot.chirp,
+                cfg.if_sample_rate,
+                cfg.n_fft,
+                bins(r),
+                grid,
+                &mut taps,
+            );
+            pool.par_chunks(&mut out.profiles, 1, |c, row| {
+                if of_r(c) {
+                    row_spectrum(c, &mut |spectrum| {
+                        apply_taps_into(spectrum, &taps, &mut row[0])
+                    });
+                }
+            });
+        }
+        TAPS.set(taps);
+    } else {
+        // Uncorrected: reinterpret raw bins as if they were the grid
+        // (truncate/pad), reproducing the paper's Fig. 7(a) ambiguity.
+        pool.par_chunks(&mut out.profiles, 1, |c, row| {
+            row_spectrum(c, &mut |spectrum| {
+                let profile = &mut row[0];
+                profile.clear();
+                profile.extend(spectrum.iter().take(grid.len()));
+                profile.resize(grid.len(), Complex::ZERO);
+            });
+        });
+    }
 
     if cfg.background_subtraction {
         out.subtract_background();

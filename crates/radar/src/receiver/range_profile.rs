@@ -41,7 +41,7 @@ pub fn complex_profile_into<T: Real>(
     out: &mut Vec<Complex<T>>,
 ) {
     let n = if_samples.len();
-    let n_fft = next_pow2(n_fft.max(n));
+    let n_fft = transform_len(n, n_fft);
     if n == 0 {
         out.clear();
         out.resize(n_fft / 2 + 1, Complex::ZERO);
@@ -58,6 +58,13 @@ pub fn complex_profile_into<T: Real>(
             *z = z.scale(norm);
         }
     });
+}
+
+/// The length [`complex_profile_into`] transforms `n_samples` samples at:
+/// `n_fft`, grown to the next power of two that holds them all. The profile
+/// has `transform_len(..) / 2 + 1` bins.
+pub fn transform_len(n_samples: usize, n_fft: usize) -> usize {
+    next_pow2(n_fft.max(n_samples))
 }
 
 /// Power profile (|X|²) of the half spectrum.

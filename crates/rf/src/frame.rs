@@ -90,6 +90,22 @@ impl ChirpTrain {
         self.slots.iter().map(|s| s.period()).sum()
     }
 
+    /// Slot `i`'s shape: the index of the first slot whose chirp is bit-equal
+    /// to slot `i`'s (`f0`, `bandwidth` and `duration` bits). Slots of one
+    /// shape dechirp a static reflector to the same IF tone and map their
+    /// range bins through the same IF correction, so the receive chain
+    /// derives both once per shape. A header-padded ISAC frame has a handful
+    /// of shapes: the 128-chirp `paper_9ghz` frame has 6, 119 of its slots
+    /// sharing the header's.
+    pub fn shape(&self, i: usize) -> usize {
+        let bits = |c: &Chirp| [c.f0, c.bandwidth, c.duration].map(f64::to_bits);
+        let key = bits(&self.slots[i].chirp);
+        self.slots[..i]
+            .iter()
+            .position(|s| bits(&s.chirp) == key)
+            .unwrap_or(i)
+    }
+
     /// Start time of slot `i` relative to the train start.
     pub fn slot_start(&self, i: usize) -> f64 {
         self.slots[..i].iter().map(|s| s.period()).sum()
@@ -154,6 +170,26 @@ mod tests {
 
     fn chirp(dur_us: f64) -> Chirp {
         Chirp::new(9e9, 1e9, dur_us * 1e-6)
+    }
+
+    #[test]
+    fn shape_is_the_first_bit_equal_slot() {
+        let chirps = [
+            chirp(80.0),
+            chirp(40.0),
+            chirp(80.0),
+            chirp(60.0),
+            chirp(40.0),
+            Chirp::new(9.5e9, 1e9, 80e-6),
+            chirp(80.0),
+        ];
+        let train = ChirpTrain::with_fixed_period(&chirps, 100e-6).unwrap();
+        let shapes: Vec<usize> = (0..train.len()).map(|i| train.shape(i)).collect();
+        assert_eq!(shapes, [0, 1, 0, 3, 1, 5, 0]);
+        // Bits, not `==`: a negative zero carrier is its own shape.
+        let signed = [Chirp::new(0.0, 1e9, 80e-6), Chirp::new(-0.0, 1e9, 80e-6)];
+        let train = ChirpTrain::with_fixed_period(&signed, 100e-6).unwrap();
+        assert_eq!((train.shape(0), train.shape(1)), (0, 1));
     }
 
     #[test]

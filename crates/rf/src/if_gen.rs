@@ -15,84 +15,167 @@
 //! evaluated at *absolute* time so the switch waveform is continuous across
 //! chirps — exactly what the radar's slow-time FFT later exploits.
 //!
-//! Each scatterer's tone is synthesized with a complex phase oscillator (one
+//! Each scatterer's unit tone is written by a complex phase oscillator (one
 //! complex multiply per sample, renormalized every 256 samples) instead of a
-//! per-sample `cos()`, and a tag's switch is evaluated once per switch edge
-//! rather than once per sample: its amplitudes are filled by runs, and a
-//! chirp that sees one level (every unmodulated scatterer, and a tag between
-//! two edges) takes the oscillator's constant-amplitude branch.
+//! per-sample `cos()`, and a chirp's samples are the level-weighted sum of
+//! its scatterers' tones, added in scene order a few tones per pass. A tag's
+//! switch is evaluated once per switch edge rather than once per sample: its
+//! level comes as runs, and a pass runs over stretches of samples in which
+//! none of its tones changes level. A static reflector's tone depends only
+//! on the chirp's shape, so a train fills it once per shape and antenna and
+//! every slot of that shape reads it; a moving one's tone is filled per
+//! slot (DESIGN.md §9.2).
 
 use crate::chirp::Chirp;
+use crate::frame::ChirpTrain;
 use crate::scene::{Scatterer, Scene, SwitchState};
 use crate::slab::SampleSlab;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
+use biscatter_dsp::simd::TONES_PER_PASS;
 use biscatter_dsp::{Cpx, Real, SPEED_OF_LIGHT, TAU};
 
-/// Per-scatterer dechirp geometry at one chirp start: the IF tone phasor
-/// rotation and starting phase. `None` when the scatterer is behind the
-/// radar.
-#[inline]
-fn scatterer_tone(s: &Scatterer, chirp: &Chirp, fs: f64, t_start: f64) -> Option<(f64, Cpx)> {
-    // Range (hence delay) at the chirp start; intra-chirp motion is
-    // negligible at indoor velocities (µm over 100 µs).
-    let r = s.range_at(t_start);
-    if r <= 0.0 {
-        return None;
-    }
-    let alpha = chirp.slope();
-    let tau = 2.0 * r / SPEED_OF_LIGHT;
-    let f_if = alpha * tau;
-    let phase0 = TAU * (chirp.f0 * tau - 0.5 * alpha * tau * tau);
-    Some((phase0, Cpx::cis(TAU * f_if / fs)))
+/// Tone samples one table holds, over all the scatterers of a group: 256 KiB
+/// in f64. A scene whose tones for one shape need more is synthesized in
+/// groups of consecutive scatterers.
+const TONE_TABLE_SAMPLES: usize = 1 << 15;
+
+/// Scatterers per group for `n`-sample chirps (`n > 0`).
+fn group_len(n: usize) -> usize {
+    (TONE_TABLE_SAMPLES / n).max(1)
 }
 
-/// A scatterer's amplitude over one chirp, `s.amplitude_at(t_start + i/fs)`
-/// rounded once into the sample precision, in the form
-/// [`Real::osc_accum`] takes it: `(None, level)` when one level covers the
-/// whole chirp (`amps` untouched), otherwise `(Some(amps), _)` with `amps`
-/// filled sample by sample.
+/// Whether a scatterer is behind the radar (and so contributes nothing) in
+/// a chirp starting at `t_start`.
+fn behind_radar(s: &Scatterer, t_start: f64) -> bool {
+    s.range_at(t_start) <= 0.0
+}
+
+/// Whether a scatterer's tone is the same in every slot of a shape: without
+/// motion, `range_at` is `range_m` at every slot start, so the tone's
+/// starting phase and rotation have the same bits in every slot.
+fn is_static(s: &Scatterer) -> bool {
+    s.velocity_mps == 0.0
+}
+
+/// One chirp shape as antenna `k` of a uniform linear array with
+/// `spacing_wavelengths` element pitch receives it at sample rate `fs`:
+/// everything a scatterer's IF tone depends on besides the chirp's start
+/// time (`k = 0` is the single-antenna receiver).
+#[derive(Clone, Copy)]
+struct Reception<'a> {
+    chirp: &'a Chirp,
+    fs: f64,
+    k: usize,
+    spacing_wavelengths: f64,
+}
+
+impl Reception<'_> {
+    /// Per-scatterer dechirp geometry at one chirp start: the IF tone's
+    /// starting phasor, advanced by `k · 2π d_λ sin θ` (the narrowband
+    /// array model), and its per-sample rotation. `None` when the scatterer
+    /// is behind the radar.
+    #[inline]
+    fn tone(&self, s: &Scatterer, t_start: f64) -> Option<(Cpx, Cpx)> {
+        // Range (hence delay) at the chirp start; intra-chirp motion is
+        // negligible at indoor velocities (µm over 100 µs).
+        if behind_radar(s, t_start) {
+            return None;
+        }
+        let r = s.range_at(t_start);
+        let alpha = self.chirp.slope();
+        let tau = 2.0 * r / SPEED_OF_LIGHT;
+        let f_if = alpha * tau;
+        let phase0 = TAU * (self.chirp.f0 * tau - 0.5 * alpha * tau * tau);
+        let array_phase = TAU * self.spacing_wavelengths * s.azimuth_rad.sin();
+        Some((
+            Cpx::cis(phase0 + self.k as f64 * array_phase),
+            Cpx::cis(TAU * f_if / self.fs),
+        ))
+    }
+
+    /// Writes a static scatterer's unit tone for this shape into its table
+    /// slot; movers and scatterers behind the radar leave theirs unwritten.
+    fn fill_static<T: Real>(&self, tone: &mut [T], s: &Scatterer, t_start: f64) {
+        if is_static(s) {
+            if let Some((ph0, rot)) = self.tone(s, t_start) {
+                T::tone_fill(tone, ph0, rot);
+            }
+        }
+    }
+}
+
+/// A scatterer's amplitude over one `n`-sample chirp,
+/// `s.amplitude_at(t_start + i/fs)`, as runs of one level: `(end, level)`
+/// pairs whose ends increase to `n` (an empty chirp is one run ending at
+/// 0). The row rounds each level once into the sample precision.
 ///
 /// The switch state is evaluated in f64 (absolute-time switch phase needs
 /// the precision), but only at run edges, not at every sample: sample times
 /// grow with `i`, so each state of [`switch_state`] covers one contiguous
 /// run of samples. A chirp whose first and last samples share a state is
 /// therefore a single run. Otherwise each run's end is found by galloping
-/// out from its start and bisecting on the exact per-sample state, and the
-/// run is filled with its level — so every sample gets the level the
-/// per-sample evaluation gives it, at a few state evaluations per switch
-/// edge instead of one per sample.
+/// out from its start and bisecting on the exact per-sample state — so every
+/// sample gets the level the per-sample evaluation gives it, at a few state
+/// evaluations per switch edge instead of one per sample.
 ///
 /// [`switch_state`]: crate::scene::TagModulation::switch_state
-fn switched_amplitudes<'a, T: Real>(
-    s: &Scatterer,
+struct SwitchRuns<'a> {
+    s: &'a Scatterer,
     t_start: f64,
     fs: f64,
-    amps: &'a mut [T],
-) -> (Option<&'a [T]>, T) {
-    let state = |i: usize| s.modulation.switch_state(t_start + i as f64 / fs);
-    let level = |st: SwitchState| {
-        T::from_f64(if st.reflective {
-            s.amplitude
-        } else {
-            s.amplitude * s.leak
-        })
-    };
-    let n = amps.len();
-    let first = state(0);
-    let last = state(n.saturating_sub(1));
-    if first == last {
-        return (None, level(first));
+    n: usize,
+    /// The next run's start and state; `None` once the last run is out.
+    next: Option<(usize, SwitchState)>,
+    /// The state of the chirp's last sample, which the last run has.
+    last: SwitchState,
+}
+
+impl<'a> SwitchRuns<'a> {
+    fn new(s: &'a Scatterer, t_start: f64, fs: f64, n: usize) -> Self {
+        let state = |i: usize| s.modulation.switch_state(t_start + i as f64 / fs);
+        SwitchRuns {
+            s,
+            t_start,
+            fs,
+            n,
+            next: Some((0, state(0))),
+            last: state(n.saturating_sub(1)),
+        }
     }
-    let (mut start, mut run) = (0, first);
-    while run != last {
+
+    #[inline]
+    fn state(&self, i: usize) -> SwitchState {
+        self.s
+            .modulation
+            .switch_state(self.t_start + i as f64 / self.fs)
+    }
+
+    fn level(&self, st: SwitchState) -> f64 {
+        if st.reflective {
+            self.s.amplitude
+        } else {
+            self.s.amplitude * self.s.leak
+        }
+    }
+}
+
+impl Iterator for SwitchRuns<'_> {
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        let (start, run) = self.next?;
+        if run == self.last {
+            self.next = None;
+            return Some((self.n, self.level(run)));
+        }
         // `state(start)` is `run` and `state(n − 1)` is not. Gallop out
-        // until a probe leaves the run, then bisect: `lo` stays in the
-        // run and `hi` past it, with `next = state(hi)`.
-        let (mut lo, mut hi, mut next, mut step) = (start, n - 1, last, 1);
+        // until a probe leaves the run, then bisect: `lo` stays in the run
+        // and `hi` past it, with `next = state(hi)`.
+        let (mut lo, mut hi, mut next, mut step) = (start, self.n - 1, self.last, 1);
         while lo + step < hi {
-            let st = state(lo + step);
+            let st = self.state(lo + step);
             if st != run {
                 (hi, next) = (lo + step, st);
                 break;
@@ -102,61 +185,138 @@ fn switched_amplitudes<'a, T: Real>(
         }
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            let st = state(mid);
+            let st = self.state(mid);
             if st == run {
                 lo = mid;
             } else {
                 (hi, next) = (mid, st);
             }
         }
-        amps[start..hi].fill(level(run));
-        (start, run) = (hi, next);
+        self.next = Some((hi, next));
+        Some((hi, self.level(run)))
     }
-    amps[start..].fill(level(run));
-    (Some(amps), level(first))
+}
+
+/// Adds one pass of tones to `out`, each weighted by its scatterer's level
+/// runs: the fused kernel runs once per stretch of samples in which no tone
+/// of the pass changes level.
+fn add_pass<T: Real>(out: &mut [T], tones: &[&[T]], runs: &mut [Option<SwitchRuns<'_>>]) {
+    let m = tones.len();
+    let next_run = |r: &mut Option<SwitchRuns<'_>>| {
+        let (end, level) = r
+            .as_mut()
+            .and_then(Iterator::next)
+            .expect("level runs reach the end of the chirp");
+        (end, T::from_f64(level))
+    };
+    let mut cur = [(0usize, T::ZERO); TONES_PER_PASS];
+    for (c, r) in cur.iter_mut().zip(runs.iter_mut()) {
+        *c = next_run(r);
+    }
+    let n = out.len();
+    let mut lo = 0;
+    while lo < n {
+        let hi = cur[..m].iter().map(|c| c.0).min().unwrap_or(n);
+        let levels = cur.map(|c| c.1);
+        let seg: [&[T]; TONES_PER_PASS] =
+            std::array::from_fn(|g| tones.get(g).map_or(&[][..], |t| &t[lo..hi]));
+        T::tones_accum(&mut out[lo..hi], &seg[..m], &levels[..m]);
+        for (c, r) in cur[..m].iter_mut().zip(runs.iter_mut()) {
+            if c.0 == hi && hi < n {
+                *c = next_run(r);
+            }
+        }
+        lo = hi;
+    }
+}
+
+/// Adds the tones of `group` — consecutive scatterers of the scene, in
+/// scene order — to `out`, one chirp of `rx`'s shape starting at
+/// `t_start`. `table` holds the group's static tones for this shape and
+/// antenna, scatterer `j` at `table[j·n..(j+1)·n]`; movers' tones depend on
+/// `t_start`, so they are filled here, into this thread's scratch. Each
+/// sample becomes `((out + a₀·t₀) + a₁·t₁) + …` over the scatterers in front
+/// of the radar, whatever the group and pass boundaries — the sum of adding
+/// one tone at a time.
+fn synth_row<T: Real>(
+    out: &mut [T],
+    table: &[T],
+    group: &[Scatterer],
+    rx: Reception<'_>,
+    t_start: f64,
+) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    let movers = group.iter().filter(|s| !is_static(s)).count();
+    with_planner(|p: &mut FftPlanner<T>| {
+        p.with_real_scratch(movers.min(TONES_PER_PASS) * n, |_, scratch| {
+            let mut rest = group.iter().enumerate();
+            loop {
+                let mut slots = scratch.chunks_exact_mut(n);
+                let mut tones: [&[T]; TONES_PER_PASS] = [&[]; TONES_PER_PASS];
+                let mut runs: [Option<SwitchRuns<'_>>; TONES_PER_PASS] = Default::default();
+                let mut m = 0;
+                for (j, s) in rest.by_ref() {
+                    tones[m] = if is_static(s) {
+                        if behind_radar(s, t_start) {
+                            continue;
+                        }
+                        &table[j * n..(j + 1) * n]
+                    } else {
+                        let Some((ph0, rot)) = rx.tone(s, t_start) else {
+                            continue;
+                        };
+                        let slot = slots.next().expect("one scratch tone per mover of a pass");
+                        T::tone_fill(slot, ph0, rot);
+                        slot
+                    };
+                    runs[m] = Some(SwitchRuns::new(s, t_start, rx.fs, n));
+                    m += 1;
+                    if m == TONES_PER_PASS {
+                        break;
+                    }
+                }
+                if m == 0 {
+                    break;
+                }
+                add_pass(out, &tones[..m], &mut runs[..m]);
+            }
+        })
+    });
 }
 
 /// Synthesizes one chirp's noiseless IF signal into `out` (assumed zeroed)
-/// at antenna `k` of a uniform linear array with `spacing_wavelengths`
-/// element pitch: the sum of every scatterer's oscillator tone, in scene
-/// order, each starting phase advanced by `k · 2π d_λ sin θ` (the
-/// narrowband array model; `k = 0` is the single-antenna receiver). Pure —
-/// consumes no RNG state — so chirps can be synthesized in any order (or in
-/// parallel) and still produce bit-identical samples.
+/// as `rx` receives it: the sum of every scatterer's oscillator tone, in
+/// scene order. Pure — consumes no RNG state — so chirps can be synthesized in
+/// any order (or in parallel) and still produce bit-identical samples. The
+/// train path builds its rows from the same two steps, with each shape's
+/// static tones filled once for all its rows.
 ///
 /// Each tone is a phase oscillator `ph ← ph · rot` (`rot = e^{i 2π f_IF /
 /// fs}`) whose inner loop lives in `biscatter_dsp::simd` behind runtime
 /// dispatch: the serial recurrence is blocked into independent phase
-/// streams (four in f64, eight in f32) renormalized every 256 samples, with
-/// the amplitude taken per sample for chirps a tag's switch toggles in and
-/// hoisted for one-level ones. In f64 the error bound is the serial
-/// recurrence's — amplitude drift ≤ ~`2Rε ≈ 1.1e-13` relative between
-/// renormalizations, phase drift ~`nε` radians over an `n`-sample chirp —
-/// and the result is bit-identical across dispatch tiers (DESIGN.md §9 and
-/// §14). Geometry is always f64; only the per-sample accumulation runs in
-/// `T`.
-fn synth_chirp<T: Real>(
-    out: &mut [T],
-    chirp: &Chirp,
-    scene: &Scene,
-    fs: f64,
-    t_start: f64,
-    k: usize,
-    spacing_wavelengths: f64,
-) {
-    with_planner(|p: &mut FftPlanner<T>| {
-        p.with_real_scratch(out.len(), |_, amps| {
-            for s in &scene.scatterers {
-                let Some((phase0, rot)) = scatterer_tone(s, chirp, fs, t_start) else {
-                    continue;
-                };
-                let array_phase = TAU * spacing_wavelengths * s.azimuth_rad.sin();
-                let (amps, level) = switched_amplitudes(s, t_start, fs, &mut amps[..]);
-                let ph0 = Cpx::cis(phase0 + k as f64 * array_phase);
-                T::osc_accum(out, amps, level, ph0, rot);
-            }
-        })
-    });
+/// streams (four in f64, eight in f32) renormalized every 256 samples. In
+/// f64 the error bound is the serial recurrence's — amplitude drift ≤
+/// ~`2Rε ≈ 1.1e-13` relative between renormalizations, phase drift ~`nε`
+/// radians over an `n`-sample chirp — and the result is bit-identical
+/// across dispatch tiers (DESIGN.md §9 and §14). Geometry is always f64;
+/// only the per-sample tones and sums run in `T`.
+fn synth_chirp<T: Real>(out: &mut [T], scene: &Scene, rx: Reception<'_>, t_start: f64) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    let mut table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
+    for group in scene.scatterers.chunks(group_len(n)) {
+        table.resize(group.len() * n, T::ZERO);
+        for (tone, s) in table.chunks_exact_mut(n).zip(group) {
+            rx.fill_static(tone, s, t_start);
+        }
+        synth_row(out, &table, group, rx, t_start);
+    }
+    with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
 }
 
 /// IF receiver parameters.
@@ -187,7 +347,13 @@ impl IfReceiver {
     ) -> Vec<f64> {
         let n = chirp.if_samples(self.sample_rate_hz);
         let mut out = vec![0.0f64; n];
-        synth_chirp(&mut out, chirp, scene, self.sample_rate_hz, t_start, 0, 0.0);
+        let rx = Reception {
+            chirp,
+            fs: self.sample_rate_hz,
+            k: 0,
+            spacing_wavelengths: 0.0,
+        };
+        synth_chirp(&mut out, scene, rx, t_start);
         if self.noise_sigma > 0.0 {
             noise.add_awgn(&mut out, self.noise_sigma);
         }
@@ -201,7 +367,7 @@ impl IfReceiver {
     /// per antenna. The oracle the array-synthesis tests check
     /// [`IfReceiver::dechirp_train_array_into`] against.
     #[cfg(test)]
-    fn dechirp_array(
+    fn dechirp_array<T: Real>(
         &self,
         chirp: &Chirp,
         scene: &Scene,
@@ -209,19 +375,17 @@ impl IfReceiver {
         n_rx: usize,
         spacing_wavelengths: f64,
         noise: &mut NoiseSource,
-    ) -> Vec<Vec<f64>> {
+    ) -> Vec<Vec<T>> {
         let n = chirp.if_samples(self.sample_rate_hz);
-        let mut out = vec![vec![0.0f64; n]; n_rx];
-        for (k, rx) in out.iter_mut().enumerate() {
-            synth_chirp(
-                rx,
+        let mut out = vec![vec![T::ZERO; n]; n_rx];
+        for (k, row) in out.iter_mut().enumerate() {
+            let rx = Reception {
                 chirp,
-                scene,
-                self.sample_rate_hz,
-                t_start,
+                fs: self.sample_rate_hz,
                 k,
                 spacing_wavelengths,
-            );
+            };
+            synth_chirp(row, scene, rx, t_start);
         }
         if self.noise_sigma > 0.0 {
             for rx in out.iter_mut() {
@@ -237,7 +401,7 @@ impl IfReceiver {
     /// [`ComputePool`].
     pub fn dechirp_train(
         &self,
-        train: &crate::frame::ChirpTrain,
+        train: &ChirpTrain,
         scene: &Scene,
         t_frame_start: f64,
         noise: &mut NoiseSource,
@@ -268,7 +432,7 @@ impl IfReceiver {
     pub fn dechirp_train_into<T: Real>(
         &self,
         pool: &ComputePool,
-        train: &crate::frame::ChirpTrain,
+        train: &ChirpTrain,
         scene: &Scene,
         t_frame_start: f64,
         noise: &mut NoiseSource,
@@ -290,11 +454,15 @@ impl IfReceiver {
     /// antenna (`out.len()` antennas; antenna `k` fills `out[k]`). A
     /// scatterer at azimuth `θ` arrives at antenna `k` with an extra phase of
     /// `2π k d_λ sin θ` (the narrowband array model); noise is independent
-    /// per antenna. Each slab's rows fan out across `pool`.
+    /// per antenna. Per antenna and chirp shape ([`ChirpTrain::shape`]),
+    /// every static scatterer's tone is filled once (the fills fan out
+    /// across `pool`), and then that shape's rows fan out, each adding the
+    /// tones in scene order.
     ///
     /// Bit-identical to the serial chirp-by-chirp path: tone synthesis
     /// consumes no RNG (each row's samples are the same floating-point ops
-    /// in the same order regardless of scheduling), and the stateful noise
+    /// in the same order regardless of scheduling, and a static scatterer's
+    /// tone has the same bits in every slot of a shape), and the stateful noise
     /// source is applied afterwards on the caller thread in the serial
     /// order — chirp-major, antenna-minor, exactly as a per-chirp loop
     /// would (the unit tests keep that loop as the oracle).
@@ -304,7 +472,7 @@ impl IfReceiver {
     pub fn dechirp_train_array_into<T: Real>(
         &self,
         pool: &ComputePool,
-        train: &crate::frame::ChirpTrain,
+        train: &ChirpTrain,
         scene: &Scene,
         t_frame_start: f64,
         spacing_wavelengths: f64,
@@ -313,21 +481,40 @@ impl IfReceiver {
     ) {
         let fs = self.sample_rate_hz;
         let slots = train.slots();
+        let mut table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
         for (k, slab) in out.iter_mut().enumerate() {
             slab.layout_rows(slots.iter().map(|s| s.chirp.if_samples(fs)));
             let (offsets, data) = slab.parts_mut();
-            pool.par_ragged(data, offsets, |c, row| {
-                synth_chirp(
-                    row,
-                    &slots[c].chirp,
-                    scene,
+            // A shape's static tones are filled once, before its rows fan
+            // out; a row of another shape is left for that shape's pass.
+            for shape in (0..slots.len()).filter(|&c| train.shape(c) == c) {
+                let chirp = &slots[shape].chirp;
+                let n = chirp.if_samples(fs);
+                if n == 0 {
+                    continue;
+                }
+                let rx = Reception {
+                    chirp,
                     fs,
-                    t_frame_start + train.slot_start(c),
                     k,
                     spacing_wavelengths,
-                );
-            });
+                };
+                let t_shape = t_frame_start + train.slot_start(shape);
+                for group in scene.scatterers.chunks(group_len(n)) {
+                    table.resize(group.len() * n, T::ZERO);
+                    pool.par_chunks(&mut table, n, |j, tone| {
+                        rx.fill_static(tone, &group[j], t_shape);
+                    });
+                    pool.par_ragged(data, offsets, |c, row| {
+                        if train.shape(c) == shape {
+                            let t_start = t_frame_start + train.slot_start(c);
+                            synth_row(row, &table, group, rx, t_start);
+                        }
+                    });
+                }
+            }
         }
+        with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
         if self.noise_sigma > 0.0 {
             for c in 0..slots.len() {
                 for slab in out.iter_mut() {
@@ -341,7 +528,6 @@ impl IfReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::ChirpTrain;
     use crate::scene::{Scatterer, TagModulation};
     use biscatter_dsp::spectrum::{find_peak, periodogram};
     use biscatter_dsp::window::WindowKind;
@@ -586,6 +772,134 @@ mod tests {
         }
     }
 
+    /// Clutter, then an OOK tag with bits, a mover, a subcarrier tag and a
+    /// scatterer behind the radar, spread in azimuth for the array.
+    fn memo_scene() -> Scene {
+        let mut clutter = Scatterer::clutter(2.0, 3.0);
+        clutter.azimuth_rad = 0.1;
+        let mut ook = Scatterer::tag(3.5, 0.8, 2500.0);
+        ook.modulation = TagModulation::OokBits {
+            freq_hz: 2500.0,
+            bit_duration_s: 310e-6,
+            bits: vec![true, false, true, true, false],
+        };
+        ook.azimuth_rad = 0.25;
+        let mut subcarrier = Scatterer::tag(5.0, 1.2, 1700.0);
+        subcarrier.azimuth_rad = -0.4;
+        Scene::new()
+            .with(clutter)
+            .with(ook)
+            .with(Scatterer::mover(6.0, -1.5, 0.5))
+            .with(subcarrier)
+            .with(Scatterer::clutter(-1.0, 2.0))
+    }
+
+    /// The dechirp before shapes and passes, kept as the oracle of every
+    /// row: each scatterer's tone filled on its own and added sample by
+    /// sample, `out[i] += amp_i · tone[i]`, in scene order, with `amp_i`
+    /// from the per-sample fill.
+    fn one_tone_at_a_time<T: Real>(
+        n: usize,
+        scene: &Scene,
+        rx: Reception<'_>,
+        t_start: f64,
+    ) -> Vec<T> {
+        let mut out = vec![T::ZERO; n];
+        let mut tone = vec![T::ZERO; n];
+        let mut buf = vec![T::ZERO; n];
+        for s in &scene.scatterers {
+            let Some((ph0, rot)) = rx.tone(s, t_start) else {
+                continue;
+            };
+            T::tone_fill(&mut tone, ph0, rot);
+            let amps = per_sample_amplitudes(s, t_start, rx.fs, &mut buf)
+                .map_or_else(|| vec![T::from_f64(s.amplitude); n], <[T]>::to_vec);
+            for ((o, &t), &a) in out.iter_mut().zip(&tone).zip(&amps) {
+                *o += a * t;
+            }
+        }
+        out
+    }
+
+    /// The train path, which fills each shape's static tones once, against
+    /// a per-chirp loop over the array oracle, bit for bit: at every pool
+    /// size, on both antennas, in both precisions. Every per-chirp row also
+    /// equals the one-tone-at-a-time sum.
+    fn memoised_train_matches_per_chirp<T: Real>(train: &ChirpTrain) {
+        let scene = memo_scene();
+        let receiver = IfReceiver {
+            sample_rate_hz: 2e6,
+            noise_sigma: 0.05,
+        };
+        let (fs, n_rx, spacing) = (receiver.sample_rate_hz, 2usize, 0.5);
+        let mut n_ref = NoiseSource::new(41);
+        let reference: Vec<Vec<Vec<T>>> = train
+            .iter_timed()
+            .map(|(t0, slot)| {
+                receiver.dechirp_array(&slot.chirp, &scene, t0, n_rx, spacing, &mut n_ref)
+            })
+            .collect();
+        for (t0, slot) in train.iter_timed() {
+            let n = slot.chirp.if_samples(fs);
+            for k in 0..n_rx {
+                let mut row = vec![T::ZERO; n];
+                let rx = Reception {
+                    chirp: &slot.chirp,
+                    fs,
+                    k,
+                    spacing_wavelengths: spacing,
+                };
+                synth_chirp(&mut row, &scene, rx, t0);
+                let want = one_tone_at_a_time::<T>(n, &scene, rx, t0);
+                assert_eq!(row, want, "chirp at {t0} rx {k}");
+            }
+        }
+        for threads in [1usize, 2, 4] {
+            let pool = ComputePool::new(threads);
+            let mut noise = NoiseSource::new(41);
+            let mut slabs = vec![SampleSlab::<T>::new(); n_rx];
+            receiver.dechirp_train_array_into(
+                &pool, train, &scene, 0.0, spacing, &mut noise, &mut slabs,
+            );
+            for (c, per_antenna) in reference.iter().enumerate() {
+                for (k, want) in per_antenna.iter().enumerate() {
+                    assert_eq!(
+                        slabs[k].row(c),
+                        &want[..],
+                        "{}: chirp {c} rx {k}, {threads} threads",
+                        std::any::type_name::<T>()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_train_matches_per_chirp_oracle() {
+        // Repeated shapes interleaved with single-slot ones.
+        let chirp = |us: f64| Chirp::new(9e9, 1e9, us * 1e-6);
+        let (h, a, b, c) = (chirp(80.0), chirp(61.5), chirp(45.0), chirp(33.0));
+        let chirps = [h, h, a, h, b, a, c, h, h, b, h];
+        let train = ChirpTrain::with_fixed_period(&chirps, 100e-6).unwrap();
+        let shapes: Vec<usize> = (0..train.len()).map(|i| train.shape(i)).collect();
+        assert_eq!(shapes, [0, 0, 2, 0, 4, 2, 6, 0, 0, 4, 0]);
+        memoised_train_matches_per_chirp::<f64>(&train);
+        memoised_train_matches_per_chirp::<f32>(&train);
+    }
+
+    #[test]
+    fn long_chirps_synthesize_in_scatterer_groups() {
+        // 11,000-sample chirps: a table holds two scatterers' tones, so the
+        // five-scatterer scene runs as three groups per shape.
+        let long = Chirp::new(9e9, 1e9, 5.5e-3);
+        assert_eq!(long.if_samples(2e6), 11_000);
+        assert_eq!(group_len(11_000), 2);
+        let chirps = [long, Chirp::new(9e9, 1e9, 2e-3), long, long];
+        let train = ChirpTrain::with_fixed_period(&chirps, 7e-3).unwrap();
+        memoised_train_matches_per_chirp::<f64>(&train);
+        memoised_train_matches_per_chirp::<f32>(&train);
+    }
+
     #[test]
     fn f32_train_tracks_f64_noiseless() {
         let chirps = vec![Chirp::new(9e9, 1e9, 80e-6); 6];
@@ -654,9 +968,9 @@ mod tests {
         assert!(samples.iter().all(|&x| x == 0.0));
     }
 
-    /// The per-sample amplitude fill that `switched_amplitudes` replaced,
-    /// kept verbatim as its oracle: every sample re-derives the switch
-    /// state from `t_start + i/fs`. `None` means the constant amplitude
+    /// The per-sample amplitude fill that the level runs replaced, kept
+    /// verbatim as their oracle: every sample re-derives the switch state
+    /// from `t_start + i/fs`. `None` means the constant amplitude
     /// `s.amplitude`.
     fn per_sample_amplitudes<'a, T: Real>(
         s: &Scatterer,
@@ -723,19 +1037,24 @@ mod tests {
         Some(amps)
     }
 
-    /// Asserts that the run fill hands the oscillator the oracle's
-    /// amplitude bits at every one of `n` samples, and that a one-level
-    /// chirp leaves the buffer unwritten. Returns whether it was one level.
+    /// Asserts that the level runs, expanded, give the oracle's amplitude
+    /// bits at every one of `n` samples, with run ends increasing to `n`.
+    /// Returns whether the chirp was one run.
     fn assert_fill_matches<T: Real>(s: &Scatterer, t_start: f64, fs: f64, n: usize) -> bool {
         let mut oracle = vec![T::ZERO; n];
         let want = match per_sample_amplitudes(s, t_start, fs, &mut oracle) {
             Some(a) => a.to_vec(),
             None => vec![T::from_f64(s.amplitude); n],
         };
-        let mut buf = vec![T::from_f64(f64::NAN); n];
-        let (amps, level) = switched_amplitudes(s, t_start, fs, &mut buf);
-        let one_level = amps.is_none();
-        let got = amps.map_or_else(|| vec![level; n], <[T]>::to_vec);
+        let runs: Vec<(usize, T)> = SwitchRuns::new(s, t_start, fs, n)
+            .map(|(end, level)| (end, T::from_f64(level)))
+            .collect();
+        let mut got = Vec::with_capacity(n);
+        for &(end, level) in &runs {
+            assert!(end > got.len() || n == 0, "empty run before {end} of {n}");
+            got.resize(end, level);
+        }
+        assert_eq!(got.len(), n, "runs {runs:?} end short of {n}");
         let bits = |x: T| x.to_f64().to_bits();
         if let Some(i) = (0..n).find(|&i| bits(got[i]) != bits(want[i])) {
             panic!(
@@ -745,10 +1064,7 @@ mod tests {
                 want[i]
             );
         }
-        if one_level {
-            assert!(buf.iter().all(|x| x.to_f64().is_nan()), "buffer written");
-        }
-        one_level
+        runs.len() == 1
     }
 
     fn assert_fill_matches_both(s: &Scatterer, t_start: f64, fs: f64, n: usize) -> bool {

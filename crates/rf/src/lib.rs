@@ -20,7 +20,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`chirp`] | FMCW chirp parameterization and phase-exact synthesis |
-//! | [`frame`] | chirp trains: fixed-period slots with inter-chirp delays |
+//! | [`frame`] | chirp trains: fixed-period slots with inter-chirp delays, and their chirp shapes |
 //! | [`channel`] | FSPL, radar equation, multipath rays, thermal noise, link budgets |
 //! | [`components`] | delay line, splitter, envelope detector, RF switch, Van Atta, ADC, antenna |
 //! | [`scene`] | point scatterers and modulated tag reflectors seen by the radar |

@@ -40,8 +40,14 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
     if energy <= 0.0 {
         return None;
     }
+    // Sixteen lags per pass, then four, then one: wider passes overlap more
+    // accumulation chains, and every lag sums in index order either way.
     let mut corrs = Vec::with_capacity(lag_max - lag_min + 1);
     let mut lag = lag_min;
+    while lag + 15 <= lag_max {
+        corrs.extend(autocorrelations::<16>(&p, lag));
+        lag += 16;
+    }
     while lag + 3 <= lag_max {
         corrs.extend(autocorrelations::<4>(&p, lag));
         lag += 4;
