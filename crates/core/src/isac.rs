@@ -28,8 +28,8 @@ use biscatter_dsp::Real;
 use biscatter_link::packet::DownlinkPacket;
 use biscatter_obs::recorder::StageNanos;
 use biscatter_radar::receiver::acquire::{
-    acquire_all, AcquireConfig, AcquireScratch, Acquisition, CorrelatorBank, HypothesisScore,
-    SlopeHypothesis,
+    acquire_all, block_fft_len, AcquireConfig, AcquireScratch, Acquisition, CorrelatorBank,
+    HypothesisScore, SlopeHypothesis,
 };
 use biscatter_radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
 use biscatter_radar::receiver::localize::{locate_tag, TagLocation};
@@ -315,7 +315,7 @@ pub struct FrameArena {
     /// Cold-start correlator banks (cached template spectra stay warm as
     /// banks cycle through the pool, like the multi-tag `banks`).
     pub acq_banks: Pool<CorrelatorBank>,
-    /// Cold-start correlation/energy slabs.
+    /// Cold-start block-spectrum/energy slabs.
     pub acquire: Pool<AcquireScratch>,
 }
 
@@ -819,16 +819,18 @@ pub fn acquire_config(sys: &BiScatterSystem) -> AcquireConfig {
     }
 }
 
-/// Pre-builds this thread's FFT plans for the acquisition overlap-add
-/// lengths `sys`'s hypothesis bank uses — the acquisition-stage counterpart
-/// of [`warm_dsp_plans`], same idempotency.
+/// Pre-builds this thread's FFT plan for the one block length
+/// ([`block_fft_len`]) `sys`'s hypothesis bank correlates at — the
+/// acquisition-stage counterpart of [`warm_dsp_plans`], same idempotency.
 pub fn warm_acquire_plans(sys: &BiScatterSystem) {
     let fs = sys.radar.if_sample_rate;
+    let longest = acquire_hypotheses(sys)
+        .iter()
+        .map(|h| h.template_len(fs))
+        .max()
+        .unwrap_or(1);
     with_planner(|p: &mut FftPlanner| {
-        for h in acquire_hypotheses(sys) {
-            let n = biscatter_dsp::fft::next_pow2(2 * h.template_len(fs).max(1)).max(2);
-            let _ = p.rfft_plan(n);
-        }
+        let _ = p.rfft_plan(block_fft_len(longest));
     });
 }
 
@@ -899,7 +901,7 @@ pub struct ColdStartOutcome {
 /// [`run_frame`].
 ///
 /// Dwell captures, correlator banks (with their cached template spectra),
-/// and correlation/energy slabs all lease from `ctx.arena`, so steady-state
+/// and block-spectrum/energy slabs all lease from `ctx.arena`, so steady-state
 /// acquisition allocates nothing beyond the per-frame scoreboard.
 pub fn run_cold_start_frame(
     ctx: &FrameCtx,

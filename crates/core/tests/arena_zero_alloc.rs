@@ -164,10 +164,11 @@ fn steady_state_frame_stages_allocate_nothing() {
     );
 
     // Same audit for acquisition stage 0: after warm-up, the correlator
-    // bank over a dwell — overlap-add FFT correlation, energy folding,
-    // peak/PSLR scans, decision — allocates nothing. The dwell capture,
-    // bank, and slabs lease from the same arena pools the cold-start
-    // runtime path uses; the scoreboard keeps its capacity across frames.
+    // bank over a dwell — block spectra, overlap-save correlation folded
+    // into energy, peak/PSLR scans, decision — allocates nothing. The
+    // dwell capture, bank, and slabs lease from the same arena pools the
+    // cold-start runtime path uses; the scoreboard keeps its capacity
+    // across frames.
     let cold = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_cold_start(41.7e-6, 2);
     let cfg = acquire_config(&sys);
     warm_acquire_plans(&sys);

@@ -87,26 +87,26 @@ fn cache_metrics() -> &'static PlanCacheMetrics {
 /// [`FftPlan::process`] call reuses the tables. Plans are immutable — share
 /// them freely via [`Rc`] (they are thread-local by design; see
 /// [`with_planner`]).
-pub struct FftPlan<T = f64> {
+pub struct FftPlan<T: Real = f64> {
     n: usize,
     kind: PlanKind<T>,
 }
 
-enum PlanKind<T> {
+enum PlanKind<T: Real> {
     /// `n <= 1`: the transform is the identity.
     Trivial,
     /// Iterative radix-2 Cooley–Tukey with precomputed tables.
     Radix2 {
         /// `bitrev[i]` = bit-reversed index of `i` (within `log2(n)` bits).
         bitrev: Vec<u32>,
-        /// Stage-contiguous twiddles: for each stage `len = 4, 8, .., n`
-        /// the `len/2` factors `e^{-i 2π j / len}` are stored back to back
-        /// (offset `len/2 - 2`, total `n - 2` entries), so every stage
-        /// reads a dense slice the vector kernels can load directly —
-        /// no strided gather. Entries are bit-identical to the classic
-        /// strided table (`j/len` and `(j·stride)/n` round identically);
-        /// the inverse conjugates on the fly.
-        stage_tw: Vec<Complex<T>>,
+        /// Stage-contiguous twiddles ([`Real::fft_twiddles`]): for each
+        /// stage `len = 4, 8, .., n` the `len/2` factors [`twiddle`]`(j,
+        /// len)` back to back, so every stage reads a dense block the
+        /// vector kernels load directly — no strided gather. f64 stores
+        /// them pre-broadcast for its AVX2 multiply
+        /// ([`crate::simd::fft_twiddles`]), f32 as complex values. The
+        /// inverse conjugates on the fly.
+        stage_tw: Vec<T::Twiddle>,
     },
     /// Bluestein chirp-z: DFT as circular convolution at length `m`.
     Bluestein {
@@ -146,17 +146,12 @@ impl<T: Real> FftPlan<T> {
             let bitrev = (0..n as u32)
                 .map(|i| i.reverse_bits() >> (32 - bits))
                 .collect();
-            let mut stage_tw = Vec::with_capacity(n.saturating_sub(2));
-            let mut len = 4;
-            while len <= n {
-                stage_tw.extend(
-                    (0..len / 2).map(|j| Complex::from_f64(Cpx::cis(-TAU * j as f64 / len as f64))),
-                );
-                len <<= 1;
-            }
             return FftPlan {
                 n,
-                kind: PlanKind::Radix2 { bitrev, stage_tw },
+                kind: PlanKind::Radix2 {
+                    bitrev,
+                    stage_tw: T::fft_twiddles(n, twiddle),
+                },
             };
         }
 
@@ -282,16 +277,24 @@ impl<T: Real> FftPlan<T> {
     }
 }
 
-/// Radix-2 butterflies over precomputed tables. Each twiddle is an exact
-/// table entry (conjugated for the inverse), so there is no dependence chain
-/// between butterflies and no accumulated phase drift — unlike the
-/// incremental `w *= wlen` recurrence in [`crate::fft::reference`]. The
-/// per-stage loops live in [`crate::simd`] behind runtime dispatch; both
-/// dispatch tiers produce bit-identical f64 results.
+/// Factor `j` of radix-2 stage `len`, `e^{-i 2π j / len}`: one exact
+/// `cis` evaluation per table entry. Entries are bit-identical to the
+/// classic strided table (`j/len` and `(j·stride)/n` round identically).
+fn twiddle(j: usize, len: usize) -> Cpx {
+    Cpx::cis(-TAU * j as f64 / len as f64)
+}
+
+/// Radix-2 butterflies over precomputed tables, unnormalized in both
+/// directions. Each twiddle is an exact table entry (conjugated for the
+/// inverse), so there is no dependence chain between butterflies and no
+/// accumulated phase drift — unlike the incremental `w *= wlen` recurrence
+/// in [`crate::fft::reference`]. The stage loops live in [`crate::simd`]
+/// behind runtime dispatch; both dispatch tiers produce bit-identical f64
+/// results.
 fn radix2<T: Real>(
     data: &mut [Complex<T>],
     bitrev: &[u32],
-    stage_tw: &[Complex<T>],
+    stage_tw: &[T::Twiddle],
     inverse: bool,
 ) {
     let n = data.len();
@@ -307,11 +310,22 @@ fn radix2<T: Real>(
     // First stage: every twiddle is 1, so the butterflies are pure
     // add/subtract pairs — no table reads, no complex multiplies.
     T::fft_first_stage(data);
-    let mut len = 4;
-    while len <= n {
-        let half = len / 2;
-        T::fft_stage(data, &stage_tw[half - 2..half - 2 + half], len, inverse);
-        len <<= 1;
+    T::fft_stages(data, stage_tw, inverse);
+}
+
+/// The packed half-length signal `z[k] = x[2k] + i·x[2k+1]` gathered in
+/// bit-reversed order with the first radix-2 stage applied: slot `2k`
+/// pairs `z[bitrev[2k]]` with `z[bitrev[2k+1]]`, the same values and the
+/// same add/subtract that packing, the in-place swap and
+/// [`Real::fft_first_stage`] produce, in one pass. `out` is resized to the
+/// half length (every slot is written).
+fn gather_first_stage<T: Real>(input: &[T], bitrev: &[u32], out: &mut Vec<Complex<T>>) {
+    out.resize(bitrev.len(), Complex::ZERO);
+    let z = |k: u32| Complex::new(input[2 * k as usize], input[2 * k as usize + 1]);
+    for (pair, rev) in out.chunks_exact_mut(2).zip(bitrev.chunks_exact(2)) {
+        let (u, v) = (z(rev[0]), z(rev[1]));
+        pair[0] = u + v;
+        pair[1] = u - v;
     }
 }
 
@@ -320,8 +334,10 @@ fn radix2<T: Real>(
 /// Packs the `N` real samples into `N/2` complex values
 /// (`z[k] = x[2k] + i·x[2k+1]`), transforms at half length, and unzips into
 /// the `N/2 + 1` half spectrum (the upper bins of a real signal's spectrum
-/// are the conjugate mirror, so nothing is lost).
-pub struct RfftPlan<T = f64> {
+/// are the conjugate mirror, so nothing is lost). With a radix-2 inner
+/// plan the packing gathers in bit-reversed order and applies the first
+/// stage on the way ([`gather_first_stage`]).
+pub struct RfftPlan<T: Real = f64> {
     n: usize,
     /// Complex plan of length `n/2`.
     inner: Rc<FftPlan<T>>,
@@ -349,8 +365,8 @@ impl<T: Real> RfftPlan<T> {
     }
 
     /// Forward transform of `input` (length `n`) into the half spectrum
-    /// bins `0..=n/2`, written to `out` (cleared and resized). `scratch`
-    /// holds the packed half-length signal between calls; reusing it makes
+    /// bins `0..=n/2`, written to `out` (resized). `scratch` holds the
+    /// packed half-length signal between calls; reusing it makes
     /// steady-state calls allocation-free.
     ///
     /// # Panics
@@ -361,6 +377,17 @@ impl<T: Real> RfftPlan<T> {
         out: &mut Vec<Complex<T>>,
         scratch: &mut Vec<Complex<T>>,
     ) {
+        out.resize(self.n / 2 + 1, Complex::ZERO);
+        self.process_into(input, out, scratch);
+    }
+
+    /// [`RfftPlan::process_with_scratch`] into a caller-sized slice of
+    /// `n/2 + 1` bins (a row of a spectrum slab).
+    ///
+    /// # Panics
+    /// Panics if `input.len()` differs from the planned length or
+    /// `out.len()` from `n/2 + 1`.
+    pub fn process_into(&self, input: &[T], out: &mut [Complex<T>], scratch: &mut Vec<Complex<T>>) {
         assert_eq!(
             input.len(),
             self.n,
@@ -369,9 +396,17 @@ impl<T: Real> RfftPlan<T> {
             input.len()
         );
         let h = self.n / 2;
-        scratch.clear();
-        scratch.extend((0..h).map(|k| Complex::new(input[2 * k], input[2 * k + 1])));
-        self.inner.process(scratch);
+        match &self.inner.kind {
+            PlanKind::Radix2 { bitrev, stage_tw } => {
+                gather_first_stage(input, bitrev, scratch);
+                T::fft_stages(scratch, stage_tw, false);
+            }
+            _ => {
+                scratch.clear();
+                scratch.extend((0..h).map(|k| Complex::new(input[2 * k], input[2 * k + 1])));
+                self.inner.process(scratch);
+            }
+        }
 
         // Unzip: with Z the packed transform, E[k]/O[k] the transforms of
         // the even/odd samples,
@@ -386,17 +421,18 @@ impl<T: Real> RfftPlan<T> {
 
 impl RfftPlan {
     /// Inverse transform: reconstructs the `n` real samples from the half
-    /// spectrum `spec` (bins `0..=n/2`), written to `out` (cleared and
-    /// resized). Normalization is included, so `inverse(process(x))`
+    /// spectrum `spec` (bins `0..=n/2`), written to `out` (resized).
+    /// Normalization is included, so `inverse(process(x))`
     /// recovers `x` up to rounding — no extra `1/N` scaling is needed.
     ///
     /// This is the packed inverse of [`RfftPlan::process_with_scratch`]:
     /// the zip recovers the half-length packed transform from the half
     /// spectrum (the forward unzip relations solved for `E`/`O`, using the
     /// conjugate of the unit-modulus twiddle), then one half-length inverse
-    /// complex FFT (which already carries the `1/(n/2)` factor) and an
-    /// unpack `x[2k] = Re z[k]`, `x[2k+1] = Im z[k]`. Roughly half the work
-    /// of a full complex inverse of length `n`, same as on the forward
+    /// complex FFT and an unpack `x[2k] = Re z[k]·s`, `x[2k+1] = Im z[k]·s`
+    /// that applies the inverse's `s = 1/(n/2)` factor (the same multiply
+    /// the complex inverse would make, one pass fewer). Roughly half the
+    /// work of a full complex inverse of length `n`, same as on the forward
     /// side. The zip loop lives in [`crate::simd`] behind runtime dispatch.
     ///
     /// `scratch` holds the packed signal between calls; reusing it makes
@@ -416,12 +452,20 @@ impl RfftPlan {
         );
         let h = self.n / 2;
         crate::simd::irfft_zip(spec, &self.twiddle, h, scratch);
-        self.inner.process_inverse(scratch);
-        out.clear();
         out.resize(self.n, 0.0);
-        for (pair, z) in out.chunks_exact_mut(2).zip(scratch.iter()) {
-            pair[0] = z.re;
-            pair[1] = z.im;
+        if let PlanKind::Radix2 { bitrev, stage_tw } = &self.inner.kind {
+            radix2(scratch, bitrev, stage_tw, true);
+            let s = 1.0 / h as f64;
+            for (pair, z) in out.chunks_exact_mut(2).zip(scratch.iter()) {
+                pair[0] = z.re * s;
+                pair[1] = z.im * s;
+            }
+        } else {
+            self.inner.process_inverse(scratch);
+            for (pair, z) in out.chunks_exact_mut(2).zip(scratch.iter()) {
+                pair[0] = z.re;
+                pair[1] = z.im;
+            }
         }
     }
 }
@@ -430,7 +474,7 @@ impl RfftPlan {
 /// plus internal scratch buffers, giving allocation-free in-place transforms
 /// once a length has been seen.
 #[derive(Default)]
-pub struct FftPlanner<T = f64> {
+pub struct FftPlanner<T: Real = f64> {
     plans: HashMap<usize, Rc<FftPlan<T>>>,
     rplans: HashMap<usize, Rc<RfftPlan<T>>>,
     /// Bluestein convolution scratch, passed to `process_with_scratch`.
@@ -814,6 +858,155 @@ mod tests {
                 let err = (g.to_f64() - *w).abs();
                 assert!(err < 2e-4 * n as f64, "n={n} bin {k}: err {err}");
             }
+        }
+    }
+
+    /// The radix-2 transform as the plans ran it one stage at a time: the
+    /// in-place bit-reversal swap, the first stage, then one
+    /// [`crate::simd::fft_stage`] per stage over complex twiddles.
+    /// Unnormalized; `n >= 2`.
+    fn radix2_oracle(data: &mut [Cpx], inverse: bool) {
+        let n = data.len();
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        crate::simd::fft_first_stage(data);
+        let mut len = 4;
+        while len <= n {
+            let tw: Vec<Cpx> = (0..len / 2).map(|j| twiddle(j, len)).collect();
+            crate::simd::fft_stage(data, &tw, len, inverse);
+            len <<= 1;
+        }
+    }
+
+    /// `RfftPlan`'s unzip/zip twiddles for real length `n`.
+    fn rfft_twiddles(n: usize) -> Vec<Cpx> {
+        (0..=n / 2)
+            .map(|k| Cpx::cis(-TAU * k as f64 / n as f64))
+            .collect()
+    }
+
+    /// Pack, [`radix2_oracle`], unzip.
+    fn rfft_oracle(x: &[f64]) -> Vec<Cpx> {
+        let h = x.len() / 2;
+        let mut z: Vec<Cpx> = x.chunks_exact(2).map(|p| Cpx::new(p[0], p[1])).collect();
+        if h >= 2 {
+            radix2_oracle(&mut z, false);
+        }
+        let mut out = vec![Cpx::ZERO; h + 1];
+        crate::simd::rfft_unzip(&z, &rfft_twiddles(x.len()), h, &mut out);
+        out
+    }
+
+    /// Zip, [`radix2_oracle`] inverse, the `1/h` scale, unpack.
+    fn irfft_oracle(spec: &[Cpx]) -> Vec<f64> {
+        let h = spec.len() - 1;
+        let mut z = Vec::new();
+        crate::simd::irfft_zip(spec, &rfft_twiddles(2 * h), h, &mut z);
+        if h >= 2 {
+            radix2_oracle(&mut z, true);
+            let s = 1.0 / h as f64;
+            z.iter_mut().for_each(|v| *v = v.scale(s));
+        }
+        z.iter().flat_map(|v| [v.re, v.im]).collect()
+    }
+
+    /// FNV-1a over the bits of a run of values.
+    fn fnv(hash: &mut u64, xs: impl IntoIterator<Item = f64>) {
+        for x in xs {
+            for b in x.to_bits().to_le_bytes() {
+                *hash ^= b as u64;
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Complex forward and inverse plans and real forward and inverse
+    /// plans at every power of two from 2 to 8,192, each checked bit for
+    /// bit against the stage-by-stage oracle; returns the FNV-1a hash of
+    /// every output in sweep order.
+    fn sweep_against_oracle() -> u64 {
+        let bits = |z: &[Cpx]| {
+            z.iter()
+                .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut planner = FftPlanner::new();
+        let mut n = 2;
+        while n <= 8192 {
+            let plan = FftPlan::new(n);
+            for (salt, inverse) in [(0, false), (1, true)] {
+                let x = sweep_vec(n, salt);
+                let mut got = x.clone();
+                let mut want = x;
+                radix2_oracle(&mut want, inverse);
+                if inverse {
+                    plan.process_inverse(&mut got);
+                    let s = 1.0 / n as f64;
+                    want.iter_mut().for_each(|v| *v = v.scale(s));
+                } else {
+                    plan.process(&mut got);
+                }
+                assert_eq!(bits(&got), bits(&want), "n={n} inverse={inverse}");
+                fnv(&mut hash, got.iter().flat_map(|v| [v.re, v.im]));
+            }
+            let rplan = planner.rfft_plan(n);
+            let x = real_sweep_vec(n);
+            let (mut spec, mut pack) = (Vec::new(), Vec::new());
+            rplan.process_with_scratch(&x, &mut spec, &mut pack);
+            assert_eq!(bits(&spec), bits(&rfft_oracle(&x)), "rfft n={n}");
+            fnv(&mut hash, spec.iter().flat_map(|v| [v.re, v.im]));
+            let mut back = Vec::new();
+            rplan.inverse(&spec, &mut back, &mut pack);
+            let rbits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(rbits(&back), rbits(&irfft_oracle(&spec)), "irfft n={n}");
+            fnv(&mut hash, back);
+            n *= 2;
+        }
+        hash
+    }
+
+    fn sweep_vec(n: usize, salt: usize) -> Vec<Cpx> {
+        (0..n)
+            .map(|i| {
+                Cpx::new(
+                    ((i * 2654435761 + salt) % 1021) as f64 / 510.5 - 1.0,
+                    ((i * 40503 + 7 + salt) % 1019) as f64 / 509.5 - 1.0,
+                )
+            })
+            .collect()
+    }
+
+    fn real_sweep_vec(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 48271 + 3) % 1013) as f64 / 506.5 - 1.0)
+            .collect()
+    }
+
+    /// The two-stage passes, the pre-broadcast twiddle table and the fused
+    /// real-transform edges change no output bit: every plan matches the
+    /// stage-by-stage oracle on each dispatch tier, and the outputs hash to
+    /// the value the stage-by-stage plans produced (recorded before the
+    /// change), so a change common to both tiers and the oracle fails too.
+    #[test]
+    fn pow2_plans_match_stage_by_stage_oracle_bit_for_bit() {
+        use crate::dispatch::{avx2_available, force_tier, tier, SimdTier};
+        const PINNED: u64 = 0xbcaf_9c53_58f4_3255;
+        let before = tier();
+        let mut tiers = vec![SimdTier::Scalar];
+        if avx2_available() {
+            tiers.push(SimdTier::Avx2);
+        }
+        for t in tiers {
+            force_tier(t);
+            let hash = sweep_against_oracle();
+            force_tier(before);
+            assert_eq!(hash, PINNED, "{} tier: sweep hash {hash:#018x}", t.name());
         }
     }
 

@@ -13,6 +13,7 @@
 //!
 //! * which [`crate::simd`] kernel body to call (the kernels themselves stay
 //!   type-specific),
+//! * the layout of its radix-2 twiddle tables ([`Real::Twiddle`]),
 //! * its per-thread [`FftPlanner`], and
 //! * its window table ([`CachedWindow::coeffs`] or
 //!   [`CachedWindow::coeffs_f32`]).
@@ -64,11 +65,20 @@ pub trait Real:
     /// Widens to f64 (exact).
     fn to_f64(self) -> f64;
 
+    /// One entry of a radix-2 plan's twiddle table, in the layout this
+    /// precision's stage kernels read: pre-broadcast `f64` parts
+    /// ([`simd::fft_twiddles`]) or one `Complex<f32>` factor per entry.
+    type Twiddle: Copy + Debug + Send + Sync + 'static;
+
     /// First radix-2 stage: `(u, v) → (u + v, u − v)` over adjacent pairs.
     fn fft_first_stage(data: &mut [Complex<Self>]);
-    /// One radix-2 butterfly stage of width `len` with this stage's
-    /// contiguous twiddles (conjugated when `inverse`).
-    fn fft_stage(data: &mut [Complex<Self>], tw: &[Complex<Self>], len: usize, inverse: bool);
+    /// The twiddle table of a length-`n` radix-2 plan: the factors
+    /// `twiddle(j, len)` of every stage `len = 4, 8, …, n`.
+    fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<Self::Twiddle>;
+    /// Radix-2 stages `4, 8, …, data.len()` over bit-reversed data whose
+    /// first stage is done, with the plan's twiddles (conjugated when
+    /// `inverse`).
+    fn fft_stages(data: &mut [Complex<Self>], tw: &[Self::Twiddle], inverse: bool);
     /// Pointwise `out[i] = x[i] * w[i]` (the Bluestein chirp multiplies).
     /// The default is the portable loop; only full planners reach it.
     fn cmul_into(out: &mut [Complex<Self>], x: &[Complex<Self>], w: &[Complex<Self>]) {
@@ -82,13 +92,8 @@ pub trait Real:
             *s *= w;
         }
     }
-    /// The packed-real-FFT unzip into `h + 1` half-spectrum bins.
-    fn rfft_unzip(
-        z: &[Complex<Self>],
-        tw: &[Complex<Self>],
-        h: usize,
-        out: &mut Vec<Complex<Self>>,
-    );
+    /// The packed-real-FFT unzip into the `h + 1` half-spectrum bins `out`.
+    fn rfft_unzip(z: &[Complex<Self>], tw: &[Complex<Self>], h: usize, out: &mut [Complex<Self>]);
     /// Writes one scatterer's unit IF tone, `out[i] = Re(e^{i phase0} · rot^i)`.
     fn tone_fill(out: &mut [Self], phase0: Cpx, rot: Cpx);
     /// Adds 1 to [`simd::TONES_PER_PASS`] level-weighted tones to `out` in
@@ -104,6 +109,8 @@ pub trait Real:
 }
 
 impl Real for f64 {
+    type Twiddle = f64;
+
     const ZERO: f64 = 0.0;
     const ONE: f64 = 1.0;
     const FULL_PLANNER: bool = true;
@@ -121,9 +128,12 @@ impl Real for f64 {
     fn fft_first_stage(data: &mut [Cpx]) {
         simd::fft_first_stage(data);
     }
+    fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<f64> {
+        simd::fft_twiddles(n, twiddle)
+    }
     #[inline]
-    fn fft_stage(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
-        simd::fft_stage(data, tw, len, inverse);
+    fn fft_stages(data: &mut [Cpx], tw: &[f64], inverse: bool) {
+        simd::fft_stages(data, tw, inverse);
     }
     #[inline]
     fn cmul_into(out: &mut [Cpx], x: &[Cpx], w: &[Cpx]) {
@@ -134,7 +144,7 @@ impl Real for f64 {
         simd::cmul_assign(a, b);
     }
     #[inline]
-    fn rfft_unzip(z: &[Cpx], tw: &[Cpx], h: usize, out: &mut Vec<Cpx>) {
+    fn rfft_unzip(z: &[Cpx], tw: &[Cpx], h: usize, out: &mut [Cpx]) {
         simd::rfft_unzip(z, tw, h, out);
     }
     #[inline]
@@ -162,6 +172,8 @@ impl Real for f64 {
 }
 
 impl Real for f32 {
+    type Twiddle = Complex<f32>;
+
     const ZERO: f32 = 0.0;
     const ONE: f32 = 1.0;
     const FULL_PLANNER: bool = false;
@@ -179,13 +191,29 @@ impl Real for f32 {
     fn fft_first_stage(data: &mut [Complex<f32>]) {
         simd::fft_first_stage_32(data);
     }
-    #[inline]
-    fn fft_stage(data: &mut [Complex<f32>], tw: &[Complex<f32>], len: usize, inverse: bool) {
+    /// Stage-contiguous factors rounded once from f64: stage `len`'s
+    /// `len/2` entries start at `len/2 − 2`.
+    fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<Complex<f32>> {
+        let mut out = Vec::with_capacity(n.saturating_sub(2));
+        let mut len = 4;
+        while len <= n {
+            out.extend((0..len / 2).map(|j| Complex::from_f64(twiddle(j, len))));
+            len <<= 1;
+        }
+        out
+    }
+    /// One stage at a time.
+    fn fft_stages(data: &mut [Complex<f32>], tw: &[Complex<f32>], inverse: bool) {
         debug_assert!(!inverse, "f32 plans are forward-only");
-        simd::fft_stage_32(data, tw, len);
+        let mut len = 4;
+        while len <= data.len() {
+            let half = len / 2;
+            simd::fft_stage_32(data, &tw[half - 2..half - 2 + half], len);
+            len <<= 1;
+        }
     }
     #[inline]
-    fn rfft_unzip(z: &[Complex<f32>], tw: &[Complex<f32>], h: usize, out: &mut Vec<Complex<f32>>) {
+    fn rfft_unzip(z: &[Complex<f32>], tw: &[Complex<f32>], h: usize, out: &mut [Complex<f32>]) {
         simd::rfft_unzip_32(z, tw, h, out);
     }
     #[inline]

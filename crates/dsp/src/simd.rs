@@ -73,11 +73,11 @@ fn fft_first_stage_scalar(data: &mut [Cpx]) {
 
 /// One radix-2 butterfly stage of width `len` over all chunks of `data`,
 /// with this stage's contiguous twiddle table `tw` (`len/2` entries,
-/// `tw[j] = e^{-i 2π j / len}`; conjugated on the fly when `inverse`).
-///
-/// # Panics
-/// Debug-asserts `len >= 4`, `data.len() % len == 0`, `tw.len() == len/2`.
-pub fn fft_stage(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
+/// `tw[j] = e^{-i 2π j / len}`; conjugated on the fly when `inverse`): the
+/// stage-by-stage form the plans ran before [`fft_stages`], kept as its
+/// oracle.
+#[cfg(test)]
+pub(crate) fn fft_stage(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
     debug_assert!(len >= 4 && data.len() % len == 0 && tw.len() == len / 2);
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 {
@@ -85,10 +85,6 @@ pub fn fft_stage(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
         unsafe { avx2::fft_stage(data, tw, len, inverse) };
         return;
     }
-    fft_stage_scalar(data, tw, len, inverse);
-}
-
-fn fft_stage_scalar(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
     let half = len / 2;
     for chunk in data.chunks_exact_mut(len) {
         let (lo, hi) = chunk.split_at_mut(half);
@@ -98,6 +94,109 @@ fn fft_stage_scalar(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
             let v = *b * w;
             *a = u + v;
             *b = u - v;
+        }
+    }
+}
+
+/// Offset of stage `len`'s entries in an [`fft_twiddles`] table: stage
+/// `len` holds `len/2` factors at 4 values each.
+#[inline]
+fn tw_offset(len: usize) -> usize {
+    2 * len - 8
+}
+
+/// The f64 twiddle table of a length-`n` radix-2 plan, in the
+/// pre-broadcast layout [`fft_stages`] reads: for each stage
+/// `len = 4, 8, …, n`, its factors `w[j] = twiddle(j, len)` two at a time
+/// as `[w[j].re, w[j].re, w[j+1].re, w[j+1].re, w[j].im, w[j].im,
+/// w[j+1].im, w[j+1].im]` — the operand shape of the AVX2 complex
+/// multiply, so it needs one lane swap instead of three shuffles. The
+/// scalar body reads the same values.
+pub fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<f64> {
+    let mut out = Vec::with_capacity(tw_offset(2 * n.max(2)));
+    let mut len = 4;
+    while len <= n {
+        for j in (0..len / 2).step_by(2) {
+            let (w0, w1) = (twiddle(j, len), twiddle(j + 1, len));
+            out.extend([w0.re, w0.re, w1.re, w1.re, w0.im, w0.im, w1.im, w1.im]);
+        }
+        len <<= 1;
+    }
+    out
+}
+
+/// Factor `j` of a stage in an [`fft_twiddles`] block, conjugated when
+/// `inverse`.
+#[inline(always)]
+fn twiddle_at(tw: &[f64], j: usize, inverse: bool) -> Cpx {
+    let i = 4 * (j & !1) + 2 * (j & 1);
+    let im = tw[i + 4];
+    Cpx::new(tw[i], if inverse { -im } else { im })
+}
+
+/// Radix-2 stages `len = 4, 8, …, data.len()` over data that is already in
+/// bit-reversed order with the first stage applied, reading an
+/// [`fft_twiddles`] table (conjugated on the fly when `inverse`).
+///
+/// Stages run two per pass: for stages `(len, 2·len)`, the four values at
+/// `k`, `k + len/2`, `k + len` and `k + 3·len/2` go through stage `len`'s
+/// two butterflies and then stage `2·len`'s two, in registers, and are
+/// stored once. Every value sees the multiply, add and subtract it would
+/// see in one stage at a time (`v = b·w`, `a + v`, `a − v`), so the result
+/// is bit-identical to that. With an odd number of stages the last one
+/// runs alone. Both tiers perform the same operations.
+///
+/// # Panics
+/// Panics unless `data.len()` is a power of two and `tw` holds the table
+/// of that length.
+pub fn fft_stages(data: &mut [Cpx], tw: &[f64], inverse: bool) {
+    let n = data.len();
+    assert!(
+        n.is_power_of_two() && tw.len() == tw_offset(2 * n.max(2)),
+        "fft_stages needs a power-of-two length and its twiddle table"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier; the
+        // assert above gives the body's length and table conditions.
+        unsafe {
+            if inverse {
+                avx2::fft_stages::<true>(data, tw)
+            } else {
+                avx2::fft_stages::<false>(data, tw)
+            }
+        };
+        return;
+    }
+    let mut len = 4;
+    while 2 * len <= n {
+        let (lo, hi) = (&tw[tw_offset(len)..], &tw[tw_offset(2 * len)..]);
+        let q = len / 2;
+        for chunk in data.chunks_exact_mut(2 * len) {
+            for j in 0..q {
+                let w = twiddle_at(lo, j, inverse);
+                let (a, b) = (chunk[j], chunk[j + q]);
+                let (c, d) = (chunk[j + len], chunk[j + len + q]);
+                let v = b * w;
+                let (a, b) = (a + v, a - v);
+                let v = d * w;
+                let (c, d) = (c + v, c - v);
+                let v = c * twiddle_at(hi, j, inverse);
+                (chunk[j], chunk[j + len]) = (a + v, a - v);
+                let v = d * twiddle_at(hi, j + q, inverse);
+                (chunk[j + q], chunk[j + len + q]) = (b + v, b - v);
+            }
+        }
+        len *= 4;
+    }
+    if len <= n {
+        let t = &tw[tw_offset(len)..];
+        let half = len / 2;
+        for chunk in data.chunks_exact_mut(len) {
+            for j in 0..half {
+                let (a, v) = (chunk[j], chunk[j + half] * twiddle_at(t, j, inverse));
+                (chunk[j], chunk[j + half]) = (a + v, a - v);
+            }
         }
     }
 }
@@ -142,15 +241,14 @@ pub fn cmul_assign(a: &mut [Cpx], b: &[Cpx]) {
 /// The packed-real-FFT unzip: combines the half-length transform `z`
 /// (length `h`) into the `h + 1` half-spectrum bins of the real input,
 /// `X[k] = E[k] + tw[k]·O[k]` with `E = (z[k] + conj(z[h−k]))/2` and
-/// `O = (z[k] − conj(z[h−k]))·(−i/2)`. `out` is cleared and resized.
+/// `O = (z[k] − conj(z[h−k]))·(−i/2)`.
 ///
 /// # Panics
-/// Panics if `z.len() != h` or `tw.len() < h + 1`.
-pub fn rfft_unzip(z: &[Cpx], tw: &[Cpx], h: usize, out: &mut Vec<Cpx>) {
+/// Panics if `z.len() != h`, `out.len() != h + 1` or `tw.len() < h + 1`.
+pub fn rfft_unzip(z: &[Cpx], tw: &[Cpx], h: usize, out: &mut [Cpx]) {
     assert_eq!(z.len(), h);
+    assert_eq!(out.len(), h + 1);
     assert!(tw.len() > h);
-    out.clear();
-    out.resize(h + 1, Cpx::ZERO);
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 && h >= 4 {
         // Endpoints wrap (`k % h`), so they stay on the scalar path.
@@ -158,7 +256,7 @@ pub fn rfft_unzip(z: &[Cpx], tw: &[Cpx], h: usize, out: &mut Vec<Cpx>) {
         out[h] = unzip_one(z[0], z[0], tw[h]);
         // SAFETY: AVX2 presence established by the dispatch tier; the
         // vector body covers 1..h only, matching the scalar remainder.
-        let done = unsafe { avx2::rfft_unzip_mid(z, tw, h, &mut out[..]) };
+        let done = unsafe { avx2::rfft_unzip_mid(z, tw, h, out) };
         for k in done..h {
             out[k] = unzip_one(z[k], z[h - k], tw[k]);
         }
@@ -185,15 +283,14 @@ fn unzip_one(zk: Cpx, zm: Cpx, w: Cpx) -> Cpx {
 /// values `Z[k] = E[k] + i·O[k]` with
 /// `E[k] = (X[k] + conj(X[h−k]))/2` and
 /// `O[k] = (X[k] − conj(X[h−k]))·(i/2)·conj(tw[k])` (the forward twiddle is
-/// unit modulus, so its conjugate undoes it exactly). `out` is cleared and
-/// resized to `h`.
+/// unit modulus, so its conjugate undoes it exactly). `out` is resized to
+/// `h` (every entry is written).
 ///
 /// # Panics
 /// Panics if `spec.len() < h + 1` or `tw.len() < h + 1`.
 pub fn irfft_zip(spec: &[Cpx], tw: &[Cpx], h: usize, out: &mut Vec<Cpx>) {
     assert!(spec.len() > h);
     assert!(tw.len() > h);
-    out.clear();
     out.resize(h, Cpx::ZERO);
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 && h >= 4 {
@@ -732,12 +829,11 @@ pub fn norm_sq_accum_32(acc: &mut [f64], row: &[Cpx32]) {
     }
 }
 
-/// f32 packed-real-FFT unzip (see [`rfft_unzip`]); `out` cleared/resized.
-pub fn rfft_unzip_32(z: &[Cpx32], tw: &[Cpx32], h: usize, out: &mut Vec<Cpx32>) {
+/// f32 packed-real-FFT unzip (see [`rfft_unzip`]) into `h + 1` bins.
+pub fn rfft_unzip_32(z: &[Cpx32], tw: &[Cpx32], h: usize, out: &mut [Cpx32]) {
     assert_eq!(z.len(), h);
+    assert_eq!(out.len(), h + 1);
     assert!(tw.len() > h);
-    out.clear();
-    out.resize(h + 1, Cpx32::ZERO);
     for (k, o) in out.iter_mut().enumerate() {
         let zk = z[k % h];
         let zs = z[(h - k) % h].conj();
@@ -804,6 +900,105 @@ mod avx2 {
         }
     }
 
+    /// `[x0·w0, x1·w1]` with pre-broadcast twiddle parts
+    /// `wr = [w0.re, w0.re, w1.re, w1.re]` and `wi = [w0.im, w0.im, w1.im,
+    /// w1.im]`: [`cmul_pd`]'s addsub form, one lane swap.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cmul_bc_pd(x: __m256d, wr: __m256d, wi: __m256d) -> __m256d {
+        let xs = _mm256_permute_pd(x, 0x5); // [x.im, x.re] per complex
+        _mm256_addsub_pd(_mm256_mul_pd(x, wr), _mm256_mul_pd(xs, wi))
+    }
+
+    /// Two factors `j, j + 1` of an `fft_twiddles` stage block as
+    /// `(re, im)` broadcast vectors, `im` conjugated when `INV`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `j` must be even and the block at `t`
+    /// must hold factor `j + 1` (`4·j + 8` readable values).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn twiddles_pd<const INV: bool>(t: *const f64, j: usize) -> (__m256d, __m256d) {
+        let wr = _mm256_loadu_pd(t.add(4 * j));
+        let wi = _mm256_loadu_pd(t.add(4 * j + 4));
+        if INV {
+            (wr, _mm256_xor_pd(wi, _mm256_set1_pd(-0.0)))
+        } else {
+            (wr, wi)
+        }
+    }
+
+    /// The AVX2 body of [`super::fft_stages`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `data.len()` must be a power of two and
+    /// `tw` its `fft_twiddles` table: every block and stage access below
+    /// stays inside them.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fft_stages<const INV: bool>(data: &mut [Cpx], tw: &[f64]) {
+        let n = data.len();
+        let base = data.as_mut_ptr() as *mut f64;
+        let twp = tw.as_ptr();
+        let mut len = 4usize;
+        while 2 * len <= n {
+            let (lo, hi) = (
+                twp.add(super::tw_offset(len)),
+                twp.add(super::tw_offset(2 * len)),
+            );
+            let q = len / 2;
+            let mut start = 0usize;
+            while start < n {
+                let pa = base.add(2 * start);
+                let (pb, pc, pd) = (pa.add(2 * q), pa.add(2 * len), pa.add(2 * (len + q)));
+                // `q` is even for every `len >= 4`, so the 2-wide loop
+                // covers each quarter exactly.
+                let mut j = 0usize;
+                while j < q {
+                    let (wr, wi) = twiddles_pd::<INV>(lo, j);
+                    let a = _mm256_loadu_pd(pa.add(2 * j));
+                    let v = cmul_bc_pd(_mm256_loadu_pd(pb.add(2 * j)), wr, wi);
+                    let (a, b) = (_mm256_add_pd(a, v), _mm256_sub_pd(a, v));
+                    let c = _mm256_loadu_pd(pc.add(2 * j));
+                    let v = cmul_bc_pd(_mm256_loadu_pd(pd.add(2 * j)), wr, wi);
+                    let (c, d) = (_mm256_add_pd(c, v), _mm256_sub_pd(c, v));
+                    let (wr, wi) = twiddles_pd::<INV>(hi, j);
+                    let v = cmul_bc_pd(c, wr, wi);
+                    _mm256_storeu_pd(pa.add(2 * j), _mm256_add_pd(a, v));
+                    _mm256_storeu_pd(pc.add(2 * j), _mm256_sub_pd(a, v));
+                    let (wr, wi) = twiddles_pd::<INV>(hi, j + q);
+                    let v = cmul_bc_pd(d, wr, wi);
+                    _mm256_storeu_pd(pb.add(2 * j), _mm256_add_pd(b, v));
+                    _mm256_storeu_pd(pd.add(2 * j), _mm256_sub_pd(b, v));
+                    j += 2;
+                }
+                start += 2 * len;
+            }
+            len *= 4;
+        }
+        if len <= n {
+            let t = twp.add(super::tw_offset(len));
+            let half = len / 2;
+            let mut start = 0usize;
+            while start < n {
+                let (lo, hi) = (base.add(2 * start), base.add(2 * (start + half)));
+                let mut j = 0usize;
+                while j < half {
+                    let (wr, wi) = twiddles_pd::<INV>(t, j);
+                    let v = cmul_bc_pd(_mm256_loadu_pd(hi.add(2 * j)), wr, wi);
+                    let u = _mm256_loadu_pd(lo.add(2 * j));
+                    _mm256_storeu_pd(lo.add(2 * j), _mm256_add_pd(u, v));
+                    _mm256_storeu_pd(hi.add(2 * j), _mm256_sub_pd(u, v));
+                    j += 2;
+                }
+                start += len;
+            }
+        }
+    }
+
+    #[cfg(test)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn fft_stage(data: &mut [Cpx], tw: &[Cpx], len: usize, inverse: bool) {
         let half = len / 2;
@@ -1455,6 +1650,22 @@ mod tests {
     }
 
     #[test]
+    fn fft_stages_tiers_bit_identical() {
+        // Even and odd stage counts past the first: the leftover stage
+        // runs alone.
+        for n in [2usize, 4, 8, 16, 32, 1024, 2048] {
+            let tw = fft_twiddles(n, |j, len| Cpx::cis(-TAU * j as f64 / len as f64));
+            for inverse in [false, true] {
+                assert_tiers_match(|| {
+                    let mut d = cvec(n);
+                    fft_stages(&mut d, &tw, inverse);
+                    d
+                });
+            }
+        }
+    }
+
+    #[test]
     fn pointwise_kernels_tiers_bit_identical() {
         for n in [1usize, 2, 5, 16, 257] {
             let (x, w) = (cvec(n), cvec(n + 1)[1..].to_vec());
@@ -1476,7 +1687,7 @@ mod tests {
                 .map(|k| Cpx::cis(-TAU * k as f64 / (2 * h) as f64))
                 .collect();
             assert_tiers_match(|| {
-                let mut out = Vec::new();
+                let mut out = vec![Cpx::ZERO; h + 1];
                 rfft_unzip(&z, &tw, h, &mut out);
                 out
             });
@@ -1507,7 +1718,7 @@ mod tests {
             let tw: Vec<Cpx> = (0..=h)
                 .map(|k| Cpx::cis(-TAU * k as f64 / (2 * h) as f64))
                 .collect();
-            let mut spec = Vec::new();
+            let mut spec = vec![Cpx::ZERO; h + 1];
             rfft_unzip(&z, &tw, h, &mut spec);
             let mut back = Vec::new();
             irfft_zip(&spec, &tw, h, &mut back);

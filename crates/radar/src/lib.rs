@@ -15,7 +15,7 @@
 //!   un-warps range profiles across varying slopes (paper §3.3, Fig. 7),
 //!   background subtraction, range–Doppler processing, tag-signature matched
 //!   filtering for localization, uplink demodulation, and cold-start
-//!   acquisition ([`receiver::acquire`]) — an FFT overlap-add correlator
+//!   acquisition ([`receiver::acquire`]) — an FFT overlap-save correlator
 //!   bank that recovers an unsynchronized tag's timing offset and chirp
 //!   slope from a raw dwell before the aligned pipeline runs.
 //! * **Plain sensing** ([`sensing`]): CFAR-style detection and simple target

@@ -9,39 +9,44 @@
 //!
 //! The engine is a classic matched-filter correlator bank made fast:
 //!
-//! * **Overlap-add FFT correlation** — the raw dwell is cross-correlated
-//!   against each slope hypothesis's chirp template. Direct time-domain
-//!   correlation is O(N·M) per hypothesis; here the dwell is cut into
-//!   blocks of `L = n_fft − M + 1` samples, each zero-padded block goes
-//!   through a cached [`RfftPlan`](biscatter_dsp::planner::RfftPlan), is
-//!   multiplied by the **conjugate template spectrum**, returns through the
-//!   packed inverse real FFT
-//!   ([`RfftPlan::inverse`](biscatter_dsp::planner::RfftPlan::inverse)),
-//!   and the block's linear correlation piece — positive lags up front,
-//!   negative lags wrapped at the tail — is overlap-added into the output.
-//!   O(N log M) per hypothesis, exact to rounding (the oracle property test
-//!   pins ≤ 1e-9).
+//! * **Overlap-save FFT correlation on one block length** — the raw dwell
+//!   is cross-correlated against every slope hypothesis's chirp template.
+//!   Direct time-domain correlation is O(N·M) per hypothesis. Here the bank
+//!   picks one transform length `n = next_pow2(2·M_max)` from its longest
+//!   template and cuts the lags that fold into blocks of
+//!   `hop = n − M_max + 1`; block `b` transforms the `n` dwell samples from
+//!   `b·hop` (zero-padded past the dwell's end) through a cached
+//!   [`RfftPlan`](biscatter_dsp::planner::RfftPlan) **once for the whole
+//!   bank**. Each hypothesis multiplies that spectrum by its **conjugate
+//!   template spectrum** at `n` and returns through the packed inverse real
+//!   FFT ([`RfftPlan::inverse`](biscatter_dsp::planner::RfftPlan::inverse));
+//!   since `hop + M − 1 ≤ n` for every template, the first `hop` circular
+//!   lags are exactly the linear correlation at lags `b·hop + j`. Exact to
+//!   rounding (the oracle property test pins ≤ 1e-9).
 //! * **Geometry-keyed template cache** — a [`CorrelatorBank`] caches each
 //!   hypothesis's conjugated spectrum (and its time-domain samples for the
 //!   naive baseline), keyed on the sample rate and hypothesis set, exactly
 //!   like the multi-tag `TagBank`: repeated frames pay zero setup.
-//! * **Window energy accumulation** — the tag repeats its chirp every slot
-//!   period, so correlation energy is folded modulo the window across
-//!   `n_windows` repetitions (non-coherent integration): a tag far below
-//!   the per-sample noise floor accumulates into a clean peak whose bin
-//!   *is* the timing offset.
+//! * **Window energy folded as lags come out** — the tag repeats its chirp
+//!   every slot period, so correlation energy is folded modulo the window
+//!   across `n_windows` repetitions (non-coherent integration): a tag far
+//!   below the per-sample noise floor accumulates into a clean peak whose
+//!   bin *is* the timing offset. Each block's lags are squared straight
+//!   into the energy row, so no correlation row is ever stored; every bin
+//!   still sums its windows in window order.
 //! * **SIMD scans** — the spectral multiply, the energy fold, and the
 //!   peak/PSLR scans all route through `dsp::dispatch` kernels with AVX2
-//!   bodies ([`cmul_assign`](biscatter_dsp::simd::cmul_assign),
+//!   bodies ([`cmul_into`](biscatter_dsp::simd::cmul_into),
 //!   [`sq_accum`](biscatter_dsp::simd::sq_accum),
 //!   [`peak_max`](biscatter_dsp::simd::peak_max)) under the workspace's f64
 //!   bit-identity contract.
-//! * **Deterministic fan-out** — hypotheses are independent rows of
-//!   caller-owned correlation/energy slabs, partitioned disjointly over the
-//!   [`ComputePool`], so results are bit-identical to the serial loop at
-//!   any pool size. After a warm-up call the steady state allocates
-//!   nothing: slabs live in an [`AcquireScratch`], per-block FFT buffers in
-//!   thread-local scratch, plans in the thread-local planner cache.
+//! * **Deterministic fan-out** — the block spectra fan out over the
+//!   [`ComputePool`] by block, then hypotheses fan out by energy row; both
+//!   write disjoint rows of caller-owned slabs, so results are
+//!   bit-identical to the serial loop at any pool size. After a warm-up
+//!   call the steady state allocates nothing: the spectra and energy slabs
+//!   live in an [`AcquireScratch`], per-block FFT buffers in thread-local
+//!   scratch, plans in the thread-local planner cache.
 //!
 //! The acquisition *decision* is a peak-to-sidelobe-ratio (PSLR) gate on
 //! the best hypothesis's energy profile: a matched slope compresses into a
@@ -167,45 +172,78 @@ impl AcquireConfig {
     }
 }
 
+/// The transform length of a correlator bank whose longest template has
+/// `max_template` samples: the power of two ≥ `2·max_template` (at least
+/// 2). Every hypothesis of the bank correlates at this one length.
+pub fn block_fft_len(max_template: usize) -> usize {
+    next_pow2(2 * max_template.max(1)).max(2)
+}
+
+/// Overlap-save geometry for templates of at most `M` samples: blocks of
+/// `n` dwell samples, `hop = n − M + 1` apart, each yielding its first
+/// `hop` lags.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OverlapSave {
+    /// Transform length ([`block_fft_len`]).
+    n: usize,
+    /// Lags each block yields.
+    hop: usize,
+}
+
+impl OverlapSave {
+    fn for_template(max_template: usize) -> OverlapSave {
+        let n = block_fft_len(max_template);
+        OverlapSave {
+            n,
+            hop: n - max_template.max(1) + 1,
+        }
+    }
+
+    /// Half-spectrum bins per block.
+    fn bins(&self) -> usize {
+        self.n / 2 + 1
+    }
+
+    /// Blocks that cover lags `0..n_lags`.
+    fn blocks(&self, n_lags: usize) -> usize {
+        n_lags.div_ceil(self.hop)
+    }
+}
+
 /// One hypothesis's cached matched filter.
 #[derive(Debug, Clone)]
 struct Template {
     /// Time-domain samples (the naive baseline and capture synthesis read
     /// these; the FFT path never does).
     samples: Vec<f64>,
-    /// Zero-padded transform length (power of two ≥ 2·len).
-    n_fft: usize,
-    /// Input block length per FFT: `n_fft − len + 1`.
-    block: usize,
-    /// Conjugated half spectrum of the zero-padded template.
+    /// Conjugated half spectrum of the template zero-padded to the bank's
+    /// transform length.
     spec_conj: Vec<Cpx>,
 }
 
 impl Template {
-    fn build(samples: Vec<f64>) -> Template {
-        let m = samples.len();
-        let n_fft = next_pow2(2 * m.max(1)).max(2);
+    fn build(samples: Vec<f64>, n: usize) -> Template {
         let mut spec_conj = Vec::new();
         with_planner(|p| {
-            p.with_real_scratch(n_fft, |p, buf| {
-                buf[..m].copy_from_slice(&samples);
+            p.with_real_scratch(n, |p, buf| {
+                buf[..samples.len()].copy_from_slice(&samples);
                 p.rfft_half_into(buf, &mut spec_conj);
             });
         });
         for z in spec_conj.iter_mut() {
             *z = z.conj();
         }
-        Template {
-            samples,
-            n_fft,
-            block: n_fft - m + 1,
-            spec_conj,
-        }
+        Template { samples, spec_conj }
     }
+}
 
-    fn len(&self) -> usize {
-        self.samples.len()
-    }
+/// A bank's cached templates at one sample rate, with the overlap-save
+/// geometry their longest member sets.
+#[derive(Debug)]
+struct BankCache {
+    fs: f64,
+    geometry: OverlapSave,
+    templates: Vec<Template>,
 }
 
 /// The per-hypothesis conjugate-template-spectrum cache, keyed on geometry
@@ -216,8 +254,8 @@ impl Template {
 #[derive(Debug, Default)]
 pub struct CorrelatorBank {
     hypotheses: Vec<SlopeHypothesis>,
-    /// `(sample_rate_hz, templates)` — present once built.
-    cache: Option<(f64, Vec<Template>)>,
+    /// Present once built.
+    cache: Option<BankCache>,
 }
 
 impl CorrelatorBank {
@@ -240,32 +278,38 @@ impl CorrelatorBank {
             .unwrap_or(0)
     }
 
-    /// Builds the per-hypothesis templates for `fs` if the cache is stale;
-    /// cheap when the geometry is unchanged.
+    /// Builds the per-hypothesis templates for `fs`, all at the transform
+    /// length the longest one sets, if the cache is stale; cheap when the
+    /// geometry is unchanged.
     pub fn ensure_cache(&mut self, fs: f64) {
         let m = metrics();
-        if let Some((cached_fs, t)) = &self.cache {
-            if *cached_fs == fs && t.len() == self.hypotheses.len() {
+        if let Some(c) = &self.cache {
+            if c.fs == fs && c.templates.len() == self.hypotheses.len() {
                 m.cache_hits.inc();
                 return;
             }
         }
         m.cache_misses.inc();
         m.bank_hypotheses.set(self.hypotheses.len() as f64);
+        let geometry = OverlapSave::for_template(self.max_template_len(fs));
         let mut wave = Vec::new();
         let templates = self
             .hypotheses
             .iter()
             .map(|h| {
                 h.fill_template(fs, &mut wave);
-                Template::build(wave.clone())
+                Template::build(wave.clone(), geometry.n)
             })
             .collect();
-        self.cache = Some((fs, templates));
+        self.cache = Some(BankCache {
+            fs,
+            geometry,
+            templates,
+        });
     }
 
-    fn templates(&self) -> &[Template] {
-        &self.cache.as_ref().expect("ensure_cache not called").1
+    fn cached(&self) -> &BankCache {
+        self.cache.as_ref().expect("ensure_cache not called")
     }
 }
 
@@ -307,26 +351,26 @@ pub struct Acquisition {
     pub pslr_db: f64,
 }
 
-/// Caller-owned slabs for the acquisition hot path: the per-hypothesis
-/// correlation rows and folded energy rows. Hold one per pipeline (or lease
-/// from a `FrameArena` pool); after the first dwell of a given geometry the
-/// engine allocates nothing.
+/// Caller-owned slabs for the acquisition hot path: the dwell's block
+/// spectra and the per-hypothesis folded energy rows. Hold one per
+/// pipeline (or lease from a `FrameArena` pool); after the first dwell of a
+/// given geometry the engine allocates nothing.
 #[derive(Debug, Default)]
 pub struct AcquireScratch {
-    /// `n_hyp` rows × `raw.len()` stride of correlation lags.
-    corr: Vec<f64>,
+    /// One row of `n/2 + 1` half-spectrum bins per overlap-save block.
+    spectra: Vec<Cpx>,
     /// `n_hyp` rows × `window` of folded energy.
     energy: Vec<f64>,
 }
 
-/// Per-thread FFT block buffers for the overlap-add loop (each pool worker
-/// keeps its own, next to its thread-local planner).
+/// Per-thread FFT block buffers (each pool worker keeps its own, next to
+/// its thread-local planner).
 #[derive(Default)]
 struct BlockScratch {
-    /// Zero-padded input block (length `n_fft`).
+    /// Zero-padded dwell segment (length `n`).
     seg: Vec<f64>,
-    /// Block half spectrum.
-    spec: Vec<Cpx>,
+    /// Block spectrum times a template's conjugate spectrum.
+    prod: Vec<Cpx>,
     /// Inverse-transformed circular correlation block.
     td: Vec<f64>,
     /// Packed half-length FFT scratch.
@@ -337,57 +381,63 @@ thread_local! {
     static BLOCK: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
 }
 
-/// Overlap-add FFT cross-correlation of `raw` against one cached template:
-/// `corr[j] = Σ_i raw[j+i]·t[i]` for the `raw.len() − M + 1` valid lags
-/// (`corr` must arrive sized; it is zeroed here, then blocks accumulate).
-///
-/// Each length-`block` slice of `raw`, zero-padded to `n_fft`, yields its
-/// circular correlation with the template; because `block + M − 1 ≤ n_fft`
-/// there is no wrap *within* a block, so entries `0..take` are the block's
-/// non-negative relative lags and entries `n_fft−q` (`q in 1..M`) its
-/// negative lags — both are added into `corr` at the block's absolute
-/// position. Summing over blocks reconstructs the exact linear correlation.
-fn overlap_add_correlate(tmpl: &Template, raw: &[f64], corr: &mut [f64]) {
-    let m = tmpl.len();
-    let n = tmpl.n_fft;
-    let block = tmpl.block;
-    let n_lags = corr.len();
-    corr.fill(0.0);
+/// Half spectrum of overlap-save block `b` into `row`: the `n` dwell
+/// samples from `b·hop`, zero-padded past the end of `raw`.
+fn block_spectrum(geo: OverlapSave, raw: &[f64], b: usize, row: &mut [Cpx]) {
+    let start = b * geo.hop;
+    let end = (start + geo.n).min(raw.len());
     BLOCK.with(|cell| {
-        let b = &mut *cell.borrow_mut();
+        let s = &mut *cell.borrow_mut();
+        s.seg.clear();
+        s.seg.extend_from_slice(&raw[start..end]);
+        s.seg.resize(geo.n, 0.0);
+        with_planner(|p| p.rfft_plan(geo.n).process_into(&s.seg, row, &mut s.pack));
+    });
+}
+
+/// Correlates every block spectrum in `spectra` (rows of `geo.bins()`, in
+/// block order) with one template: multiplies by the template's conjugate
+/// spectrum, inverse-transforms, and hands the block's first `hop` lags
+/// (fewer in the last block, so that lags stop at `n_lags`) to
+/// `sink(first_lag, lags)` — `corr[b·hop + j] = Σ_i raw[b·hop + j + i]·t[i]`,
+/// since `hop + M − 1 ≤ n` leaves those lags unwrapped.
+fn correlate_blocks(
+    geo: OverlapSave,
+    spectra: &[Cpx],
+    tmpl: &Template,
+    n_lags: usize,
+    mut sink: impl FnMut(usize, &[f64]),
+) {
+    BLOCK.with(|cell| {
+        let s = &mut *cell.borrow_mut();
+        s.prod.resize(geo.bins(), Cpx::ZERO);
         with_planner(|p| {
-            let plan = p.rfft_plan(n);
-            let mut start = 0usize;
-            while start < raw.len() {
-                let take = block.min(raw.len() - start);
-                b.seg.clear();
-                b.seg.extend_from_slice(&raw[start..start + take]);
-                b.seg.resize(n, 0.0);
-                plan.process_with_scratch(&b.seg, &mut b.spec, &mut b.pack);
-                simd::cmul_assign(&mut b.spec, &tmpl.spec_conj);
-                plan.inverse(&b.spec, &mut b.td, &mut b.pack);
-                // Non-negative relative lags j in 0..take land at start+j.
-                let hi = take.min(n_lags.saturating_sub(start));
-                if hi > 0 {
-                    simd::add_assign(&mut corr[start..start + hi], &b.td[..hi]);
-                }
-                // Negative lags r[−q] = td[n−q], q in 1..M, land at start−q.
-                if start > 0 && m > 1 {
-                    let q_max = (m - 1).min(start);
-                    let lo_out = start - q_max;
-                    let hi_out = start.min(n_lags);
-                    if hi_out > lo_out {
-                        let t0 = n - q_max;
-                        simd::add_assign(
-                            &mut corr[lo_out..hi_out],
-                            &b.td[t0..t0 + (hi_out - lo_out)],
-                        );
-                    }
-                }
-                start += block;
+            let plan = p.rfft_plan(geo.n);
+            for (b, spec) in spectra.chunks_exact(geo.bins()).enumerate() {
+                let first = b * geo.hop;
+                simd::cmul_into(&mut s.prod, spec, &tmpl.spec_conj);
+                plan.inverse(&s.prod, &mut s.td, &mut s.pack);
+                sink(first, &s.td[..geo.hop.min(n_lags - first)]);
             }
         });
     });
+}
+
+/// Squares consecutive correlation lags `first_lag, first_lag + 1, …` into
+/// their window bins, `energy[lag mod window] += c²` with
+/// `window = energy.len()`, one window-aligned stretch per
+/// [`simd::sq_accum`] call. Fed lags in increasing order, every bin sums
+/// its windows in window order.
+fn fold_lags(energy: &mut [f64], first_lag: usize, lags: &[f64]) {
+    let window = energy.len();
+    let mut pos = first_lag % window;
+    let mut rest = lags;
+    while !rest.is_empty() {
+        let take = rest.len().min(window - pos);
+        simd::sq_accum(&mut energy[pos..pos + take], &rest[..take]);
+        rest = &rest[take..];
+        pos = 0;
+    }
 }
 
 /// Direct O(N·M) time-domain cross-correlation — the accuracy oracle and
@@ -409,27 +459,28 @@ pub fn naive_correlate_into(template: &[f64], raw: &[f64], corr: &mut Vec<f64>) 
     }
 }
 
-/// FFT overlap-add correlation of `raw` against an arbitrary template, for
-/// property tests: the correlation the bank runs, but building the template
-/// spectrum per call (the bank caches it).
+/// FFT overlap-save correlation of `raw` against an arbitrary template,
+/// for property tests: the block spectra and block correlation the bank
+/// runs, on the geometry a one-template bank would pick, building the
+/// template spectrum per call (the bank caches it). `corr` is cleared and
+/// resized to the `raw.len() − M + 1` valid lags.
 ///
 /// # Panics
 /// Panics if the template is empty or longer than `raw`.
 pub fn fft_correlate_into(template: &[f64], raw: &[f64], corr: &mut Vec<f64>) {
     assert!(!template.is_empty() && raw.len() >= template.len());
-    let tmpl = Template::build(template.to_vec());
-    corr.clear();
-    corr.resize(raw.len() - template.len() + 1, 0.0);
-    overlap_add_correlate(&tmpl, raw, corr);
-}
-
-/// Folds `n_windows` repetitions of `corr` into one window of non-coherent
-/// energy: `energy[l] = Σ_w corr[w·window + l]²`.
-fn fold_energy(corr: &[f64], window: usize, n_windows: usize, energy: &mut [f64]) {
-    energy.fill(0.0);
-    for w in 0..n_windows {
-        simd::sq_accum(energy, &corr[w * window..w * window + window]);
+    let geo = OverlapSave::for_template(template.len());
+    let tmpl = Template::build(template.to_vec(), geo.n);
+    let n_lags = raw.len() - template.len() + 1;
+    let mut spectra = vec![Cpx::ZERO; geo.blocks(n_lags) * geo.bins()];
+    for (b, row) in spectra.chunks_exact_mut(geo.bins()).enumerate() {
+        block_spectrum(geo, raw, b, row);
     }
+    corr.clear();
+    corr.resize(n_lags, 0.0);
+    correlate_blocks(geo, &spectra, &tmpl, n_lags, |first, lags| {
+        corr[first..first + lags.len()].copy_from_slice(lags);
+    });
 }
 
 /// Peak + PSLR scan of one hypothesis's energy profile.
@@ -501,14 +552,17 @@ fn check_dwell(cfg: &AcquireConfig, raw_len: usize, max_m: usize) {
     );
 }
 
-/// Runs the full correlator bank over one dwell: per-hypothesis overlap-add
-/// correlation (fanned out over `pool`), window energy folding, peak/PSLR
-/// scoring into `scores` (cleared; one entry per hypothesis, bank order),
-/// and the acquisition decision.
+/// Runs the full correlator bank over one dwell: the overlap-save block
+/// spectra (once for the bank, fanned out over `pool` by block), then per
+/// hypothesis (fanned out by energy row) the block correlations with the
+/// window energy folded as they come out, peak/PSLR scoring into `scores`
+/// (cleared; one entry per hypothesis, bank order), and the acquisition
+/// decision. Only the `window·n_windows` lags that fold are correlated.
 ///
-/// Bit-identical to the serial loop for any pool size: each hypothesis owns
-/// a disjoint slab row and a fixed operation order. Returns `None` when the
-/// bank is empty or the best hypothesis fails the PSLR gate.
+/// Bit-identical to the serial loop for any pool size: each block and each
+/// hypothesis owns a disjoint slab row and a fixed operation order. Returns
+/// `None` when the bank is empty or the best hypothesis fails the PSLR
+/// gate.
 ///
 /// # Panics
 /// Panics if the dwell is shorter than
@@ -533,28 +587,31 @@ pub fn acquire_all(
     m.hypotheses_evaluated.add(nh as u64);
     m.windows_accumulated.add((nh * cfg.n_windows) as u64);
 
-    let stride = raw.len();
-    scratch.corr.resize(nh * stride, 0.0);
+    let BankCache {
+        geometry: geo,
+        templates,
+        ..
+    } = bank.cached();
+    let (geo, n_lags) = (*geo, cfg.window * cfg.n_windows);
+    scratch
+        .spectra
+        .resize(geo.blocks(n_lags) * geo.bins(), Cpx::ZERO);
     scratch.energy.resize(nh * cfg.window, 0.0);
-    let templates = bank.templates();
 
-    // Stage 1: one correlation row per hypothesis, disjoint by chunking.
-    pool.par_chunks(&mut scratch.corr, stride, |h, row| {
-        let _span = biscatter_obs::span!("acquire.correlate");
-        let n_lags = raw.len() - templates[h].len() + 1;
-        overlap_add_correlate(&templates[h], raw, &mut row[..n_lags]);
+    // Stage 1: each block's spectrum, once for the whole bank.
+    pool.par_chunks(&mut scratch.spectra, geo.bins(), |b, row| {
+        let _span = biscatter_obs::span!("acquire.spectra");
+        block_spectrum(geo, raw, b, row);
     });
 
-    // Stage 2: fold each row's repetitions into one window of energy.
-    let corr_slab = &scratch.corr;
+    // Stage 2: one energy row per hypothesis, folded block by block.
+    let spectra = &scratch.spectra;
     pool.par_chunks(&mut scratch.energy, cfg.window, |h, erow| {
-        let _span = biscatter_obs::span!("acquire.accumulate");
-        fold_energy(
-            &corr_slab[h * stride..(h + 1) * stride],
-            cfg.window,
-            cfg.n_windows,
-            erow,
-        );
+        let _span = biscatter_obs::span!("acquire.correlate");
+        erow.fill(0.0);
+        correlate_blocks(geo, spectra, &templates[h], n_lags, |first, lags| {
+            fold_lags(erow, first, lags);
+        });
     });
 
     // Stage 3: serial peak/PSLR scoring (already SIMD per row) + decision.
@@ -583,21 +640,18 @@ pub fn acquire_all_naive(
         return None;
     }
     check_dwell(cfg, raw.len(), bank.max_template_len(cfg.sample_rate_hz));
-    let stride = raw.len();
-    scratch.corr.resize(nh * stride, 0.0);
+    let n_lags = cfg.window * cfg.n_windows;
     scratch.energy.resize(nh * cfg.window, 0.0);
-    let mut row_buf = Vec::new();
-    for h in 0..nh {
-        let tmpl = &bank.templates()[h];
-        naive_correlate_into(&tmpl.samples, raw, &mut row_buf);
-        let row = &mut scratch.corr[h * stride..h * stride + row_buf.len()];
-        row.copy_from_slice(&row_buf);
-        fold_energy(
-            row,
-            cfg.window,
-            cfg.n_windows,
-            &mut scratch.energy[h * cfg.window..(h + 1) * cfg.window],
-        );
+    let mut row = Vec::new();
+    for (tmpl, erow) in bank
+        .cached()
+        .templates
+        .iter()
+        .zip(scratch.energy.chunks_exact_mut(cfg.window))
+    {
+        naive_correlate_into(&tmpl.samples, raw, &mut row);
+        erow.fill(0.0);
+        fold_lags(erow, 0, &row[..n_lags]);
     }
     for (h, hyp) in bank.hypotheses.iter().enumerate() {
         let erow = &scratch.energy[h * cfg.window..(h + 1) * cfg.window];

@@ -1,7 +1,7 @@
-//! Accuracy contract for the acquisition correlator: the overlap-add FFT
-//! path must match a direct time-domain correlation oracle to ≤ 1e-9, and
-//! the dispatch-routed kernels must make the whole acquisition bit-identical
-//! across SIMD tiers.
+//! Accuracy contract for the acquisition correlator: the overlap-save FFT
+//! path the bank runs must match a direct time-domain correlation oracle to
+//! ≤ 1e-9, and the dispatch-routed kernels must make the whole acquisition
+//! bit-identical across SIMD tiers.
 
 use biscatter_compute::ComputePool;
 use biscatter_dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
@@ -18,8 +18,8 @@ proptest! {
         raw_draw in prop::collection::vec(-10.0f64..10.0, 80..400),
     ) {
         // The template is never longer than the dwell by construction
-        // (1..80 vs 80..400), so every draw exercises the full block loop:
-        // zero-padded blocks, positive lags, and wrapped negative lags.
+        // (1..80 vs 80..400), so every draw exercises the full block loop,
+        // down to a last block zero-padded past the end of the dwell.
         let mut fft = Vec::new();
         let mut naive = Vec::new();
         fft_correlate_into(&tmpl_draw, &raw_draw, &mut fft);

@@ -115,12 +115,18 @@ impl Reception<'_> {
 /// the precision), but only at run edges, not at every sample: sample times
 /// grow with `i`, so each state of [`switch_state`] covers one contiguous
 /// run of samples. A chirp whose first and last samples share a state is
-/// therefore a single run. Otherwise each run's end is found by galloping
-/// out from its start and bisecting on the exact per-sample state — so every
-/// sample gets the level the per-sample evaluation gives it, at a few state
-/// evaluations per switch edge instead of one per sample.
+/// therefore a single run. Otherwise each run's end is first looked for at
+/// the sample the waveform's formula predicts
+/// ([`TagModulation::next_edge_s`]): if the sample before it is still in the
+/// run and it is not, it is the run's end, since a state covers one
+/// contiguous run. When that probe misses (rounding put the edge one sample
+/// off), the end is found by galloping out from the run's start and
+/// bisecting on the exact per-sample state. Either way every sample gets
+/// the level the per-sample evaluation gives it, at two state evaluations
+/// per switch edge (a few more on a miss) instead of one per sample.
 ///
 /// [`switch_state`]: crate::scene::TagModulation::switch_state
+/// [`TagModulation::next_edge_s`]: crate::scene::TagModulation::next_edge_s
 struct SwitchRuns<'a> {
     s: &'a Scatterer,
     t_start: f64,
@@ -170,9 +176,22 @@ impl Iterator for SwitchRuns<'_> {
             self.next = None;
             return Some((self.n, self.level(run)));
         }
-        // `state(start)` is `run` and `state(n − 1)` is not. Gallop out
-        // until a probe leaves the run, then bisect: `lo` stays in the run
-        // and `hi` past it, with `next = state(hi)`.
+        // `state(start)` is `run` and `state(n − 1)` is not. Probe the
+        // predicted edge: the first sample at or after the edge time.
+        let guess = ((self.s.modulation.next_edge_s(run) - self.t_start) * self.fs).ceil();
+        if guess > start as f64 && guess <= (self.n - 1) as f64 {
+            let hi = guess as usize;
+            if self.state(hi - 1) == run {
+                let next = self.state(hi);
+                if next != run {
+                    self.next = Some((hi, next));
+                    return Some((hi, self.level(run)));
+                }
+            }
+        }
+        // The probe missed: gallop out until a probe leaves the run, then
+        // bisect: `lo` stays in the run and `hi` past it, with
+        // `next = state(hi)`.
         let (mut lo, mut hi, mut next, mut step) = (start, self.n - 1, self.last, 1);
         while lo + step < hi {
             let st = self.state(lo + step);

@@ -122,6 +122,54 @@ impl TagModulation {
             }
         }
     }
+
+    /// When the switch next leaves state `st`, by the formula of
+    /// [`TagModulation::switch_state`]: the subcarrier's duty edge (while
+    /// reflective) or its cycle edge, or the end of the bit, whichever
+    /// comes first; infinite for a switch that never changes. Only a
+    /// prediction: time is rounded, so the sample where the state really
+    /// changes may sit one off, and callers check it.
+    pub(crate) fn next_edge_s(&self, st: SwitchState) -> f64 {
+        let subcarrier = |freq: f64, duty: f64| {
+            let c = st.cycle as f64;
+            (if st.reflective { c + duty } else { c + 1.0 }) / freq
+        };
+        let bit_end = |bit_duration_s: f64| (st.bit + 1) as f64 * bit_duration_s;
+        match self {
+            TagModulation::None => f64::INFINITY,
+            TagModulation::Subcarrier { freq_hz, duty } => subcarrier(*freq_hz, *duty),
+            TagModulation::OokBits { bits, .. } | TagModulation::FskBits { bits, .. }
+                if bits.is_empty() =>
+            {
+                f64::INFINITY
+            }
+            TagModulation::OokBits {
+                freq_hz,
+                bit_duration_s,
+                bits,
+            } => {
+                let end = bit_end(*bit_duration_s);
+                if bits[st.bit % bits.len()] {
+                    end.min(subcarrier(*freq_hz, 0.5))
+                } else {
+                    end
+                }
+            }
+            TagModulation::FskBits {
+                freq0_hz,
+                freq1_hz,
+                bit_duration_s,
+                bits,
+            } => {
+                let f = if bits[st.bit % bits.len()] {
+                    *freq1_hz
+                } else {
+                    *freq0_hz
+                };
+                bit_end(*bit_duration_s).min(subcarrier(f, 0.5))
+            }
+        }
+    }
 }
 
 /// A tag switch's state at one instant: see [`TagModulation::switch_state`].

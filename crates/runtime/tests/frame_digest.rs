@@ -12,7 +12,11 @@
 //! the f32 and f64 receive chains were merged into one generic
 //! implementation. The f64 constants, and the cold-start f32 outcome (its
 //! acquisition dwell draws f64 noise), were re-recorded when f64 noise moved
-//! from Box–Muller to the inverse-CDF draw the f32 tier already used.
+//! from Box–Muller to the inverse-CDF draw the f32 tier already used. The
+//! cold-start outcome text (f64 and f32) was re-recorded again when the
+//! correlator bank moved from per-hypothesis overlap-add to overlap-save on
+//! one shared block length: its hypothesis scores moved at rounding level,
+//! its decision did not.
 //!
 //! The f64 digests must hold on every dispatch tier (the f64 kernels are
 //! bit-identical across tiers). The f32 tier has no cross-tier bit
@@ -223,7 +227,7 @@ const F64: [Digest; 4] = [
         0x64e95c684639d2e1,
         0x026f880199d7d104,
         0xc175593a607b6b26,
-        0x784cb7f7288e308a,
+        0xfd3f87156f7e5275,
     ],
 ];
 
@@ -248,7 +252,7 @@ const F32_SCALAR: [Digest; 3] = [
         0x048d9b404512069f,
         0xc994f718cddfb4bc,
         0xd5e0d20b8bb9fe92,
-        0x66cd5fe0ace585c2,
+        0x28f0aeb18f0f090b,
     ],
 ];
 

@@ -131,13 +131,15 @@ fn every_frame_is_traced_end_to_end() {
     assert_eq!(counter("runtime.queue.intake.drops"), 0);
 
     // Every cold-start frame shows the acquisition stage's spans — the
-    // stage wrapper, the correlator bank, and its fan-out/scan phases — and
-    // then the aligned-frame spans, since every dwell here carries a tag.
+    // stage wrapper, the correlator bank, and its fan-out/scan phases (the
+    // block spectra, the per-hypothesis correlation with its energy fold,
+    // the scan) — and then the aligned-frame spans, since every dwell here
+    // carries a tag.
     let acquire_spans = [
         "isac.acquire",
         "acquire.bank",
+        "acquire.spectra",
         "acquire.correlate",
-        "acquire.accumulate",
         "acquire.scan",
         "isac.dechirp",
         "isac.detect",
