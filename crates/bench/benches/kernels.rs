@@ -22,11 +22,12 @@ use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
 use biscatter_core::radar::receiver::doppler::range_doppler;
 use biscatter_core::radar::receiver::{align_frame, RxConfig};
 use biscatter_core::radar::sequencer::isac_frame;
-use biscatter_core::rf::frame::ChirpTrain;
+use biscatter_core::rf::frame::{ChirpTrain, MAX_DUTY};
 use biscatter_core::rf::if_gen::IfReceiver;
 use biscatter_core::rf::scene::{Scatterer, Scene};
 use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
+use biscatter_core::tag::acquisition::{estimate_period, estimate_slot_timing};
 use biscatter_core::tag::decoder::DownlinkDecoder;
 use biscatter_runtime::compute::ComputePool;
 use biscatter_runtime::source::multi_tag_jobs;
@@ -74,18 +75,39 @@ fn main() {
     // the timing-refinement sweep, packet parsing) on one capture carrying
     // a 4-byte command: a 32-chirp frame of the streaming geometry, seen by
     // a tag 3 m from the radar, and a full 128-chirp `paper_9ghz` frame, the
-    // one `warehouse_k24` decodes, seen by its primary tag at 2 m.
+    // one `warehouse_k24` decodes, seen by its primary tag at 2 m. The
+    // chain's front half has rows of its own: the envelope capture, the
+    // period search (which reads only the capture's first 1,600 samples, so
+    // one length shows it) and the slot-timing search.
     for (chirps, range_m, seed) in [(32, 3.0, 3), (128, 2.0, 4)] {
         let mut sys = BiScatterSystem::paper_9ghz();
         sys.frame_chirps = chirps;
         let packet = DownlinkPacket::new(b"CMD1".to_vec());
         let (train, _, _) =
             isac_frame(&packet, &sys.alphabet, sys.radar.t_period, sys.frame_chirps).unwrap();
-        let mut noise = NoiseSource::new(seed);
-        let adc =
+        let snr_db = sys.downlink_snr_at(range_m);
+        row(&args, &fast, &format!("tag/capture_{chirps}chirp"), || {
+            let mut noise = NoiseSource::new(seed);
             sys.front_end
-                .capture_train(&train, sys.downlink_snr_at(range_m), 0.0, &mut noise);
+                .capture_train(black_box(&train), snr_db, 0.0, &mut noise)
+        });
+        let mut noise = NoiseSource::new(seed);
+        let adc = sys.front_end.capture_train(&train, snr_db, 0.0, &mut noise);
         let decoder = DownlinkDecoder::new(sys.nominal_decider());
+        let fs = decoder.decider.fs;
+        let (t_min, t_max) = (decoder.t_period_min, decoder.t_period_max);
+        if chirps == 32 {
+            row(&args, &fast, "tag/period_32chirp", || {
+                estimate_period(black_box(&adc), fs, t_min, t_max).unwrap()
+            });
+        }
+        let coarse = (estimate_period(&adc, fs, t_min, t_max).unwrap() * fs).round() as usize;
+        row(
+            &args,
+            &fast,
+            &format!("tag/slot_timing_{chirps}chirp"),
+            || estimate_slot_timing(black_box(&adc), coarse, 1.0 - MAX_DUTY),
+        );
         row(
             &args,
             &fast,

@@ -694,6 +694,22 @@ impl<T> ColumnBand<'_, T> {
             *self.ptr.add(row * self.n_cols + col) = value;
         }
     }
+
+    /// This band's segment of row `row`, checked once: element `j` is
+    /// column `cols().start + j`. Panics if the row is out of range.
+    #[inline]
+    pub fn row_mut(&mut self, row: usize) -> &mut [T] {
+        assert!(row < self.n_rows, "row {row} out of {} rows", self.n_rows);
+        // SAFETY: the row is in range and `lo..hi` lies inside it; bands
+        // cover disjoint column sets, so no other task touches these
+        // elements, and the slice holds this band's borrow while it lives.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.ptr.add(row * self.n_cols + self.lo),
+                self.hi - self.lo,
+            )
+        }
+    }
 }
 
 #[cfg(test)]
@@ -770,6 +786,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn par_columns_row_segments_fill_whole_slab() {
+        let (n_rows, n_cols) = (7, 13);
+        for pool in pools() {
+            let mut slab = vec![0usize; n_rows * n_cols];
+            pool.par_columns(&mut slab, n_rows, n_cols, 4, |band| {
+                let cols = band.cols();
+                for row in 0..n_rows {
+                    let seg = band.row_mut(row);
+                    assert_eq!(seg.len(), cols.len());
+                    for (cell, col) in seg.iter_mut().zip(cols.clone()) {
+                        *cell = row * 100 + col;
+                    }
+                }
+            });
+            for row in 0..n_rows {
+                for col in 0..n_cols {
+                    assert_eq!(slab[row * n_cols + col], row * 100 + col);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 7 out of 7 rows")]
+    fn row_segment_rejects_rows_past_the_slab() {
+        let mut slab = vec![0u8; 7 * 3];
+        ComputePool::new(1).par_columns(&mut slab, 7, 3, 2, |band| {
+            band.row_mut(7);
+        });
     }
 
     #[test]

@@ -336,7 +336,7 @@ fn gather_first_stage<T: Real>(input: &[T], bitrev: &[u32], out: &mut Vec<Comple
 /// the `N/2 + 1` half spectrum (the upper bins of a real signal's spectrum
 /// are the conjugate mirror, so nothing is lost). With a radix-2 inner
 /// plan the packing gathers in bit-reversed order and applies the first
-/// stage on the way ([`gather_first_stage`]).
+/// stage on the way (`gather_first_stage`).
 pub struct RfftPlan<T: Real = f64> {
     n: usize,
     /// Complex plan of length `n/2`.

@@ -439,6 +439,24 @@ pub fn sq_accum(acc: &mut [f64], x: &[f64]) {
     }
 }
 
+/// `x[i] ← x[i].round()`: to the nearest integer, halves away from zero —
+/// the ADC model's code rounding. Baseline x86-64 has no rounding
+/// instruction, so the scalar body calls libm per element; the AVX2 body
+/// truncates `x + copysign(½ − 2⁻⁵⁴, x)`, the exact lowering LLVM itself
+/// uses for `round` where `roundpd` exists. Both return the same bits for
+/// every input, signed zeros, infinities and NaN included.
+pub fn round(x: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier.
+        unsafe { avx2::round(x) };
+        return;
+    }
+    for v in x.iter_mut() {
+        *v = v.round();
+    }
+}
+
 /// First index attaining the maximum of `x`, and the value stored there —
 /// the acquisition peak/PSLR scan. Returns `(0, NEG_INFINITY)` for an empty
 /// slice, so sidelobe scans over empty guard remainders compare away
@@ -590,6 +608,114 @@ fn goertzel_step(
         let s0 = (x[l] - job.shifts[l]) * w + job.coeffs.coeff * s1[l] - s2[l];
         s2[l] = s1[l];
         s1[l] = s0;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The tag's acquisition searches: lagged products (the period search) and
+// row sums (the slot-timing search).
+// ---------------------------------------------------------------------------
+
+/// Lagged-product sums of `p` for the run of lags `lag..lag + sums.len()`:
+/// `sums[j] = Σ_i p[i]·p[i + lag + j]` over every `i` with
+/// `i + lag + j < p.len()` — the autocorrelation of the tag's period
+/// search. Each lag sums its products in index order from zero, as a loop
+/// over that lag alone would, so both tiers return the same bits: the
+/// scalar body runs sixteen lags per pass (then four, then one) so their
+/// accumulation chains overlap, the AVX2 body four lags per vector and up
+/// to eight vectors per pass, with no FMA.
+///
+/// # Panics
+/// Panics unless every lag has a product: `lag + sums.len() <= p.len()`.
+pub fn lagged_products(p: &[f64], lag: usize, sums: &mut [f64]) {
+    assert!(
+        lag + sums.len() <= p.len(),
+        "lags {lag}..{} need {} samples, not {}",
+        lag + sums.len(),
+        lag + sums.len(),
+        p.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier; the lag
+        // run was checked against `p` above.
+        unsafe { avx2::lagged_products(p, lag, sums) };
+        return;
+    }
+    let mut done = 0;
+    for width in [16, 4, 1] {
+        while done + width <= sums.len() {
+            let block = &mut sums[done..done + width];
+            match width {
+                16 => lagged_block::<16>(p, lag + done, block),
+                4 => lagged_block::<4>(p, lag + done, block),
+                _ => lagged_block::<1>(p, lag + done, block),
+            }
+            done += width;
+        }
+    }
+}
+
+/// [`lagged_products`] for `N` lags side by side: lag `j` of the block
+/// has `p.len() - lag - j` products; all lanes share the first `joint`,
+/// where sample `i` meets the `N` samples from `i + lag` on.
+fn lagged_block<const N: usize>(p: &[f64], lag: usize, sums: &mut [f64]) {
+    let joint = p.len() - lag - (N - 1);
+    let mut acc = [0.0f64; N];
+    for (&x, lagged) in p[..joint].iter().zip(p[lag..].windows(N)) {
+        for j in 0..N {
+            acc[j] += x * lagged[j];
+        }
+    }
+    lagged_tails(p, lag, joint, &mut acc);
+    sums.copy_from_slice(&acc);
+}
+
+/// The products past `joint` of a block of lags from `lag`, added in index
+/// order onto the block's joint sums `acc`.
+#[inline]
+fn lagged_tails(p: &[f64], lag: usize, joint: usize, acc: &mut [f64]) {
+    for (j, acc) in acc.iter_mut().enumerate() {
+        let mut sum = *acc;
+        for (&x, &y) in p[joint..p.len() - lag - j]
+            .iter()
+            .zip(&p[joint + lag + j..])
+        {
+            sum += x * y;
+        }
+        *acc = sum;
+    }
+}
+
+/// Adds rows of `src` onto `out` in order:
+/// `out[i] ← ((out[i] + src[s₀ + i]) + src[s₁ + i]) + …` for the starts
+/// `s₀, s₁, …` of `starts` — the per-offset slot sums of the tag's
+/// slot-timing search. Every element adds its rows in `starts` order, so
+/// both tiers return the same bits; the AVX2 body keeps a block of
+/// elements in registers across all the rows.
+///
+/// # Panics
+/// Panics if a row runs past `src`: `start + out.len() > src.len()`.
+pub fn add_rows(out: &mut [f64], src: &[f64], starts: &[usize]) {
+    for &s in starts {
+        assert!(
+            s + out.len() <= src.len(),
+            "a {}-wide row from {s} runs past {} values",
+            out.len(),
+            src.len()
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier; every row
+        // was checked against `src` above.
+        unsafe { avx2::add_rows(out, src, starts) };
+        return;
+    }
+    for &s in starts {
+        for (o, &x) in out.iter_mut().zip(&src[s..]) {
+            *o += x;
+        }
     }
 }
 
@@ -1262,6 +1388,31 @@ mod avx2 {
         }
     }
 
+    /// Why this is exact: below 2⁵² in magnitude, adding the largest double
+    /// under ½ (with `x`'s sign) carries past the next integer exactly when
+    /// the fraction is at least ½, and the sum rounds to even on the one
+    /// tie; from 2⁵² up `x` is an integer and the add rounds back to it.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn round(x: &mut [f64]) {
+        const BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
+        let n = x.len();
+        let xp = x.as_mut_ptr();
+        let sign = _mm256_set1_pd(-0.0);
+        let half = _mm256_set1_pd(BELOW_HALF);
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let v = _mm256_loadu_pd(xp.add(i));
+            let h = _mm256_or_pd(_mm256_and_pd(v, sign), half);
+            let r =
+                _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm256_add_pd(v, h));
+            _mm256_storeu_pd(xp.add(i), r);
+            i += 4;
+        }
+        for v in x[i..].iter_mut() {
+            *v = v.round();
+        }
+    }
+
     /// Max-reduce then first-match scan; see the dispatcher's NaN note.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn peak_max(x: &[f64]) -> (usize, f64) {
@@ -1393,6 +1544,149 @@ mod avx2 {
             let im = _mm256_mul_pd(s1[j], _mm256_set1_pd(c.sin_w));
             let p = _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im));
             _mm256_storeu_pd(powers[4 * j..4 * j + 4].as_mut_ptr(), p);
+        }
+    }
+
+    /// The AVX2 body of [`super::lagged_products`]: blocks of the widest
+    /// of 32, 16 or 4 lags that fits, the last block ending at the last
+    /// lag (it may sum again a few lags of the block before it, from zero,
+    /// to the same bits); fewer than four lags run one at a time.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and `lag + sums.len() <= p.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lagged_products(p: &[f64], lag: usize, sums: &mut [f64]) {
+        let n = sums.len();
+        let width = [32, 16, 4].into_iter().find(|&w| w <= n);
+        let Some(width) = width else {
+            for j in 0..n {
+                super::lagged_block::<1>(p, lag + j, &mut sums[j..j + 1]);
+            }
+            return;
+        };
+        let mut done = 0;
+        while done < n {
+            let at = done.min(n - width);
+            let block = &mut sums[at..at + width];
+            match width {
+                32 => lagged_block::<8>(p, lag + at, block),
+                16 => lagged_block::<4>(p, lag + at, block),
+                _ => lagged_block::<1>(p, lag + at, block),
+            }
+            done = at + width;
+        }
+    }
+
+    /// `4·V` lags from `lag`, four per vector: the joint products a vector
+    /// of lags at a time (each lane's product rounded, then added), the
+    /// tails as the scalar body runs them.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2, `sums` holds `4·V` values and
+    /// `lag + 4·V <= p.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lagged_block<const V: usize>(p: &[f64], lag: usize, sums: &mut [f64]) {
+        let joint = p.len() - lag - (4 * V - 1);
+        let pp = p.as_ptr();
+        let mut acc = [_mm256_setzero_pd(); V];
+        // Sample `i` meets `p[i + lag .. i + lag + 4·V]`, in bounds for
+        // `i < joint`.
+        for i in 0..joint {
+            let x = _mm256_set1_pd(*pp.add(i));
+            let lagged = pp.add(i + lag);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                let y = _mm256_loadu_pd(lagged.add(4 * v));
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(x, y));
+            }
+        }
+        for (v, acc) in acc.iter().enumerate() {
+            _mm256_storeu_pd(sums.as_mut_ptr().add(4 * v), *acc);
+        }
+        super::lagged_tails(p, lag, joint, sums);
+    }
+
+    /// The AVX2 body of [`super::add_rows`]: blocks of 32 elements, then
+    /// one block of the rest, each held in registers across every row.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and every `start + out.len() <= src.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn add_rows(out: &mut [f64], src: &[f64], starts: &[usize]) {
+        let n = out.len();
+        let mut i = 0;
+        while i + 32 <= n {
+            add_rows_block::<8>(out, src, starts, i, 4);
+            i += 32;
+        }
+        let rest = n - i;
+        let vectors = rest.div_ceil(4);
+        let lanes = rest - 4 * vectors.saturating_sub(1);
+        match vectors {
+            0 => {}
+            1 => add_rows_block::<1>(out, src, starts, i, lanes),
+            2 => add_rows_block::<2>(out, src, starts, i, lanes),
+            3 => add_rows_block::<3>(out, src, starts, i, lanes),
+            4 => add_rows_block::<4>(out, src, starts, i, lanes),
+            5 => add_rows_block::<5>(out, src, starts, i, lanes),
+            6 => add_rows_block::<6>(out, src, starts, i, lanes),
+            7 => add_rows_block::<7>(out, src, starts, i, lanes),
+            _ => add_rows_block::<8>(out, src, starts, i, lanes),
+        }
+    }
+
+    /// Vector `v` of a `V`-vector block at `at`: the last one loads only
+    /// the lanes that `mask` selects (zeros elsewhere).
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and the selected values are readable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_block_pd<const V: usize>(at: *const f64, v: usize, mask: __m256i) -> __m256d {
+        if v + 1 < V {
+            _mm256_loadu_pd(at.add(4 * v))
+        } else {
+            _mm256_maskload_pd(at.add(4 * v), mask)
+        }
+    }
+
+    /// The `4·V − 4 + lanes` elements from `i` of [`add_rows`], in `V`
+    /// registers; the last register loads and stores only its first
+    /// `lanes` (1 to 4) elements, so nothing past the block is touched.
+    ///
+    /// # Safety
+    /// As [`add_rows`], with `i + 4·V − 4 + lanes <= out.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_rows_block<const V: usize>(
+        out: &mut [f64],
+        src: &[f64],
+        starts: &[usize],
+        i: usize,
+        lanes: usize,
+    ) {
+        let mask = _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(lanes as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        );
+        let op = out.as_mut_ptr().add(i);
+        let sp = src.as_ptr().add(i);
+        let mut acc = [_mm256_setzero_pd(); V];
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = load_block_pd::<V>(op, v, mask);
+        }
+        for &s in starts {
+            let row = sp.add(s);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_pd(*acc, load_block_pd::<V>(row, v, mask));
+            }
+        }
+        for (v, &acc) in acc.iter().enumerate() {
+            if v + 1 < V {
+                _mm256_storeu_pd(op.add(4 * v), acc);
+            } else {
+                _mm256_maskstore_pd(op.add(4 * v), mask, acc);
+            }
         }
     }
 
@@ -1742,6 +2036,56 @@ mod tests {
     }
 
     #[test]
+    fn round_tiers_match_libm() {
+        let half = 0.5 - f64::EPSILON / 4.0;
+        let two52 = (1u64 << 52) as f64;
+        let mut x = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            half,
+            -half,
+            1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            -(two52 - 0.5),
+            1e300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Every half-integer and its neighbours across the ADC's code range,
+        // and scattered values, so every tail length runs too.
+        for k in -4100..4100 {
+            let m = k as f64 + 0.5;
+            x.extend([
+                m,
+                f64::from_bits(m.to_bits() - 1),
+                f64::from_bits(m.to_bits() + 1),
+            ]);
+        }
+        x.extend(rvec(1013).iter().map(|v| v * 3000.0));
+        for n in [x.len(), x.len() - 1, x.len() - 2, x.len() - 3] {
+            let got = assert_tiers_match(|| {
+                let mut y = x[..n].to_vec();
+                round(&mut y);
+                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            });
+            let want: Vec<u64> = x[..n].iter().map(|v| v.round().to_bits()).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
     fn peak_max_prefers_first_of_ties() {
         let mut x = vec![0.25; 16];
         x[5] = 1.5;
@@ -1849,6 +2193,81 @@ mod tests {
             powers.map(f64::to_bits)
         });
         assert_eq!(powers, [0.0f64.to_bits(); 4]);
+    }
+
+    #[test]
+    fn lagged_products_tiers_match_per_lag_sums() {
+        // xorshift64: deterministic lengths, lags and samples.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        // Every lag count from 1 to 70 (every block width, and a last
+        // block that overlaps the one before), at random lags and lengths,
+        // down to the shortest signal the lags allow.
+        for lags in 1..=70 {
+            for _ in 0..4 {
+                let lag = next(40);
+                let len = lag + lags + next(3) * next(200);
+                let p: Vec<f64> = (0..len).map(|_| next(2001) as f64 / 1000.0 - 1.0).collect();
+                let sums = assert_tiers_match(|| {
+                    let mut sums = vec![f64::NAN; lags];
+                    lagged_products(&p, lag, &mut sums);
+                    sums.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                });
+                for (j, &got) in sums.iter().enumerate() {
+                    let mut want = 0.0;
+                    for i in 0..len - lag - j {
+                        want += p[i] * p[i + lag + j];
+                    }
+                    assert_eq!(
+                        got,
+                        want.to_bits(),
+                        "{lags} lags from {lag}, {len} samples, lag {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_rows_tiers_match_row_by_row_adds() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        // Every width from 0 to 100 (whole 32-element blocks and every
+        // remainder), with no rows, one row and many, overlapping or not.
+        for width in 0..=100 {
+            for rows in [0, 1, 2, 7, 33] {
+                let src: Vec<f64> = (0..width + 300)
+                    .map(|_| next(2001) as f64 / 1000.0 - 1.0)
+                    .collect();
+                let starts: Vec<usize> = (0..rows).map(|_| next(301)).collect();
+                let init: Vec<f64> = (0..width)
+                    .map(|_| next(2001) as f64 / 1000.0 - 1.0)
+                    .collect();
+                let got = assert_tiers_match(|| {
+                    let mut out = init.clone();
+                    add_rows(&mut out, &src, &starts);
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                });
+                let mut want = init.clone();
+                for &s in &starts {
+                    for (o, &x) in want.iter_mut().zip(&src[s..]) {
+                        *o += x;
+                    }
+                }
+                let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "width {width}, {rows} rows");
+            }
+        }
     }
 
     /// A 1–4 tone pass over an `out` that already holds a partial sum.

@@ -171,12 +171,15 @@ pub fn range_doppler_into<T: Real>(
                         plan.process(column);
                     }
                     // Write powers row-major: `w` adjacent cells per Doppler
-                    // row (one cache line of the power slab) instead of a
-                    // strided column walk per range bin. The strided reads
+                    // row (one cache line of the power slab), through the
+                    // band's row segment, checked once per row, instead of
+                    // a strided column walk per range bin. The strided reads
                     // land in the L1-resident block.
+                    let at = r0 - cols.start;
                     for d in 0..n_doppler {
-                        for j in 0..w {
-                            band.set(d, r0 + j, scratch[j * n_doppler + d].norm_sq().to_f64());
+                        let cells = &mut band.row_mut(d)[at..at + w];
+                        for (j, cell) in cells.iter_mut().enumerate() {
+                            *cell = scratch[j * n_doppler + d].norm_sq().to_f64();
                         }
                     }
                     r0 += w;

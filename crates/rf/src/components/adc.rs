@@ -39,12 +39,52 @@ impl Adc {
 
     /// Quantizes one sample (clip + round to the nearest level).
     pub fn quantize(&self, x: f64) -> f64 {
-        let clipped = x.clamp(-self.full_scale, self.full_scale);
-        let lsb = self.lsb();
-        let code = (clipped / lsb).round();
+        self.quantizer().quantize(x)
+    }
+
+    /// The quantization law with its step and code bounds computed once,
+    /// for loops over a whole capture.
+    pub(crate) fn quantizer(&self) -> Quantizer {
         let max_code = (self.levels() / 2) as f64 - 1.0;
-        let code = code.clamp(-(max_code + 1.0), max_code);
-        code * lsb
+        Quantizer {
+            full_scale: self.full_scale,
+            lsb: self.lsb(),
+            min_code: -(max_code + 1.0),
+            max_code,
+        }
+    }
+}
+
+/// An [`Adc`]'s quantization law with the step and code bounds hoisted out
+/// of the per-sample work: clip and divide into steps ([`Self::steps`]),
+/// round, then clip the code and scale it back ([`Self::level`]). Each
+/// sample sees the same clamp, divide, round, clamp and multiply as in
+/// [`Adc::quantize`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Quantizer {
+    full_scale: f64,
+    lsb: f64,
+    min_code: f64,
+    max_code: f64,
+}
+
+impl Quantizer {
+    /// Quantizes one sample (clip + round to the nearest level).
+    #[inline]
+    pub(crate) fn quantize(&self, x: f64) -> f64 {
+        self.level(self.steps(x).round())
+    }
+
+    /// `x` clipped to full scale, in steps: the value to round.
+    #[inline]
+    pub(crate) fn steps(&self, x: f64) -> f64 {
+        x.clamp(-self.full_scale, self.full_scale) / self.lsb
+    }
+
+    /// The level of a rounded `code`, clipped to the code range.
+    #[inline]
+    pub(crate) fn level(&self, code: f64) -> f64 {
+        code.clamp(self.min_code, self.max_code) * self.lsb
     }
 }
 

@@ -92,6 +92,13 @@ impl DelayLinePair {
         self.long.delay_at(f_hz) - self.short.delay_at(f_hz)
     }
 
+    /// Whether either line disperses. Without dispersion every line's
+    /// velocity factor, hence [`Self::delta_t_at`], is the same for every
+    /// frequency, bit for bit.
+    pub(crate) fn is_dispersive(&self) -> bool {
+        self.short.dispersion_per_ghz != 0.0 || self.long.dispersion_per_ghz != 0.0
+    }
+
     /// Differential delay at the reference frequency.
     pub fn delta_t(&self) -> f64 {
         self.delta_t_at(self.short.ref_freq_hz)

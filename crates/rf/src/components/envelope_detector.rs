@@ -54,7 +54,13 @@ impl EnvelopeDetector {
     /// `r/2 · a² · (1 + cos Δφ)` — derived from low-passing
     /// `(a cos φ₁ + a cos φ₂)²`.
     pub fn analytic_output(&self, arm_amplitude: f64, delta_phi: f64) -> f64 {
-        self.responsivity * arm_amplitude * arm_amplitude * (1.0 + delta_phi.cos())
+        self.analytic_output_cos(arm_amplitude, delta_phi.cos())
+    }
+
+    /// [`Self::analytic_output`] given `cos Δφ` itself, for beat tones that
+    /// an oscillator generates rather than a per-sample phase.
+    pub(crate) fn analytic_output_cos(&self, arm_amplitude: f64, cos_delta_phi: f64) -> f64 {
+        self.responsivity * arm_amplitude * arm_amplitude * (1.0 + cos_delta_phi)
     }
 }
 

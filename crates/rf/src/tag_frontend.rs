@@ -9,9 +9,12 @@
 //!
 //! Two simulation paths exist (DESIGN.md §5):
 //!
-//! * **analytic envelope** ([`TagFrontEnd::capture_train`]) — evaluates the
-//!   exact phase difference per ADC sample, adds calibrated noise and ADC
+//! * **analytic envelope** ([`TagFrontEnd::capture_train`]) — the exact
+//!   phase difference at each ADC sample, plus calibrated noise and ADC
 //!   quantization. This is what all BER experiments run on (kHz rate → fast).
+//!   A dispersion-free pair fills each sweep with one oscillator (its phase
+//!   is linear in the sample index there); a dispersive pair evaluates the
+//!   phase and its cosine sample by sample.
 //! * **scaled passband** (`TagFrontEnd::capture_passband`, compiled for
 //!   tests only) — synthesizes the actual RF waveform at a frequency-scaled
 //!   carrier and pushes it through the real component chain (sum of arms →
@@ -22,9 +25,10 @@ use crate::chirp::Chirp;
 use crate::components::delay_line::DelayLinePair;
 use crate::components::envelope_detector::EnvelopeDetector;
 use crate::components::{Adc, Splitter};
-use crate::frame::ChirpTrain;
+use crate::frame::{ChirpSlot, ChirpTrain};
 use biscatter_dsp::signal::NoiseSource;
-use biscatter_dsp::TAU;
+use biscatter_dsp::simd::{self, tone_fill};
+use biscatter_dsp::{Cpx, TAU};
 
 /// The assembled tag analog front-end.
 #[derive(Debug, Clone)]
@@ -78,6 +82,16 @@ impl TagFrontEnd {
         chirp.slope() * self.delta_t_at(chirp.center_freq())
     }
 
+    /// Beat phase `Δφ` at time `t` into the sweep of `chirp`, plus the
+    /// start phase `phase0` (start-frequency jitter), with `ΔT` evaluated at
+    /// the instantaneous sweep frequency (dispersion).
+    fn beat_phase(&self, chirp: &Chirp, t: f64, phase0: f64) -> f64 {
+        let f_inst = chirp.instantaneous_freq(t);
+        let dt = self.delta_t_at(f_inst);
+        let alpha = chirp.slope();
+        TAU * (chirp.f0 * dt + alpha * dt * t - 0.5 * alpha * dt * dt) + phase0
+    }
+
     /// Noise-free analytic envelope sample at time `t` into the sweep of
     /// `chirp` (normalized arm amplitude 1), with an extra beat phase
     /// `phase0` (start-frequency jitter). Returns `None` outside the sweep.
@@ -85,12 +99,10 @@ impl TagFrontEnd {
         if t < 0.0 || t > chirp.duration {
             return None;
         }
-        // Dispersion: evaluate ΔT at the instantaneous sweep frequency.
-        let f_inst = chirp.instantaneous_freq(t);
-        let dt = self.delta_t_at(f_inst);
-        let alpha = chirp.slope();
-        let delta_phi = TAU * (chirp.f0 * dt + alpha * dt * t - 0.5 * alpha * dt * dt) + phase0;
-        Some(self.detector.analytic_output(1.0, delta_phi))
+        Some(
+            self.detector
+                .analytic_output(1.0, self.beat_phase(chirp, t, phase0)),
+        )
     }
 
     /// Captures the ADC stream for a full chirp train at the given envelope
@@ -104,6 +116,12 @@ impl TagFrontEnd {
     /// * During inter-chirp gaps the detector sees only noise.
     ///
     /// Returns the quantized ADC samples covering the entire train duration.
+    ///
+    /// The noise-free envelope of a dispersion-free pair comes from one
+    /// oscillator per sweep, within 1e-12 of the per-sample cosine that a
+    /// dispersive pair evaluates. A quantized sample can differ between the
+    /// two only if its value before rounding lies within about 1e-9 of a
+    /// step from a code boundary (a chance of about 1e-9 per sample).
     pub fn capture_train(
         &self,
         train: &ChirpTrain,
@@ -111,41 +129,129 @@ impl TagFrontEnd {
         time_offset_s: f64,
         noise: &mut NoiseSource,
     ) -> Vec<f64> {
-        let fs = self.adc.sample_rate_hz;
-        let total = train.duration();
+        // AC beat amplitude is a² = 1; rms = 1/sqrt(2).
+        let sigma = (1.0 / 2f64.sqrt()) / 10f64.powf(snr_db / 20.0);
+        let per_sample = self.pair.is_dispersive();
+        let mut out = self.envelope(train, time_offset_s, noise, per_sample);
+        // One deviate per sample in sample order, after the phase draws.
+        noise.add_awgn(&mut out, sigma);
+        // Quantized as `quantize(s / 2.2 · full_scale) · 2.2`, one step per
+        // pass, so the rounding runs as one dispatched kernel.
+        let quantizer = self.adc.quantizer();
+        let full_scale = self.adc.full_scale;
+        for s in out.iter_mut() {
+            *s = quantizer.steps(*s / 2.2 * full_scale);
+        }
+        simd::round(&mut out);
+        for s in out.iter_mut() {
+            *s = quantizer.level(*s) * 2.2;
+        }
+        out
+    }
+
+    /// The capture's noise-free envelope, after one beat start-phase draw
+    /// per chirp from `noise`: sample by sample when `per_sample` is set
+    /// (the dispersive path, and the sweep fill's oracle), sweep by sweep
+    /// otherwise (which needs a dispersion-free pair).
+    fn envelope(
+        &self,
+        train: &ChirpTrain,
+        time_offset_s: f64,
+        noise: &mut NoiseSource,
+        per_sample: bool,
+    ) -> Vec<f64> {
         // Rounded, not floored: `duration` sums `d + (T − d)` per slot and
         // can land one ulp under `n·T`, which would drop the last sample of
         // the last full slot.
-        let n = (total * fs).round() as usize;
-        // AC beat amplitude is a² = 1; rms = 1/sqrt(2).
-        let sigma = (1.0 / 2f64.sqrt()) / 10f64.powf(snr_db / 20.0);
-
-        let slots: Vec<(f64, &crate::frame::ChirpSlot)> = train.iter_timed().collect();
+        let n = (train.duration() * self.adc.sample_rate_hz).round() as usize;
+        let slots: Vec<(f64, &ChirpSlot)> = train.iter_timed().collect();
         // One beat start-phase draw per chirp (PLL start-frequency jitter).
         let phases: Vec<f64> = slots
             .iter()
             .map(|_| noise.uniform() * TAU * self.start_phase_jitter)
             .collect();
-        let mut out = Vec::with_capacity(n);
+        let mut out = vec![0.0; n];
+        if per_sample {
+            self.envelope_per_sample(&slots, &phases, time_offset_s, &mut out);
+        } else {
+            self.envelope_per_sweep(&slots, &phases, time_offset_s, &mut out);
+        }
+        out
+    }
+
+    /// The noise-free envelope, sample `i` at ADC time
+    /// `t = i/fs + time_offset_s`: each sample finds the slot containing
+    /// `t` and evaluates [`Self::envelope_at`] there (zero outside every
+    /// sweep). `phases` holds one start phase per slot.
+    fn envelope_per_sample(
+        &self,
+        slots: &[(f64, &ChirpSlot)],
+        phases: &[f64],
+        time_offset_s: f64,
+        out: &mut [f64],
+    ) {
+        let fs = self.adc.sample_rate_hz;
         let mut slot_idx = 0usize;
-        for i in 0..n {
+        for (i, o) in out.iter_mut().enumerate() {
             let t = i as f64 / fs + time_offset_s;
             // Advance to the slot containing t (monotone sweep).
             while slot_idx + 1 < slots.len() && t >= slots[slot_idx + 1].0 {
                 slot_idx += 1;
             }
             let (t0, slot) = slots[slot_idx];
-            out.push(
-                self.envelope_at(&slot.chirp, t - t0, phases[slot_idx])
-                    .unwrap_or(0.0),
-            );
+            *o = self
+                .envelope_at(&slot.chirp, t - t0, phases[slot_idx])
+                .unwrap_or(0.0);
         }
-        // One deviate per sample in sample order, after the phase draws.
-        noise.add_awgn(&mut out, sigma);
-        for s in out.iter_mut() {
-            *s = self.adc.quantize(*s / 2.2 * self.adc.full_scale) * 2.2;
+    }
+
+    /// [`Self::envelope_per_sample`] for a dispersion-free pair, one sweep
+    /// at a time. `ΔT` is then one constant, so the beat phase is linear in
+    /// the sample index across a sweep. Each sweep's samples — the ones the
+    /// per-sample loop gives it, found with its time expression and its
+    /// comparisons — are filled by one oscillator
+    /// ([`biscatter_dsp::simd::tone_fill`]) seeded with the per-sample
+    /// phase at the first of them and turned by `2π·α·ΔT/fs` per sample.
+    /// Samples outside every sweep stay zero.
+    fn envelope_per_sweep(
+        &self,
+        slots: &[(f64, &ChirpSlot)],
+        phases: &[f64],
+        time_offset_s: f64,
+        out: &mut [f64],
+    ) {
+        let fs = self.adc.sample_rate_hz;
+        let n = out.len();
+        let t_at = |i: usize| i as f64 / fs + time_offset_s;
+        // The first sample at or after time `t`, to within a sample or two;
+        // `first_reached` walks from there to the exact one.
+        let guess = |t: f64| ((t - time_offset_s) * fs).ceil();
+        let mut first = 0usize;
+        for (s, &(t0, slot)) in slots.iter().enumerate() {
+            // Slot s owns samples first..end: the per-sample loop moves to
+            // the next slot at its first sample with t ≥ that slot's start.
+            let end = match slots.get(s + 1) {
+                Some(&(t1, _)) => first_reached(first, n, guess(t1), |i| t_at(i) >= t1),
+                None => n,
+            };
+            let chirp = &slot.chirp;
+            let d = chirp.duration;
+            // `envelope_at`'s own tests on τ = t − t0: before the sweep while
+            // τ < 0, past it once τ > d.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let lo = first_reached(first, end, guess(t0), |i| !(t_at(i) - t0 < 0.0));
+            let hi = first_reached(lo, end, guess(t0 + d), |i| t_at(i) - t0 > d);
+            if lo < hi {
+                let run = &mut out[lo..hi];
+                let phase = self.beat_phase(chirp, t_at(lo) - t0, phases[s]);
+                let step = TAU * chirp.slope() * self.delta_t_at(chirp.f0) / fs;
+                tone_fill(run, Cpx::cis(phase), Cpx::cis(step));
+                for v in run.iter_mut() {
+                    *v = self.detector.analytic_output_cos(1.0, *v);
+                }
+            }
+            first = end;
         }
-        out
     }
 
     /// Scaled-passband validation path: synthesizes the real RF waveform of
@@ -188,6 +294,22 @@ impl TagFrontEnd {
             + self.splitter.combine_loss_db()
             + self.pair.mean_insertion_loss_db(f_hz)
     }
+}
+
+/// The first index in `lo..hi` at which `reached` holds, or `hi` if none
+/// does, for a predicate that is monotone in the index (false, then true).
+/// Walks from `guess` (clamped into `lo..=hi`), so an estimate that is off
+/// by a sample or two costs a step or two.
+fn first_reached(lo: usize, hi: usize, guess: f64, reached: impl Fn(usize) -> bool) -> usize {
+    // `as` saturates: a negative or NaN guess lands on 0.
+    let mut i = (guess as usize).clamp(lo, hi);
+    while i > lo && reached(i - 1) {
+        i -= 1;
+    }
+    while i < hi && !reached(i) {
+        i += 1;
+    }
+    i
 }
 
 #[cfg(test)]
@@ -325,6 +447,130 @@ mod tests {
         let loss = fe.insertion_loss_db(9.5e9);
         // Two splitter passes (~7.2 dB) + short cable loss: order 8–10 dB.
         assert!(loss > 6.0 && loss < 12.0, "loss {loss}");
+    }
+
+    /// A paper system's front end and the train of an ISAC frame
+    /// (`isac_frame`: a packet's symbols, padded with header chirps to
+    /// `chirps` slots): the 9 GHz 5-bit alphabet on a 45-inch line, or the
+    /// 24 GHz 3-bit alphabet on a 72-inch line.
+    fn isac_capture_setup(bits: usize, chirps: usize) -> (TagFrontEnd, ChirpTrain) {
+        use biscatter_link::packet::DownlinkPacket;
+        use biscatter_radar::cssk::CsskAlphabet;
+        use biscatter_radar::sequencer::isac_frame;
+        let (f0, bandwidth, delta_l_in) = match bits {
+            5 => (9e9, 1e9, 45.0),
+            _ => (24e9, 250e6, 72.0),
+        };
+        let alphabet = CsskAlphabet::new(f0, bandwidth, bits, 20e-6, 120e-6).unwrap();
+        let packet = DownlinkPacket::new(b"CMD1".to_vec());
+        let (frame, _, _) = isac_frame(&packet, &alphabet, 120e-6, chirps).unwrap();
+        // The radar crate builds on the library build of this crate, so its
+        // train is another type: rebuild the slots from their fields.
+        let mut train = ChirpTrain::new();
+        for s in frame.slots() {
+            train.push(ChirpSlot {
+                chirp: Chirp::new(s.chirp.f0, s.chirp.bandwidth, s.chirp.duration),
+                inter_delay: s.inter_delay,
+            });
+        }
+        let fe = TagFrontEnd::coax_prototype(inches_to_m(delta_l_in), f0 + 0.5 * bandwidth);
+        (fe, train)
+    }
+
+    /// `capture_train` as the per-sample loop computes it: each sample's
+    /// envelope from its own cosine, then the noise, then `Adc::quantize`
+    /// one sample at a time.
+    fn per_sample_capture(
+        fe: &TagFrontEnd,
+        train: &ChirpTrain,
+        snr_db: f64,
+        time_offset_s: f64,
+        noise: &mut NoiseSource,
+    ) -> Vec<f64> {
+        let sigma = (1.0 / 2f64.sqrt()) / 10f64.powf(snr_db / 20.0);
+        let mut out = fe.envelope(train, time_offset_s, noise, true);
+        noise.add_awgn(&mut out, sigma);
+        for s in out.iter_mut() {
+            *s = fe.adc.quantize(*s / 2.2 * fe.adc.full_scale) * 2.2;
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The per-sweep oscillator fill against the per-sample loop it
+    /// replaces on dispersion-free lines: the noise-free envelope within
+    /// 1e-12, and the quantized capture bit for bit, across both paper
+    /// alphabets, 32- and 128-chirp frames, ADC clock offsets from zero
+    /// through fractions of a microsecond to a whole slot, SNRs from 2 to
+    /// 60 dB, and fixed or random beat start phases.
+    #[test]
+    fn sweep_fill_matches_per_sample_oracle() {
+        let offsets = [0.0, 0.37e-6, 2.5e-6, 57.3e-6, 81.3e-6, 120e-6];
+        let mut seed = 0u64;
+        let mut worst = 0.0f64;
+        for alphabet in [5, 3] {
+            for chirps in [32, 128] {
+                let (mut fe, train) = isac_capture_setup(alphabet, chirps);
+                assert!(!fe.pair.is_dispersive());
+                for jitter in [0.0, 1.0] {
+                    fe.start_phase_jitter = jitter;
+                    for &offset in &offsets {
+                        seed += 1;
+                        let oracle = fe.envelope(&train, offset, &mut NoiseSource::new(seed), true);
+                        let swept = fe.envelope(&train, offset, &mut NoiseSource::new(seed), false);
+                        assert_eq!(oracle.len(), swept.len());
+                        for (i, (a, b)) in oracle.iter().zip(&swept).enumerate() {
+                            // Exact zeros outside the sweeps, on the same samples.
+                            assert_eq!(*a == 0.0, *b == 0.0, "sample {i}: {a} vs {b}");
+                            worst = worst.max((a - b).abs());
+                        }
+                        for snr_db in [2.0, 13.0, 31.0, 60.0] {
+                            let mut noise = NoiseSource::new(seed);
+                            let want = per_sample_capture(&fe, &train, snr_db, offset, &mut noise);
+                            let mut noise = NoiseSource::new(seed);
+                            let got = fe.capture_train(&train, snr_db, offset, &mut noise);
+                            assert!(
+                                bits(&want) == bits(&got),
+                                "{alphabet}-bit, {chirps} chirps, offset {offset}, {snr_db} dB, jitter {jitter}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(worst <= 1e-12, "envelope moved by {worst:e}");
+    }
+
+    /// A dispersive pair's ΔT changes across each sweep, so its beat phase
+    /// is not linear in time: `capture_train` must keep the per-sample
+    /// loop, whose output it then equals exactly.
+    #[test]
+    fn dispersive_pair_runs_per_sample() {
+        let (mut fe, train) = isac_capture_setup(5, 32);
+        fe.pair.short.dispersion_per_ghz = -0.01;
+        fe.pair.long.dispersion_per_ghz = -0.01;
+        assert!(fe.pair.is_dispersive());
+        for (seed, offset) in [(1u64, 0.0), (2, 37e-6)] {
+            let mut noise = NoiseSource::new(seed);
+            let want = per_sample_capture(&fe, &train, 30.0, offset, &mut noise);
+            let got = fe.capture_train(&train, 30.0, offset, &mut NoiseSource::new(seed));
+            assert_eq!(bits(&want), bits(&got));
+            // The sweep fill would be wrong here: the choice is load-bearing.
+            let oracle = fe.envelope(&train, offset, &mut NoiseSource::new(seed), true);
+            let swept = fe.envelope(&train, offset, &mut NoiseSource::new(seed), false);
+            let moved = oracle
+                .iter()
+                .zip(&swept)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(
+                moved > 1e-3,
+                "dispersion moved the envelope by only {moved:e}"
+            );
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //!   autocorrelation exactly at `T_period`.
 //! * [`estimate_slot_timing`] — the joint period/offset search that aligns
 //!   slot boundaries (Fig. 6(e)).
+//!
+//! Both searches run their inner loops through dispatched `dsp::simd`
+//! kernels that sum in the scalar order, so their results are the same
+//! bits on every SIMD tier.
+
+use biscatter_dsp::simd;
 
 /// Estimates the chirp period (seconds) from raw ADC samples by normalized
 /// autocorrelation of instantaneous power. Searches lags in
@@ -21,40 +27,18 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
     if lag_min < 2 || lag_max <= lag_min || samples.len() < 2 * lag_max {
         return None;
     }
-    // Analyze only the leading portion of the capture: the packet preamble
-    // (identical header chirps) lives there, giving a clean periodic gating
-    // pattern; payload chirps further in have varying durations that corrupt
-    // long-lag statistics.
-    let prefix = samples.len().min(4 * lag_max);
-    let samples = &samples[..prefix];
-    // Power envelope, smoothed over roughly a beat period so the randomly
-    // phased beat tone averages out and only the chirp on/off *gating*
-    // pattern drives the correlation, then mean-removed.
-    let power: Vec<f64> = samples.iter().map(|&x| x * x).collect();
-    let smooth_win = (lag_min / 3).max(4);
-    let power = biscatter_dsp::filter::moving_average(&power, smooth_win);
-    let mean = power.iter().sum::<f64>() / power.len() as f64;
-    let p: Vec<f64> = power.iter().map(|&v| v - mean).collect();
-
+    let p = gating_profile(samples, lag_min, lag_max);
     let energy: f64 = p.iter().map(|v| v * v).sum();
     if energy <= 0.0 {
         return None;
     }
-    // Sixteen lags per pass, then four, then one: wider passes overlap more
-    // accumulation chains, and every lag sums in index order either way.
-    let mut corrs = Vec::with_capacity(lag_max - lag_min + 1);
-    let mut lag = lag_min;
-    while lag + 15 <= lag_max {
-        corrs.extend(autocorrelations::<16>(&p, lag));
-        lag += 16;
-    }
-    while lag + 3 <= lag_max {
-        corrs.extend(autocorrelations::<4>(&p, lag));
-        lag += 4;
-    }
-    for lag in lag..=lag_max {
-        corrs.extend(autocorrelations::<1>(&p, lag));
-    }
+    pick_period(&autocorrelation(&p, lag_min, lag_max), lag_min, lag_max, fs)
+}
+
+/// The period (seconds) [`estimate_period`] reads off its normalized
+/// autocorrelations `corrs` of lags `lag_min..=lag_max`: the fundamental
+/// among the global peak's subharmonics, refined by a parabola.
+fn pick_period(corrs: &[f64], lag_min: usize, lag_max: usize, fs: f64) -> Option<f64> {
     let global_max = corrs
         .iter()
         .fold(f64::NEG_INFINITY, |max, &c| if c > max { c } else { max });
@@ -112,27 +96,37 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
     Some(refined / fs)
 }
 
+/// The signal [`estimate_period`] correlates: the power envelope of the
+/// capture's leading portion, smoothed over roughly a beat period so the
+/// randomly phased beat tone averages out and only the chirp on/off
+/// *gating* pattern drives the correlation, then mean-removed.
+fn gating_profile(samples: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
+    // Analyze only the leading portion of the capture: the packet preamble
+    // (identical header chirps) lives there, giving a clean periodic gating
+    // pattern; payload chirps further in have varying durations that corrupt
+    // long-lag statistics.
+    let prefix = samples.len().min(4 * lag_max);
+    let power: Vec<f64> = samples[..prefix].iter().map(|&x| x * x).collect();
+    let smooth_win = (lag_min / 3).max(4);
+    let mut p = biscatter_dsp::filter::moving_average(&power, smooth_win);
+    let mean = p.iter().sum::<f64>() / p.len() as f64;
+    for v in &mut p {
+        *v -= mean;
+    }
+    p
+}
+
 /// Normalized autocorrelations `Σ_i p[i]·p[i+l] / (p.len() - l)` for the
-/// `N` lags `l = lag..lag + N`, side by side in one pass so their
-/// accumulation chains overlap. Each lag sums its products in index order,
-/// exactly as a loop over that lag alone would. Needs
-/// `p.len() >= lag + N`.
-fn autocorrelations<const N: usize>(p: &[f64], lag: usize) -> [f64; N] {
-    // Lane j has p.len() - lag - j products; all lanes share the first
-    // `joint`, where sample i meets the N samples from i + lag on.
-    let joint = p.len() - lag - (N - 1);
-    let mut acc = [0.0f64; N];
-    for (&x, lagged) in p[..joint].iter().zip(p[lag..].windows(N)) {
-        for j in 0..N {
-            acc[j] += x * lagged[j];
-        }
+/// lags `l = lag_min..=lag_max`, each lag summing its products in index
+/// order (the dispatched [`simd::lagged_products`] kernel). Needs
+/// `p.len() > lag_max`.
+fn autocorrelation(p: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
+    let mut corrs = vec![0.0; lag_max - lag_min + 1];
+    simd::lagged_products(p, lag_min, &mut corrs);
+    for (j, c) in corrs.iter_mut().enumerate() {
+        *c /= (p.len() - lag_min - j) as f64;
     }
-    for (j, acc) in acc.iter_mut().enumerate() {
-        for i in joint..p.len() - lag - j {
-            *acc += p[i] * p[i + lag + j];
-        }
-    }
-    std::array::from_fn(|j| acc[j] / (p.len() - lag - j) as f64)
+    corrs
 }
 
 /// Joint fine search for slot timing: scans periods within ±8 samples of the
@@ -155,10 +149,11 @@ pub fn estimate_slot_timing(
     }
     let len = samples.len();
     // Prefix sums of the envelope power make per-window power O(1).
-    let mut cum = Vec::with_capacity(len + 1);
-    cum.push(0.0);
-    for &x in samples {
-        cum.push(cum.last().unwrap() + x * x);
+    let mut cum = vec![0.0; len + 1];
+    let mut power = 0.0;
+    for (c, &x) in cum[1..].iter_mut().zip(samples) {
+        power += x * x;
+        *c = power;
     }
 
     // Boundary-contrast metric: the chirp always starts exactly at the slot
@@ -166,18 +161,32 @@ pub fn estimate_slot_timing(
     // maximizes mean(power just after each boundary) - mean(power just
     // before), and the optimum is sharp (within one sample), unlike the flat
     // gap-energy valley. Every hypothesis reads the same per-boundary
-    // contrasts, so they are tabulated once: `contrast[b - w]` for each
-    // boundary `b` with a whole window on both sides (`w <= b <= len - w`).
+    // contrasts, so they are tabulated once: `contrast[b]` for each boundary
+    // `b` with a whole window on both sides (`w <= b <= len - w`), and zero
+    // at every other `b` a hypothesis reaches. Boundary k of a period sits
+    // at most half a sample past k·period <= len − period, and the period
+    // is at least coarse_period − 8, so the rows of `coarse_period` offsets
+    // from those boundaries end by len + 8.
     let w = ((coarse_period as f64 * gap_fraction * 0.4).round() as usize).clamp(2, 16);
-    let contrast: Vec<f64> = (w..(len + 1).saturating_sub(w))
-        .map(|b| (cum[b + w] - cum[b]) - (cum[b] - cum[b - w]))
-        .collect();
-    drop(cum);
+    let mut contrast = vec![0.0; len + 9];
+    let windows = cum
+        .iter()
+        .zip(&cum[w.min(len + 1)..])
+        .zip(&cum[(2 * w).min(len + 1)..]);
+    for (c, ((&before, &at), &after)) in contrast[w..].iter_mut().zip(windows) {
+        *c = (after - at) - (at - before);
+    }
 
-    // Per offset, for one period: the summed contrasts, and the change in
-    // the number of summed boundaries from the previous offset.
-    let mut sums = vec![0.0f64; coarse_period];
-    let mut count_steps = vec![0isize; coarse_period + 1];
+    // Per offset, for one period: the summed contrasts, then their mean;
+    // and the change in the number of summed boundaries from the previous
+    // offset (exact small integers). Both in the prefix sums' buffer.
+    let mut table = cum;
+    table.clear();
+    table.resize(2 * coarse_period + 1, 0.0);
+    let (sums, count_steps) = table.split_at_mut(coarse_period);
+    // One period's boundaries, `round(k·period)`.
+    let min_period = (coarse_period as f64 - 8.0).max(8.0);
+    let mut starts = Vec::with_capacity((len as f64 / min_period) as usize + 1);
     let mut best = (coarse_period as f64, 0usize, f64::NEG_INFINITY);
     // The coarse autocorrelation can be several samples off when the beat
     // tone is slow (few cycles per chirp, random phase), so search a wide
@@ -191,37 +200,60 @@ pub fn estimate_slot_timing(
         if n_slots < 2 {
             continue;
         }
-        sums.fill(0.0);
-        count_steps.fill(0);
         // The period in quarter samples (exact: it is a multiple of 0.25).
         let quarters = (4.0 * period) as usize;
+        // Boundary k of offset o sits at round(o + k·period), which is
+        // o + round(k·period) = o + (k·quarters + 2) / 4 exactly, as
+        // o + k·period is exact. Offsets `lo..hi` have both its windows in
+        // range and count it; the rest read a zero contrast there.
+        starts.clear();
+        count_steps.fill(0.0);
+        let mut whole = 0.0;
         for k in 0..n_slots {
-            // Boundary k of offset o sits at round(o + k·period), which is
-            // o + round(k·period) = o + (k·quarters + 2) / 4 exactly, as
-            // o + k·period is exact. Offsets whose boundary has both windows
-            // in range add its contrast, in slot order.
             let r = (k * quarters + 2) / 4;
+            starts.push(r);
             let lo = w.saturating_sub(r);
             let hi = (len + 1).saturating_sub(w + r).min(coarse_period);
-            if lo >= hi {
-                continue;
+            if lo == 0 && hi == coarse_period {
+                whole += 1.0;
+            } else if lo < hi {
+                count_steps[lo] += 1.0;
+                count_steps[hi] -= 1.0;
             }
-            let row = &contrast[lo + r - w..hi + r - w];
-            for (sum, &c) in sums[lo..hi].iter_mut().zip(row) {
-                *sum += c;
-            }
-            count_steps[lo] += 1;
-            count_steps[hi] -= 1;
         }
-        let mut count = 0isize;
-        for (offset, (&sum, &dc)) in sums.iter().zip(&count_steps).enumerate() {
-            count += dc;
-            if count > 0 {
-                let mean = sum / count as f64;
-                if mean > best.2 {
-                    best = (period, offset, mean);
+        count_steps[0] += whole;
+        // Each offset adds its boundaries' contrasts in slot order. The
+        // zeros it reads outside its boundaries come before the first (onto
+        // a sum of +0) or after the last (onto a sum that, started from
+        // +0, is never −0), so they leave every bit of the sum as it was.
+        sums.fill(0.0);
+        simd::add_rows(sums, &contrast, &starts);
+        // Means, one run of offsets with the same count at a time (the
+        // count changes only where a boundary's offset range starts or
+        // ends), so a run's divisions vectorize; an offset with no boundary
+        // never wins.
+        let mut count = 0.0;
+        let mut o = 0;
+        while o < coarse_period {
+            count += count_steps[o];
+            let end = count_steps[o + 1..coarse_period]
+                .iter()
+                .position(|&d| d != 0.0)
+                .map_or(coarse_period, |e| o + 1 + e);
+            let run = &mut sums[o..end];
+            if count > 0.0 {
+                for s in run {
+                    *s /= count;
                 }
+            } else {
+                run.fill(f64::NEG_INFINITY);
             }
+            o = end;
+        }
+        // The first strict maximum, period by period and offset by offset.
+        let (offset, m) = simd::peak_max(sums);
+        if m > best.2 {
+            best = (period, offset, m);
         }
     }
     (best.0, best.1)
@@ -257,6 +289,207 @@ mod tests {
         let (samples, fs) = header_stream(32, 8.0, 0.0, 2);
         let t = estimate_period(&samples, fs, 60e-6, 300e-6).expect("period found");
         assert!((t - 120e-6).abs() < 4e-6, "period {t}");
+    }
+
+    /// Normalized autocorrelations for the `N` lags `lag..lag + N`, side
+    /// by side in one pass: the period search's loop before the
+    /// lagged-products kernel, kept as its oracle.
+    fn autocorrelations<const N: usize>(p: &[f64], lag: usize) -> [f64; N] {
+        // Lane j has p.len() - lag - j products; all lanes share the first
+        // `joint`, where sample i meets the N samples from i + lag on.
+        let joint = p.len() - lag - (N - 1);
+        let mut acc = [0.0f64; N];
+        for (&x, lagged) in p[..joint].iter().zip(p[lag..].windows(N)) {
+            for j in 0..N {
+                acc[j] += x * lagged[j];
+            }
+        }
+        for (j, acc) in acc.iter_mut().enumerate() {
+            for i in joint..p.len() - lag - j {
+                *acc += p[i] * p[i + lag + j];
+            }
+        }
+        std::array::from_fn(|j| acc[j] / (p.len() - lag - j) as f64)
+    }
+
+    /// The period search's correlations as the loop above computed them:
+    /// sixteen lags per pass, then four, then one.
+    fn autocorrelation_oracle(p: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
+        let mut corrs = Vec::with_capacity(lag_max - lag_min + 1);
+        let mut lag = lag_min;
+        while lag + 15 <= lag_max {
+            corrs.extend(autocorrelations::<16>(p, lag));
+            lag += 16;
+        }
+        while lag + 3 <= lag_max {
+            corrs.extend(autocorrelations::<4>(p, lag));
+            lag += 4;
+        }
+        for lag in lag..=lag_max {
+            corrs.extend(autocorrelations::<1>(p, lag));
+        }
+        corrs
+    }
+
+    /// [`estimate_slot_timing`] as written before the row-sum kernel, kept
+    /// as its oracle: each boundary's contrasts added onto the offsets'
+    /// sums one slot at a time, then every offset's mean compared with
+    /// the best so far.
+    fn slot_timing_oracle(
+        samples: &[f64],
+        coarse_period: usize,
+        gap_fraction: f64,
+    ) -> (f64, usize) {
+        if coarse_period < 8 || samples.len() < 2 * coarse_period {
+            return (coarse_period as f64, 0);
+        }
+        let len = samples.len();
+        let mut cum = Vec::with_capacity(len + 1);
+        cum.push(0.0);
+        for &x in samples {
+            cum.push(cum.last().unwrap() + x * x);
+        }
+        let w = ((coarse_period as f64 * gap_fraction * 0.4).round() as usize).clamp(2, 16);
+        let contrast: Vec<f64> = (w..(len + 1).saturating_sub(w))
+            .map(|b| (cum[b + w] - cum[b]) - (cum[b] - cum[b - w]))
+            .collect();
+        let mut sums = vec![0.0f64; coarse_period];
+        let mut count_steps = vec![0isize; coarse_period + 1];
+        let mut best = (coarse_period as f64, 0usize, f64::NEG_INFINITY);
+        for step in -32i32..=32 {
+            let period = coarse_period as f64 + step as f64 * 0.25;
+            if period < 8.0 {
+                continue;
+            }
+            let n_slots = (len as f64 / period).floor() as usize;
+            if n_slots < 2 {
+                continue;
+            }
+            sums.fill(0.0);
+            count_steps.fill(0);
+            let quarters = (4.0 * period) as usize;
+            for k in 0..n_slots {
+                let r = (k * quarters + 2) / 4;
+                let lo = w.saturating_sub(r);
+                let hi = (len + 1).saturating_sub(w + r).min(coarse_period);
+                if lo >= hi {
+                    continue;
+                }
+                let row = &contrast[lo + r - w..hi + r - w];
+                for (sum, &c) in sums[lo..hi].iter_mut().zip(row) {
+                    *sum += c;
+                }
+                count_steps[lo] += 1;
+                count_steps[hi] -= 1;
+            }
+            let mut count = 0isize;
+            for (offset, (&sum, &dc)) in sums.iter().zip(&count_steps).enumerate() {
+                count += dc;
+                if count > 0 {
+                    let mean = sum / count as f64;
+                    if mean > best.2 {
+                        best = (period, offset, mean);
+                    }
+                }
+            }
+        }
+        (best.0, best.1)
+    }
+
+    /// ISAC frame captures (`isac_frame`: a 4-byte command padded with
+    /// header chirps) of the 9 GHz 5-bit and 24 GHz 3-bit paper alphabets,
+    /// 32 and 128 chirps long, at ADC clock offsets from zero to most of a
+    /// slot; the shifted captures carry one more header chirp so that they
+    /// still cover the whole packet.
+    fn isac_captures() -> Vec<(String, Vec<f64>)> {
+        use biscatter_link::packet::DownlinkPacket;
+        use biscatter_radar::cssk::CsskAlphabet;
+        use biscatter_radar::sequencer::isac_frame;
+        let mut captures = Vec::new();
+        let mut seed = 40u64;
+        for (bits, f0, bandwidth, delta_l_in) in [(5, 9e9, 1e9, 45.0), (3, 24e9, 250e6, 72.0)] {
+            let alphabet = CsskAlphabet::new(f0, bandwidth, bits, 20e-6, 120e-6).unwrap();
+            let fe = TagFrontEnd::coax_prototype(inches_to_m(delta_l_in), f0 + 0.5 * bandwidth);
+            for chirps in [32, 128] {
+                let packet = DownlinkPacket::new(b"CMD1".to_vec());
+                let (mut train, _, _) = isac_frame(&packet, &alphabet, 120e-6, chirps).unwrap();
+                let slot = train.slots()[0];
+                train.push(slot);
+                for (offset_s, snr_db) in
+                    [(0.0, 20.0), (0.37e-6, 6.0), (37e-6, 12.0), (81.3e-6, 26.0)]
+                {
+                    seed += 1;
+                    let mut noise = NoiseSource::new(seed);
+                    let samples = fe.capture_train(&train, snr_db, offset_s, &mut noise);
+                    let name =
+                        format!("{bits}-bit, {chirps} chirps, offset {offset_s}, {snr_db} dB");
+                    captures.push((name, samples));
+                }
+            }
+        }
+        captures
+    }
+
+    #[test]
+    fn autocorrelation_matches_oracle() {
+        // The decoder's search band, 50–400 µs at 1 MHz.
+        let (lag_min, lag_max) = (50, 400);
+        for (name, samples) in isac_captures() {
+            let p = gating_profile(&samples, lag_min, lag_max);
+            let got = autocorrelation(&p, lag_min, lag_max);
+            let want = autocorrelation_oracle(&p, lag_min, lag_max);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{name}");
+            let period = estimate_period(&samples, 1e6, 50e-6, 400e-6);
+            let want = pick_period(&want, lag_min, lag_max, 1e6);
+            assert_eq!(period.map(f64::to_bits), want.map(f64::to_bits), "{name}");
+        }
+        // Every lag count from one lag to past two 32-lag blocks, so every
+        // pass width and remainder runs.
+        let p: Vec<f64> = (0..300)
+            .map(|i| ((i * 48271 + 3) % 1013) as f64 / 506.5 - 1.0)
+            .collect();
+        for lags in 1..=70 {
+            let (lo, hi) = (7, 7 + lags - 1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&autocorrelation(&p, lo, hi)),
+                bits(&autocorrelation_oracle(&p, lo, hi))
+            );
+        }
+    }
+
+    #[test]
+    fn slot_timing_matches_oracle() {
+        let gap = 1.0 - biscatter_rf::frame::MAX_DUTY;
+        for (name, samples) in isac_captures() {
+            let coarse =
+                (estimate_period(&samples, 1e6, 50e-6, 400e-6).unwrap() * 1e6).round() as usize;
+            // The estimate, and coarse periods off by a few samples.
+            for c in [coarse, coarse - 3, coarse + 5] {
+                let got = estimate_slot_timing(&samples, c, gap);
+                let want = slot_timing_oracle(&samples, c, gap);
+                assert_eq!(
+                    (got.0.to_bits(), got.1),
+                    (want.0.to_bits(), want.1),
+                    "{name}, coarse {c}"
+                );
+            }
+        }
+        // Short captures, where most boundaries leave out some offsets or
+        // none is summed by every offset, over small and large windows.
+        let mut noise = NoiseSource::new(9);
+        for case in 0..300usize {
+            let coarse = 8 + case % 37;
+            let len = 2 * coarse + (case * 7919) % (4 * coarse);
+            let samples = noise.awgn(len, 1.0);
+            let gap = [0.05, 0.2, 0.5, 1.0][case % 4];
+            assert_eq!(
+                estimate_slot_timing(&samples, coarse, gap),
+                slot_timing_oracle(&samples, coarse, gap),
+                "case {case}: coarse {coarse}, {len} samples, gap {gap}"
+            );
+        }
     }
 
     #[test]

@@ -114,9 +114,13 @@ impl DownlinkDecoder {
     /// Hypothesis `(p, o)` decides slot `k` on the samples from
     /// `round(o + k·p)`; a trailing slot of at least half a period is
     /// zero-padded and decided too. Many hypotheses put slot `k` on the
-    /// same samples, so the sweep runs slot by slot: it collects slot `k`'s
-    /// distinct starts on each bank, decides them in one batch, and hands
-    /// each decision to every hypothesis that lands there.
+    /// same samples, and a decision does not depend on the batch it is made
+    /// in, so the sweep runs through the slots in runs: for a run of
+    /// consecutive slots it collects each slot's distinct starts on a bank,
+    /// decides the whole run's in one batch (whole layouts of
+    /// [`SlotBank`]'s batch size, where a slot alone fills only part of
+    /// one), and hands each decision, slot by slot, to every hypothesis
+    /// that lands there.
     fn refine_timing(
         &self,
         samples: &[f64],
@@ -140,67 +144,66 @@ impl DownlinkDecoder {
                     banks.push((span, self.decider.bank(span)));
                     banks.len() - 1
                 });
-                sweeps.push(Sweep {
+                let mut sweep = Sweep {
                     period,
                     offset,
-                    plen,
                     bank,
                     total: if live { 0.0 } else { f64::NEG_INFINITY },
                     slots: 0,
-                    live,
-                    start: 0,
-                    last: false,
-                    pick: 0,
-                });
+                };
+                if live {
+                    sweep.slots = sweep.count_slots(len, plen);
+                }
+                sweeps.push(sweep);
             }
         }
 
         // `decided[k * n + h]`: hypothesis `h`'s symbol in slot `k`.
         let n = sweeps.len();
-        let rows = sweeps
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| (len as f64 / s.period).ceil() as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut decided = Vec::with_capacity(rows * n);
-        // One bank's batch for this slot: its distinct starts and decisions.
-        let mut starts = [0usize; HYPOTHESES];
-        let mut decisions = [(DownlinkSymbol::Header, f64::NEG_INFINITY); HYPOTHESES];
-        let mut k = 0usize;
-        while sweeps.iter().any(|s| s.live) {
-            decided.resize((k + 1) * n, DownlinkSymbol::Header);
-            for s in sweeps.iter_mut().filter(|s| s.live) {
-                s.start = (s.offset as f64 + k as f64 * s.period).round() as usize;
-                s.last = s.start + s.plen > len;
-                s.live = s.start < len && !(s.last && (len - s.start) * 2 < s.plen);
-            }
-            for (b, (_, bank)) in banks.iter_mut().enumerate() {
-                let mut batch = 0;
-                for s in sweeps.iter_mut().filter(|s| s.live && s.bank == b) {
-                    s.pick = match starts[..batch].iter().position(|&x| x == s.start) {
-                        Some(pick) => pick,
-                        None => {
-                            starts[batch] = s.start;
-                            batch += 1;
-                            batch - 1
+        let rows = sweeps.iter().map(|s| s.slots).max().unwrap_or(0);
+        let mut decided = vec![DownlinkSymbol::Header; rows * n];
+        // One bank's run: its distinct starts, slot after slot, their
+        // decisions, and where each hypothesis's start sits among them.
+        let mut starts = [0usize; RUN_STARTS];
+        let mut decisions = [(DownlinkSymbol::Header, f64::NEG_INFINITY); RUN_STARTS];
+        let mut picks = [[0u8; HYPOTHESES]; RUN_SLOTS];
+        for (b, (_, bank)) in banks.iter_mut().enumerate() {
+            let mut first = 0;
+            while first < rows {
+                // Whole slots while one more surely fits.
+                let mut used = 0;
+                let mut k = first;
+                while k < rows && k - first < RUN_SLOTS && used + HYPOTHESES <= RUN_STARTS {
+                    let slot = used;
+                    for (h, s) in sweeps.iter().enumerate() {
+                        if s.bank != b || k >= s.slots {
+                            continue;
                         }
-                    };
+                        let start = s.start(k);
+                        let pick = match starts[slot..used].iter().position(|&x| x == start) {
+                            Some(pick) => slot + pick,
+                            None => {
+                                starts[used] = start;
+                                used += 1;
+                                used - 1
+                            }
+                        };
+                        picks[k - first][h] = pick as u8;
+                    }
+                    k += 1;
                 }
-                bank.decide_batch(samples, &starts[..batch], &mut decisions[..batch]);
-                for (h, s) in sweeps.iter_mut().enumerate() {
-                    if s.live && s.bank == b {
-                        let (symbol, score) = decisions[s.pick];
-                        s.total += score;
-                        decided[k * n + h] = symbol;
-                        s.slots += 1;
+                bank.decide_batch(samples, &starts[..used], &mut decisions[..used]);
+                for (k, picks) in (first..k).zip(&picks) {
+                    for (h, s) in sweeps.iter_mut().enumerate() {
+                        if s.bank == b && k < s.slots {
+                            let (symbol, score) = decisions[picks[h] as usize];
+                            s.total += score;
+                            decided[k * n + h] = symbol;
+                        }
                     }
                 }
+                first = k;
             }
-            for s in sweeps.iter_mut() {
-                s.live &= !s.last;
-            }
-            k += 1;
         }
 
         let mut best = (period0, offset0, f64::NEG_INFINITY, None);
@@ -221,26 +224,49 @@ impl DownlinkDecoder {
 /// scores: five periods by five offsets.
 const HYPOTHESES: usize = 25;
 
-/// One hypothesis of [`DownlinkDecoder::refine_timing`] as its slots are
-/// decided.
+/// Most starts one run of slots decides together: eight whole layouts of
+/// the bank's batch (indices fit the `u8` picks).
+const RUN_STARTS: usize = 256;
+
+/// Most slots in one run.
+const RUN_SLOTS: usize = 64;
+
+/// One hypothesis of [`DownlinkDecoder::refine_timing`].
 struct Sweep {
     period: f64,
     offset: usize,
-    /// Slot length, `round(period)`.
-    plen: usize,
     /// The bank its slots are decided with.
     bank: usize,
     /// Winning scores summed in slot order.
     total: f64,
-    /// Slots decided so far.
+    /// Slots it decides.
     slots: usize,
-    /// Whether slot `slots` may still exist.
-    live: bool,
-    /// Where slot `slots` starts, whether it is the last one, and its
-    /// position in its bank's batch.
-    start: usize,
-    last: bool,
-    pick: usize,
+}
+
+impl Sweep {
+    /// Where slot `k` starts: `round(offset + k·period)`.
+    fn start(&self, k: usize) -> usize {
+        (self.offset as f64 + k as f64 * self.period).round() as usize
+    }
+
+    /// How many slots of `plen` samples the hypothesis decides in `len`
+    /// samples: slots run while they start inside the capture, up to and
+    /// including the first that overruns it, which is decided only if at
+    /// least half of it lies inside.
+    fn count_slots(&self, len: usize, plen: usize) -> usize {
+        let mut k = 0;
+        loop {
+            let start = self.start(k);
+            let last = start + plen > len;
+            if start >= len || (last && (len - start) * 2 < plen) {
+                return k;
+            }
+            k += 1;
+            if last {
+                return k;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
