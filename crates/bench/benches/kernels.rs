@@ -3,19 +3,27 @@
 //! decision (what the MCU runs per bit) and its whole downlink decode, the
 //! single-bin Goertzel, the radar's IF synthesis of a 24-tag frame, the
 //! range FFT + IF correction, the range–Doppler map, and a full end-to-end
-//! downlink frame.
+//! downlink frame. The `dsp/` rows also time the kernels whose AVX2 tier is
+//! the scalar loop compiled with AVX2 on (`round`, `norm_sq_accum`,
+//! `sq_accum`) against the forced scalar tier, so a toolchain that stops
+//! vectorizing one shows as a `scalar÷tier` ratio near 1, and the first
+//! FFT stage, whose one loop serves both tiers.
 //!
 //! Each row prints its median and quartiles; nothing is recorded. Name
 //! filters pick rows (`-- tag` runs the `tag/*` rows); `--quick` runs each
 //! body once.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use biscatter_bench::harness::{Args, Sampler};
 use biscatter_core::downlink::{measure_ber_symbols, run_frame_synced};
+use biscatter_core::dsp::dispatch::{force_tier, tier, SimdTier};
 use biscatter_core::dsp::fft::fft;
 use biscatter_core::dsp::goertzel::goertzel_power;
+use biscatter_core::dsp::planner::first_stage;
 use biscatter_core::dsp::signal::NoiseSource;
+use biscatter_core::dsp::simd;
 use biscatter_core::dsp::Cpx;
 use biscatter_core::isac::{dechirp_stage_into, synthesize_frame};
 use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
@@ -39,6 +47,39 @@ fn row<O>(args: &Args, sampler: &Sampler, name: &str, body: impl FnMut() -> O) {
     }
 }
 
+/// Times `body` on the process's dispatch tier and on the forced scalar
+/// tier, interleaved, as rows `name` and `name/scalar`, and prints the
+/// median and quartiles of the paired scalar ÷ tier ratios (1 by
+/// construction when the process runs the scalar tier).
+fn tier_rows(args: &Args, sampler: &Sampler, name: &str, body: impl FnMut()) {
+    if !args.wants(name) {
+        return;
+    }
+    let native = tier();
+    let body = RefCell::new(body);
+    let times = sampler.interleave(&mut [
+        &mut || {
+            force_tier(native);
+            (body.borrow_mut())()
+        },
+        &mut || {
+            force_tier(SimdTier::Scalar);
+            (body.borrow_mut())()
+        },
+    ]);
+    force_tier(native);
+    println!("{name:<40} {}", times[0]);
+    println!("{:<40} {}", format!("{name}/scalar"), times[1]);
+    let ratio = times[1].paired(&times[0], |s, t| s / t);
+    println!(
+        "{:<40} {:.2}× [{:.2}, {:.2}]",
+        format!("{name}/scalar÷tier"),
+        ratio.median(),
+        ratio.quantile(0.25),
+        ratio.quantile(0.75)
+    );
+}
+
 fn main() {
     let args = Args::parse();
     let fast = Sampler::new(&args, 20);
@@ -56,6 +97,37 @@ fn main() {
     row(&args, &fast, "dsp/fft_bluestein_1000", || {
         fft(black_box(&odd))
     });
+
+    // The compiled copies at their production sizes: a `cell_stream`
+    // capture's 3,840 ADC codes (copied in, since libm rounds integers
+    // faster), a 1,024-bin range row's mean power, and the cold-start
+    // fold's 1,089 lags.
+    let codes: Vec<f64> = tone.iter().cycle().take(3840).map(|x| 2047.4 * x).collect();
+    let mut buf = codes.clone();
+    tier_rows(&args, &fast, "dsp/round_3840", || {
+        buf.copy_from_slice(&codes);
+        simd::round(black_box(&mut buf));
+    });
+    let row1024: Vec<Cpx> = (tone.iter().zip(tone.iter().rev()))
+        .map(|(&re, &im)| Cpx::new(re, im))
+        .collect();
+    let mut acc = vec![0.0; 1024];
+    tier_rows(&args, &fast, "dsp/norm_sq_accum_1024", || {
+        simd::norm_sq_accum(black_box(&mut acc), black_box(&row1024));
+    });
+    let lags: Vec<f64> = tone.iter().cycle().take(1089).copied().collect();
+    let mut energy = vec![0.0; 1089];
+    tier_rows(&args, &fast, "dsp/sq_accum_1089", || {
+        simd::sq_accum(black_box(&mut energy), black_box(&lags));
+    });
+    // The first FFT stage at the `cell_stream` Doppler length and at
+    // `warehouse_k24`'s, in place.
+    for n in [32, 128] {
+        let mut data = cdata[..n].to_vec();
+        row(&args, &fast, &format!("dsp/fft_first_stage_{n}"), || {
+            first_stage(black_box(&mut data[..]));
+        });
+    }
 
     let sys = BiScatterSystem::paper_9ghz();
     let decider = sys.nominal_decider();

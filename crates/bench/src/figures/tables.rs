@@ -7,8 +7,6 @@ use biscatter_core::radar::cssk::CsskAlphabet;
 use biscatter_core::tag::power::{average_power_mw, ComponentPowers, OperatingMode};
 
 /// **Table 1**: the capability matrix, encoded numerically (1 = supported).
-/// The Markdown rendering is available via
-/// [`biscatter_core::baselines::table1_markdown`].
 pub fn table1_capabilities() -> Experiment {
     let mut e = Experiment::new(
         "table1_capabilities",

@@ -29,16 +29,22 @@
 //!
 //! # Safety
 //!
-//! This crate, `biscatter_dsp::simd` (the AVX2 kernel bodies behind
-//! runtime feature detection) and `biscatter_obs::alloc` (the counting
-//! `GlobalAlloc` the allocation audits install) are the only places in the
-//! workspace that contain `unsafe`: `dsp` and `obs` are
-//! `#![deny(unsafe_code)]` with that one module exempt, and everything else
-//! is `#![forbid(unsafe_code)]`. The unsafe core here is small and fully local: lifetime erasure of scoped
-//! closures (sound because every scope waits for its latch before
-//! returning, even when unwinding — enforced by a wait-on-drop guard) and
-//! raw-pointer partitioning of slices into provably disjoint regions
-//! (offsets validated up front).
+//! This crate, `biscatter_dsp::simd` (the AVX2 kernels behind runtime
+//! feature detection: hand-written intrinsic bodies, and the three-line
+//! `#[target_feature]` wrappers around the loops LLVM vectorizes itself)
+//! and `biscatter_obs::alloc` (the counting `GlobalAlloc` the allocation
+//! audits install) are the only places in the workspace that contain
+//! `unsafe`: `dsp` and `obs` are `#![deny(unsafe_code)]` with that one
+//! module exempt, and everything else is `#![forbid(unsafe_code)]`. The
+//! unsafe core here is small and fully local:
+//!
+//! * lifetime erasure of the closure a parallel region runs
+//!   (`run_indexed`), sound because the caller waits for the region's latch
+//!   before returning, even when unwinding — enforced by a wait-on-drop
+//!   guard — and the `Send`/`Sync` impls that let workers hold the region;
+//! * raw-pointer partitioning of slices into provably disjoint regions
+//!   (`par_chunks`, `par_ragged`, [`ColumnBand`]; offsets validated up
+//!   front).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -83,8 +89,8 @@ fn pool_metrics() -> &'static PoolMetrics {
 }
 
 // ---------------------------------------------------------------------------
-// Latch: counts outstanding tasks of one scope/region, carries the first
-// panic payload, and wakes waiters when the count reaches zero.
+// Latch: counts outstanding tasks of one region, carries the first panic
+// payload, and wakes waiters when the count reaches zero.
 // ---------------------------------------------------------------------------
 
 struct LatchState {
@@ -139,9 +145,10 @@ impl Latch {
     }
 }
 
-/// Waits for `latch` on drop, so a scope that unwinds mid-flight still
-/// blocks until every task borrowing its environment has finished —
-/// without this, scoped lifetime erasure would be unsound.
+/// Waits for `latch` on drop, so a region whose caller unwinds mid-flight
+/// still blocks until every task borrowing the caller's closure has
+/// finished — without this, the closure's lifetime erasure would be
+/// unsound.
 struct LatchWaitGuard<'a> {
     pool: &'a ComputePool,
     latch: &'a Latch,
@@ -154,13 +161,8 @@ impl Drop for LatchWaitGuard<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Jobs
+// Regions: the one kind of job the queue holds
 // ---------------------------------------------------------------------------
-
-struct OnceJob {
-    f: Box<dyn FnOnce() + Send>,
-    latch: Arc<Latch>,
-}
 
 /// An indexed parallel region: tasks claim indices from `next` until
 /// exhausted. `f` points into the spawning caller's stack; it stays valid
@@ -226,40 +228,18 @@ impl Region {
     }
 }
 
-enum Job {
-    Once(OnceJob),
-    Region(Arc<Region>),
-}
-
-fn run_job(job: Job) {
-    match job {
-        Job::Once(OnceJob { f, latch }) => {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                latch.record_panic(payload);
-            }
-            latch.complete_one();
-        }
-        Job::Region(region) => region.drain(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shared pool state + workers
 // ---------------------------------------------------------------------------
 
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<Arc<Region>>>,
     available: Condvar,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn push(&self, job: Job) {
-        self.queue.lock().unwrap().push_back(job);
-        self.available.notify_one();
-    }
-
-    fn try_pop(&self) -> Option<Job> {
+    fn try_pop(&self) -> Option<Arc<Region>> {
         self.queue.lock().unwrap().pop_front()
     }
 }
@@ -280,7 +260,7 @@ fn worker_main(shared: Arc<Shared>, init: Arc<dyn Fn() + Send + Sync>) {
             }
         };
         match job {
-            Some(job) => run_job(job),
+            Some(region) => region.drain(),
             None => return,
         }
     }
@@ -411,7 +391,7 @@ impl ComputePool {
         {
             let mut q = self.shared.queue.lock().unwrap();
             for _ in 0..clones {
-                q.push_back(Job::Region(Arc::clone(&region)));
+                q.push_back(Arc::clone(&region));
             }
         }
         self.shared.available.notify_all();
@@ -560,40 +540,15 @@ impl ComputePool {
         self.run_indexed(n_bands, &|b| f(&mut make_band(b)));
     }
 
-    /// Opens a fork-join scope: closures spawned on it may borrow from the
-    /// enclosing environment (`'env`) and are guaranteed to finish before
-    /// `scope` returns — even if the scope body or a task panics.
-    ///
-    /// Tasks may run on the caller thread (always, on a 1-thread pool), so
-    /// they must not block waiting on each other.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let latch = Arc::new(Latch::new());
-        let scope = Scope {
-            pool: self,
-            latch: Arc::clone(&latch),
-            _env: PhantomData,
-        };
-        let guard = LatchWaitGuard {
-            pool: self,
-            latch: &latch,
-        };
-        let r = f(&scope);
-        drop(guard); // join all spawned tasks
-        if let Some(payload) = latch.take_panic() {
-            resume_unwind(payload);
-        }
-        r
-    }
-
     /// Waits for `latch`, helping drain the shared queue meanwhile so that
-    /// nested scopes make progress even when every worker is busy.
+    /// nested regions make progress even when every worker is busy.
     fn wait_latch(&self, latch: &Latch) {
         loop {
             if latch.is_done() {
                 return;
             }
-            if let Some(job) = self.shared.try_pop() {
-                run_job(job);
+            if let Some(region) = self.shared.try_pop() {
+                region.drain();
                 continue;
             }
             let st = latch.state.lock().unwrap();
@@ -602,7 +557,7 @@ impl ComputePool {
             }
             // The final completion notifies the condvar; the timeout only
             // exists to re-check the queue for help-work that arrived from
-            // other scopes while we slept.
+            // other regions while we slept.
             let _ = latch.cv.wait_timeout(st, Duration::from_millis(1)).unwrap();
         }
     }
@@ -618,40 +573,6 @@ impl Drop for ComputePool {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scope
-// ---------------------------------------------------------------------------
-
-/// A fork-join scope created by [`ComputePool::scope`]; spawned closures may
-/// borrow `'env` data.
-pub struct Scope<'pool, 'env> {
-    pool: &'pool ComputePool,
-    latch: Arc<Latch>,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'_, 'env> {
-    /// Spawns `f` onto the pool. On a 1-thread pool it runs immediately on
-    /// the caller.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
-        if self.pool.threads <= 1 {
-            f();
-            return;
-        }
-        self.latch.add(1);
-        let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
-        // SAFETY: the scope blocks on its latch before returning (unwind
-        // included), so `'env` borrows outlive the task.
-        let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(boxed)
-        };
-        self.pool.shared.push(Job::Once(OnceJob {
-            f: boxed,
-            latch: Arc::clone(&self.latch),
-        }));
     }
 }
 
@@ -821,21 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_joins_all_spawned_tasks() {
-        for pool in pools() {
-            let counter = AtomicUsize::new(0);
-            pool.scope(|s| {
-                for _ in 0..16 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::Relaxed), 16);
-        }
-    }
-
-    #[test]
     fn nested_parallel_regions_complete() {
         // A region whose tasks each open their own region must not deadlock,
         // even when the pool has fewer threads than live regions.
@@ -847,26 +753,6 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn nested_scopes_complete() {
-        let pool = ComputePool::new(2);
-        let total = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    pool.scope(|inner| {
-                        for _ in 0..3 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 9);
     }
 
     #[test]
@@ -883,19 +769,6 @@ mod tests {
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("boom"), "payload: {msg:?}");
         }
-    }
-
-    #[test]
-    fn panic_in_scope_task_propagates() {
-        let pool = ComputePool::new(3);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("scoped boom"));
-            });
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("scoped boom"), "payload: {msg:?}");
     }
 
     #[test]

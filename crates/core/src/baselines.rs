@@ -100,27 +100,6 @@ pub fn table1() -> Vec<SystemProfile> {
     vec![millimetro(), mmtag(), milback(), biscatter()]
 }
 
-/// Renders the comparison as a Markdown table (the Table-1 artifact).
-pub fn table1_markdown() -> String {
-    let mut out = String::from(
-        "| System | Uplink | Downlink | Tag Localization | Integrated ISAC | Commodity Radar |\n\
-         |---|---|---|---|---|---|\n",
-    );
-    let mark = |b: bool| if b { "✓" } else { "✗" };
-    for s in table1() {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} |\n",
-            s.name,
-            mark(s.caps.uplink),
-            mark(s.caps.downlink),
-            mark(s.caps.tag_localization),
-            mark(s.caps.integrated_isac),
-            mark(s.caps.commodity_radar),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,14 +123,5 @@ mod tests {
         assert!(!rows[0].caps.uplink && rows[0].caps.tag_localization); // Millimetro
         assert!(rows[1].caps.uplink && !rows[1].caps.downlink); // mmTag
         assert!(rows[2].caps.downlink && !rows[2].caps.commodity_radar); // MilBack
-    }
-
-    #[test]
-    fn markdown_has_all_rows() {
-        let md = table1_markdown();
-        for name in ["Millimetro", "mmTag", "MilBack", "BiScatter"] {
-            assert!(md.contains(name));
-        }
-        assert_eq!(md.lines().count(), 6);
     }
 }

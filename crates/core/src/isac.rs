@@ -24,7 +24,7 @@ use biscatter_compute::ComputePool;
 use biscatter_dsp::arena::{Lease, Pool};
 use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
-use biscatter_dsp::Real;
+use biscatter_dsp::{simd, Real};
 use biscatter_link::packet::DownlinkPacket;
 use biscatter_obs::recorder::StageNanos;
 use biscatter_radar::receiver::acquire::{
@@ -574,7 +574,7 @@ fn sensing_detections<T: Real>(pair: &AlignedPair<T>, mean_power: &mut Vec<f64>)
     mean_power.clear();
     mean_power.resize(sensing_frame.range_grid.len(), 0.0);
     for p in &sensing_frame.profiles {
-        T::norm_sq_accum(mean_power, p);
+        simd::norm_sq_accum(mean_power, p);
     }
     for acc in mean_power.iter_mut() {
         *acc /= n;

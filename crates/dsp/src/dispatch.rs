@@ -1,9 +1,13 @@
 //! Runtime SIMD dispatch: which vector tier the hot kernels run on.
 //!
 //! The workspace stays dependency-free and on stable Rust, so there is no
-//! `std::simd`. Instead every hot kernel in [`crate::simd`] exists twice —
-//! a scalar loop and a hand-written `std::arch` AVX2 body — and this module
-//! decides **once per process** which one runs:
+//! `std::simd`. Instead every hot kernel in [`crate::simd`] has a scalar
+//! loop, and most also have an AVX2 body of one of two kinds: a
+//! hand-written `std::arch` body, kept only where it beats the
+//! alternatives at the frame path's sizes, or a *compiled copy* — the same
+//! scalar loop compiled a second time with `avx2` enabled, so that LLVM
+//! vectorizes it. The rest are scalar only and run the same loop on both
+//! tiers. This module decides **once per process** which tier runs:
 //!
 //! * `BISCATTER_SIMD=scalar` forces the scalar tier (CI exercises both).
 //! * `BISCATTER_SIMD=auto` (or unset) probes the CPU with
@@ -17,9 +21,10 @@
 //! it.
 //!
 //! The **f64 contract**: scalar and AVX2 tiers perform the *same*
-//! elementwise IEEE-754 operations in the same order (no FMA contraction,
-//! complex multiplies built from the same mul/add/sub products), so every
-//! f64 kernel is bit-identical across tiers. The f32 tier has no such
+//! elementwise IEEE-754 operations in the same order (no FMA contraction —
+//! the AVX2 functions enable `avx2` and never `fma` — and complex
+//! multiplies built from the same mul/add/sub products), so every f64
+//! kernel is bit-identical across tiers. The f32 tier has no such
 //! contract — it is validated against the f64 oracle by error bounds
 //! instead (see `biscatter-core`'s precision tests).
 

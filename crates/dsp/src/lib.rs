@@ -20,7 +20,7 @@
 //! | [`real`] | the sealed `Real` sample-precision trait (`f64`, `f32`) the frame path is generic over |
 //! | [`complex`] | `Complex<T>` complex number type and arithmetic (`Cpx` = `Complex<f64>`) |
 //! | [`dispatch`] | runtime SIMD tier selection (`BISCATTER_SIMD`, CPU detection) |
-//! | [`simd`] | scalar/AVX2 kernel bodies for the frame hot loops, per precision |
+//! | [`simd`] | the frame hot loops: scalar loops, hand-written AVX2 bodies and compiled copies |
 //! | [`fft`] | radix-2 Cooley–Tukey and Bluestein FFT, real-input helper, reference engine |
 //! | [`planner`] | cached FFT plans per precision, in-place/scratch APIs, packed real FFT |
 //! | [`window`] | Hann, Hamming, Blackman(-Harris), flat-top windows, cached per length |
@@ -34,8 +34,10 @@
 //! ## Unsafe policy
 //!
 //! The crate is `deny(unsafe_code)`; the single exemption is [`simd`],
-//! whose AVX2 bodies require `std::arch` intrinsics. Every `unsafe` there
-//! sits behind runtime feature detection ([`dispatch`]).
+//! whose AVX2 bodies are `#[target_feature(enable = "avx2")]` functions
+//! (hand-written `std::arch` intrinsics, or a scalar loop compiled with
+//! AVX2 on). Every `unsafe` there sits behind runtime feature detection
+//! ([`dispatch`]).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -307,17 +307,29 @@ fn radix2<T: Real>(
     if n < 2 {
         return;
     }
-    // First stage: every twiddle is 1, so the butterflies are pure
-    // add/subtract pairs — no table reads, no complex multiplies.
-    T::fft_first_stage(data);
+    first_stage(data);
     T::fft_stages(data, stage_tw, inverse);
+}
+
+/// The first radix-2 stage over bit-reversed data: every twiddle is 1, so
+/// each adjacent pair `(u, v)` becomes `(u + v, u − v)` — no table reads,
+/// no complex multiplies. One loop for both precisions and both dispatch
+/// tiers: its baseline SSE2 code measured faster than a hand-written AVX2
+/// body at every length from 32 to 1,024 (EXPERIMENTS.md). Public so the
+/// kernels bench can time it.
+pub fn first_stage<T: Real>(data: &mut [Complex<T>]) {
+    for pair in data.chunks_exact_mut(2) {
+        let (u, v) = (pair[0], pair[1]);
+        pair[0] = u + v;
+        pair[1] = u - v;
+    }
 }
 
 /// The packed half-length signal `z[k] = x[2k] + i·x[2k+1]` gathered in
 /// bit-reversed order with the first radix-2 stage applied: slot `2k`
 /// pairs `z[bitrev[2k]]` with `z[bitrev[2k+1]]`, the same values and the
 /// same add/subtract that packing, the in-place swap and
-/// [`Real::fft_first_stage`] produce, in one pass. `out` is resized to the
+/// [`first_stage`] produce, in one pass. `out` is resized to the
 /// half length (every slot is written).
 fn gather_first_stage<T: Real>(input: &[T], bitrev: &[u32], out: &mut Vec<Complex<T>>) {
     out.resize(bitrev.len(), Complex::ZERO);
@@ -874,7 +886,7 @@ mod tests {
                 data.swap(i, j);
             }
         }
-        crate::simd::fft_first_stage(data);
+        first_stage(data);
         let mut len = 4;
         while len <= n {
             let tw: Vec<Cpx> = (0..len / 2).map(|j| twiddle(j, len)).collect();

@@ -11,8 +11,9 @@
 //! The trait is sealed: its impls are the only place where the two
 //! precisions differ. Each impl chooses
 //!
-//! * which [`crate::simd`] kernel body to call (the kernels themselves stay
-//!   type-specific),
+//! * which [`crate::simd`] kernel body to call (most kernels stay
+//!   type-specific; one generic loop such as [`simd::norm_sq_accum`] is
+//!   called directly, without a trait method),
 //! * the layout of its radix-2 twiddle tables ([`Real::Twiddle`]),
 //! * its per-thread [`FftPlanner`], and
 //! * its window table ([`CachedWindow::coeffs`] or
@@ -70,8 +71,6 @@ pub trait Real:
     /// ([`simd::fft_twiddles`]) or one `Complex<f32>` factor per entry.
     type Twiddle: Copy + Debug + Send + Sync + 'static;
 
-    /// First radix-2 stage: `(u, v) → (u + v, u − v)` over adjacent pairs.
-    fn fft_first_stage(data: &mut [Complex<Self>]);
     /// The twiddle table of a length-`n` radix-2 plan: the factors
     /// `twiddle(j, len)` of every stage `len = 4, 8, …, n`.
     fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<Self::Twiddle>;
@@ -99,8 +98,6 @@ pub trait Real:
     /// Adds 1 to [`simd::TONES_PER_PASS`] level-weighted tones to `out` in
     /// one pass, `out[i] += levels[0]·tones[0][i] + …`, summed left to right.
     fn tones_accum(out: &mut [Self], tones: &[&[Self]], levels: &[Self]);
-    /// `acc[i] += |row[i]|²`, each square widened into the f64 accumulator.
-    fn norm_sq_accum(acc: &mut [f64], row: &[Complex<Self>]);
     /// This thread's planner for this precision (see
     /// [`crate::planner::with_planner`]).
     fn planner() -> &'static LocalKey<RefCell<FftPlanner<Self>>>;
@@ -124,10 +121,6 @@ impl Real for f64 {
         self
     }
 
-    #[inline]
-    fn fft_first_stage(data: &mut [Cpx]) {
-        simd::fft_first_stage(data);
-    }
     fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<f64> {
         simd::fft_twiddles(n, twiddle)
     }
@@ -154,10 +147,6 @@ impl Real for f64 {
     #[inline]
     fn tones_accum(out: &mut [f64], tones: &[&[f64]], levels: &[f64]) {
         simd::tones_accum(out, tones, levels);
-    }
-    #[inline]
-    fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
-        simd::norm_sq_accum(acc, row);
     }
     fn planner() -> &'static LocalKey<RefCell<FftPlanner<f64>>> {
         thread_local! {
@@ -187,10 +176,6 @@ impl Real for f32 {
         self as f64
     }
 
-    #[inline]
-    fn fft_first_stage(data: &mut [Complex<f32>]) {
-        simd::fft_first_stage_32(data);
-    }
     /// Stage-contiguous factors rounded once from f64: stage `len`'s
     /// `len/2` entries start at `len/2 − 2`.
     fn fft_twiddles(n: usize, twiddle: impl Fn(usize, usize) -> Cpx) -> Vec<Complex<f32>> {
@@ -223,10 +208,6 @@ impl Real for f32 {
     #[inline]
     fn tones_accum(out: &mut [f32], tones: &[&[f32]], levels: &[f32]) {
         simd::tones_accum_32(out, tones, levels);
-    }
-    #[inline]
-    fn norm_sq_accum(acc: &mut [f64], row: &[Complex<f32>]) {
-        simd::norm_sq_accum_32(acc, row);
     }
     fn planner() -> &'static LocalKey<RefCell<FftPlanner<f32>>> {
         thread_local! {

@@ -1,16 +1,39 @@
 //! Vectorized inner loops for the frame hot path.
 //!
-//! Every kernel here exists in two bodies behind [`crate::dispatch::tier`]:
-//! a portable scalar loop and a hand-written x86_64 AVX2 body
-//! (`std::arch`, no nightly `std::simd`, no crates). This is the only
-//! module in the workspace's DSP layer that contains `unsafe` — each
-//! `unsafe` block is a `#[target_feature(enable = "avx2")]` body reached
-//! strictly behind runtime feature detection, plus the raw loads/stores
-//! inside it (`Complex<T>` is `repr(C)`, so a slice of them is a packed
-//! `re, im` sequence).
+//! Every kernel here has one portable scalar loop, which the scalar tier
+//! of [`crate::dispatch::tier`] runs. What the AVX2 tier runs is one of
+//! three kinds:
 //!
-//! The kernels are type-specific; generic code reaches them through the
+//! * a **hand body**: `std::arch` intrinsics under
+//!   `#[target_feature(enable = "avx2")]` (no nightly `std::simd`, no
+//!   crates), for the kernels where LLVM does not find the vector form on
+//!   its own — complex multiplies, the FFT stages, the Goertzel and
+//!   lagged-product recurrences, the row sums, the peak scan and the IF
+//!   tones;
+//! * a **compiled copy**: the scalar loop itself, `#[inline(always)]`,
+//!   called from a three-line `#[target_feature(enable = "avx2")]`
+//!   wrapper, so that LLVM vectorizes the same source at 4 × f64
+//!   ([`sq_accum`], [`norm_sq_accum`], [`round`]);
+//! * **scalar only**: the f32 unzip ([`rfft_unzip_32`]) runs its one loop
+//!   on both tiers, as does the first radix-2 stage, which lives beside
+//!   its only caller in [`crate::planner`].
+//!
+//! A kernel keeps a hand body only where it beats its compiled copy by
+//! more than 5 % at the sizes the frame path calls it with; the census
+//! behind each choice is in EXPERIMENTS.md ("Hand-written AVX2 only where
+//! it wins"). The wrappers enable exactly `avx2`, never `fma`: Rust does
+//! not contract `a·b + c`, so a compiled copy performs the scalar loop's
+//! operations, element by element.
+//!
+//! This is the only module in the workspace's DSP layer that contains
+//! `unsafe` — each `unsafe` block calls a `#[target_feature(enable =
+//! "avx2")]` function strictly behind runtime feature detection, and the
+//! hand bodies make raw loads/stores (`Complex<T>` is `repr(C)`, so a
+//! slice of them is a packed `re, im` sequence).
+//!
+//! Most kernels are type-specific; generic code reaches them through the
 //! [`crate::real::Real`] impls, which pick the f64 or f32 (`*_32`) body.
+//! [`norm_sq_accum`] is one generic loop for both precisions.
 //!
 //! ## The f64 bit-identity contract
 //!
@@ -43,6 +66,7 @@
 use crate::complex::{Complex, Cpx};
 use crate::dispatch::{tier, SimdTier};
 use crate::goertzel::GoertzelCoeffs;
+use crate::real::Real;
 
 /// Single-precision complex sample, as the f32 kernels see it.
 type Cpx32 = Complex<f32>;
@@ -50,26 +74,6 @@ type Cpx32 = Complex<f32>;
 // ---------------------------------------------------------------------------
 // f64 complex kernels (radix-2 stages, pointwise multiplies, rfft unzip).
 // ---------------------------------------------------------------------------
-
-/// First radix-2 stage: every twiddle is 1, so each adjacent pair `(u, v)`
-/// becomes `(u + v, u − v)`.
-pub fn fft_first_stage(data: &mut [Cpx]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::fft_first_stage(data) };
-        return;
-    }
-    fft_first_stage_scalar(data);
-}
-
-fn fft_first_stage_scalar(data: &mut [Cpx]) {
-    for pair in data.chunks_exact_mut(2) {
-        let (u, v) = (pair[0], pair[1]);
-        pair[0] = u + v;
-        pair[1] = u - v;
-    }
-}
 
 /// One radix-2 butterfly stage of width `len` over all chunks of `data`,
 /// with this stage's contiguous twiddle table `tw` (`len/2` entries,
@@ -321,93 +325,18 @@ fn zip_one(xk: Cpx, xm: Cpx, w: Cpx) -> Cpx {
 }
 
 // ---------------------------------------------------------------------------
-// f64 real kernels (band accumulation, matched-filter axpy, noise floor).
+// Real kernels (mean power, window energy, code rounding, peak scan). The
+// first three are compiled copies: one loop, vectorized by LLVM on the
+// AVX2 tier.
 // ---------------------------------------------------------------------------
 
-/// `acc[i] += w * x[i]` — the matched-filter harmonic accumulation.
+/// `acc[i] += |row[i]|²`, each square computed in the row's precision and
+/// widened into the f64 accumulator — the sensing path's per-range mean
+/// power, for f64 and f32 rows alike.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
-pub fn axpy(acc: &mut [f64], w: f64, x: &[f64]) {
-    assert_eq!(acc.len(), x.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::axpy(acc, w, x) };
-        return;
-    }
-    for (s, &p) in acc.iter_mut().zip(x) {
-        *s += w * p;
-    }
-}
-
-/// `out[i] = 0.0 + a[i]` — a one-row Doppler band (the explicit `0.0 +`
-/// matches the multi-row accumulation's value sequence, normalizing
-/// `-0.0`).
-pub fn band_sum1(out: &mut [f64], a: &[f64]) {
-    assert_eq!(out.len(), a.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::band_sum1(out, a) };
-        return;
-    }
-    for (o, &x) in out.iter_mut().zip(a) {
-        *o = 0.0 + x;
-    }
-}
-
-/// `out[i] = (0.0 + a[i]) + b[i]` — a two-row Doppler band.
-pub fn band_sum2(out: &mut [f64], a: &[f64], b: &[f64]) {
-    assert_eq!(out.len(), a.len());
-    assert_eq!(out.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::band_sum2(out, a, b) };
-        return;
-    }
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = (0.0 + x) + y;
-    }
-}
-
-/// `out[i] = ((0.0 + a[i]) + b[i]) + c[i]` — a three-row Doppler band.
-pub fn band_sum3(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    assert_eq!(out.len(), a.len());
-    assert_eq!(out.len(), b.len());
-    assert_eq!(out.len(), c.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::band_sum3(out, a, b, c) };
-        return;
-    }
-    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-        *o = ((0.0 + x) + y) + z;
-    }
-}
-
-/// `out[i] += x[i]` — the wide-band accumulation fallback.
-pub fn add_assign(out: &mut [f64], x: &[f64]) {
-    assert_eq!(out.len(), x.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::add_assign(out, x) };
-        return;
-    }
-    for (o, &p) in out.iter_mut().zip(x) {
-        *o += p;
-    }
-}
-
-/// `acc[i] += |row[i]|²` — the sensing path's per-range noise-floor /
-/// mean-power accumulation.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
+pub fn norm_sq_accum<T: Real>(acc: &mut [f64], row: &[Complex<T>]) {
     assert_eq!(acc.len(), row.len());
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 {
@@ -415,8 +344,13 @@ pub fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
         unsafe { avx2::norm_sq_accum(acc, row) };
         return;
     }
+    norm_sq_accum_loop(acc, row);
+}
+
+#[inline(always)]
+fn norm_sq_accum_loop<T: Real>(acc: &mut [f64], row: &[Complex<T>]) {
     for (a, z) in acc.iter_mut().zip(row) {
-        *a += z.norm_sq();
+        *a += z.norm_sq().to_f64();
     }
 }
 
@@ -434,6 +368,11 @@ pub fn sq_accum(acc: &mut [f64], x: &[f64]) {
         unsafe { avx2::sq_accum(acc, x) };
         return;
     }
+    sq_accum_loop(acc, x);
+}
+
+#[inline(always)]
+fn sq_accum_loop(acc: &mut [f64], x: &[f64]) {
     for (a, &v) in acc.iter_mut().zip(x) {
         *a += v * v;
     }
@@ -441,10 +380,10 @@ pub fn sq_accum(acc: &mut [f64], x: &[f64]) {
 
 /// `x[i] ← x[i].round()`: to the nearest integer, halves away from zero —
 /// the ADC model's code rounding. Baseline x86-64 has no rounding
-/// instruction, so the scalar body calls libm per element; the AVX2 body
-/// truncates `x + copysign(½ − 2⁻⁵⁴, x)`, the exact lowering LLVM itself
-/// uses for `round` where `roundpd` exists. Both return the same bits for
-/// every input, signed zeros, infinities and NaN included.
+/// instruction, so the scalar tier calls libm per element; with AVX2
+/// enabled LLVM lowers the same loop to a truncating `roundpd` of
+/// `x + copysign(½ − 2⁻⁵⁴, x)`, which is exact. Both return the same bits
+/// for every input, signed zeros, infinities and NaN included.
 pub fn round(x: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if tier() == SimdTier::Avx2 {
@@ -452,6 +391,11 @@ pub fn round(x: &mut [f64]) {
         unsafe { avx2::round(x) };
         return;
     }
+    round_loop(x);
+}
+
+#[inline(always)]
+fn round_loop(x: &mut [f64]) {
     for v in x.iter_mut() {
         *v = v.round();
     }
@@ -837,6 +781,11 @@ fn tone_fill_32_scalar(out: &mut [f32], ph: &mut [Cpx32; 8], rot8: Cpx32) {
 /// into passes, or a row into stretches of constant levels, moves no bit —
 /// and both tiers perform the same elementwise operations.
 ///
+/// Beyond the IF tones, this is every weighted row sum of the receive
+/// chain: one row at weight `w` is `acc + w·x` (the matched filter's
+/// harmonics), and rows at level `1.0` onto a zeroed `out` are the plain
+/// sum `((0.0 + a) + b) + …` (the Doppler bands), since `1.0·x` is exact.
+///
 /// # Panics
 /// Panics unless `tones` holds 1 to [`TONES_PER_PASS`] tones, one level
 /// each, and every tone is at least as long as `out`.
@@ -905,17 +854,6 @@ where
 // f32 complex kernels (the f32 FFT plan tables' stages).
 // ---------------------------------------------------------------------------
 
-/// First radix-2 stage in f32 (pure add/sub pairs).
-pub fn fft_first_stage_32(data: &mut [Cpx32]) {
-    // Pair-adjacent complex add/sub autovectorizes cleanly; the scalar body
-    // serves both tiers (no cross-tier bit contract in f32).
-    for pair in data.chunks_exact_mut(2) {
-        let (u, v) = (pair[0], pair[1]);
-        pair[0] = u + v;
-        pair[1] = u - v;
-    }
-}
-
 /// One f32 radix-2 butterfly stage of width `len` (forward only — the f32
 /// tier never runs inverse transforms) with this stage's contiguous
 /// twiddles.
@@ -943,18 +881,6 @@ fn fft_stage_32_scalar(data: &mut [Cpx32], tw: &[Cpx32], len: usize) {
     }
 }
 
-/// `acc[i] += |row[i]|²` for f32 rows: each square is computed in f32 and
-/// widened into the f64 accumulator (the f32 sensing path's mean power).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn norm_sq_accum_32(acc: &mut [f64], row: &[Cpx32]) {
-    assert_eq!(acc.len(), row.len());
-    for (a, z) in acc.iter_mut().zip(row) {
-        *a += z.norm_sq() as f64;
-    }
-}
-
 /// f32 packed-real-FFT unzip (see [`rfft_unzip`]) into `h + 1` bins.
 pub fn rfft_unzip_32(z: &[Cpx32], tw: &[Cpx32], h: usize, out: &mut [Cpx32]) {
     assert_eq!(z.len(), h);
@@ -979,8 +905,34 @@ mod avx2 {
     use super::Cpx32;
     use super::GoertzelJob;
     use super::OSC_RENORM_SAMPLES;
-    use crate::complex::Cpx;
+    use crate::complex::{Complex, Cpx};
+    use crate::real::Real;
     use std::arch::x86_64::*;
+
+    // Compiled copies: the scalar loops, vectorized by LLVM with AVX2 on.
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn norm_sq_accum<T: Real>(acc: &mut [f64], row: &[Complex<T>]) {
+        super::norm_sq_accum_loop(acc, row);
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sq_accum(acc: &mut [f64], x: &[f64]) {
+        super::sq_accum_loop(acc, x);
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn round(x: &mut [f64]) {
+        super::round_loop(x);
+    }
+
+    // Hand bodies.
 
     /// `[x0·w0, x1·w1]` for two packed complex doubles per operand, using
     /// the addsub form documented at module level (bit-identical to the
@@ -999,31 +951,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     unsafe fn conj_mask_pd() -> __m256d {
         _mm256_setr_pd(0.0, -0.0, 0.0, -0.0)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fft_first_stage(data: &mut [Cpx]) {
-        let n = data.len();
-        let p = data.as_mut_ptr() as *mut f64;
-        let mut i = 0usize;
-        // Four complex values (two pairs) per iteration: split into the
-        // `u` and `v` streams, add/sub, re-interleave.
-        while i + 4 <= n {
-            let a = _mm256_loadu_pd(p.add(2 * i)); // [u0, v0]
-            let b = _mm256_loadu_pd(p.add(2 * i + 4)); // [u1, v1]
-            let u = _mm256_permute2f128_pd(a, b, 0x20); // [u0, u1]
-            let v = _mm256_permute2f128_pd(a, b, 0x31); // [v0, v1]
-            let s = _mm256_add_pd(u, v);
-            let d = _mm256_sub_pd(u, v);
-            _mm256_storeu_pd(p.add(2 * i), _mm256_permute2f128_pd(s, d, 0x20));
-            _mm256_storeu_pd(p.add(2 * i + 4), _mm256_permute2f128_pd(s, d, 0x31));
-            i += 4;
-        }
-        for pair in data[i..].chunks_exact_mut(2) {
-            let (u, v) = (pair[0], pair[1]);
-            pair[0] = u + v;
-            pair[1] = u - v;
-        }
     }
 
     /// `[x0·w0, x1·w1]` with pre-broadcast twiddle parts
@@ -1259,158 +1186,6 @@ mod avx2 {
             k += 2;
         }
         k
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(acc: &mut [f64], w: f64, x: &[f64]) {
-        let n = acc.len();
-        let ap = acc.as_mut_ptr();
-        let xp = x.as_ptr();
-        let wv = _mm256_set1_pd(w);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let p = _mm256_mul_pd(wv, _mm256_loadu_pd(xp.add(i)));
-            let s = _mm256_add_pd(_mm256_loadu_pd(ap.add(i)), p);
-            _mm256_storeu_pd(ap.add(i), s);
-            i += 4;
-        }
-        for j in i..n {
-            acc[j] += w * x[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn band_sum1(out: &mut [f64], a: &[f64]) {
-        let n = out.len();
-        let op = out.as_mut_ptr();
-        let ap = a.as_ptr();
-        let zero = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_add_pd(zero, _mm256_loadu_pd(ap.add(i)));
-            _mm256_storeu_pd(op.add(i), v);
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = 0.0 + a[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn band_sum2(out: &mut [f64], a: &[f64], b: &[f64]) {
-        let n = out.len();
-        let op = out.as_mut_ptr();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let zero = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_add_pd(zero, _mm256_loadu_pd(ap.add(i)));
-            let v = _mm256_add_pd(v, _mm256_loadu_pd(bp.add(i)));
-            _mm256_storeu_pd(op.add(i), v);
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = (0.0 + a[j]) + b[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn band_sum3(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-        let n = out.len();
-        let op = out.as_mut_ptr();
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_ptr());
-        let zero = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_add_pd(zero, _mm256_loadu_pd(ap.add(i)));
-            let v = _mm256_add_pd(v, _mm256_loadu_pd(bp.add(i)));
-            let v = _mm256_add_pd(v, _mm256_loadu_pd(cp.add(i)));
-            _mm256_storeu_pd(op.add(i), v);
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = ((0.0 + a[j]) + b[j]) + c[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign(out: &mut [f64], x: &[f64]) {
-        let n = out.len();
-        let op = out.as_mut_ptr();
-        let xp = x.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_add_pd(_mm256_loadu_pd(op.add(i)), _mm256_loadu_pd(xp.add(i)));
-            _mm256_storeu_pd(op.add(i), v);
-            i += 4;
-        }
-        for j in i..n {
-            out[j] += x[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn norm_sq_accum(acc: &mut [f64], row: &[Cpx]) {
-        let n = acc.len();
-        let ap = acc.as_mut_ptr();
-        let rp = row.as_ptr() as *const f64;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v1 = _mm256_loadu_pd(rp.add(2 * i));
-            let v2 = _mm256_loadu_pd(rp.add(2 * i + 4));
-            let s1 = _mm256_mul_pd(v1, v1);
-            let s2 = _mm256_mul_pd(v2, v2);
-            // hadd gives [n0, n2, n1, n3]; permute to natural order.
-            let h = _mm256_hadd_pd(s1, s2);
-            let nv = _mm256_permute4x64_pd(h, 0xD8);
-            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(_mm256_loadu_pd(ap.add(i)), nv));
-            i += 4;
-        }
-        for j in i..n {
-            acc[j] += row[j].norm_sq();
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sq_accum(acc: &mut [f64], x: &[f64]) {
-        let n = acc.len();
-        let ap = acc.as_mut_ptr();
-        let xp = x.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(xp.add(i));
-            let s = _mm256_add_pd(_mm256_loadu_pd(ap.add(i)), _mm256_mul_pd(v, v));
-            _mm256_storeu_pd(ap.add(i), s);
-            i += 4;
-        }
-        for j in i..n {
-            acc[j] += x[j] * x[j];
-        }
-    }
-
-    /// Why this is exact: below 2⁵² in magnitude, adding the largest double
-    /// under ½ (with `x`'s sign) carries past the next integer exactly when
-    /// the fraction is at least ½, and the sum rounds to even on the one
-    /// tie; from 2⁵² up `x` is an integer and the add rounds back to it.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn round(x: &mut [f64]) {
-        const BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
-        let n = x.len();
-        let xp = x.as_mut_ptr();
-        let sign = _mm256_set1_pd(-0.0);
-        let half = _mm256_set1_pd(BELOW_HALF);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(xp.add(i));
-            let h = _mm256_or_pd(_mm256_and_pd(v, sign), half);
-            let r =
-                _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm256_add_pd(v, h));
-            _mm256_storeu_pd(xp.add(i), r);
-            i += 4;
-        }
-        for v in x[i..].iter_mut() {
-            *v = v.round();
-        }
     }
 
     /// Max-reduce then first-match scan; see the dispatcher's NaN note.
@@ -1935,7 +1710,6 @@ mod tests {
             for inverse in [false, true] {
                 assert_tiers_match(|| {
                     let mut d = cvec(n);
-                    fft_first_stage(&mut d);
                     fft_stage(&mut d, &tw, len, inverse);
                     d
                 });
@@ -2022,16 +1796,71 @@ mod tests {
         }
     }
 
+    /// `rvec(n)` from offset `seed`, with signed zeros and extreme
+    /// magnitudes mixed in.
+    fn rvec_edges(n: usize, seed: usize) -> Vec<f64> {
+        const EDGES: [f64; 6] = [-0.0, 0.0, 1e300, -1e300, 1e-300, -5e-324];
+        rvec(n + seed)[seed..]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 5 == 2 { EDGES[(i / 5) % 6] } else { v })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every length through 67, so that every split of a slice into a
+    /// vector loop and its epilogue runs, then the production sizes: a
+    /// Doppler row's 300 range bins, the cold-start fold's 1,089 lags and a
+    /// `cell_stream` capture's 3,840 samples.
+    fn compiled_copy_lengths() -> impl Iterator<Item = usize> {
+        (0..=67).chain([300, 1089, 3840])
+    }
+
     #[test]
     fn sq_accum_and_peak_max_tiers_bit_identical() {
-        for n in [1usize, 3, 4, 8, 9, 64, 1023] {
-            let a = rvec(n);
-            let b = rvec(n + 3)[3..].to_vec();
-            assert_tiers_match(|| {
+        for n in compiled_copy_lengths() {
+            let (a, x) = (rvec_edges(n, 0), rvec_edges(n, 3));
+            let (peak, got) = assert_tiers_match(|| {
                 let mut acc = a.clone();
-                sq_accum(&mut acc, &b);
-                (peak_max(&acc), acc)
+                sq_accum(&mut acc, &x);
+                (peak_max(&acc), bits(&acc))
             });
+            let want: Vec<f64> = a.iter().zip(&x).map(|(&a, &v)| a + v * v).collect();
+            assert_eq!(got, bits(&want), "n {n}");
+            assert_eq!(peak, peak_max(&want), "n {n}");
+        }
+    }
+
+    #[test]
+    fn norm_sq_accum_tiers_bit_identical() {
+        for n in compiled_copy_lengths() {
+            let acc0 = rvec_edges(n, 1);
+            let row: Vec<Cpx> = (rvec_edges(n, 5).into_iter().zip(rvec_edges(n, 9)))
+                .map(|(re, im)| Cpx::new(re, im))
+                .collect();
+            let got = assert_tiers_match(|| {
+                let mut acc = acc0.clone();
+                norm_sq_accum(&mut acc, &row);
+                bits(&acc)
+            });
+            let want: Vec<f64> = (acc0.iter().zip(&row))
+                .map(|(&a, z)| a + (z.re * z.re + z.im * z.im))
+                .collect();
+            assert_eq!(got, bits(&want), "f64 rows, n {n}");
+            // f32 rows: each square in f32, widened once.
+            let row: Vec<Cpx32> = row.iter().map(|&z| Cpx32::from_f64(z)).collect();
+            let got = assert_tiers_match(|| {
+                let mut acc = acc0.clone();
+                norm_sq_accum(&mut acc, &row);
+                bits(&acc)
+            });
+            let want: Vec<f64> = (acc0.iter().zip(&row))
+                .map(|(&a, z)| a + (z.re * z.re + z.im * z.im) as f64)
+                .collect();
+            assert_eq!(got, bits(&want), "f32 rows, n {n}");
         }
     }
 
@@ -2097,26 +1926,39 @@ mod tests {
 
     #[test]
     fn real_kernels_tiers_bit_identical() {
-        for n in [1usize, 3, 4, 8, 1023] {
-            let (a, b, c) = (
-                rvec(n),
-                rvec(n + 1)[1..].to_vec(),
-                rvec(n + 2)[2..].to_vec(),
-            );
-            let row = cvec(n);
-            assert_tiers_match(|| {
-                let mut s1 = vec![0.0; n];
-                band_sum1(&mut s1, &a);
-                let mut s2 = vec![0.0; n];
-                band_sum2(&mut s2, &a, &b);
-                let mut s3 = vec![0.0; n];
-                band_sum3(&mut s3, &a, &b, &c);
-                let mut acc = a.clone();
-                add_assign(&mut acc, &b);
-                axpy(&mut acc, 1.0 / 9.0, &c);
-                norm_sq_accum(&mut acc, &row);
-                (s1, s2, s3, acc)
-            });
+        // The weighted sum at the levels the radar calls it with, against
+        // the expressions of the kernels it replaced, written out as plain
+        // loops: one row at its weight (`acc + w·x`), and bands of rows at
+        // level 1.0 onto a zeroed sum (`((0.0 + a) + b) + …`), the wider
+        // bands in passes of four.
+        for n in (0..=67).chain([256, 1024]) {
+            let rows: Vec<Vec<f64>> = (0..7).map(|r| rvec_edges(n, 2 * r + 1)).collect();
+            let acc0 = rvec_edges(n, 0);
+            for w in [1.0, 1.0 / 9.0, 1.0 / 25.0] {
+                let got = assert_tiers_match(|| {
+                    let mut acc = acc0.clone();
+                    tones_accum(&mut acc, &[&rows[0]], &[w]);
+                    bits(&acc)
+                });
+                let want: Vec<f64> = (acc0.iter().zip(&rows[0]))
+                    .map(|(&a, &x)| a + w * x)
+                    .collect();
+                assert_eq!(got, bits(&want), "acc + w·x, w {w}, n {n}");
+            }
+            for width in [1, 2, 3, 4, 5, 7] {
+                let got = assert_tiers_match(|| {
+                    let mut acc = vec![0.0; n];
+                    for pass in rows[..width].chunks(TONES_PER_PASS) {
+                        let pass: Vec<&[f64]> = pass.iter().map(|r| &r[..]).collect();
+                        tones_accum(&mut acc, &pass, &[1.0; TONES_PER_PASS][..pass.len()]);
+                    }
+                    bits(&acc)
+                });
+                let want: Vec<f64> = (0..n)
+                    .map(|i| rows[..width].iter().fold(0.0, |s, r| s + r[i]))
+                    .collect();
+                assert_eq!(got, bits(&want), "{width}-row band, n {n}");
+            }
         }
     }
 

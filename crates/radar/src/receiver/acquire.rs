@@ -35,11 +35,11 @@
 //!   into the energy row, so no correlation row is ever stored; every bin
 //!   still sums its windows in window order.
 //! * **SIMD scans** — the spectral multiply, the energy fold, and the
-//!   peak/PSLR scans all route through `dsp::dispatch` kernels with AVX2
-//!   bodies ([`cmul_into`](biscatter_dsp::simd::cmul_into),
-//!   [`sq_accum`](biscatter_dsp::simd::sq_accum),
-//!   [`peak_max`](biscatter_dsp::simd::peak_max)) under the workspace's f64
-//!   bit-identity contract.
+//!   peak/PSLR scans all route through `dsp::dispatch` kernels under the
+//!   workspace's f64 bit-identity contract: hand-written AVX2 bodies for
+//!   [`cmul_into`](biscatter_dsp::simd::cmul_into) and
+//!   [`peak_max`](biscatter_dsp::simd::peak_max), and the scalar loop
+//!   compiled with AVX2 on for [`sq_accum`](biscatter_dsp::simd::sq_accum).
 //! * **Deterministic fan-out** — the block spectra fan out over the
 //!   [`ComputePool`] by block, then hypotheses fan out by energy row; both
 //!   write disjoint rows of caller-owned slabs, so results are

@@ -9,6 +9,7 @@
 //! interpolation refines the peak to centimetre precision.
 
 use super::doppler::RangeDopplerMap;
+use biscatter_dsp::simd;
 use biscatter_dsp::spectrum::{find_peak, noise_floor};
 use std::cell::RefCell;
 
@@ -47,8 +48,9 @@ thread_local! {
 /// (weights 1, 1/9, 1/25 — the squared Fourier coefficients of a square
 /// wave). The banded Doppler slice for each harmonic goes through a
 /// per-thread scratch vector, so repeated calls allocate nothing once warm;
-/// the weighted accumulation is `biscatter_dsp::simd::axpy` behind runtime
-/// dispatch (bit-identical across tiers).
+/// each harmonic adds `w·band` through the weighted sum
+/// [`biscatter_dsp::simd::tones_accum`], one row per pass (bit-identical
+/// across dispatch tiers).
 pub fn signature_score_into(map: &RangeDopplerMap, f_mod_hz: f64, score: &mut Vec<f64>) {
     let n_range = map.range_grid.len();
     score.clear();
@@ -63,7 +65,7 @@ pub fn signature_score_into(map: &RangeDopplerMap, f_mod_hz: f64, score: &mut Ve
             }
             let bin = map.bin_for_freq(f);
             map.range_slice_banded_into(bin, 1, &mut band);
-            biscatter_dsp::simd::axpy(score, w, &band);
+            simd::tones_accum(score, &[&band], &[w]);
         }
     });
 }

@@ -42,6 +42,7 @@ use super::uplink::{decode_fsk_windows, decode_ook_windows, UplinkDecode, Uplink
 use super::AlignedFrame;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::goertzel::GoertzelCoeffs;
+use biscatter_dsp::simd::{self, TONES_PER_PASS};
 use biscatter_dsp::spectrum::{noise_floor_inplace, parabolic_peak, Peak};
 use biscatter_dsp::Real;
 use biscatter_obs::metrics::Counter;
@@ -309,8 +310,7 @@ pub fn detect_all<T: Real>(
 
     // Stage 1: accumulate each unique harmonic band once, one band per
     // task. Each element is computed as the zero-then-ascending-row sum of
-    // `range_slice_banded_into` but written in a single fused pass (no
-    // zero-fill prepass, no read-modify-write per row).
+    // `range_slice_banded_into`, up to four rows per pass.
     band_slab.resize(bands.len() * n_range, 0.0);
     pool.par_chunks(&mut band_slab[..], n_range, |b, acc| {
         let (lo, hi) = bands[b];
@@ -319,7 +319,7 @@ pub fn detect_all<T: Real>(
 
     // Stage 2: per-tag matched-filter score = weighted sum of its bands in
     // harmonic order, computed in one fused pass per element (same
-    // zero-then-axpy value sequence as `signature_score`, one write instead
+    // zero-then-`+= w·band` value sequence as `signature_score`, one write instead
     // of a zero-fill plus a read-modify-write per harmonic) with the peak
     // argmax folded in (`>=` keeps the last maximal element, matching
     // `find_peak`'s `max_by`). The noise floor then reuses the score row
@@ -427,38 +427,30 @@ pub fn detect_all<T: Real>(
     });
 }
 
-/// Fills `acc` with the Doppler band `lo..=hi` summed off the map in one
-/// write pass. Every element is evaluated as `((0.0 + row_lo[j]) + ...) +
-/// row_hi[j]` — the exact zero-fill-then-ascending-row-add sequence of
+/// Fills `acc` with the Doppler band `lo..=hi` summed off the map. Every
+/// element is evaluated as `((0.0 + row_lo[j]) + ...) + row_hi[j]` — the
+/// exact zero-fill-then-ascending-row-add sequence of
 /// `range_slice_banded_into` — so the result is bit-identical to the
-/// sequential path while touching `acc` once.
+/// sequential path: the rows go through the weighted sum
+/// [`simd::tones_accum`] at level 1.0 (`1.0·x` is exact), up to four per
+/// pass, in ascending order, onto the zeroed `acc`.
 fn accumulate_band(map: &RangeDopplerMap, lo: usize, hi: usize, acc: &mut [f64]) {
-    // The fused 1-/2-/3-row sums and the wide fallback live in
-    // `biscatter_dsp::simd` behind runtime dispatch; the value sequences
-    // (`0.0 + a`, then one add per extra row) are preserved exactly, so
-    // both tiers stay bit-identical to the sequential path.
-    match hi - lo {
-        0 => biscatter_dsp::simd::band_sum1(acc, map.range_slice(lo)),
-        1 => biscatter_dsp::simd::band_sum2(acc, map.range_slice(lo), map.range_slice(lo + 1)),
-        2 => biscatter_dsp::simd::band_sum3(
-            acc,
-            map.range_slice(lo),
-            map.range_slice(lo + 1),
-            map.range_slice(lo + 2),
-        ),
-        _ => {
-            acc.fill(0.0);
-            for d in lo..=hi {
-                biscatter_dsp::simd::add_assign(acc, map.range_slice(d));
-            }
+    const ONES: [f64; TONES_PER_PASS] = [1.0; TONES_PER_PASS];
+    acc.fill(0.0);
+    let mut rows: [&[f64]; TONES_PER_PASS] = [&[]; TONES_PER_PASS];
+    for first in (lo..=hi).step_by(TONES_PER_PASS) {
+        let g = (hi + 1 - first).min(TONES_PER_PASS);
+        for (j, row) in rows[..g].iter_mut().enumerate() {
+            *row = map.range_slice(first + j);
         }
+        simd::tones_accum(acc, &rows[..g], &ONES[..g]);
     }
 }
 
 /// Fills `score` with the tag's weighted harmonic sum in one fused pass and
 /// returns the peak bin. Each element is evaluated as
 /// `((0.0 + w1*b1[r]) + w2*b2[r]) + w3*b3[r]` — the exact zero-fill-then-
-/// axpy-per-harmonic sequence of `signature_score` — and the running `>=`
+/// weighted-add-per-harmonic sequence of `signature_score` — and the running `>=`
 /// argmax keeps the last maximal element, matching `find_peak`'s `max_by`
 /// (all-zero score: last bin).
 fn score_into(plan: &TagPlan, band_slab: &[f64], n_range: usize, score: &mut [f64]) -> usize {
@@ -502,4 +494,46 @@ fn score_into(plan: &TagPlan, band_slab: &[f64], n_range: usize, score: &mut [f6
         }
     }
     best_bin
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::receiver::doppler::range_doppler;
+    use crate::receiver::{align_frame, RxConfig};
+    use biscatter_dsp::signal::NoiseSource;
+    use biscatter_rf::chirp::Chirp;
+    use biscatter_rf::frame::ChirpTrain;
+    use biscatter_rf::if_gen::IfReceiver;
+    use biscatter_rf::scene::{Scatterer, Scene};
+
+    #[test]
+    fn accumulate_band_matches_banded_slice() {
+        // A noisy 32-chirp map with clutter and a tag. Every band of the
+        // half-width the engine asks for, and wider ones up to seven rows
+        // (two passes of the weighted sum), against the sequential
+        // zero-then-add loop, bit for bit.
+        let chirps = vec![Chirp::new(9e9, 1e9, 96e-6); 32];
+        let train = ChirpTrain::with_fixed_period(&chirps, 120e-6).unwrap();
+        let rx = IfReceiver {
+            sample_rate_hz: 10e6,
+            noise_sigma: 0.05,
+        };
+        let scene = Scene::new()
+            .with(Scatterer::clutter(2.0, 5.0))
+            .with(Scatterer::tag(4.0, 1.0, 2083.3));
+        let if_data = rx.dechirp_train(&train, &scene, 0.0, &mut NoiseSource::new(7));
+        let map = range_doppler(&align_frame(&RxConfig::default(), &train, &if_data));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut want = Vec::new();
+        let mut got = vec![f64::NAN; map.n_range()];
+        for half_width in 0..=3 {
+            for center in 0..=map.n_doppler / 2 {
+                let (lo, hi) = map.band_bins(center, half_width);
+                map.range_slice_banded_into(center, half_width, &mut want);
+                accumulate_band(&map, lo, hi, &mut got);
+                assert_eq!(bits(&got), bits(&want), "rows {lo}..={hi}");
+            }
+        }
+    }
 }
