@@ -6,9 +6,10 @@
 //! makes a radar cell a *value* ([`biscatter_runtime::pipeline::Cell`]) and
 //! runs N of them across S worker shards with:
 //!
-//! * **admission control** ([`admission`]) — a fleet-level intake with
-//!   per-cell quotas and block / drop-oldest / reject overload policies,
-//!   every drop visible through the registry queue gauges;
+//! * **admission control** ([`shard`]) — one bounded intake per cell, its
+//!   quota, applying the fleet's [`AdmissionPolicy`] (block / drop-oldest /
+//!   reject) and counting each shed frame once, in the registry as
+//!   `cell<i>.fleet.intake.{drops,rejected}`;
 //! * **cross-cell tag handoff** ([`handoff`]) — a roaming tag keeps its
 //!   identity and uplink session (decoder framing, accumulated bits) as it
 //!   migrates between cells, ordered by a sequence-gated [`HandoffBus`];
@@ -35,12 +36,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod handoff;
 pub mod shard;
 pub mod snapshot;
 
-pub use admission::{Admission, AdmissionPolicy, Admit};
+/// What a cell's intake does with a frame when the cell is at quota: the
+/// intake queue's own overload policy (lossless `Block`, `DropOldest`,
+/// `Reject`).
+pub use biscatter_runtime::queue::Backpressure as AdmissionPolicy;
 pub use handoff::{HandoffBus, UplinkSession};
 pub use shard::{Fleet, FleetConfig, FleetReport};
 pub use snapshot::FleetSnapshot;

@@ -2,11 +2,13 @@
 //!
 //! Each [`Cell`] is a value — its own arena, config, and metric scope — and
 //! shard `s` owns the cells with `cell % shards == s`. A shard is one thread
-//! running a cooperative round-robin over its cells: non-blocking intake
-//! takes ([`Admission::try_take`]), at most one *pending* (sequence-gated)
-//! frame stashed per cell, and a short sleep only when a full pass makes no
-//! progress. A single feeder thread admits the workload in tick order
-//! through the [`Admission`] front door.
+//! running a cooperative round-robin over its cells: non-blocking takes from
+//! each cell's intake ([`BoundedQueue::try_pop`]), at most one *pending*
+//! (sequence-gated) frame stashed per cell, and a short sleep only when a
+//! full pass makes no progress. A single feeder thread pushes the workload
+//! in tick order onto the cells' intakes: one [`BoundedQueue`] per cell,
+//! holding `intake_quota` frames, whose [`AdmissionPolicy`] decides what a
+//! full intake does and which counts each frame it sheds, once.
 //!
 //! ## Why this cannot deadlock
 //!
@@ -15,11 +17,11 @@
 //! sequence number. The feeder admits tick-major, so that earlier window
 //! was admitted before the waiting frame — it is already processed, queued
 //! in some intake, stashed as some cell's pending frame, or recorded as
-//! skipped by lossy admission. Chains of gated frames therefore descend in
-//! sequence and bottom out at a processable frame; a blocked feeder can
-//! never be part of the cycle because shards drain intakes independently
-//! of it. Progress is guaranteed; the sleep is purely a CPU-politeness
-//! measure on no-progress passes.
+//! skipped when its intake shed it. Chains of gated frames therefore
+//! descend in sequence and bottom out at a processable frame; a blocked
+//! feeder can never be part of the cycle because shards drain intakes
+//! independently of it. Progress is guaranteed; the sleep is purely a
+//! CPU-politeness measure on no-progress passes.
 //!
 //! Determinism: under [`AdmissionPolicy::Block`] every frame is processed
 //! exactly once, sessions append in sequence order, and each frame's
@@ -40,12 +42,12 @@ use biscatter_core::isac::{warm_dsp_plans, IsacOutcome};
 use biscatter_core::system::BiScatterSystem;
 use biscatter_radar::receiver::uplink::chirps_per_bit;
 use biscatter_runtime::pipeline::{Cell, RuntimeConfig};
-use biscatter_runtime::queue::TryPop;
+use biscatter_runtime::queue::{BoundedQueue, Pushed, TryPop};
 use biscatter_runtime::source::CellJob;
 
-use crate::admission::{Admission, AdmissionPolicy, Admit};
 use crate::handoff::{HandoffBus, UplinkSession};
 use crate::snapshot::FleetSnapshot;
+use crate::AdmissionPolicy;
 
 /// Fleet-level configuration.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +58,7 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Per-cell intake quota (frames queued before the policy kicks in).
     pub intake_quota: usize,
-    /// What admission does when a cell is at quota.
+    /// What a cell's intake does with a frame when the cell is at quota.
     pub admission: AdmissionPolicy,
     /// Per-cell runtime configuration (precision tier; the shard path
     /// processes frames inline, so the streaming intake and `workers` are
@@ -88,9 +90,11 @@ pub struct FleetReport {
     pub sessions: Vec<UplinkSession>,
     /// The merged fleet-wide metric snapshot.
     pub snapshot: FleetSnapshot,
-    /// Frames evicted by drop-oldest admission during this run.
+    /// Frames the cells' intakes evicted under drop-oldest admission during
+    /// this run.
     pub admission_drops: u64,
-    /// Frames refused by reject admission during this run.
+    /// Frames the cells' intakes refused under reject admission during this
+    /// run.
     pub admission_rejects: u64,
     /// Frames whose processing panicked during this run; completed +
     /// dropped + rejected + failed = offered.
@@ -167,10 +171,11 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Streams `jobs` through the fleet: a feeder thread admits them in
-    /// order, shard threads process them per cell, and the handoff bus
-    /// threads mobile-tag sessions across cells. Returns when every
-    /// admitted frame is processed.
+    /// Streams `jobs` through the fleet: a feeder thread pushes them in
+    /// order onto their cells' intakes, shard threads process them per cell,
+    /// and the handoff bus threads mobile-tag sessions across cells. A frame
+    /// an intake evicts or refuses is counted there, and its session window
+    /// skipped. Returns when every admitted frame is processed.
     ///
     /// Spans are recorded when the process has switched tracing on
     /// ([`biscatter_obs::trace::set_enabled`]); writing the trace out is the
@@ -180,46 +185,45 @@ impl Fleet {
     pub fn run(&self, jobs: Vec<CellJob>) -> FleetReport {
         let n_cells = self.cfg.n_cells;
         let shards = self.cfg.shards;
-        let admission = Admission::new(n_cells, self.cfg.intake_quota, self.cfg.admission);
+        let intakes = intakes(&self.cfg);
         let bus = HandoffBus::default();
+        let admitted = biscatter_obs::registry().counter("fleet.admitted");
 
         let t0 = Instant::now();
-        let admission = &admission;
+        let intakes = &intakes[..];
         let bus = &bus;
         let sys = &self.sys;
         let cells = &self.cells;
         let intra_threads = self.cfg.intra_frame_threads;
 
-        let (mut outcomes, drops, rejects, failed) = thread::scope(|scope| {
-            let feeder = scope.spawn(move || {
-                let mut drops = 0u64;
-                let mut rejects = 0u64;
+        let (mut outcomes, failed) = thread::scope(|scope| {
+            scope.spawn(move || {
                 for job in jobs {
-                    match admission.offer(job) {
-                        Admit::Admitted => {}
-                        Admit::Evicted(victim) => {
-                            drops += 1;
-                            if let Some(h) = victim.hop {
-                                bus.skip(h.tag, h.seq);
-                            }
+                    let _span = biscatter_obs::span!("fleet.admit");
+                    let shed = match intakes[job.cell].push(job) {
+                        Pushed::Queued => {
+                            admitted.inc();
+                            None
                         }
-                        Admit::Rejected(refused) => {
-                            rejects += 1;
-                            if let Some(h) = refused.hop {
-                                bus.skip(h.tag, h.seq);
-                            }
+                        Pushed::Evicted(victim) => {
+                            admitted.inc();
+                            Some(victim)
                         }
-                        Admit::Shutdown => break,
+                        Pushed::Refused(job) => Some(job),
+                        Pushed::Closed(_) => break,
+                    };
+                    // The gate must not wait for a window that cannot arrive.
+                    if let Some(h) = shed.and_then(|j| j.hop) {
+                        bus.skip(h.tag, h.seq);
                     }
                 }
-                admission.close();
-                (drops, rejects)
+                intakes.iter().for_each(BoundedQueue::close);
             });
 
             let shard_handles: Vec<_> = (0..shards)
                 .map(|s| {
                     scope.spawn(move || {
-                        run_shard(s, shards, sys, cells, admission, bus, intra_threads)
+                        run_shard(s, shards, sys, cells, intakes, bus, intra_threads)
                     })
                 })
                 .collect();
@@ -233,8 +237,7 @@ impl Fleet {
                     per_cell[slot.cell.id()] = slot.outcomes;
                 }
             }
-            let (drops, rejects) = feeder.join().expect("feeder thread panicked");
-            (per_cell, drops, rejects, failed)
+            (per_cell, failed)
         });
         for v in &mut outcomes {
             v.sort_by_key(|&(id, _)| id);
@@ -246,13 +249,27 @@ impl Fleet {
             outcomes,
             sessions: bus.sessions(),
             snapshot,
-            admission_drops: drops,
-            admission_rejects: rejects,
+            admission_drops: intakes.iter().map(BoundedQueue::drops).sum(),
+            admission_rejects: intakes.iter().map(BoundedQueue::rejected).sum(),
             frames_failed: failed,
             handoffs: bus.handoffs(),
             elapsed,
         }
     }
+}
+
+/// One intake per cell, `cfg.intake_quota` frames deep, applying
+/// `cfg.admission` and registered as `cell<i>.fleet.intake.*`.
+fn intakes(cfg: &FleetConfig) -> Vec<BoundedQueue<CellJob>> {
+    (0..cfg.n_cells)
+        .map(|i| {
+            BoundedQueue::named_at(
+                cfg.intake_quota,
+                cfg.admission,
+                &format!("cell{i}.fleet.intake"),
+            )
+        })
+        .collect()
 }
 
 /// Per-cell scheduler state inside a shard.
@@ -274,7 +291,7 @@ fn run_shard<'a>(
     shards: usize,
     sys: &BiScatterSystem,
     cells: &'a [Cell],
-    admission: &Admission,
+    intakes: &[BoundedQueue<CellJob>],
     bus: &HandoffBus,
     intra_threads: usize,
 ) -> Vec<CellSlot<'a>> {
@@ -317,7 +334,7 @@ fn run_shard<'a>(
                     continue; // FIFO: don't pop the intake past a gated head
                 }
             }
-            match admission.try_take(slot.cell.id()) {
+            match intakes[slot.cell.id()].try_pop() {
                 TryPop::Item(cj) => {
                     progress = true;
                     if session_ready(bus, &cj) {
@@ -372,4 +389,95 @@ fn process(
         bus.append(hop.tag, hop.seq, slot.cell.id(), cpb, &bits);
     }
     slot.outcomes.push((cj.job.id, outcome));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use biscatter_runtime::source::{streaming_system, MobilitySpec, SessionHop};
+
+    fn cell0_jobs() -> Vec<CellJob> {
+        let sys = streaming_system();
+        let jobs = MobilitySpec::two_cell(4, 2, 5).jobs(&sys);
+        jobs.into_iter().filter(|j| j.cell == 0).collect()
+    }
+
+    fn cfg(quota: usize, admission: AdmissionPolicy) -> FleetConfig {
+        FleetConfig {
+            n_cells: 2,
+            intake_quota: quota,
+            admission,
+            ..FleetConfig::default()
+        }
+    }
+
+    #[test]
+    fn reject_bounces_overflow_and_counts_per_cell() {
+        let q = intakes(&cfg(1, AdmissionPolicy::Reject));
+        let before = biscatter_obs::registry()
+            .counter("cell0.fleet.intake.rejected")
+            .get();
+        let mut js = cell0_jobs().into_iter();
+        assert!(matches!(q[0].push(js.next().unwrap()), Pushed::Queued));
+        let bounced = match q[0].push(js.next().unwrap()) {
+            Pushed::Refused(j) => j,
+            other => panic!("expected a refusal, got {other:?}"),
+        };
+        assert_eq!(bounced.cell, 0);
+        assert_eq!(q[0].rejected(), 1);
+        let after = biscatter_obs::registry()
+            .counter("cell0.fleet.intake.rejected")
+            .get();
+        assert!(after > before, "the refusal reaches cell 0's counter");
+        assert_eq!(
+            q.iter().map(BoundedQueue::drops).sum::<u64>(),
+            0,
+            "rejection is not eviction"
+        );
+    }
+
+    #[test]
+    fn drop_oldest_returns_victim_with_its_hop() {
+        let q = intakes(&cfg(1, AdmissionPolicy::DropOldest));
+        let cell0 = cell0_jobs();
+        let first_hop = cell0[0].hop;
+        let mut it = cell0.into_iter();
+        assert!(matches!(q[0].push(it.next().unwrap()), Pushed::Queued));
+        match q[0].push(it.next().unwrap()) {
+            Pushed::Evicted(victim) => assert_eq!(victim.hop, first_hop),
+            other => panic!("expected an eviction, got {other:?}"),
+        }
+        assert_eq!(q.iter().map(BoundedQueue::drops).sum::<u64>(), 1);
+        assert_eq!(q.iter().map(BoundedQueue::rejected).sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn take_drains_then_reports_closed() {
+        let q = intakes(&FleetConfig {
+            n_cells: 1,
+            intake_quota: 4,
+            ..FleetConfig::default()
+        });
+        let sys = streaming_system();
+        let spec = MobilitySpec {
+            n_cells: 1,
+            mobile_tags: 1,
+            n_ticks: 2,
+            dwell_ticks: 1,
+            base_seed: 3,
+        };
+        for j in spec.jobs(&sys) {
+            assert!(matches!(q[0].push(j), Pushed::Queued));
+        }
+        q[0].close();
+        let mut seqs = Vec::new();
+        loop {
+            match q[0].try_pop() {
+                TryPop::Item(j) => seqs.push(j.hop.map(|h: SessionHop| h.seq)),
+                TryPop::Empty => continue,
+                TryPop::Closed => break,
+            }
+        }
+        assert_eq!(seqs, vec![Some(0), Some(1)]);
+    }
 }

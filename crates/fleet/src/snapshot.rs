@@ -10,8 +10,10 @@
 //!   [`RegistrySnapshot::merge`]: counters sum across cells, queue-depth
 //!   style gauges take the fleet-wide max, histograms combine bucket-exactly;
 //! * `shared` — everything *outside* any cell scope (DSP plan cache,
-//!   compute pool, fleet admission/handoff counters), which is genuinely
-//!   process-global and would double-count if merged per cell.
+//!   compute pool, the fleet's `fleet.admitted` and handoff counters),
+//!   which is genuinely process-global and would double-count if merged per
+//!   cell. What a cell's intake shed is in that cell's view
+//!   (`fleet.intake.{drops,rejected}`), so `aggregate` sums it fleet-wide.
 
 use biscatter_obs::health::{self, CellHealthReport};
 use biscatter_obs::json::Value;

@@ -12,13 +12,14 @@
 //!    distinguish an old incident from an ongoing one).
 //! 2. **SNR sag** — an EWMA over the located-tag SNR reported in flight
 //!    records, compared against explicit dB floors.
-//! 3. **p99 latency** — the frame-latency p99 against a configurable SLO
-//!    ([`HealthConfig::p99_slo_ns`]), with Critical at a multiple of it.
+//! 3. **p99 latency** — the frame-latency p99 against an SLO
+//!    ([`P99_SLO_NS`]), with Critical at a multiple of it.
 //!
-//! Classification uses **hysteresis**: a cell escalates the moment any
-//! signal crosses a threshold, but de-escalates only after
-//! [`HealthConfig::recovery_ticks`] consecutive cleaner observations — a
-//! cell flapping around a threshold reads as Degraded, not as a strobe.
+//! The thresholds are constants: explicit, with no adaptive magic, and the
+//! same for every engine. Classification uses **hysteresis**: a cell
+//! escalates the moment any signal crosses a threshold, but de-escalates
+//! only after [`RECOVERY_TICKS`] consecutive cleaner observations — a cell
+//! flapping around a threshold reads as Degraded, not as a strobe.
 //! Every transition increments `cell<i>.health.transitions` and the current
 //! state is exported as the `cell<i>.health.state` gauge (0/1/2), so the
 //! health engine is itself observable through `/metrics`.
@@ -67,46 +68,25 @@ impl HealthState {
     }
 }
 
-/// Thresholds and dynamics of the health classifier. All are explicit —
-/// there is no adaptive magic. The process-wide engine ([`global`]) runs on
-/// the defaults; an engine built with [`HealthEngine::new`] takes any.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// Windowed drop rate (drops / (frames + drops), where a failed frame
-    /// counts as a drop) above which a cell is Degraded.
-    pub drop_rate_degraded: f64,
-    /// Windowed drop rate above which a cell is Critical.
-    pub drop_rate_critical: f64,
-    /// SNR EWMA below this (dB) marks the cell Degraded.
-    pub snr_degraded_db: f64,
-    /// SNR EWMA below this (dB) marks the cell Critical.
-    pub snr_critical_db: f64,
-    /// Frame-latency p99 SLO in nanoseconds; exceeding it is Degraded.
-    pub p99_slo_ns: u64,
-    /// p99 beyond `p99_slo_ns * critical_latency_factor` is Critical.
-    pub critical_latency_factor: f64,
-    /// EWMA smoothing factor for the SNR track, in (0, 1]; higher reacts
-    /// faster.
-    pub ewma_alpha: f64,
-    /// Consecutive cleaner observations required before de-escalating
-    /// (escalation is always immediate).
-    pub recovery_ticks: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            drop_rate_degraded: 0.01,
-            drop_rate_critical: 0.10,
-            snr_degraded_db: 10.0,
-            snr_critical_db: 3.0,
-            p99_slo_ns: 50_000_000,
-            critical_latency_factor: 4.0,
-            ewma_alpha: 0.2,
-            recovery_ticks: 3,
-        }
-    }
-}
+/// Windowed drop rate (drops / (frames + drops), where a failed frame
+/// counts as a drop) at or above which a cell is Degraded.
+pub const DROP_RATE_DEGRADED: f64 = 0.01;
+/// Windowed drop rate at or above which a cell is Critical.
+pub const DROP_RATE_CRITICAL: f64 = 0.10;
+/// SNR EWMA below this (dB) marks the cell Degraded.
+pub const SNR_DEGRADED_DB: f64 = 10.0;
+/// SNR EWMA below this (dB) marks the cell Critical.
+pub const SNR_CRITICAL_DB: f64 = 3.0;
+/// Frame-latency p99 SLO in nanoseconds; exceeding it is Degraded.
+pub const P99_SLO_NS: u64 = 50_000_000;
+/// p99 beyond `P99_SLO_NS * CRITICAL_LATENCY_FACTOR` is Critical.
+pub const CRITICAL_LATENCY_FACTOR: f64 = 4.0;
+/// EWMA smoothing factor for the SNR track, in (0, 1]; higher reacts
+/// faster.
+pub const EWMA_ALPHA: f64 = 0.2;
+/// Consecutive cleaner observations required before de-escalating
+/// (escalation is always immediate).
+pub const RECOVERY_TICKS: u32 = 3;
 
 /// One observation of a cell, with **cumulative** frame/drop counts (the
 /// engine differences successive observations itself) and instantaneous
@@ -195,51 +175,34 @@ impl CellTrack {
     }
 }
 
+/// Severity of one raw observation against the thresholds, before
+/// hysteresis. NaN signals never trip a threshold (comparisons with NaN are
+/// false), so a cell with no SNR history reads from its other signals.
+fn classify(drop_rate: f64, snr_ewma: f64, p99_ns: u64) -> HealthState {
+    let critical_p99 = (P99_SLO_NS as f64 * CRITICAL_LATENCY_FACTOR) as u64;
+    if drop_rate >= DROP_RATE_CRITICAL || snr_ewma < SNR_CRITICAL_DB || p99_ns > critical_p99 {
+        return HealthState::Critical;
+    }
+    if drop_rate >= DROP_RATE_DEGRADED || snr_ewma < SNR_DEGRADED_DB || p99_ns > P99_SLO_NS {
+        return HealthState::Degraded;
+    }
+    HealthState::Healthy
+}
+
 /// The per-cell health classifier. Feed it observations (synthetic or
 /// registry-derived); read back [`CellHealthReport`]s.
+#[derive(Default)]
 pub struct HealthEngine {
-    cfg: HealthConfig,
     cells: BTreeMap<u32, CellTrack>,
 }
 
 impl HealthEngine {
-    /// An engine with explicit thresholds.
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthEngine {
-            cfg,
-            cells: BTreeMap::new(),
-        }
-    }
-
-    /// Severity of one raw observation against the thresholds, before
-    /// hysteresis. NaN signals never trip a threshold (comparisons with
-    /// NaN are false), so a cell with no SNR history reads from its other
-    /// signals.
-    fn classify(&self, drop_rate: f64, snr_ewma: f64, p99_ns: u64) -> HealthState {
-        let cfg = &self.cfg;
-        let critical_p99 = (cfg.p99_slo_ns as f64 * cfg.critical_latency_factor) as u64;
-        if drop_rate >= cfg.drop_rate_critical
-            || snr_ewma < cfg.snr_critical_db
-            || p99_ns > critical_p99
-        {
-            return HealthState::Critical;
-        }
-        if drop_rate >= cfg.drop_rate_degraded
-            || snr_ewma < cfg.snr_degraded_db
-            || p99_ns > cfg.p99_slo_ns
-        {
-            return HealthState::Degraded;
-        }
-        HealthState::Healthy
-    }
-
     /// Folds one observation into the cell's track and returns the (post-
     /// hysteresis) state. Escalation applies immediately; de-escalation
-    /// waits for [`HealthConfig::recovery_ticks`] consecutive cleaner
-    /// observations, then settles on the most recent observed severity.
+    /// waits for [`RECOVERY_TICKS`] consecutive cleaner observations, then
+    /// settles on the most recent observed severity.
     pub fn observe_cell(&mut self, cell_id: u32, obs: CellObservation) -> HealthState {
         let _span = trace::span("health.observe");
-        let cfg = self.cfg;
         let track = self.cells.entry(cell_id).or_insert_with(CellTrack::new);
 
         // Windowed deltas; counters are cumulative and may be re-read from
@@ -259,7 +222,7 @@ impl HealthEngine {
         if let Some(snr) = obs.snr_db {
             if snr.is_finite() {
                 track.snr_ewma = if track.snr_ewma.is_finite() {
-                    cfg.ewma_alpha * snr + (1.0 - cfg.ewma_alpha) * track.snr_ewma
+                    EWMA_ALPHA * snr + (1.0 - EWMA_ALPHA) * track.snr_ewma
                 } else {
                     snr
                 };
@@ -271,7 +234,7 @@ impl HealthEngine {
 
         let snr_ewma = track.snr_ewma;
         let p99_ns = track.last_p99_ns;
-        let observed = self.classify(drop_rate, snr_ewma, p99_ns);
+        let observed = classify(drop_rate, snr_ewma, p99_ns);
         let track = self.cells.get_mut(&cell_id).unwrap();
         track.last_observed = observed;
         let new_state = if observed > track.state {
@@ -280,7 +243,7 @@ impl HealthEngine {
             observed
         } else if observed < track.state {
             track.cleaner_ticks += 1;
-            if track.cleaner_ticks >= cfg.recovery_ticks {
+            if track.cleaner_ticks >= RECOVERY_TICKS {
                 track.cleaner_ticks = 0;
                 observed
             } else {
@@ -306,47 +269,48 @@ impl HealthEngine {
 
     /// Derives one [`CellObservation`] per cell from a registry snapshot
     /// plus the flight-recorder rings, and folds each in. Cells are
-    /// discovered from `cell<i>.`-prefixed metric names; a snapshot with no
-    /// such scope but with runtime metrics reads as cell 0. Returns the
+    /// discovered from `cell<i>.`-prefixed metric names (not counting this
+    /// engine's own `cell<i>.health.*` outputs), and each reads only its own
+    /// scope: an unscoped counter such as a fleet-wide total belongs to no
+    /// cell. A snapshot with no cell scope but with runtime metrics is one
+    /// standalone cell, whose unscoped metrics read as cell 0. Returns the
     /// refreshed reports.
     pub fn observe_registry(&mut self, snap: &RegistrySnapshot) -> Vec<CellHealthReport> {
-        let mut ids: Vec<u32> = Vec::new();
-        let names = snap
+        let mut ids: Vec<u32> = snap
             .counters
             .iter()
             .map(|(k, _)| k.as_str())
-            .chain(snap.histograms.iter().map(|(k, _)| k.as_str()));
-        for name in names {
-            if let Some(id) = parse_cell_scope(name) {
-                if !ids.contains(&id) {
-                    ids.push(id);
-                }
-            }
-        }
-        if ids.is_empty() && snap.counter("runtime.frames").is_some() {
+            .chain(snap.histograms.iter().map(|(k, _)| k.as_str()))
+            .filter(|name| {
+                !name
+                    .split_once('.')
+                    .is_some_and(|(_, rest)| rest.starts_with("health."))
+            })
+            .filter_map(parse_cell_scope)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let standalone = ids.is_empty();
+        if standalone && snap.counter("runtime.frames").is_some() {
             ids.push(0);
         }
-        ids.sort_unstable();
 
         for id in ids {
-            let prefix = format!("cell{id}.");
-            let scoped = |name: &str| -> String {
-                if snap.counter(&format!("{prefix}{name}")).is_some()
-                    || snap.histogram(&format!("{prefix}{name}")).is_some()
-                {
-                    format!("{prefix}{name}")
-                } else {
-                    name.to_string()
-                }
+            let prefix = if standalone {
+                String::new()
+            } else {
+                format!("cell{id}.")
             };
-            let frames = snap.counter(&scoped("runtime.frames")).unwrap_or(0);
+            let frames = snap
+                .counter(&format!("{prefix}runtime.frames"))
+                .unwrap_or(0);
             // A failed frame is not counted in `runtime.frames`, so it is
             // lost like a dropped one.
             let drops: u64 = snap
                 .counters
                 .iter()
                 .filter(|(k, _)| {
-                    (k.starts_with(&prefix) || (id == 0 && parse_cell_scope(k).is_none()))
+                    k.starts_with(&prefix)
                         && (k.ends_with(".drops")
                             || k.ends_with(".rejected")
                             || k.ends_with("runtime.frames.failed"))
@@ -354,7 +318,7 @@ impl HealthEngine {
                 .map(|&(_, v)| v)
                 .sum();
             let p99_ns = snap
-                .histogram(&scoped("runtime.frame.ns"))
+                .histogram(&format!("{prefix}runtime.frame.ns"))
                 .filter(|h| h.count() > 0)
                 .map(|h| h.percentile(0.99).as_nanos() as u64);
             let snr_db = mean_recent_snr(id);
@@ -435,11 +399,11 @@ pub fn reports_json(reports: &[CellHealthReport]) -> Value {
     Value::Object(root)
 }
 
-/// The process-wide health engine, on the default [`HealthConfig`]. The
-/// fleet control loop feeds it; `/health` reads it.
+/// The process-wide health engine. The fleet control loop feeds it;
+/// `/health` reads it.
 pub fn global() -> &'static Mutex<HealthEngine> {
     static ENGINE: OnceLock<Mutex<HealthEngine>> = OnceLock::new();
-    ENGINE.get_or_init(|| Mutex::new(HealthEngine::new(HealthConfig::default())))
+    ENGINE.get_or_init(|| Mutex::new(HealthEngine::default()))
 }
 
 #[cfg(test)]
@@ -457,7 +421,7 @@ mod tests {
 
     #[test]
     fn drop_rate_is_windowed_not_cumulative() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::default();
         // A historic incident: 50% drops in the first window.
         eng.observe_cell(
             1,
@@ -482,11 +446,7 @@ mod tests {
 
     #[test]
     fn escalation_immediate_deescalation_hysteretic() {
-        let cfg = HealthConfig {
-            recovery_ticks: 2,
-            ..HealthConfig::default()
-        };
-        let mut eng = HealthEngine::new(cfg);
+        let mut eng = HealthEngine::default();
         let clean = CellObservation {
             frames: 0,
             drops: 0,
@@ -504,7 +464,7 @@ mod tests {
         };
         assert_eq!(eng.observe_cell(5, bad), HealthState::Critical);
 
-        // Recovery needs `recovery_ticks` consecutive cleaner windows.
+        // Recovery needs `RECOVERY_TICKS` (3) consecutive cleaner windows.
         let clean2 = CellObservation {
             frames: 200,
             drops: 100,
@@ -518,13 +478,20 @@ mod tests {
             snr_db: Some(30.0),
             p99_ns: Some(1_000),
         };
-        assert_eq!(eng.observe_cell(5, clean3), HealthState::Healthy);
+        assert_eq!(eng.observe_cell(5, clean3), HealthState::Critical);
+        let clean4 = CellObservation {
+            frames: 400,
+            drops: 100,
+            snr_db: Some(30.0),
+            p99_ns: Some(1_000),
+        };
+        assert_eq!(eng.observe_cell(5, clean4), HealthState::Healthy);
         assert_eq!(eng.reports()[0].transitions, 2);
     }
 
     #[test]
     fn nan_snr_never_trips_thresholds() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::default();
         let st = eng.observe_cell(
             9,
             CellObservation {

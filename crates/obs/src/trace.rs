@@ -388,8 +388,9 @@ fn accumulator() -> &'static Mutex<TraceCollector> {
 }
 
 /// Drains every ring into a process-global accumulator and writes the
-/// *cumulative* Chrome trace (every span recorded since process start, plus
-/// `extra` top-level keys) to `path`.
+/// *cumulative* Chrome trace (every span recorded since process start, up
+/// to a ring's capacity of the newest per thread, plus `extra` top-level
+/// keys) to `path`.
 ///
 /// This is the re-entrant alternative to hand-rolling
 /// [`TraceCollector::drain`] + write at the end of a run: draining empties
@@ -415,11 +416,22 @@ pub fn export_accumulated(
 /// document (plus `extra` top-level keys) without touching the filesystem.
 /// The `/trace` scrape endpoint serves this directly, and it composes with
 /// later `export_accumulated` calls — both fold into the same accumulator.
+///
+/// The accumulator holds what a thread's ring holds at most: once a thread
+/// has more spans than the ring capacity, its oldest leave first and count
+/// in its `dropped`, so a process scraped or exported for hours keeps a
+/// bounded trace.
 pub fn accumulated_chrome_trace(
     extra: impl IntoIterator<Item = (String, Value)>,
 ) -> (Value, ExportSummary) {
     let mut accum = crate::lock(accumulator());
     accum.merge(TraceCollector::drain());
+    let cap = RING_CAPACITY.load(Ordering::Relaxed);
+    for t in &mut accum.threads {
+        let excess = t.spans.len().saturating_sub(cap);
+        t.spans.drain(..excess);
+        t.dropped += excess as u64;
+    }
     let doc = accum.chrome_trace_extra(extra);
     let summary = ExportSummary {
         spans: accum.span_count(),
@@ -432,10 +444,13 @@ pub fn accumulated_chrome_trace(
 mod tests {
     use super::*;
 
-    // Tracing state is process-global, so everything lives in one #[test]
-    // to avoid cross-test interference under the parallel test runner.
+    // Tracing state is process-global, so the tests that switch it on take
+    // this lock to keep out of each other's way under the parallel runner.
+    static TRACING: Mutex<()> = Mutex::new(());
+
     #[test]
     fn spans_rings_and_chrome_export() {
+        let _tracing = crate::lock(&TRACING);
         // Disabled: no record, not even a ring.
         assert!(!enabled());
         drop(span("off.disabled"));
@@ -538,5 +553,43 @@ mod tests {
         // Oldest-first after wrap: frames 6..=9 survive.
         let ids: Vec<u64> = small.spans.iter().map(|s| s.frame_id).collect();
         assert_eq!(ids, vec![6, 7, 8, 9]);
+    }
+
+    /// Four exports of 20,000 spans from one thread: after each, the
+    /// accumulator holds that thread's newest ring-capacity spans and
+    /// counts every older one as dropped.
+    #[test]
+    fn accumulator_keeps_a_ring_capacity_per_thread() {
+        let _tracing = crate::lock(&TRACING);
+        set_enabled(true);
+        let per_export = 20_000u64;
+        std::thread::Builder::new()
+            .name("accumulator-probe".to_string())
+            .spawn(move || {
+                for round in 0..4u64 {
+                    for i in 0..per_export {
+                        record_span("probe.span", round * per_export + i, i, 1);
+                    }
+                    let (_, summary) = accumulated_chrome_trace([]);
+                    assert!(summary.spans >= DEFAULT_RING_CAPACITY);
+                    let accum = crate::lock(accumulator());
+                    let probe = accum
+                        .threads
+                        .iter()
+                        .find(|t| t.thread == "accumulator-probe")
+                        .expect("the probe thread is accumulated");
+                    let recorded = (round + 1) * per_export;
+                    assert_eq!(probe.spans.len(), DEFAULT_RING_CAPACITY);
+                    assert_eq!(probe.dropped, recorded - DEFAULT_RING_CAPACITY as u64);
+                    // Oldest out first: the newest spans are the ones kept.
+                    let first_kept = recorded - DEFAULT_RING_CAPACITY as u64;
+                    assert_eq!(probe.spans[0].frame_id, first_kept);
+                    assert_eq!(probe.spans.last().unwrap().frame_id, recorded - 1);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        set_enabled(false);
     }
 }

@@ -7,11 +7,12 @@
 //! cumulative and end at `le="+Inf"`, and non-finite gauges use the
 //! canonical `+Inf`/`-Inf`/`NaN` spellings. The health section replays a
 //! deterministic Healthy → Degraded → Critical → Healthy episode from
-//! synthetic registry snapshots and checks the hysteresis.
+//! synthetic registry snapshots, checks the hysteresis, and checks that a
+//! counter outside every cell scope is charged to no cell.
 
 use std::time::Duration;
 
-use biscatter_obs::health::{HealthConfig, HealthEngine, HealthState};
+use biscatter_obs::health::{HealthEngine, HealthState};
 use biscatter_obs::metrics::{LatencyHistogram, RegistrySnapshot};
 use biscatter_obs::serve::{prometheus_text, sanitize_metric_name, PROMETHEUS_CONTENT_TYPE};
 
@@ -206,10 +207,7 @@ fn health_walks_healthy_degraded_critical_healthy_with_hysteresis() {
     // Cell id 73 keeps this test's global registry side effects (the
     // `cell<i>.health.*` metrics) away from other cells' series.
     const CELL: u32 = 73;
-    let mut engine = HealthEngine::new(HealthConfig {
-        recovery_ticks: 2,
-        ..HealthConfig::default()
-    });
+    let mut engine = HealthEngine::default();
     let observe = |engine: &mut HealthEngine, frames, drops| {
         let reports = engine.observe_registry(&synthetic_snapshot(CELL, frames, drops));
         let r = reports.iter().find(|r| r.cell_id == CELL).expect("cell 73");
@@ -222,12 +220,13 @@ fn health_walks_healthy_degraded_critical_healthy_with_hysteresis() {
     assert_eq!(observe(&mut engine, 200, 5), (HealthState::Degraded, 1));
     // 50 drops over the next window → 33% → Critical, immediately.
     assert_eq!(observe(&mut engine, 300, 55), (HealthState::Critical, 2));
-    // First clean window: hysteresis holds the Critical state.
+    // First and second clean windows: hysteresis holds the Critical state.
     assert_eq!(observe(&mut engine, 400, 55), (HealthState::Critical, 2));
-    // Second consecutive clean window: de-escalates to the observed state.
-    assert_eq!(observe(&mut engine, 500, 55), (HealthState::Healthy, 3));
-    // And it stays Healthy on further clean windows, with no new transitions.
+    assert_eq!(observe(&mut engine, 500, 55), (HealthState::Critical, 2));
+    // Third consecutive clean window: de-escalates to the observed state.
     assert_eq!(observe(&mut engine, 600, 55), (HealthState::Healthy, 3));
+    // And it stays Healthy on further clean windows, with no new transitions.
+    assert_eq!(observe(&mut engine, 700, 55), (HealthState::Healthy, 3));
 }
 
 #[test]
@@ -236,7 +235,7 @@ fn a_cell_whose_frames_all_fail_reaches_critical() {
     // processed frames stay flat, and nothing is dropped or rejected.
     // Cell id 74 keeps this test's `cell<i>.health.*` metrics apart.
     const CELL: u32 = 74;
-    let mut engine = HealthEngine::new(HealthConfig::default());
+    let mut engine = HealthEngine::default();
     let snapshot = |frames: u64, failed: u64| RegistrySnapshot {
         counters: vec![
             (format!("cell{CELL}.runtime.frames"), frames),
@@ -254,4 +253,67 @@ fn a_cell_whose_frames_all_fail_reaches_critical() {
     assert_eq!(observe(&mut engine, 100, 0), (HealthState::Healthy, 0.0));
     assert_eq!(observe(&mut engine, 100, 10), (HealthState::Critical, 1.0));
     assert_eq!(observe(&mut engine, 100, 50), (HealthState::Critical, 1.0));
+}
+
+/// In a fleet, cells 0 and 1 each processed 1,000 frames and only cell 1's
+/// intake refused 500. A counter outside every cell scope (here a
+/// fleet-wide refusal total) belongs to no cell: cell 0 reads no drops and
+/// stays Healthy, and cell 1 alone reads the 1-in-3 drop rate and Critical.
+#[test]
+fn unscoped_counters_are_charged_to_no_cell_in_a_fleet() {
+    let mut engine = HealthEngine::default();
+    let snap = RegistrySnapshot {
+        counters: vec![
+            ("cell0.runtime.frames".to_string(), 1_000),
+            ("cell1.runtime.frames".to_string(), 1_000),
+            ("cell1.fleet.intake.rejected".to_string(), 500),
+            ("fleet.rejected".to_string(), 500),
+        ],
+        gauges: Vec::new(),
+        histograms: Vec::new(),
+    };
+    let reports = engine.observe_registry(&snap);
+    let cell = |id: u32| {
+        let r = reports.iter().find(|r| r.cell_id == id).expect("cell");
+        (r.state, r.drop_rate)
+    };
+    assert_eq!(cell(0), (HealthState::Healthy, 0.0));
+    assert_eq!(cell(1), (HealthState::Critical, 500.0 / 1_500.0));
+}
+
+/// A standalone process has no cell scope: its unscoped metrics are cell
+/// 0's, also after the engine's own `cell0.health.*` outputs appear in the
+/// registry (they name no cell of the process).
+#[test]
+fn a_standalone_process_reads_its_unscoped_metrics_as_cell_zero() {
+    let mut engine = HealthEngine::default();
+    let snap = |frames: u64, drops: u64, transitions: Option<u64>| RegistrySnapshot {
+        counters: [
+            Some(("runtime.frames".to_string(), frames)),
+            Some(("runtime.queue.intake.drops".to_string(), drops)),
+            transitions.map(|t| ("cell0.health.transitions".to_string(), t)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect(),
+        gauges: Vec::new(),
+        histograms: Vec::new(),
+    };
+    let observe = |engine: &mut HealthEngine, s: RegistrySnapshot| {
+        let reports = engine.observe_registry(&s);
+        assert_eq!(reports.len(), 1, "one standalone cell");
+        (reports[0].cell_id, reports[0].state, reports[0].drop_rate)
+    };
+    assert_eq!(
+        observe(&mut engine, snap(100, 50, None)),
+        (0, HealthState::Critical, 50.0 / 150.0)
+    );
+    assert_eq!(
+        observe(&mut engine, snap(300, 50, Some(1))),
+        (0, HealthState::Critical, 0.0)
+    );
+    assert_eq!(
+        observe(&mut engine, snap(400, 100, Some(1))),
+        (0, HealthState::Critical, 50.0 / 150.0)
+    );
 }

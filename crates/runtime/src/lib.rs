@@ -44,5 +44,5 @@ pub use biscatter_obs as obs;
 pub use biscatter_core::isac::precision::PrecisionTier;
 pub use metrics::{LatencyHistogram, LatencySnapshot, MetricsSnapshot, RegistrySnapshot};
 pub use pipeline::{run_serial, run_streaming, Cell, RunReport, RuntimeConfig};
-pub use queue::{Backpressure, BoundedQueue, TryPop, TryPushError};
+pub use queue::{Backpressure, BoundedQueue, Pushed, TryPop};
 pub use source::{streaming_system, CellJob, FrameJob, MobilitySpec, SessionHop, WorkloadSpec};

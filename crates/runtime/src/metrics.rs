@@ -24,7 +24,8 @@ pub struct MetricsSnapshot {
     pub frames_completed: u64,
     /// Frames whose processing panicked (contained by their worker).
     pub frames_failed: u64,
-    /// Frames the intake dropped under drop-oldest backpressure.
+    /// Frames the intake shed: evicted under drop-oldest plus refused under
+    /// reject backpressure.
     pub total_drops: u64,
     pub elapsed: Duration,
     /// Every metric in the global registry at snapshot time (plan cache,

@@ -10,9 +10,11 @@
 //! idle.
 //!
 //! The intake applies the configured [`Backpressure`] policy: a slow cell
-//! either throttles the source (lossless `Block`) or sheds the oldest queued
-//! frames (`DropOldest`, counted in `<prefix>runtime.queue.intake.drops`).
-//! A frame that panics is contained by its worker: it is counted in
+//! either throttles the source (lossless `Block`), sheds the oldest queued
+//! frames (`DropOldest`, counted in `<prefix>runtime.queue.intake.drops`) or
+//! refuses new ones (`Reject`, counted in
+//! `<prefix>runtime.queue.intake.rejected`); the queue counts each shed frame
+//! once. A frame that panics is contained by its worker: it is counted in
 //! `<prefix>runtime.frames.failed` and written as a failed flight record,
 //! and the other frames carry on.
 //!
@@ -39,7 +41,7 @@ use biscatter_obs::recorder::{self, FlightRecorder, FrameRecord, StageNanos};
 use biscatter_obs::trace;
 
 use crate::metrics::{LatencyHistogram, MetricsSnapshot};
-use crate::queue::{Backpressure, BoundedQueue};
+use crate::queue::{Backpressure, BoundedQueue, Pushed};
 use crate::source::FrameJob;
 
 /// Cell runtime configuration.
@@ -47,7 +49,7 @@ use crate::source::FrameJob;
 pub struct RuntimeConfig {
     /// Capacity of the streaming intake queue.
     pub queue_capacity: usize,
-    /// What the source does when the intake is full.
+    /// What the intake does with a frame when it is full.
     pub policy: Backpressure,
     /// Frame workers [`Cell::run_streaming`] runs, each taking whole frames
     /// off the intake. Defaults to the machine's available parallelism.
@@ -103,9 +105,10 @@ pub struct Cell {
     /// Always-on flight recorder ring (shared with the scrape server through
     /// the global `recorder` table).
     recorder: Arc<FlightRecorder>,
-    /// Cached handles to every cumulative drop counter charged to this cell
-    /// (admission intake + the streaming intake), so capture-time totals are
-    /// atomic loads — no registry lookups on the frame path.
+    /// Cached handles to every cumulative shed counter charged to this cell
+    /// (evictions and refusals of the fleet intake and of the streaming
+    /// intake), so capture-time totals are atomic loads — no registry
+    /// lookups on the frame path.
     drop_counters: Vec<Counter>,
 }
 
@@ -128,6 +131,7 @@ impl Cell {
             "fleet.intake.drops",
             "fleet.intake.rejected",
             "runtime.queue.intake.drops",
+            "runtime.queue.intake.rejected",
         ]
         .iter()
         .map(|name| r.counter(&format!("{prefix}{name}")))
@@ -294,7 +298,8 @@ impl Cell {
 
     /// Streams `jobs` through the cell's frame workers and collects every
     /// outcome. A source thread queues each job with its enqueue time on the
-    /// bounded intake; each of `workers` threads pops whole frames and runs
+    /// bounded intake (a frame the intake's policy evicts or refuses is gone,
+    /// and counted there); each of `workers` threads pops whole frames and runs
     /// them through [`Cell::try_process`], so a frame's recorded `total_ns`
     /// includes its queue wait. Threads are scoped, so the method returns
     /// only after every worker has shut down.
@@ -324,7 +329,7 @@ impl Cell {
                 for job in jobs {
                     let _fs = trace::frame_scope(job.id);
                     let _span = biscatter_obs::span!("runtime.source");
-                    if !intake.push((job, Instant::now())) {
+                    if let Pushed::Closed(_) = intake.push((job, Instant::now())) {
                         break;
                     }
                 }
@@ -363,7 +368,7 @@ impl Cell {
             end_to_end: e2e.snapshot(),
             frames_completed: outcomes.len() as u64,
             frames_failed,
-            total_drops: intake.drops(),
+            total_drops: intake.drops() + intake.rejected(),
             elapsed,
             registry: biscatter_obs::registry().snapshot(),
         };

@@ -1,26 +1,49 @@
-//! Bounded MPMC queue with selectable backpressure, built on
+//! Bounded MPMC queue with the workspace's one overload policy, built on
 //! `std::sync::{Mutex, Condvar}`.
 //!
-//! A cell's streaming intake and the fleet's per-cell admission intakes are
-//! each one of these. The queue tracks its own depth high-water mark and
-//! drop count; queues built with [`BoundedQueue::named_at`] additionally
-//! publish their depth (sampled at every push and pop), high-water mark, and
-//! eviction count as `<base>.*` registry metrics, giving live congestion
-//! visibility mid-run.
+//! A cell's streaming intake and the fleet's per-cell intakes are each one
+//! of these. Its [`Backpressure`] decides what a push onto a full queue
+//! does, and the queue alone counts what that sheds: evictions in
+//! [`BoundedQueue::drops`], refusals in [`BoundedQueue::rejected`]. One call,
+//! [`BoundedQueue::push`], applies the policy and hands back whatever left
+//! the queue, so a caller can account for it (the fleet skips a shed
+//! frame's uplink window). Queues built with [`BoundedQueue::named_at`]
+//! also publish their depth (sampled at every push and pop), high-water
+//! mark, evictions and refusals as `<base>.*` registry metrics, giving live
+//! congestion visibility mid-run.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use biscatter_obs::metrics::{Counter, Gauge};
 
-/// What a producer does when the queue is full.
+/// What a push onto a full queue does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
-    /// Block until a consumer makes room (lossless).
+    /// Wait until a consumer makes room (lossless).
     Block,
-    /// Evict the oldest queued item to make room (bounded latency, lossy);
+    /// Evict the oldest queued item to make room (bounded staleness, lossy);
     /// evictions are counted in [`BoundedQueue::drops`].
     DropOldest,
+    /// Refuse the new item (bounded latency, lossy); refusals are counted in
+    /// [`BoundedQueue::rejected`].
+    Reject,
+}
+
+/// How one [`BoundedQueue::push`] resolved. Every variant but `Queued`
+/// hands an item back.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Pushed<T> {
+    /// The item is queued.
+    Queued,
+    /// The item is queued at the cost of the oldest one, handed back here
+    /// ([`Backpressure::DropOldest`]).
+    Evicted(T),
+    /// The queue was full and refused the item ([`Backpressure::Reject`]).
+    Refused(T),
+    /// The queue is closed; the item was not queued and counts as neither
+    /// evicted nor refused.
+    Closed(T),
 }
 
 struct State<T> {
@@ -28,6 +51,7 @@ struct State<T> {
     closed: bool,
     high_water: usize,
     drops: u64,
+    rejected: u64,
 }
 
 /// Registry handles for one named queue's congestion metrics.
@@ -35,6 +59,7 @@ struct QueueMetrics {
     depth: Gauge,
     high_water: Gauge,
     drops: Counter,
+    rejected: Counter,
 }
 
 /// Outcome of a non-blocking [`BoundedQueue::try_pop`].
@@ -45,15 +70,6 @@ pub enum TryPop<T> {
     /// The queue is open but currently empty — try again later.
     Empty,
     /// The queue is closed and fully drained — no more items will arrive.
-    Closed,
-}
-
-/// Why a non-blocking [`BoundedQueue::try_push`] declined the item.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryPushError<T> {
-    /// The queue is at capacity; the item is handed back untouched.
-    Full(T),
-    /// The queue is closed; the item is gone.
     Closed,
 }
 
@@ -77,6 +93,7 @@ impl<T> BoundedQueue<T> {
                 closed: false,
                 high_water: 0,
                 drops: 0,
+                rejected: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -87,10 +104,11 @@ impl<T> BoundedQueue<T> {
     }
 
     /// [`new`](Self::new), additionally publishing `<base>.depth` and
-    /// `<base>.high_water` gauges plus a `<base>.drops` eviction counter to
-    /// the global metric registry. Multi-cell processes scope their queues
-    /// as `cell<id>.runtime.queue.intake` (and the fleet intake as
-    /// `cell<id>.fleet.intake`) so concurrent cells report disjoint gauges;
+    /// `<base>.high_water` gauges plus `<base>.drops` (evictions) and
+    /// `<base>.rejected` (refusals) counters to the global metric registry.
+    /// Multi-cell processes scope their queues as
+    /// `cell<id>.runtime.queue.intake` (and the fleet intake as
+    /// `cell<id>.fleet.intake`) so concurrent cells report disjoint metrics;
     /// the unscoped `runtime.queue.intake` remains the single-cell default.
     pub fn named_at(capacity: usize, policy: Backpressure, base: &str) -> Self {
         let r = biscatter_obs::registry();
@@ -99,6 +117,7 @@ impl<T> BoundedQueue<T> {
             depth: r.gauge(&format!("{base}.depth")),
             high_water: r.gauge(&format!("{base}.high_water")),
             drops: r.counter(&format!("{base}.drops")),
+            rejected: r.counter(&format!("{base}.rejected")),
         });
         q
     }
@@ -113,29 +132,36 @@ impl<T> BoundedQueue<T> {
         biscatter_obs::lock(&self.state)
     }
 
-    /// Enqueues `item`. Under [`Backpressure::Block`] this waits for room;
-    /// under [`Backpressure::DropOldest`] it evicts the oldest item instead.
-    /// Returns `false` (dropping `item`) if the queue is closed.
-    pub fn push(&self, item: T) -> bool {
+    /// Offers `item`, applying the queue's [`Backpressure`] when it is full:
+    /// `Block` waits for room, `DropOldest` evicts the oldest item and
+    /// `Reject` refuses `item`, each shed item counted once, here. Whatever
+    /// does not end up queued comes back in the [`Pushed`].
+    pub fn push(&self, item: T) -> Pushed<T> {
         let mut st = self.state();
+        let mut evicted = None;
         loop {
             if st.closed {
-                return false;
+                return Pushed::Closed(item);
             }
             if st.items.len() < self.capacity {
                 break;
             }
             match self.policy {
-                Backpressure::Block => {
-                    st = biscatter_obs::wait(&self.not_full, st);
-                }
+                Backpressure::Block => st = biscatter_obs::wait(&self.not_full, st),
                 Backpressure::DropOldest => {
-                    st.items.pop_front();
+                    evicted = st.items.pop_front();
                     st.drops += 1;
                     if let Some(m) = &self.metrics {
                         m.drops.inc();
                     }
                     break;
+                }
+                Backpressure::Reject => {
+                    st.rejected += 1;
+                    if let Some(m) = &self.metrics {
+                        m.rejected.inc();
+                    }
+                    return Pushed::Refused(item);
                 }
             }
         }
@@ -146,7 +172,7 @@ impl<T> BoundedQueue<T> {
             m.high_water.set_max(st.high_water as f64);
         }
         self.not_empty.notify_one();
-        true
+        evicted.map_or(Pushed::Queued, Pushed::Evicted)
     }
 
     /// Dequeues the oldest item, waiting while the queue is empty but open.
@@ -186,57 +212,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking push: enqueues `item` only if there is room right now.
-    /// Returns the item back to the caller when the queue is full (so a
-    /// rejecting admission policy can count and discard it) and drops it
-    /// with `Err` when closed. Never evicts, regardless of policy.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut st = self.state();
-        if st.closed {
-            return Err(TryPushError::Closed);
-        }
-        if st.items.len() >= self.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        st.items.push_back(item);
-        st.high_water = st.high_water.max(st.items.len());
-        if let Some(m) = &self.metrics {
-            m.depth.set(st.items.len() as f64);
-            m.high_water.set_max(st.high_water as f64);
-        }
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Push that evicts the oldest queued item when full (regardless of the
-    /// queue's configured policy), returning the evicted item so the caller
-    /// can account for it — the fleet's drop-oldest admission needs the
-    /// victim to keep handoff sessions live. Returns `Err(item)` if closed.
-    pub fn push_evict(&self, item: T) -> Result<Option<T>, T> {
-        let mut st = self.state();
-        if st.closed {
-            return Err(item);
-        }
-        let evicted = if st.items.len() >= self.capacity {
-            let victim = st.items.pop_front();
-            st.drops += 1;
-            if let Some(m) = &self.metrics {
-                m.drops.inc();
-            }
-            victim
-        } else {
-            None
-        };
-        st.items.push_back(item);
-        st.high_water = st.high_water.max(st.items.len());
-        if let Some(m) = &self.metrics {
-            m.depth.set(st.items.len() as f64);
-            m.high_water.set_max(st.high_water as f64);
-        }
-        self.not_empty.notify_one();
-        Ok(evicted)
-    }
-
     /// Closes the queue: producers fail fast, consumers drain what remains.
     pub fn close(&self) {
         let mut st = self.state();
@@ -259,6 +234,11 @@ impl<T> BoundedQueue<T> {
     pub fn drops(&self) -> u64 {
         self.state().drops
     }
+
+    /// Items refused under [`Backpressure::Reject`].
+    pub fn rejected(&self) -> u64 {
+        self.state().rejected
+    }
 }
 
 #[cfg(test)]
@@ -270,7 +250,7 @@ mod tests {
     fn fifo_order() {
         let q = BoundedQueue::new(4, Backpressure::Block);
         for i in 0..4 {
-            assert!(q.push(i));
+            assert_eq!(q.push(i), Pushed::Queued);
         }
         for i in 0..4 {
             assert_eq!(q.pop(), Some(i));
@@ -280,13 +260,45 @@ mod tests {
     #[test]
     fn drop_oldest_evicts_and_counts() {
         let q = BoundedQueue::new(2, Backpressure::DropOldest);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert!(q.push(3)); // evicts 1
-        assert_eq!(q.drops(), 1);
+        assert_eq!(q.push(1), Pushed::Queued);
+        assert_eq!(q.push(2), Pushed::Queued);
+        q.push(3); // evicts 1
+        assert_eq!((q.drops(), q.rejected()), (1, 0));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.high_water(), 2);
+    }
+
+    #[test]
+    fn push_evict_returns_the_victim() {
+        let q = BoundedQueue::new(2, Backpressure::DropOldest);
+        assert_eq!(q.push(1), Pushed::Queued);
+        assert_eq!(q.push(2), Pushed::Queued);
+        assert_eq!(q.push(3), Pushed::Evicted(1));
+        assert_eq!(q.drops(), 1);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+        q.close();
+        assert_eq!(q.push(4), Pushed::Closed(4));
+        assert_eq!(q.drops(), 1, "a push after close is not an eviction");
+    }
+
+    #[test]
+    fn reject_hands_back_on_full() {
+        let q = BoundedQueue::new(1, Backpressure::Reject);
+        assert_eq!(q.push(1), Pushed::Queued);
+        assert_eq!(q.push(2), Pushed::Refused(2));
+        assert_eq!(
+            (q.drops(), q.rejected()),
+            (0, 1),
+            "a refusal is not an eviction"
+        );
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.push(3), Pushed::Queued);
+        q.close();
+        assert_eq!(q.push(4), Pushed::Closed(4));
+        assert_eq!(q.rejected(), 1, "a push after close is not a refusal");
+        assert_eq!(q.pop(), Some(3));
     }
 
     #[test]
@@ -294,7 +306,7 @@ mod tests {
         let q = BoundedQueue::new(4, Backpressure::Block);
         q.push(7);
         q.close();
-        assert!(!q.push(8), "push after close must fail");
+        assert_eq!(q.push(8), Pushed::Closed(8), "push after close must fail");
         assert_eq!(q.pop(), Some(7));
         assert_eq!(q.pop(), None);
     }
@@ -308,7 +320,7 @@ mod tests {
         // Give the producer a moment to block on the full queue.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(q.pop(), Some(0));
-        assert!(producer.join().unwrap());
+        assert_eq!(producer.join().unwrap(), Pushed::Queued);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.drops(), 0);
     }
@@ -321,7 +333,11 @@ mod tests {
         let producer = std::thread::spawn(move || q2.push(1));
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
-        assert!(!producer.join().unwrap(), "close must release the producer");
+        assert_eq!(
+            producer.join().unwrap(),
+            Pushed::Closed(1),
+            "close must release the producer"
+        );
     }
 
     #[test]
@@ -336,33 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn try_push_hands_back_on_full() {
-        let q = BoundedQueue::new(1, Backpressure::Block);
-        assert!(q.try_push(1).is_ok());
-        assert_eq!(q.try_push(2), Err(TryPushError::Full(2)));
-        assert_eq!(q.drops(), 0, "a rejected push is not an eviction");
-        assert_eq!(q.pop(), Some(1));
-        q.close();
-        assert_eq!(q.try_push(3), Err(TryPushError::Closed));
-    }
-
-    #[test]
-    fn push_evict_returns_the_victim() {
-        let q = BoundedQueue::new(2, Backpressure::Block);
-        assert_eq!(q.push_evict(1), Ok(None));
-        assert_eq!(q.push_evict(2), Ok(None));
-        assert_eq!(q.push_evict(3), Ok(Some(1)));
-        assert_eq!(q.drops(), 1);
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        q.close();
-        assert_eq!(q.push_evict(4), Err(4));
-    }
-
-    #[test]
     fn poisoned_lock_keeps_the_queue_working() {
         let q = Arc::new(BoundedQueue::new(2, Backpressure::Block));
-        assert!(q.push(1));
+        assert_eq!(q.push(1), Pushed::Queued);
         // A frame worker panics while it holds the queue's lock.
         let joined = std::thread::scope(|s| {
             s.spawn(|| {
@@ -372,9 +364,8 @@ mod tests {
             .join()
         });
         assert!(joined.is_err() && q.state.is_poisoned());
-        assert!(q.push(2));
+        assert_eq!(q.push(2), Pushed::Queued);
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.try_push(3), Err(TryPushError::Full(3)));
         // The producer finds the queue full and waits on the poisoned lock
         // unless the pop below has already made room; either way it pushes.
         let producer = {
@@ -382,12 +373,12 @@ mod tests {
             std::thread::spawn(move || q.push(3))
         };
         assert_eq!(q.pop(), Some(1));
-        assert!(producer.join().unwrap());
+        assert_eq!(producer.join().unwrap(), Pushed::Queued);
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.try_pop(), TryPop::Item(3));
-        assert_eq!(q.push_evict(4), Ok(None));
+        assert_eq!(q.push(4), Pushed::Queued);
         q.close();
-        assert!(!q.push(5));
+        assert_eq!(q.push(5), Pushed::Closed(5));
         assert_eq!(q.pop(), Some(4));
         assert_eq!(q.pop(), None);
         assert_eq!((q.high_water(), q.drops()), (2, 0));

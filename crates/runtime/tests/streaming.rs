@@ -195,6 +195,35 @@ fn drop_oldest_sheds_and_accounts() {
     assert_eq!(ids, sorted);
 }
 
+/// Reject backpressure on an overloaded intake refuses frames instead: each
+/// refused frame is counted once, in the intake's `rejected` counter, and
+/// `total_drops` takes it in.
+#[test]
+fn reject_refuses_and_accounts() {
+    let sys = streaming_system();
+    let spec = WorkloadSpec::four_by_eight(30, 5);
+    let cfg = RuntimeConfig {
+        queue_capacity: 1,
+        policy: Backpressure::Reject,
+        workers: 1,
+        ..RuntimeConfig::default()
+    };
+    let report = Cell::new(88, sys.clone(), cfg).run_streaming(spec.jobs(&sys));
+    let m = &report.metrics;
+    assert_eq!(
+        m.frames_completed + m.total_drops + m.frames_failed,
+        30,
+        "refused frames must be accounted for"
+    );
+    let view = cell_view(88);
+    assert_eq!(
+        view.counter("runtime.queue.intake.rejected"),
+        Some(m.total_drops)
+    );
+    assert_eq!(view.counter("runtime.queue.intake.drops"), Some(0));
+    assert_eq!(view.counter("runtime.frames"), Some(m.frames_completed));
+}
+
 /// On a machine with real parallelism the pipeline must beat the serial
 /// path by >=2x frames/sec. Gated on core count: a single-core runner can
 /// only measure thread overhead, not pipelining.
