@@ -6,8 +6,9 @@
 //! downlink frame. The `dsp/` rows also time the kernels whose AVX2 tier is
 //! the scalar loop compiled with AVX2 on (`round`, `norm_sq_accum`,
 //! `sq_accum`) against the forced scalar tier, so a toolchain that stops
-//! vectorizing one shows as a `scalar÷tier` ratio near 1, and the first
-//! FFT stage, whose one loop serves both tiers.
+//! vectorizing one shows as a `scalar÷tier` ratio near 1, the first FFT
+//! stage, whose one loop serves both tiers, and the Doppler stage's column
+//! kernel (`fft_columns`, a hand body) against its scalar loop.
 //!
 //! Each row prints its median and quartiles; nothing is recorded. Name
 //! filters pick rows (`-- tag` runs the `tag/*` rows); `--quick` runs each
@@ -21,14 +22,16 @@ use biscatter_core::downlink::{measure_ber_symbols, run_frame_synced};
 use biscatter_core::dsp::dispatch::{force_tier, tier, SimdTier};
 use biscatter_core::dsp::fft::fft;
 use biscatter_core::dsp::goertzel::goertzel_power;
-use biscatter_core::dsp::planner::first_stage;
+use biscatter_core::dsp::planner::{first_stage, FftPlan};
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::simd;
 use biscatter_core::dsp::Cpx;
 use biscatter_core::isac::{dechirp_stage_into, synthesize_frame};
 use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
-use biscatter_core::radar::receiver::doppler::range_doppler;
-use biscatter_core::radar::receiver::{align_frame, RxConfig};
+use biscatter_core::radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
+use biscatter_core::radar::receiver::{
+    align_frame, align_frame_into, AlignedFrame, CommsView, RxConfig,
+};
 use biscatter_core::radar::sequencer::isac_frame;
 use biscatter_core::rf::frame::{ChirpTrain, MAX_DUTY};
 use biscatter_core::rf::if_gen::IfReceiver;
@@ -128,6 +131,15 @@ fn main() {
             first_stage(black_box(&mut data[..]));
         });
     }
+    // One Doppler block of `warehouse_k24`: 128 chirps of 16 adjacent range
+    // bins through the plan's column transform, gathered by a copy.
+    let plan = FftPlan::<f64>::new(128);
+    let mut block = vec![Cpx::ZERO; 128 * 16];
+    tier_rows(&args, &fast, "dsp/fft_columns_128x16", || {
+        plan.process_columns(black_box(&mut block), 16, |i, row| {
+            row.copy_from_slice(&row1024[4 * i..][..16]);
+        });
+    });
 
     let sys = BiScatterSystem::paper_9ghz();
     let decider = sys.nominal_decider();
@@ -215,12 +227,16 @@ fn main() {
     };
     let mut noise = NoiseSource::new(3);
     let if_data = rx.dechirp_train(&train, &scene, 0.0, &mut noise);
+    // Both stages on a 1-thread pool, as a cell runs them, into reused
+    // outputs.
+    let mut frame = AlignedFrame::default();
     row(&args, &slow, "radar/align_frame_64x960", || {
-        align_frame(black_box(&sys.rx), &train, &if_data)
+        align_frame_into(&pool, black_box(&sys.rx), &train, &if_data, &mut frame);
     });
     let frame = align_frame(&RxConfig::default(), &train, &if_data);
+    let mut map = RangeDopplerMap::default();
     row(&args, &slow, "radar/range_doppler_64x1024", || {
-        range_doppler(black_box(&frame))
+        range_doppler_into(&pool, CommsView::stored(black_box(&frame)), &mut map);
     });
 
     let mut seed = 0u64;

@@ -24,7 +24,7 @@ use biscatter_core::radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
 use biscatter_core::radar::receiver::uplink::{demodulate, UplinkScheme};
-use biscatter_core::radar::receiver::AlignedFrame;
+use biscatter_core::radar::receiver::{AlignedFrame, CommsView};
 use biscatter_runtime::compute::ComputePool;
 
 #[global_allocator]
@@ -122,8 +122,14 @@ fn sequential_detect(
     out.clear();
     for p in profiles {
         let location = locate_tag(map, p.f_mod_hz, MIN_SNR_DB);
-        let uplink =
-            location.and_then(|loc| demodulate(frame, loc.range_bin, p.scheme, p.bit_duration_s));
+        let uplink = location.and_then(|loc| {
+            demodulate(
+                CommsView::stored(frame),
+                loc.range_bin,
+                p.scheme,
+                p.bit_duration_s,
+            )
+        });
         out.push(TagDetection { location, uplink });
     }
 }
@@ -134,7 +140,7 @@ fn main() {
     let sampler = Sampler::new(&args, samples);
 
     let frame = build_frame();
-    let map = range_doppler(&frame);
+    let map = range_doppler(CommsView::stored(&frame));
     let pool = ComputePool::new(1);
 
     let ks = [1usize, 8, 64, 256];
@@ -151,7 +157,14 @@ fn main() {
         let mut reference = Vec::new();
 
         // --- Bit-equality: batched must match the per-tag loop exactly. --
-        detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
+        detect_all(
+            &pool,
+            &mut bank,
+            &map,
+            CommsView::stored(&frame),
+            &mut scratch,
+            &mut batched,
+        );
         sequential_detect(&frame, &map, &tags, &mut reference);
         assert_eq!(
             batched, reference,
@@ -164,9 +177,23 @@ fn main() {
 
         // --- Steady-state allocations of one batched pass (at K=64). -----
         if k == 64 {
-            detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
+            detect_all(
+                &pool,
+                &mut bank,
+                &map,
+                CommsView::stored(&frame),
+                &mut scratch,
+                &mut batched,
+            );
             steady_allocs_at_64 = counted(|| {
-                detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
+                detect_all(
+                    &pool,
+                    &mut bank,
+                    &map,
+                    CommsView::stored(&frame),
+                    &mut scratch,
+                    &mut batched,
+                );
             })
             .1;
             assert_eq!(
@@ -183,7 +210,14 @@ fn main() {
                 black_box(reference.len());
             },
             &mut || {
-                detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut batched);
+                detect_all(
+                    &pool,
+                    &mut bank,
+                    &map,
+                    CommsView::stored(&frame),
+                    &mut scratch,
+                    &mut batched,
+                );
                 black_box(batched.len());
             },
         ]);

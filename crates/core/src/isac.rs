@@ -37,7 +37,7 @@ use biscatter_radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
 use biscatter_radar::receiver::uplink::{demodulate, UplinkScheme};
-use biscatter_radar::receiver::{align_frame_into, AlignedFrame, RxConfig};
+use biscatter_radar::receiver::{align_frame_into, AlignedFrame, CommsView, RxConfig};
 use biscatter_radar::sensing::{CfarDetector, Detection};
 use biscatter_radar::sequencer::isac_frame;
 use biscatter_rf::frame::ChirpTrain;
@@ -266,14 +266,27 @@ pub struct SynthesizedFrame {
     pub downlink: FrameOutcome,
 }
 
-/// Stage 3 output: aligned range profiles for both receive paths, in
+/// Stage 3 output: the aligned range profiles both receive paths read, in
 /// sample precision `T`.
+///
+/// Only the sensing rows are stored. The comms path is derived from them
+/// on read ([`AlignedPair::comms`]), so a frame holds one copy of its
+/// profiles, not two.
 #[derive(Debug, Clone, Default)]
 pub struct AlignedPair<T = f64> {
-    /// Comms/localization path (background subtracted).
-    pub comms: AlignedFrame<T>,
     /// Sensing path (no background subtraction: static world is the signal).
     pub sensing: AlignedFrame<T>,
+    /// Whether the comms path subtracts chirp 0 (the system's
+    /// `RxConfig::background_subtraction` when the rows were aligned).
+    subtract_background: bool,
+}
+
+impl<T: Real> AlignedPair<T> {
+    /// The comms/localization path: the sensing rows, with chirp 0
+    /// subtracted on read when the system subtracts background.
+    pub fn comms(&self) -> CommsView<'_, T> {
+        CommsView::new(&self.sensing, self.subtract_background)
+    }
 }
 
 /// Recyclable buffers for the frame hot path (stages 2–5).
@@ -485,11 +498,11 @@ pub fn dechirp_stage_into<T: Real>(
 /// common range grid, recycling `out`'s profile buffers and grid `Arc`s and
 /// fanning per-chirp FFT + resample across `pool`.
 ///
-/// Both receive paths come from one transform pass: the sensing frame is
-/// aligned without background subtraction, and the comms frame is a copy
-/// with chirp 0's profile subtracted from every row — bit for bit what a
-/// second full align with subtraction would produce, at half the transform
-/// cost.
+/// Both receive paths come from one transform pass into one set of rows:
+/// the frame is aligned without background subtraction, and the comms path
+/// reads it with chirp 0's profile subtracted ([`AlignedPair::comms`]) —
+/// bit for bit what a second full align with subtraction would produce,
+/// without that frame's transforms or its copy.
 pub fn align_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
@@ -503,14 +516,12 @@ pub fn align_stage_into<T: Real>(
         ..sys.rx.clone()
     };
     align_frame_into(pool, &sensing_cfg, train, if_data, &mut out.sensing);
-    out.comms.copy_from(&out.sensing);
-    if sys.rx.background_subtraction {
-        out.comms.subtract_background();
-    }
+    out.subtract_background = sys.rx.background_subtraction;
 }
 
-/// Stage 4 — range–Doppler: slow-time FFT of the comms-path frame,
-/// recycling `out`'s power slab and splitting range columns across `pool`.
+/// Stage 4 — range–Doppler: slow-time FFT of the comms path, read off the
+/// pair's rows, recycling `out`'s power slab and splitting range columns
+/// across `pool`.
 /// The power lands in an f64 map whatever the frame's precision.
 pub fn doppler_stage_into<T: Real>(
     pool: &ComputePool,
@@ -518,7 +529,7 @@ pub fn doppler_stage_into<T: Real>(
     out: &mut RangeDopplerMap,
 ) {
     let _span = biscatter_obs::span!("isac.doppler");
-    range_doppler_into(pool, &pair.comms, out);
+    range_doppler_into(pool, pair.comms(), out);
 }
 
 /// Stage 5 — uplink demod + CFAR/localization: localizes the tag on the
@@ -542,7 +553,7 @@ pub fn detect_stage_with<T: Real>(
     } else {
         location.as_ref().and_then(|loc| {
             demodulate(
-                &pair.comms,
+                pair.comms(),
                 loc.range_bin,
                 scenario.uplink_scheme,
                 scenario.uplink_bit_duration_s,
@@ -607,7 +618,7 @@ pub fn detect_stage_multi<T: Real>(
     scenario.tag_profiles_into(&mut profiles);
     bank.set_tags(&profiles);
     let mut tags = Vec::new();
-    detect_all(pool, bank, map, &pair.comms, scratch, &mut tags);
+    detect_all(pool, bank, map, pair.comms(), scratch, &mut tags);
 
     let location = tags[0].location;
     let uplink_bits = if scenario.uplink_bits.is_empty() {

@@ -197,6 +197,46 @@ impl<T: Real> FftPlan<T> {
         self.process_with_scratch(data, &mut scratch);
     }
 
+    /// Forward DFTs of `width` columns side by side: `block[i·width + j]`
+    /// ends as bin `i` of column `j`, bit for bit what
+    /// [`FftPlan::process`] gives that column alone. `gather(i, row)`
+    /// writes sample `i` of every column into `row` (`width` values); the
+    /// row it is handed is already sample `i`'s bit-reversed slot, so the
+    /// transform runs no permutation pass. Allocation-free.
+    ///
+    /// # Panics
+    /// Panics if `block.len()` is not `width` times the planned length, or
+    /// the length is not a power of two.
+    pub fn process_columns(
+        &self,
+        block: &mut [Complex<T>],
+        width: usize,
+        mut gather: impl FnMut(usize, &mut [Complex<T>]),
+    ) {
+        assert_eq!(
+            block.len(),
+            self.n * width,
+            "plan is for {} rows of {width} columns, got {} values",
+            self.n,
+            block.len()
+        );
+        match &self.kind {
+            PlanKind::Trivial => (0..self.n).for_each(|i| gather(i, block)),
+            PlanKind::Radix2 { bitrev, stage_tw } => {
+                for (i, &rev) in bitrev.iter().enumerate() {
+                    gather(i, &mut block[rev as usize * width..][..width]);
+                }
+                T::fft_columns(block, width, stage_tw);
+            }
+            PlanKind::Bluestein { .. } => {
+                panic!(
+                    "column transforms need a power-of-two length, got {}",
+                    self.n
+                )
+            }
+        }
+    }
+
     /// In-place inverse DFT, including the `1/N` normalization.
     ///
     /// # Panics
@@ -1019,6 +1059,69 @@ mod tests {
             let hash = sweep_against_oracle();
             force_tier(before);
             assert_eq!(hash, PINNED, "{} tier: sweep hash {hash:#018x}", t.name());
+        }
+    }
+
+    /// `process_columns` on `width` columns of sweep data against one
+    /// `process` per column, as bit patterns.
+    fn columns_match_per_column<T: Real>(n: usize, width: usize) {
+        let plan = FftPlan::<T>::new(n);
+        let inputs: Vec<Vec<Complex<T>>> = (0..width)
+            .map(|j| {
+                sweep_vec(n, 97 * j)
+                    .into_iter()
+                    .map(Complex::from_f64)
+                    .collect()
+            })
+            .collect();
+        let cols: Vec<Vec<Complex<T>>> = inputs
+            .iter()
+            .map(|col| {
+                let mut col = col.clone();
+                plan.process(&mut col);
+                col
+            })
+            .collect();
+        let mut block = vec![Complex::<T>::ZERO; n * width];
+        plan.process_columns(&mut block, width, |i, row| {
+            for (v, input) in row.iter_mut().zip(&inputs) {
+                *v = input[i];
+            }
+        });
+        let bits = |z: &Complex<T>| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits());
+        for (j, col) in cols.iter().enumerate() {
+            for (i, want) in col.iter().enumerate() {
+                assert_eq!(
+                    bits(&block[i * width + j]),
+                    bits(want),
+                    "n {n}, width {width}: bin {i} of column {j}"
+                );
+            }
+        }
+    }
+
+    /// The column kernel is the per-column transform, bit for bit, on each
+    /// dispatch tier and in both precisions: every power of two to 256 and
+    /// every block width from one to one past the Doppler stage's 16-bin
+    /// block (odd widths take the f64 kernel's scalar route, widths off a
+    /// multiple of four the f32 body's tail).
+    #[test]
+    fn fft_columns_match_per_column_process() {
+        use crate::dispatch::{avx2_available, force_tier, tier, SimdTier};
+        let before = tier();
+        let mut tiers = vec![SimdTier::Scalar];
+        if avx2_available() {
+            tiers.push(SimdTier::Avx2);
+        }
+        for t in tiers {
+            force_tier(t);
+            for n in (0..=8).map(|b| 1usize << b) {
+                for width in 1..=17 {
+                    columns_match_per_column::<f64>(n, width);
+                    columns_match_per_column::<f32>(n, width);
+                }
+            }
+            force_tier(before);
         }
     }
 

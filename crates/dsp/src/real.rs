@@ -78,6 +78,10 @@ pub trait Real:
     /// first stage is done, with the plan's twiddles (conjugated when
     /// `inverse`).
     fn fft_stages(data: &mut [Complex<Self>], tw: &[Self::Twiddle], inverse: bool);
+    /// Forward radix-2 stages `2, 4, …, n` over `n` bit-reversed rows of
+    /// `width` columns side by side ([`simd::fft_columns`]), with the
+    /// plan's twiddles.
+    fn fft_columns(block: &mut [Complex<Self>], width: usize, tw: &[Self::Twiddle]);
     /// Pointwise `out[i] = x[i] * w[i]` (the Bluestein chirp multiplies).
     /// The default is the portable loop; only full planners reach it.
     fn cmul_into(out: &mut [Complex<Self>], x: &[Complex<Self>], w: &[Complex<Self>]) {
@@ -127,6 +131,10 @@ impl Real for f64 {
     #[inline]
     fn fft_stages(data: &mut [Cpx], tw: &[f64], inverse: bool) {
         simd::fft_stages(data, tw, inverse);
+    }
+    #[inline]
+    fn fft_columns(block: &mut [Cpx], width: usize, tw: &[f64]) {
+        simd::fft_columns(block, width, tw);
     }
     #[inline]
     fn cmul_into(out: &mut [Cpx], x: &[Cpx], w: &[Cpx]) {
@@ -196,6 +204,10 @@ impl Real for f32 {
             simd::fft_stage_32(data, &tw[half - 2..half - 2 + half], len);
             len <<= 1;
         }
+    }
+    #[inline]
+    fn fft_columns(block: &mut [Complex<f32>], width: usize, tw: &[Complex<f32>]) {
+        simd::fft_columns_32(block, width, tw);
     }
     #[inline]
     fn rfft_unzip(z: &[Complex<f32>], tw: &[Complex<f32>], h: usize, out: &mut [Complex<f32>]) {

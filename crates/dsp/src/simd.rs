@@ -7,9 +7,9 @@
 //! * a **hand body**: `std::arch` intrinsics under
 //!   `#[target_feature(enable = "avx2")]` (no nightly `std::simd`, no
 //!   crates), for the kernels where LLVM does not find the vector form on
-//!   its own — complex multiplies, the FFT stages, the Goertzel and
-//!   lagged-product recurrences, the row sums, the peak scan and the IF
-//!   tones;
+//!   its own — complex multiplies, the FFT stages and the Doppler stage's
+//!   column transforms, the Goertzel and lagged-product recurrences, the
+//!   row sums, the peak scan and the IF tones;
 //! * a **compiled copy**: the scalar loop itself, `#[inline(always)]`,
 //!   called from a three-line `#[target_feature(enable = "avx2")]`
 //!   wrapper, so that LLVM vectorizes the same source at 4 × f64
@@ -57,9 +57,10 @@
 //!   runs the scalar steps in the scalar order.
 //!
 //! The f32 kernels (`*_32`) carry no bit contract across tiers, except the
-//! IF tone kernels (`tone_fill_32`, `tones_accum_32`), whose two bodies
-//! perform the same operations as each other (the f32 frame digests pin
-//! their output on both tiers); the f32 frame tier as a whole is validated
+//! IF tone kernels (`tone_fill_32`, `tones_accum_32`) and the column
+//! transform ([`fft_columns_32`]), whose two bodies perform the same
+//! operations as each other (the f32 frame digests pin their output on
+//! both tiers); the f32 frame tier as a whole is validated
 //! against the f64 oracle by error bounds (see `biscatter-core`'s precision
 //! tests).
 
@@ -202,6 +203,93 @@ pub fn fft_stages(data: &mut [Cpx], tw: &[f64], inverse: bool) {
                 (chunk[j], chunk[j + half]) = (a + v, a - v);
             }
         }
+    }
+}
+
+/// Forward radix-2 stages `2, 4, …, n` over `n` rows of `width` columns
+/// side by side — `block[i·width + j]` is sample `i` of column `j`, the
+/// rows already in bit-reversed order — reading a length-`n`
+/// [`fft_twiddles`] table, one factor per row pair broadcast across the
+/// columns. Each column comes out bit for bit as the first stage and
+/// [`fft_stages`] leave it alone: `(u + v, u − v)` for the first stage,
+/// then `v = b·w`, `a + v`, `a − v` per butterfly, one stage at a time.
+///
+/// # Panics
+/// Panics unless `block.len()` is `width` times a power of two (or zero)
+/// and `tw` holds the table of that length.
+pub fn fft_columns(block: &mut [Cpx], width: usize, tw: &[f64]) {
+    let Some(n) = column_rows(block.len(), width) else {
+        return;
+    };
+    assert!(
+        tw.len() == tw_offset(2 * n.max(2)),
+        "fft_columns needs the twiddle table of its row count"
+    );
+    // A two-row block is one stage of adds, and an odd width (only ever
+    // a band's last block, when the band's bin count is odd) has a column
+    // the two-column vectors cannot take: both go to the scalar loop.
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 && n >= 4 && width % 2 == 0 {
+        // SAFETY: AVX2 presence established by the dispatch tier; the
+        // asserts above and the guard give the body's shape and table
+        // conditions.
+        unsafe { avx2::fft_columns(block, width, tw) };
+        return;
+    }
+    fft_columns_loop(block, width, |len, j| {
+        twiddle_at(&tw[tw_offset(len)..], j, false)
+    });
+}
+
+/// The row count of a `width`-column block of `len` samples, `None` when
+/// there is nothing to transform (no columns, or fewer than two rows).
+///
+/// # Panics
+/// Panics unless `len` is `width` times a power of two (or zero).
+fn column_rows(len: usize, width: usize) -> Option<usize> {
+    if width == 0 {
+        assert_eq!(len, 0, "a zero-width block holds no samples");
+        return None;
+    }
+    let n = len / width;
+    assert!(
+        n * width == len && (n == 0 || n.is_power_of_two()),
+        "a column block needs a power-of-two number of full rows"
+    );
+    (n >= 2).then_some(n)
+}
+
+/// The scalar body of [`fft_columns`] and [`fft_columns_32`]: `tw(len, j)`
+/// is factor `j` of stage `len`.
+#[inline(always)]
+fn fft_columns_loop<T: Real>(
+    block: &mut [Complex<T>],
+    width: usize,
+    tw: impl Fn(usize, usize) -> Complex<T>,
+) {
+    let n = block.len() / width;
+    for pair in block.chunks_exact_mut(2 * width) {
+        let (lo, hi) = pair.split_at_mut(width);
+        for (a, b) in lo.iter_mut().zip(hi) {
+            let (u, v) = (*a, *b);
+            (*a, *b) = (u + v, u - v);
+        }
+    }
+    let mut len = 4;
+    while len <= n {
+        let half = len / 2;
+        for chunk in block.chunks_exact_mut(len * width) {
+            let (lo, hi) = chunk.split_at_mut(half * width);
+            let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+            for (j, (lo, hi)) in rows.enumerate() {
+                let w = tw(len, j);
+                for (a, b) in lo.iter_mut().zip(hi) {
+                    let (u, v) = (*a, *b * w);
+                    (*a, *b) = (u + v, u - v);
+                }
+            }
+        }
+        len <<= 1;
     }
 }
 
@@ -868,6 +956,30 @@ pub fn fft_stage_32(data: &mut [Cpx32], tw: &[Cpx32], len: usize) {
     fft_stage_32_scalar(data, tw, len);
 }
 
+/// [`fft_columns`] in f32, reading an f32 plan's table (stage `len`'s
+/// factors from `len/2 − 2`): the same butterflies, so each column comes
+/// out as the f32 stages leave it alone.
+///
+/// # Panics
+/// Panics unless `block.len()` is `width` times a power of two (or zero)
+/// and `tw` holds the table of that length.
+pub fn fft_columns_32(block: &mut [Cpx32], width: usize, tw: &[Cpx32]) {
+    let Some(n) = column_rows(block.len(), width) else {
+        return;
+    };
+    assert!(
+        tw.len() == n - 2,
+        "fft_columns_32 needs the twiddle table of its row count"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if tier() == SimdTier::Avx2 {
+        // SAFETY: AVX2 presence established by the dispatch tier.
+        unsafe { avx2::fft_columns_32(block, width, tw) };
+        return;
+    }
+    fft_columns_loop(block, width, |len, j| tw[len / 2 - 2 + j]);
+}
+
 fn fft_stage_32_scalar(data: &mut [Cpx32], tw: &[Cpx32], len: usize) {
     let half = len / 2;
     for chunk in data.chunks_exact_mut(len) {
@@ -1048,6 +1160,162 @@ mod avx2 {
                 }
                 start += len;
             }
+        }
+    }
+
+    /// Factor `j` of the `fft_twiddles` stage block at `t`, broadcast as
+    /// `(re, im)`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and the block must hold factor `j`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn factor_pd(t: *const f64, j: usize) -> [__m256d; 2] {
+        let at = 4 * (j & !1) + 2 * (j & 1);
+        [
+            _mm256_broadcast_sd(&*t.add(at)),
+            _mm256_broadcast_sd(&*t.add(at + 4)),
+        ]
+    }
+
+    /// The AVX2 body of [`super::fft_columns`], two columns per `__m256d`:
+    /// stages 2 and 4 in one pass (the first multiplies by nothing), then
+    /// pairs of stages `(len, 2·len)` as [`fft_stages`] runs them, and a
+    /// last stage alone when one is left. Each row group's factors are
+    /// broadcast once and run across the block's columns; every value sees
+    /// the operations of one stage at a time, in the same order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `block.len()` must be an even `width`
+    /// times a power of two `n ≥ 4` and `tw` the `fft_twiddles` table of
+    /// `n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fft_columns(block: &mut [Cpx], width: usize, tw: &[f64]) {
+        let n = block.len() / width;
+        let base = block.as_mut_ptr() as *mut f64;
+        // `s` doubles per row; `k` steps through a row two columns at a time.
+        let (s, twp) = (2 * width, tw.as_ptr());
+        // Stage 4's two factors are the table's first block.
+        let ([w0r, w0i], [w1r, w1i]) = (factor_pd(twp, 0), factor_pd(twp, 1));
+        for m in (0..n).step_by(4) {
+            let pa = base.add(m * s);
+            let (pb, pc, pd) = (pa.add(s), pa.add(2 * s), pa.add(3 * s));
+            for k in (0..s).step_by(4) {
+                let (x0, x1) = (_mm256_loadu_pd(pa.add(k)), _mm256_loadu_pd(pb.add(k)));
+                let (x2, x3) = (_mm256_loadu_pd(pc.add(k)), _mm256_loadu_pd(pd.add(k)));
+                let (a, b) = (_mm256_add_pd(x0, x1), _mm256_sub_pd(x0, x1));
+                let (c, d) = (_mm256_add_pd(x2, x3), _mm256_sub_pd(x2, x3));
+                let v = cmul_bc_pd(c, w0r, w0i);
+                _mm256_storeu_pd(pa.add(k), _mm256_add_pd(a, v));
+                _mm256_storeu_pd(pc.add(k), _mm256_sub_pd(a, v));
+                let v = cmul_bc_pd(d, w1r, w1i);
+                _mm256_storeu_pd(pb.add(k), _mm256_add_pd(b, v));
+                _mm256_storeu_pd(pd.add(k), _mm256_sub_pd(b, v));
+            }
+        }
+        let mut len = 8usize;
+        while 2 * len <= n {
+            let (lo, hi) = (
+                twp.add(super::tw_offset(len)),
+                twp.add(super::tw_offset(2 * len)),
+            );
+            let q = len / 2;
+            for start in (0..n).step_by(2 * len) {
+                for j in 0..q {
+                    let [wr, wi] = factor_pd(lo, j);
+                    let ([cr, ci], [dr, di]) = (factor_pd(hi, j), factor_pd(hi, j + q));
+                    let pa = base.add((start + j) * s);
+                    let (pb, pc) = (pa.add(q * s), pa.add(len * s));
+                    let pd = pc.add(q * s);
+                    for k in (0..s).step_by(4) {
+                        let a = _mm256_loadu_pd(pa.add(k));
+                        let v = cmul_bc_pd(_mm256_loadu_pd(pb.add(k)), wr, wi);
+                        let (a, b) = (_mm256_add_pd(a, v), _mm256_sub_pd(a, v));
+                        let c = _mm256_loadu_pd(pc.add(k));
+                        let v = cmul_bc_pd(_mm256_loadu_pd(pd.add(k)), wr, wi);
+                        let (c, d) = (_mm256_add_pd(c, v), _mm256_sub_pd(c, v));
+                        let v = cmul_bc_pd(c, cr, ci);
+                        _mm256_storeu_pd(pa.add(k), _mm256_add_pd(a, v));
+                        _mm256_storeu_pd(pc.add(k), _mm256_sub_pd(a, v));
+                        let v = cmul_bc_pd(d, dr, di);
+                        _mm256_storeu_pd(pb.add(k), _mm256_add_pd(b, v));
+                        _mm256_storeu_pd(pd.add(k), _mm256_sub_pd(b, v));
+                    }
+                }
+            }
+            len *= 4;
+        }
+        if len <= n {
+            let t = twp.add(super::tw_offset(len));
+            let half = len / 2;
+            for start in (0..n).step_by(len) {
+                for j in 0..half {
+                    let [wr, wi] = factor_pd(t, j);
+                    let pa = base.add((start + j) * s);
+                    let pb = pa.add(half * s);
+                    for k in (0..s).step_by(4) {
+                        let v = cmul_bc_pd(_mm256_loadu_pd(pb.add(k)), wr, wi);
+                        let u = _mm256_loadu_pd(pa.add(k));
+                        _mm256_storeu_pd(pa.add(k), _mm256_add_pd(u, v));
+                        _mm256_storeu_pd(pb.add(k), _mm256_sub_pd(u, v));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX2 body of [`super::fft_columns_32`]: one stage at a time,
+    /// each row pair's factor broadcast and run across the block's columns
+    /// four at a time, the last `width % 4` columns through the scalar
+    /// complex operations (the same products, sums and differences).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `block.len()` must be `width ≥ 1` times a
+    /// power of two `n ≥ 2` and `tw` the f32 table of `n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fft_columns_32(block: &mut [Cpx32], width: usize, tw: &[Cpx32]) {
+        let n = block.len() / width;
+        let base = block.as_mut_ptr();
+        let quads = width / 4;
+        let row = |i: usize| base.add(i * width);
+        let lanes = |p: *mut Cpx32| p as *mut f32;
+        for i in (0..n).step_by(2) {
+            let (a, b) = (row(i), row(i + 1));
+            for k in 0..quads {
+                let (pa, pb) = (lanes(a.add(4 * k)), lanes(b.add(4 * k)));
+                let (u, v) = (_mm256_loadu_ps(pa), _mm256_loadu_ps(pb));
+                _mm256_storeu_ps(pa, _mm256_add_ps(u, v));
+                _mm256_storeu_ps(pb, _mm256_sub_ps(u, v));
+            }
+            for k in 4 * quads..width {
+                let (u, v) = (*a.add(k), *b.add(k));
+                (*a.add(k), *b.add(k)) = (u + v, u - v);
+            }
+        }
+        let mut len = 4usize;
+        while len <= n {
+            let half = len / 2;
+            for start in (0..n).step_by(len) {
+                for j in 0..half {
+                    let w = tw[half - 2 + j];
+                    let (wr, wi) = (_mm256_set1_ps(w.re), _mm256_set1_ps(w.im));
+                    let (a, b) = (row(start + j), row(start + j + half));
+                    for k in 0..quads {
+                        let (pa, pb) = (lanes(a.add(4 * k)), lanes(b.add(4 * k)));
+                        let x = _mm256_loadu_ps(pb);
+                        let xs = _mm256_permute_ps(x, 0xB1);
+                        let v = _mm256_addsub_ps(_mm256_mul_ps(x, wr), _mm256_mul_ps(xs, wi));
+                        let u = _mm256_loadu_ps(pa);
+                        _mm256_storeu_ps(pa, _mm256_add_ps(u, v));
+                        _mm256_storeu_ps(pb, _mm256_sub_ps(u, v));
+                    }
+                    for k in 4 * quads..width {
+                        let (u, v) = (*a.add(k), *b.add(k) * w);
+                        (*a.add(k), *b.add(k)) = (u + v, u - v);
+                    }
+                }
+            }
+            len <<= 1;
         }
     }
 

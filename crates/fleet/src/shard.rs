@@ -155,7 +155,7 @@ impl Fleet {
                 if let Some(t) = tier_for(i) {
                     cell_cfg.precision = t;
                 }
-                Cell::new(i, sys.clone(), cell_cfg)
+                Cell::fed_by_fleet(i, sys.clone(), cell_cfg)
             })
             .collect();
         Fleet { sys, cfg, cells }

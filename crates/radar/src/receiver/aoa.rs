@@ -11,7 +11,7 @@
 
 use super::doppler::range_doppler;
 use super::localize::{locate_tag, TagLocation};
-use super::AlignedFrame;
+use super::{AlignedFrame, CommsView};
 use biscatter_dsp::complex::Cpx;
 use biscatter_dsp::TAU;
 
@@ -53,6 +53,8 @@ impl TagPosition {
 /// Estimates a tag's 2D position from per-antenna aligned frames.
 ///
 /// * `frames` — one [`AlignedFrame`] per RX antenna (uniform linear array),
+///   holding the comms path as [`align_frame`](super::align_frame) stores
+///   it,
 /// * `spacing_wavelengths` — element pitch in wavelengths (≤ 0.5 for an
 ///   unambiguous ±90° field of view),
 /// * `f_mod_hz` — the tag's subcarrier,
@@ -68,7 +70,7 @@ pub fn locate_tag_2d(
     min_snr_db: f64,
 ) -> Option<TagPosition> {
     let first = frames.first()?;
-    let map = range_doppler(first);
+    let map = range_doppler(CommsView::stored(first));
     let loc = locate_tag(&map, f_mod_hz, min_snr_db)?;
     if frames.len() < 2 {
         return Some(TagPosition {

@@ -11,6 +11,7 @@
 //!    range grid — undoing the range-profile ambiguity CSSK would otherwise
 //!    cause (paper Fig. 7),
 //! 4. subtracts the first chirp's profile as **background** (paper §3.3),
+//!    on read, through a [`CommsView`] of the aligned rows,
 //! 5. runs a slow-time FFT to form the **range–Doppler map** ([`doppler`]),
 //!    where the tag's switch modulation appears as a tone at its modulation
 //!    frequency,
@@ -125,22 +126,6 @@ impl<T: Real> AlignedFrame<T> {
         1.0 / self.t_period
     }
 
-    /// Overwrites this frame with `src`'s profiles, grid, and period,
-    /// reusing the profile rows' capacity (and sharing the grid `Arc`).
-    pub fn copy_from(&mut self, src: &AlignedFrame<T>) {
-        let n = src.profiles.len();
-        self.profiles.truncate(n);
-        self.profiles.resize_with(n, Vec::new);
-        for (dst, row) in self.profiles.iter_mut().zip(&src.profiles) {
-            dst.clear();
-            dst.extend_from_slice(row);
-        }
-        if !Arc::ptr_eq(&self.range_grid, &src.range_grid) {
-            self.range_grid = Arc::clone(&src.range_grid);
-        }
-        self.t_period = src.t_period;
-    }
-
     /// Background subtraction (paper §3.3): subtracts chirp 0's profile
     /// from every row. Row 0 computes `x − x` in place rather than storing
     /// zeros, so IEEE semantics (+0.0 sign, NaN propagation) are those of
@@ -159,6 +144,83 @@ impl<T: Real> AlignedFrame<T> {
             let x = *v;
             *v = x - x;
         }
+    }
+}
+
+/// The comms (localization and uplink) path of an aligned frame: what the
+/// range–Doppler map, the multi-tag amplitude sweep and the uplink
+/// demodulator read.
+///
+/// With background subtraction (paper §3.3) the path is chirp `c`'s
+/// profile minus chirp 0's, computed on read — row 0 as `x − x` — so it
+/// equals [`AlignedFrame::subtract_background`] element for element (±0,
+/// infinities and NaN included) without a second copy of the frame. A
+/// caller states which kind of rows it holds by the constructor it picks.
+#[derive(Debug, Clone, Copy)]
+pub struct CommsView<'a, T = f64> {
+    frame: &'a AlignedFrame<T>,
+    minus_chirp0: bool,
+}
+
+impl<'a, T: Real> CommsView<'a, T> {
+    /// The comms path of sensing rows `frame`: chirp 0 subtracted on read
+    /// when `subtract_background`, the rows as they stand otherwise.
+    pub fn new(frame: &'a AlignedFrame<T>, subtract_background: bool) -> Self {
+        CommsView {
+            frame,
+            minus_chirp0: subtract_background,
+        }
+    }
+
+    /// A frame whose rows already are the comms path: aligned by
+    /// [`align_frame`] with [`RxConfig::background_subtraction`] set (or a
+    /// chain run without subtraction). Nothing is subtracted on read.
+    pub fn stored(frame: &'a AlignedFrame<T>) -> Self {
+        Self::new(frame, false)
+    }
+
+    /// Number of chirps (slow-time length).
+    pub fn n_chirps(&self) -> usize {
+        self.frame.n_chirps()
+    }
+
+    /// Chirp slot period, s (slow-time sample interval).
+    pub fn t_period(&self) -> f64 {
+        self.frame.t_period
+    }
+
+    /// The common range grid, metres, shared with the sensing rows.
+    pub fn range_grid(&self) -> &'a Arc<[f64]> {
+        &self.frame.range_grid
+    }
+
+    /// Bins `bins` of chirp `c` on the comms path, in order.
+    ///
+    /// # Panics
+    /// Panics if `c` or `bins` lie outside the frame.
+    #[inline]
+    pub fn segment(
+        &self,
+        c: usize,
+        bins: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = Complex<T>> + 'a {
+        let rows = &self.frame.profiles;
+        let row = &rows[c][bins.clone()];
+        let background = &rows[0][bins];
+        let minus_chirp0 = self.minus_chirp0;
+        row.iter()
+            .zip(background)
+            .map(move |(&v, &b)| if minus_chirp0 { v - b } else { v })
+    }
+
+    /// Bin `r` of chirp `c` on the comms path.
+    ///
+    /// # Panics
+    /// Panics if `c` or `r` lie outside the frame.
+    #[inline]
+    pub fn at(&self, c: usize, r: usize) -> Complex<T> {
+        let mut bin = self.segment(c, r..r + 1);
+        bin.next().expect("a one-bin segment")
     }
 }
 
@@ -320,6 +382,70 @@ mod tests {
             assert_eq!(p.len(), cfg.n_range_bins);
         }
         assert!((frame.chirp_rate() - 1.0 / 120e-6).abs() < 1e-6);
+    }
+
+    /// A frame whose rows mix ordinary values with ±0, ±∞ and NaN, in
+    /// every combination against chirp 0's bin.
+    fn special_frame<T: Real>() -> AlignedFrame<T> {
+        let specials = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1e-310,
+        ];
+        let m = specials.len();
+        let value = |i: usize| T::from_f64(specials[i % m]);
+        let profiles = (0..m)
+            .map(|c| {
+                (0..m * m)
+                    .map(|r| Complex::new(value(r + c * (r / m)), value(r / m + 3 * c)))
+                    .collect()
+            })
+            .collect();
+        AlignedFrame {
+            profiles,
+            range_grid: (0..m * m).map(|r| r as f64).collect::<Vec<_>>().into(),
+            t_period: 1e-4,
+        }
+    }
+
+    fn comms_view_matches_subtract_background<T: Real>() {
+        let frame = special_frame::<T>();
+        let mut stored = frame.clone();
+        stored.subtract_background();
+        let bits = |z: Complex<T>| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits());
+        let n_range = frame.range_grid.len();
+        let view = CommsView::new(&frame, true);
+        let as_stored = CommsView::stored(&stored);
+        for (c, row) in stored.profiles.iter().enumerate() {
+            let segment: Vec<_> = view.segment(c, 0..n_range).map(bits).collect();
+            let want: Vec<_> = row.iter().map(|&z| bits(z)).collect();
+            assert_eq!(segment, want, "chirp {c}");
+            for (r, &z) in row.iter().enumerate() {
+                assert_eq!(bits(view.at(c, r)), bits(z), "chirp {c}, bin {r}");
+                assert_eq!(bits(as_stored.at(c, r)), bits(z));
+            }
+            let off: Vec<_> = CommsView::new(&frame, false)
+                .segment(c, 0..n_range)
+                .map(bits)
+                .collect();
+            let rows: Vec<_> = frame.profiles[c].iter().map(|&z| bits(z)).collect();
+            assert_eq!(off, rows, "no subtraction reads the rows as they stand");
+        }
+    }
+
+    /// The comms view is `subtract_background` element for element, bit
+    /// for bit: row 0 as `x − x` (NaN for ±∞ and NaN, +0 otherwise), every
+    /// other row minus it, signed zeros and NaN payloads as IEEE gives them.
+    #[test]
+    fn comms_view_equals_subtract_background_with_special_values() {
+        comms_view_matches_subtract_background::<f64>();
+        comms_view_matches_subtract_background::<f32>();
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   scratch the engine owns), and the peak scan is fused into the final
 //!   harmonic accumulation pass.
 //! * **Chirp-major amplitude gather** — all located tags' slow-time
-//!   amplitude rows are filled in one sweep over `frame.profiles`, reading
-//!   each chirp's profile once for every tag (rows sorted by range bin so
-//!   the per-chirp gather walks monotonically), instead of K strided passes.
+//!   amplitude rows are filled in one sweep over the comms path
+//!   ([`CommsView`]), reading each chirp's profile once for every tag (rows
+//!   sorted by range bin so the per-chirp gather walks monotonically),
+//!   instead of K strided passes.
 //! * **Deterministic fan-out** — every parallel stage partitions disjoint
 //!   output regions (one band, one tag, or one column block per task) with
 //!   a fixed per-element operation order, so results are bit-identical to
@@ -39,7 +40,7 @@
 use super::doppler::RangeDopplerMap;
 use super::localize::{location_from, TagLocation, SQUARE_WAVE_HARMONICS};
 use super::uplink::{decode_fsk_windows, decode_ook_windows, UplinkDecode, UplinkScheme};
-use super::AlignedFrame;
+use super::CommsView;
 use biscatter_compute::ComputePool;
 use biscatter_dsp::goertzel::GoertzelCoeffs;
 use biscatter_dsp::simd::{self, TONES_PER_PASS};
@@ -167,17 +168,17 @@ impl TagBank {
     }
 
     /// Builds (or keeps) the template cache for this map/frame geometry.
-    fn ensure_cache<T: Real>(&mut self, map: &RangeDopplerMap, frame: &AlignedFrame<T>) {
+    fn ensure_cache(&mut self, map: &RangeDopplerMap, t_period: f64) {
         let matches = self.cache.as_ref().is_some_and(|c| {
             c.n_doppler == map.n_doppler
                 && c.map_t_period == map.t_period
-                && c.frame_t_period == frame.t_period
+                && c.frame_t_period == t_period
         });
         if matches {
             return;
         }
         let nyquist = 0.5 / map.t_period;
-        let fs_slow = frame.chirp_rate();
+        let fs_slow = 1.0 / t_period;
         let mut bands: Vec<(usize, usize)> = Vec::new();
         let mut index: HashMap<(usize, usize), usize> = HashMap::new();
         let mut plans = Vec::with_capacity(self.profiles.len());
@@ -197,7 +198,7 @@ impl TagBank {
                 band_idx: [0; 3],
                 weight: [0.0; 3],
                 n_harm: 0,
-                chirps_per_bit: (p.bit_duration_s / frame.t_period).round() as usize,
+                chirps_per_bit: (p.bit_duration_s / t_period).round() as usize,
                 g0,
                 g1,
                 fsk,
@@ -223,7 +224,7 @@ impl TagBank {
         self.cache = Some(BankCache {
             n_doppler: map.n_doppler,
             map_t_period: map.t_period,
-            frame_t_period: frame.t_period,
+            frame_t_period: t_period,
             bands,
             plans,
         });
@@ -263,8 +264,9 @@ pub struct MultiTagScratch {
 }
 
 /// Localizes and decodes every tag in `bank` against one frame's
-/// range–Doppler map, writing one [`TagDetection`] per registered tag into
-/// `out` (resized to the bank's length, buffers reused).
+/// range–Doppler map and the comms path it was formed from, writing one
+/// [`TagDetection`] per registered tag into `out` (resized to the bank's
+/// length, buffers reused).
 ///
 /// Results are bit-identical to running
 /// [`locate_tag`](super::localize::locate_tag) followed by
@@ -274,7 +276,7 @@ pub fn detect_all<T: Real>(
     pool: &ComputePool,
     bank: &mut TagBank,
     map: &RangeDopplerMap,
-    frame: &AlignedFrame<T>,
+    comms: CommsView<'_, T>,
     scratch: &mut MultiTagScratch,
     out: &mut Vec<TagDetection>,
 ) {
@@ -292,7 +294,7 @@ pub fn detect_all<T: Real>(
         }
         return;
     }
-    bank.ensure_cache(map, frame);
+    bank.ensure_cache(map, comms.t_period());
     let cache = bank.cache.as_ref().expect("cache built above");
     let plans = &cache.plans;
     let bands = &cache.bands;
@@ -361,7 +363,7 @@ pub fn detect_all<T: Real>(
     // Stage 4 (serial, cheap): collect decodable tags. Rows are sorted by
     // range bin (tag index tiebreak keeps the order canonical) so the
     // chirp-major gather below walks each profile monotonically.
-    let n_chirps = frame.n_chirps();
+    let n_chirps = comms.n_chirps();
     rows.clear();
     row_of.clear();
     row_of.resize(k, usize::MAX);
@@ -392,12 +394,10 @@ pub fn detect_all<T: Real>(
             .div_ceil(4 * pool.threads())
             .clamp(8, n_chirps.max(8));
         let rows = &rows[..];
-        let profiles = &frame.profiles;
         pool.par_columns(&mut amp[..], n_rows, n_chirps, col_chunk, |band| {
             for c in band.cols() {
-                let prof = &profiles[c];
                 for (r, row) in rows.iter().enumerate() {
-                    band.set(r, c, prof[row.bin].to_f64().abs());
+                    band.set(r, c, comms.at(c, row.bin).to_f64().abs());
                 }
             }
         });
@@ -427,18 +427,18 @@ pub fn detect_all<T: Real>(
     });
 }
 
-/// Fills `acc` with the Doppler band `lo..=hi` summed off the map. Every
-/// element is evaluated as `((0.0 + row_lo[j]) + ...) + row_hi[j]` — the
-/// exact zero-fill-then-ascending-row-add sequence of
-/// `range_slice_banded_into` — so the result is bit-identical to the
-/// sequential path: the rows go through the weighted sum
-/// [`simd::tones_accum`] at level 1.0 (`1.0·x` is exact), up to four per
-/// pass, in ascending order, onto the zeroed `acc`.
+/// Fills `acc` with the Doppler band `lo..=hi` summed off the map, bit for
+/// bit the zero-fill-then-ascending-row-add sequence
+/// `((0.0 + row_lo[j]) + ...) + row_hi[j]` of `range_slice_banded_into`:
+/// the first row is written, not added to zeros (`0.0 + x` is `x` for
+/// every power, which is never −0), and the rest go through the weighted
+/// sum [`simd::tones_accum`] at level 1.0 (`1.0·x` is exact), up to four
+/// per pass, in ascending order.
 fn accumulate_band(map: &RangeDopplerMap, lo: usize, hi: usize, acc: &mut [f64]) {
     const ONES: [f64; TONES_PER_PASS] = [1.0; TONES_PER_PASS];
-    acc.fill(0.0);
+    acc.copy_from_slice(map.range_slice(lo));
     let mut rows: [&[f64]; TONES_PER_PASS] = [&[]; TONES_PER_PASS];
-    for first in (lo..=hi).step_by(TONES_PER_PASS) {
+    for first in (lo + 1..=hi).step_by(TONES_PER_PASS) {
         let g = (hi + 1 - first).min(TONES_PER_PASS);
         for (j, row) in rows[..g].iter_mut().enumerate() {
             *row = map.range_slice(first + j);
@@ -523,7 +523,8 @@ mod tests {
             .with(Scatterer::clutter(2.0, 5.0))
             .with(Scatterer::tag(4.0, 1.0, 2083.3));
         let if_data = rx.dechirp_train(&train, &scene, 0.0, &mut NoiseSource::new(7));
-        let map = range_doppler(&align_frame(&RxConfig::default(), &train, &if_data));
+        let frame = align_frame(&RxConfig::default(), &train, &if_data);
+        let map = range_doppler(CommsView::stored(&frame));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut want = Vec::new();
         let mut got = vec![f64::NAN; map.n_range()];

@@ -7,7 +7,7 @@
 //! frequency (OOK, against an adaptive two-level threshold) or a power
 //! comparison between the two subcarriers (FSK).
 
-use super::AlignedFrame;
+use super::CommsView;
 use biscatter_dsp::goertzel::GoertzelCoeffs;
 use biscatter_dsp::Real;
 use std::cell::RefCell;
@@ -39,7 +39,7 @@ pub struct UplinkDecode {
     pub metrics: Vec<f64>,
 }
 
-/// Demodulates the uplink from an aligned frame.
+/// Demodulates the uplink from an aligned frame's comms path.
 ///
 /// * `range_bin` — the tag's range-grid index (from
 ///   [`locate_tag`](super::localize::locate_tag)),
@@ -57,7 +57,7 @@ pub fn chirps_per_bit(bit_duration_s: f64, t_period: f64) -> usize {
 
 /// Returns `None` if the frame is shorter than one bit window.
 pub fn demodulate<T: Real>(
-    frame: &AlignedFrame<T>,
+    comms: CommsView<'_, T>,
     range_bin: usize,
     scheme: UplinkScheme,
     bit_duration_s: f64,
@@ -66,12 +66,10 @@ pub fn demodulate<T: Real>(
     // phase and any residual from background subtraction), widened to f64
     // first so either precision decides through the same filters and
     // thresholds.
-    let amp: Vec<f64> = frame
-        .profiles
-        .iter()
-        .map(|p| p[range_bin].to_f64().abs())
+    let amp: Vec<f64> = (0..comms.n_chirps())
+        .map(|c| comms.at(c, range_bin).to_f64().abs())
         .collect();
-    let t_period = frame.t_period;
+    let t_period = comms.t_period();
     let chirps_per_bit = chirps_per_bit(bit_duration_s, t_period);
     if chirps_per_bit < 2 || amp.len() < chirps_per_bit {
         return None;
@@ -195,7 +193,7 @@ pub(crate) fn two_level_threshold(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::{align_frame, RxConfig};
+    use crate::receiver::{align_frame, AlignedFrame, RxConfig};
     use biscatter_dsp::signal::NoiseSource;
     use biscatter_rf::chirp::Chirp;
     use biscatter_rf::frame::ChirpTrain;
@@ -263,7 +261,7 @@ mod tests {
         // Subcarrier 1302 Hz (bin-friendly), bit = 32 chirps = 3.84 ms.
         let scheme = UplinkScheme::Ook { freq_hz: 1302.0 };
         let (frame, bin) = uplink_frame(&bits, scheme, 32.0 * 120e-6, 0.001, 1);
-        let out = demodulate(&frame, bin, scheme, 32.0 * 120e-6).unwrap();
+        let out = demodulate(CommsView::stored(&frame), bin, scheme, 32.0 * 120e-6).unwrap();
         assert_eq!(out.bits, bits);
     }
 
@@ -272,7 +270,7 @@ mod tests {
         let bits = vec![true, false, true, true, false, true, false, false];
         let scheme = UplinkScheme::Ook { freq_hz: 1302.0 };
         let (frame, bin) = uplink_frame(&bits, scheme, 32.0 * 120e-6, 0.05, 2);
-        let out = demodulate(&frame, bin, scheme, 32.0 * 120e-6).unwrap();
+        let out = demodulate(CommsView::stored(&frame), bin, scheme, 32.0 * 120e-6).unwrap();
         assert_eq!(out.bits, bits);
     }
 
@@ -284,7 +282,7 @@ mod tests {
             freq1_hz: 2083.3,
         };
         let (frame, bin) = uplink_frame(&bits, scheme, 32.0 * 120e-6, 0.01, 3);
-        let out = demodulate(&frame, bin, scheme, 32.0 * 120e-6).unwrap();
+        let out = demodulate(CommsView::stored(&frame), bin, scheme, 32.0 * 120e-6).unwrap();
         assert_eq!(out.bits, bits);
     }
 
@@ -294,7 +292,7 @@ mod tests {
         let scheme = UplinkScheme::Ook { freq_hz: 1302.0 };
         let (frame, bin) = uplink_frame(&bits, scheme, 8.0 * 120e-6, 0.001, 4);
         // Ask for a bit duration longer than the frame.
-        assert!(demodulate(&frame, bin, scheme, 1.0).is_none());
+        assert!(demodulate(CommsView::stored(&frame), bin, scheme, 1.0).is_none());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use biscatter_radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
 use biscatter_radar::receiver::uplink::{demodulate, UplinkScheme};
-use biscatter_radar::receiver::{align_frame, AlignedFrame, RxConfig};
+use biscatter_radar::receiver::{align_frame, AlignedFrame, CommsView, RxConfig};
 use biscatter_rf::chirp::Chirp;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
@@ -127,6 +127,14 @@ fn scene(bits_a: &[bool], bits_b: &[bool]) -> Scene {
 }
 
 fn build_frame() -> (AlignedFrame, RangeDopplerMap) {
+    let frame = aligned(true);
+    let map = range_doppler(CommsView::stored(&frame));
+    (frame, map)
+}
+
+/// The seeded scene's aligned frame, chirp 0 subtracted when
+/// `background_subtraction`.
+fn aligned(background_subtraction: bool) -> AlignedFrame {
     let bits_a = [true, false, true, true];
     let bits_b = [false, true, true, false];
     let chirps = vec![Chirp::new(9e9, 1e9, 96e-6); N_CHIRPS];
@@ -139,11 +147,10 @@ fn build_frame() -> (AlignedFrame, RangeDopplerMap) {
     let if_data = rx.dechirp_train(&train, &scene(&bits_a, &bits_b), 0.0, &mut noise);
     let cfg = RxConfig {
         n_range_bins: 256,
+        background_subtraction,
         ..RxConfig::default()
     };
-    let frame = align_frame(&cfg, &train, &if_data);
-    let map = range_doppler(&frame);
-    (frame, map)
+    align_frame(&cfg, &train, &if_data)
 }
 
 /// The per-tag reference loop the engine must reproduce bit for bit.
@@ -157,8 +164,14 @@ fn sequential(
         .iter()
         .map(|p| {
             let location = locate_tag(map, p.f_mod_hz, min_snr_db);
-            let uplink = location
-                .and_then(|loc| demodulate(frame, loc.range_bin, p.scheme, p.bit_duration_s));
+            let uplink = location.and_then(|loc| {
+                demodulate(
+                    CommsView::stored(frame),
+                    loc.range_bin,
+                    p.scheme,
+                    p.bit_duration_s,
+                )
+            });
             TagDetection { location, uplink }
         })
         .collect()
@@ -186,7 +199,14 @@ fn batched_bit_identical_to_sequential_across_pool_sizes() {
         let mut out = Vec::new();
         // Two passes: cold cache, then warm (the steady-state path).
         for pass in 0..2 {
-            detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+            detect_all(
+                &pool,
+                &mut bank,
+                &map,
+                CommsView::stored(&frame),
+                &mut scratch,
+                &mut out,
+            );
             assert_eq!(
                 out, reference,
                 "batched diverged at {threads} threads (pass {pass})"
@@ -202,7 +222,14 @@ fn empty_bank_clears_output() {
     let mut bank = TagBank::default();
     let mut scratch = MultiTagScratch::default();
     let mut out = vec![TagDetection::default(); 3];
-    detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+    detect_all(
+        &pool,
+        &mut bank,
+        &map,
+        CommsView::stored(&frame),
+        &mut scratch,
+        &mut out,
+    );
     assert!(out.is_empty());
 }
 
@@ -215,13 +242,65 @@ fn set_tags_retargets_the_bank() {
     bank.min_snr_db = MIN_SNR_DB;
     let mut scratch = MultiTagScratch::default();
     let mut out = Vec::new();
-    detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+    detect_all(
+        &pool,
+        &mut bank,
+        &map,
+        CommsView::stored(&frame),
+        &mut scratch,
+        &mut out,
+    );
     assert_eq!(out.len(), all.len());
 
     // Shrink to a different subset: results must equal a fresh sequential
     // run over exactly that subset.
     let subset = vec![all[3], all[1]];
     bank.set_tags(&subset);
-    detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+    detect_all(
+        &pool,
+        &mut bank,
+        &map,
+        CommsView::stored(&frame),
+        &mut scratch,
+        &mut out,
+    );
     assert_eq!(out, sequential(&map, &frame, &subset, MIN_SNR_DB));
+}
+
+/// The frame path's comms path: unsubtracted rows read through a view that
+/// subtracts chirp 0. The map, the engine and the uplink demodulator all
+/// read it exactly as they read the stored, background-subtracted copy.
+#[test]
+fn subtracting_view_matches_stored_background_subtraction() {
+    let (frame, map) = build_frame();
+    let sensing = aligned(false);
+    let comms = CommsView::new(&sensing, true);
+    let profiles = profiles();
+    let reference = sequential(&map, &frame, &profiles, MIN_SNR_DB);
+
+    let view_map = range_doppler(comms);
+    assert_eq!(view_map.n_doppler, map.n_doppler);
+    for d in 0..map.n_doppler {
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(view_map.range_slice(d)),
+            bits(map.range_slice(d)),
+            "Doppler row {d}"
+        );
+    }
+    for (p, want) in profiles.iter().zip(&reference) {
+        if let Some(loc) = want.location {
+            let got = demodulate(comms, loc.range_bin, p.scheme, p.bit_duration_s);
+            assert_eq!(got, want.uplink);
+        }
+    }
+    for threads in [1usize, 2] {
+        let pool = ComputePool::new(threads);
+        let mut bank = TagBank::new(profiles.clone());
+        bank.min_snr_db = MIN_SNR_DB;
+        let mut scratch = MultiTagScratch::default();
+        let mut out = Vec::new();
+        detect_all(&pool, &mut bank, &map, comms, &mut scratch, &mut out);
+        assert_eq!(out, reference, "subtracting view at {threads} threads");
+    }
 }

@@ -26,7 +26,7 @@ use biscatter_obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
 use biscatter_radar::receiver::doppler::range_doppler;
 use biscatter_radar::receiver::multitag::{detect_all, MultiTagScratch, TagBank, TagProfile};
 use biscatter_radar::receiver::uplink::UplinkScheme;
-use biscatter_radar::receiver::{align_frame, RxConfig};
+use biscatter_radar::receiver::{align_frame, CommsView, RxConfig};
 use biscatter_rf::chirp::Chirp;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
@@ -73,7 +73,7 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
         ..RxConfig::default()
     };
     let frame = align_frame(&cfg, &train, &if_data);
-    let map = range_doppler(&frame);
+    let map = range_doppler(CommsView::stored(&frame));
 
     let pool = ComputePool::new(1);
     let mut bank = TagBank::new(profiles);
@@ -82,9 +82,23 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
 
     // Warm-up: builds the bank's plan cache and sizes every scratch slab,
     // score slot, decode buffer, and the thread-local threshold scratch.
-    detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+    detect_all(
+        &pool,
+        &mut bank,
+        &map,
+        CommsView::stored(&frame),
+        &mut scratch,
+        &mut out,
+    );
     let warm = out.clone();
-    detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+    detect_all(
+        &pool,
+        &mut bank,
+        &map,
+        CommsView::stored(&frame),
+        &mut scratch,
+        &mut out,
+    );
     assert_eq!(out, warm, "warm-up detections must be deterministic");
     let located = out.iter().filter(|d| d.location.is_some()).count();
     let decoded = out.iter().filter(|d| d.uplink.is_some()).count();
@@ -96,7 +110,14 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
 
     // Measured steady-state detection, flight-record capture included.
     let ((), n) = counted(|| {
-        detect_all(&pool, &mut bank, &map, &frame, &mut scratch, &mut out);
+        detect_all(
+            &pool,
+            &mut bank,
+            &map,
+            CommsView::stored(&frame),
+            &mut scratch,
+            &mut out,
+        );
         let snr_db = out
             .iter()
             .filter_map(|d| d.location.as_ref().map(|l| l.snr_db))

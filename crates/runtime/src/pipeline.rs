@@ -106,9 +106,9 @@ pub struct Cell {
     /// the global `recorder` table).
     recorder: Arc<FlightRecorder>,
     /// Cached handles to every cumulative shed counter charged to this cell
-    /// (evictions and refusals of the fleet intake and of the streaming
-    /// intake), so capture-time totals are atomic loads — no registry
-    /// lookups on the frame path.
+    /// (evictions and refusals of the streaming intake, and of the fleet
+    /// intake for a cell a fleet feeds), so capture-time totals are atomic
+    /// loads — no registry lookups on the frame path.
     drop_counters: Vec<Counter>,
 }
 
@@ -116,26 +116,44 @@ impl Cell {
     /// A cell whose metrics live under `cell<id>.` (e.g.
     /// `cell3.runtime.queue.intake.depth`, `cell3.arena.isac.maps.*`).
     pub fn new(id: usize, sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
-        Self::with_prefix(id, format!("cell{id}."), sys, cfg)
+        Self::with_prefix(id, format!("cell{id}."), false, sys, cfg)
+    }
+
+    /// A [`Cell::new`] cell that a fleet feeds through its
+    /// `cell<id>.fleet.intake`: its flight records count what that intake
+    /// sheds too. Only such cells register the `fleet.intake.*` counters,
+    /// so a process without a fleet exports none.
+    pub fn fed_by_fleet(id: usize, sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
+        Self::with_prefix(id, format!("cell{id}."), true, sys, cfg)
     }
 
     /// A cell with the legacy unscoped metric names — what the free
     /// [`run_streaming`] uses, and what single-cell processes expect.
     pub fn standalone(sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
-        Self::with_prefix(0, String::new(), sys, cfg)
+        Self::with_prefix(0, String::new(), false, sys, cfg)
     }
 
-    fn with_prefix(id: usize, prefix: String, sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
+    fn with_prefix(
+        id: usize,
+        prefix: String,
+        fleet: bool,
+        sys: BiScatterSystem,
+        cfg: RuntimeConfig,
+    ) -> Self {
         let r = biscatter_obs::registry();
-        let drop_counters = [
-            "fleet.intake.drops",
-            "fleet.intake.rejected",
-            "runtime.queue.intake.drops",
-            "runtime.queue.intake.rejected",
-        ]
-        .iter()
-        .map(|name| r.counter(&format!("{prefix}{name}")))
-        .collect();
+        let fleet_intake: &[&str] = if fleet {
+            &["fleet.intake.drops", "fleet.intake.rejected"]
+        } else {
+            &[]
+        };
+        let drop_counters = fleet_intake
+            .iter()
+            .chain(&[
+                "runtime.queue.intake.drops",
+                "runtime.queue.intake.rejected",
+            ])
+            .map(|name| r.counter(&format!("{prefix}{name}")))
+            .collect();
         Cell {
             recorder: recorder::for_cell(id as u32),
             id,

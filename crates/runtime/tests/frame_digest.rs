@@ -5,10 +5,12 @@
 //! change that moves a bit inside a stage function that both sides of such
 //! a pair share passes all of them. This test replays a few fixed-seed
 //! frames stage by stage and hashes (FNV-1a over `to_bits`) the IF sample
-//! slab, both aligned frames, the range–Doppler power map, and the `Debug`
-//! text of the frame's outcome from `run_frame` / `run_cold_start_frame`
-//! (floats print in their shortest round-tripping form, so the text pins
-//! every bit). The f32 slab, aligned and map constants were recorded before
+//! slab, both receive paths' aligned rows (the comms rows read through
+//! `AlignedPair::comms`, which subtracts chirp 0 on read, so their digest
+//! is the one the stored comms frame had), the range–Doppler power map,
+//! and the `Debug` text of the frame's outcome from `run_frame` /
+//! `run_cold_start_frame` (floats print in their shortest round-tripping
+//! form, so the text pins every bit). The f32 slab, aligned and map constants were recorded before
 //! the f32 and f64 receive chains were merged into one generic
 //! implementation. The f64 constants, and the cold-start f32 outcome (its
 //! acquisition dwell draws f64 noise), were re-recorded when f64 noise moved
@@ -97,7 +99,8 @@ fn rows<'a, T: Bits + 'a>(rows: impl Iterator<Item = &'a [T]>) -> u64 {
     h.0
 }
 
-/// `[IF slab, comms frame, sensing frame, power map, outcome text]`.
+/// `[IF slab, comms rows (through the view), sensing rows, power map,
+/// outcome text]`.
 type Digest = [u64; 5];
 
 /// The pinned frames, each with the system it runs on.
@@ -190,9 +193,14 @@ fn digest<T: Real + Bits>(
     (0..map.n_doppler).for_each(|d| map.range_slice(d).iter().for_each(|v| v.feed(&mut power)));
     let mut text = Fnv::new();
     text.bytes(outcome.as_bytes());
+    let comms = pair.comms();
+    let n_range = pair.sensing.range_grid.len();
+    let comms_rows: Vec<Vec<Complex<T>>> = (0..pair.sensing.n_chirps())
+        .map(|c| comms.segment(c, 0..n_range).collect())
+        .collect();
     [
         rows((0..slab.rows()).map(|r| slab.row(r))),
-        rows(pair.comms.profiles.iter().map(|p| &p[..])),
+        rows(comms_rows.iter().map(|r| &r[..])),
         rows(pair.sensing.profiles.iter().map(|p| &p[..])),
         power.0,
         text.0,
