@@ -25,7 +25,7 @@ use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::dispatch::{tier, SimdTier};
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
-    synthesize_frame, warm_dsp_plans, AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
+    synthesize_frame, warm_dsp_plans, AlignedPair, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::json::Value;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
@@ -81,28 +81,11 @@ fn main() {
     let pooled = ComputePool::new(cores.min(8));
 
     // --- Bit-equality: pooled output must match serial exactly. ----------
-    let arena_a = FrameArena::default();
-    let arena_b = FrameArena::default();
+    let (slabs_a, slabs_b) = (Pool::new(), Pool::new());
     let (mut pair_s, mut map_s) = (AlignedPair::default(), RangeDopplerMap::default());
     let (mut pair_p, mut map_p) = (AlignedPair::default(), RangeDopplerMap::default());
-    hot_stages(
-        &serial,
-        &sys,
-        &synth,
-        &arena_a.if_slabs,
-        &mut pair_s,
-        &mut map_s,
-        1,
-    );
-    hot_stages(
-        &pooled,
-        &sys,
-        &synth,
-        &arena_b.if_slabs,
-        &mut pair_p,
-        &mut map_p,
-        1,
-    );
+    hot_stages(&serial, &sys, &synth, &slabs_a, &mut pair_s, &mut map_s, 1);
+    hot_stages(&pooled, &sys, &synth, &slabs_b, &mut pair_p, &mut map_p, 1);
     // The comms path is read off these rows, so they cover both paths.
     assert_eq!(
         pair_s.sensing.profiles, pair_p.sensing.profiles,
@@ -122,13 +105,13 @@ fn main() {
     );
 
     // --- Steady-state allocation count on the arena path, per precision. -
-    let steady_allocs = steady_state_allocs::<f64>(&serial, &sys, &synth, &arena_a.if_slabs);
+    let steady_allocs = steady_state_allocs::<f64>(&serial, &sys, &synth, &slabs_a);
     println!("steady-state allocations (stages 2-4, arena path): {steady_allocs}");
     assert_eq!(
         steady_allocs, 0,
         "arena frame path allocated in steady state"
     );
-    let steady_allocs_f32 = steady_state_allocs::<f32>(&serial, &sys, &synth, &arena_a.if_slabs32);
+    let steady_allocs_f32 = steady_state_allocs::<f32>(&serial, &sys, &synth, &Pool::new());
     println!("steady-state allocations (stages 2-4, f32 arena path): {steady_allocs_f32}");
     assert_eq!(
         steady_allocs_f32, 0,

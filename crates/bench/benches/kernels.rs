@@ -1,9 +1,10 @@
 //! `cargo bench --bench kernels` — micro-benchmarks of the processing
 //! kernels that dominate both ends of the link: the tag's per-slot symbol
 //! decision (what the MCU runs per bit) and its whole downlink decode, the
-//! single-bin Goertzel, the radar's IF synthesis of a 24-tag frame, the
-//! range FFT + IF correction, the range–Doppler map, and a full end-to-end
-//! downlink frame. The `dsp/` rows also time the kernels whose AVX2 tier is
+//! single-bin Goertzel, the radar's IF synthesis of a 24-tag frame, its
+//! alignment and the fused front end that does both without a slab, the
+//! noise generator's jump to a row start, the range FFT + IF correction,
+//! the range–Doppler map, and a full end-to-end downlink frame. The `dsp/` rows also time the kernels whose AVX2 tier is
 //! the scalar loop compiled with AVX2 on (`round`, `norm_sq_accum`,
 //! `sq_accum`) against the forced scalar tier, so a toolchain that stops
 //! vectorizing one shows as a `scalar÷tier` ratio near 1, the first FFT
@@ -26,7 +27,9 @@ use biscatter_core::dsp::planner::{first_stage, FftPlan};
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::simd;
 use biscatter_core::dsp::Cpx;
-use biscatter_core::isac::{dechirp_stage_into, synthesize_frame};
+use biscatter_core::isac::{
+    align_stage_into, dechirp_stage_into, front_end_stage_into, synthesize_frame, AlignedPair,
+};
 use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
 use biscatter_core::radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
 use biscatter_core::radar::receiver::{
@@ -206,14 +209,71 @@ fn main() {
 
     // The radar's IF synthesis of one frame of the paper's §5 dense
     // deployment: 24 tags toggling their switches, the `warehouse_k24` frame
-    // `frame_digest.rs` pins, on a 1-thread pool into one reused slab.
+    // `frame_digest.rs` pins, into one reused slab, then its alignment; and
+    // the fused front end that runs both without the slab, into a reused
+    // pair. On a 1-thread pool (as a cell runs them) and on 2 threads.
+    // The three rows are sampled interleaved, and the last line is the
+    // paired ratio of the fused front end to the two stages it replaces.
     let job = multi_tag_jobs(&sys, 1, 24, 11).remove(0);
     let synth = synthesize_frame(&sys, &job.scenario, &job.payload, job.seed);
+    for threads in [1, 2] {
+        let suffix = if threads == 1 { "" } else { "/2threads" };
+        let names = ["rf/dechirp_k24", "radar/align_k24", "rf/receive_k24"];
+        if !names.iter().any(|n| args.wants(&format!("{n}{suffix}"))) {
+            continue;
+        }
+        let pool = ComputePool::new(threads);
+        let slab = RefCell::new(SampleSlab::<f64>::new());
+        let (mut two, mut fused) = (AlignedPair::<f64>::default(), AlignedPair::<f64>::default());
+        let times = slow.interleave(&mut [
+            &mut || {
+                let mut slab = slab.borrow_mut();
+                dechirp_stage_into(&pool, &sys, &synth.train, &synth.scene, job.seed, &mut slab);
+            },
+            &mut || align_stage_into(&pool, &sys, &synth.train, &slab.borrow(), &mut two),
+            &mut || {
+                front_end_stage_into(
+                    &pool,
+                    &sys,
+                    &synth.train,
+                    &synth.scene,
+                    job.seed,
+                    &mut fused,
+                );
+            },
+        ]);
+        for (name, t) in names.iter().zip(&times) {
+            println!("{:<40} {t}", format!("{name}{suffix}"));
+        }
+        let two_stage = times[0].paired(&times[1], |d, a| d + a);
+        let ratio = times[2].paired(&two_stage, |f, t| f / t);
+        println!(
+            "{:<40} {:.3}× [{:.3}, {:.3}]",
+            format!("rf/receive_k24{suffix}÷two_stage"),
+            ratio.median(),
+            ratio.quantile(0.25),
+            ratio.quantile(0.75)
+        );
+    }
     let pool = ComputePool::new(1);
-    let mut slab = SampleSlab::<f64>::new();
-    row(&args, &slow, "rf/dechirp_k24", || {
-        dechirp_stage_into(&pool, &sys, &synth.train, &synth.scene, job.seed, &mut slab);
-        black_box(slab.row(0)[0])
+
+    // The cost of placing a row's IF noise: one jump of the generator to a
+    // row start of that frame, through the table of powers.
+    let mut at = 0u64;
+    let row_starts: Vec<u64> = synth
+        .train
+        .slots()
+        .iter()
+        .map(|s| {
+            at += s.chirp.if_samples(sys.rx.if_sample_rate) as u64;
+            at
+        })
+        .collect();
+    let mut next = row_starts.iter().cycle();
+    row(&args, &fast, "dsp/noise_skip", || {
+        let mut noise = NoiseSource::new(7);
+        noise.jump(black_box(*next.next().expect("cycles")));
+        noise
     });
 
     let chirps = vec![sys.alphabet.chirp_for(DownlinkSymbol::Header); 64];

@@ -28,11 +28,13 @@ use std::time::{Duration, Instant};
 
 use biscatter_bench::harness::{self, Args, Fields, Sampler, Samples};
 use biscatter_bench::hot_stages;
+use biscatter_core::dsp::arena::Pool;
 use biscatter_core::isac::{
-    synthesize_frame, warm_dsp_plans, AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
+    synthesize_frame, warm_dsp_plans, AlignedPair, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
+use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::compute::ComputePool;
 use biscatter_runtime::obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
@@ -42,15 +44,16 @@ use biscatter_runtime::obs::trace::{self, TraceCollector};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One frame through the hot stages on the arena path, into `out`.
+/// One frame through the hot stages, its IF slab leased from `slabs`, into
+/// `out`.
 fn frame(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    arena: &FrameArena,
+    slabs: &Pool<SampleSlab>,
     out: &mut (AlignedPair, RangeDopplerMap),
 ) {
-    hot_stages(pool, sys, synth, &arena.if_slabs, &mut out.0, &mut out.1, 1);
+    hot_stages(pool, sys, synth, slabs, &mut out.0, &mut out.1, 1);
     black_box(out.1.at(0, 0));
 }
 
@@ -102,7 +105,7 @@ fn main() {
     let synth = synthesize_frame(&sys, &scenario, b"CMD1", 7);
     warm_dsp_plans(&sys);
     let pool = ComputePool::new(1);
-    let arena = FrameArena::default();
+    let slabs = Pool::new();
     let mut fields = Fields::default();
     let (mut a, mut b) = (Default::default(), Default::default());
 
@@ -113,11 +116,11 @@ fn main() {
     let rows = sampler.interleave(&mut [
         &mut || {
             trace::set_enabled(false);
-            frame(&pool, &sys, &synth, &arena, &mut a);
+            frame(&pool, &sys, &synth, &slabs, &mut a);
         },
         &mut || {
             trace::set_enabled(true);
-            frame(&pool, &sys, &synth, &arena, &mut b);
+            frame(&pool, &sys, &synth, &slabs, &mut b);
         },
     ]);
     put_pair(
@@ -130,8 +133,8 @@ fn main() {
     // The frames above were the warm-up; a further frame must not touch the
     // heap even while recording spans.
     trace::set_enabled(true);
-    frame(&pool, &sys, &synth, &arena, &mut a);
-    let ((), traced_allocs) = counted(|| frame(&pool, &sys, &synth, &arena, &mut a));
+    frame(&pool, &sys, &synth, &slabs, &mut a);
+    let ((), traced_allocs) = counted(|| frame(&pool, &sys, &synth, &slabs, &mut a));
     println!("steady-state allocations with tracing enabled: {traced_allocs}");
     assert_eq!(
         traced_allocs, 0,
@@ -141,7 +144,7 @@ fn main() {
     // Span volume + export cost: how many spans one frame records, and what
     // draining + rendering the Chrome trace costs.
     TraceCollector::drain(); // reset rings
-    frame(&pool, &sys, &synth, &arena, &mut a);
+    frame(&pool, &sys, &synth, &slabs, &mut a);
     let t0 = Instant::now();
     let collector = TraceCollector::drain();
     let spans_per_frame = collector.span_count();
@@ -160,9 +163,9 @@ fn main() {
     let recorder = FlightRecorder::with_capacity(0, 1024);
     let mut frame_id = 0;
     let rows = sampler.interleave(&mut [
-        &mut || frame(&pool, &sys, &synth, &arena, &mut a),
+        &mut || frame(&pool, &sys, &synth, &slabs, &mut a),
         &mut || {
-            frame(&pool, &sys, &synth, &arena, &mut b);
+            frame(&pool, &sys, &synth, &slabs, &mut b);
             frame_id += 1;
             recorder.record(flight_record(frame_id, 1_000_000));
         },
@@ -176,7 +179,7 @@ fn main() {
     // Recorder zero-alloc audit: the capture must ride the frame without
     // touching the heap (the ring was preallocated above).
     let ((), recorder_allocs) = counted(|| {
-        frame(&pool, &sys, &synth, &arena, &mut a);
+        frame(&pool, &sys, &synth, &slabs, &mut a);
         recorder.record(flight_record(u64::MAX, 1));
     });
     println!("steady-state allocations with tracing + flight recorder: {recorder_allocs}");
@@ -222,11 +225,11 @@ fn main() {
     let rows = sampler.interleave(&mut [
         &mut || {
             polling.store(false, Ordering::Relaxed);
-            frame(&pool, &sys, &synth, &arena, &mut a);
+            frame(&pool, &sys, &synth, &slabs, &mut a);
         },
         &mut || {
             polling.store(true, Ordering::Relaxed);
-            frame(&pool, &sys, &synth, &arena, &mut b);
+            frame(&pool, &sys, &synth, &slabs, &mut b);
         },
     ]);
     stop.store(true, Ordering::Relaxed);

@@ -27,6 +27,7 @@ use biscatter_dsp::signal::NoiseSource;
 use biscatter_dsp::{simd, Real};
 use biscatter_link::packet::DownlinkPacket;
 use biscatter_obs::recorder::StageNanos;
+use biscatter_obs::trace;
 use biscatter_radar::receiver::acquire::{
     acquire_all, block_fft_len, AcquireConfig, AcquireScratch, Acquisition, CorrelatorBank,
     HypothesisScore, SlopeHypothesis,
@@ -37,7 +38,9 @@ use biscatter_radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
 use biscatter_radar::receiver::uplink::{demodulate, UplinkScheme};
-use biscatter_radar::receiver::{align_frame_into, AlignedFrame, CommsView, RxConfig};
+use biscatter_radar::receiver::{
+    align_frame_into, receive_frame_into, AlignedFrame, CommsView, FrontEndSplit, RxConfig,
+};
 use biscatter_radar::sensing::{CfarDetector, Detection};
 use biscatter_radar::sequencer::isac_frame;
 use biscatter_rf::frame::ChirpTrain;
@@ -46,6 +49,7 @@ use biscatter_rf::scene::{Scatterer, Scene, TagModulation};
 use biscatter_rf::slab::SampleSlab;
 use biscatter_tag::decoder::DownlinkDecoder;
 use precision::PrecisionTier;
+use std::cell::Cell;
 use std::time::Instant;
 
 pub mod precision;
@@ -297,17 +301,17 @@ impl<T: Real> AlignedPair<T> {
 /// the next stage has consumed it. Clones share the underlying free lists,
 /// so one arena can serve every frame worker of a cell.
 ///
-/// After a warm-up frame has sized every buffer, stages 2–4 (dechirp →
-/// align → doppler) perform **no heap allocation** on a 1-thread pool: all
-/// sample slabs, profile rows, power slabs, and FFT scratch are reused. (A
-/// multi-thread pool additionally allocates a handful of small control
-/// blocks per parallel region; stages 1 and 5 build fresh outputs — packets,
-/// detections — by design.)
+/// After a warm-up frame has sized every buffer, stages 2–4 (the fused
+/// dechirp + align front end, then doppler) perform **no heap allocation**
+/// on a 1-thread pool: profile rows, power slabs, the per-thread IF row
+/// and FFT scratch are reused. No frame holds a slab of IF samples: each
+/// chirp's samples live in a per-thread row from synthesis through its
+/// range FFT. (A multi-thread pool additionally allocates a handful of
+/// small control blocks per parallel region; stages 1 and 5 build fresh
+/// outputs — packets, detections — by design.)
 #[derive(Debug, Clone)]
 pub struct FrameArena {
-    /// Stage 2 IF sample slabs.
-    pub if_slabs: Pool<SampleSlab>,
-    /// Stage 3 aligned frame pairs.
+    /// Stage 2–3 aligned frame pairs.
     pub aligned: Pool<AlignedPair>,
     /// Stage 4 range–Doppler maps.
     pub maps: Pool<RangeDopplerMap>,
@@ -318,10 +322,8 @@ pub struct FrameArena {
     pub banks: Pool<TagBank>,
     /// Stage 5 multi-tag batch scratch (band/score/amplitude slabs).
     pub multitag: Pool<MultiTagScratch>,
-    /// Stage 2 IF sample slabs for the f32 fast tier (unused — and unsized —
-    /// when every frame runs the f64 oracle path).
-    pub if_slabs32: Pool<SampleSlab<f32>>,
-    /// Stage 3 aligned frame pairs for the f32 fast tier.
+    /// Stage 2–3 aligned frame pairs for the f32 fast tier (unused — and
+    /// unsized — when every frame runs the f64 oracle path).
     pub aligned32: Pool<AlignedPair<f32>>,
     /// Cold-start acquisition dwell captures.
     pub captures: Pool<Vec<f64>>,
@@ -351,19 +353,23 @@ impl FrameArena {
             Pool::named_at(&format!("{prefix}arena.isac.{name}"))
         }
         FrameArena {
-            if_slabs: at(prefix, "if_slabs"),
             aligned: at(prefix, "aligned"),
             maps: at(prefix, "maps"),
             scratch: at(prefix, "scratch"),
             banks: at(prefix, "banks"),
             multitag: at(prefix, "multitag"),
-            if_slabs32: at(prefix, "if_slabs32"),
             aligned32: at(prefix, "aligned32"),
             captures: at(prefix, "captures"),
             acq_banks: at(prefix, "acq_banks"),
             acquire: at(prefix, "acquire"),
         }
     }
+}
+
+thread_local! {
+    /// The tag's envelope capture of the frame being synthesized on this
+    /// thread, its capacity reused by the next.
+    static CAPTURE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Stage 1 — frame synthesis: builds the chirp train, runs the tag-side
@@ -383,11 +389,12 @@ pub fn synthesize_frame(
     // --- Tag side: decode the downlink. ---
     let mut tag_noise = NoiseSource::new(seed);
     let snr_db = sys.downlink_snr_at(scenario.tag_range_m);
-    let adc_stream = sys
-        .front_end
-        .capture_train(&train, snr_db, 0.0, &mut tag_noise);
+    let mut adc_stream = CAPTURE.take();
+    sys.front_end
+        .capture_train_into(&train, snr_db, 0.0, &mut tag_noise, &mut adc_stream);
     let decoder = DownlinkDecoder::new(sys.nominal_decider());
     let received = decoder.decode(&adc_stream, Some(payload.len()));
+    CAPTURE.set(adc_stream);
     let downlink = FrameOutcome::new(payload, received.ok().and_then(|r| r.payload.ok()));
 
     // --- Radar-side scene. ---
@@ -469,14 +476,36 @@ fn tag_modulation(
     }
 }
 
+/// The radar's IF receiver for `sys`, and the frame's IF noise stream.
+fn if_receiver(sys: &BiScatterSystem, seed: u64) -> (IfReceiver, NoiseSource) {
+    let rx = IfReceiver {
+        sample_rate_hz: sys.rx.if_sample_rate,
+        noise_sigma: 1.0,
+    };
+    (rx, NoiseSource::new(seed ^ 0x5EED_0F1F_2F3F))
+}
+
+/// The receive config both paths align with: the sensing rows, without
+/// background subtraction (the comms path subtracts on read).
+fn sensing_config(sys: &BiScatterSystem) -> RxConfig {
+    RxConfig {
+        background_subtraction: false,
+        ..sys.rx.clone()
+    }
+}
+
 /// Stage 2 — dechirp / IF generation: the radar mixes the scene's
 /// reflection of every chirp down to IF samples, writing into a reusable
 /// sample slab in precision `T` and fanning chirp synthesis across `pool`
-/// (noise stays serial, so results are bit-identical to the serial path for
-/// any worker count). Chirp geometry runs in f64 either way, and both
-/// precisions draw the same noise deviates (rounded once to f32 on that
-/// tier); the f32 tones carry single precision rounding, so cross-tier
-/// agreement is statistical at operating SNR, not per-sample.
+/// (each row draws its noise from its own place in the stream, so results
+/// are bit-identical to the serial path for any worker count). Chirp
+/// geometry runs in f64 either way, and both precisions draw the same noise
+/// deviates (rounded once to f32 on that tier); the f32 tones carry single
+/// precision rounding, so cross-tier agreement is statistical at operating
+/// SNR, not per-sample.
+///
+/// With [`align_stage_into`] this is the two-stage reference of
+/// [`front_end_stage_into`], which [`run_frame`] runs instead.
 pub fn dechirp_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
@@ -486,12 +515,46 @@ pub fn dechirp_stage_into<T: Real>(
     out: &mut SampleSlab<T>,
 ) {
     let _span = biscatter_obs::span!("isac.dechirp");
-    let rx = IfReceiver {
-        sample_rate_hz: sys.rx.if_sample_rate,
-        noise_sigma: 1.0,
-    };
-    let mut if_noise = NoiseSource::new(seed ^ 0x5EED_0F1F_2F3F);
+    let (rx, mut if_noise) = if_receiver(sys, seed);
     rx.dechirp_train_into(pool, train, scene, 0.0, &mut if_noise, out);
+}
+
+/// Stages 2 and 3 fused — the radar front end without a slab of IF
+/// samples: each chirp is synthesized, noised and range-transformed in one
+/// pass into `out`'s rows ([`receive_frame_into`]), bit for bit what
+/// [`dechirp_stage_into`] followed by [`align_stage_into`] leave in the
+/// pair.
+///
+/// The two stages' trace spans, `isac.dechirp` then `isac.align`, split
+/// the front end's wall time in the ratio of its rows' synthesis and
+/// transform time ([`FrontEndSplit::divide`]); the split is returned for
+/// the flight record.
+pub fn front_end_stage_into<T: Real>(
+    pool: &ComputePool,
+    sys: &BiScatterSystem,
+    train: &ChirpTrain,
+    scene: &Scene,
+    seed: u64,
+    out: &mut AlignedPair<T>,
+) -> FrontEndSplit {
+    let (frame_id, t0) = (trace::current_frame(), trace::now_ns());
+    let (rx, mut if_noise) = if_receiver(sys, seed);
+    let cfg = sensing_config(sys);
+    let split = receive_frame_into(
+        pool,
+        &cfg,
+        &rx,
+        train,
+        scene,
+        &mut if_noise,
+        &mut out.sensing,
+    );
+    out.subtract_background = sys.rx.background_subtraction;
+    let wall = trace::now_ns().saturating_sub(t0);
+    let (dechirp, align) = split.divide(wall);
+    trace::record_span("isac.dechirp", frame_id, t0, dechirp);
+    trace::record_span("isac.align", frame_id, t0 + dechirp, align);
+    split
 }
 
 /// Stage 3 — align + IF correction: per-chirp range FFTs resampled onto the
@@ -511,11 +574,7 @@ pub fn align_stage_into<T: Real>(
     out: &mut AlignedPair<T>,
 ) {
     let _span = biscatter_obs::span!("isac.align");
-    let sensing_cfg = RxConfig {
-        background_subtraction: false,
-        ..sys.rx.clone()
-    };
-    align_frame_into(pool, &sensing_cfg, train, if_data, &mut out.sensing);
+    align_frame_into(pool, &sensing_config(sys), train, if_data, &mut out.sensing);
     out.subtract_background = sys.rx.background_subtraction;
 }
 
@@ -638,8 +697,9 @@ pub fn detect_stage_multi<T: Real>(
 }
 
 /// Runs one integrated frame: the allocating composition of the five stages
-/// on the global pool, with fresh buffers — the f64 reference that
-/// [`run_frame`] is tested against.
+/// on the global pool, with fresh buffers and the two-stage front end
+/// ([`dechirp_stage_into`], then [`align_stage_into`]) — the f64 reference
+/// that [`run_frame`] is tested against.
 pub fn run_isac_frame(
     sys: &BiScatterSystem,
     scenario: &IsacScenario,
@@ -719,33 +779,18 @@ pub fn run_frame(
 ) -> IsacOutcome {
     let arena = ctx.arena;
     if ctx.tier == PrecisionTier::F32 && scenario.extra_tags.is_empty() {
-        run_stages(
-            ctx,
-            &arena.if_slabs32,
-            &arena.aligned32,
-            scenario,
-            payload,
-            seed,
-            times,
-        )
+        run_stages(ctx, &arena.aligned32, scenario, payload, seed, times)
     } else {
-        run_stages(
-            ctx,
-            &arena.if_slabs,
-            &arena.aligned,
-            scenario,
-            payload,
-            seed,
-            times,
-        )
+        run_stages(ctx, &arena.aligned, scenario, payload, seed, times)
     }
 }
 
-/// The stage sequence of [`run_frame`] in precision `T`, leasing the slab
-/// and pair buffers of that precision from `slabs` / `aligned`.
+/// The stage sequence of [`run_frame`] in precision `T`, leasing the pair
+/// buffers of that precision from `aligned`. The fused front end's wall
+/// time is split into the record's `dechirp` and `align` in the ratio its
+/// rows spent synthesizing and transforming ([`FrontEndSplit::divide`]).
 fn run_stages<T: Real>(
     ctx: &FrameCtx,
-    slabs: &Pool<SampleSlab<T>>,
     aligned: &Pool<AlignedPair<T>>,
     scenario: &IsacScenario,
     payload: &[u8],
@@ -757,13 +802,9 @@ fn run_stages<T: Real>(
     let synth = synthesize_frame(sys, scenario, payload, seed);
     times.synthesize = lap();
 
-    let mut if_slab = slabs.take_or(SampleSlab::new);
-    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut if_slab);
-    times.dechirp = lap();
     let mut pair = aligned.take_or(AlignedPair::default);
-    align_stage_into(pool, sys, &synth.train, &*if_slab, &mut pair);
-    drop(if_slab);
-    times.align = lap();
+    let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut pair);
+    (times.dechirp, times.align) = split.divide(lap());
     let mut map = arena.maps.take_or(RangeDopplerMap::default);
     doppler_stage_into(pool, &pair, &mut map);
     times.doppler = lap();

@@ -1,15 +1,17 @@
 //! Steady-state allocation audit for the arena frame path.
 //!
-//! DESIGN.md §10 claims that after warm-up, the frame hot path — dechirp →
-//! align → doppler, stages 2–4 — performs **no heap allocation** on a
-//! 1-thread pool: sample slabs, profile rows, power slabs, and all FFT /
-//! resample scratch are recycled through the [`FrameArena`] and thread-local
-//! caches. This test enforces the claim with a counting global allocator:
-//! two warm-up frames size every buffer, then a third frame must allocate
-//! exactly zero times on the measuring thread. The stages are generic over
-//! the sample precision, so the same audited window runs once per
-//! instantiation: f64 (the oracle) and f32 (the fast tier), each leasing
-//! from its own arena pools.
+//! DESIGN.md §10 claims that after warm-up, the frame hot path — the fused
+//! dechirp + align front end, then doppler, stages 2–4 — performs **no heap
+//! allocation** on a 1-thread pool: profile rows, power slabs, the
+//! per-thread IF row and all FFT / resample scratch are recycled through
+//! the [`FrameArena`] and thread-local caches. This test enforces the claim
+//! with a counting global allocator: two warm-up frames size every buffer,
+//! then a third frame must allocate exactly zero times on the measuring
+//! thread. The stages are generic over the sample precision, so the same
+//! audited window runs once per instantiation: f64 (the oracle) and f32
+//! (the fast tier), each leasing from its own arena pools. The two-stage
+//! reference (dechirp into a slab, then align) keeps the same audit, its
+//! slab leased from a pool of the test's own.
 //!
 //! Tracing is **enabled** for the whole test: the obs layer promises that
 //! enabled-path span recording never allocates in steady state (the
@@ -32,8 +34,8 @@ use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     acquire_config, acquire_hypotheses, align_stage_into, dechirp_stage_into, doppler_stage_into,
-    synthesize_cold_start_capture, synthesize_frame, warm_acquire_plans, warm_dsp_plans,
-    AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
+    front_end_stage_into, synthesize_cold_start_capture, synthesize_frame, warm_acquire_plans,
+    warm_dsp_plans, AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::link::packet::DownlinkPacket;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
@@ -48,9 +50,28 @@ use biscatter_rf::slab::SampleSlab;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Stages 2–4 of one frame in precision `T`, leasing every buffer from the
-/// arena pools of that precision; returns one map cell as a checksum.
-fn hot_stages<T: Real>(
+/// Stages 2–4 of one frame in precision `T` as `run_frame` runs them: the
+/// fused front end into a pair leased from the arena, then Doppler; returns
+/// one map cell as a checksum.
+fn fused_stages<T: Real>(
+    pool: &ComputePool,
+    sys: &BiScatterSystem,
+    synth: &SynthesizedFrame,
+    aligned: &Pool<AlignedPair<T>>,
+    maps: &Pool<RangeDopplerMap>,
+    seed: u64,
+) -> f64 {
+    let mut pair = aligned.take_or(AlignedPair::default);
+    front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut pair);
+    let mut map = maps.take_or(RangeDopplerMap::default);
+    doppler_stage_into(pool, &pair, &mut map);
+    map.at(0, 0)
+}
+
+/// The same stages through the two-stage reference: the IF slab leased
+/// from `slabs` (a pool of the test's own; frames keep no slab), then
+/// align and Doppler.
+fn two_stages<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
@@ -77,25 +98,28 @@ fn steady_state_frame_stages_allocate_nothing() {
     let scenario = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_office_clutter();
     let synth = synthesize_frame(&sys, &scenario, b"CMD1", 7);
     let arena = FrameArena::default();
+    let (slabs, slabs32) = (Pool::new(), Pool::new());
     warm_dsp_plans(&sys);
 
-    let f64_frame = |seed| {
-        hot_stages(
+    let f64_frame = |seed| fused_stages(&pool, &sys, &synth, &arena.aligned, &arena.maps, seed);
+    let f32_frame = |seed| fused_stages(&pool, &sys, &synth, &arena.aligned32, &arena.maps, seed);
+    let f64_two = |seed| {
+        two_stages(
             &pool,
             &sys,
             &synth,
-            &arena.if_slabs,
+            &slabs,
             &arena.aligned,
             &arena.maps,
             seed,
         )
     };
-    let f32_frame = |seed| {
-        hot_stages(
+    let f32_two = |seed| {
+        two_stages(
             &pool,
             &sys,
             &synth,
-            &arena.if_slabs32,
+            &slabs32,
             &arena.aligned32,
             &arena.maps,
             seed,
@@ -113,6 +137,18 @@ fn steady_state_frame_stages_allocate_nothing() {
         warm32_a, warm32_b,
         "f32 warm-up frames must be deterministic"
     );
+    for _ in 0..2 {
+        assert_eq!(
+            f64_two(1).to_bits(),
+            warm_b.to_bits(),
+            "two-stage f64 differs"
+        );
+        assert_eq!(
+            f32_two(1).to_bits(),
+            warm32_b.to_bits(),
+            "two-stage f32 differs"
+        );
+    }
 
     // The flight recorder rides the frame path (the runtime records one
     // `FrameRecord` per frame at capture time), so it is audited inside the
@@ -150,7 +186,7 @@ fn steady_state_frame_stages_allocate_nothing() {
     assert_eq!(measured, warm_b, "measured frame must match warm-up output");
     assert_eq!(
         n, 0,
-        "steady-state dechirp/align/doppler + flight recorder performed {n} heap allocations"
+        "steady-state front end/doppler + flight recorder performed {n} heap allocations"
     );
     assert_eq!(recorder.total_recorded(), 8);
     assert_eq!(recorder.overwritten(), 4);
@@ -160,8 +196,21 @@ fn steady_state_frame_stages_allocate_nothing() {
     assert_eq!(measured, warm32_b, "measured f32 frame must match warm-up");
     assert_eq!(
         n, 0,
-        "steady-state f32 dechirp/align/doppler performed {n} heap allocations"
+        "steady-state f32 front end/doppler performed {n} heap allocations"
     );
+
+    // And on the two-stage reference, slab and all, in both precisions.
+    for (name, frame, want) in [
+        ("f64", &f64_two as &dyn Fn(u64) -> f64, warm_b),
+        ("f32", &f32_two, warm32_b),
+    ] {
+        let (measured, n) = counted(|| frame(1));
+        assert_eq!(measured, want, "measured two-stage {name} frame");
+        assert_eq!(
+            n, 0,
+            "steady-state two-stage {name} dechirp/align/doppler performed {n} heap allocations"
+        );
+    }
 
     // Same audit for acquisition stage 0: after warm-up, the correlator
     // bank over a dwell — block spectra, overlap-save correlation folded
@@ -192,14 +241,15 @@ fn steady_state_frame_stages_allocate_nothing() {
         "steady-state acquisition performed {n} heap allocations"
     );
 
-    // The tag's downlink decode is bounded rather than zero: it owns a few
-    // buffers (the period search's envelope, the slot-timing tables, one
-    // decision bank, the hypotheses' symbols) and returns fresh vectors, but
-    // after warm-up (which fills this thread's Hann window cache and leaves
-    // a dropped bank's batch scratch for the next one) it must not allocate
-    // per slot, per batch, per hypothesis or per candidate. The same payload
-    // in a 32-chirp and a 128-chirp frame must stay under one bound, tight
-    // enough that a buffer allocated per slot or per batch fails it.
+    // The tag's downlink decode is bounded rather than zero: it returns
+    // fresh vectors (the symbol stream, the parsed payload and what the
+    // parser builds them from), but after warm-up (which sizes this
+    // thread's search buffers, batch layout and decision table, and builds
+    // the decider's banks, which later decodes find cached) it must not
+    // allocate a working buffer, a bank, or anything per slot, per batch,
+    // per hypothesis or per candidate. The same payload in a 32-chirp and a
+    // 128-chirp frame must stay under one bound: the five allocations a
+    // decode makes.
     let decoder = DownlinkDecoder::new(sys.nominal_decider());
     for chirps in [32, 128] {
         let packet = DownlinkPacket::new(b"CMD1".to_vec());
@@ -213,7 +263,7 @@ fn steady_state_frame_stages_allocate_nothing() {
         assert_eq!(measured.payload.as_deref(), Ok(&b"CMD1"[..]));
         assert_eq!(measured.symbols, warm.symbols);
         assert!(
-            n <= 32,
+            n <= 5,
             "decoding a {chirps}-chirp capture performed {n} heap allocations"
         );
     }

@@ -35,12 +35,14 @@ impl SinglePoleLowPass {
 }
 
 /// Moving-average smoother over a fixed window, same-length output (the
-/// leading edge averages over the partial window).
-pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
+/// leading edge averages over the partial window), into a reusable buffer
+/// (cleared first).
+pub fn moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
+    out.clear();
     if window <= 1 || signal.is_empty() {
-        return signal.to_vec();
+        out.extend_from_slice(signal);
+        return;
     }
-    let mut out = Vec::with_capacity(signal.len());
     let mut acc = 0.0;
     for i in 0..signal.len() {
         acc += signal[i];
@@ -50,7 +52,6 @@ pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
         let count = (i + 1).min(window);
         out.push(acc / count as f64);
     }
-    out
 }
 
 #[cfg(test)]
@@ -83,6 +84,12 @@ mod tests {
         let mut f = SinglePoleLowPass::from_cutoff(1e3, fs);
         let dc: Vec<f64> = (0..5000).map(|_| f.process(1.0)).collect();
         assert!((dc[4999] - 1.0).abs() < 1e-3);
+    }
+
+    fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; 2];
+        moving_average_into(signal, window, &mut out);
+        out
     }
 
     #[test]

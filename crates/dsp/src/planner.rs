@@ -539,6 +539,8 @@ pub struct FftPlanner<T: Real = f64> {
     cpx_scratch: Vec<Complex<T>>,
     /// Table buffer lent out by [`FftPlanner::take_table`].
     table: Vec<T>,
+    /// Row buffer lent out by [`FftPlanner::take_row`].
+    row: Vec<T>,
 }
 
 impl<T: Real> FftPlanner<T> {
@@ -660,6 +662,20 @@ impl<T: Real> FftPlanner<T> {
     /// Returns the buffer [`FftPlanner::take_table`] lent.
     pub fn put_table(&mut self, table: Vec<T>) {
         self.table = table;
+    }
+
+    /// Lends this thread's row buffer by value (contents unspecified,
+    /// capacity kept from earlier frames): one row that this thread fills
+    /// through code that borrows the planner itself, then transforms — a
+    /// synthesized IF row before its range FFT. It comes back through
+    /// [`FftPlanner::put_row`].
+    pub fn take_row(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.row)
+    }
+
+    /// Returns the buffer [`FftPlanner::take_row`] lent.
+    pub fn put_row(&mut self, row: Vec<T>) {
+        self.row = row;
     }
 
     /// [`FftPlanner::with_real_scratch`] for a complex buffer: per-thread

@@ -10,6 +10,7 @@
 
 use crate::real::Real;
 use crate::TAU;
+use std::sync::OnceLock;
 
 /// Generates `n` samples of `amp * cos(2 pi f t + phase)` at sample rate `fs`.
 pub fn tone(n: usize, f: f64, fs: f64, amp: f64, phase: f64) -> Vec<f64> {
@@ -50,12 +51,33 @@ impl NoiseSource {
     /// Next raw u64 from xorshift64*.
     #[inline]
     fn next_u64(&mut self) -> u64 {
+        self.state = xorshift(self.state);
+        self.state.wrapping_mul(0x2545F4914F6CDD1D)
+    }
+
+    /// Advances the generator `k` draws: afterwards it gives what it would
+    /// have given after `k` calls to [`NoiseSource::gaussian`] (or `k`
+    /// samples of [`NoiseSource::add_awgn`]), without drawing them.
+    ///
+    /// The state update is linear over GF(2), so `k` steps are one 64×64
+    /// bit-matrix power of the state. Each set bit `i < JUMP_BITS` of `k`
+    /// applies the tabulated power `2^i`, and each further 2^16 draws
+    /// apply the largest power twice. So a stream of noise can be cut into
+    /// stretches that are filled in any order, on any thread, each from its
+    /// own place in the stream, and still give the serial fill's bits.
+    pub fn jump(&mut self, k: u64) {
+        let table = jump_table();
         let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
+        for (i, power) in table.iter().enumerate() {
+            if k >> i & 1 == 1 {
+                x = power.apply(x);
+            }
+        }
+        let top = &table[JUMP_BITS - 1];
+        for _ in 0..k >> JUMP_BITS {
+            x = top.apply(top.apply(x));
+        }
         self.state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
     /// Uniform sample in `(0, 1)` (never exactly 0 or 1, safe for `ln`).
@@ -96,6 +118,68 @@ impl NoiseSource {
             *s += T::from_f64(self.gaussian() * sigma);
         }
     }
+}
+
+/// One xorshift64 step: the generator's state update, before the output
+/// multiply.
+#[inline]
+fn xorshift(mut x: u64) -> u64 {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    x
+}
+
+/// Powers of two a [`NoiseSource::jump`] takes from the table: a jump
+/// below 2^16 draws is at most 16 table products, and a frame's row starts
+/// (about 2^17 samples on the widest frames) a few more.
+const JUMP_BITS: usize = 16;
+
+/// A 64×64 bit matrix over GF(2), stored as sixteen lookup tables, one per
+/// nibble of the input: `nib[p][v]` is the XOR of the matrix columns
+/// `4p..4p + 4` that the set bits of `v` select. A product is sixteen
+/// lookups and XORs.
+struct BitMatrix {
+    nib: [[u64; 16]; 16],
+}
+
+impl BitMatrix {
+    /// The matrix with columns `col` (`col[j]` is the image of bit `j`).
+    fn from_columns(col: impl Fn(usize) -> u64) -> Self {
+        let mut nib = [[0u64; 16]; 16];
+        for (p, t) in nib.iter_mut().enumerate() {
+            for v in 1..16usize {
+                t[v] = t[v & (v - 1)] ^ col(4 * p + v.trailing_zeros() as usize);
+            }
+        }
+        BitMatrix { nib }
+    }
+
+    /// The matrix times the state `x`.
+    #[inline]
+    fn apply(&self, x: u64) -> u64 {
+        self.nib
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (p, t)| acc ^ t[(x >> (4 * p)) as usize & 15])
+    }
+}
+
+/// The state update to the powers `2^0 ..= 2^(JUMP_BITS − 1)`, built once
+/// per process (32 KiB): the first from the update's action on each bit,
+/// each next one by squaring, column by column, through the previous one's
+/// tables.
+fn jump_table() -> &'static [BitMatrix] {
+    static TABLE: OnceLock<Vec<BitMatrix>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut powers = vec![BitMatrix::from_columns(|j| xorshift(1 << j))];
+        while powers.len() < JUMP_BITS {
+            let last = &powers[powers.len() - 1];
+            let square = BitMatrix::from_columns(|j| last.apply(last.nib[j / 4][1 << (j % 4)]));
+            powers.push(square);
+        }
+        powers
+    })
 }
 
 /// Maps the top 53 bits `k` of a raw draw to `(k + 1/2) / 2^53`, in the open
@@ -357,6 +441,90 @@ mod tests {
                 "f32 sample {i}"
             );
         }
+    }
+
+    /// A generator jumped `k` draws is the generator after `k` serial
+    /// draws, and both go on to give the same deviates: small and
+    /// nibble-edge jumps, powers of two either side, and seeded random
+    /// jumps below 2^22.
+    #[test]
+    fn jump_equals_serial_draws() {
+        let mut ks = vec![0u64, 1, 2, 3, 15, 16, 17, 63, 64, 65];
+        ks.extend([(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 17, 1 << 20]);
+        let mut pick = NoiseSource::new(0xACE);
+        let randoms = if cfg!(debug_assertions) { 4 } else { 24 };
+        ks.extend((0..randoms).map(|_| pick.next_u64() >> 42));
+        for (i, &k) in ks.iter().enumerate() {
+            let seed = 0x5EED_0F1F_2F3F ^ i as u64;
+            let mut serial = NoiseSource::new(seed);
+            for _ in 0..k {
+                serial.gaussian();
+            }
+            let mut jumped = NoiseSource::new(seed);
+            jumped.jump(k);
+            assert_eq!(jumped.state, serial.state, "k = {k}");
+            for _ in 0..4 {
+                assert_eq!(jumped.gaussian().to_bits(), serial.gaussian().to_bits());
+            }
+        }
+    }
+
+    /// Jumps compose, past the table's reach too: `2^16 + 4` draws (the
+    /// table's largest power repeated for the excess) is `2^16 − 3` draws
+    /// and then 7 more, and a jump of `3·2^22` is 96 jumps of 2^17, each
+    /// drawn serially in a test above.
+    #[test]
+    fn jumps_compose_beyond_the_table() {
+        let mut whole = NoiseSource::new(77);
+        whole.jump((1 << 16) + 4);
+        let mut parts = NoiseSource::new(77);
+        parts.jump((1 << 16) - 3);
+        parts.jump(7);
+        assert_eq!(whole.state, parts.state);
+        let mut far = NoiseSource::new(78);
+        far.jump(3 << 22);
+        let mut steps = NoiseSource::new(78);
+        for _ in 0..96 {
+            steps.jump(1 << 17);
+        }
+        assert_eq!(far.state, steps.state);
+    }
+
+    /// One serial fill cut into stretches, each filled from a generator
+    /// jumped to its start, in reverse order: the same samples bit for bit,
+    /// in both precisions.
+    #[test]
+    fn fill_in_jumped_stretches_matches_serial_fill() {
+        let sigma = 0.3;
+        let base: Vec<f64> = (0..5000).map(|i| (0.003 * i as f64).cos()).collect();
+        let mut serial = base.clone();
+        let mut src = NoiseSource::new(404);
+        src.add_awgn(&mut serial, sigma);
+        let cuts = [0usize, 1, 960, 961, 2047, 4999, 5000];
+        let mut pieces = base.clone();
+        let mut pieces32: Vec<f32> = base.iter().map(|&v| v as f32).collect();
+        for w in cuts.windows(2).rev() {
+            let mut at = NoiseSource::new(404);
+            at.jump(w[0] as u64);
+            at.clone().add_awgn(&mut pieces[w[0]..w[1]], sigma);
+            at.add_awgn(&mut pieces32[w[0]..w[1]], sigma);
+        }
+        let mut serial32: Vec<f32> = base.iter().map(|&v| v as f32).collect();
+        NoiseSource::new(404).add_awgn(&mut serial32, sigma);
+        assert!(serial
+            .iter()
+            .zip(&pieces)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(serial32
+            .iter()
+            .zip(&pieces32)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let mut end = NoiseSource::new(404);
+        end.jump(5000);
+        assert_eq!(
+            end.state, src.state,
+            "the fill leaves the generator 5000 draws on"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use super::doppler::RangeDopplerMap;
 use biscatter_dsp::simd;
-use biscatter_dsp::spectrum::{find_peak, noise_floor};
+use biscatter_dsp::spectrum::{find_peak, noise_floor_inplace};
 use std::cell::RefCell;
 
 /// Square-wave harmonic signature: (harmonic multiple, weight) pairs in the
@@ -78,7 +78,9 @@ pub fn locate_tag(map: &RangeDopplerMap, f_mod_hz: f64, min_snr_db: f64) -> Opti
         let mut score = s.borrow_mut();
         signature_score_into(map, f_mod_hz, &mut score);
         let peak = find_peak(&score)?;
-        let floor = noise_floor(&score);
+        // The score is this thread's scratch, rebuilt by every call, so the
+        // floor's selection may reorder it.
+        let floor = noise_floor_inplace(&mut score);
         location_from(map, peak, floor, min_snr_db)
     })
 }

@@ -20,6 +20,11 @@
 //! 7. **demodulates the uplink** bits from the slow-time sequence at the
 //!    tag's range ([`uplink`]).
 //!
+//! [`receive_frame_into`] runs steps 1–4 chirp by chirp, each chirp's IF
+//! samples range-transformed in cache as soon as they are synthesized; the
+//! frame keeps no slab of IF samples. [`align_frame_into`] runs steps 2–4
+//! on a slab that holds them.
+//!
 //! Steps 1–5 and the uplink amplitude extraction are generic over the
 //! sample precision ([`Real`]): f64 is the oracle, f32 the opt-in fast tier.
 //! Geometry (bin ranges, the common grid, interpolation weights) stays f64
@@ -39,11 +44,16 @@ use biscatter_compute::ComputePool;
 use biscatter_dsp::complex::Complex;
 use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::resample::{apply_taps_into, linspace, Tap};
+use biscatter_dsp::signal::NoiseSource;
 use biscatter_dsp::Real;
 use biscatter_rf::frame::ChirpTrain;
+use biscatter_rf::if_gen::IfReceiver;
+use biscatter_rf::scene::Scene;
 use biscatter_rf::slab::SampleSlab;
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 thread_local! {
     /// Per-thread storage for one shape's IF-correction taps: taken out
@@ -264,34 +274,8 @@ pub fn align_frame_into<T: Real>(
         if_per_chirp.rows(),
         "one IF capture per chirp required"
     );
-    // Reuse the existing grid Arc when it still matches the config: a
-    // linspace grid is fully determined by (first, last, len). The expected
-    // last element replays linspace's own arithmetic so the comparison is
-    // exact without building a throwaway grid.
-    let expected_last = if cfg.n_range_bins > 1 {
-        let step = cfg.max_range_m / (cfg.n_range_bins - 1) as f64;
-        step * (cfg.n_range_bins - 1) as f64
-    } else {
-        0.0
-    };
-    let reusable = cfg.n_range_bins > 0
-        && out.range_grid.len() == cfg.n_range_bins
-        && out.range_grid.first() == Some(&0.0)
-        && out.range_grid.last() == Some(&expected_last);
-    if !reusable {
-        out.range_grid = cfg.range_grid().into();
-    }
-    out.profiles.resize_with(train.len(), Vec::new);
-
+    lay_out_frame(cfg, train.len(), out);
     let grid: &[f64] = &out.range_grid;
-    let row_spectrum = |c: usize, f: &mut dyn FnMut(&[Complex<T>])| {
-        with_planner(|p: &mut FftPlanner<T>| {
-            p.with_cpx_scratch(0, |p, spectrum| {
-                range_profile::complex_profile_into(p, if_per_chirp.row(c), cfg.n_fft, spectrum);
-                f(spectrum);
-            })
-        });
-    };
     if cfg.if_correction {
         // A row's taps follow from its chirp and its profile length, so
         // they are derived once per (shape, length) before those rows fan
@@ -315,30 +299,171 @@ pub fn align_frame_into<T: Real>(
             );
             pool.par_chunks(&mut out.profiles, 1, |c, row| {
                 if of_r(c) {
-                    row_spectrum(c, &mut |spectrum| {
-                        apply_taps_into(spectrum, &taps, &mut row[0])
-                    });
+                    land_row(
+                        cfg,
+                        if_per_chirp.row(c),
+                        Some(&taps),
+                        grid.len(),
+                        &mut row[0],
+                    );
                 }
             });
         }
         TAPS.set(taps);
     } else {
-        // Uncorrected: reinterpret raw bins as if they were the grid
-        // (truncate/pad), reproducing the paper's Fig. 7(a) ambiguity.
         pool.par_chunks(&mut out.profiles, 1, |c, row| {
-            row_spectrum(c, &mut |spectrum| {
-                let profile = &mut row[0];
-                profile.clear();
-                profile.extend(spectrum.iter().take(grid.len()));
-                profile.resize(grid.len(), Complex::ZERO);
-            });
+            land_row(cfg, if_per_chirp.row(c), None, grid.len(), &mut row[0]);
         });
     }
+    finish_frame(cfg, train, out);
+}
 
+/// Steps 1–4 of the chain in one pass, with no frame of IF samples: what
+/// [`IfReceiver::dechirp_train_into`] and then [`align_frame_into`] give,
+/// bit for bit, `noise` left in the same state.
+///
+/// Per chirp shape, the IF-correction taps are derived once (and the
+/// shape's static tones filled once, by [`IfReceiver::for_each_shape`]);
+/// then the shape's chirps fan out across `pool`, each synthesized and
+/// noised into this thread's row buffer (lent by the precision's planner)
+/// and range-transformed straight into its profile row. A row's IF samples
+/// stay in cache from synthesis through the transform, and the frame holds
+/// one row per thread instead of every chirp's samples. Returns how the
+/// rows' time divided between synthesis and transform
+/// ([`FrontEndSplit`]).
+pub fn receive_frame_into<T: Real>(
+    pool: &ComputePool,
+    cfg: &RxConfig,
+    rx: &IfReceiver,
+    train: &ChirpTrain,
+    scene: &Scene,
+    noise: &mut NoiseSource,
+    out: &mut AlignedFrame<T>,
+) -> FrontEndSplit {
+    lay_out_frame(cfg, train.len(), out);
+    let (grid, profiles): (&[f64], _) = (&out.range_grid, &mut out.profiles);
+    let (synthesis_ns, transform_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+    let mut taps = TAPS.take();
+    rx.for_each_shape(pool, train, scene, 0.0, 0.0, 1, noise, |rows| {
+        let shape = rows.shape();
+        if cfg.if_correction {
+            let bins = range_profile::transform_len(rows.samples(), cfg.n_fft) / 2 + 1;
+            let chirp = &train.slots()[shape].chirp;
+            if_correction::range_taps_into(
+                chirp,
+                cfg.if_sample_rate,
+                cfg.n_fft,
+                bins,
+                grid,
+                &mut taps,
+            );
+        }
+        let taps = cfg.if_correction.then_some(&taps[..]);
+        pool.par_chunks(profiles, 1, |c, profile| {
+            if train.shape(c) != shape {
+                return;
+            }
+            let t0 = Instant::now();
+            let mut row = with_planner(|p: &mut FftPlanner<T>| p.take_row());
+            row.clear();
+            row.resize(rows.samples(), T::ZERO);
+            rows.fill(c, &mut row);
+            let t1 = Instant::now();
+            land_row(cfg, &row, taps, grid.len(), &mut profile[0]);
+            with_planner(|p: &mut FftPlanner<T>| p.put_row(row));
+            let t2 = Instant::now();
+            synthesis_ns.fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
+            transform_ns.fetch_add((t2 - t1).as_nanos() as u64, Ordering::Relaxed);
+        });
+    });
+    TAPS.set(taps);
+    finish_frame(cfg, train, out);
+    FrontEndSplit {
+        synthesis_ns: synthesis_ns.into_inner(),
+        transform_ns: transform_ns.into_inner(),
+    }
+}
+
+/// How [`receive_frame_into`]'s rows spent their time, summed over rows
+/// and threads: synthesizing and noising IF samples (the dechirp), and
+/// range-transforming them onto the grid (the align).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontEndSplit {
+    /// Nanoseconds filling rows with IF signal and noise.
+    pub synthesis_ns: u64,
+    /// Nanoseconds transforming rows into profile rows.
+    pub transform_ns: u64,
+}
+
+impl FrontEndSplit {
+    /// Divides `wall_ns` of front-end time into (dechirp, align) in the
+    /// ratio of the rows' synthesis and transform time; the two add up to
+    /// `wall_ns`, so serial work outside the rows (taps, tables, the
+    /// background subtraction) is shared out in the same ratio.
+    pub fn divide(&self, wall_ns: u64) -> (u64, u64) {
+        let busy = u128::from(self.synthesis_ns) + u128::from(self.transform_ns);
+        let dechirp = (u128::from(wall_ns) * u128::from(self.synthesis_ns))
+            .checked_div(busy)
+            .map_or(wall_ns, |ns| ns as u64);
+        (dechirp, wall_ns - dechirp)
+    }
+}
+
+/// Sizes `out` for `n_chirps` profile rows on `cfg`'s common grid, keeping
+/// its grid `Arc` when it still matches the config: a linspace grid is
+/// fully determined by (first, last, len), and the expected last element
+/// replays linspace's own arithmetic, so the comparison is exact without
+/// building a throwaway grid.
+fn lay_out_frame<T>(cfg: &RxConfig, n_chirps: usize, out: &mut AlignedFrame<T>) {
+    let expected_last = if cfg.n_range_bins > 1 {
+        let step = cfg.max_range_m / (cfg.n_range_bins - 1) as f64;
+        step * (cfg.n_range_bins - 1) as f64
+    } else {
+        0.0
+    };
+    let reusable = cfg.n_range_bins > 0
+        && out.range_grid.len() == cfg.n_range_bins
+        && out.range_grid.first() == Some(&0.0)
+        && out.range_grid.last() == Some(&expected_last);
+    if !reusable {
+        out.range_grid = cfg.range_grid().into();
+    }
+    out.profiles.resize_with(n_chirps, Vec::new);
+}
+
+/// One chirp's profile row from its IF samples: the range FFT (through
+/// this thread's planner and spectrum scratch), then the shape's IF
+/// correction `taps`, or, uncorrected, the raw bins truncated or padded to
+/// the grid's `grid_len` points (reproducing the paper's Fig. 7(a)
+/// ambiguity).
+fn land_row<T: Real>(
+    cfg: &RxConfig,
+    samples: &[T],
+    taps: Option<&[Tap]>,
+    grid_len: usize,
+    profile: &mut Vec<Complex<T>>,
+) {
+    with_planner(|p: &mut FftPlanner<T>| {
+        p.with_cpx_scratch(0, |p, spectrum| {
+            range_profile::complex_profile_into(p, samples, cfg.n_fft, spectrum);
+            match taps {
+                Some(taps) => apply_taps_into(spectrum, taps, profile),
+                None => {
+                    profile.clear();
+                    profile.extend(spectrum.iter().take(grid_len));
+                    profile.resize(grid_len, Complex::ZERO);
+                }
+            }
+        })
+    });
+}
+
+/// The serial tail of a frame's alignment: the background subtraction the
+/// config asks for, and the slow-time sample interval.
+fn finish_frame<T: Real>(cfg: &RxConfig, train: &ChirpTrain, out: &mut AlignedFrame<T>) {
     if cfg.background_subtraction {
         out.subtract_background();
     }
-
     out.t_period = train.slots().first().map_or(0.0, |s| s.period());
 }
 

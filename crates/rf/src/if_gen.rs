@@ -35,6 +35,7 @@ use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
 use biscatter_dsp::simd::TONES_PER_PASS;
 use biscatter_dsp::{Cpx, Real, SPEED_OF_LIGHT, TAU};
+use std::cell::Cell;
 
 /// Tone samples one table holds, over all the scatterers of a group: 256 KiB
 /// in f64. A scene whose tones for one shape need more is synthesized in
@@ -473,18 +474,17 @@ impl IfReceiver {
     /// antenna (`out.len()` antennas; antenna `k` fills `out[k]`). A
     /// scatterer at azimuth `θ` arrives at antenna `k` with an extra phase of
     /// `2π k d_λ sin θ` (the narrowband array model); noise is independent
-    /// per antenna. Per antenna and chirp shape ([`ChirpTrain::shape`]),
-    /// every static scatterer's tone is filled once (the fills fan out
-    /// across `pool`), and then that shape's rows fan out, each adding the
-    /// tones in scene order.
+    /// per antenna. The slabs are one destination of
+    /// [`IfReceiver::for_each_shape`]: each shape's rows fan out across
+    /// `pool`, each written in place, noise included.
     ///
     /// Bit-identical to the serial chirp-by-chirp path: tone synthesis
     /// consumes no RNG (each row's samples are the same floating-point ops
     /// in the same order regardless of scheduling, and a static scatterer's
-    /// tone has the same bits in every slot of a shape), and the stateful noise
-    /// source is applied afterwards on the caller thread in the serial
-    /// order — chirp-major, antenna-minor, exactly as a per-chirp loop
-    /// would (the unit tests keep that loop as the oracle).
+    /// tone has the same bits in every slot of a shape), and each row draws
+    /// its noise from its own place in the serial order — chirp-major,
+    /// antenna-minor, exactly as a per-chirp loop would (the unit tests keep
+    /// that loop, and the serial post-pass over the slabs, as oracles).
     // One parameter per physical input; bundling them would just move the
     // argument list into a struct literal at every call site.
     #[allow(clippy::too_many_arguments)]
@@ -499,47 +499,181 @@ impl IfReceiver {
         out: &mut [SampleSlab<T>],
     ) {
         let fs = self.sample_rate_hz;
+        for slab in out.iter_mut() {
+            slab.layout_rows(train.slots().iter().map(|s| s.chirp.if_samples(fs)));
+        }
+        let n_rx = out.len();
+        self.for_each_shape(
+            pool,
+            train,
+            scene,
+            t_frame_start,
+            spacing_wavelengths,
+            n_rx,
+            noise,
+            |rows| {
+                let (offsets, data) = out[rows.antenna()].parts_mut();
+                pool.par_ragged(data, offsets, |c, row| {
+                    if train.shape(c) == rows.shape() {
+                        rows.fill(c, row);
+                    }
+                });
+            },
+        );
+    }
+
+    /// The one synthesis path of a train's rows, with the destination left
+    /// to `rows`: per antenna `k < n_rx` and chirp shape
+    /// ([`ChirpTrain::shape`]), in that order, it calls `rows` on the
+    /// calling thread with a [`ShapeRows`] that fills any row of that shape
+    /// at that antenna, in any order, on any thread ([`ShapeRows::fill`]);
+    /// `rows` fans them out and puts each wherever it goes.
+    ///
+    /// Before the call, every static scatterer's tone for the shape is
+    /// filled once into a table (a fan-out over scatterers across `pool`),
+    /// when the scene's tones fit one table; otherwise each row fills its
+    /// own tones group by group. Each row's IF noise starts at its place in
+    /// the serial stream — chirp-major, antenna-minor, one draw per sample
+    /// — reached by [`NoiseSource::jump`] from `noise`'s state, and `noise`
+    /// ends where the serial fill leaves it. So the rows hold the same bits
+    /// whatever order they are filled in, and no destination needs the
+    /// whole train's samples at once.
+    #[allow(clippy::too_many_arguments)]
+    pub fn for_each_shape<T: Real>(
+        &self,
+        pool: &ComputePool,
+        train: &ChirpTrain,
+        scene: &Scene,
+        t_frame_start: f64,
+        spacing_wavelengths: f64,
+        n_rx: usize,
+        noise: &mut NoiseSource,
+        mut rows: impl FnMut(&ShapeRows<'_, T>),
+    ) {
+        let fs = self.sample_rate_hz;
         let slots = train.slots();
-        let mut table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
-        for (k, slab) in out.iter_mut().enumerate() {
-            slab.layout_rows(slots.iter().map(|s| s.chirp.if_samples(fs)));
-            let (offsets, data) = slab.parts_mut();
-            // A shape's static tones are filled once, before its rows fan
-            // out; a row of another shape is left for that shape's pass.
+        let mut starts = ROW_STARTS.take();
+        starts.clear();
+        let mut total = 0;
+        for s in slots {
+            starts.push(total);
+            total += s.chirp.if_samples(fs);
+        }
+        let row_noise = (self.noise_sigma > 0.0).then(|| RowNoise {
+            origin: noise.clone(),
+            sigma: self.noise_sigma,
+            n_rx,
+            starts: &starts,
+        });
+        for k in 0..n_rx {
             for shape in (0..slots.len()).filter(|&c| train.shape(c) == c) {
                 let chirp = &slots[shape].chirp;
                 let n = chirp.if_samples(fs);
-                if n == 0 {
-                    continue;
-                }
                 let rx = Reception {
                     chirp,
                     fs,
                     k,
                     spacing_wavelengths,
                 };
-                let t_shape = t_frame_start + train.slot_start(shape);
-                for group in scene.scatterers.chunks(group_len(n)) {
-                    table.resize(group.len() * n, T::ZERO);
+                let one_table = n > 0 && scene.scatterers.len() <= group_len(n);
+                let mut table = Vec::new();
+                if one_table {
+                    let t_shape = t_frame_start + train.slot_start(shape);
+                    table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
+                    table.resize(scene.scatterers.len() * n, T::ZERO);
                     pool.par_chunks(&mut table, n, |j, tone| {
-                        rx.fill_static(tone, &group[j], t_shape);
+                        rx.fill_static(tone, &scene.scatterers[j], t_shape);
                     });
-                    pool.par_ragged(data, offsets, |c, row| {
-                        if train.shape(c) == shape {
-                            let t_start = t_frame_start + train.slot_start(c);
-                            synth_row(row, &table, group, rx, t_start);
-                        }
-                    });
+                }
+                rows(&ShapeRows {
+                    train,
+                    scene,
+                    rx,
+                    shape,
+                    n,
+                    t_frame_start,
+                    table: one_table.then_some(&table[..]),
+                    noise: row_noise.as_ref(),
+                });
+                if one_table {
+                    with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
                 }
             }
         }
-        with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
+        ROW_STARTS.set(starts);
         if self.noise_sigma > 0.0 {
-            for c in 0..slots.len() {
-                for slab in out.iter_mut() {
-                    noise.add_awgn(slab.row_mut(c), self.noise_sigma);
-                }
-            }
+            noise.jump((n_rx * total) as u64);
+        }
+    }
+}
+
+thread_local! {
+    /// Per-thread storage for a train's row starts (each chirp's first
+    /// sample in a one-antenna stream), reused across frames.
+    static ROW_STARTS: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
+/// Where the rows of a train draw their IF noise: the generator at the
+/// train's first draw, the deviation, and each row's place in the
+/// chirp-major, antenna-minor stream.
+struct RowNoise<'a> {
+    origin: NoiseSource,
+    sigma: f64,
+    n_rx: usize,
+    starts: &'a [usize],
+}
+
+/// The rows of one chirp shape at one antenna, as
+/// [`IfReceiver::for_each_shape`] hands them to a destination: everything
+/// filling one of them needs, shared read-only by every thread that fills
+/// one.
+pub struct ShapeRows<'a, T> {
+    train: &'a ChirpTrain,
+    scene: &'a Scene,
+    rx: Reception<'a>,
+    shape: usize,
+    n: usize,
+    t_frame_start: f64,
+    /// The shape's static tones, scatterer `j` at `table[j·n..(j+1)·n]`;
+    /// `None` when the scene's tones need more than one table.
+    table: Option<&'a [T]>,
+    noise: Option<&'a RowNoise<'a>>,
+}
+
+impl<T: Real> ShapeRows<'_, T> {
+    /// The shape: the first chirp of the train with this chirp, and so
+    /// every chirp `c` with `train.shape(c)` equal to it.
+    pub fn shape(&self) -> usize {
+        self.shape
+    }
+
+    /// The antenna the rows are received at.
+    pub fn antenna(&self) -> usize {
+        self.rx.k
+    }
+
+    /// Samples in each row of the shape.
+    pub fn samples(&self) -> usize {
+        self.n
+    }
+
+    /// Fills chirp `c`'s row (zeroed, [`ShapeRows::samples`] long) with its
+    /// IF signal and noise: the scene's tones added in scene order, then
+    /// one scaled deviate per sample from the row's place in the stream.
+    ///
+    /// # Panics
+    /// Panics if `row` is not [`ShapeRows::samples`] long.
+    pub fn fill(&self, c: usize, row: &mut [T]) {
+        assert_eq!(row.len(), self.n, "chirp {c}'s row");
+        let t_start = self.t_frame_start + self.train.slot_start(c);
+        match self.table {
+            Some(table) => synth_row(row, table, &self.scene.scatterers, self.rx, t_start),
+            None => synth_chirp(row, self.scene, self.rx, t_start),
+        }
+        if let Some(noise) = self.noise {
+            let mut src = noise.origin.clone();
+            src.jump((noise.n_rx * noise.starts[c] + self.rx.k * self.n) as u64);
+            src.add_awgn(row, noise.sigma);
         }
     }
 }
@@ -917,6 +1051,106 @@ mod tests {
         let train = ChirpTrain::with_fixed_period(&chirps, 7e-3).unwrap();
         memoised_train_matches_per_chirp::<f64>(&train);
         memoised_train_matches_per_chirp::<f32>(&train);
+    }
+
+    /// The serial noise post-pass the producer replaced, kept as its
+    /// oracle: noiseless rows first, then one fill per row on one
+    /// generator, chirp-major, antenna-minor.
+    fn serial_post_pass<T: Real>(
+        receiver: &IfReceiver,
+        pool: &ComputePool,
+        train: &ChirpTrain,
+        scene: &Scene,
+        noise: &mut NoiseSource,
+        out: &mut [SampleSlab<T>],
+    ) {
+        let quiet = IfReceiver {
+            noise_sigma: 0.0,
+            ..*receiver
+        };
+        let mut unused = NoiseSource::new(1);
+        quiet.dechirp_train_array_into(pool, train, scene, 0.0, 0.5, &mut unused, out);
+        for c in 0..train.len() {
+            for slab in out.iter_mut() {
+                noise.add_awgn(slab.row_mut(c), receiver.noise_sigma);
+            }
+        }
+    }
+
+    /// Rows filled from their places in the stream equal the serial
+    /// post-pass bit for bit, and leave the generator where it leaves it:
+    /// 1 and 2 antennas, pools of 1 and 2 threads, in both precisions.
+    fn producer_matches_serial_post_pass<T: Real>(train: &ChirpTrain, scene: &Scene) {
+        let receiver = IfReceiver {
+            sample_rate_hz: 10e6,
+            noise_sigma: 0.05,
+        };
+        let bits = |slab: &SampleSlab<T>, c: usize| -> Vec<u64> {
+            slab.row(c).iter().map(|v| v.to_f64().to_bits()).collect()
+        };
+        for n_rx in [1usize, 2] {
+            for threads in [1usize, 2] {
+                let pool = ComputePool::new(threads);
+                let mut want_noise = NoiseSource::new(53);
+                let mut want = vec![SampleSlab::<T>::new(); n_rx];
+                serial_post_pass(&receiver, &pool, train, scene, &mut want_noise, &mut want);
+                let mut got_noise = NoiseSource::new(53);
+                let mut got = vec![SampleSlab::<T>::new(); n_rx];
+                receiver.dechirp_train_array_into(
+                    &pool,
+                    train,
+                    scene,
+                    0.0,
+                    0.5,
+                    &mut got_noise,
+                    &mut got,
+                );
+                for c in 0..train.len() {
+                    for k in 0..n_rx {
+                        assert_eq!(
+                            bits(&got[k], c),
+                            bits(&want[k], c),
+                            "{}: chirp {c} rx {k} of {n_rx}, {threads} threads",
+                            std::any::type_name::<T>()
+                        );
+                    }
+                }
+                assert_eq!(
+                    got_noise.gaussian().to_bits(),
+                    want_noise.gaussian().to_bits(),
+                    "the generator ends where the serial pass leaves it"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_noised_in_place_match_serial_post_pass() {
+        // 1,200-sample chirps hold 27 scatterers' tones per table, so the
+        // 31-scatterer scene runs them in two groups per row; the
+        // 960-sample chirps' 34 fit one table.
+        let mut scene = memo_scene();
+        for i in 0..26 {
+            let mut clutter = Scatterer::clutter(1.0 + 0.37 * i as f64, 0.5 + 0.1 * i as f64);
+            clutter.azimuth_rad = 0.02 * i as f64 - 0.2;
+            scene = scene.with(clutter);
+        }
+        assert_eq!(scene.scatterers.len(), 31);
+        assert_eq!((group_len(1200), group_len(960)), (27, 34));
+        let (long, short) = (Chirp::new(9e9, 1e9, 120e-6), Chirp::new(9e9, 1e9, 96e-6));
+        let chirps = [
+            long,
+            short,
+            long,
+            long,
+            short,
+            Chirp::new(9e9, 1e9, 40e-6),
+            long,
+        ];
+        let train = ChirpTrain::with_fixed_period(&chirps, 150e-6).unwrap();
+        producer_matches_serial_post_pass::<f64>(&train, &scene);
+        producer_matches_serial_post_pass::<f32>(&train, &scene);
+        producer_matches_serial_post_pass::<f64>(&train, &busy_scene());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::frame::{ChirpSlot, ChirpTrain};
 use biscatter_dsp::signal::NoiseSource;
 use biscatter_dsp::simd::{self, tone_fill};
 use biscatter_dsp::{Cpx, TAU};
+use std::cell::Cell;
 
 /// The assembled tag analog front-end.
 #[derive(Debug, Clone)]
@@ -129,12 +130,27 @@ impl TagFrontEnd {
         time_offset_s: f64,
         noise: &mut NoiseSource,
     ) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.capture_train_into(train, snr_db, time_offset_s, noise, &mut out);
+        out
+    }
+
+    /// [`TagFrontEnd::capture_train`] into a reusable buffer (cleared
+    /// first), so a frame loop captures without allocating.
+    pub fn capture_train_into(
+        &self,
+        train: &ChirpTrain,
+        snr_db: f64,
+        time_offset_s: f64,
+        noise: &mut NoiseSource,
+        out: &mut Vec<f64>,
+    ) {
         // AC beat amplitude is a² = 1; rms = 1/sqrt(2).
         let sigma = (1.0 / 2f64.sqrt()) / 10f64.powf(snr_db / 20.0);
         let per_sample = self.pair.is_dispersive();
-        let mut out = self.envelope(train, time_offset_s, noise, per_sample);
+        self.envelope_into(train, time_offset_s, noise, per_sample, out);
         // One deviate per sample in sample order, after the phase draws.
-        noise.add_awgn(&mut out, sigma);
+        noise.add_awgn(out, sigma);
         // Quantized as `quantize(s / 2.2 · full_scale) · 2.2`, one step per
         // pass, so the rounding runs as one dispatched kernel.
         let quantizer = self.adc.quantizer();
@@ -142,17 +158,52 @@ impl TagFrontEnd {
         for s in out.iter_mut() {
             *s = quantizer.steps(*s / 2.2 * full_scale);
         }
-        simd::round(&mut out);
+        simd::round(out);
         for s in out.iter_mut() {
             *s = quantizer.level(*s) * 2.2;
         }
-        out
     }
 
-    /// The capture's noise-free envelope, after one beat start-phase draw
-    /// per chirp from `noise`: sample by sample when `per_sample` is set
-    /// (the dispersive path, and the sweep fill's oracle), sweep by sweep
-    /// otherwise (which needs a dispersion-free pair).
+    /// The capture's noise-free envelope, into `out`, after one beat
+    /// start-phase draw per chirp from `noise`: sample by sample when
+    /// `per_sample` is set (the dispersive path, and the sweep fill's
+    /// oracle), sweep by sweep otherwise (which needs a dispersion-free
+    /// pair).
+    fn envelope_into(
+        &self,
+        train: &ChirpTrain,
+        time_offset_s: f64,
+        noise: &mut NoiseSource,
+        per_sample: bool,
+        out: &mut Vec<f64>,
+    ) {
+        // Rounded, not floored: `duration` sums `d + (T − d)` per slot and
+        // can land one ulp under `n·T`, which would drop the last sample of
+        // the last full slot.
+        let n = (train.duration() * self.adc.sample_rate_hz).round() as usize;
+        // Each slot's start time, then one beat start-phase draw per chirp
+        // (PLL start-frequency jitter).
+        let mut times = SLOT_TIMES.take();
+        times.clear();
+        times.extend(train.iter_timed().map(|(t0, _)| t0));
+        times.extend((0..train.len()).map(|_| noise.uniform() * TAU * self.start_phase_jitter));
+        let slots = Slots {
+            slots: train.slots(),
+            starts: &times[..train.len()],
+            phases: &times[train.len()..],
+        };
+        out.clear();
+        out.resize(n, 0.0);
+        if per_sample {
+            self.envelope_per_sample(&slots, time_offset_s, out);
+        } else {
+            self.envelope_per_sweep(&slots, time_offset_s, out);
+        }
+        SLOT_TIMES.set(times);
+    }
+
+    /// [`TagFrontEnd::envelope_into`] into a fresh buffer.
+    #[cfg(test)]
     fn envelope(
         &self,
         train: &ChirpTrain,
@@ -160,47 +211,27 @@ impl TagFrontEnd {
         noise: &mut NoiseSource,
         per_sample: bool,
     ) -> Vec<f64> {
-        // Rounded, not floored: `duration` sums `d + (T − d)` per slot and
-        // can land one ulp under `n·T`, which would drop the last sample of
-        // the last full slot.
-        let n = (train.duration() * self.adc.sample_rate_hz).round() as usize;
-        let slots: Vec<(f64, &ChirpSlot)> = train.iter_timed().collect();
-        // One beat start-phase draw per chirp (PLL start-frequency jitter).
-        let phases: Vec<f64> = slots
-            .iter()
-            .map(|_| noise.uniform() * TAU * self.start_phase_jitter)
-            .collect();
-        let mut out = vec![0.0; n];
-        if per_sample {
-            self.envelope_per_sample(&slots, &phases, time_offset_s, &mut out);
-        } else {
-            self.envelope_per_sweep(&slots, &phases, time_offset_s, &mut out);
-        }
+        let mut out = Vec::new();
+        self.envelope_into(train, time_offset_s, noise, per_sample, &mut out);
         out
     }
 
     /// The noise-free envelope, sample `i` at ADC time
     /// `t = i/fs + time_offset_s`: each sample finds the slot containing
     /// `t` and evaluates [`Self::envelope_at`] there (zero outside every
-    /// sweep). `phases` holds one start phase per slot.
-    fn envelope_per_sample(
-        &self,
-        slots: &[(f64, &ChirpSlot)],
-        phases: &[f64],
-        time_offset_s: f64,
-        out: &mut [f64],
-    ) {
+    /// sweep).
+    fn envelope_per_sample(&self, slots: &Slots<'_>, time_offset_s: f64, out: &mut [f64]) {
         let fs = self.adc.sample_rate_hz;
         let mut slot_idx = 0usize;
         for (i, o) in out.iter_mut().enumerate() {
             let t = i as f64 / fs + time_offset_s;
             // Advance to the slot containing t (monotone sweep).
-            while slot_idx + 1 < slots.len() && t >= slots[slot_idx + 1].0 {
+            while slot_idx + 1 < slots.starts.len() && t >= slots.starts[slot_idx + 1] {
                 slot_idx += 1;
             }
-            let (t0, slot) = slots[slot_idx];
+            let (t0, slot) = (slots.starts[slot_idx], &slots.slots[slot_idx]);
             *o = self
-                .envelope_at(&slot.chirp, t - t0, phases[slot_idx])
+                .envelope_at(&slot.chirp, t - t0, slots.phases[slot_idx])
                 .unwrap_or(0.0);
         }
     }
@@ -213,13 +244,7 @@ impl TagFrontEnd {
     /// ([`biscatter_dsp::simd::tone_fill`]) seeded with the per-sample
     /// phase at the first of them and turned by `2π·α·ΔT/fs` per sample.
     /// Samples outside every sweep stay zero.
-    fn envelope_per_sweep(
-        &self,
-        slots: &[(f64, &ChirpSlot)],
-        phases: &[f64],
-        time_offset_s: f64,
-        out: &mut [f64],
-    ) {
+    fn envelope_per_sweep(&self, slots: &Slots<'_>, time_offset_s: f64, out: &mut [f64]) {
         let fs = self.adc.sample_rate_hz;
         let n = out.len();
         let t_at = |i: usize| i as f64 / fs + time_offset_s;
@@ -227,11 +252,11 @@ impl TagFrontEnd {
         // `first_reached` walks from there to the exact one.
         let guess = |t: f64| ((t - time_offset_s) * fs).ceil();
         let mut first = 0usize;
-        for (s, &(t0, slot)) in slots.iter().enumerate() {
+        for (s, (&t0, slot)) in slots.starts.iter().zip(slots.slots).enumerate() {
             // Slot s owns samples first..end: the per-sample loop moves to
             // the next slot at its first sample with t ≥ that slot's start.
-            let end = match slots.get(s + 1) {
-                Some(&(t1, _)) => first_reached(first, n, guess(t1), |i| t_at(i) >= t1),
+            let end = match slots.starts.get(s + 1) {
+                Some(&t1) => first_reached(first, n, guess(t1), |i| t_at(i) >= t1),
                 None => n,
             };
             let chirp = &slot.chirp;
@@ -243,7 +268,7 @@ impl TagFrontEnd {
             let hi = first_reached(lo, end, guess(t0 + d), |i| t_at(i) - t0 > d);
             if lo < hi {
                 let run = &mut out[lo..hi];
-                let phase = self.beat_phase(chirp, t_at(lo) - t0, phases[s]);
+                let phase = self.beat_phase(chirp, t_at(lo) - t0, slots.phases[s]);
                 let step = TAU * chirp.slope() * self.delta_t_at(chirp.f0) / fs;
                 tone_fill(run, Cpx::cis(phase), Cpx::cis(step));
                 for v in run.iter_mut() {
@@ -294,6 +319,20 @@ impl TagFrontEnd {
             + self.splitter.combine_loss_db()
             + self.pair.mean_insertion_loss_db(f_hz)
     }
+}
+
+/// A train's slots as the envelope fills read them: each slot, its start
+/// time and its beat start phase.
+struct Slots<'a> {
+    slots: &'a [ChirpSlot],
+    starts: &'a [f64],
+    phases: &'a [f64],
+}
+
+thread_local! {
+    /// Storage for a capture's slot start times and phases, reused by every
+    /// capture on this thread.
+    static SLOT_TIMES: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 /// The first index in `lo..hi` at which `reached` holds, or `hi` if none

@@ -61,7 +61,7 @@ fn concurrent_cells_report_disjoint_correct_gauges() {
         assert_eq!(view.counter("runtime.queue.intake.drops"), Some(0));
         assert_eq!(view.counter("runtime.frames.failed"), Some(0));
         assert!(
-            view.counter("arena.isac.if_slabs.lease_hits").is_some(),
+            view.counter("arena.isac.aligned.lease_hits").is_some(),
             "arena pools must live inside the cell scope"
         );
         assert!(

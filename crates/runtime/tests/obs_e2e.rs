@@ -111,8 +111,8 @@ fn every_frame_is_traced_end_to_end() {
     };
     assert!(counter("dsp.plan_cache.hits") > 0, "plan cache never hit");
     assert!(
-        counter("arena.isac.if_slabs.lease_hits") > 0,
-        "IF-slab arena never recycled a buffer"
+        counter("arena.isac.maps.lease_hits") > 0,
+        "range-Doppler map arena never recycled a buffer"
     );
     assert!(
         counter("arena.isac.aligned.lease_hits") > 0,

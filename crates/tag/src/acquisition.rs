@@ -15,7 +15,25 @@
 //! kernels that sum in the scalar order, so their results are the same
 //! bits on every SIMD tier.
 
+use biscatter_dsp::filter::moving_average_into;
 use biscatter_dsp::simd;
+use std::cell::Cell;
+
+thread_local! {
+    /// The searches' working buffers (contents unspecified), reused by
+    /// every capture decoded on this thread.
+    static WORK: Cell<[Vec<f64>; 2]> = const { Cell::new([Vec::new(), Vec::new()]) };
+    /// The slot-timing search's boundary list, reused the same way.
+    static STARTS: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's two working buffers.
+fn with_work<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
+    let [mut a, mut b] = WORK.take();
+    let r = f(&mut a, &mut b);
+    WORK.set([a, b]);
+    r
+}
 
 /// Estimates the chirp period (seconds) from raw ADC samples by normalized
 /// autocorrelation of instantaneous power. Searches lags in
@@ -27,12 +45,15 @@ pub fn estimate_period(samples: &[f64], fs: f64, t_min_s: f64, t_max_s: f64) -> 
     if lag_min < 2 || lag_max <= lag_min || samples.len() < 2 * lag_max {
         return None;
     }
-    let p = gating_profile(samples, lag_min, lag_max);
-    let energy: f64 = p.iter().map(|v| v * v).sum();
-    if energy <= 0.0 {
-        return None;
-    }
-    pick_period(&autocorrelation(&p, lag_min, lag_max), lag_min, lag_max, fs)
+    with_work(|p, corrs| {
+        gating_profile_into(samples, lag_min, lag_max, corrs, p);
+        let energy: f64 = p.iter().map(|v| v * v).sum();
+        if energy <= 0.0 {
+            return None;
+        }
+        autocorrelation_into(p, lag_min, lag_max, corrs);
+        pick_period(corrs, lag_min, lag_max, fs)
+    })
 }
 
 /// The period (seconds) [`estimate_period`] reads off its normalized
@@ -99,34 +120,41 @@ fn pick_period(corrs: &[f64], lag_min: usize, lag_max: usize, fs: f64) -> Option
 /// The signal [`estimate_period`] correlates: the power envelope of the
 /// capture's leading portion, smoothed over roughly a beat period so the
 /// randomly phased beat tone averages out and only the chirp on/off
-/// *gating* pattern drives the correlation, then mean-removed.
-fn gating_profile(samples: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
+/// *gating* pattern drives the correlation, then mean-removed. Written
+/// into `p`, with `power` as scratch.
+fn gating_profile_into(
+    samples: &[f64],
+    lag_min: usize,
+    lag_max: usize,
+    power: &mut Vec<f64>,
+    p: &mut Vec<f64>,
+) {
     // Analyze only the leading portion of the capture: the packet preamble
     // (identical header chirps) lives there, giving a clean periodic gating
     // pattern; payload chirps further in have varying durations that corrupt
     // long-lag statistics.
     let prefix = samples.len().min(4 * lag_max);
-    let power: Vec<f64> = samples[..prefix].iter().map(|&x| x * x).collect();
+    power.clear();
+    power.extend(samples[..prefix].iter().map(|&x| x * x));
     let smooth_win = (lag_min / 3).max(4);
-    let mut p = biscatter_dsp::filter::moving_average(&power, smooth_win);
+    moving_average_into(power, smooth_win, p);
     let mean = p.iter().sum::<f64>() / p.len() as f64;
-    for v in &mut p {
+    for v in p.iter_mut() {
         *v -= mean;
     }
-    p
 }
 
 /// Normalized autocorrelations `Σ_i p[i]·p[i+l] / (p.len() - l)` for the
 /// lags `l = lag_min..=lag_max`, each lag summing its products in index
-/// order (the dispatched [`simd::lagged_products`] kernel). Needs
-/// `p.len() > lag_max`.
-fn autocorrelation(p: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
-    let mut corrs = vec![0.0; lag_max - lag_min + 1];
-    simd::lagged_products(p, lag_min, &mut corrs);
+/// order (the dispatched [`simd::lagged_products`] kernel), into `corrs`.
+/// Needs `p.len() > lag_max`.
+fn autocorrelation_into(p: &[f64], lag_min: usize, lag_max: usize, corrs: &mut Vec<f64>) {
+    corrs.clear();
+    corrs.resize(lag_max - lag_min + 1, 0.0);
+    simd::lagged_products(p, lag_min, corrs);
     for (j, c) in corrs.iter_mut().enumerate() {
         *c /= (p.len() - lag_min - j) as f64;
     }
-    corrs
 }
 
 /// Joint fine search for slot timing: scans periods within ±8 samples of the
@@ -147,15 +175,33 @@ pub fn estimate_slot_timing(
     if coarse_period < 8 || samples.len() < 2 * coarse_period {
         return (coarse_period as f64, 0);
     }
-    let len = samples.len();
-    // Prefix sums of the envelope power make per-window power O(1).
-    let mut cum = vec![0.0; len + 1];
-    let mut power = 0.0;
-    for (c, &x) in cum[1..].iter_mut().zip(samples) {
-        power += x * x;
-        *c = power;
-    }
+    let mut starts = STARTS.take();
+    let best = with_work(|contrast, table| {
+        slot_timing_with(
+            samples,
+            coarse_period,
+            gap_fraction,
+            contrast,
+            table,
+            &mut starts,
+        )
+    });
+    STARTS.set(starts);
+    best
+}
 
+/// [`estimate_slot_timing`]'s search (`samples` at least two coarse periods
+/// long) on the caller's buffers: `contrast` for the boundary contrasts,
+/// `table` for the per-offset sums, `starts` for one period's boundaries.
+fn slot_timing_with(
+    samples: &[f64],
+    coarse_period: usize,
+    gap_fraction: f64,
+    contrast: &mut Vec<f64>,
+    table: &mut Vec<f64>,
+    starts: &mut Vec<usize>,
+) -> (f64, usize) {
+    let len = samples.len();
     // Boundary-contrast metric: the chirp always starts exactly at the slot
     // boundary, preceded by at least `gap_fraction` of idle. The true timing
     // maximizes mean(power just after each boundary) - mean(power just
@@ -168,25 +214,33 @@ pub fn estimate_slot_timing(
     // is at least coarse_period − 8, so the rows of `coarse_period` offsets
     // from those boundaries end by len + 8.
     let w = ((coarse_period as f64 * gap_fraction * 0.4).round() as usize).clamp(2, 16);
-    let mut contrast = vec![0.0; len + 9];
-    let windows = cum
-        .iter()
-        .zip(&cum[w.min(len + 1)..])
-        .zip(&cum[(2 * w).min(len + 1)..]);
-    for (c, ((&before, &at), &after)) in contrast[w..].iter_mut().zip(windows) {
-        *c = (after - at) - (at - before);
+    // Prefix sums of the envelope power make per-window power O(1). The sum
+    // of the first `j` samples, `cum[j]`, sits at `contrast[w + j]`, so the
+    // contrasts overwrite them in place: boundary `b` reads `cum[b − w]`,
+    // `cum[b]` and `cum[b + w]`, and the one it overwrites, at `b`, is
+    // `cum[b − w]`, which no later boundary reads.
+    contrast.clear();
+    contrast.resize(len + 9 + w, 0.0);
+    let mut power = 0.0;
+    for (c, &x) in contrast[w + 1..=w + len].iter_mut().zip(samples) {
+        power += x * x;
+        *c = power;
     }
+    let end = (len + 1).saturating_sub(w);
+    for b in w..end {
+        let (before, at, after) = (contrast[b], contrast[b + w], contrast[b + 2 * w]);
+        contrast[b] = (after - at) - (at - before);
+    }
+    contrast[end.max(w)..].fill(0.0);
+    contrast.truncate(len + 9);
 
     // Per offset, for one period: the summed contrasts, then their mean;
     // and the change in the number of summed boundaries from the previous
-    // offset (exact small integers). Both in the prefix sums' buffer.
-    let mut table = cum;
+    // offset (exact small integers).
     table.clear();
     table.resize(2 * coarse_period + 1, 0.0);
     let (sums, count_steps) = table.split_at_mut(coarse_period);
     // One period's boundaries, `round(k·period)`.
-    let min_period = (coarse_period as f64 - 8.0).max(8.0);
-    let mut starts = Vec::with_capacity((len as f64 / min_period) as usize + 1);
     let mut best = (coarse_period as f64, 0usize, f64::NEG_INFINITY);
     // The coarse autocorrelation can be several samples off when the beat
     // tone is slow (few cycles per chirp, random phase), so search a wide
@@ -227,7 +281,7 @@ pub fn estimate_slot_timing(
         // a sum of +0) or after the last (onto a sum that, started from
         // +0, is never −0), so they leave every bit of the sum as it was.
         sums.fill(0.0);
-        simd::add_rows(sums, &contrast, &starts);
+        simd::add_rows(sums, contrast, starts);
         // Means, one run of offsets with the same count at a time (the
         // count changes only where a boundary's offset range starts or
         // ends), so a run's divisions vectorize; an offset with no boundary
@@ -314,6 +368,12 @@ mod tests {
 
     /// The period search's correlations as the loop above computed them:
     /// sixteen lags per pass, then four, then one.
+    fn autocorrelation(p: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
+        let mut corrs = vec![f64::NAN; 3];
+        autocorrelation_into(p, lag_min, lag_max, &mut corrs);
+        corrs
+    }
+
     fn autocorrelation_oracle(p: &[f64], lag_min: usize, lag_max: usize) -> Vec<f64> {
         let mut corrs = Vec::with_capacity(lag_max - lag_min + 1);
         let mut lag = lag_min;
@@ -435,7 +495,8 @@ mod tests {
         // The decoder's search band, 50–400 µs at 1 MHz.
         let (lag_min, lag_max) = (50, 400);
         for (name, samples) in isac_captures() {
-            let p = gating_profile(&samples, lag_min, lag_max);
+            let mut p = Vec::new();
+            gating_profile_into(&samples, lag_min, lag_max, &mut Vec::new(), &mut p);
             let got = autocorrelation(&p, lag_min, lag_max);
             let want = autocorrelation_oracle(&p, lag_min, lag_max);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

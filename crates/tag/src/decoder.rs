@@ -7,8 +7,9 @@
 //! parser.
 
 use crate::acquisition::{estimate_period, estimate_slot_timing};
-use crate::demod::{SlotBank, SymbolDecider};
+use crate::demod::{Candidate, SlotBank, SymbolDecider};
 use biscatter_link::packet::{parse_downlink, DownlinkSymbol, PacketError};
+use std::cell::{Cell, RefCell};
 
 /// The assembled downlink decoder.
 #[derive(Debug, Clone)]
@@ -127,10 +128,30 @@ impl DownlinkDecoder {
         period0: f64,
         offset0: usize,
     ) -> (f64, usize, Vec<DownlinkSymbol>) {
+        BANKS.with(|banks| {
+            let mut banks = banks.borrow_mut();
+            banks.keep_for(&self.decider);
+            let mut decided = DECIDED.take();
+            let out = self.refine_with(samples, period0, offset0, &mut banks.banks, &mut decided);
+            DECIDED.set(decided);
+            out
+        })
+    }
+
+    /// [`DownlinkDecoder::refine_timing`] on `banks`, this decider's banks
+    /// by span (the ones it needs and lacks are added), with `decided` as
+    /// the decision table.
+    fn refine_with(
+        &self,
+        samples: &[f64],
+        period0: f64,
+        offset0: usize,
+        banks: &mut Vec<(usize, SlotBank)>,
+        decided: &mut Vec<DownlinkSymbol>,
+    ) -> (f64, usize, Vec<DownlinkSymbol>) {
         let len = samples.len();
-        // One bank per distinct span, with the span it was laid out for.
-        let mut banks: Vec<(usize, SlotBank)> = Vec::new();
-        let mut sweeps = Vec::with_capacity(HYPOTHESES);
+        let mut sweeps = [Sweep::default(); HYPOTHESES];
+        let mut n = 0;
         for dp in -2i32..=2 {
             let period = period0 + dp as f64 * 0.25;
             for doff in -2i32..=2 {
@@ -154,20 +175,22 @@ impl DownlinkDecoder {
                 if live {
                     sweep.slots = sweep.count_slots(len, plen);
                 }
-                sweeps.push(sweep);
+                sweeps[n] = sweep;
+                n += 1;
             }
         }
+        let sweeps = &mut sweeps[..n];
 
         // `decided[k * n + h]`: hypothesis `h`'s symbol in slot `k`.
-        let n = sweeps.len();
         let rows = sweeps.iter().map(|s| s.slots).max().unwrap_or(0);
-        let mut decided = vec![DownlinkSymbol::Header; rows * n];
+        decided.clear();
+        decided.resize(rows * n, DownlinkSymbol::Header);
         // One bank's run: its distinct starts, slot after slot, their
         // decisions, and where each hypothesis's start sits among them.
         let mut starts = [0usize; RUN_STARTS];
         let mut decisions = [(DownlinkSymbol::Header, f64::NEG_INFINITY); RUN_STARTS];
         let mut picks = [[0u8; HYPOTHESES]; RUN_SLOTS];
-        for (b, (_, bank)) in banks.iter_mut().enumerate() {
+        for (b, (_, bank)) in banks.iter().enumerate() {
             let mut first = 0;
             while first < rows {
                 // Whole slots while one more surely fits.
@@ -224,6 +247,40 @@ impl DownlinkDecoder {
 /// scores: five periods by five offsets.
 const HYPOTHESES: usize = 25;
 
+/// Most banks [`BANKS`] keeps; a decode that would pass it starts afresh.
+const CACHED_BANKS: usize = 8;
+
+/// The decision banks of one decider, by the span each was laid out for,
+/// kept across decodes: a bank depends only on the candidates, the sample
+/// rate and the span, so a decoder built again for the next frame finds
+/// the banks of the last one.
+#[derive(Default)]
+struct BankCache {
+    candidates: Vec<Candidate>,
+    fs: f64,
+    banks: Vec<(usize, SlotBank)>,
+}
+
+impl BankCache {
+    /// Keeps the banks when they were laid out for `decider` (and are not
+    /// too many); drops them otherwise.
+    fn keep_for(&mut self, decider: &SymbolDecider) {
+        let same = self.candidates == decider.candidates && self.fs == decider.fs;
+        if !same || self.banks.len() >= CACHED_BANKS {
+            self.banks.clear();
+            self.candidates.clone_from(&decider.candidates);
+            self.fs = decider.fs;
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's decision banks.
+    static BANKS: RefCell<BankCache> = RefCell::default();
+    /// This thread's decision table of the timing sweep.
+    static DECIDED: Cell<Vec<DownlinkSymbol>> = const { Cell::new(Vec::new()) };
+}
+
 /// Most starts one run of slots decides together: eight whole layouts of
 /// the bank's batch (indices fit the `u8` picks).
 const RUN_STARTS: usize = 256;
@@ -232,6 +289,7 @@ const RUN_STARTS: usize = 256;
 const RUN_SLOTS: usize = 64;
 
 /// One hypothesis of [`DownlinkDecoder::refine_timing`].
+#[derive(Clone, Copy, Default)]
 struct Sweep {
     period: f64,
     offset: usize,

@@ -163,11 +163,6 @@ pub struct SlotBank {
     candidates: usize,
     /// Leading slot samples the lanes read: the longest lane.
     span: usize,
-    /// A batch's start-major rows, then each slot's running sums in the same
-    /// layout (`sums[i·stride + s]`: the sum of slot `s`'s first `i + 1`
-    /// samples), then each lane's shift and power on each slot. Handed on
-    /// to the next bank built on this thread when the bank is dropped.
-    scratch: Vec<f64>,
 }
 
 #[derive(Debug, Clone)]
@@ -201,7 +196,6 @@ impl SlotBank {
         SlotBank {
             candidates: candidates.len(),
             span,
-            scratch: SPARE_SCRATCH.take(),
             lanes,
         }
     }
@@ -209,7 +203,7 @@ impl SlotBank {
     /// The winning symbol and its normalized score on `slot` (the first
     /// strict maximum in bank order; `(Header, -inf)` when no candidate
     /// fits the slot): a batch of one.
-    pub fn decide(&mut self, slot: &[f64]) -> (DownlinkSymbol, f64) {
+    pub fn decide(&self, slot: &[f64]) -> (DownlinkSymbol, f64) {
         let mut best = [(DownlinkSymbol::Header, f64::NEG_INFINITY)];
         self.decide_batch(&slot[..self.span], &[0], &mut best);
         best[0]
@@ -221,7 +215,7 @@ impl SlotBank {
     /// # Panics
     /// Panics if `out` and `starts` differ in length.
     pub fn decide_batch(
-        &mut self,
+        &self,
         samples: &[f64],
         starts: &[usize],
         out: &mut [(DownlinkSymbol, f64)],
@@ -241,7 +235,7 @@ impl SlotBank {
     /// # Panics
     /// Panics if `out` is shorter than the candidate list.
     #[cfg(test)]
-    fn scores(&mut self, slot: &[f64], out: &mut [f64]) {
+    fn scores(&self, slot: &[f64], out: &mut [f64]) {
         out.fill(f64::NEG_INFINITY);
         let row = &mut out[..self.candidates];
         self.scores_batch(&slot[..self.span], &[0], row);
@@ -254,7 +248,7 @@ impl SlotBank {
     ///
     /// # Panics
     /// Panics if `out` does not hold one row per start.
-    pub fn scores_batch(&mut self, samples: &[f64], starts: &[usize], out: &mut [f64]) {
+    pub fn scores_batch(&self, samples: &[f64], starts: &[usize], out: &mut [f64]) {
         assert_eq!(out.len(), starts.len() * self.candidates);
         out.fill(f64::NEG_INFINITY);
         let columns = self.candidates;
@@ -267,21 +261,20 @@ impl SlotBank {
     /// slots per layout, and hands each `(slot, lane, score)` to `visit`;
     /// each slot sees its lanes in bank order.
     fn for_each_score(
-        &mut self,
+        &self,
         samples: &[f64],
         starts: &[usize],
         mut visit: impl FnMut(usize, &BankLane, f64),
     ) {
-        let SlotBank {
-            lanes,
-            span,
-            scratch,
-            ..
-        } = self;
+        let SlotBank { lanes, span, .. } = self;
         let span = *span;
         if lanes.is_empty() {
             return;
         }
+        // A batch's start-major rows, then each slot's running sums in the
+        // same layout (`sums[i·stride + s]`: the sum of slot `s`'s first
+        // `i + 1` samples), then each lane's shift and power on each slot.
+        let mut scratch = BATCH_SCRATCH.take();
         for (first, chunk) in starts.chunks(BATCH).enumerate() {
             let first = first * BATCH;
             let stride = 4 * chunk.len().div_ceil(4);
@@ -354,29 +347,14 @@ impl SlotBank {
                 }
             }
         }
+        BATCH_SCRATCH.set(scratch);
     }
 }
 
 thread_local! {
-    /// The batch scratch of the last bank dropped on this thread, for the
-    /// next bank built here: decodes on a warm thread lay out their batches
-    /// without allocating.
-    static SPARE_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-}
-
-impl Drop for SlotBank {
-    fn drop(&mut self) {
-        let scratch = std::mem::take(&mut self.scratch);
-        // `try_with`: a bank dropped while its thread exits frees its own.
-        let _ = SPARE_SCRATCH.try_with(|spare| {
-            let other = spare.take();
-            spare.set(if other.capacity() > scratch.capacity() {
-                other
-            } else {
-                scratch
-            });
-        });
-    }
+    /// The batch layout every bank on this thread decides through: decodes
+    /// on a warm thread lay out their batches without allocating.
+    static BATCH_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 impl BankLane {
@@ -530,7 +508,7 @@ mod tests {
         // Whole slots, and slots shorter than the longest chirps, so that
         // truncated windows and candidates too short to score show up too.
         for slot_len in [120usize, 101, 64, 21, 5] {
-            let mut bank = decider.bank(slot_len);
+            let bank = decider.bank(slot_len);
             for slot in stream.chunks_exact(slot_len).take(12) {
                 bank.scores(slot, &mut scores);
                 let mut want = (DownlinkSymbol::Header, f64::NEG_INFINITY);
@@ -576,7 +554,7 @@ mod tests {
         // Batch sizes 0–25 (the timing sweep's range; an empty batch ends
         // almost every decode) and one of 70, which takes three layouts.
         for slot_len in [120usize, 64, 21, 5] {
-            let mut bank = decider.bank(slot_len);
+            let bank = decider.bank(slot_len);
             for size in (0..=25).chain([70]) {
                 // Arbitrary starts, repeated starts, and slots that run past
                 // the end of the capture or start beyond it.
