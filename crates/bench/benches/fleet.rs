@@ -19,10 +19,11 @@ use std::hint::black_box;
 use biscatter_bench::harness::{self, Args, Fields, Sampler};
 use biscatter_bench::hot_stages;
 use biscatter_core::dsp::arena::Pool;
-use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, AlignedPair, IsacScenario};
+use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, IsacScenario};
 use biscatter_core::json::Value;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_fleet::{AdmissionPolicy, Fleet, FleetConfig, FleetReport};
 use biscatter_runtime::compute::ComputePool;
@@ -139,7 +140,7 @@ fn main() {
 
     // --- Steady-state allocation count on a fleet cell's arena path. -----
     // The 16-cell fleet's cell arenas are warm from the runs above.
-    // The aligned pair and the map lease from the cell's arena; the IF
+    // The aligned frame and the map lease from the cell's arena; the IF
     // slab of the two-stage path is local (the cell's own frames keep
     // none).
     let fleet = last.expect("16-cell fleet ran above");
@@ -149,15 +150,15 @@ fn main() {
     let scenario = IsacScenario::single_tag(3.0, 16.0 / frame_s).with_office_clutter();
     let synth = synthesize_frame(&sys, &scenario, b"CMD1", 7);
     let slabs = Pool::new();
-    let mut pair = arena.aligned.take_or(AlignedPair::default);
+    let mut aligned = arena.aligned.take_or(AlignedFrame::default);
     let mut map = arena.maps.take_or(RangeDopplerMap::default);
     // Two warm-up frames size the lease-local buffers; the third must not
     // touch the heap at all.
     for _ in 0..2 {
-        hot_stages(&pool, &sys, &synth, &slabs, &mut pair, &mut map, 1);
+        hot_stages(&pool, &sys, &synth, &slabs, &mut aligned, &mut map, 1);
     }
     let ((), steady_allocs) = counted(|| {
-        hot_stages(&pool, &sys, &synth, &slabs, &mut pair, &mut map, 1);
+        hot_stages(&pool, &sys, &synth, &slabs, &mut aligned, &mut map, 1);
     });
     black_box(map.at(0, 0));
     println!("steady-state allocations (fleet cell arena path): {steady_allocs}");

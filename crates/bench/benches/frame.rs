@@ -24,12 +24,11 @@ use biscatter_bench::hot_stages;
 use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::dispatch::{tier, SimdTier};
 use biscatter_core::dsp::Real;
-use biscatter_core::isac::{
-    synthesize_frame, warm_dsp_plans, AlignedPair, IsacScenario, SynthesizedFrame,
-};
+use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, IsacScenario, SynthesizedFrame};
 use biscatter_core::json::Value;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::compute::ComputePool;
@@ -45,11 +44,11 @@ fn steady_state_allocs<T: Real>(
     synth: &SynthesizedFrame,
     slabs: &Pool<SampleSlab<T>>,
 ) -> usize {
-    let (mut pair, mut map) = (AlignedPair::<T>::default(), RangeDopplerMap::default());
+    let (mut frame, mut map) = (AlignedFrame::<T>::default(), RangeDopplerMap::default());
     for _ in 0..3 {
-        hot_stages(pool, sys, synth, slabs, &mut pair, &mut map, 1);
+        hot_stages(pool, sys, synth, slabs, &mut frame, &mut map, 1);
     }
-    counted(|| hot_stages(pool, sys, synth, slabs, &mut pair, &mut map, 1)).1
+    counted(|| hot_stages(pool, sys, synth, slabs, &mut frame, &mut map, 1)).1
 }
 
 /// A timed body: one frame in precision `T` on `pool`, on buffers of its
@@ -60,9 +59,9 @@ fn frame_body<'a, T: Real>(
     synth: &'a SynthesizedFrame,
 ) -> impl FnMut() + 'a {
     let slabs = Pool::new();
-    let (mut pair, mut map) = (AlignedPair::<T>::default(), RangeDopplerMap::default());
+    let (mut frame, mut map) = (AlignedFrame::<T>::default(), RangeDopplerMap::default());
     move || {
-        hot_stages(pool, sys, synth, &slabs, &mut pair, &mut map, 1);
+        hot_stages(pool, sys, synth, &slabs, &mut frame, &mut map, 1);
         black_box(map.at(0, 0));
     }
 }
@@ -82,13 +81,13 @@ fn main() {
 
     // --- Bit-equality: pooled output must match serial exactly. ----------
     let (slabs_a, slabs_b) = (Pool::new(), Pool::new());
-    let (mut pair_s, mut map_s) = (AlignedPair::default(), RangeDopplerMap::default());
-    let (mut pair_p, mut map_p) = (AlignedPair::default(), RangeDopplerMap::default());
-    hot_stages(&serial, &sys, &synth, &slabs_a, &mut pair_s, &mut map_s, 1);
-    hot_stages(&pooled, &sys, &synth, &slabs_b, &mut pair_p, &mut map_p, 1);
+    let (mut frame_s, mut map_s) = (AlignedFrame::default(), RangeDopplerMap::default());
+    let (mut frame_p, mut map_p) = (AlignedFrame::default(), RangeDopplerMap::default());
+    hot_stages(&serial, &sys, &synth, &slabs_a, &mut frame_s, &mut map_s, 1);
+    hot_stages(&pooled, &sys, &synth, &slabs_b, &mut frame_p, &mut map_p, 1);
     // The comms path is read off these rows, so they cover both paths.
     assert_eq!(
-        pair_s.sensing.profiles, pair_p.sensing.profiles,
+        frame_s.profiles, frame_p.profiles,
         "pooled aligned profiles diverged from serial"
     );
     assert_eq!(map_s.n_doppler, map_p.n_doppler);

@@ -28,13 +28,11 @@ use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::simd;
 use biscatter_core::dsp::Cpx;
 use biscatter_core::isac::{
-    align_stage_into, dechirp_stage_into, front_end_stage_into, synthesize_frame, AlignedPair,
+    align_stage_into, dechirp_stage_into, front_end_stage_into, synthesize_frame,
 };
 use biscatter_core::link::packet::{DownlinkPacket, DownlinkSymbol};
 use biscatter_core::radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
-use biscatter_core::radar::receiver::{
-    align_frame, align_frame_into, AlignedFrame, CommsView, RxConfig,
-};
+use biscatter_core::radar::receiver::{align_frame, align_frame_into, AlignedFrame, RxConfig};
 use biscatter_core::radar::sequencer::isac_frame;
 use biscatter_core::rf::frame::{ChirpTrain, MAX_DUTY};
 use biscatter_core::rf::if_gen::IfReceiver;
@@ -211,7 +209,7 @@ fn main() {
     // deployment: 24 tags toggling their switches, the `warehouse_k24` frame
     // `frame_digest.rs` pins, into one reused slab, then its alignment; and
     // the fused front end that runs both without the slab, into a reused
-    // pair. On a 1-thread pool (as a cell runs them) and on 2 threads.
+    // frame. On a 1-thread pool (as a cell runs them) and on 2 threads.
     // The three rows are sampled interleaved, and the last line is the
     // paired ratio of the fused front end to the two stages it replaces.
     let job = multi_tag_jobs(&sys, 1, 24, 11).remove(0);
@@ -224,7 +222,7 @@ fn main() {
         }
         let pool = ComputePool::new(threads);
         let slab = RefCell::new(SampleSlab::<f64>::new());
-        let (mut two, mut fused) = (AlignedPair::<f64>::default(), AlignedPair::<f64>::default());
+        let (mut two, mut fused): (AlignedFrame, AlignedFrame) = Default::default();
         let times = slow.interleave(&mut [
             &mut || {
                 let mut slab = slab.borrow_mut();
@@ -296,7 +294,7 @@ fn main() {
     let frame = align_frame(&RxConfig::default(), &train, &if_data);
     let mut map = RangeDopplerMap::default();
     row(&args, &slow, "radar/range_doppler_64x1024", || {
-        range_doppler_into(&pool, CommsView::stored(black_box(&frame)), &mut map);
+        range_doppler_into(&pool, black_box(&frame).comms(), &mut map);
     });
 
     let mut seed = 0u64;

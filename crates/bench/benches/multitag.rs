@@ -24,7 +24,7 @@ use biscatter_core::radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
 use biscatter_core::radar::receiver::uplink::{demodulate, UplinkScheme};
-use biscatter_core::radar::receiver::{AlignedFrame, CommsView};
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_runtime::compute::ComputePool;
 
 #[global_allocator]
@@ -83,32 +83,30 @@ fn profiles(k: usize) -> Vec<TagProfile> {
 /// pseudo-noise background (so noise floors and SNRs are finite).
 fn build_frame() -> AlignedFrame {
     let bin_of: Vec<usize> = (0..MAX_TAGS).map(tag_range_bin).collect();
-    let profiles = (0..N_CHIRPS)
-        .map(|c| {
-            let mut row: Vec<Cpx> = (0..N_RANGE)
-                .map(|r| {
-                    let h = splitmix64((c * N_RANGE + r) as u64);
-                    Cpx::new(1e-3 * (h & 0xFFFF) as f64 / 65536.0, 0.0)
-                })
-                .collect();
-            let t_abs = c as f64 * T_PERIOD;
-            for (t, &rb) in bin_of.iter().enumerate() {
-                // 50%-duty square subcarrier at the tag's modulation
-                // frequency: on-phase reflects, off-phase leaks 1%.
-                let on = (t_abs * tag_freq(t)).rem_euclid(1.0) < 0.5;
-                row[rb].re += if on { 1.0 } else { 0.01 };
-            }
-            row
-        })
-        .collect();
-    AlignedFrame {
-        profiles,
-        range_grid: (0..N_RANGE)
-            .map(|r| r as f64 * 0.0146)
-            .collect::<Vec<f64>>()
-            .into(),
-        t_period: T_PERIOD,
+    let mut frame = AlignedFrame::default();
+    frame
+        .profiles
+        .layout_rows(std::iter::repeat(N_RANGE).take(N_CHIRPS));
+    for c in 0..N_CHIRPS {
+        let row = frame.profiles.row_mut(c);
+        for (r, z) in row.iter_mut().enumerate() {
+            let h = splitmix64((c * N_RANGE + r) as u64);
+            *z = Cpx::new(1e-3 * (h & 0xFFFF) as f64 / 65536.0, 0.0);
+        }
+        let t_abs = c as f64 * T_PERIOD;
+        for (t, &rb) in bin_of.iter().enumerate() {
+            // 50%-duty square subcarrier at the tag's modulation
+            // frequency: on-phase reflects, off-phase leaks 1%.
+            let on = (t_abs * tag_freq(t)).rem_euclid(1.0) < 0.5;
+            row[rb].re += if on { 1.0 } else { 0.01 };
+        }
     }
+    frame.range_grid = (0..N_RANGE)
+        .map(|r| r as f64 * 0.0146)
+        .collect::<Vec<f64>>()
+        .into();
+    frame.t_period = T_PERIOD;
+    frame
 }
 
 /// The sequential per-tag baseline the engine replaces (and must match bit
@@ -122,14 +120,8 @@ fn sequential_detect(
     out.clear();
     for p in profiles {
         let location = locate_tag(map, p.f_mod_hz, MIN_SNR_DB);
-        let uplink = location.and_then(|loc| {
-            demodulate(
-                CommsView::stored(frame),
-                loc.range_bin,
-                p.scheme,
-                p.bit_duration_s,
-            )
-        });
+        let uplink = location
+            .and_then(|loc| demodulate(frame.comms(), loc.range_bin, p.scheme, p.bit_duration_s));
         out.push(TagDetection { location, uplink });
     }
 }
@@ -140,7 +132,7 @@ fn main() {
     let sampler = Sampler::new(&args, samples);
 
     let frame = build_frame();
-    let map = range_doppler(CommsView::stored(&frame));
+    let map = range_doppler(frame.comms());
     let pool = ComputePool::new(1);
 
     let ks = [1usize, 8, 64, 256];
@@ -161,7 +153,7 @@ fn main() {
             &pool,
             &mut bank,
             &map,
-            CommsView::stored(&frame),
+            frame.comms(),
             &mut scratch,
             &mut batched,
         );
@@ -181,7 +173,7 @@ fn main() {
                 &pool,
                 &mut bank,
                 &map,
-                CommsView::stored(&frame),
+                frame.comms(),
                 &mut scratch,
                 &mut batched,
             );
@@ -190,7 +182,7 @@ fn main() {
                     &pool,
                     &mut bank,
                     &map,
-                    CommsView::stored(&frame),
+                    frame.comms(),
                     &mut scratch,
                     &mut batched,
                 );
@@ -214,7 +206,7 @@ fn main() {
                     &pool,
                     &mut bank,
                     &map,
-                    CommsView::stored(&frame),
+                    frame.comms(),
                     &mut scratch,
                     &mut batched,
                 );

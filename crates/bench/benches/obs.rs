@@ -29,11 +29,10 @@ use std::time::{Duration, Instant};
 use biscatter_bench::harness::{self, Args, Fields, Sampler, Samples};
 use biscatter_bench::hot_stages;
 use biscatter_core::dsp::arena::Pool;
-use biscatter_core::isac::{
-    synthesize_frame, warm_dsp_plans, AlignedPair, IsacScenario, SynthesizedFrame,
-};
+use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, IsacScenario, SynthesizedFrame};
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::compute::ComputePool;
@@ -51,7 +50,7 @@ fn frame(
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
     slabs: &Pool<SampleSlab>,
-    out: &mut (AlignedPair, RangeDopplerMap),
+    out: &mut (AlignedFrame, RangeDopplerMap),
 ) {
     hot_stages(pool, sys, synth, slabs, &mut out.0, &mut out.1, 1);
     black_box(out.1.at(0, 0));

@@ -19,9 +19,10 @@ use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::Real;
 use biscatter_core::experiment::Experiment;
 use biscatter_core::isac::{
-    align_stage_into, dechirp_stage_into, doppler_stage_into, AlignedPair, SynthesizedFrame,
+    align_stage_into, dechirp_stage_into, doppler_stage_into, SynthesizedFrame,
 };
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::compute::ComputePool;
@@ -46,21 +47,21 @@ pub fn dispatch_json_fields() -> String {
 
 /// Stages 2–4 of one frame (dechirp → align → doppler) in precision `T`,
 /// the hot path the `frame`, `obs` and `fleet` benches time and audit:
-/// the IF slab is leased from `slabs`, and the outputs are left in `pair`
-/// and `map`.
+/// the IF slab is leased from `slabs`, and the outputs are left in
+/// `frame` and `map`.
 pub fn hot_stages<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
     slabs: &Pool<SampleSlab<T>>,
-    pair: &mut AlignedPair<T>,
+    frame: &mut AlignedFrame<T>,
     map: &mut RangeDopplerMap,
     seed: u64,
 ) {
     let mut slab = slabs.take_or(SampleSlab::new);
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-    align_stage_into(pool, sys, &synth.train, &*slab, pair);
-    doppler_stage_into(pool, pair, map);
+    align_stage_into(pool, sys, &synth.train, &*slab, frame);
+    doppler_stage_into(pool, frame, map);
 }
 
 /// Monte-Carlo frames per operating point (`BISCATTER_FRAMES`, default 60).

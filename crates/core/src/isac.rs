@@ -37,9 +37,10 @@ use biscatter_radar::receiver::localize::{locate_tag, TagLocation};
 use biscatter_radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
+use biscatter_radar::receiver::range_profile::transform_len;
 use biscatter_radar::receiver::uplink::{demodulate, UplinkScheme};
 use biscatter_radar::receiver::{
-    align_frame_into, receive_frame_into, AlignedFrame, CommsView, FrontEndSplit, RxConfig,
+    align_frame_into, receive_frame_into, AlignedFrame, FrontEndSplit,
 };
 use biscatter_radar::sensing::{CfarDetector, Detection};
 use biscatter_radar::sequencer::isac_frame;
@@ -245,14 +246,17 @@ pub struct IsacOutcome {
 // ---------------------------------------------------------------------------
 
 /// Pre-builds this thread's FFT plans for the transform lengths a frame
-/// from `sys` will need: the range FFT's packed real-input plan and the
-/// slow-time (Doppler) plan. Calling it from a worker thread at startup
+/// from `sys` will need: the range FFT's packed real-input plan at every
+/// length a chirp of the alphabet transforms at ([`transform_len`]), and
+/// the slow-time (Doppler) plan. Calling it from a worker thread at startup
 /// moves plan construction out of first-frame latency; it is idempotent and
 /// cheap when the plans already exist.
 pub fn warm_dsp_plans(sys: &BiScatterSystem) {
     with_planner(|p: &mut FftPlanner| {
-        let n_fft = biscatter_dsp::fft::next_pow2(sys.rx.n_fft.max(2));
-        let _ = p.rfft_plan(n_fft);
+        for &duration in sys.alphabet.durations() {
+            let samples = (duration * sys.rx.if_sample_rate).round() as usize;
+            let _ = p.rfft_plan(transform_len(samples, sys.rx.n_fft.max(2)));
+        }
         let _ = p.plan(biscatter_dsp::fft::next_pow2(sys.frame_chirps.max(1)));
     });
 }
@@ -270,28 +274,10 @@ pub struct SynthesizedFrame {
     pub downlink: FrameOutcome,
 }
 
-/// Stage 3 output: the aligned range profiles both receive paths read, in
-/// sample precision `T`.
-///
-/// Only the sensing rows are stored. The comms path is derived from them
-/// on read ([`AlignedPair::comms`]), so a frame holds one copy of its
-/// profiles, not two.
-#[derive(Debug, Clone, Default)]
-pub struct AlignedPair<T = f64> {
-    /// Sensing path (no background subtraction: static world is the signal).
-    pub sensing: AlignedFrame<T>,
-    /// Whether the comms path subtracts chirp 0 (the system's
-    /// `RxConfig::background_subtraction` when the rows were aligned).
-    subtract_background: bool,
-}
-
-impl<T: Real> AlignedPair<T> {
-    /// The comms/localization path: the sensing rows, with chirp 0
-    /// subtracted on read when the system subtracts background.
-    pub fn comms(&self) -> CommsView<'_, T> {
-        CommsView::new(&self.sensing, self.subtract_background)
-    }
-}
+/// Stage 3 output, the aligned frame both receive paths read, under the
+/// name the `biscatter-e2e` benchmark's replay imports: its rows are the
+/// sensing path, its [`AlignedFrame::comms`] the comms path.
+pub type AlignedPair<T = f64> = AlignedFrame<T>;
 
 /// Recyclable buffers for the frame hot path (stages 2–5).
 ///
@@ -303,16 +289,16 @@ impl<T: Real> AlignedPair<T> {
 ///
 /// After a warm-up frame has sized every buffer, stages 2–4 (the fused
 /// dechirp + align front end, then doppler) perform **no heap allocation**
-/// on a 1-thread pool: profile rows, power slabs, the per-thread IF row
-/// and FFT scratch are reused. No frame holds a slab of IF samples: each
+/// on a 1-thread pool: row slabs, power slabs, the per-thread IF row and
+/// FFT scratch are reused. No frame holds a slab of IF samples: each
 /// chirp's samples live in a per-thread row from synthesis through its
 /// range FFT. (A multi-thread pool additionally allocates a handful of
 /// small control blocks per parallel region; stages 1 and 5 build fresh
 /// outputs — packets, detections — by design.)
 #[derive(Debug, Clone)]
 pub struct FrameArena {
-    /// Stage 2–3 aligned frame pairs.
-    pub aligned: Pool<AlignedPair>,
+    /// Stage 2–3 aligned frames.
+    pub aligned: Pool<AlignedFrame>,
     /// Stage 4 range–Doppler maps.
     pub maps: Pool<RangeDopplerMap>,
     /// Stage 5 mean-power scratch.
@@ -322,9 +308,9 @@ pub struct FrameArena {
     pub banks: Pool<TagBank>,
     /// Stage 5 multi-tag batch scratch (band/score/amplitude slabs).
     pub multitag: Pool<MultiTagScratch>,
-    /// Stage 2–3 aligned frame pairs for the f32 fast tier (unused — and
+    /// Stage 2–3 aligned frames for the f32 fast tier (unused — and
     /// unsized — when every frame runs the f64 oracle path).
-    pub aligned32: Pool<AlignedPair<f32>>,
+    pub aligned32: Pool<AlignedFrame<f32>>,
     /// Cold-start acquisition dwell captures.
     pub captures: Pool<Vec<f64>>,
     /// Cold-start correlator banks (cached template spectra stay warm as
@@ -485,15 +471,6 @@ fn if_receiver(sys: &BiScatterSystem, seed: u64) -> (IfReceiver, NoiseSource) {
     (rx, NoiseSource::new(seed ^ 0x5EED_0F1F_2F3F))
 }
 
-/// The receive config both paths align with: the sensing rows, without
-/// background subtraction (the comms path subtracts on read).
-fn sensing_config(sys: &BiScatterSystem) -> RxConfig {
-    RxConfig {
-        background_subtraction: false,
-        ..sys.rx.clone()
-    }
-}
-
 /// Stage 2 — dechirp / IF generation: the radar mixes the scene's
 /// reflection of every chirp down to IF samples, writing into a reusable
 /// sample slab in precision `T` and fanning chirp synthesis across `pool`
@@ -523,7 +500,7 @@ pub fn dechirp_stage_into<T: Real>(
 /// samples: each chirp is synthesized, noised and range-transformed in one
 /// pass into `out`'s rows ([`receive_frame_into`]), bit for bit what
 /// [`dechirp_stage_into`] followed by [`align_stage_into`] leave in the
-/// pair.
+/// frame.
 ///
 /// The two stages' trace spans, `isac.dechirp` then `isac.align`, split
 /// the front end's wall time in the ratio of its rows' synthesis and
@@ -535,21 +512,11 @@ pub fn front_end_stage_into<T: Real>(
     train: &ChirpTrain,
     scene: &Scene,
     seed: u64,
-    out: &mut AlignedPair<T>,
+    out: &mut AlignedFrame<T>,
 ) -> FrontEndSplit {
     let (frame_id, t0) = (trace::current_frame(), trace::now_ns());
     let (rx, mut if_noise) = if_receiver(sys, seed);
-    let cfg = sensing_config(sys);
-    let split = receive_frame_into(
-        pool,
-        &cfg,
-        &rx,
-        train,
-        scene,
-        &mut if_noise,
-        &mut out.sensing,
-    );
-    out.subtract_background = sys.rx.background_subtraction;
+    let split = receive_frame_into(pool, &sys.rx, &rx, train, scene, &mut if_noise, out);
     let wall = trace::now_ns().saturating_sub(t0);
     let (dechirp, align) = split.divide(wall);
     trace::record_span("isac.dechirp", frame_id, t0, dechirp);
@@ -558,37 +525,34 @@ pub fn front_end_stage_into<T: Real>(
 }
 
 /// Stage 3 — align + IF correction: per-chirp range FFTs resampled onto the
-/// common range grid, recycling `out`'s profile buffers and grid `Arc`s and
-/// fanning per-chirp FFT + resample across `pool`.
+/// common range grid, recycling `out`'s row slab and grid `Arc` and fanning
+/// per-chirp FFT + resample across `pool`.
 ///
-/// Both receive paths come from one transform pass into one set of rows:
-/// the frame is aligned without background subtraction, and the comms path
-/// reads it with chirp 0's profile subtracted ([`AlignedPair::comms`]) —
-/// bit for bit what a second full align with subtraction would produce,
-/// without that frame's transforms or its copy.
+/// Both receive paths read one set of rows: the rows are the sensing path,
+/// and the comms path reads them with chirp 0's profile subtracted when
+/// the system subtracts background ([`AlignedFrame::comms`]).
 pub fn align_stage_into<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     train: &ChirpTrain,
     if_data: &SampleSlab<T>,
-    out: &mut AlignedPair<T>,
+    out: &mut AlignedFrame<T>,
 ) {
     let _span = biscatter_obs::span!("isac.align");
-    align_frame_into(pool, &sensing_config(sys), train, if_data, &mut out.sensing);
-    out.subtract_background = sys.rx.background_subtraction;
+    align_frame_into(pool, &sys.rx, train, if_data, out);
 }
 
 /// Stage 4 — range–Doppler: slow-time FFT of the comms path, read off the
-/// pair's rows, recycling `out`'s power slab and splitting range columns
+/// frame's rows, recycling `out`'s power slab and splitting range columns
 /// across `pool`.
 /// The power lands in an f64 map whatever the frame's precision.
 pub fn doppler_stage_into<T: Real>(
     pool: &ComputePool,
-    pair: &AlignedPair<T>,
+    frame: &AlignedFrame<T>,
     out: &mut RangeDopplerMap,
 ) {
     let _span = biscatter_obs::span!("isac.doppler");
-    range_doppler_into(pool, pair.comms(), out);
+    range_doppler_into(pool, frame.comms(), out);
 }
 
 /// Stage 5 — uplink demod + CFAR/localization: localizes the tag on the
@@ -600,7 +564,7 @@ pub fn doppler_stage_into<T: Real>(
 /// mean power are f64 in either precision, so the detection code is shared.
 pub fn detect_stage_with<T: Real>(
     scenario: &IsacScenario,
-    pair: &AlignedPair<T>,
+    frame: &AlignedFrame<T>,
     map: &RangeDopplerMap,
     downlink: FrameOutcome,
     mean_power: &mut Vec<f64>,
@@ -612,7 +576,7 @@ pub fn detect_stage_with<T: Real>(
     } else {
         location.as_ref().and_then(|loc| {
             demodulate(
-                pair.comms(),
+                frame.comms(),
                 loc.range_bin,
                 scenario.uplink_scheme,
                 scenario.uplink_bit_duration_s,
@@ -621,7 +585,7 @@ pub fn detect_stage_with<T: Real>(
         })
     };
 
-    let detections = sensing_detections(pair, mean_power);
+    let detections = sensing_detections(frame, mean_power);
 
     IsacOutcome {
         downlink,
@@ -635,21 +599,23 @@ pub fn detect_stage_with<T: Real>(
 /// CFAR detection on the sensing path: mean power over slow time per range
 /// bin (each `|·|²` widened into the f64 accumulator), fed to the detector.
 /// Shared by the single- and multi-tag detect stages.
-fn sensing_detections<T: Real>(pair: &AlignedPair<T>, mean_power: &mut Vec<f64>) -> Vec<Detection> {
-    let sensing_frame = &pair.sensing;
-    let n = sensing_frame.n_chirps() as f64;
+fn sensing_detections<T: Real>(
+    frame: &AlignedFrame<T>,
+    mean_power: &mut Vec<f64>,
+) -> Vec<Detection> {
+    let n = frame.n_chirps() as f64;
     // Accumulate profiles-outer so each pass walks one contiguous profile
     // row, instead of striding `p[r]` across every profile per range bin
     // (cache-hostile column-major access for frames with many chirps).
     mean_power.clear();
-    mean_power.resize(sensing_frame.range_grid.len(), 0.0);
-    for p in &sensing_frame.profiles {
+    mean_power.resize(frame.range_grid.len(), 0.0);
+    for p in frame.profiles.iter() {
         simd::norm_sq_accum(mean_power, p);
     }
     for acc in mean_power.iter_mut() {
         *acc /= n;
     }
-    CfarDetector::default().detect(mean_power, &sensing_frame.range_grid)
+    CfarDetector::default().detect(mean_power, &frame.range_grid)
 }
 
 /// Stage 5, batched: localizes and decodes **every** tag of the scenario
@@ -665,7 +631,7 @@ fn sensing_detections<T: Real>(pair: &AlignedPair<T>, mean_power: &mut Vec<f64>)
 pub fn detect_stage_multi<T: Real>(
     pool: &ComputePool,
     scenario: &IsacScenario,
-    pair: &AlignedPair<T>,
+    frame: &AlignedFrame<T>,
     map: &RangeDopplerMap,
     downlink: FrameOutcome,
     bank: &mut TagBank,
@@ -677,7 +643,7 @@ pub fn detect_stage_multi<T: Real>(
     scenario.tag_profiles_into(&mut profiles);
     bank.set_tags(&profiles);
     let mut tags = Vec::new();
-    detect_all(pool, bank, map, pair.comms(), scratch, &mut tags);
+    detect_all(pool, bank, map, frame.comms(), scratch, &mut tags);
 
     let location = tags[0].location;
     let uplink_bits = if scenario.uplink_bits.is_empty() {
@@ -685,7 +651,7 @@ pub fn detect_stage_multi<T: Real>(
     } else {
         tags[0].uplink.as_ref().map(|d| d.bits.clone())
     };
-    let detections = sensing_detections(pair, mean_power);
+    let detections = sensing_detections(frame, mean_power);
 
     IsacOutcome {
         downlink,
@@ -710,18 +676,18 @@ pub fn run_isac_frame(
     let synth = synthesize_frame(sys, scenario, payload, seed);
     let mut if_data = SampleSlab::<f64>::new();
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut if_data);
-    let mut pair = AlignedPair::default();
-    align_stage_into(pool, sys, &synth.train, &if_data, &mut pair);
+    let mut frame = AlignedFrame::default();
+    align_stage_into(pool, sys, &synth.train, &if_data, &mut frame);
     let mut map = RangeDopplerMap::default();
-    doppler_stage_into(pool, &pair, &mut map);
+    doppler_stage_into(pool, &frame, &mut map);
     let mut mean_power = Vec::new();
     if scenario.extra_tags.is_empty() {
-        detect_stage_with(scenario, &pair, &map, synth.downlink, &mut mean_power)
+        detect_stage_with(scenario, &frame, &map, synth.downlink, &mut mean_power)
     } else {
         detect_stage_multi(
             pool,
             scenario,
-            &pair,
+            &frame,
             &map,
             synth.downlink,
             &mut TagBank::default(),
@@ -785,13 +751,13 @@ pub fn run_frame(
     }
 }
 
-/// The stage sequence of [`run_frame`] in precision `T`, leasing the pair
+/// The stage sequence of [`run_frame`] in precision `T`, leasing the frame
 /// buffers of that precision from `aligned`. The fused front end's wall
 /// time is split into the record's `dechirp` and `align` in the ratio its
 /// rows spent synthesizing and transforming ([`FrontEndSplit::divide`]).
 fn run_stages<T: Real>(
     ctx: &FrameCtx,
-    aligned: &Pool<AlignedPair<T>>,
+    aligned: &Pool<AlignedFrame<T>>,
     scenario: &IsacScenario,
     payload: &[u8],
     seed: u64,
@@ -802,22 +768,22 @@ fn run_stages<T: Real>(
     let synth = synthesize_frame(sys, scenario, payload, seed);
     times.synthesize = lap();
 
-    let mut pair = aligned.take_or(AlignedPair::default);
-    let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut pair);
+    let mut frame = aligned.take_or(AlignedFrame::default);
+    let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut frame);
     (times.dechirp, times.align) = split.divide(lap());
     let mut map = arena.maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into(pool, &pair, &mut map);
+    doppler_stage_into(pool, &frame, &mut map);
     times.doppler = lap();
     let mut mean_power = arena.scratch.take_or(Vec::new);
     let out = if scenario.extra_tags.is_empty() {
-        detect_stage_with(scenario, &pair, &map, synth.downlink, &mut mean_power)
+        detect_stage_with(scenario, &frame, &map, synth.downlink, &mut mean_power)
     } else {
         let mut bank = arena.banks.take_or(TagBank::default);
         let mut scratch = arena.multitag.take_or(MultiTagScratch::default);
         detect_stage_multi(
             pool,
             scenario,
-            &pair,
+            &frame,
             &map,
             synth.downlink,
             &mut bank,

@@ -30,14 +30,15 @@
 //! stages this tier accelerates.
 //!
 //! The `*_f32` stage names and [`AlignedPair32`] are the generic stages and
-//! pair under the names the `biscatter-e2e` benchmark's replay imports.
+//! aligned frame under the names the `biscatter-e2e` benchmark's replay
+//! imports.
 
 pub use super::{
     align_stage_into as align_stage_into_f32, dechirp_stage_into as dechirp_stage_into_f32,
     detect_stage_with as detect_stage_with_f32, doppler_stage_into as doppler_stage_into_f32,
 };
 
-/// The f32 tier's aligned pair.
+/// The f32 tier's aligned frame.
 pub type AlignedPair32 = super::AlignedPair<f32>;
 
 /// Which numeric tier the frame hot path runs on.

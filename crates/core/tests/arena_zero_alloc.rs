@@ -2,7 +2,7 @@
 //!
 //! DESIGN.md §10 claims that after warm-up, the frame hot path — the fused
 //! dechirp + align front end, then doppler, stages 2–4 — performs **no heap
-//! allocation** on a 1-thread pool: profile rows, power slabs, the
+//! allocation** on a 1-thread pool: row slabs, power slabs, the
 //! per-thread IF row and all FFT / resample scratch are recycled through
 //! the [`FrameArena`] and thread-local caches. This test enforces the claim
 //! with a counting global allocator: two warm-up frames size every buffer,
@@ -35,7 +35,7 @@ use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     acquire_config, acquire_hypotheses, align_stage_into, dechirp_stage_into, doppler_stage_into,
     front_end_stage_into, synthesize_cold_start_capture, synthesize_frame, warm_acquire_plans,
-    warm_dsp_plans, AlignedPair, FrameArena, IsacScenario, SynthesizedFrame,
+    warm_dsp_plans, FrameArena, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::link::packet::DownlinkPacket;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
@@ -45,26 +45,27 @@ use biscatter_core::system::BiScatterSystem;
 use biscatter_core::tag::decoder::DownlinkDecoder;
 use biscatter_radar::receiver::acquire::{acquire_all, AcquireScratch, CorrelatorBank};
 use biscatter_radar::receiver::doppler::RangeDopplerMap;
+use biscatter_radar::receiver::AlignedFrame;
 use biscatter_rf::slab::SampleSlab;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Stages 2–4 of one frame in precision `T` as `run_frame` runs them: the
-/// fused front end into a pair leased from the arena, then Doppler; returns
+/// fused front end into a frame leased from the arena, then Doppler; returns
 /// one map cell as a checksum.
 fn fused_stages<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    aligned: &Pool<AlignedPair<T>>,
+    aligned: &Pool<AlignedFrame<T>>,
     maps: &Pool<RangeDopplerMap>,
     seed: u64,
 ) -> f64 {
-    let mut pair = aligned.take_or(AlignedPair::default);
-    front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut pair);
+    let mut frame = aligned.take_or(AlignedFrame::default);
+    front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut frame);
     let mut map = maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into(pool, &pair, &mut map);
+    doppler_stage_into(pool, &frame, &mut map);
     map.at(0, 0)
 }
 
@@ -76,17 +77,17 @@ fn two_stages<T: Real>(
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
     slabs: &Pool<SampleSlab<T>>,
-    aligned: &Pool<AlignedPair<T>>,
+    aligned: &Pool<AlignedFrame<T>>,
     maps: &Pool<RangeDopplerMap>,
     seed: u64,
 ) -> f64 {
     let mut slab = slabs.take_or(SampleSlab::new);
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-    let mut pair = aligned.take_or(AlignedPair::default);
-    align_stage_into(pool, sys, &synth.train, &*slab, &mut pair);
+    let mut frame = aligned.take_or(AlignedFrame::default);
+    align_stage_into(pool, sys, &synth.train, &*slab, &mut frame);
     drop(slab);
     let mut map = maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into(pool, &pair, &mut map);
+    doppler_stage_into(pool, &frame, &mut map);
     map.at(0, 0)
 }
 

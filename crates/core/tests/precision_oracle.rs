@@ -28,7 +28,7 @@ use biscatter_core::isac::{run_frame, run_isac_frame, FrameArena, FrameCtx, Isac
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
 use biscatter_core::radar::receiver::localize::signature_score_into;
-use biscatter_core::radar::receiver::{align_frame_into, AlignedFrame, CommsView, RxConfig};
+use biscatter_core::radar::receiver::{align_frame_into, AlignedFrame, RxConfig};
 use biscatter_core::rf::chirp::Chirp;
 use biscatter_core::rf::frame::ChirpTrain;
 use biscatter_core::rf::if_gen::IfReceiver;
@@ -67,7 +67,7 @@ fn run_chain<T: Real>(scene: &Scene, noise_sigma: f64, seed: u64) -> RangeDopple
     let mut frame = AlignedFrame::default();
     align_frame_into(pool, &cfg, &train, &slab, &mut frame);
     let mut map = RangeDopplerMap::default();
-    range_doppler_into(pool, CommsView::stored(&frame), &mut map);
+    range_doppler_into(pool, frame.comms(), &mut map);
     map
 }
 

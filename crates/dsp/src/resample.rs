@@ -112,34 +112,37 @@ pub fn lerp_taps_into(src_grid: &[f64], dst_grid: &[f64], out: &mut Vec<Tap>) {
     }
 }
 
-/// Resamples complex `values` through `taps` ([`lerp_taps_into`]) into a
-/// reusable buffer (cleared first), in either sample precision, the real
-/// and imaginary parts interpolated independently. Each weight is rounded
-/// once into the sample type, so in f64 this performs, component for
-/// component, the identical floating-point operations as
+/// Resamples complex `values` through `taps` ([`lerp_taps_into`]) into
+/// `out`, one cell per tap, each written once, in either sample precision,
+/// the real and imaginary parts interpolated independently. Each weight is
+/// rounded once into the sample type, so in f64 this performs, component
+/// for component, the identical floating-point operations as
 /// [`resample_to_grid`].
 ///
 /// # Panics
-/// Panics if a tap reads past `values` (taps built for a longer profile).
-pub fn apply_taps_into<T: Real>(values: &[Complex<T>], taps: &[Tap], out: &mut Vec<Complex<T>>) {
-    out.clear();
+/// Panics if `out` and `taps` differ in length, or if a tap reads past
+/// `values` (taps built for a longer profile).
+pub fn apply_taps_into<T: Real>(values: &[Complex<T>], taps: &[Tap], out: &mut [Complex<T>]) {
+    assert_eq!(out.len(), taps.len(), "one output cell per tap");
     if values.is_empty() {
-        out.resize(taps.len(), Complex::ZERO);
+        out.fill(Complex::ZERO);
         return;
     }
-    out.extend(taps.iter().map(|&tap| match tap {
-        Tap::At(i) => values[i],
-        Tap::Lerp(i, t) => {
-            let t = T::from_f64(t);
-            // Same formula as the real-valued path, applied per
-            // component: a*(1-t) + b*t.
-            let (a, b) = (values[i], values[i + 1]);
-            Complex::new(
-                a.re * (T::ONE - t) + b.re * t,
-                a.im * (T::ONE - t) + b.im * t,
-            )
-        }
-    }));
+    for (o, &tap) in out.iter_mut().zip(taps) {
+        *o = match tap {
+            Tap::At(i) => values[i],
+            Tap::Lerp(i, t) => {
+                let t = T::from_f64(t);
+                // Same formula as the real-valued path, applied per
+                // component: a*(1-t) + b*t.
+                let (a, b) = (values[i], values[i + 1]);
+                Complex::new(
+                    a.re * (T::ONE - t) + b.re * t,
+                    a.im * (T::ONE - t) + b.im * t,
+                )
+            }
+        };
+    }
 }
 
 /// Builds a uniform grid of `n` points spanning `[start, stop]` inclusive.
@@ -249,7 +252,7 @@ mod tests {
         dst.extend([src[5], src[17], 3.3, 40.0, 0.0]);
         let mut taps = Vec::new();
         lerp_taps_into(&src, &dst, &mut taps);
-        let mut out = Vec::new();
+        let mut out = vec![Cpx::ZERO; taps.len()];
         apply_taps_into(&values, &taps, &mut out);
         let want_re = resample_to_grid(&src, &re, &dst);
         let want_im = resample_to_grid(&src, &im, &dst);
@@ -259,7 +262,7 @@ mod tests {
         }
         // The f32 instantiation tracks it to f32 rounding.
         let values32: Vec<Complex<f32>> = values.iter().map(|&z| Complex::from_f64(z)).collect();
-        let mut out32 = Vec::new();
+        let mut out32 = vec![Complex::ZERO; taps.len()];
         apply_taps_into(&values32, &taps, &mut out32);
         for (a, b) in out32.iter().zip(&out) {
             assert!((a.to_f64() - *b).abs() < 1e-6);

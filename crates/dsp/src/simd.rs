@@ -14,14 +14,16 @@
 //!   called from a three-line `#[target_feature(enable = "avx2")]`
 //!   wrapper, so that LLVM vectorizes the same source at 4 × f64
 //!   ([`sq_accum`], [`norm_sq_accum`], [`round`]);
-//! * **scalar only**: the f32 unzip ([`rfft_unzip_32`]) runs its one loop
-//!   on both tiers, as does the first radix-2 stage, which lives beside
-//!   its only caller in [`crate::planner`].
+//! * **scalar only**: the f64 tone fill ([`tone_fill`]) and the f32 unzip
+//!   ([`rfft_unzip_32`]) run their one loop on both tiers, as does the
+//!   first radix-2 stage, which lives beside its only caller in
+//!   [`crate::planner`].
 //!
-//! A kernel keeps a hand body only where it beats its compiled copy by
-//! more than 5 % at the sizes the frame path calls it with; the census
-//! behind each choice is in EXPERIMENTS.md ("Hand-written AVX2 only where
-//! it wins"). The wrappers enable exactly `avx2`, never `fma`: Rust does
+//! A kernel keeps a hand body only where it beats the faster of its scalar
+//! loop and its compiled copy by 19 % or more at the sizes the frame path
+//! calls it with; the census behind each choice is in EXPERIMENTS.md
+//! ("Hand-written AVX2 only where it wins", "One aligned frame"). The
+//! wrappers enable exactly `avx2`, never `fma`: Rust does
 //! not contract `a·b + c`, so a compiled copy performs the scalar loop's
 //! operations, element by element.
 //!
@@ -768,15 +770,14 @@ pub const TONES_PER_PASS: usize = 4;
 ///
 /// The serial recurrence `ph ← ph · rot` is blocked into **4 independent
 /// phase streams** advanced by `rot⁴`, so the four multiplies per block
-/// have no dependence chain — the form both tiers share (the scalar body
-/// is the 4-lane loop the autovectorizer lowers, the AVX2 body the same
-/// ops on two 2-complex vectors). Streams renormalize every 256 samples
-/// via `1/√(re²+im²)`.
+/// have no dependence chain and the baseline SSE2 code runs them side by
+/// side. Streams renormalize every 256 samples via `1/√(re²+im²)`.
 ///
-/// Both tiers perform identical elementwise IEEE-754 operations, so the
-/// result is bit-identical across dispatch tiers (though not to the
-/// pre-blocking serial recurrence, whose rounding path differed — the
-/// error bound is the same ≤ `2nε` amplitude / `nε` phase drift).
+/// Both tiers run this one loop (a hand-written AVX2 body was at most 13 %
+/// faster at 960–1,200 samples), so the result is bit-identical across
+/// dispatch tiers (though not to the pre-blocking serial recurrence, whose
+/// rounding path differed — the error bound is the same ≤ `2nε` amplitude
+/// / `nε` phase drift).
 pub fn tone_fill(out: &mut [f64], phase0: Cpx, rot: Cpx) {
     let p0 = phase0;
     let p1 = p0 * rot;
@@ -785,17 +786,6 @@ pub fn tone_fill(out: &mut [f64], phase0: Cpx, rot: Cpx) {
     let r2 = rot * rot;
     let rot4 = r2 * r2;
     let mut ph = [p0, p1, p2, p3];
-
-    #[cfg(target_arch = "x86_64")]
-    if tier() == SimdTier::Avx2 {
-        // SAFETY: AVX2 presence established by the dispatch tier.
-        unsafe { avx2::tone_fill(out, &ph, rot4) };
-        return;
-    }
-    tone_fill_scalar(out, &mut ph, rot4);
-}
-
-fn tone_fill_scalar(out: &mut [f64], ph: &mut [Cpx; 4], rot4: Cpx) {
     let n4 = out.len() - out.len() % 4;
     let renorm_blocks = OSC_RENORM_SAMPLES / 4;
     for (blk, block) in out[..n4].chunks_exact_mut(4).enumerate() {
@@ -1730,51 +1720,6 @@ mod avx2 {
             } else {
                 _mm256_maskstore_pd(op.add(4 * v), mask, acc);
             }
-        }
-    }
-
-    /// Renormalizes two packed complex doubles in place:
-    /// each complex is scaled by `1/√(re²+im²)` (swap-add builds the norm
-    /// in both lanes; add commutes, so both lanes round identically).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn renorm_pd(v: __m256d) -> __m256d {
-        let t = _mm256_mul_pd(v, v);
-        let nsq = _mm256_add_pd(t, _mm256_permute_pd(t, 0x5));
-        let s = _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(nsq));
-        _mm256_mul_pd(v, s)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tone_fill(out: &mut [f64], ph: &[Cpx; 4], rot4: Cpx) {
-        let n = out.len();
-        let n4 = n - n % 4;
-        let renorm_blocks = OSC_RENORM_SAMPLES / 4;
-        let op = out.as_mut_ptr();
-        let rv = _mm256_setr_pd(rot4.re, rot4.im, rot4.re, rot4.im);
-        let mut v01 = _mm256_setr_pd(ph[0].re, ph[0].im, ph[1].re, ph[1].im);
-        let mut v23 = _mm256_setr_pd(ph[2].re, ph[2].im, ph[3].re, ph[3].im);
-        let mut blk = 0usize;
-        let mut i = 0usize;
-        while i < n4 {
-            // [p0.re, p2.re, p1.re, p3.re] → natural stream order.
-            let re_raw = _mm256_shuffle_pd(v01, v23, 0x0);
-            _mm256_storeu_pd(op.add(i), _mm256_permute4x64_pd(re_raw, 0xD8));
-            v01 = cmul_pd(v01, rv);
-            v23 = cmul_pd(v23, rv);
-            blk += 1;
-            if blk % renorm_blocks == 0 {
-                v01 = renorm_pd(v01);
-                v23 = renorm_pd(v23);
-            }
-            i += 4;
-        }
-        // Spill the streams and write the (at most 3-sample) scalar tail.
-        let mut spill = [0.0f64; 8];
-        _mm256_storeu_pd(spill.as_mut_ptr(), v01);
-        _mm256_storeu_pd(spill.as_mut_ptr().add(4), v23);
-        for (j, o) in out[n4..].iter_mut().enumerate() {
-            *o = spill[2 * j];
         }
     }
 

@@ -11,20 +11,22 @@
 
 use super::doppler::range_doppler;
 use super::localize::{locate_tag, TagLocation};
-use super::{AlignedFrame, CommsView};
+use super::AlignedFrame;
 use biscatter_dsp::complex::Cpx;
 use biscatter_dsp::TAU;
 
-/// The complex slow-time DFT coefficient of `frame` at `range_bin`,
-/// evaluated at modulation frequency `f_hz` (Hann-windowed, fractional-bin).
+/// The complex slow-time DFT coefficient of `frame`'s comms path at
+/// `range_bin`, evaluated at modulation frequency `f_hz` (Hann-windowed,
+/// fractional-bin).
 pub fn slow_time_coefficient(frame: &AlignedFrame, range_bin: usize, f_hz: f64) -> Cpx {
     let n = frame.n_chirps();
     let fs = frame.chirp_rate();
+    let comms = frame.comms();
     let mut acc = Cpx::ZERO;
-    for (c, profile) in frame.profiles.iter().enumerate() {
+    for c in 0..n {
         let w = 0.5 - 0.5 * (TAU * c as f64 / n as f64).cos();
         let rot = Cpx::cis(-TAU * f_hz / fs * c as f64);
-        acc += profile[range_bin] * rot * w;
+        acc += comms.at(c, range_bin) * rot * w;
     }
     acc
 }
@@ -53,8 +55,8 @@ impl TagPosition {
 /// Estimates a tag's 2D position from per-antenna aligned frames.
 ///
 /// * `frames` — one [`AlignedFrame`] per RX antenna (uniform linear array),
-///   holding the comms path as [`align_frame`](super::align_frame) stores
-///   it,
+///   as [`align_frame`](super::align_frame) aligns them; each is read
+///   through its comms path,
 /// * `spacing_wavelengths` — element pitch in wavelengths (≤ 0.5 for an
 ///   unambiguous ±90° field of view),
 /// * `f_mod_hz` — the tag's subcarrier,
@@ -70,7 +72,7 @@ pub fn locate_tag_2d(
     min_snr_db: f64,
 ) -> Option<TagPosition> {
     let first = frames.first()?;
-    let map = range_doppler(CommsView::stored(first));
+    let map = range_doppler(first.comms());
     let loc = locate_tag(&map, f_mod_hz, min_snr_db)?;
     if frames.len() < 2 {
         return Some(TagPosition {
@@ -213,6 +215,40 @@ mod tests {
         let frames = frames_for(&scene, 1, 6);
         let pos = locate_tag_2d(&frames, SPACING, f_mod(), 10.0).expect("found");
         assert_eq!(pos.azimuth_rad, 0.0);
+    }
+
+    /// The coefficient read through the comms view equals the read of rows
+    /// with the background subtracted in place, bit for bit, at the tag's
+    /// bin, at a clutter bin and at bin 0.
+    #[test]
+    fn slow_time_coefficient_reads_rows_subtracted_in_place() {
+        let scene = Scene::new()
+            .with(Scatterer::clutter(2.5, 20.0))
+            .with(Scatterer::tag(4.0, 1.0, f_mod()).at_azimuth(0.3));
+        let frame = frames_for(&scene, 1, 7).remove(0);
+        let mut stored = frame.clone();
+        stored.subtract_background();
+        // The read of stored rows, before the view.
+        let stored_read = |range_bin: usize| {
+            let n = stored.n_chirps();
+            let mut acc = Cpx::ZERO;
+            for (c, profile) in stored.profiles.iter().enumerate() {
+                let w = 0.5 - 0.5 * (TAU * c as f64 / n as f64).cos();
+                let rot = Cpx::cis(-TAU * f_mod() / stored.chirp_rate() * c as f64);
+                acc += profile[range_bin] * rot * w;
+            }
+            acc
+        };
+        let bits = |z: Cpx| (z.re.to_bits(), z.im.to_bits());
+        let grid = &frame.range_grid;
+        let bin = |r: f64| grid.iter().position(|&x| x >= r).unwrap();
+        for range_bin in [0, bin(2.5), bin(4.0), grid.len() - 1] {
+            let want = bits(stored_read(range_bin));
+            let got = bits(slow_time_coefficient(&frame, range_bin, f_mod()));
+            assert_eq!(got, want, "bin {range_bin}");
+            let twice = bits(slow_time_coefficient(&stored, range_bin, f_mod()));
+            assert_eq!(twice, want, "bin {range_bin}, subtracted rows");
+        }
     }
 
     #[test]

@@ -118,8 +118,8 @@ const BLK: usize = 16;
 /// [`range_doppler`] on an explicit pool, recycling `out`'s power slab.
 ///
 /// Range bins go through the slow-time FFT 16 at a time: a block's
-/// gather reads each chirp's 16 cells straight off the comms path
-/// (chirp 0 subtracted there when the view says so), applies that chirp's
+/// gather reads each chirp's 16 cells straight off the comms path (chirp 0
+/// subtracted there under background subtraction), applies that chirp's
 /// window coefficient, and writes them to the chirp's bit-reversed row;
 /// [`FftPlan::process_columns`](biscatter_dsp::planner::FftPlan::process_columns)
 /// then runs the radix-2 stages across the block's columns side by side.
@@ -218,7 +218,7 @@ mod tests {
         let if_data = rx.dechirp_train(&train, scene, 0.0, &mut noise);
         let cfg = RxConfig::default();
         let frame = align_frame(&cfg, &train, &if_data);
-        range_doppler(CommsView::stored(&frame))
+        range_doppler(frame.comms())
     }
 
     fn grid_index(map: &RangeDopplerMap, r: f64) -> usize {
@@ -341,8 +341,8 @@ mod tests {
         map.power.iter().map(|p| p.to_bits()).collect()
     }
 
-    /// Sensing rows of a noisy tag-and-clutter frame: `n_range` grid bins
-    /// (not a multiple of the column block), no subtraction.
+    /// A noisy tag-and-clutter frame aligned under background subtraction:
+    /// `n_range` grid bins (not a multiple of the column block).
     fn sensing_frame<T: Real>(n_chirps: usize, n_range: usize) -> AlignedFrame<T> {
         let chirps = vec![Chirp::new(9e9, 1e9, 96e-6); n_chirps];
         let train = ChirpTrain::with_fixed_period(&chirps, 120e-6).unwrap();
@@ -365,7 +365,6 @@ mod tests {
         );
         let cfg = RxConfig {
             n_range_bins: n_range,
-            background_subtraction: false,
             ..RxConfig::default()
         };
         align_frame(&cfg, &train, &slab)
@@ -378,11 +377,15 @@ mod tests {
                 let frame = sensing_frame::<T>(n_chirps, n_range);
                 let mut subtracted = frame.clone();
                 subtracted.subtract_background();
+                let plain = AlignedFrame {
+                    background_subtraction: false,
+                    ..frame.clone()
+                };
                 let want = per_column_oracle(&subtracted);
                 let as_stored = per_column_oracle(&frame);
                 for pool in &pools {
                     let mut map = RangeDopplerMap::default();
-                    range_doppler_into(pool, CommsView::new(&frame, true), &mut map);
+                    range_doppler_into(pool, frame.comms(), &mut map);
                     assert_eq!(map.n_doppler, n_chirps.next_power_of_two());
                     let bits: Vec<u64> = want.iter().map(|p| p.to_bits()).collect();
                     assert!(
@@ -390,9 +393,11 @@ mod tests {
                         "{n_chirps} chirps x {n_range} bins, {} threads",
                         pool.threads()
                     );
-                    range_doppler_into(pool, CommsView::stored(&frame), &mut map);
+                    range_doppler_into(pool, subtracted.comms(), &mut map);
+                    assert!(map_bits(&map) == bits, "rows subtracted in place");
+                    range_doppler_into(pool, plain.comms(), &mut map);
                     let bits: Vec<u64> = as_stored.iter().map(|p| p.to_bits()).collect();
-                    assert!(map_bits(&map) == bits, "rows as stored");
+                    assert!(map_bits(&map) == bits, "rows as they stand");
                 }
             }
         }

@@ -80,7 +80,7 @@ mod tests {
     ) -> Vec<Cpx> {
         let mut taps = Vec::new();
         range_taps_into(chirp, fs, n_fft, profile.len(), grid, &mut taps);
-        let mut out = Vec::new();
+        let mut out = vec![Cpx::ZERO; taps.len()];
         apply_taps_into(profile, &taps, &mut out);
         out
     }
@@ -158,7 +158,7 @@ mod tests {
                             Complex::from_f64(z)
                         })
                         .collect();
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let (mut got, mut want) = (vec![Complex::ZERO; taps.len()], Vec::new());
                     apply_taps_into(&profile, &taps, &mut got);
                     to_range_grid_into(&profile, &chirp, fs, n_fft, &grid, &mut want);
                     let bits = |v: &[Complex<T>]| -> Vec<(u64, u64)> {

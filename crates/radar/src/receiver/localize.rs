@@ -119,7 +119,6 @@ pub(crate) fn location_from(
 mod tests {
     use super::*;
     use crate::receiver::doppler::range_doppler;
-    use crate::receiver::CommsView;
 
     /// Test-only allocating shim over [`signature_score_into`]. The
     /// production paths all use the `_into` variant with pooled buffers;
@@ -154,7 +153,7 @@ mod tests {
         let if_data = rx.dechirp_train(&train, scene, 0.0, &mut noise);
         let cfg = RxConfig::default();
         let frame = align_frame(&cfg, &train, &if_data);
-        let map = range_doppler(CommsView::stored(&frame));
+        let map = range_doppler(frame.comms());
         locate_tag(&map, f_mod, 12.0)
     }
 
@@ -219,7 +218,7 @@ mod tests {
         let mut noise = NoiseSource::new(6);
         let if_data = rx.dechirp_train(&train, &scene, 0.0, &mut noise);
         let frame = align_frame(&RxConfig::default(), &train, &if_data);
-        let map = range_doppler(CommsView::stored(&frame));
+        let map = range_doppler(frame.comms());
         let score = signature_score(&map, f_mod);
         let best = score
             .iter()

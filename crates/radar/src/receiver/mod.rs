@@ -11,7 +11,8 @@
 //!    range grid — undoing the range-profile ambiguity CSSK would otherwise
 //!    cause (paper Fig. 7),
 //! 4. subtracts the first chirp's profile as **background** (paper §3.3),
-//!    on read, through a [`CommsView`] of the aligned rows,
+//!    on read: the aligned rows stay the sensing path, and the comms path
+//!    is only a view of them ([`AlignedFrame::comms`]),
 //! 5. runs a slow-time FFT to form the **range–Doppler map** ([`doppler`]),
 //!    where the tag's switch modulation appears as a tone at its modulation
 //!    frequency,
@@ -20,10 +21,11 @@
 //! 7. **demodulates the uplink** bits from the slow-time sequence at the
 //!    tag's range ([`uplink`]).
 //!
-//! [`receive_frame_into`] runs steps 1–4 chirp by chirp, each chirp's IF
+//! [`receive_frame_into`] runs steps 1–3 chirp by chirp, each chirp's IF
 //! samples range-transformed in cache as soon as they are synthesized; the
-//! frame keeps no slab of IF samples. [`align_frame_into`] runs steps 2–4
-//! on a slab that holds them.
+//! frame keeps no slab of IF samples. [`align_frame_into`] runs steps 2–3
+//! on a slab that holds them. Both land every chirp's profile in one slab
+//! of rows ([`AlignedFrame`]), shape by shape.
 //!
 //! Steps 1–5 and the uplink amplitude extraction are generic over the
 //! sample precision ([`Real`]): f64 is the oracle, f32 the opt-in fast tier.
@@ -103,24 +105,35 @@ impl RxConfig {
 
 /// A frame of per-chirp complex range profiles on the common grid, ready for
 /// slow-time processing, in sample precision `T`.
+///
+/// The rows are the sensing path: the IF-corrected profiles with nothing
+/// subtracted. They sit in one row-major slab, every row as wide as the
+/// grid, its capacity reused across frames. The comms path is a view of
+/// them ([`AlignedFrame::comms`]) under the background policy the frame was
+/// aligned with.
 #[derive(Debug, Clone)]
 pub struct AlignedFrame<T = f64> {
-    /// `profiles[chirp][range_bin]`, complex.
-    pub profiles: Vec<Vec<Complex<T>>>,
+    /// Row `c` is chirp `c`'s profile, one cell per grid point.
+    pub profiles: SampleSlab<Complex<T>>,
     /// The common range grid, metres (f64 in either precision: geometry
     /// never drops precision). Shared (`Arc`) so downstream products like
     /// the range–Doppler map reference it instead of cloning.
     pub range_grid: Arc<[f64]>,
     /// Chirp slot period, s (slow-time sample interval).
     pub t_period: f64,
+    /// Whether the comms path subtracts chirp 0 on read: the aligning
+    /// config's [`RxConfig::background_subtraction`], until
+    /// [`AlignedFrame::subtract_background`] applies it to the rows.
+    background_subtraction: bool,
 }
 
-impl<T> Default for AlignedFrame<T> {
+impl<T: Real> Default for AlignedFrame<T> {
     fn default() -> Self {
         AlignedFrame {
-            profiles: Vec::new(),
+            profiles: SampleSlab::new(),
             range_grid: Vec::new().into(),
             t_period: 0.0,
+            background_subtraction: false,
         }
     }
 }
@@ -128,7 +141,7 @@ impl<T> Default for AlignedFrame<T> {
 impl<T: Real> AlignedFrame<T> {
     /// Number of chirps (slow-time length).
     pub fn n_chirps(&self) -> usize {
-        self.profiles.len()
+        self.profiles.rows()
     }
 
     /// Slow-time sample rate = chirp rate, Hz.
@@ -136,16 +149,29 @@ impl<T: Real> AlignedFrame<T> {
         1.0 / self.t_period
     }
 
-    /// Background subtraction (paper §3.3): subtracts chirp 0's profile
-    /// from every row. Row 0 computes `x − x` in place rather than storing
+    /// The comms (localization and uplink) path: what the range–Doppler
+    /// map, the multi-tag amplitude sweep and the uplink demodulator read.
+    pub fn comms(&self) -> CommsView<'_, T> {
+        CommsView { frame: self }
+    }
+
+    /// Background subtraction (paper §3.3) in place: subtracts chirp 0's
+    /// profile from every row. Row 0 computes `x − x` rather than storing
     /// zeros, so IEEE semantics (+0.0 sign, NaN propagation) are those of
-    /// subtracting a copy of the row from itself.
+    /// subtracting a copy of the row from itself. The rows are then the
+    /// comms path, and [`AlignedFrame::comms`] subtracts nothing more. The
+    /// frame path never calls it: it is the reference the view is checked
+    /// against.
     pub fn subtract_background(&mut self) {
-        let Some((first, rest)) = self.profiles.split_first_mut() else {
+        self.background_subtraction = false;
+        let width = self.profiles.iter().next().map_or(0, <[_]>::len);
+        let (_, cells) = self.profiles.parts_mut();
+        if width == 0 {
             return;
-        };
-        for p in rest.iter_mut() {
-            for (v, r) in p.iter_mut().zip(first.iter()) {
+        }
+        let (first, rest) = cells.split_at_mut(width);
+        for row in rest.chunks_exact_mut(width) {
+            for (v, r) in row.iter_mut().zip(first.iter()) {
                 *v -= *r;
             }
         }
@@ -157,38 +183,20 @@ impl<T: Real> AlignedFrame<T> {
     }
 }
 
-/// The comms (localization and uplink) path of an aligned frame: what the
-/// range–Doppler map, the multi-tag amplitude sweep and the uplink
-/// demodulator read.
+/// The comms (localization and uplink) path of an aligned frame, from
+/// [`AlignedFrame::comms`].
 ///
-/// With background subtraction (paper §3.3) the path is chirp `c`'s
+/// Under background subtraction (paper §3.3) the path is chirp `c`'s
 /// profile minus chirp 0's, computed on read — row 0 as `x − x` — so it
 /// equals [`AlignedFrame::subtract_background`] element for element (±0,
-/// infinities and NaN included) without a second copy of the frame. A
-/// caller states which kind of rows it holds by the constructor it picks.
+/// infinities and NaN included) without a second copy of the frame.
+/// Without it, the path is the rows as they stand.
 #[derive(Debug, Clone, Copy)]
 pub struct CommsView<'a, T = f64> {
     frame: &'a AlignedFrame<T>,
-    minus_chirp0: bool,
 }
 
 impl<'a, T: Real> CommsView<'a, T> {
-    /// The comms path of sensing rows `frame`: chirp 0 subtracted on read
-    /// when `subtract_background`, the rows as they stand otherwise.
-    pub fn new(frame: &'a AlignedFrame<T>, subtract_background: bool) -> Self {
-        CommsView {
-            frame,
-            minus_chirp0: subtract_background,
-        }
-    }
-
-    /// A frame whose rows already are the comms path: aligned by
-    /// [`align_frame`] with [`RxConfig::background_subtraction`] set (or a
-    /// chain run without subtraction). Nothing is subtracted on read.
-    pub fn stored(frame: &'a AlignedFrame<T>) -> Self {
-        Self::new(frame, false)
-    }
-
     /// Number of chirps (slow-time length).
     pub fn n_chirps(&self) -> usize {
         self.frame.n_chirps()
@@ -215,9 +223,9 @@ impl<'a, T: Real> CommsView<'a, T> {
         bins: std::ops::Range<usize>,
     ) -> impl Iterator<Item = Complex<T>> + 'a {
         let rows = &self.frame.profiles;
-        let row = &rows[c][bins.clone()];
-        let background = &rows[0][bins];
-        let minus_chirp0 = self.minus_chirp0;
+        let row = &rows.row(c)[bins.clone()];
+        let background = &rows.row(0)[bins];
+        let minus_chirp0 = self.frame.background_subtraction;
         row.iter()
             .zip(background)
             .map(move |(&v, &b)| if minus_chirp0 { v - b } else { v })
@@ -234,8 +242,9 @@ impl<'a, T: Real> CommsView<'a, T> {
     }
 }
 
-/// Runs steps 2–4 of the chain: per-chirp range FFT, IF correction onto the
-/// common grid, optional background subtraction.
+/// Runs steps 2–3 of the chain: per-chirp range FFT and IF correction onto
+/// the common grid; the comms path then reads the rows with the background
+/// policy `cfg` sets ([`AlignedFrame::comms`]).
 ///
 /// `if_per_chirp.row(i)` are the dechirped samples of chirp `i` of `train`,
 /// at one antenna. Convenience wrapper over [`align_frame_into`] running on
@@ -252,16 +261,19 @@ pub fn align_frame<T: Real>(
 
 /// [`align_frame`] on an explicit pool, recycling `out`'s buffers.
 ///
-/// The IF correction's taps (which bins bracket each grid point, and with
-/// what weight) depend only on a chirp's shape and profile length, so they
-/// are derived once per shape ([`ChirpTrain::shape`]) on the calling thread;
-/// then that shape's chirps fan out across `pool` (each an independent FFT +
-/// resample writing its own profile row, so the parallel result is
-/// bit-identical to the serial loop). The background subtraction stays
-/// serial. The range grid `Arc`, the per-chirp profile vectors, the taps and
-/// the per-thread spectrum scratch (lent by the precision's planner) are
-/// reused across calls, which makes repeated frames allocation-free in
-/// steady state.
+/// Rows land shape by shape ([`ChirpTrain::shape`]), as in
+/// [`receive_frame_into`]: the IF correction's taps are derived once per
+/// shape on the calling thread, then that shape's chirps fan out across
+/// `pool` (each an independent FFT + resample writing its own row, so the
+/// parallel result is bit-identical to the serial loop). The range grid
+/// `Arc`, the row slab, the taps and the per-thread spectrum scratch (lent
+/// by the precision's planner) are reused across calls, which makes
+/// repeated frames allocation-free in steady state.
+///
+/// # Panics
+/// Panics if the slab does not hold one row per chirp, or if two chirps of
+/// one shape have rows of different lengths (rows from [`IfReceiver`]
+/// never do).
 pub fn align_frame_into<T: Real>(
     pool: &ComputePool,
     cfg: &RxConfig,
@@ -274,59 +286,26 @@ pub fn align_frame_into<T: Real>(
         if_per_chirp.rows(),
         "one IF capture per chirp required"
     );
-    lay_out_frame(cfg, train.len(), out);
-    let grid: &[f64] = &out.range_grid;
-    if cfg.if_correction {
-        // A row's taps follow from its chirp and its profile length, so
-        // they are derived once per (shape, length) before those rows fan
-        // out; the buffer leaves its thread-local while they do.
-        let bins =
-            |c: usize| range_profile::transform_len(if_per_chirp.row(c).len(), cfg.n_fft) / 2 + 1;
-        let mut taps = TAPS.take();
-        for (r, slot) in train.slots().iter().enumerate() {
-            let shape = train.shape(r);
-            let of_r = |c: usize| train.shape(c) == shape && bins(c) == bins(r);
-            if (shape..r).any(of_r) {
-                continue;
-            }
-            if_correction::range_taps_into(
-                &slot.chirp,
-                cfg.if_sample_rate,
-                cfg.n_fft,
-                bins(r),
-                grid,
-                &mut taps,
-            );
-            pool.par_chunks(&mut out.profiles, 1, |c, row| {
-                if of_r(c) {
-                    land_row(
-                        cfg,
-                        if_per_chirp.row(c),
-                        Some(&taps),
-                        grid.len(),
-                        &mut row[0],
-                    );
-                }
-            });
-        }
-        TAPS.set(taps);
-    } else {
-        pool.par_chunks(&mut out.profiles, 1, |c, row| {
-            land_row(cfg, if_per_chirp.row(c), None, grid.len(), &mut row[0]);
+    lay_out_frame(cfg, train, out);
+    for shape in (0..train.len()).filter(|&c| train.shape(c) == c) {
+        let samples = if_per_chirp.row(shape).len();
+        land_shape(pool, cfg, train, shape, samples, out, |c, land| {
+            let row = if_per_chirp.row(c);
+            assert_eq!(row.len(), samples, "chirp {c}'s row and its shape's");
+            land(row);
         });
     }
-    finish_frame(cfg, train, out);
 }
 
-/// Steps 1–4 of the chain in one pass, with no frame of IF samples: what
+/// Steps 1–3 of the chain in one pass, with no frame of IF samples: what
 /// [`IfReceiver::dechirp_train_into`] and then [`align_frame_into`] give,
 /// bit for bit, `noise` left in the same state.
 ///
-/// Per chirp shape, the IF-correction taps are derived once (and the
-/// shape's static tones filled once, by [`IfReceiver::for_each_shape`]);
-/// then the shape's chirps fan out across `pool`, each synthesized and
-/// noised into this thread's row buffer (lent by the precision's planner)
-/// and range-transformed straight into its profile row. A row's IF samples
+/// Per chirp shape, the shape's static tones are filled once (by
+/// [`IfReceiver::for_each_shape`]) and its rows land as in
+/// [`align_frame_into`]: each chirp synthesized and noised into this
+/// thread's row buffer (lent by the precision's planner) and
+/// range-transformed straight into its row of the frame. A row's IF samples
 /// stay in cache from synthesis through the transform, and the frame holds
 /// one row per thread instead of every chirp's samples. Returns how the
 /// rows' time divided between synthesis and transform
@@ -340,44 +319,23 @@ pub fn receive_frame_into<T: Real>(
     noise: &mut NoiseSource,
     out: &mut AlignedFrame<T>,
 ) -> FrontEndSplit {
-    lay_out_frame(cfg, train.len(), out);
-    let (grid, profiles): (&[f64], _) = (&out.range_grid, &mut out.profiles);
+    lay_out_frame(cfg, train, out);
     let (synthesis_ns, transform_ns) = (AtomicU64::new(0), AtomicU64::new(0));
-    let mut taps = TAPS.take();
     rx.for_each_shape(pool, train, scene, 0.0, 0.0, 1, noise, |rows| {
-        let shape = rows.shape();
-        if cfg.if_correction {
-            let bins = range_profile::transform_len(rows.samples(), cfg.n_fft) / 2 + 1;
-            let chirp = &train.slots()[shape].chirp;
-            if_correction::range_taps_into(
-                chirp,
-                cfg.if_sample_rate,
-                cfg.n_fft,
-                bins,
-                grid,
-                &mut taps,
-            );
-        }
-        let taps = cfg.if_correction.then_some(&taps[..]);
-        pool.par_chunks(profiles, 1, |c, profile| {
-            if train.shape(c) != shape {
-                return;
-            }
+        let (shape, samples) = (rows.shape(), rows.samples());
+        land_shape(pool, cfg, train, shape, samples, out, |c, land| {
             let t0 = Instant::now();
             let mut row = with_planner(|p: &mut FftPlanner<T>| p.take_row());
-            row.clear();
-            row.resize(rows.samples(), T::ZERO);
+            row.resize(samples, T::ZERO);
             rows.fill(c, &mut row);
             let t1 = Instant::now();
-            land_row(cfg, &row, taps, grid.len(), &mut profile[0]);
+            land(&row);
             with_planner(|p: &mut FftPlanner<T>| p.put_row(row));
             let t2 = Instant::now();
             synthesis_ns.fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
             transform_ns.fetch_add((t2 - t1).as_nanos() as u64, Ordering::Relaxed);
         });
     });
-    TAPS.set(taps);
-    finish_frame(cfg, train, out);
     FrontEndSplit {
         synthesis_ns: synthesis_ns.into_inner(),
         transform_ns: transform_ns.into_inner(),
@@ -398,8 +356,8 @@ pub struct FrontEndSplit {
 impl FrontEndSplit {
     /// Divides `wall_ns` of front-end time into (dechirp, align) in the
     /// ratio of the rows' synthesis and transform time; the two add up to
-    /// `wall_ns`, so serial work outside the rows (taps, tables, the
-    /// background subtraction) is shared out in the same ratio.
+    /// `wall_ns`, so serial work outside the rows (taps, tables) is shared
+    /// out in the same ratio.
     pub fn divide(&self, wall_ns: u64) -> (u64, u64) {
         let busy = u128::from(self.synthesis_ns) + u128::from(self.transform_ns);
         let dechirp = (u128::from(wall_ns) * u128::from(self.synthesis_ns))
@@ -409,12 +367,13 @@ impl FrontEndSplit {
     }
 }
 
-/// Sizes `out` for `n_chirps` profile rows on `cfg`'s common grid, keeping
-/// its grid `Arc` when it still matches the config: a linspace grid is
-/// fully determined by (first, last, len), and the expected last element
+/// Lays `out` out for `train` on `cfg`'s common grid: one row per chirp,
+/// as wide as the grid, the slow-time interval, and the background policy.
+/// The grid `Arc` is kept when it still matches the config: a linspace grid
+/// is fully determined by (first, last, len), and the expected last element
 /// replays linspace's own arithmetic, so the comparison is exact without
 /// building a throwaway grid.
-fn lay_out_frame<T>(cfg: &RxConfig, n_chirps: usize, out: &mut AlignedFrame<T>) {
+fn lay_out_frame<T: Real>(cfg: &RxConfig, train: &ChirpTrain, out: &mut AlignedFrame<T>) {
     let expected_last = if cfg.n_range_bins > 1 {
         let step = cfg.max_range_m / (cfg.n_range_bins - 1) as f64;
         step * (cfg.n_range_bins - 1) as f64
@@ -428,20 +387,57 @@ fn lay_out_frame<T>(cfg: &RxConfig, n_chirps: usize, out: &mut AlignedFrame<T>) 
     if !reusable {
         out.range_grid = cfg.range_grid().into();
     }
-    out.profiles.resize_with(n_chirps, Vec::new);
+    out.profiles
+        .layout_rows(std::iter::repeat(cfg.n_range_bins).take(train.len()));
+    out.t_period = train.slots().first().map_or(0.0, |s| s.period());
+    out.background_subtraction = cfg.background_subtraction;
+}
+
+/// Lands the rows of chirp shape `shape`, whose IF rows are `samples`
+/// long: its IF-correction taps are derived once (when `cfg` corrects),
+/// then its chirps fan out across `pool`, each calling `source(c, land)`,
+/// which hands `land` chirp `c`'s IF samples to range-transform into its
+/// row.
+fn land_shape<T: Real>(
+    pool: &ComputePool,
+    cfg: &RxConfig,
+    train: &ChirpTrain,
+    shape: usize,
+    samples: usize,
+    out: &mut AlignedFrame<T>,
+    source: impl Fn(usize, &mut dyn FnMut(&[T])) + Sync,
+) {
+    let mut taps = TAPS.take();
+    if cfg.if_correction {
+        if_correction::range_taps_into(
+            &train.slots()[shape].chirp,
+            cfg.if_sample_rate,
+            cfg.n_fft,
+            range_profile::transform_len(samples, cfg.n_fft) / 2 + 1,
+            &out.range_grid,
+            &mut taps,
+        );
+    }
+    let shape_taps = cfg.if_correction.then_some(&taps[..]);
+    let (offsets, cells) = out.profiles.parts_mut();
+    pool.par_ragged(cells, offsets, |c, row| {
+        if train.shape(c) == shape {
+            source(c, &mut |samples| land_row(cfg, samples, shape_taps, row));
+        }
+    });
+    TAPS.set(taps);
 }
 
 /// One chirp's profile row from its IF samples: the range FFT (through
 /// this thread's planner and spectrum scratch), then the shape's IF
 /// correction `taps`, or, uncorrected, the raw bins truncated or padded to
-/// the grid's `grid_len` points (reproducing the paper's Fig. 7(a)
-/// ambiguity).
+/// the row's grid points (reproducing the paper's Fig. 7(a) ambiguity).
+/// Every cell of `profile` is written once.
 fn land_row<T: Real>(
     cfg: &RxConfig,
     samples: &[T],
     taps: Option<&[Tap]>,
-    grid_len: usize,
-    profile: &mut Vec<Complex<T>>,
+    profile: &mut [Complex<T>],
 ) {
     with_planner(|p: &mut FftPlanner<T>| {
         p.with_cpx_scratch(0, |p, spectrum| {
@@ -449,22 +445,14 @@ fn land_row<T: Real>(
             match taps {
                 Some(taps) => apply_taps_into(spectrum, taps, profile),
                 None => {
-                    profile.clear();
-                    profile.extend(spectrum.iter().take(grid_len));
-                    profile.resize(grid_len, Complex::ZERO);
+                    let n = spectrum.len().min(profile.len());
+                    let (bins, padding) = profile.split_at_mut(n);
+                    bins.copy_from_slice(&spectrum[..n]);
+                    padding.fill(Complex::ZERO);
                 }
             }
         })
     });
-}
-
-/// The serial tail of a frame's alignment: the background subtraction the
-/// config asks for, and the slow-time sample interval.
-fn finish_frame<T: Real>(cfg: &RxConfig, train: &ChirpTrain, out: &mut AlignedFrame<T>) {
-    if cfg.background_subtraction {
-        out.subtract_background();
-    }
-    out.t_period = train.slots().first().map_or(0.0, |s| s.period());
 }
 
 #[cfg(test)]
@@ -503,14 +491,15 @@ mod tests {
         );
         let frame = align_frame(&cfg, &train, &slab);
         assert_eq!(frame.n_chirps(), 8);
-        for p in &frame.profiles {
+        for p in frame.profiles.iter() {
             assert_eq!(p.len(), cfg.n_range_bins);
         }
         assert!((frame.chirp_rate() - 1.0 / 120e-6).abs() < 1e-6);
     }
 
-    /// A frame whose rows mix ordinary values with ±0, ±∞ and NaN, in
-    /// every combination against chirp 0's bin.
+    /// A frame whose rows mix ordinary values with ±0, ±∞, NaN and
+    /// subnormals (in f64, and in f32), in every combination against chirp
+    /// 0's bin, laid out as aligned under background subtraction.
     fn special_frame<T: Real>() -> AlignedFrame<T> {
         let specials = [
             0.0,
@@ -522,51 +511,100 @@ mod tests {
             f64::NAN,
             -f64::NAN,
             1e-310,
+            -1e-40,
         ];
         let m = specials.len();
         let value = |i: usize| T::from_f64(specials[i % m]);
-        let profiles = (0..m)
-            .map(|c| {
-                (0..m * m)
-                    .map(|r| Complex::new(value(r + c * (r / m)), value(r / m + 3 * c)))
-                    .collect()
-            })
-            .collect();
-        AlignedFrame {
-            profiles,
-            range_grid: (0..m * m).map(|r| r as f64).collect::<Vec<_>>().into(),
-            t_period: 1e-4,
+        let mut frame = AlignedFrame::default();
+        frame.profiles.layout_rows(std::iter::repeat(m * m).take(m));
+        for c in 0..m {
+            for (r, z) in frame.profiles.row_mut(c).iter_mut().enumerate() {
+                *z = Complex::new(value(r + c * (r / m)), value(r / m + 3 * c));
+            }
         }
+        frame.range_grid = (0..m * m).map(|r| r as f64).collect::<Vec<_>>().into();
+        frame.t_period = 1e-4;
+        frame.background_subtraction = true;
+        frame
+    }
+
+    /// `align_frame` with background subtraction on a capture whose rows
+    /// are ordinary, all +0, all −0, subnormal, or hold an infinity or a
+    /// NaN, so the profiles carry +0, subnormal and NaN cells through the
+    /// transform and the IF correction (−0 and ±∞ come out of neither; the
+    /// hand-built frame covers them).
+    fn aligned_special_frame<T: Real>() -> AlignedFrame<T> {
+        let chirps = vec![Chirp::new(9e9, 1e9, 12.8e-6); 6];
+        let train = ChirpTrain::with_fixed_period(&chirps, 16e-6).unwrap();
+        let rows: [fn(usize) -> f64; 6] = [
+            |i| (i as f64 * 0.3).sin(),
+            |_| 0.0,
+            |_| -0.0,
+            |i| 1e-310 * (i % 3) as f64 - 1e-40 * (i % 2) as f64,
+            |i| if i == 5 { f64::INFINITY } else { 0.5 },
+            |i| if i == 7 { f64::NAN } else { -0.25 },
+        ];
+        let mut slab = SampleSlab::<T>::new();
+        slab.layout_rows(std::iter::repeat(128).take(rows.len()));
+        for (c, row) in rows.iter().enumerate() {
+            for (i, v) in slab.row_mut(c).iter_mut().enumerate() {
+                *v = T::from_f64(row(i));
+            }
+        }
+        let cfg = RxConfig {
+            n_fft: 128,
+            n_range_bins: 97,
+            ..RxConfig::default()
+        };
+        let frame = align_frame(&cfg, &train, &slab);
+        let parts = |c: usize| frame.profiles.row(c).iter().flat_map(|z| [z.re, z.im]);
+        let any = |c: usize, f: fn(f64) -> bool| parts(c).any(|x| f(x.to_f64()));
+        assert!(any(5, f64::is_nan), "a NaN row");
+        assert!(any(1, |x| x == 0.0), "+0 cells");
+        let tiny = |x: f64| x != 0.0 && x.abs() < f32::MIN_POSITIVE as f64;
+        assert!(any(3, tiny), "subnormal cells");
+        frame
     }
 
     fn comms_view_matches_subtract_background<T: Real>() {
-        let frame = special_frame::<T>();
-        let mut stored = frame.clone();
-        stored.subtract_background();
         let bits = |z: Complex<T>| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits());
-        let n_range = frame.range_grid.len();
-        let view = CommsView::new(&frame, true);
-        let as_stored = CommsView::stored(&stored);
-        for (c, row) in stored.profiles.iter().enumerate() {
-            let segment: Vec<_> = view.segment(c, 0..n_range).map(bits).collect();
-            let want: Vec<_> = row.iter().map(|&z| bits(z)).collect();
-            assert_eq!(segment, want, "chirp {c}");
-            for (r, &z) in row.iter().enumerate() {
-                assert_eq!(bits(view.at(c, r)), bits(z), "chirp {c}, bin {r}");
-                assert_eq!(bits(as_stored.at(c, r)), bits(z));
+        for frame in [special_frame::<T>(), aligned_special_frame::<T>()] {
+            let mut stored = frame.clone();
+            stored.subtract_background();
+            let n_range = frame.range_grid.len();
+            let view = frame.comms();
+            let as_stored = stored.comms();
+            for (c, row) in stored.profiles.iter().enumerate() {
+                let segment: Vec<_> = view.segment(c, 0..n_range).map(bits).collect();
+                let want: Vec<_> = row.iter().map(|&z| bits(z)).collect();
+                assert_eq!(segment, want, "chirp {c}");
+                for (r, &z) in row.iter().enumerate() {
+                    assert_eq!(bits(view.at(c, r)), bits(z), "chirp {c}, bin {r}");
+                    assert_eq!(bits(as_stored.at(c, r)), bits(z), "subtracted once");
+                }
             }
-            let off: Vec<_> = CommsView::new(&frame, false)
-                .segment(c, 0..n_range)
-                .map(bits)
-                .collect();
-            let rows: Vec<_> = frame.profiles[c].iter().map(|&z| bits(z)).collect();
-            assert_eq!(off, rows, "no subtraction reads the rows as they stand");
+            let unsubtracted = AlignedFrame {
+                background_subtraction: false,
+                ..frame.clone()
+            };
+            for (c, row) in frame.profiles.iter().enumerate() {
+                let off: Vec<_> = unsubtracted
+                    .comms()
+                    .segment(c, 0..n_range)
+                    .map(bits)
+                    .collect();
+                let rows: Vec<_> = row.iter().map(|&z| bits(z)).collect();
+                assert_eq!(off, rows, "no subtraction reads the rows as they stand");
+            }
         }
     }
 
     /// The comms view is `subtract_background` element for element, bit
     /// for bit: row 0 as `x − x` (NaN for ±∞ and NaN, +0 otherwise), every
-    /// other row minus it, signed zeros and NaN payloads as IEEE gives them.
+    /// other row minus it, signed zeros, subnormals and NaN payloads as
+    /// IEEE gives them, on a hand-built frame and on one `align_frame`
+    /// leaves; once the rows are subtracted in place, the view reads them
+    /// as they stand.
     #[test]
     fn comms_view_equals_subtract_background_with_special_values() {
         comms_view_matches_subtract_background::<f64>();

@@ -524,7 +524,7 @@ mod tests {
             .with(Scatterer::tag(4.0, 1.0, 2083.3));
         let if_data = rx.dechirp_train(&train, &scene, 0.0, &mut NoiseSource::new(7));
         let frame = align_frame(&RxConfig::default(), &train, &if_data);
-        let map = range_doppler(CommsView::stored(&frame));
+        let map = range_doppler(frame.comms());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut want = Vec::new();
         let mut got = vec![f64::NAN; map.n_range()];

@@ -261,7 +261,7 @@ mod tests {
         // Subcarrier 1302 Hz (bin-friendly), bit = 32 chirps = 3.84 ms.
         let scheme = UplinkScheme::Ook { freq_hz: 1302.0 };
         let (frame, bin) = uplink_frame(&bits, scheme, 32.0 * 120e-6, 0.001, 1);
-        let out = demodulate(CommsView::stored(&frame), bin, scheme, 32.0 * 120e-6).unwrap();
+        let out = demodulate(frame.comms(), bin, scheme, 32.0 * 120e-6).unwrap();
         assert_eq!(out.bits, bits);
     }
 
@@ -270,7 +270,7 @@ mod tests {
         let bits = vec![true, false, true, true, false, true, false, false];
         let scheme = UplinkScheme::Ook { freq_hz: 1302.0 };
         let (frame, bin) = uplink_frame(&bits, scheme, 32.0 * 120e-6, 0.05, 2);
-        let out = demodulate(CommsView::stored(&frame), bin, scheme, 32.0 * 120e-6).unwrap();
+        let out = demodulate(frame.comms(), bin, scheme, 32.0 * 120e-6).unwrap();
         assert_eq!(out.bits, bits);
     }
 
@@ -282,7 +282,7 @@ mod tests {
             freq1_hz: 2083.3,
         };
         let (frame, bin) = uplink_frame(&bits, scheme, 32.0 * 120e-6, 0.01, 3);
-        let out = demodulate(CommsView::stored(&frame), bin, scheme, 32.0 * 120e-6).unwrap();
+        let out = demodulate(frame.comms(), bin, scheme, 32.0 * 120e-6).unwrap();
         assert_eq!(out.bits, bits);
     }
 
@@ -292,7 +292,7 @@ mod tests {
         let scheme = UplinkScheme::Ook { freq_hz: 1302.0 };
         let (frame, bin) = uplink_frame(&bits, scheme, 8.0 * 120e-6, 0.001, 4);
         // Ask for a bit duration longer than the frame.
-        assert!(demodulate(CommsView::stored(&frame), bin, scheme, 1.0).is_none());
+        assert!(demodulate(frame.comms(), bin, scheme, 1.0).is_none());
     }
 
     #[test]

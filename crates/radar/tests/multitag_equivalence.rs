@@ -17,7 +17,7 @@ use biscatter_radar::receiver::multitag::{
     detect_all, MultiTagScratch, TagBank, TagDetection, TagProfile,
 };
 use biscatter_radar::receiver::uplink::{demodulate, UplinkScheme};
-use biscatter_radar::receiver::{align_frame, AlignedFrame, CommsView, RxConfig};
+use biscatter_radar::receiver::{align_frame, AlignedFrame, RxConfig};
 use biscatter_rf::chirp::Chirp;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
@@ -128,12 +128,12 @@ fn scene(bits_a: &[bool], bits_b: &[bool]) -> Scene {
 
 fn build_frame() -> (AlignedFrame, RangeDopplerMap) {
     let frame = aligned(true);
-    let map = range_doppler(CommsView::stored(&frame));
+    let map = range_doppler(frame.comms());
     (frame, map)
 }
 
-/// The seeded scene's aligned frame, chirp 0 subtracted when
-/// `background_subtraction`.
+/// The seeded scene's aligned frame, its comms path subtracting chirp 0
+/// when `background_subtraction`.
 fn aligned(background_subtraction: bool) -> AlignedFrame {
     let bits_a = [true, false, true, true];
     let bits_b = [false, true, true, false];
@@ -165,12 +165,7 @@ fn sequential(
         .map(|p| {
             let location = locate_tag(map, p.f_mod_hz, min_snr_db);
             let uplink = location.and_then(|loc| {
-                demodulate(
-                    CommsView::stored(frame),
-                    loc.range_bin,
-                    p.scheme,
-                    p.bit_duration_s,
-                )
+                demodulate(frame.comms(), loc.range_bin, p.scheme, p.bit_duration_s)
             });
             TagDetection { location, uplink }
         })
@@ -203,7 +198,7 @@ fn batched_bit_identical_to_sequential_across_pool_sizes() {
                 &pool,
                 &mut bank,
                 &map,
-                CommsView::stored(&frame),
+                frame.comms(),
                 &mut scratch,
                 &mut out,
             );
@@ -226,7 +221,7 @@ fn empty_bank_clears_output() {
         &pool,
         &mut bank,
         &map,
-        CommsView::stored(&frame),
+        frame.comms(),
         &mut scratch,
         &mut out,
     );
@@ -246,7 +241,7 @@ fn set_tags_retargets_the_bank() {
         &pool,
         &mut bank,
         &map,
-        CommsView::stored(&frame),
+        frame.comms(),
         &mut scratch,
         &mut out,
     );
@@ -260,7 +255,7 @@ fn set_tags_retargets_the_bank() {
         &pool,
         &mut bank,
         &map,
-        CommsView::stored(&frame),
+        frame.comms(),
         &mut scratch,
         &mut out,
     );
@@ -269,22 +264,29 @@ fn set_tags_retargets_the_bank() {
 
 /// The frame path's comms path: unsubtracted rows read through a view that
 /// subtracts chirp 0. The map, the engine and the uplink demodulator all
-/// read it exactly as they read the stored, background-subtracted copy.
+/// read it exactly as they read a copy with the background subtracted in
+/// place; the rows themselves are the sensing rows whatever the policy.
 #[test]
 fn subtracting_view_matches_stored_background_subtraction() {
     let (frame, map) = build_frame();
-    let sensing = aligned(false);
-    let comms = CommsView::new(&sensing, true);
+    let comms = frame.comms();
+    let mut stored = frame.clone();
+    stored.subtract_background();
+    let stored_map = range_doppler(stored.comms());
     let profiles = profiles();
-    let reference = sequential(&map, &frame, &profiles, MIN_SNR_DB);
+    let reference = sequential(&stored_map, &stored, &profiles, MIN_SNR_DB);
+    let sensing = aligned(false);
+    assert!(
+        frame.profiles == sensing.profiles,
+        "align stores the sensing rows under either policy"
+    );
 
-    let view_map = range_doppler(comms);
-    assert_eq!(view_map.n_doppler, map.n_doppler);
+    assert_eq!(map.n_doppler, stored_map.n_doppler);
     for d in 0..map.n_doppler {
         let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            bits(view_map.range_slice(d)),
             bits(map.range_slice(d)),
+            bits(stored_map.range_slice(d)),
             "Doppler row {d}"
         );
     }

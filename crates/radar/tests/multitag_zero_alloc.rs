@@ -26,7 +26,7 @@ use biscatter_obs::recorder::{FlightRecorder, FrameRecord, StageNanos};
 use biscatter_radar::receiver::doppler::range_doppler;
 use biscatter_radar::receiver::multitag::{detect_all, MultiTagScratch, TagBank, TagProfile};
 use biscatter_radar::receiver::uplink::UplinkScheme;
-use biscatter_radar::receiver::{align_frame, CommsView, RxConfig};
+use biscatter_radar::receiver::{align_frame, RxConfig};
 use biscatter_rf::chirp::Chirp;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
@@ -73,7 +73,7 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
         ..RxConfig::default()
     };
     let frame = align_frame(&cfg, &train, &if_data);
-    let map = range_doppler(CommsView::stored(&frame));
+    let map = range_doppler(frame.comms());
 
     let pool = ComputePool::new(1);
     let mut bank = TagBank::new(profiles);
@@ -86,7 +86,7 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
         &pool,
         &mut bank,
         &map,
-        CommsView::stored(&frame),
+        frame.comms(),
         &mut scratch,
         &mut out,
     );
@@ -95,7 +95,7 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
         &pool,
         &mut bank,
         &map,
-        CommsView::stored(&frame),
+        frame.comms(),
         &mut scratch,
         &mut out,
     );
@@ -114,7 +114,7 @@ fn steady_state_multi_tag_detect_allocates_nothing() {
             &pool,
             &mut bank,
             &map,
-            CommsView::stored(&frame),
+            frame.comms(),
             &mut scratch,
             &mut out,
         );

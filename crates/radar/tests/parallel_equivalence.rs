@@ -14,7 +14,7 @@
 use biscatter_compute::ComputePool;
 use biscatter_dsp::signal::NoiseSource;
 use biscatter_radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
-use biscatter_radar::receiver::{align_frame_into, AlignedFrame, CommsView, RxConfig};
+use biscatter_radar::receiver::{align_frame_into, AlignedFrame, RxConfig};
 use biscatter_rf::chirp::Chirp;
 use biscatter_rf::frame::ChirpTrain;
 use biscatter_rf::if_gen::IfReceiver;
@@ -58,7 +58,7 @@ fn run_chain(
         let mut frame = AlignedFrame::default();
         align_frame_into(pool, &cfg, &train, slab, &mut frame);
         let mut map = RangeDopplerMap::default();
-        range_doppler_into(pool, CommsView::stored(&frame), &mut map);
+        range_doppler_into(pool, frame.comms(), &mut map);
         frames.push(frame);
         maps.push(map);
     }
@@ -142,7 +142,7 @@ fn convenience_wrappers_match_explicit_pool() {
         ..RxConfig::default()
     };
     let frame = biscatter_radar::receiver::align_frame(&cfg, &train, &capture);
-    let map = biscatter_radar::receiver::doppler::range_doppler(CommsView::stored(&frame));
+    let map = biscatter_radar::receiver::doppler::range_doppler(frame.comms());
 
     assert_eq!(frame.profiles, frames_ref[0].profiles);
     for d in 0..map.n_doppler {

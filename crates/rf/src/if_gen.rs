@@ -37,16 +37,6 @@ use biscatter_dsp::simd::TONES_PER_PASS;
 use biscatter_dsp::{Cpx, Real, SPEED_OF_LIGHT, TAU};
 use std::cell::Cell;
 
-/// Tone samples one table holds, over all the scatterers of a group: 256 KiB
-/// in f64. A scene whose tones for one shape need more is synthesized in
-/// groups of consecutive scatterers.
-const TONE_TABLE_SAMPLES: usize = 1 << 15;
-
-/// Scatterers per group for `n`-sample chirps (`n > 0`).
-fn group_len(n: usize) -> usize {
-    (TONE_TABLE_SAMPLES / n).max(1)
-}
-
 /// Whether a scatterer is behind the radar (and so contributes nothing) in
 /// a chirp starting at `t_start`.
 fn behind_radar(s: &Scatterer, t_start: f64) -> bool {
@@ -250,29 +240,22 @@ fn add_pass<T: Real>(out: &mut [T], tones: &[&[T]], runs: &mut [Option<SwitchRun
     }
 }
 
-/// Adds the tones of `group` — consecutive scatterers of the scene, in
-/// scene order — to `out`, one chirp of `rx`'s shape starting at
-/// `t_start`. `table` holds the group's static tones for this shape and
+/// Adds the tones of `scene` to `out`, one chirp of `rx`'s shape starting
+/// at `t_start`. `table` holds the scene's static tones for this shape and
 /// antenna, scatterer `j` at `table[j·n..(j+1)·n]`; movers' tones depend on
 /// `t_start`, so they are filled here, into this thread's scratch. Each
 /// sample becomes `((out + a₀·t₀) + a₁·t₁) + …` over the scatterers in front
-/// of the radar, whatever the group and pass boundaries — the sum of adding
-/// one tone at a time.
-fn synth_row<T: Real>(
-    out: &mut [T],
-    table: &[T],
-    group: &[Scatterer],
-    rx: Reception<'_>,
-    t_start: f64,
-) {
+/// of the radar, in scene order, whatever the pass boundaries — the sum of
+/// adding one tone at a time.
+fn synth_row<T: Real>(out: &mut [T], table: &[T], scene: &Scene, rx: Reception<'_>, t_start: f64) {
     let n = out.len();
     if n == 0 {
         return;
     }
-    let movers = group.iter().filter(|s| !is_static(s)).count();
+    let movers = scene.scatterers.iter().filter(|s| !is_static(s)).count();
     with_planner(|p: &mut FftPlanner<T>| {
         p.with_real_scratch(movers.min(TONES_PER_PASS) * n, |_, scratch| {
-            let mut rest = group.iter().enumerate();
+            let mut rest = scene.scatterers.iter().enumerate();
             loop {
                 let mut slots = scratch.chunks_exact_mut(n);
                 let mut tones: [&[T]; TONES_PER_PASS] = [&[]; TONES_PER_PASS];
@@ -329,13 +312,11 @@ fn synth_chirp<T: Real>(out: &mut [T], scene: &Scene, rx: Reception<'_>, t_start
         return;
     }
     let mut table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
-    for group in scene.scatterers.chunks(group_len(n)) {
-        table.resize(group.len() * n, T::ZERO);
-        for (tone, s) in table.chunks_exact_mut(n).zip(group) {
-            rx.fill_static(tone, s, t_start);
-        }
-        synth_row(out, &table, group, rx, t_start);
+    table.resize(scene.scatterers.len() * n, T::ZERO);
+    for (tone, s) in table.chunks_exact_mut(n).zip(&scene.scatterers) {
+        rx.fill_static(tone, s, t_start);
     }
+    synth_row(out, &table, scene, rx, t_start);
     with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
 }
 
@@ -530,9 +511,8 @@ impl IfReceiver {
     /// `rows` fans them out and puts each wherever it goes.
     ///
     /// Before the call, every static scatterer's tone for the shape is
-    /// filled once into a table (a fan-out over scatterers across `pool`),
-    /// when the scene's tones fit one table; otherwise each row fills its
-    /// own tones group by group. Each row's IF noise starts at its place in
+    /// filled once into a table sized to the scene (a fan-out over
+    /// scatterers across `pool`). Each row's IF noise starts at its place in
     /// the serial stream — chirp-major, antenna-minor, one draw per sample
     /// — reached by [`NoiseSource::jump`] from `noise`'s state, and `noise`
     /// ends where the serial fill leaves it. So the rows hold the same bits
@@ -575,16 +555,12 @@ impl IfReceiver {
                     k,
                     spacing_wavelengths,
                 };
-                let one_table = n > 0 && scene.scatterers.len() <= group_len(n);
-                let mut table = Vec::new();
-                if one_table {
-                    let t_shape = t_frame_start + train.slot_start(shape);
-                    table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
-                    table.resize(scene.scatterers.len() * n, T::ZERO);
-                    pool.par_chunks(&mut table, n, |j, tone| {
-                        rx.fill_static(tone, &scene.scatterers[j], t_shape);
-                    });
-                }
+                let t_shape = t_frame_start + train.slot_start(shape);
+                let mut table = with_planner(|p: &mut FftPlanner<T>| p.take_table());
+                table.resize(scene.scatterers.len() * n, T::ZERO);
+                pool.par_chunks(&mut table, n, |j, tone| {
+                    rx.fill_static(tone, &scene.scatterers[j], t_shape);
+                });
                 rows(&ShapeRows {
                     train,
                     scene,
@@ -592,12 +568,10 @@ impl IfReceiver {
                     shape,
                     n,
                     t_frame_start,
-                    table: one_table.then_some(&table[..]),
+                    table: &table,
                     noise: row_noise.as_ref(),
                 });
-                if one_table {
-                    with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
-                }
+                with_planner(|p: &mut FftPlanner<T>| p.put_table(table));
             }
         }
         ROW_STARTS.set(starts);
@@ -634,9 +608,8 @@ pub struct ShapeRows<'a, T> {
     shape: usize,
     n: usize,
     t_frame_start: f64,
-    /// The shape's static tones, scatterer `j` at `table[j·n..(j+1)·n]`;
-    /// `None` when the scene's tones need more than one table.
-    table: Option<&'a [T]>,
+    /// The shape's static tones, scatterer `j` at `table[j·n..(j+1)·n]`.
+    table: &'a [T],
     noise: Option<&'a RowNoise<'a>>,
 }
 
@@ -657,19 +630,18 @@ impl<T: Real> ShapeRows<'_, T> {
         self.n
     }
 
-    /// Fills chirp `c`'s row (zeroed, [`ShapeRows::samples`] long) with its
-    /// IF signal and noise: the scene's tones added in scene order, then
-    /// one scaled deviate per sample from the row's place in the stream.
+    /// Fills chirp `c`'s row ([`ShapeRows::samples`] long, any contents)
+    /// with its IF signal and noise: zeros, the scene's tones added in scene
+    /// order, then one scaled deviate per sample from the row's place in
+    /// the stream.
     ///
     /// # Panics
     /// Panics if `row` is not [`ShapeRows::samples`] long.
     pub fn fill(&self, c: usize, row: &mut [T]) {
         assert_eq!(row.len(), self.n, "chirp {c}'s row");
         let t_start = self.t_frame_start + self.train.slot_start(c);
-        match self.table {
-            Some(table) => synth_row(row, table, &self.scene.scatterers, self.rx, t_start),
-            None => synth_chirp(row, self.scene, self.rx, t_start),
-        }
+        row.fill(T::ZERO);
+        synth_row(row, self.table, self.scene, self.rx, t_start);
         if let Some(noise) = self.noise {
             let mut src = noise.origin.clone();
             src.jump((noise.n_rx * noise.starts[c] + self.rx.k * self.n) as u64);
@@ -1040,19 +1012,6 @@ mod tests {
         memoised_train_matches_per_chirp::<f32>(&train);
     }
 
-    #[test]
-    fn long_chirps_synthesize_in_scatterer_groups() {
-        // 11,000-sample chirps: a table holds two scatterers' tones, so the
-        // five-scatterer scene runs as three groups per shape.
-        let long = Chirp::new(9e9, 1e9, 5.5e-3);
-        assert_eq!(long.if_samples(2e6), 11_000);
-        assert_eq!(group_len(11_000), 2);
-        let chirps = [long, Chirp::new(9e9, 1e9, 2e-3), long, long];
-        let train = ChirpTrain::with_fixed_period(&chirps, 7e-3).unwrap();
-        memoised_train_matches_per_chirp::<f64>(&train);
-        memoised_train_matches_per_chirp::<f32>(&train);
-    }
-
     /// The serial noise post-pass the producer replaced, kept as its
     /// oracle: noiseless rows first, then one fill per row on one
     /// generator, chirp-major, antenna-minor.
@@ -1079,7 +1038,8 @@ mod tests {
 
     /// Rows filled from their places in the stream equal the serial
     /// post-pass bit for bit, and leave the generator where it leaves it:
-    /// 1 and 2 antennas, pools of 1 and 2 threads, in both precisions.
+    /// 1 and 2 antennas, pools of 1 and 2 threads, in both precisions,
+    /// into slabs whose cells still hold NaN from an earlier layout.
     fn producer_matches_serial_post_pass<T: Real>(train: &ChirpTrain, scene: &Scene) {
         let receiver = IfReceiver {
             sample_rate_hz: 10e6,
@@ -1096,6 +1056,10 @@ mod tests {
                 serial_post_pass(&receiver, &pool, train, scene, &mut want_noise, &mut want);
                 let mut got_noise = NoiseSource::new(53);
                 let mut got = vec![SampleSlab::<T>::new(); n_rx];
+                for slab in &mut got {
+                    slab.layout_rows(std::iter::repeat(2_000).take(train.len()));
+                    slab.parts_mut().1.fill(T::from_f64(f64::NAN));
+                }
                 receiver.dechirp_train_array_into(
                     &pool,
                     train,
@@ -1126,9 +1090,8 @@ mod tests {
 
     #[test]
     fn rows_noised_in_place_match_serial_post_pass() {
-        // 1,200-sample chirps hold 27 scatterers' tones per table, so the
-        // 31-scatterer scene runs them in two groups per row; the
-        // 960-sample chirps' 34 fit one table.
+        // A 31-scatterer scene on 1,200-, 960- and 400-sample chirps: a
+        // shape's table holds 37,200 tone samples at the longest.
         let mut scene = memo_scene();
         for i in 0..26 {
             let mut clutter = Scatterer::clutter(1.0 + 0.37 * i as f64, 0.5 + 0.1 * i as f64);
@@ -1136,7 +1099,6 @@ mod tests {
             scene = scene.with(clutter);
         }
         assert_eq!(scene.scatterers.len(), 31);
-        assert_eq!((group_len(1200), group_len(960)), (27, 34));
         let (long, short) = (Chirp::new(9e9, 1e9, 120e-6), Chirp::new(9e9, 1e9, 96e-6));
         let chirps = [
             long,

@@ -1,17 +1,16 @@
-//! Flattened sample storage for frame-sized captures.
+//! Flattened row storage for frame-sized captures.
 //!
-//! [`SampleSlab`] is the one IF capture type: it stores all chirps of one
-//! antenna's capture in a single contiguous buffer with an offsets table
-//! (rows may have different lengths, since chirps of different durations
-//! produce different sample counts). A multi-antenna capture is one slab per
-//! antenna. A slab reuses its capacity across frames, which is what makes
-//! the arena path allocation-free in steady state. Slabs are generic over
-//! the sample precision ([`Real`]); the bare name means f64.
+//! [`SampleSlab`] is the one frame buffer type: it stores every row of a
+//! frame in a single contiguous buffer with an offsets table. Rows may
+//! differ in length: an IF capture's chirps of different durations give
+//! different sample counts, and a multi-antenna capture is one slab per
+//! antenna. The aligned frame (`radar::receiver::AlignedFrame`) keeps its
+//! complex range profiles in one too, every row as wide as the range grid.
+//! A slab reuses its capacity across frames, which is what makes the arena
+//! path allocation-free in steady state. The bare name means f64 samples.
 
-use biscatter_dsp::Real;
-
-/// A ragged 2-D sample buffer: every row lives in one contiguous `data`
-/// vector, delimited by a non-decreasing `offsets` table
+/// A ragged 2-D buffer: every row lives in one contiguous `data` vector,
+/// delimited by a non-decreasing `offsets` table
 /// (`row r = data[offsets[r]..offsets[r + 1]]`). Relaying out the slab
 /// reuses existing capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,14 +22,14 @@ pub struct SampleSlab<T = f64> {
 /// The f32 slab, under the name the `biscatter-e2e` benchmark imports.
 pub type SampleSlab32 = SampleSlab<f32>;
 
-impl<T: Real> Default for SampleSlab<T> {
+impl<T: Copy + Default> Default for SampleSlab<T> {
     /// An empty slab, the same as [`SampleSlab::new`].
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Real> SampleSlab<T> {
+impl<T: Copy + Default> SampleSlab<T> {
     /// Creates an empty slab.
     pub fn new() -> Self {
         SampleSlab {
@@ -39,18 +38,20 @@ impl<T: Real> SampleSlab<T> {
         }
     }
 
-    /// Clears the slab and lays out `lens` zero-filled rows, reusing
-    /// capacity from previous frames.
+    /// Lays out rows of `lens` elements, reusing capacity from previous
+    /// frames. Cells are not cleared: a cell that the previous layout held
+    /// keeps its value, a new one is `T::default()`. Whoever fills the slab
+    /// writes every cell.
     pub fn layout_rows(&mut self, lens: impl Iterator<Item = usize>) {
-        self.data.clear();
         self.offsets.clear();
+        self.offsets.reserve(lens.size_hint().0 + 1);
         self.offsets.push(0);
         let mut total = 0usize;
         for len in lens {
             total += len;
             self.offsets.push(total);
         }
-        self.data.resize(total, T::ZERO);
+        self.data.resize(total, T::default());
     }
 
     /// Number of rows.
@@ -58,14 +59,19 @@ impl<T: Real> SampleSlab<T> {
         self.offsets.len() - 1
     }
 
-    /// The samples of row `r`.
+    /// The cells of row `r`.
     pub fn row(&self, r: usize) -> &[T] {
         &self.data[self.offsets[r]..self.offsets[r + 1]]
     }
 
-    /// Mutable samples of row `r`.
+    /// Mutable cells of row `r`.
     pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         &mut self.data[self.offsets[r]..self.offsets[r + 1]]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[T]> + '_ {
+        self.offsets.windows(2).map(|w| &self.data[w[0]..w[1]])
     }
 
     /// The offsets table (length `rows() + 1`) and the mutable flat data,
@@ -90,20 +96,26 @@ mod tests {
         assert_eq!(slab.row(0), &[1.0, 1.0, 1.0]);
         assert_eq!(slab.row(1), &[] as &[f64]);
         assert_eq!(slab.row(2), &[3.0, 3.0]);
+        let rows: Vec<&[f64]> = slab.iter().collect();
+        assert_eq!(rows, [&[1.0, 1.0, 1.0][..], &[], &[3.0, 3.0]]);
     }
 
     #[test]
-    fn slab_relayout_reuses_and_zeroes() {
+    fn slab_relayout_reuses_capacity_without_clearing() {
         let mut slab: SampleSlab = SampleSlab::new();
         slab.layout_rows([4usize, 4].into_iter());
         slab.row_mut(1).fill(9.0);
-        let cap = {
-            let (_, data) = slab.parts_mut();
-            data.len()
-        };
-        assert_eq!(cap, 8);
+        let ptr = slab.data.as_ptr();
+        slab.layout_rows([3usize, 5].into_iter());
+        assert_eq!(slab.row(0), &[0.0; 3]);
+        assert_eq!(
+            slab.row(1),
+            &[0.0, 9.0, 9.0, 9.0, 9.0],
+            "cells keep their values"
+        );
         slab.layout_rows([2usize, 2].into_iter());
-        assert!(slab.row(0).iter().chain(slab.row(1)).all(|&v| v == 0.0));
+        assert_eq!(slab.data.as_ptr(), ptr, "relayouts keep the buffer");
+        assert_eq!(slab.rows(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! a pair share passes all of them. This test replays a few fixed-seed
 //! frames stage by stage and hashes (FNV-1a over `to_bits`) the IF sample
 //! slab, both receive paths' aligned rows (the comms rows read through
-//! `AlignedPair::comms`, which subtracts chirp 0 on read, so their digest
+//! `AlignedFrame::comms`, which subtracts chirp 0 on read, so their digest
 //! is the one the stored comms frame had), the range–Doppler power map,
 //! and the `Debug` text of the frame's outcome from `run_frame` /
 //! `run_cold_start_frame` (floats print in their shortest round-tripping
@@ -35,12 +35,13 @@ use biscatter_core::dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
 use biscatter_core::dsp::{Complex, Real};
 use biscatter_core::isac::{
     align_stage_into, dechirp_stage_into, detect_stage_multi, detect_stage_with,
-    doppler_stage_into, run_cold_start_frame, run_frame, synthesize_frame, AlignedPair, FrameArena,
-    FrameCtx, IsacScenario,
+    doppler_stage_into, run_cold_start_frame, run_frame, synthesize_frame, FrameArena, FrameCtx,
+    IsacScenario,
 };
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
 use biscatter_core::radar::receiver::multitag::{MultiTagScratch, TagBank};
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::source::{cold_start_jobs, multi_tag_jobs, streaming_system, WorkloadSpec};
@@ -143,18 +144,18 @@ fn digest<T: Real + Bits>(
     let synth = synthesize_frame(sys, &job.scenario, &job.payload, job.seed);
     let mut slab = SampleSlab::<T>::new();
     dechirp_stage_into(&pool, sys, &synth.train, &synth.scene, job.seed, &mut slab);
-    let mut pair = AlignedPair::<T>::default();
-    align_stage_into(&pool, sys, &synth.train, &slab, &mut pair);
+    let mut frame = AlignedFrame::<T>::default();
+    align_stage_into(&pool, sys, &synth.train, &slab, &mut frame);
     let mut map = RangeDopplerMap::default();
-    doppler_stage_into(&pool, &pair, &mut map);
+    doppler_stage_into(&pool, &frame, &mut map);
     let mut mean_power = Vec::new();
     let replayed = if job.scenario.extra_tags.is_empty() {
-        detect_stage_with(&job.scenario, &pair, &map, synth.downlink, &mut mean_power)
+        detect_stage_with(&job.scenario, &frame, &map, synth.downlink, &mut mean_power)
     } else {
         detect_stage_multi(
             &pool,
             &job.scenario,
-            &pair,
+            &frame,
             &map,
             synth.downlink,
             &mut TagBank::default(),
@@ -193,15 +194,15 @@ fn digest<T: Real + Bits>(
     (0..map.n_doppler).for_each(|d| map.range_slice(d).iter().for_each(|v| v.feed(&mut power)));
     let mut text = Fnv::new();
     text.bytes(outcome.as_bytes());
-    let comms = pair.comms();
-    let n_range = pair.sensing.range_grid.len();
-    let comms_rows: Vec<Vec<Complex<T>>> = (0..pair.sensing.n_chirps())
+    let comms = frame.comms();
+    let n_range = frame.range_grid.len();
+    let comms_rows: Vec<Vec<Complex<T>>> = (0..frame.n_chirps())
         .map(|c| comms.segment(c, 0..n_range).collect())
         .collect();
     [
-        rows((0..slab.rows()).map(|r| slab.row(r))),
+        rows(slab.iter()),
         rows(comms_rows.iter().map(|r| &r[..])),
-        rows(pair.sensing.profiles.iter().map(|p| &p[..])),
+        rows(frame.profiles.iter()),
         power.0,
         text.0,
     ]

@@ -17,11 +17,12 @@ use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     align_stage_into, dechirp_stage_into, detect_stage_multi, detect_stage_with,
     doppler_stage_into, front_end_stage_into, run_cold_start_frame, run_frame, synthesize_frame,
-    AlignedPair, FrameArena, FrameCtx, IsacOutcome,
+    FrameArena, FrameCtx, IsacOutcome,
 };
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
 use biscatter_core::radar::receiver::multitag::{MultiTagScratch, TagBank};
+use biscatter_core::radar::receiver::AlignedFrame;
 use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_runtime::source::{cold_start_jobs, multi_tag_jobs, streaming_system, WorkloadSpec};
@@ -51,14 +52,13 @@ fn cases() -> Vec<(&'static str, BiScatterSystem, FrameJob)> {
     ]
 }
 
-/// Both receive paths of a pair, bit for bit: the slow-time interval, the
+/// Both receive paths of a frame, bit for bit: the slow-time interval, the
 /// grid, then each chirp's sensing row and its comms row read through the
 /// view.
-fn pair_bits<T: Real>(pair: &AlignedPair<T>) -> Vec<u64> {
-    let frame = &pair.sensing;
+fn frame_bits<T: Real>(frame: &AlignedFrame<T>) -> Vec<u64> {
     let mut bits = vec![frame.t_period.to_bits()];
     bits.extend(frame.range_grid.iter().map(|r| r.to_bits()));
-    let comms = pair.comms();
+    let comms = frame.comms();
     for (c, row) in frame.profiles.iter().enumerate() {
         let cells = row
             .iter()
@@ -76,22 +76,22 @@ fn two_stage_outcome<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     job: &FrameJob,
-) -> (AlignedPair<T>, IsacOutcome) {
+) -> (AlignedFrame<T>, IsacOutcome) {
     let synth = synthesize_frame(sys, &job.scenario, &job.payload, job.seed);
     let mut slab = SampleSlab::<T>::new();
     dechirp_stage_into(pool, sys, &synth.train, &synth.scene, job.seed, &mut slab);
-    let mut pair = AlignedPair::<T>::default();
-    align_stage_into(pool, sys, &synth.train, &slab, &mut pair);
+    let mut frame = AlignedFrame::<T>::default();
+    align_stage_into(pool, sys, &synth.train, &slab, &mut frame);
     let mut map = RangeDopplerMap::default();
-    doppler_stage_into(pool, &pair, &mut map);
+    doppler_stage_into(pool, &frame, &mut map);
     let mut mean_power = Vec::new();
     let outcome = if job.scenario.extra_tags.is_empty() {
-        detect_stage_with(&job.scenario, &pair, &map, synth.downlink, &mut mean_power)
+        detect_stage_with(&job.scenario, &frame, &map, synth.downlink, &mut mean_power)
     } else {
         detect_stage_multi(
             pool,
             &job.scenario,
-            &pair,
+            &frame,
             &map,
             synth.downlink,
             &mut TagBank::default(),
@@ -99,10 +99,10 @@ fn two_stage_outcome<T: Real>(
             &mut mean_power,
         )
     };
-    (pair, outcome)
+    (frame, outcome)
 }
 
-/// The fused rows against the two-stage rows, into a pair that last held
+/// The fused rows against the two-stage rows, into a frame that last held
 /// another frame; then `run_frame` (or the cold-start frame's aligned
 /// part) on `precision` against the two-stage outcome in `T`, where
 /// `run_frame` runs in `T`.
@@ -113,12 +113,12 @@ fn check<T: Real>(
     job: &FrameJob,
     precision: PrecisionTier,
 ) {
-    let (want_pair, want) = two_stage_outcome::<T>(pool, sys, job);
+    let (want_frame, want) = two_stage_outcome::<T>(pool, sys, job);
     let synth = synthesize_frame(sys, &job.scenario, &job.payload, job.seed);
-    let mut pair = AlignedPair::<T>::default();
+    let mut frame = AlignedFrame::<T>::default();
     let other = synthesize_frame(sys, &job.scenario, b"OTHER", job.seed ^ 1);
-    front_end_stage_into(pool, sys, &other.train, &other.scene, 5, &mut pair);
-    let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, job.seed, &mut pair);
+    front_end_stage_into(pool, sys, &other.train, &other.scene, 5, &mut frame);
+    let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, job.seed, &mut frame);
     let label = format!(
         "{name}: {}, {} threads, {}",
         std::any::type_name::<T>(),
@@ -126,7 +126,7 @@ fn check<T: Real>(
         tier().name()
     );
     assert!(
-        pair_bits(&pair) == pair_bits(&want_pair),
+        frame_bits(&frame) == frame_bits(&want_frame),
         "{label}: rows differ"
     );
     assert!(

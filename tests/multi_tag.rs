@@ -3,9 +3,9 @@
 
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::link::mac::{ModFreqPlanner, TagId};
+use biscatter_core::radar::receiver::align_frame;
 use biscatter_core::radar::receiver::doppler::range_doppler;
 use biscatter_core::radar::receiver::localize::locate_tag;
-use biscatter_core::radar::receiver::{align_frame, CommsView};
 use biscatter_core::rf::frame::ChirpTrain;
 use biscatter_core::rf::if_gen::IfReceiver;
 use biscatter_core::rf::scene::{Scatterer, Scene};
@@ -35,7 +35,7 @@ fn shared_frame(
     let mut noise = NoiseSource::new(seed);
     let if_data = rx.dechirp_train(&train, &scene, 0.0, &mut noise);
     let frame = align_frame(&sys.rx, &train, &if_data);
-    range_doppler(CommsView::stored(&frame))
+    range_doppler(frame.comms())
 }
 
 #[test]
