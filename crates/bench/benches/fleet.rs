@@ -7,23 +7,24 @@
 //!   quota-1 drop-oldest intake, so admission drops are exercised and
 //!   reported rather than merely possible;
 //! * steady-state heap allocations of the per-frame hot path (stages 2–4
-//!   through a fleet cell's own arena; must be 0).
+//!   of a frame of the fleet's system, on buffers the bench owns; must be
+//!   0).
 //!
 //! `--quick` shrinks the workloads to two ticks and writes nothing, but
 //! still enforces the completeness, accounting, and zero-allocation
 //! assertions — the CI smoke mode fails if the fleet loses a frame or the
-//! arena path regresses.
+//! frame path starts allocating.
 
 use std::hint::black_box;
 
 use biscatter_bench::harness::{self, Args, Fields, Sampler};
 use biscatter_bench::hot_stages;
-use biscatter_core::dsp::arena::Pool;
 use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, IsacScenario};
 use biscatter_core::json::Value;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
 use biscatter_core::radar::receiver::AlignedFrame;
+use biscatter_core::rf::slab::SampleSlab;
 use biscatter_core::system::BiScatterSystem;
 use biscatter_fleet::{AdmissionPolicy, Fleet, FleetConfig, FleetReport};
 use biscatter_runtime::compute::ComputePool;
@@ -103,7 +104,6 @@ fn main() {
 
     // --- Throughput: 1 / 4 / 16 cells, lossless admission. ---------------
     let mut per_config = Vec::new();
-    let mut last = None;
     for cells in [1usize, 4, 16] {
         let (fleet, spec) = fleet(
             &sys,
@@ -126,7 +126,6 @@ fn main() {
         );
         row.num("tags_per_cell", 2.0);
         per_config.push(row.into());
-        last = Some(fleet);
     }
 
     // --- Overload: 16 cells through one shard, quota-1 drop-oldest. ------
@@ -138,30 +137,24 @@ fn main() {
         "every frame must be processed or counted as dropped"
     );
 
-    // --- Steady-state allocation count on a fleet cell's arena path. -----
-    // The 16-cell fleet's cell arenas are warm from the runs above.
-    // The aligned frame and the map lease from the cell's arena; the IF
-    // slab of the two-stage path is local (the cell's own frames keep
-    // none).
-    let fleet = last.expect("16-cell fleet ran above");
-    let arena = fleet.cells()[0].arena();
+    // --- Steady-state allocation count of a fleet frame's hot path. -------
+    // Stages 2-4 of a frame of the fleet's system, on buffers the bench
+    // owns: two warm-up frames size them, the third must not touch the
+    // heap at all.
     let pool = ComputePool::new(1);
     let frame_s = sys.frame_chirps as f64 * sys.radar.t_period;
     let scenario = IsacScenario::single_tag(3.0, 16.0 / frame_s).with_office_clutter();
     let synth = synthesize_frame(&sys, &scenario, b"CMD1", 7);
-    let slabs = Pool::new();
-    let mut aligned = arena.aligned.take_or(AlignedFrame::default);
-    let mut map = arena.maps.take_or(RangeDopplerMap::default);
-    // Two warm-up frames size the lease-local buffers; the third must not
-    // touch the heap at all.
+    let mut slab = SampleSlab::<f64>::new();
+    let (mut aligned, mut map) = (AlignedFrame::default(), RangeDopplerMap::default());
     for _ in 0..2 {
-        hot_stages(&pool, &sys, &synth, &slabs, &mut aligned, &mut map, 1);
+        hot_stages(&pool, &sys, &synth, &mut slab, &mut aligned, &mut map, 1);
     }
     let ((), steady_allocs) = counted(|| {
-        hot_stages(&pool, &sys, &synth, &slabs, &mut aligned, &mut map, 1);
+        hot_stages(&pool, &sys, &synth, &mut slab, &mut aligned, &mut map, 1);
     });
     black_box(map.at(0, 0));
-    println!("steady-state allocations (fleet cell arena path): {steady_allocs}");
+    println!("steady-state allocations (fleet frame path): {steady_allocs}");
     assert_eq!(
         steady_allocs, 0,
         "fleet cell frame path allocated in steady state"
@@ -184,8 +177,8 @@ fn main() {
              frames_per_s and handoffs_per_s divide the counts by the median run. overload = same \
              16-cell workload through one shard with a quota-1 drop-oldest intake, reporting \
              shed load (its counts vary from run to run). steady_state_allocs counted by \
-             obs::alloc over one hot-path frame (stages 2-4) through a warmed fleet cell arena; \
-             acceptance: 0."
+             obs::alloc over one hot-path frame (stages 2-4) of the fleet's system on warmed \
+             buffers the bench owns; acceptance: 0."
         ),
         fields,
     );

@@ -1,5 +1,5 @@
 //! `cargo bench --bench frame` — the PR-3 frame hot path: intra-frame data
-//! parallelism plus the zero-allocation arena, recorded in
+//! parallelism plus zero-allocation buffer reuse, recorded in
 //! `results/BENCH_frame.json`:
 //!
 //! * per-frame latency of stages 2–4 (dechirp → align → doppler) on a
@@ -8,7 +8,8 @@
 //!   (`biscatter_core::isac::precision`), with its own zero-allocation
 //!   audit and a `>= 2.5x` single-thread speedup check when the AVX2
 //!   kernels are dispatched;
-//! * steady-state heap allocations of one arena-path frame (must be 0);
+//! * steady-state heap allocations of one frame on reused buffers (must
+//!   be 0);
 //! * a serial-vs-pooled bit-equality check on every f64 stage output (the
 //!   f32 tier carries no bit contract — it is oracle-bounded instead, see
 //!   `crates/core/tests/precision_oracle.rs`).
@@ -21,7 +22,6 @@ use std::hint::black_box;
 
 use biscatter_bench::harness::{self, Args, Fields, Sampler};
 use biscatter_bench::hot_stages;
-use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::dispatch::{tier, SimdTier};
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, IsacScenario, SynthesizedFrame};
@@ -36,19 +36,19 @@ use biscatter_runtime::compute::ComputePool;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Steady-state heap allocations of one arena-path frame in precision `T`
-/// on `pool`, after three warm-up frames.
+/// Steady-state heap allocations of one frame in precision `T` on `pool`,
+/// its IF samples through `slab`, after three warm-up frames.
 fn steady_state_allocs<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    slabs: &Pool<SampleSlab<T>>,
+    slab: &mut SampleSlab<T>,
 ) -> usize {
     let (mut frame, mut map) = (AlignedFrame::<T>::default(), RangeDopplerMap::default());
     for _ in 0..3 {
-        hot_stages(pool, sys, synth, slabs, &mut frame, &mut map, 1);
+        hot_stages(pool, sys, synth, slab, &mut frame, &mut map, 1);
     }
-    counted(|| hot_stages(pool, sys, synth, slabs, &mut frame, &mut map, 1)).1
+    counted(|| hot_stages(pool, sys, synth, slab, &mut frame, &mut map, 1)).1
 }
 
 /// A timed body: one frame in precision `T` on `pool`, on buffers of its
@@ -58,10 +58,10 @@ fn frame_body<'a, T: Real>(
     sys: &'a BiScatterSystem,
     synth: &'a SynthesizedFrame,
 ) -> impl FnMut() + 'a {
-    let slabs = Pool::new();
+    let mut slab = SampleSlab::<T>::new();
     let (mut frame, mut map) = (AlignedFrame::<T>::default(), RangeDopplerMap::default());
     move || {
-        hot_stages(pool, sys, synth, &slabs, &mut frame, &mut map, 1);
+        hot_stages(pool, sys, synth, &mut slab, &mut frame, &mut map, 1);
         black_box(map.at(0, 0));
     }
 }
@@ -80,11 +80,27 @@ fn main() {
     let pooled = ComputePool::new(cores.min(8));
 
     // --- Bit-equality: pooled output must match serial exactly. ----------
-    let (slabs_a, slabs_b) = (Pool::new(), Pool::new());
+    let (mut slab_s, mut slab_p) = (SampleSlab::new(), SampleSlab::new());
     let (mut frame_s, mut map_s) = (AlignedFrame::default(), RangeDopplerMap::default());
     let (mut frame_p, mut map_p) = (AlignedFrame::default(), RangeDopplerMap::default());
-    hot_stages(&serial, &sys, &synth, &slabs_a, &mut frame_s, &mut map_s, 1);
-    hot_stages(&pooled, &sys, &synth, &slabs_b, &mut frame_p, &mut map_p, 1);
+    hot_stages(
+        &serial,
+        &sys,
+        &synth,
+        &mut slab_s,
+        &mut frame_s,
+        &mut map_s,
+        1,
+    );
+    hot_stages(
+        &pooled,
+        &sys,
+        &synth,
+        &mut slab_p,
+        &mut frame_p,
+        &mut map_p,
+        1,
+    );
     // The comms path is read off these rows, so they cover both paths.
     assert_eq!(
         frame_s.profiles, frame_p.profiles,
@@ -103,18 +119,16 @@ fn main() {
         pooled.threads()
     );
 
-    // --- Steady-state allocation count on the arena path, per precision. -
-    let steady_allocs = steady_state_allocs::<f64>(&serial, &sys, &synth, &slabs_a);
-    println!("steady-state allocations (stages 2-4, arena path): {steady_allocs}");
-    assert_eq!(
-        steady_allocs, 0,
-        "arena frame path allocated in steady state"
-    );
-    let steady_allocs_f32 = steady_state_allocs::<f32>(&serial, &sys, &synth, &Pool::new());
-    println!("steady-state allocations (stages 2-4, f32 arena path): {steady_allocs_f32}");
+    // --- Steady-state allocation count on reused buffers, per precision. -
+    let steady_allocs = steady_state_allocs::<f64>(&serial, &sys, &synth, &mut slab_s);
+    println!("steady-state allocations (stages 2-4): {steady_allocs}");
+    assert_eq!(steady_allocs, 0, "frame path allocated in steady state");
+    let steady_allocs_f32 =
+        steady_state_allocs::<f32>(&serial, &sys, &synth, &mut SampleSlab::new());
+    println!("steady-state allocations (stages 2-4, f32): {steady_allocs_f32}");
     assert_eq!(
         steady_allocs_f32, 0,
-        "f32 arena frame path allocated in steady state"
+        "f32 frame path allocated in steady state"
     );
 
     // --- Per-frame latency: serial f64, pooled f64, serial f32. ----------
@@ -156,9 +170,9 @@ fn main() {
              samples after warm-up; serial = 1-thread pool (inline), pooled = min(cores, 8) \
              threads; f32 = single-precision fast tier (biscatter_core::isac::precision) on the \
              1-thread pool, compared against serial f64. speedup and f32_speedup are ratios of \
-             medians. steady_state_allocs counted by obs::alloc over one arena-path frame per \
-             tier; acceptance: 0 on both. f32_speedup target (>= 2.5x under avx2 dispatch) \
-             asserted here after recording and by the dispatch-gated test \
+             medians. steady_state_allocs counted by obs::alloc over one frame on reused \
+             buffers per tier; acceptance: 0 on both. f32_speedup target (>= 2.5x under avx2 \
+             dispatch) asserted here after recording and by the dispatch-gated test \
              crates/core/tests/frame_speedup.rs. bit_identical covers the f64 path only (serial \
              vs pooled); the f32 tier is oracle-bounded instead \
              (crates/core/tests/precision_oracle.rs)."

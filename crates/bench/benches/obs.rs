@@ -28,7 +28,6 @@ use std::time::{Duration, Instant};
 
 use biscatter_bench::harness::{self, Args, Fields, Sampler, Samples};
 use biscatter_bench::hot_stages;
-use biscatter_core::dsp::arena::Pool;
 use biscatter_core::isac::{synthesize_frame, warm_dsp_plans, IsacScenario, SynthesizedFrame};
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
@@ -43,17 +42,17 @@ use biscatter_runtime::obs::trace::{self, TraceCollector};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One frame through the hot stages, its IF slab leased from `slabs`, into
-/// `out`.
+/// One frame through the hot stages on the buffers in `bufs`: the IF slab,
+/// the aligned frame and the map.
 fn frame(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    slabs: &Pool<SampleSlab>,
-    out: &mut (AlignedFrame, RangeDopplerMap),
+    bufs: &mut (SampleSlab, AlignedFrame, RangeDopplerMap),
 ) {
-    hot_stages(pool, sys, synth, slabs, &mut out.0, &mut out.1, 1);
-    black_box(out.1.at(0, 0));
+    let (slab, aligned, map) = bufs;
+    hot_stages(pool, sys, synth, slab, aligned, map, 1);
+    black_box(map.at(0, 0));
 }
 
 /// Records one interleaved pair, `[without, with]`: both rows' times and
@@ -104,7 +103,6 @@ fn main() {
     let synth = synthesize_frame(&sys, &scenario, b"CMD1", 7);
     warm_dsp_plans(&sys);
     let pool = ComputePool::new(1);
-    let slabs = Pool::new();
     let mut fields = Fields::default();
     let (mut a, mut b) = (Default::default(), Default::default());
 
@@ -115,11 +113,11 @@ fn main() {
     let rows = sampler.interleave(&mut [
         &mut || {
             trace::set_enabled(false);
-            frame(&pool, &sys, &synth, &slabs, &mut a);
+            frame(&pool, &sys, &synth, &mut a);
         },
         &mut || {
             trace::set_enabled(true);
-            frame(&pool, &sys, &synth, &slabs, &mut b);
+            frame(&pool, &sys, &synth, &mut b);
         },
     ]);
     put_pair(
@@ -132,8 +130,8 @@ fn main() {
     // The frames above were the warm-up; a further frame must not touch the
     // heap even while recording spans.
     trace::set_enabled(true);
-    frame(&pool, &sys, &synth, &slabs, &mut a);
-    let ((), traced_allocs) = counted(|| frame(&pool, &sys, &synth, &slabs, &mut a));
+    frame(&pool, &sys, &synth, &mut a);
+    let ((), traced_allocs) = counted(|| frame(&pool, &sys, &synth, &mut a));
     println!("steady-state allocations with tracing enabled: {traced_allocs}");
     assert_eq!(
         traced_allocs, 0,
@@ -143,7 +141,7 @@ fn main() {
     // Span volume + export cost: how many spans one frame records, and what
     // draining + rendering the Chrome trace costs.
     TraceCollector::drain(); // reset rings
-    frame(&pool, &sys, &synth, &slabs, &mut a);
+    frame(&pool, &sys, &synth, &mut a);
     let t0 = Instant::now();
     let collector = TraceCollector::drain();
     let spans_per_frame = collector.span_count();
@@ -161,14 +159,11 @@ fn main() {
     // preallocated ring.
     let recorder = FlightRecorder::with_capacity(0, 1024);
     let mut frame_id = 0;
-    let rows = sampler.interleave(&mut [
-        &mut || frame(&pool, &sys, &synth, &slabs, &mut a),
-        &mut || {
-            frame(&pool, &sys, &synth, &slabs, &mut b);
-            frame_id += 1;
-            recorder.record(flight_record(frame_id, 1_000_000));
-        },
-    ]);
+    let rows = sampler.interleave(&mut [&mut || frame(&pool, &sys, &synth, &mut a), &mut || {
+        frame(&pool, &sys, &synth, &mut b);
+        frame_id += 1;
+        recorder.record(flight_record(frame_id, 1_000_000));
+    }]);
     put_pair(
         &mut fields,
         ["recorder_baseline", "recorder_frame", "recorder_overhead"],
@@ -178,7 +173,7 @@ fn main() {
     // Recorder zero-alloc audit: the capture must ride the frame without
     // touching the heap (the ring was preallocated above).
     let ((), recorder_allocs) = counted(|| {
-        frame(&pool, &sys, &synth, &slabs, &mut a);
+        frame(&pool, &sys, &synth, &mut a);
         recorder.record(flight_record(u64::MAX, 1));
     });
     println!("steady-state allocations with tracing + flight recorder: {recorder_allocs}");
@@ -224,11 +219,11 @@ fn main() {
     let rows = sampler.interleave(&mut [
         &mut || {
             polling.store(false, Ordering::Relaxed);
-            frame(&pool, &sys, &synth, &slabs, &mut a);
+            frame(&pool, &sys, &synth, &mut a);
         },
         &mut || {
             polling.store(true, Ordering::Relaxed);
-            frame(&pool, &sys, &synth, &slabs, &mut b);
+            frame(&pool, &sys, &synth, &mut b);
         },
     ]);
     stop.store(true, Ordering::Relaxed);

@@ -15,7 +15,6 @@
 pub mod figures;
 pub mod harness;
 
-use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::Real;
 use biscatter_core::experiment::Experiment;
 use biscatter_core::isac::{
@@ -46,21 +45,20 @@ pub fn dispatch_json_fields() -> String {
 }
 
 /// Stages 2–4 of one frame (dechirp → align → doppler) in precision `T`,
-/// the hot path the `frame`, `obs` and `fleet` benches time and audit:
-/// the IF slab is leased from `slabs`, and the outputs are left in
-/// `frame` and `map`.
+/// the hot path the `frame`, `obs` and `fleet` benches time and audit: the
+/// IF samples go through `slab`, and the outputs are left in `frame` and
+/// `map`.
 pub fn hot_stages<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    slabs: &Pool<SampleSlab<T>>,
+    slab: &mut SampleSlab<T>,
     frame: &mut AlignedFrame<T>,
     map: &mut RangeDopplerMap,
     seed: u64,
 ) {
-    let mut slab = slabs.take_or(SampleSlab::new);
-    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-    align_stage_into(pool, sys, &synth.train, &*slab, frame);
+    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, slab);
+    align_stage_into(pool, sys, &synth.train, slab, frame);
     doppler_stage_into(pool, frame, map);
 }
 

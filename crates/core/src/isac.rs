@@ -21,7 +21,6 @@
 use crate::downlink::FrameOutcome;
 use crate::system::BiScatterSystem;
 use biscatter_compute::ComputePool;
-use biscatter_dsp::arena::{Lease, Pool};
 use biscatter_dsp::planner::{with_planner, FftPlanner};
 use biscatter_dsp::signal::NoiseSource;
 use biscatter_dsp::{simd, Real};
@@ -234,8 +233,8 @@ pub struct IsacOutcome {
 // The integrated frame decomposes into five stage functions. Stages 2–5 are
 // generic over the sample precision (`Real`: f64 or f32). `run_isac_frame`
 // is their allocating f64 composition, the oracle; `run_frame` composes the
-// same functions on an arena and a precision tier, and is what the runtime
-// and the fleet call for every frame.
+// same functions on the running thread's buffers and a precision tier, and
+// is what the runtime and the fleet call for every frame.
 //
 // The FFT-heavy stages (align, doppler, and the tag-side decode inside
 // synthesize) reach their transforms through `biscatter_dsp::planner`'s
@@ -279,83 +278,62 @@ pub struct SynthesizedFrame {
 /// sensing path, its [`AlignedFrame::comms`] the comms path.
 pub type AlignedPair<T = f64> = AlignedFrame<T>;
 
-/// Recyclable buffers for the frame hot path (stages 2–5).
-///
-/// Each field is a [`Pool`] of one stage's output buffer: a stage checks a
-/// buffer out ([`Pool::take_or`]), fills it through its `_into` variant, and
-/// the buffer returns to the pool when its [`Lease`] drops — typically after
-/// the next stage has consumed it. Clones share the underlying free lists,
-/// so one arena can serve every frame worker of a cell.
-///
-/// After a warm-up frame has sized every buffer, stages 2–4 (the fused
-/// dechirp + align front end, then doppler) perform **no heap allocation**
-/// on a 1-thread pool: row slabs, power slabs, the per-thread IF row and
-/// FFT scratch are reused. No frame holds a slab of IF samples: each
-/// chirp's samples live in a per-thread row from synthesis through its
-/// range FFT. (A multi-thread pool additionally allocates a handful of
-/// small control blocks per parallel region; stages 1 and 5 build fresh
-/// outputs — packets, detections — by design.)
-#[derive(Debug, Clone)]
-pub struct FrameArena {
-    /// Stage 2–3 aligned frames.
-    pub aligned: Pool<AlignedFrame>,
-    /// Stage 4 range–Doppler maps.
-    pub maps: Pool<RangeDopplerMap>,
-    /// Stage 5 mean-power scratch.
-    pub scratch: Pool<Vec<f64>>,
-    /// Stage 5 multi-tag banks (cached detection templates stay warm as
-    /// banks cycle through the pool across frames).
-    pub banks: Pool<TagBank>,
-    /// Stage 5 multi-tag batch scratch (band/score/amplitude slabs).
-    pub multitag: Pool<MultiTagScratch>,
-    /// Stage 2–3 aligned frames for the f32 fast tier (unused — and
-    /// unsized — when every frame runs the f64 oracle path).
-    pub aligned32: Pool<AlignedFrame<f32>>,
-    /// Cold-start acquisition dwell captures.
-    pub captures: Pool<Vec<f64>>,
-    /// Cold-start correlator banks (cached template spectra stay warm as
-    /// banks cycle through the pool, like the multi-tag `banks`).
-    pub acq_banks: Pool<CorrelatorBank>,
+/// The buffers a frame runs through: one set per thread ([`BUFFERS`]),
+/// sized by the thread's first frame and reused by every frame after it,
+/// whichever cell it belongs to. Once sized, stages 2–4 allocate nothing
+/// on a 1-thread pool (DESIGN.md §10.3); there is no slab of IF samples,
+/// each chirp's samples live in a per-thread row through its range FFT.
+#[derive(Default)]
+struct FrameBuffers {
+    /// Stage 2–3 aligned frame on the f64 tier.
+    aligned: AlignedFrame,
+    /// Stage 2–3 aligned frame on the f32 tier (unsized while every frame
+    /// on the thread runs f64).
+    aligned32: AlignedFrame<f32>,
+    /// Stage 4–5 buffers, shared by both tiers.
+    detect: DetectBuffers,
+    /// Cold-start acquisition dwell capture.
+    capture: Vec<f64>,
+    /// Cold-start correlator bank (`set_hypotheses` keys on content, so
+    /// its template spectra stay warm across frames).
+    acq_bank: CorrelatorBank,
     /// Cold-start block-spectrum/energy slabs.
-    pub acquire: Pool<AcquireScratch>,
+    acquire: AcquireScratch,
 }
 
-impl Default for FrameArena {
-    /// Pools are named, so every arena reports lease hit/miss counters and
-    /// outstanding high-water gauges under `arena.isac.*` in the global
-    /// metric registry (arenas sharing the process share the cells).
-    fn default() -> Self {
-        Self::scoped("")
-    }
-}
-
-impl FrameArena {
-    /// An arena whose pool metrics live under `<prefix>arena.isac.*` instead
-    /// of the process-global `arena.isac.*`. A multi-cell fleet passes
-    /// `"cell<id>."` so concurrent pipelines report disjoint lease counters;
-    /// the empty prefix reproduces [`FrameArena::default`] exactly.
-    pub fn scoped(prefix: &str) -> Self {
-        fn at<T>(prefix: &str, name: &str) -> Pool<T> {
-            Pool::named_at(&format!("{prefix}arena.isac.{name}"))
-        }
-        FrameArena {
-            aligned: at(prefix, "aligned"),
-            maps: at(prefix, "maps"),
-            scratch: at(prefix, "scratch"),
-            banks: at(prefix, "banks"),
-            multitag: at(prefix, "multitag"),
-            aligned32: at(prefix, "aligned32"),
-            captures: at(prefix, "captures"),
-            acq_banks: at(prefix, "acq_banks"),
-            acquire: at(prefix, "acquire"),
-        }
-    }
+/// What stages 4 and 5 fill, in either precision.
+#[derive(Default)]
+struct DetectBuffers {
+    /// Stage 4 range–Doppler map.
+    map: RangeDopplerMap,
+    /// Stage 5 mean-power scratch.
+    mean_power: Vec<f64>,
+    /// Stage 5 multi-tag bank (`set_tags` keys on content, so its cached
+    /// detection templates stay warm across frames).
+    bank: TagBank,
+    /// Stage 5 multi-tag batch scratch (band/score/amplitude slabs).
+    multitag: MultiTagScratch,
 }
 
 thread_local! {
     /// The tag's envelope capture of the frame being synthesized on this
     /// thread, its capacity reused by the next.
     static CAPTURE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    /// The buffers of the frames this thread runs, out of their home while
+    /// a frame runs (taken and set back, never borrowed across a fan-out:
+    /// the calling thread works in its own pool regions).
+    static BUFFERS: Cell<Option<Box<FrameBuffers>>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on this thread's frame buffers, taken out of [`BUFFERS`] and
+/// put back when `f` returns. The thread's first frame sizes a fresh set;
+/// so does the frame after one that panicked, which dropped its set as it
+/// unwound.
+fn with_buffers<R>(f: impl FnOnce(&mut FrameBuffers) -> R) -> R {
+    let mut bufs = BUFFERS.take().unwrap_or_default();
+    let out = f(&mut bufs);
+    BUFFERS.set(Some(bufs));
+    out
 }
 
 /// Stage 1 — frame synthesis: builds the chirp train, runs the tag-side
@@ -391,7 +369,10 @@ pub fn synthesize_frame(
         scenario.uplink_scheme,
         scenario.uplink_bit_duration_s,
     );
-    let mut scene = Scene::new().with(Scatterer {
+    // The scene's one list of scatterers, sized up front.
+    let n = 1 + scenario.extra_tags.len() + scenario.clutter.len() + scenario.movers.len();
+    let scatterers = Vec::with_capacity(n);
+    let mut scene = Scene { scatterers }.with(Scatterer {
         range_m: scenario.tag_range_m,
         azimuth_rad: 0.0,
         velocity_mps: 0.0,
@@ -623,8 +604,8 @@ fn sensing_detections<T: Real>(
 /// `pool`, then runs the same sensing CFAR as [`detect_stage_with`].
 ///
 /// The scenario's tag profiles are re-asserted on `bank` each call — a
-/// no-op when unchanged, so a bank cycling through a [`FrameArena`] keeps
-/// its cached templates warm across frames. The primary fields of the
+/// no-op when unchanged, so a bank reused across frames keeps its cached
+/// templates warm. The primary fields of the
 /// outcome (`location`, `uplink_bits`) mirror `tags[0]`, with the same
 /// bits-requested policy as the single-tag stage.
 #[allow(clippy::too_many_arguments)]
@@ -639,7 +620,7 @@ pub fn detect_stage_multi<T: Real>(
     mean_power: &mut Vec<f64>,
 ) -> IsacOutcome {
     let _span = biscatter_obs::span!("isac.detect");
-    let mut profiles = Vec::new();
+    let mut profiles = Vec::with_capacity(1 + scenario.extra_tags.len());
     scenario.tag_profiles_into(&mut profiles);
     bank.set_tags(&profiles);
     let mut tags = Vec::new();
@@ -698,16 +679,13 @@ pub fn run_isac_frame(
 }
 
 /// What every frame of one cell shares: the compute pool its stages fan
-/// out on, the system it simulates, the arena its buffers recycle through,
-/// and the numeric tier of the hot stages.
+/// out on, the system it simulates, and the numeric tier of the hot stages.
 #[derive(Clone, Copy)]
 pub struct FrameCtx<'a> {
     /// Intra-frame compute pool.
     pub pool: &'a ComputePool,
     /// The radar/tag system.
     pub sys: &'a BiScatterSystem,
-    /// Recyclable stage buffers.
-    pub arena: &'a FrameArena,
     /// Numeric tier of stages 2–5.
     pub tier: PrecisionTier,
 }
@@ -725,17 +703,17 @@ fn stopwatch() -> impl FnMut() -> u64 {
 }
 
 /// Runs one integrated frame through `ctx`: the five stages of
-/// [`run_isac_frame`] on `ctx.pool`, recycling every hot-path buffer through
-/// `ctx.arena`, with each stage's wall time written into `times` (the flight
-/// recorder's [`StageNanos`]; timing is `Instant` reads only).
+/// [`run_isac_frame`] on `ctx.pool`, on this thread's frame buffers, with
+/// each stage's wall time written into `times` (the flight recorder's
+/// [`StageNanos`]; timing is `Instant` reads only).
 ///
 /// The tier picks the sample precision of stages 2–5: `F32` runs them in
 /// single precision ([`precision`]), except for scenarios with extra tags,
 /// which stay on f64 — warehouse-density frames are dominated by per-tag
 /// scoring, not by the stages the f32 tier accelerates. On f64 the outcome
-/// is bit-identical to [`run_isac_frame`] for any pool size, and after
-/// warm-up stages 2–4 allocate nothing on either precision (see
-/// [`FrameArena`]).
+/// is bit-identical to [`run_isac_frame`] for any pool size. The buffers
+/// are the calling thread's, one set per thread: once a frame has sized
+/// them, stages 2–4 allocate nothing on either precision.
 pub fn run_frame(
     ctx: &FrameCtx,
     scenario: &IsacScenario,
@@ -743,56 +721,70 @@ pub fn run_frame(
     seed: u64,
     times: &mut StageNanos,
 ) -> IsacOutcome {
-    let arena = ctx.arena;
-    if ctx.tier == PrecisionTier::F32 && scenario.extra_tags.is_empty() {
-        run_stages(ctx, &arena.aligned32, scenario, payload, seed, times)
-    } else {
-        run_stages(ctx, &arena.aligned, scenario, payload, seed, times)
+    with_buffers(|bufs| bufs.run(ctx, scenario, payload, seed, times))
+}
+
+impl FrameBuffers {
+    /// [`run_frame`] on this set, on the aligned frame of the tier's
+    /// precision.
+    fn run(
+        &mut self,
+        ctx: &FrameCtx,
+        scenario: &IsacScenario,
+        payload: &[u8],
+        seed: u64,
+        times: &mut StageNanos,
+    ) -> IsacOutcome {
+        let detect = &mut self.detect;
+        if ctx.tier == PrecisionTier::F32 && scenario.extra_tags.is_empty() {
+            detect.run_stages(ctx, &mut self.aligned32, scenario, payload, seed, times)
+        } else {
+            detect.run_stages(ctx, &mut self.aligned, scenario, payload, seed, times)
+        }
     }
 }
 
-/// The stage sequence of [`run_frame`] in precision `T`, leasing the frame
-/// buffers of that precision from `aligned`. The fused front end's wall
-/// time is split into the record's `dechirp` and `align` in the ratio its
-/// rows spent synthesizing and transforming ([`FrontEndSplit::divide`]).
-fn run_stages<T: Real>(
-    ctx: &FrameCtx,
-    aligned: &Pool<AlignedFrame<T>>,
-    scenario: &IsacScenario,
-    payload: &[u8],
-    seed: u64,
-    times: &mut StageNanos,
-) -> IsacOutcome {
-    let (pool, sys, arena) = (ctx.pool, ctx.sys, ctx.arena);
-    let mut lap = stopwatch();
-    let synth = synthesize_frame(sys, scenario, payload, seed);
-    times.synthesize = lap();
+impl DetectBuffers {
+    /// The stage sequence of [`run_frame`] in precision `T`, aligning into
+    /// `frame`. The fused front end's wall time is split into the record's
+    /// `dechirp` and `align` in the ratio its rows spent synthesizing and
+    /// transforming ([`FrontEndSplit::divide`]).
+    fn run_stages<T: Real>(
+        &mut self,
+        ctx: &FrameCtx,
+        frame: &mut AlignedFrame<T>,
+        scenario: &IsacScenario,
+        payload: &[u8],
+        seed: u64,
+        times: &mut StageNanos,
+    ) -> IsacOutcome {
+        let (pool, sys) = (ctx.pool, ctx.sys);
+        let mut lap = stopwatch();
+        let synth = synthesize_frame(sys, scenario, payload, seed);
+        times.synthesize = lap();
 
-    let mut frame = aligned.take_or(AlignedFrame::default);
-    let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut frame);
-    (times.dechirp, times.align) = split.divide(lap());
-    let mut map = arena.maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into(pool, &frame, &mut map);
-    times.doppler = lap();
-    let mut mean_power = arena.scratch.take_or(Vec::new);
-    let out = if scenario.extra_tags.is_empty() {
-        detect_stage_with(scenario, &frame, &map, synth.downlink, &mut mean_power)
-    } else {
-        let mut bank = arena.banks.take_or(TagBank::default);
-        let mut scratch = arena.multitag.take_or(MultiTagScratch::default);
-        detect_stage_multi(
-            pool,
-            scenario,
-            &frame,
-            &map,
-            synth.downlink,
-            &mut bank,
-            &mut scratch,
-            &mut mean_power,
-        )
-    };
-    times.detect = lap();
-    out
+        let split = front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, frame);
+        (times.dechirp, times.align) = split.divide(lap());
+        doppler_stage_into(pool, frame, &mut self.map);
+        times.doppler = lap();
+        let (map, mean_power) = (&self.map, &mut self.mean_power);
+        let out = if scenario.extra_tags.is_empty() {
+            detect_stage_with(scenario, frame, map, synth.downlink, mean_power)
+        } else {
+            detect_stage_multi(
+                pool,
+                scenario,
+                frame,
+                map,
+                synth.downlink,
+                &mut self.bank,
+                &mut self.multitag,
+                mean_power,
+            )
+        };
+        times.detect = lap();
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -918,9 +910,9 @@ pub struct ColdStartOutcome {
 /// aligned frame. Scenarios without a [`ColdStartSpec`] skip straight to
 /// [`run_frame`].
 ///
-/// Dwell captures, correlator banks (with their cached template spectra),
-/// and block-spectrum/energy slabs all lease from `ctx.arena`, so steady-state
-/// acquisition allocates nothing beyond the per-frame scoreboard.
+/// The dwell capture, the correlator bank (with its cached template
+/// spectra) and the block slabs are this thread's set, taken once for the
+/// whole frame, so warm acquisition allocates only the scoreboard.
 pub fn run_cold_start_frame(
     ctx: &FrameCtx,
     scenario: &IsacScenario,
@@ -936,27 +928,27 @@ pub fn run_cold_start_frame(
         };
     }
 
-    let (pool, sys, arena) = (ctx.pool, ctx.sys, ctx.arena);
-    let mut lap = stopwatch();
-    let mut scores = Vec::new();
-    let acquisition = {
-        let _span = biscatter_obs::span!("isac.acquire");
-        let cfg = acquire_config(sys);
-        let mut capture: Lease<Vec<f64>> = arena.captures.take_or(Vec::new);
-        synthesize_cold_start_capture(sys, scenario, seed, &mut capture);
-        let mut bank: Lease<CorrelatorBank> = arena.acq_banks.take_or(CorrelatorBank::default);
-        bank.set_hypotheses(&acquire_hypotheses(sys));
-        let mut scratch: Lease<AcquireScratch> = arena.acquire.take_or(AcquireScratch::default);
-        acquire_all(pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores)
-    };
-    times.acquire = lap();
+    with_buffers(|bufs| {
+        let (pool, sys) = (ctx.pool, ctx.sys);
+        let mut lap = stopwatch();
+        let mut scores = Vec::new();
+        let acquisition = {
+            let _span = biscatter_obs::span!("isac.acquire");
+            let cfg = acquire_config(sys);
+            synthesize_cold_start_capture(sys, scenario, seed, &mut bufs.capture);
+            bufs.acq_bank.set_hypotheses(&acquire_hypotheses(sys));
+            let (bank, capture) = (&mut bufs.acq_bank, &bufs.capture);
+            acquire_all(pool, bank, &cfg, capture, &mut bufs.acquire, &mut scores)
+        };
+        times.acquire = lap();
 
-    let frame = acquisition.map(|_| run_frame(ctx, scenario, payload, seed, times));
-    ColdStartOutcome {
-        acquisition,
-        scores,
-        frame,
-    }
+        let frame = acquisition.map(|_| bufs.run(ctx, scenario, payload, seed, times));
+        ColdStartOutcome {
+            acquisition,
+            scores,
+            frame,
+        }
+    })
 }
 
 #[cfg(test)]

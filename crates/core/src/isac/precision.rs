@@ -65,7 +65,7 @@ impl PrecisionTier {
 #[cfg(test)]
 mod tests {
     use super::super::{
-        run_frame, run_isac_frame, FrameArena, FrameCtx, IsacOutcome, IsacScenario, TagDeployment,
+        run_frame, run_isac_frame, FrameCtx, IsacOutcome, IsacScenario, TagDeployment,
     };
     use super::*;
     use crate::system::BiScatterSystem;
@@ -83,7 +83,6 @@ mod tests {
         let ctx = FrameCtx {
             pool: ComputePool::global(),
             sys,
-            arena: &FrameArena::default(),
             tier,
         };
         run_frame(&ctx, scenario, payload, seed, &mut StageNanos::default())

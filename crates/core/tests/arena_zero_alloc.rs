@@ -1,17 +1,18 @@
-//! Steady-state allocation audit for the arena frame path.
+//! Steady-state allocation audit for the frame path's reused buffers.
 //!
 //! DESIGN.md §10 claims that after warm-up, the frame hot path — the fused
 //! dechirp + align front end, then doppler, stages 2–4 — performs **no heap
 //! allocation** on a 1-thread pool: row slabs, power slabs, the
-//! per-thread IF row and all FFT / resample scratch are recycled through
-//! the [`FrameArena`] and thread-local caches. This test enforces the claim
-//! with a counting global allocator: two warm-up frames size every buffer,
-//! then a third frame must allocate exactly zero times on the measuring
-//! thread. The stages are generic over the sample precision, so the same
-//! audited window runs once per instantiation: f64 (the oracle) and f32
-//! (the fast tier), each leasing from its own arena pools. The two-stage
-//! reference (dechirp into a slab, then align) keeps the same audit, its
-//! slab leased from a pool of the test's own.
+//! per-thread IF row and all FFT / resample scratch are reused, the frame's
+//! buffers (one set per thread in `run_frame`, held by the test here) and
+//! the thread-local caches alike. This test enforces the claim with a
+//! counting global allocator: two warm-up frames size every buffer, then a
+//! third frame must allocate exactly zero times on the measuring thread.
+//! The stages are generic over the sample precision, so the same audited
+//! window runs once per instantiation: f64 (the oracle) and f32 (the fast
+//! tier), each on its own aligned frame. The two-stage reference (dechirp
+//! into a slab, then align) keeps the same audit, on slabs of the test's
+//! own.
 //!
 //! Tracing is **enabled** for the whole test: the obs layer promises that
 //! enabled-path span recording never allocates in steady state (the
@@ -29,13 +30,12 @@
 //! `#[test]` for that isolation to stay meaningful.
 
 use biscatter_compute::ComputePool;
-use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     acquire_config, acquire_hypotheses, align_stage_into, dechirp_stage_into, doppler_stage_into,
     front_end_stage_into, synthesize_cold_start_capture, synthesize_frame, warm_acquire_plans,
-    warm_dsp_plans, FrameArena, IsacScenario, SynthesizedFrame,
+    warm_dsp_plans, IsacScenario, SynthesizedFrame,
 };
 use biscatter_core::link::packet::DownlinkPacket;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
@@ -51,43 +51,48 @@ use biscatter_rf::slab::SampleSlab;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The buffers the audited frames run on: an aligned frame per precision
+/// and one map, as a frame's thread keeps them, plus the IF slabs of the
+/// two-stage reference (frames keep none).
+#[derive(Default)]
+struct Buffers {
+    aligned: AlignedFrame,
+    aligned32: AlignedFrame<f32>,
+    map: RangeDopplerMap,
+    slab: SampleSlab,
+    slab32: SampleSlab<f32>,
+}
+
 /// Stages 2–4 of one frame in precision `T` as `run_frame` runs them: the
-/// fused front end into a frame leased from the arena, then Doppler; returns
-/// one map cell as a checksum.
+/// fused front end into `frame`, then Doppler into `map`; returns one map
+/// cell as a checksum.
 fn fused_stages<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    aligned: &Pool<AlignedFrame<T>>,
-    maps: &Pool<RangeDopplerMap>,
+    frame: &mut AlignedFrame<T>,
+    map: &mut RangeDopplerMap,
     seed: u64,
 ) -> f64 {
-    let mut frame = aligned.take_or(AlignedFrame::default);
-    front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut frame);
-    let mut map = maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into(pool, &frame, &mut map);
+    front_end_stage_into(pool, sys, &synth.train, &synth.scene, seed, frame);
+    doppler_stage_into(pool, frame, map);
     map.at(0, 0)
 }
 
-/// The same stages through the two-stage reference: the IF slab leased
-/// from `slabs` (a pool of the test's own; frames keep no slab), then
-/// align and Doppler.
+/// The same stages through the two-stage reference: the IF samples into
+/// `slab`, then align and Doppler.
 fn two_stages<T: Real>(
     pool: &ComputePool,
     sys: &BiScatterSystem,
     synth: &SynthesizedFrame,
-    slabs: &Pool<SampleSlab<T>>,
-    aligned: &Pool<AlignedFrame<T>>,
-    maps: &Pool<RangeDopplerMap>,
+    slab: &mut SampleSlab<T>,
+    frame: &mut AlignedFrame<T>,
+    map: &mut RangeDopplerMap,
     seed: u64,
 ) -> f64 {
-    let mut slab = slabs.take_or(SampleSlab::new);
-    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-    let mut frame = aligned.take_or(AlignedFrame::default);
-    align_stage_into(pool, sys, &synth.train, &*slab, &mut frame);
-    drop(slab);
-    let mut map = maps.take_or(RangeDopplerMap::default);
-    doppler_stage_into(pool, &frame, &mut map);
+    dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, slab);
+    align_stage_into(pool, sys, &synth.train, slab, frame);
+    doppler_stage_into(pool, frame, map);
     map.at(0, 0)
 }
 
@@ -98,54 +103,55 @@ fn steady_state_frame_stages_allocate_nothing() {
     let sys = BiScatterSystem::paper_9ghz();
     let scenario = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_office_clutter();
     let synth = synthesize_frame(&sys, &scenario, b"CMD1", 7);
-    let arena = FrameArena::default();
-    let (slabs, slabs32) = (Pool::new(), Pool::new());
+    let mut bufs = Buffers::default();
     warm_dsp_plans(&sys);
 
-    let f64_frame = |seed| fused_stages(&pool, &sys, &synth, &arena.aligned, &arena.maps, seed);
-    let f32_frame = |seed| fused_stages(&pool, &sys, &synth, &arena.aligned32, &arena.maps, seed);
-    let f64_two = |seed| {
+    let f64_frame =
+        |b: &mut Buffers, seed| fused_stages(&pool, &sys, &synth, &mut b.aligned, &mut b.map, seed);
+    let f32_frame = |b: &mut Buffers, seed| {
+        fused_stages(&pool, &sys, &synth, &mut b.aligned32, &mut b.map, seed)
+    };
+    let f64_two = |b: &mut Buffers, seed| {
         two_stages(
             &pool,
             &sys,
             &synth,
-            &slabs,
-            &arena.aligned,
-            &arena.maps,
+            &mut b.slab,
+            &mut b.aligned,
+            &mut b.map,
             seed,
         )
     };
-    let f32_two = |seed| {
+    let f32_two = |b: &mut Buffers, seed| {
         two_stages(
             &pool,
             &sys,
             &synth,
-            &slabs32,
-            &arena.aligned32,
-            &arena.maps,
+            &mut b.slab32,
+            &mut b.aligned32,
+            &mut b.map,
             seed,
         )
     };
 
-    // Warm-up: sizes the arena buffers, thread-local scratch, plan caches,
-    // and the pool free lists (first lease drop grows each free list once).
-    let warm_a = f64_frame(1);
-    let warm_b = f64_frame(1);
+    // Warm-up: sizes the buffers, thread-local scratch and plan caches.
+    let warm_a = f64_frame(&mut bufs, 1);
+    let warm_b = f64_frame(&mut bufs, 1);
     assert_eq!(warm_a, warm_b, "warm-up frames must be deterministic");
-    let warm32_a = f32_frame(1);
-    let warm32_b = f32_frame(1);
+    let warm32_a = f32_frame(&mut bufs, 1);
+    let warm32_b = f32_frame(&mut bufs, 1);
     assert_eq!(
         warm32_a, warm32_b,
         "f32 warm-up frames must be deterministic"
     );
     for _ in 0..2 {
         assert_eq!(
-            f64_two(1).to_bits(),
+            f64_two(&mut bufs, 1).to_bits(),
             warm_b.to_bits(),
             "two-stage f64 differs"
         );
         assert_eq!(
-            f32_two(1).to_bits(),
+            f32_two(&mut bufs, 1).to_bits(),
             warm32_b.to_bits(),
             "two-stage f32 differs"
         );
@@ -178,7 +184,7 @@ fn steady_state_frame_stages_allocate_nothing() {
     // Measured steady-state frame, recorder included. Eight records into a
     // capacity-4 ring exercises both the fill and the overwrite path.
     let (measured, n) = counted(|| {
-        let measured = f64_frame(1);
+        let measured = f64_frame(&mut bufs, 1);
         for i in 0..8 {
             recorder.record(flight_record(i, 1_000_000));
         }
@@ -193,7 +199,7 @@ fn steady_state_frame_stages_allocate_nothing() {
     assert_eq!(recorder.overwritten(), 4);
 
     // The same window on the f32 instantiation of the stages.
-    let (measured, n) = counted(|| f32_frame(1));
+    let (measured, n) = counted(|| f32_frame(&mut bufs, 1));
     assert_eq!(measured, warm32_b, "measured f32 frame must match warm-up");
     assert_eq!(
         n, 0,
@@ -202,10 +208,10 @@ fn steady_state_frame_stages_allocate_nothing() {
 
     // And on the two-stage reference, slab and all, in both precisions.
     for (name, frame, want) in [
-        ("f64", &f64_two as &dyn Fn(u64) -> f64, warm_b),
+        ("f64", &f64_two as &dyn Fn(&mut Buffers, u64) -> f64, warm_b),
         ("f32", &f32_two, warm32_b),
     ] {
-        let (measured, n) = counted(|| frame(1));
+        let (measured, n) = counted(|| frame(&mut bufs, 1));
         assert_eq!(measured, want, "measured two-stage {name} frame");
         assert_eq!(
             n, 0,
@@ -216,17 +222,17 @@ fn steady_state_frame_stages_allocate_nothing() {
     // Same audit for acquisition stage 0: after warm-up, the correlator
     // bank over a dwell — block spectra, overlap-save correlation folded
     // into energy, peak/PSLR scans, decision — allocates nothing. The
-    // dwell capture, bank, and slabs lease from the same arena pools the
-    // cold-start runtime path uses; the scoreboard keeps its capacity
+    // dwell capture, bank, and slabs are reused like the cold-start
+    // runtime path's per-thread set; the scoreboard keeps its capacity
     // across frames.
     let cold = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_cold_start(41.7e-6, 2);
     let cfg = acquire_config(&sys);
     warm_acquire_plans(&sys);
-    let mut capture = arena.captures.take_or(Vec::new);
+    let mut capture = Vec::new();
     synthesize_cold_start_capture(&sys, &cold, 7, &mut capture);
-    let mut bank = arena.acq_banks.take_or(CorrelatorBank::default);
+    let mut bank = CorrelatorBank::default();
     bank.set_hypotheses(&acquire_hypotheses(&sys));
-    let mut scratch = arena.acquire.take_or(AcquireScratch::default);
+    let mut scratch = AcquireScratch::default();
     let mut scores = Vec::new();
 
     let warm_a = acquire_all(&pool, &mut bank, &cfg, &capture, &mut scratch, &mut scores);

@@ -7,12 +7,12 @@ use biscatter_compute::ComputePool;
 use biscatter_core::isac::precision::PrecisionTier;
 use biscatter_core::isac::{
     acquire_config, acquire_hypotheses, run_cold_start_frame, synthesize_cold_start_capture,
-    ColdStartOutcome, ColdStartSpec, FrameArena, FrameCtx, IsacScenario,
+    ColdStartOutcome, ColdStartSpec, FrameCtx, IsacScenario,
 };
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::system::BiScatterSystem;
 
-/// One f64 cold-start frame on `pool` with a fresh arena.
+/// One f64 cold-start frame on `pool`, on this thread's frame buffers.
 fn cold_start(
     pool: &ComputePool,
     sys: &BiScatterSystem,
@@ -23,7 +23,6 @@ fn cold_start(
     let ctx = FrameCtx {
         pool,
         sys,
-        arena: &FrameArena::default(),
         tier: PrecisionTier::F64,
     };
     run_cold_start_frame(&ctx, scenario, payload, seed, &mut StageNanos::default())

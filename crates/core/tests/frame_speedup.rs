@@ -14,7 +14,6 @@
 use std::time::Instant;
 
 use biscatter_compute::ComputePool;
-use biscatter_core::dsp::arena::Pool;
 use biscatter_core::dsp::dispatch::{tier, SimdTier};
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
@@ -30,18 +29,16 @@ use biscatter_rf::slab::SampleSlab;
 fn time_frames<T: Real>(pool: &ComputePool, sys: &BiScatterSystem, reps: usize) -> (f64, f64) {
     let scenario = IsacScenario::single_tag(3.0, 16.0 / (128.0 * 120e-6)).with_office_clutter();
     let synth = synthesize_frame(sys, &scenario, b"CMD1", 7);
-    let (slabs, aligned, maps) = (Pool::new(), Pool::new(), Pool::new());
-    let run_frame = |seed: u64| {
-        let mut slab = slabs.take_or(SampleSlab::<T>::new);
+    let mut slab = SampleSlab::<T>::new();
+    let mut pair = AlignedPair::<T>::default();
+    let mut map = RangeDopplerMap::default();
+    let mut run_frame = |seed: u64| {
         dechirp_stage_into(pool, sys, &synth.train, &synth.scene, seed, &mut slab);
-        let mut pair = aligned.take_or(AlignedPair::<T>::default);
-        align_stage_into(pool, sys, &synth.train, &*slab, &mut pair);
-        drop(slab);
-        let mut map = maps.take_or(RangeDopplerMap::default);
+        align_stage_into(pool, sys, &synth.train, &slab, &mut pair);
         doppler_stage_into(pool, &pair, &mut map);
         map.at(0, 0)
     };
-    // Warm-up frames populate arena buffers and per-thread plan caches.
+    // Warm-up frames size the buffers and per-thread plan caches.
     let mut checksum = 0.0;
     for _ in 0..2 {
         checksum = run_frame(1);

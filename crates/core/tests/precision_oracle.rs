@@ -24,7 +24,7 @@ use biscatter_core::dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::Real;
 use biscatter_core::isac::precision::PrecisionTier;
-use biscatter_core::isac::{run_frame, run_isac_frame, FrameArena, FrameCtx, IsacScenario};
+use biscatter_core::isac::{run_frame, run_isac_frame, FrameCtx, IsacScenario};
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::{range_doppler_into, RangeDopplerMap};
 use biscatter_core::radar::receiver::localize::signature_score_into;
@@ -156,7 +156,6 @@ fn noisy_frames_agree_on_detection_products() {
         let ctx = FrameCtx {
             pool: ComputePool::global(),
             sys: &sys,
-            arena: &FrameArena::default(),
             tier: PrecisionTier::F32,
         };
         let fast = run_frame(&ctx, &scenario, b"CMD1", seed, &mut StageNanos::default());

@@ -16,7 +16,6 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`arena`] | reusable buffer pools (`Pool`/`Lease`) for the zero-allocation frame path |
 //! | [`real`] | the sealed `Real` sample-precision trait (`f64`, `f32`) the frame path is generic over |
 //! | [`complex`] | `Complex<T>` complex number type and arithmetic (`Cpx` = `Complex<f64>`) |
 //! | [`dispatch`] | runtime SIMD tier selection (`BISCATTER_SIMD`, CPU detection) |
@@ -42,7 +41,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod complex;
 pub mod dispatch;
 pub mod fft;

@@ -1,6 +1,6 @@
 //! The fleet scheduler: N radar cells multiplexed over S worker shards.
 //!
-//! Each [`Cell`] is a value — its own arena, config, and metric scope — and
+//! Each [`Cell`] is a value — its own config and metric scope — and
 //! shard `s` owns the cells with `cell % shards == s`. A shard is one thread
 //! running a cooperative round-robin over its cells: non-blocking takes from
 //! each cell's intake ([`BoundedQueue::try_pop`]), at most one *pending*
@@ -112,9 +112,10 @@ impl FleetReport {
     }
 }
 
-/// A fleet of radar cells ready to run workloads. Cells (and their arenas
-/// and metric scopes) persist across [`run`](Fleet::run) calls, so repeated
-/// runs stay warm.
+/// A fleet of radar cells ready to run workloads. Cells (and their metric
+/// scopes) persist across [`run`](Fleet::run) calls. A frame's buffers
+/// belong to the shard thread that runs it: one set per shard, sized by
+/// the shard's first frame of a run and shared by all of its cells.
 pub struct Fleet {
     sys: BiScatterSystem,
     cfg: FleetConfig,

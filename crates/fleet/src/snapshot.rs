@@ -1,7 +1,7 @@
 //! Fleet-wide observability: one snapshot covering every cell.
 //!
 //! Each cell's pipeline reports into the process-global registry under its
-//! own `cell<i>.` scope (queues, arenas, stage histograms, frame counters).
+//! own `cell<i>.` scope (queues, stage histograms, frame counters).
 //! [`FleetSnapshot::collect`] slices that registry three ways:
 //!
 //! * `per_cell[i]` — cell `i`'s private view, prefix stripped so the names

@@ -1,7 +1,7 @@
 //! biscatter-obs: dependency-free observability for the B-ISAC workspace.
 //!
 //! Sits at the very bottom of the crate stack (no biscatter dependencies)
-//! so every layer — DSP planner, compute pool, arenas, radar receivers, the
+//! so every layer — DSP planner, compute pool, radar receivers, the
 //! streaming runtime — can emit telemetry through one mechanism:
 //!
 //! * [`trace`] — lightweight spans recorded into preallocated per-thread

@@ -12,7 +12,7 @@
 //! thread) registered it first.
 //!
 //! Naming convention: dot-separated `subsystem.object.metric`, e.g.
-//! `dsp.plan_cache.hits` or `arena.isac.maps.lease_misses`. The snapshot
+//! `dsp.plan_cache.hits` or `runtime.queue.intake.drops`. The snapshot
 //! exporters sort by name, so related metrics group together in the output.
 
 use std::collections::BTreeMap;

@@ -249,8 +249,8 @@ struct BankCache {
 /// The per-hypothesis conjugate-template-spectrum cache, keyed on geometry
 /// (sample rate + hypothesis set) like the multi-tag `TagBank`: reassigning
 /// an identical hypothesis set is a no-op, and `ensure_cache` rebuilds only
-/// when the key actually changed — so banks cycling through a `FrameArena`
-/// pool keep their templates warm across frames.
+/// when the key actually changed — so a bank reused across frames keeps
+/// its templates warm.
 #[derive(Debug, Default)]
 pub struct CorrelatorBank {
     hypotheses: Vec<SlopeHypothesis>,
@@ -353,8 +353,8 @@ pub struct Acquisition {
 
 /// Caller-owned slabs for the acquisition hot path: the dwell's block
 /// spectra and the per-hypothesis folded energy rows. Hold one per
-/// pipeline (or lease from a `FrameArena` pool); after the first dwell of a
-/// given geometry the engine allocates nothing.
+/// pipeline (the frame path keeps one per thread); after the first dwell
+/// of a given geometry the engine allocates nothing.
 #[derive(Debug, Default)]
 pub struct AcquireScratch {
     /// One row of `n/2 + 1` half-spectrum bins per overlap-save block.

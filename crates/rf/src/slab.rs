@@ -6,7 +6,7 @@
 //! different sample counts, and a multi-antenna capture is one slab per
 //! antenna. The aligned frame (`radar::receiver::AlignedFrame`) keeps its
 //! complex range profiles in one too, every row as wide as the range grid.
-//! A slab reuses its capacity across frames, which is what makes the arena
+//! A slab reuses its capacity across frames, which is what makes the frame
 //! path allocation-free in steady state. The bare name means f64 samples.
 
 /// A ragged 2-D buffer: every row lives in one contiguous `data` vector,

@@ -4,8 +4,8 @@
 //! continuous frames from many simulated radar+tag deployments through the
 //! integrated sensing/communication chain — the *same five stages* as the
 //! one-shot [`biscatter_core::isac::run_isac_frame`], through
-//! [`biscatter_core::isac::run_frame`] on the cell's arena and precision
-//! tier — either inline or on frame workers behind one bounded intake with
+//! [`biscatter_core::isac::run_frame`] on the cell's precision tier and the
+//! running thread's frame buffers — either inline or on frame workers behind one bounded intake with
 //! configurable backpressure (see [`pipeline`]). Per-frame seeds make the
 //! result independent of scheduling: under the lossless `Block` policy the
 //! streamed outcomes on the `F64` tier are bit-identical to the serial path.

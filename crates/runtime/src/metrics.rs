@@ -29,7 +29,7 @@ pub struct MetricsSnapshot {
     pub total_drops: u64,
     pub elapsed: Duration,
     /// Every metric in the global registry at snapshot time (plan cache,
-    /// arenas, compute pool, multitag, queue gauges, ...). Cumulative per
+    /// compute pool, multitag, queue gauges, frame counters, ...). Cumulative per
     /// process, unlike the per-run counts above.
     pub registry: RegistrySnapshot,
 }

@@ -1,8 +1,8 @@
 //! A radar cell and its frame workers.
 //!
 //! A [`Cell`] runs every frame whole, through
-//! [`biscatter_core::isac::run_frame`] on the cell's arena and precision
-//! tier: inline on the caller's thread ([`Cell::process`], what a fleet
+//! [`biscatter_core::isac::run_frame`] on the cell's precision tier and
+//! the running thread's frame buffers: inline on the caller's thread ([`Cell::process`], what a fleet
 //! shard calls as it multiplexes many cells), or on `workers` frame workers
 //! fed by one bounded intake ([`Cell::run_streaming`]). Workers take whole
 //! frames rather than one stage each because synthesis is most of a frame:
@@ -31,8 +31,8 @@ use std::time::Instant;
 use biscatter_compute::ComputePool;
 use biscatter_core::isac::precision::PrecisionTier;
 use biscatter_core::isac::{
-    run_cold_start_frame, run_frame, run_isac_frame, warm_dsp_plans, ColdStartOutcome, FrameArena,
-    FrameCtx, IsacOutcome,
+    run_cold_start_frame, run_frame, run_isac_frame, warm_dsp_plans, ColdStartOutcome, FrameCtx,
+    IsacOutcome,
 };
 use biscatter_core::system::BiScatterSystem;
 
@@ -86,19 +86,19 @@ pub struct RunReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// A radar cell as a value: one system, one runtime configuration, one
-/// frame arena, and a metric scope.
+/// A radar cell as a value: one system, one runtime configuration, and a
+/// metric scope. A frame's buffers belong to the thread that runs it, not
+/// to the cell, so cells sharing a thread (a fleet shard's) share one set.
 ///
 /// The fleet layer (`biscatter-fleet`) instantiates many cells and
 /// schedules them across worker shards, so everything that would otherwise
-/// be process-global — arena pools, the intake gauges, frame counters — is
-/// scoped under the cell's `cell<id>.` metric prefix.
+/// be process-global — the intake gauges, frame counters — is scoped under
+/// the cell's `cell<id>.` metric prefix.
 pub struct Cell {
     id: usize,
     prefix: String,
     sys: BiScatterSystem,
     cfg: RuntimeConfig,
-    arena: FrameArena,
     frames: Counter,
     failed: Counter,
     frame_ns: Histogram,
@@ -114,7 +114,7 @@ pub struct Cell {
 
 impl Cell {
     /// A cell whose metrics live under `cell<id>.` (e.g.
-    /// `cell3.runtime.queue.intake.depth`, `cell3.arena.isac.maps.*`).
+    /// `cell3.runtime.queue.intake.depth`, `cell3.runtime.frames`).
     pub fn new(id: usize, sys: BiScatterSystem, cfg: RuntimeConfig) -> Self {
         Self::with_prefix(id, format!("cell{id}."), false, sys, cfg)
     }
@@ -160,7 +160,6 @@ impl Cell {
             frames: r.counter(&format!("{prefix}runtime.frames")),
             failed: r.counter(&format!("{prefix}runtime.frames.failed")),
             frame_ns: r.histogram(&format!("{prefix}runtime.frame.ns")),
-            arena: FrameArena::scoped(&prefix),
             prefix,
             sys,
             cfg,
@@ -179,17 +178,10 @@ impl Cell {
         &self.cfg
     }
 
-    /// The cell's frame arena — benchmarks use this to assert the free
-    /// lists recycle (zero steady-state allocation).
-    pub fn arena(&self) -> &FrameArena {
-        &self.arena
-    }
-
     fn ctx<'a>(&'a self, pool: &'a ComputePool) -> FrameCtx<'a> {
         FrameCtx {
             pool,
             sys: &self.sys,
-            arena: &self.arena,
             tier: self.cfg.precision,
         }
     }
@@ -242,8 +234,8 @@ impl Cell {
         });
     }
 
-    /// Runs one frame inline on the calling thread through the cell's arena
-    /// (allocation-free after warm-up) and records it in the cell's frame
+    /// Runs one frame inline on the calling thread, on that thread's frame
+    /// buffers (allocation-free once a frame has sized them) and records it in the cell's frame
     /// counter, latency histogram, and flight recorder. On the default `F64`
     /// tier the outcome is bit-identical to [`run_isac_frame`]; the `F32`
     /// tier trades the low bits of the hot path for speed (see
@@ -290,8 +282,8 @@ impl Cell {
     }
 
     /// Runs one cold-start frame inline: acquisition stage 0 (the correlator
-    /// bank over the raw dwell, leasing its capture/bank/slab buffers from
-    /// the cell's arena) and then — only if the tag passed the PSLR gate —
+    /// bank over the raw dwell, its capture/bank/slab buffers the calling
+    /// thread's) and then — only if the tag passed the PSLR gate —
     /// the aligned frame on the cell's tier, exactly as [`Cell::process`]
     /// runs it. Jobs whose scenarios carry no
     /// [`biscatter_core::isac::ColdStartSpec`] behave like [`Cell::process`]

@@ -35,8 +35,7 @@ use biscatter_core::dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
 use biscatter_core::dsp::{Complex, Real};
 use biscatter_core::isac::{
     align_stage_into, dechirp_stage_into, detect_stage_multi, detect_stage_with,
-    doppler_stage_into, run_cold_start_frame, run_frame, synthesize_frame, FrameArena, FrameCtx,
-    IsacScenario,
+    doppler_stage_into, run_cold_start_frame, run_frame, synthesize_frame, FrameCtx, IsacScenario,
 };
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
@@ -167,7 +166,6 @@ fn digest<T: Real + Bits>(
     let ctx = FrameCtx {
         pool: &pool,
         sys,
-        arena: &FrameArena::default(),
         tier: precision,
     };
     let (scenario, times) = (&job.scenario, &mut StageNanos::default());

@@ -17,7 +17,7 @@ use biscatter_core::dsp::Real;
 use biscatter_core::isac::{
     align_stage_into, dechirp_stage_into, detect_stage_multi, detect_stage_with,
     doppler_stage_into, front_end_stage_into, run_cold_start_frame, run_frame, synthesize_frame,
-    FrameArena, FrameCtx, IsacOutcome,
+    FrameCtx, IsacOutcome,
 };
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_core::radar::receiver::doppler::RangeDopplerMap;
@@ -137,7 +137,6 @@ fn check<T: Real>(
     let ctx = FrameCtx {
         pool,
         sys,
-        arena: &FrameArena::default(),
         tier: precision,
     };
     let times = &mut StageNanos::default();

@@ -8,7 +8,7 @@
 //! thread's lookups, so this binary holds one test, and its frame runs on a
 //! 1-thread pool on the test's own thread.
 
-use biscatter_core::isac::{run_frame, warm_dsp_plans, FrameArena, FrameCtx};
+use biscatter_core::isac::{run_frame, warm_dsp_plans, FrameCtx};
 use biscatter_core::obs::recorder::StageNanos;
 use biscatter_runtime::compute::ComputePool;
 use biscatter_runtime::obs::registry;
@@ -23,7 +23,6 @@ fn warmed_thread_builds_no_plan_in_its_first_frame() {
     let ctx = FrameCtx {
         pool: &pool,
         sys: &sys,
-        arena: &FrameArena::default(),
         tier: PrecisionTier::F64,
     };
     let misses = registry().counter("dsp.plan_cache.misses");
