@@ -10,11 +10,16 @@
 //! * the same on the production bank the `cold_start` workload runs (the
 //!   streaming system's eight hypotheses, 200- to 960-sample templates,
 //!   one of its dwells): row `production`;
+//! * the inverse transforms each dwell ran: every hypothesis over the
+//!   blocks of its first window, then the rest only for the hypotheses
+//!   still in contention (`finished`), as both engines do;
 //! * steady-state heap allocations of one bank pass (must be 0);
 //! * FFT-vs-oracle equivalence: the FFT correlation matches the
 //!   time-domain oracle to ≤ 1e-9 at every hypothesis count, the
-//!   production bank's scores match the naive engine's to 1e-9 relative,
-//!   and both engines reach the same acquisition decision.
+//!   production bank finishes the hypotheses the naive engine finishes and
+//!   its scores (a pruned row's over its first window) match the naive
+//!   engine's to 1e-9 relative, and both engines reach the same
+//!   acquisition decision.
 //!
 //! `--quick` runs one pass per path and writes nothing, but still enforces
 //! the oracle equivalence and zero-allocation assertions — the CI smoke
@@ -27,8 +32,8 @@ use biscatter_core::isac::{acquire_config, acquire_hypotheses, synthesize_cold_s
 use biscatter_core::json::Value;
 use biscatter_core::obs::alloc::{counted, CountingAlloc};
 use biscatter_core::radar::receiver::acquire::{
-    acquire_all, acquire_all_naive, fft_correlate_into, naive_correlate_into, AcquireConfig,
-    AcquireScratch, CorrelatorBank, SlopeHypothesis,
+    acquire_all, acquire_all_naive, fft_correlate_into, inverse_transforms, naive_correlate_into,
+    AcquireConfig, AcquireScratch, CorrelatorBank, SlopeHypothesis,
 };
 use biscatter_runtime::compute::ComputePool;
 use biscatter_runtime::source::{cold_start_jobs, streaming_system};
@@ -123,7 +128,8 @@ fn production_row(sampler: &Sampler, pool: &ComputePool) -> Value {
     let rel = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
     for (f, s) in fast_scores.iter().zip(&slow_scores) {
         assert!(
-            f.offset_bin == s.offset_bin
+            f.finished == s.finished
+                && f.offset_bin == s.offset_bin
                 && rel(f.peak_energy, s.peak_energy)
                 && rel(f.sidelobe_energy, s.sidelobe_energy)
                 && (f.pslr_db - s.pslr_db).abs() <= 1e-9 * s.pslr_db.abs().max(1.0),
@@ -156,9 +162,11 @@ fn production_row(sampler: &Sampler, pool: &ComputePool) -> Value {
     let speedup = naive.median() / fft.median();
     let lens = hyps.iter().map(|h| h.template_len(cfg.sample_rate_hz));
     let (shortest, longest) = (lens.clone().min().unwrap(), lens.max().unwrap());
+    let finished = fast_scores.iter().filter(|s| s.finished).count();
+    let inverse = inverse_transforms(&cfg, longest, &fast_scores);
     println!(
         "production (nh={}, templates {shortest}..{longest}): naive {naive}, bank {fft}, \
-         speedup {speedup:.2}x",
+         speedup {speedup:.2}x, {finished} finished, {inverse} inverse transforms",
         hyps.len(),
     );
     let mut row = Fields::default();
@@ -166,6 +174,8 @@ fn production_row(sampler: &Sampler, pool: &ComputePool) -> Value {
         .num("shortest_template", shortest as f64)
         .num("longest_template", longest as f64)
         .num("dwell_len", raw.len() as f64)
+        .num("finished", finished as f64)
+        .num("inverse_transforms", inverse as f64)
         .row("naive_dwell", "ns", naive)
         .row("bank_dwell", "ns", fft)
         .num("speedup", speedup)
@@ -271,13 +281,18 @@ fn main() {
         if nh == 8 {
             speedup_at_8 = speedup;
         }
+        let finished = fast_scores.iter().filter(|s| s.finished).count();
+        let inverse = inverse_transforms(&cfg, TEMPLATE_LEN, &fast_scores);
         println!(
             "nh={nh:2}: naive {naive}, bank {fft}, speedup {speedup:.2}x \
-             (winner offset {} @ PSLR {:.1} dB)",
+             (winner offset {} @ PSLR {:.1} dB; {finished} finished, {inverse} inverse \
+             transforms)",
             fast.offset_samples, fast.pslr_db,
         );
         let mut row = Fields::default();
         row.num("hypotheses", nh as f64)
+            .num("finished", finished as f64)
+            .num("inverse_transforms", inverse as f64)
             .row("naive_dwell", "ns", naive)
             .row("bank_dwell", "ns", fft)
             .num("speedup", speedup);
@@ -309,12 +324,16 @@ fn main() {
              correlation with identical energy folding + PSLR scoring, bank = real-FFT \
              overlap-save on one block length set by the longest template, each block's \
              spectrum computed once for the bank, cached conjugate template spectra, energy \
-             folded as each block's lags come out (acquire_all). production = the streaming \
-             system's 8-hypothesis bank (200..960-sample templates) on cold_start_jobs(sys, 1, \
-             42)'s dwell. speedup is the ratio of medians. steady_state_allocs counted by \
-             obs::alloc over one bank pass at 8 hypotheses; acceptance: 0 allocs, \
-             FFT-vs-oracle correlation <= 1e-9, production scores within 1e-9 relative, \
-             identical decisions, and >= 3x at 8 hypotheses."
+             folded as each block's lags come out (acquire_all). Both engines run two stages: \
+             every hypothesis over the blocks of its first window, then the remaining blocks \
+             only for hypotheses whose first-window peak-to-mean ratio is at least 1/4 of \
+             the best (finished); inverse_transforms counts the bank's inverse real FFTs on \
+             the dwell. production = the streaming system's 8-hypothesis bank \
+             (200..960-sample templates) on cold_start_jobs(sys, 1, 42)'s dwell. speedup is \
+             the ratio of medians. steady_state_allocs counted by obs::alloc over one bank \
+             pass at 8 hypotheses; acceptance: 0 allocs, FFT-vs-oracle correlation <= 1e-9, \
+             production bank finishing the naive engine's hypotheses with scores within 1e-9 \
+             relative, identical decisions, and >= 3x at 8 hypotheses."
         ),
         fields,
     );

@@ -14,10 +14,24 @@
 //! Environment: `BISCATTER_FRAMES` (Monte-Carlo frames per point, default
 //! 60), `BISCATTER_ISAC_FRAMES` (frames for localization points, default 8).
 
-use biscatter_bench::{all_specs, ExperimentSpec};
+use biscatter_bench::{all_specs, ExperimentSpec, Fidelity};
 use std::io::Write;
 
+/// The count in environment variable `var`, or `default` when it is unset
+/// or not a number.
+fn env_count(var: &str, default: usize) -> usize {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 fn main() {
+    let defaults = Fidelity::default();
+    let fidelity = Fidelity {
+        frames_per_point: env_count("BISCATTER_FRAMES", defaults.frames_per_point),
+        isac_frames_per_point: env_count("BISCATTER_ISAC_FRAMES", defaults.isac_frames_per_point),
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_dir: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
@@ -57,7 +71,7 @@ fn main() {
     for spec in specs {
         eprintln!("running {} ({}) ...", spec.name, spec.paper_artifact);
         let start = std::time::Instant::now();
-        let exp = (spec.run)();
+        let exp = (spec.run)(fidelity);
         println!("{}", exp.to_table());
         eprintln!("  done in {:.1}s", start.elapsed().as_secs_f64());
         if let Some(dir) = &out_dir {

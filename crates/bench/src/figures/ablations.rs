@@ -2,7 +2,7 @@
 //! chirp-spread-spectrum extension. These are not paper figures; they are
 //! the evidence for the decisions this reproduction had to make.
 
-use crate::frames_per_point;
+use crate::Fidelity;
 use biscatter_core::downlink::measure_ber_symbols_mapped;
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::dsp::stats::mean;
@@ -14,7 +14,7 @@ use biscatter_core::system::BiScatterSystem;
 /// **Ablation: Gray vs natural bit↔slope mapping.** The dominant CSSK error
 /// is an adjacent-slope confusion; Gray mapping bounds it to one bit, the
 /// natural mapping can flip up to `bits` bits.
-pub fn ablation_gray_mapping() -> Experiment {
+pub fn ablation_gray_mapping(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "ablation_gray_mapping",
         "Downlink BER with Gray vs natural binary bit-to-slope mapping (5-bit, 1 GHz)",
@@ -27,8 +27,14 @@ pub fn ablation_gray_mapping() -> Experiment {
     }
     e.points = parallel_sweep(inputs, |&(gray, snr)| {
         let sys = BiScatterSystem::paper_9ghz();
-        let c =
-            measure_ber_symbols_mapped(&sys, snr, frames_per_point(), 24, 5_000 + snr as u64, gray);
+        let c = measure_ber_symbols_mapped(
+            &sys,
+            snr,
+            fid.frames_per_point,
+            24,
+            5_000 + snr as u64,
+            gray,
+        );
         SweepPoint::new(
             &[("gray", gray as u8 as f64), ("snr_db", snr)],
             &[("ber", c.ber_floor())],
@@ -40,12 +46,12 @@ pub fn ablation_gray_mapping() -> Experiment {
 /// **Extension: chirp-spread-spectrum coding (§6).** Symbol error rate vs
 /// SNR for spreading factors L ∈ {1, 2, 4}: each ×2 in L buys ~3 dB and
 /// error diversity across the slope ladder, at 1/L the data rate.
-pub fn ablation_spreading() -> Experiment {
+pub fn ablation_spreading(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "ablation_spreading",
         "CSS spreading extension: symbol error rate vs SNR for L in {1,2,4} (5-bit, 1 GHz)",
     );
-    let n_frames = (frames_per_point() / 4).max(4);
+    let n_frames = (fid.frames_per_point / 4).max(4);
     let mut inputs = Vec::new();
     for &l in &[1usize, 2, 4] {
         for &snr in &[0.0, 4.0, 8.0, 12.0] {
@@ -287,7 +293,7 @@ mod tests {
 
     #[test]
     fn gray_mapping_helps() {
-        let e = ablation_gray_mapping();
+        let e = ablation_gray_mapping(Fidelity::default());
         // At mid SNR, Gray should cut BER meaningfully.
         let ber = |gray: f64, snr: f64| {
             e.points
@@ -307,7 +313,7 @@ mod tests {
 
     #[test]
     fn spreading_gains_snr() {
-        let e = ablation_spreading();
+        let e = ablation_spreading(Fidelity::default());
         let ser = |l: f64, snr: f64| {
             e.points
                 .iter()

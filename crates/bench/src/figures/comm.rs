@@ -1,7 +1,7 @@
 //! Communication figures: Fig. 12 (BER vs symbol size × bandwidth), Fig. 13
 //! (BER vs distance), Fig. 14 (BER vs SNR × ΔL), Fig. 17 (9 vs 24 GHz).
 
-use crate::frames_per_point;
+use crate::Fidelity;
 use biscatter_core::downlink::measure_ber_symbols;
 use biscatter_core::experiment::{parallel_sweep, Experiment, SweepPoint};
 use biscatter_core::radar::configs::RadarConfig;
@@ -10,8 +10,9 @@ use biscatter_core::system::BiScatterSystem;
 
 const SYMBOLS_PER_FRAME: usize = 24;
 
-fn ber_point(sys: &BiScatterSystem, snr_db: f64, seed: u64) -> (f64, f64, f64) {
-    let c = measure_ber_symbols(sys, snr_db, frames_per_point(), SYMBOLS_PER_FRAME, seed);
+fn ber_point(fid: Fidelity, sys: &BiScatterSystem, snr_db: f64, seed: u64) -> (f64, f64, f64) {
+    let frames = fid.frames_per_point;
+    let c = measure_ber_symbols(sys, snr_db, frames, SYMBOLS_PER_FRAME, seed);
     let (lo, hi) = c.confidence_interval();
     (c.ber_floor(), lo, hi)
 }
@@ -19,7 +20,7 @@ fn ber_point(sys: &BiScatterSystem, snr_db: f64, seed: u64) -> (f64, f64, f64) {
 /// **Figure 12**: downlink BER vs symbol size for three bandwidths at a
 /// fixed close-in operating point (the paper isolates symbol size; we use
 /// the SNR of the 9 GHz link at ≈2 m, ~27 dB).
-pub fn fig12_ber_symbol_size() -> Experiment {
+pub fn fig12_ber_symbol_size(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "fig12_ber_symbol_size",
         "Downlink BER vs symbol size (bits) for B in {250 MHz, 500 MHz, 1 GHz}",
@@ -34,7 +35,7 @@ pub fn fig12_ber_symbol_size() -> Experiment {
         let radar = RadarConfig::lmx2492_9ghz().with_bandwidth(bw);
         let sys = BiScatterSystem::new(radar, inches_to_m(45.0), bits).unwrap();
         let snr = sys.downlink_snr_at(2.0);
-        let (ber, lo, hi) = ber_point(&sys, snr, 12_000 + bits as u64);
+        let (ber, lo, hi) = ber_point(fid, &sys, snr, 12_000 + bits as u64);
         SweepPoint::new(
             &[("bandwidth_mhz", bw / 1e6), ("symbol_bits", bits as f64)],
             &[
@@ -51,7 +52,7 @@ pub fn fig12_ber_symbol_size() -> Experiment {
 /// **Figure 13**: downlink BER vs radar–tag distance for symbol sizes
 /// {3, 5, 7} bits at B = 1 GHz (distance maps to SNR through the one-way
 /// budget; ~16 dB at 7 m).
-pub fn fig13_ber_distance() -> Experiment {
+pub fn fig13_ber_distance(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "fig13_ber_distance",
         "Downlink BER vs distance for symbol sizes {3,5,7} bits, B = 1 GHz",
@@ -66,7 +67,7 @@ pub fn fig13_ber_distance() -> Experiment {
         let sys =
             BiScatterSystem::new(RadarConfig::lmx2492_9ghz(), inches_to_m(45.0), bits).unwrap();
         let snr = sys.downlink_snr_at(d);
-        let (ber, lo, hi) = ber_point(&sys, snr, 13_000 + (bits * 100) as u64 + d as u64);
+        let (ber, lo, hi) = ber_point(fid, &sys, snr, 13_000 + (bits * 100) as u64 + d as u64);
         SweepPoint::new(
             &[("symbol_bits", bits as f64), ("distance_m", d)],
             &[
@@ -82,7 +83,7 @@ pub fn fig13_ber_distance() -> Experiment {
 
 /// **Figure 14**: downlink BER vs SNR for delay-line differences
 /// {6, 18, 45} inches at 5-bit symbols, B = 1 GHz.
-pub fn fig14_ber_delay_line() -> Experiment {
+pub fn fig14_ber_delay_line(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "fig14_ber_delay_line",
         "Downlink BER vs SNR for ΔL in {6, 18, 45} inches, 5-bit symbols, B = 1 GHz",
@@ -95,7 +96,7 @@ pub fn fig14_ber_delay_line() -> Experiment {
     }
     e.points = parallel_sweep(inputs, |&(dl_in, snr)| {
         let sys = BiScatterSystem::new(RadarConfig::lmx2492_9ghz(), inches_to_m(dl_in), 5).unwrap();
-        let (ber, lo, hi) = ber_point(&sys, snr, 14_000 + dl_in as u64 + snr as u64);
+        let (ber, lo, hi) = ber_point(fid, &sys, snr, 14_000 + dl_in as u64 + snr as u64);
         SweepPoint::new(
             &[("delta_l_in", dl_in), ("snr_db", snr)],
             &[("ber", ber), ("ber_ci_low", lo), ("ber_ci_high", hi)],
@@ -111,7 +112,7 @@ pub fn fig14_ber_delay_line() -> Experiment {
 /// we use 3-bit symbols with a 72-inch ΔL, putting the 250 MHz link in the
 /// displayed BER range (the time-bandwidth product B·ΔT bounds how many
 /// slopes a 250 MHz sweep can separate — see Fig. 12).
-pub fn fig17_mmwave() -> Experiment {
+pub fn fig17_mmwave(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "fig17_mmwave",
         "Downlink BER vs SNR at B = 250 MHz: 9 GHz vs 24 GHz radars, 3-bit symbols",
@@ -133,6 +134,7 @@ pub fn fig17_mmwave() -> Experiment {
         let clock_bonus_db = -10.0 * radar.clock_quality.log10();
         let sys = BiScatterSystem::new(radar, inches_to_m(72.0), 3).unwrap();
         let (ber, lo, hi) = ber_point(
+            fid,
             &sys,
             snr + clock_bonus_db,
             17_000 + band as u64 + snr as u64,
@@ -160,7 +162,7 @@ mod tests {
 
     #[test]
     fn fig12_shapes() {
-        let e = fig12_ber_symbol_size();
+        let e = fig12_ber_symbol_size(Fidelity::default());
         assert_eq!(e.points.len(), 18);
         // Wider bandwidth wins at 5 bits.
         let b1g = ber_of(&e, &[("bandwidth_mhz", 1000.0), ("symbol_bits", 5.0)]);
@@ -175,7 +177,7 @@ mod tests {
 
     #[test]
     fn fig13_shapes() {
-        let e = fig13_ber_distance();
+        let e = fig13_ber_distance(Fidelity::default());
         // 5-bit at 7 m: the paper's < 1e-3 headline.
         let b5_7m = ber_of(&e, &[("symbol_bits", 5.0), ("distance_m", 7.0)]);
         assert!(b5_7m < 2e-3, "5-bit at 7 m: {b5_7m}");
@@ -191,7 +193,7 @@ mod tests {
 
     #[test]
     fn fig14_shapes() {
-        let e = fig14_ber_delay_line();
+        let e = fig14_ber_delay_line(Fidelity::default());
         // Longer ΔL wins at mid SNR.
         let b45 = ber_of(&e, &[("delta_l_in", 45.0), ("snr_db", 16.0)]);
         let b18 = ber_of(&e, &[("delta_l_in", 18.0), ("snr_db", 16.0)]);
@@ -204,7 +206,7 @@ mod tests {
 
     #[test]
     fn fig17_shapes() {
-        let e = fig17_mmwave();
+        let e = fig17_mmwave(Fidelity::default());
         // Both bands comparable; 24 GHz slightly better at equal SNR.
         let mut better = 0;
         let mut total = 0;

@@ -1,7 +1,7 @@
 //! ISAC figures: Fig. 15 (uplink SNR vs distance) and Fig. 16 (localization
 //! error with and without concurrent communication).
 
-use crate::isac_frames_per_point;
+use crate::Fidelity;
 use biscatter_core::dsp::stats::{mean, percentile};
 use biscatter_core::experiment::{parallel_sweep, Experiment, SweepPoint};
 use biscatter_core::isac::{run_isac_frame, IsacScenario};
@@ -51,12 +51,12 @@ pub fn fig15_uplink_snr() -> Experiment {
 /// sensing-only (fixed slope) or running full two-way communication
 /// (CSSK-varying slopes), plus the no-IF-correction ablation that shows why
 /// §3.3's correction is needed.
-pub fn fig16_localization() -> Experiment {
+pub fn fig16_localization(fid: Fidelity) -> Experiment {
     let mut e = Experiment::new(
         "fig16_localization",
         "Tag localization error vs distance: sensing-only vs during two-way comms (+ no-IF-correction ablation)",
     );
-    let n_frames = isac_frames_per_point();
+    let n_frames = fid.isac_frames_per_point;
 
     // mode: 0 = sensing-only, 1 = during comms, 2 = comms w/o IF correction.
     let mut inputs = Vec::new();
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn fig16_shapes() {
-        let e = fig16_localization();
+        let e = fig16_localization(Fidelity::default());
         let err = |d: f64, mode: f64| {
             e.points
                 .iter()

@@ -5,9 +5,9 @@
 //! paper plots. The `repro` binary runs these; the `cargo bench` targets
 //! time and record through [`harness`].
 //!
-//! Fidelity knob: the environment variable `BISCATTER_FRAMES` scales the
-//! Monte-Carlo frame count per operating point (default 60; the paper uses
-//! 10 000 — set `BISCATTER_FRAMES=10000` for a full run).
+//! Fidelity knob: each generator takes a [`Fidelity`], the Monte-Carlo
+//! frame counts per operating point (default 60 frames per BER point; the
+//! paper uses 10 000). The `repro` binary reads it from the environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,21 +62,23 @@ pub fn hot_stages<T: Real>(
     doppler_stage_into(pool, frame, map);
 }
 
-/// Monte-Carlo frames per operating point (`BISCATTER_FRAMES`, default 60).
-pub fn frames_per_point() -> usize {
-    std::env::var("BISCATTER_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60)
+/// How many Monte-Carlo frames an experiment runs per operating point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fidelity {
+    /// Frames per BER operating point (default 60; the paper uses 10 000).
+    pub frames_per_point: usize,
+    /// Frames per point of the heavier ISAC/localization experiments
+    /// (default 8).
+    pub isac_frames_per_point: usize,
 }
 
-/// Frames per point for the heavier ISAC/localization experiments
-/// (`BISCATTER_ISAC_FRAMES`, default 8).
-pub fn isac_frames_per_point() -> usize {
-    std::env::var("BISCATTER_ISAC_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
+impl Default for Fidelity {
+    fn default() -> Self {
+        Fidelity {
+            frames_per_point: 60,
+            isac_frames_per_point: 8,
+        }
+    }
 }
 
 /// A registered reproduction experiment.
@@ -86,8 +88,8 @@ pub struct ExperimentSpec {
     pub name: &'static str,
     /// What paper artifact it regenerates.
     pub paper_artifact: &'static str,
-    /// The generator.
-    pub run: fn() -> Experiment,
+    /// The generator, at the fidelity it is given.
+    pub run: fn(Fidelity) -> Experiment,
 }
 
 /// Every reproduction experiment, in paper order.
@@ -96,22 +98,22 @@ pub fn all_specs() -> Vec<ExperimentSpec> {
         ExperimentSpec {
             name: "fig05_beat_frequency",
             paper_artifact: "Figure 5 — beat frequency vs chirp duration",
-            run: figures::phy::fig05_beat_frequency,
+            run: |_| figures::phy::fig05_beat_frequency(),
         },
         ExperimentSpec {
             name: "fig06_fft_windows",
             paper_artifact: "Figure 6 — FFT window size/alignment cases",
-            run: figures::phy::fig06_fft_windows,
+            run: |_| figures::phy::fig06_fft_windows(),
         },
         ExperimentSpec {
             name: "fig07_if_correction",
             paper_artifact: "Figure 7 — range-profile ambiguity and IF correction",
-            run: figures::phy::fig07_if_correction,
+            run: |_| figures::phy::fig07_if_correction(),
         },
         ExperimentSpec {
             name: "fig10_11_delay_line",
             paper_artifact: "Figures 10–11 — PCB delay line S11/insertion loss/delay",
-            run: figures::phy::fig10_11_delay_line,
+            run: |_| figures::phy::fig10_11_delay_line(),
         },
         ExperimentSpec {
             name: "fig12_ber_symbol_size",
@@ -131,7 +133,7 @@ pub fn all_specs() -> Vec<ExperimentSpec> {
         ExperimentSpec {
             name: "fig15_uplink_snr",
             paper_artifact: "Figure 15 — uplink SNR vs distance (retro vs specular)",
-            run: figures::isac::fig15_uplink_snr,
+            run: |_| figures::isac::fig15_uplink_snr(),
         },
         ExperimentSpec {
             name: "fig16_localization",
@@ -146,7 +148,7 @@ pub fn all_specs() -> Vec<ExperimentSpec> {
         ExperimentSpec {
             name: "table1_capabilities",
             paper_artifact: "Table 1 — capability comparison",
-            run: figures::tables::table1_capabilities,
+            run: |_| figures::tables::table1_capabilities(),
         },
         ExperimentSpec {
             name: "ablation_gray_mapping",
@@ -161,22 +163,22 @@ pub fn all_specs() -> Vec<ExperimentSpec> {
         ExperimentSpec {
             name: "ablation_background_subtraction",
             paper_artifact: "Ablation — first-chirp background subtraction (paper §3.3)",
-            run: figures::ablations::ablation_background_subtraction,
+            run: |_| figures::ablations::ablation_background_subtraction(),
         },
         ExperimentSpec {
             name: "extension_aoa_2d",
             paper_artifact: "Extension — 2D localization via RX-array AoA",
-            run: figures::ablations::extension_aoa_2d,
+            run: |_| figures::ablations::extension_aoa_2d(),
         },
         ExperimentSpec {
             name: "ablation_goertzel_vs_fft",
             paper_artifact: "Ablation — Goertzel bank vs full FFT decode cost (paper §4.1)",
-            run: figures::ablations::ablation_goertzel_vs_fft,
+            run: |_| figures::ablations::ablation_goertzel_vs_fft(),
         },
         ExperimentSpec {
             name: "table_power_datarate",
             paper_artifact: "§4.1 power budget and §3.2.2/eq.14 data rates",
-            run: figures::tables::table_power_datarate,
+            run: |_| figures::tables::table_power_datarate(),
         },
     ]
 }

@@ -898,7 +898,8 @@ pub fn synthesize_cold_start_capture(
 pub struct ColdStartOutcome {
     /// The PSLR-gated acquisition (None = rejected: no aligned frame ran).
     pub acquisition: Option<Acquisition>,
-    /// Every hypothesis's score, bank order.
+    /// Every hypothesis's score, bank order; one the bank did not finish
+    /// is scored on its first window ([`HypothesisScore::finished`]).
     pub scores: Vec<HypothesisScore>,
     /// The integrated frame, present only after successful acquisition.
     pub frame: Option<IsacOutcome>,

@@ -38,6 +38,19 @@ pub struct FleetSnapshot {
     pub health: Vec<CellHealthReport>,
 }
 
+/// The cell a metric name is scoped to: `i` for a name under `cell<i>.`,
+/// with `i` written as `format!("{i}")` writes it (so `cell012.` and
+/// `cell+1.` name no cell).
+fn cell_scope(name: &str) -> Option<usize> {
+    let (digits, _) = name.strip_prefix("cell")?.split_once('.')?;
+    let canonical = match digits.as_bytes() {
+        [b'0'] => true,
+        [b'1'..=b'9', rest @ ..] => rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    };
+    canonical.then(|| digits.parse().ok()).flatten()
+}
+
 impl FleetSnapshot {
     /// Slices the global registry into per-cell, aggregate, and shared
     /// views for cells `0..n_cells`, and refreshes the health engine with
@@ -64,11 +77,10 @@ impl FleetSnapshot {
         let aggregate = per_cell
             .iter()
             .fold(RegistrySnapshot::default(), |acc, c| acc.merge(c));
-        // Shared = names not under any `cell<digit…>.` scope. Filtering by
-        // the known cell count (rather than a regex) keeps stray scopes
-        // from older runs visible rather than silently classified.
-        let not_cell_scoped =
-            |name: &str| (0..n_cells).all(|i| !name.starts_with(&format!("cell{i}.")));
+        // Shared = names not under any `cell<i>.` scope with `i < n_cells`.
+        // Filtering by the known cell count keeps stray scopes from older
+        // runs visible rather than silently classified.
+        let not_cell_scoped = |name: &str| cell_scope(name).map_or(true, |i| i >= n_cells);
         let shared = RegistrySnapshot {
             counters: full
                 .counters
@@ -203,5 +215,25 @@ mod tests {
         assert!(text.contains("cell1: frames=20"));
         let json = snap.to_json().to_compact();
         assert!(json.contains("\"aggregate\""));
+    }
+
+    #[test]
+    fn cell_scope_reads_only_canonical_indices() {
+        for (name, want) in [
+            ("cell0.runtime.frames", Some(0)),
+            ("cell7.x", Some(7)),
+            ("cell16.x", Some(16)),
+            ("cell012.x", None),
+            ("cell00.x", None),
+            ("cell+1.x", None),
+            ("cell.x", None),
+            ("cell1x.y", None),
+            ("cellar.x", None),
+            ("cell3", None),
+            ("cell99999999999999999999999.x", None),
+            ("dsp.plan_cache.hits", None),
+        ] {
+            assert_eq!(cell_scope(name), want, "{name}");
+        }
     }
 }

@@ -40,13 +40,24 @@
 //!   [`cmul_into`](biscatter_dsp::simd::cmul_into) and
 //!   [`peak_max`](biscatter_dsp::simd::peak_max), and the scalar loop
 //!   compiled with AVX2 on for [`sq_accum`](biscatter_dsp::simd::sq_accum).
+//! * **Two stages: every hypothesis scored, only the contenders finished**
+//!   — stage 1 correlates every hypothesis over the fewest blocks whose
+//!   lags cover one full window (`⌈window / hop⌉`); stage 2 finishes the
+//!   remaining blocks only for hypotheses whose stage-1 energy row has a
+//!   peak-to-mean ratio of at least a quarter of the best row's,
+//!   and the decision is taken among the finished. A finished row folds
+//!   the same lags in the same order as a bank that finishes everything,
+//!   so its score is that bank's bit for bit. A strong dwell finishes one
+//!   hypothesis; a noise-only dwell, whose rows all stay flat, finishes
+//!   them all.
 //! * **Deterministic fan-out** — the block spectra fan out over the
-//!   [`ComputePool`] by block, then hypotheses fan out by energy row; both
-//!   write disjoint rows of caller-owned slabs, so results are
-//!   bit-identical to the serial loop at any pool size. After a warm-up
-//!   call the steady state allocates nothing: the spectra and energy slabs
-//!   live in an [`AcquireScratch`], per-block FFT buffers in thread-local
-//!   scratch, plans in the thread-local planner cache.
+//!   [`ComputePool`] by block, then each stage fans hypotheses out by
+//!   energy row; every fan-out writes disjoint rows of caller-owned slabs,
+//!   so results are bit-identical to the serial loop at any pool size.
+//!   After a warm-up call the steady state allocates nothing: the spectra,
+//!   energy and stage-1 slabs live in an [`AcquireScratch`], per-block FFT
+//!   buffers in thread-local scratch, plans in the thread-local planner
+//!   cache.
 //!
 //! The acquisition *decision* is a peak-to-sidelobe-ratio (PSLR) gate on
 //! the best hypothesis's energy profile: a matched slope compresses into a
@@ -63,17 +74,25 @@ use biscatter_dsp::spectrum::parabolic_peak;
 use biscatter_dsp::TAU;
 use biscatter_obs::metrics::{Counter, Gauge, Histogram};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// PSLR reported when the sidelobe floor is exactly zero (noise-free
 /// synthetic dwells): finite so scores stay JSON-safe and comparable.
 const PSLR_CAP_DB: f64 = 120.0;
 
+/// Share of the best stage-1 peak-to-mean ratio a hypothesis must reach
+/// for stage 2 to finish it.
+const FINISH_FRACTION: f64 = 0.25;
+
 /// Registry handles for acquisition telemetry.
 struct AcquireMetrics {
     /// Slope hypotheses correlated (bank size × calls).
     hypotheses_evaluated: Counter,
-    /// Windows folded into energy profiles (bank size × `n_windows`).
+    /// Hypotheses whose rows stage 2 finished.
+    hypotheses_finished: Counter,
+    /// Windows folded into energy rows: `n_windows` per finished row, the
+    /// windows its stage-1 lags reach per pruned one.
     windows_accumulated: Counter,
     /// `ensure_cache` calls served by the cached template spectra.
     cache_hits: Counter,
@@ -96,6 +115,7 @@ fn metrics() -> &'static AcquireMetrics {
         let r = biscatter_obs::registry();
         AcquireMetrics {
             hypotheses_evaluated: r.counter("acquire.hypotheses.evaluated"),
+            hypotheses_finished: r.counter("acquire.hypotheses.finished"),
             windows_accumulated: r.counter("acquire.windows.accumulated"),
             cache_hits: r.counter("acquire.templates.cache_hits"),
             cache_misses: r.counter("acquire.templates.cache_misses"),
@@ -208,6 +228,52 @@ impl OverlapSave {
     fn blocks(&self, n_lags: usize) -> usize {
         n_lags.div_ceil(self.hop)
     }
+}
+
+/// How a dwell's lags split between the two stages of the bank.
+#[derive(Debug, Clone, Copy)]
+struct Stages {
+    /// Lags that fold: `window·n_windows`.
+    n_lags: usize,
+    /// Blocks that cover them.
+    blocks: usize,
+    /// Blocks stage 1 correlates for every hypothesis: the fewest whose
+    /// lags cover one window.
+    lead: usize,
+    /// Lags those blocks yield.
+    lead_lags: usize,
+}
+
+impl Stages {
+    fn new(geo: OverlapSave, cfg: &AcquireConfig) -> Stages {
+        let n_lags = cfg.window * cfg.n_windows;
+        let blocks = geo.blocks(n_lags);
+        let lead = cfg.window.div_ceil(geo.hop).min(blocks);
+        Stages {
+            n_lags,
+            blocks,
+            lead,
+            lead_lags: (lead * geo.hop).min(n_lags),
+        }
+    }
+
+    /// Whether stage 1 alone folds every lag.
+    fn lead_is_all(&self) -> bool {
+        self.lead_lags == self.n_lags
+    }
+}
+
+/// Inverse transforms the bank ran on one dwell, from its scoreboard: every
+/// hypothesis over the stage-1 blocks, the finished ones over the rest, for
+/// a bank whose longest template has `max_template` samples.
+pub fn inverse_transforms(
+    cfg: &AcquireConfig,
+    max_template: usize,
+    scores: &[HypothesisScore],
+) -> usize {
+    let st = Stages::new(OverlapSave::for_template(max_template), cfg);
+    let finished = scores.iter().filter(|s| s.finished).count();
+    scores.len() * st.lead + finished * (st.blocks - st.lead)
 }
 
 /// One hypothesis's cached matched filter.
@@ -331,6 +397,11 @@ pub struct HypothesisScore {
     pub sidelobe_energy: f64,
     /// Peak-to-sidelobe ratio, dB (energy ratio, `10·log10`).
     pub pslr_db: f64,
+    /// Whether stage 2 finished this hypothesis's row. A finished row holds
+    /// every window, as a bank that finishes everything would; the others
+    /// were scored on their stage-1 lags alone and took no part in the
+    /// decision.
+    pub finished: bool,
 }
 
 /// A successful acquisition: the slope and timing offset handed to the
@@ -352,15 +423,17 @@ pub struct Acquisition {
 }
 
 /// Caller-owned slabs for the acquisition hot path: the dwell's block
-/// spectra and the per-hypothesis folded energy rows. Hold one per
-/// pipeline (the frame path keeps one per thread); after the first dwell
-/// of a given geometry the engine allocates nothing.
+/// spectra, the per-hypothesis folded energy rows and their stage-1
+/// ranking. Hold one per pipeline (the frame path keeps one per thread);
+/// after the first dwell of a given geometry the engine allocates nothing.
 #[derive(Debug, Default)]
 pub struct AcquireScratch {
     /// One row of `n/2 + 1` half-spectrum bins per overlap-save block.
     spectra: Vec<Cpx>,
     /// `n_hyp` rows × `window` of folded energy.
     energy: Vec<f64>,
+    /// Each hypothesis's stage-1 peak-to-mean ratio.
+    stage1: Vec<f64>,
 }
 
 /// Per-thread FFT block buffers (each pool worker keeps its own, next to
@@ -395,17 +468,19 @@ fn block_spectrum(geo: OverlapSave, raw: &[f64], b: usize, row: &mut [Cpx]) {
     });
 }
 
-/// Correlates every block spectrum in `spectra` (rows of `geo.bins()`, in
-/// block order) with one template: multiplies by the template's conjugate
-/// spectrum, inverse-transforms, and hands the block's first `hop` lags
-/// (fewer in the last block, so that lags stop at `n_lags`) to
-/// `sink(first_lag, lags)` — `corr[b·hop + j] = Σ_i raw[b·hop + j + i]·t[i]`,
-/// since `hop + M − 1 ≤ n` leaves those lags unwrapped.
+/// Correlates the block spectra `blocks` of `spectra` (rows of
+/// `geo.bins()`, in block order) with one template, in block order:
+/// multiplies by the template's conjugate spectrum, inverse-transforms, and
+/// hands the block's first `hop` lags (fewer in the last block, so that
+/// lags stop at `n_lags`) to `sink(first_lag, lags)` —
+/// `corr[b·hop + j] = Σ_i raw[b·hop + j + i]·t[i]`, since `hop + M − 1 ≤ n`
+/// leaves those lags unwrapped.
 fn correlate_blocks(
     geo: OverlapSave,
     spectra: &[Cpx],
     tmpl: &Template,
     n_lags: usize,
+    blocks: Range<usize>,
     mut sink: impl FnMut(usize, &[f64]),
 ) {
     BLOCK.with(|cell| {
@@ -413,8 +488,9 @@ fn correlate_blocks(
         s.prod.resize(geo.bins(), Cpx::ZERO);
         with_planner(|p| {
             let plan = p.rfft_plan(geo.n);
-            for (b, spec) in spectra.chunks_exact(geo.bins()).enumerate() {
+            for b in blocks {
                 let first = b * geo.hop;
+                let spec = &spectra[b * geo.bins()..(b + 1) * geo.bins()];
                 simd::cmul_into(&mut s.prod, spec, &tmpl.spec_conj);
                 plan.inverse(&s.prod, &mut s.td, &mut s.pack);
                 sink(first, &s.td[..geo.hop.min(n_lags - first)]);
@@ -448,15 +524,19 @@ fn fold_lags(energy: &mut [f64], first_lag: usize, lags: &[f64]) {
 /// Panics if the template is empty or longer than `raw`.
 pub fn naive_correlate_into(template: &[f64], raw: &[f64], corr: &mut Vec<f64>) {
     assert!(!template.is_empty() && raw.len() >= template.len());
+    naive_lags_into(template, raw, 0..raw.len() - template.len() + 1, corr);
+}
+
+/// Lags `lags` of the direct correlation into `corr` (cleared).
+fn naive_lags_into(template: &[f64], raw: &[f64], lags: Range<usize>, corr: &mut Vec<f64>) {
     corr.clear();
-    corr.resize(raw.len() - template.len() + 1, 0.0);
-    for (j, c) in corr.iter_mut().enumerate() {
+    corr.extend(lags.map(|j| {
         let mut acc = 0.0;
         for (i, &t) in template.iter().enumerate() {
             acc += raw[j + i] * t;
         }
-        *c = acc;
-    }
+        acc
+    }));
 }
 
 /// FFT overlap-save correlation of `raw` against an arbitrary template,
@@ -478,13 +558,19 @@ pub fn fft_correlate_into(template: &[f64], raw: &[f64], corr: &mut Vec<f64>) {
     }
     corr.clear();
     corr.resize(n_lags, 0.0);
-    correlate_blocks(geo, &spectra, &tmpl, n_lags, |first, lags| {
+    let blocks = 0..geo.blocks(n_lags);
+    correlate_blocks(geo, &spectra, &tmpl, n_lags, blocks, |first, lags| {
         corr[first..first + lags.len()].copy_from_slice(lags);
     });
 }
 
 /// Peak + PSLR scan of one hypothesis's energy profile.
-fn score_energy(hyp: &SlopeHypothesis, energy: &[f64], guard: usize) -> HypothesisScore {
+fn score_energy(
+    hyp: &SlopeHypothesis,
+    energy: &[f64],
+    guard: usize,
+    finished: bool,
+) -> HypothesisScore {
     let (bin, peak) = simd::peak_max(energy);
     let (refined_bin, _) = parabolic_peak(energy, bin);
     let lo = bin.saturating_sub(guard);
@@ -508,20 +594,69 @@ fn score_energy(hyp: &SlopeHypothesis, energy: &[f64], guard: usize) -> Hypothes
         peak_energy: peak,
         sidelobe_energy,
         pslr_db,
+        finished,
     }
 }
 
-/// Applies the PSLR gate to the scored bank: the best hypothesis (largest
-/// peak energy, first on ties) wins, and is acquired only above the
-/// configured PSLR.
+/// Peak-to-mean ratio of an energy row: how far it has compressed into
+/// one peak (1 when flat; NaN when all zero).
+fn peak_to_mean(erow: &[f64]) -> f64 {
+    let sum: f64 = erow.iter().sum();
+    simd::peak_max(erow).1 * erow.len() as f64 / sum
+}
+
+/// Ranks the stage-1 rows of `energy`: writes each row's peak-to-mean
+/// ratio into `stage1` and returns the floor a ratio must reach for its
+/// row to be finished — [`FINISH_FRACTION`] of the best ratio, or −∞
+/// (finish every row) under `finish_all` or when the best is not finite.
+fn finish_floor(energy: &[f64], window: usize, finish_all: bool, stage1: &mut Vec<f64>) -> f64 {
+    stage1.clear();
+    stage1.extend(energy.chunks_exact(window).map(peak_to_mean));
+    let best = stage1.iter().fold(f64::NEG_INFINITY, |b, &r| b.max(r));
+    if finish_all || !best.is_finite() {
+        f64::NEG_INFINITY
+    } else {
+        FINISH_FRACTION * best
+    }
+}
+
+/// Whether stage 2 finishes a row of stage-1 ratio `ratio`: one at or
+/// above `floor`, or one with nothing yet to rank it by (NaN, an all-zero
+/// row).
+fn finishes(ratio: f64, floor: f64) -> bool {
+    ratio >= floor || ratio.is_nan()
+}
+
+/// Scores every energy row into `scores` (bank order), each marked
+/// finished or not by its stage-1 ratio; returns how many were finished.
+fn score_rows(
+    hyps: &[SlopeHypothesis],
+    cfg: &AcquireConfig,
+    energy: &[f64],
+    stage1: &[f64],
+    floor: f64,
+    scores: &mut Vec<HypothesisScore>,
+) -> usize {
+    scores.reserve(hyps.len());
+    let rows = hyps.iter().zip(energy.chunks_exact(cfg.window)).zip(stage1);
+    for ((hyp, erow), &ratio) in rows {
+        let finished = finishes(ratio, floor);
+        scores.push(score_energy(hyp, erow, cfg.guard_bins, finished));
+    }
+    scores.iter().filter(|s| s.finished).count()
+}
+
+/// Applies the PSLR gate to the scored bank: the best finished hypothesis
+/// (largest peak energy, first on ties) wins, and is acquired only above
+/// the configured PSLR. At least one hypothesis is always finished.
 fn decide(cfg: &AcquireConfig, scores: &[HypothesisScore]) -> Option<Acquisition> {
-    let mut best = 0usize;
-    for (i, s) in scores.iter().enumerate().skip(1) {
-        if s.peak_energy > scores[best].peak_energy {
-            best = i;
+    let mut finished = scores.iter().enumerate().filter(|(_, s)| s.finished);
+    let (mut best, mut s) = finished.next().expect("no hypothesis finished");
+    for (i, t) in finished {
+        if t.peak_energy > s.peak_energy {
+            (best, s) = (i, t);
         }
     }
-    let s = scores[best];
     metrics()
         .pslr_mdb
         .record_ns((s.pslr_db.max(0.0) * 1000.0) as u64);
@@ -552,17 +687,24 @@ fn check_dwell(cfg: &AcquireConfig, raw_len: usize, max_m: usize) {
     );
 }
 
-/// Runs the full correlator bank over one dwell: the overlap-save block
-/// spectra (once for the bank, fanned out over `pool` by block), then per
-/// hypothesis (fanned out by energy row) the block correlations with the
-/// window energy folded as they come out, peak/PSLR scoring into `scores`
-/// (cleared; one entry per hypothesis, bank order), and the acquisition
-/// decision. Only the `window·n_windows` lags that fold are correlated.
+/// Runs the correlator bank over one dwell: the overlap-save block spectra
+/// (once for the bank, fanned out over `pool` by block); stage 1, every
+/// hypothesis's block correlations over the fewest blocks whose lags cover
+/// one window, the window energy folded as they come out; stage 2, the
+/// remaining blocks for the hypotheses whose stage-1 row has a
+/// peak-to-mean ratio of at least a quarter of the best row's (every
+/// hypothesis when the best is not finite or stage 1 already covered every
+/// lag); then peak/PSLR scoring into `scores` (cleared; one entry per
+/// hypothesis, bank order, pruned ones scored on their stage-1 rows) and
+/// the acquisition decision among the finished hypotheses. Only the
+/// `window·n_windows` lags that fold are correlated.
 ///
-/// Bit-identical to the serial loop for any pool size: each block and each
-/// hypothesis owns a disjoint slab row and a fixed operation order. Returns
-/// `None` when the bank is empty or the best hypothesis fails the PSLR
-/// gate.
+/// A finished hypothesis's row, offset and PSLR are bit for bit those of
+/// a bank that finishes every hypothesis: its row folds the same blocks in
+/// the same order. Bit-identical to the serial loop for any pool size:
+/// each stage fans out by block or energy row, each owns a disjoint slab
+/// row and a fixed operation order. Returns `None` when the bank is empty
+/// or the best finished hypothesis fails the PSLR gate.
 ///
 /// # Panics
 /// Panics if the dwell is shorter than
@@ -575,6 +717,20 @@ pub fn acquire_all(
     scratch: &mut AcquireScratch,
     scores: &mut Vec<HypothesisScore>,
 ) -> Option<Acquisition> {
+    run_bank(pool, bank, cfg, raw, scratch, scores, false)
+}
+
+/// [`acquire_all`]; with `finish_all`, the bank that finishes every
+/// hypothesis, which the pruned bank's decisions are checked against.
+fn run_bank(
+    pool: &ComputePool,
+    bank: &mut CorrelatorBank,
+    cfg: &AcquireConfig,
+    raw: &[f64],
+    scratch: &mut AcquireScratch,
+    scores: &mut Vec<HypothesisScore>,
+    finish_all: bool,
+) -> Option<Acquisition> {
     let _span = biscatter_obs::span!("acquire.bank");
     scores.clear();
     bank.ensure_cache(cfg.sample_rate_hz);
@@ -583,49 +739,65 @@ pub fn acquire_all(
         return None;
     }
     check_dwell(cfg, raw.len(), bank.max_template_len(cfg.sample_rate_hz));
-    let m = metrics();
-    m.hypotheses_evaluated.add(nh as u64);
-    m.windows_accumulated.add((nh * cfg.n_windows) as u64);
 
     let BankCache {
         geometry: geo,
         templates,
         ..
     } = bank.cached();
-    let (geo, n_lags) = (*geo, cfg.window * cfg.n_windows);
-    scratch
-        .spectra
-        .resize(geo.blocks(n_lags) * geo.bins(), Cpx::ZERO);
+    let geo = *geo;
+    let st = Stages::new(geo, cfg);
+    scratch.spectra.resize(st.blocks * geo.bins(), Cpx::ZERO);
     scratch.energy.resize(nh * cfg.window, 0.0);
 
-    // Stage 1: each block's spectrum, once for the whole bank.
+    // Each block's spectrum, once for the whole bank.
     pool.par_chunks(&mut scratch.spectra, geo.bins(), |b, row| {
         let _span = biscatter_obs::span!("acquire.spectra");
         block_spectrum(geo, raw, b, row);
     });
 
-    // Stage 2: one energy row per hypothesis, folded block by block.
+    // Folds blocks `blocks` of hypothesis `h`'s correlation into its row.
     let spectra = &scratch.spectra;
-    pool.par_chunks(&mut scratch.energy, cfg.window, |h, erow| {
+    let fold_blocks = |h: usize, erow: &mut [f64], blocks: Range<usize>| {
         let _span = biscatter_obs::span!("acquire.correlate");
-        erow.fill(0.0);
-        correlate_blocks(geo, spectra, &templates[h], n_lags, |first, lags| {
+        let tmpl = &templates[h];
+        correlate_blocks(geo, spectra, tmpl, st.n_lags, blocks, |first, lags| {
             fold_lags(erow, first, lags);
         });
+    };
+
+    // Stage 1: every hypothesis's row over the lead blocks.
+    pool.par_chunks(&mut scratch.energy, cfg.window, |h, erow| {
+        erow.fill(0.0);
+        fold_blocks(h, erow, 0..st.lead);
     });
 
-    // Stage 3: serial peak/PSLR scoring (already SIMD per row) + decision.
+    // Stage 2: the remaining blocks, for the rows still in contention.
+    let finish_all = finish_all || st.lead_is_all();
+    let floor = finish_floor(&scratch.energy, cfg.window, finish_all, &mut scratch.stage1);
+    let stage1 = &scratch.stage1;
+    pool.par_chunks(&mut scratch.energy, cfg.window, |h, erow| {
+        if finishes(stage1[h], floor) {
+            fold_blocks(h, erow, st.lead..st.blocks);
+        }
+    });
+
+    // Serial peak/PSLR scoring (already SIMD per row) + decision.
     let _scan = biscatter_obs::span!("acquire.scan");
-    for (h, hyp) in bank.hypotheses.iter().enumerate() {
-        let erow = &scratch.energy[h * cfg.window..(h + 1) * cfg.window];
-        scores.push(score_energy(hyp, erow, cfg.guard_bins));
-    }
+    let (hyps, energy) = (&bank.hypotheses, &scratch.energy);
+    let finished = score_rows(hyps, cfg, energy, stage1, floor, scores);
+    let m = metrics();
+    m.hypotheses_evaluated.add(nh as u64);
+    m.hypotheses_finished.add(finished as u64);
+    let pruned_windows = (nh - finished) * st.lead_lags.div_ceil(cfg.window);
+    m.windows_accumulated
+        .add((finished * cfg.n_windows + pruned_windows) as u64);
     decide(cfg, scores)
 }
 
-/// The benchmarked baseline: identical folding, scoring, and decision, but
-/// with direct time-domain correlation instead of the FFT bank (serial —
-/// the comparison isolates the correlation engine itself).
+/// The benchmarked baseline: the same two stages, folding, scoring, and
+/// decision, but with direct time-domain correlation instead of the FFT
+/// bank (serial — the comparison isolates the correlation engine itself).
 pub fn acquire_all_naive(
     bank: &mut CorrelatorBank,
     cfg: &AcquireConfig,
@@ -640,23 +812,32 @@ pub fn acquire_all_naive(
         return None;
     }
     check_dwell(cfg, raw.len(), bank.max_template_len(cfg.sample_rate_hz));
-    let n_lags = cfg.window * cfg.n_windows;
-    scratch.energy.resize(nh * cfg.window, 0.0);
+    let cache = bank.cached();
+    let st = Stages::new(cache.geometry, cfg);
+    let (window, energy) = (cfg.window, &mut scratch.energy);
+    energy.resize(nh * window, 0.0);
     let mut row = Vec::new();
-    for (tmpl, erow) in bank
-        .cached()
-        .templates
-        .iter()
-        .zip(scratch.energy.chunks_exact_mut(cfg.window))
-    {
-        naive_correlate_into(&tmpl.samples, raw, &mut row);
+    for (tmpl, erow) in cache.templates.iter().zip(energy.chunks_exact_mut(window)) {
+        naive_lags_into(&tmpl.samples, raw, 0..st.lead_lags, &mut row);
         erow.fill(0.0);
-        fold_lags(erow, 0, &row[..n_lags]);
+        fold_lags(erow, 0, &row);
     }
-    for (h, hyp) in bank.hypotheses.iter().enumerate() {
-        let erow = &scratch.energy[h * cfg.window..(h + 1) * cfg.window];
-        scores.push(score_energy(hyp, erow, cfg.guard_bins));
+    let floor = finish_floor(energy, window, st.lead_is_all(), &mut scratch.stage1);
+    let rows = cache.templates.iter().zip(energy.chunks_exact_mut(window));
+    for ((tmpl, erow), &ratio) in rows.zip(&scratch.stage1) {
+        if finishes(ratio, floor) {
+            naive_lags_into(&tmpl.samples, raw, st.lead_lags..st.n_lags, &mut row);
+            fold_lags(erow, st.lead_lags, &row);
+        }
     }
+    score_rows(
+        &bank.hypotheses,
+        cfg,
+        energy,
+        &scratch.stage1,
+        floor,
+        scores,
+    );
     decide(cfg, scores)
 }
 
@@ -714,5 +895,132 @@ mod tests {
         assert_eq!(metrics().cache_misses.get(), before);
         bank.ensure_cache(5e6); // new rate: rebuild
         assert_eq!(metrics().cache_misses.get(), before + 1);
+    }
+
+    /// splitmix64: the corpus's seeded draws.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// A uniform draw in `[0, 1)` from `x`.
+    fn unit(x: u64) -> f64 {
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The production bank's geometry: eight slopes sweeping the `fs/4`
+    /// sub-band, templates of 200 to 960 samples, folded over 8 windows of
+    /// 1,200 samples behind a 6 dB PSLR gate.
+    fn production_bank() -> (Vec<SlopeHypothesis>, AcquireConfig) {
+        let cfg = AcquireConfig::default();
+        let fs = cfg.sample_rate_hz;
+        let hyps = (0..8)
+            .map(|i| {
+                let d = (200.0 + 760.0 * i as f64 / 7.0).round() / fs;
+                SlopeHypothesis {
+                    slope_hz_per_s: fs / 4.0 / d,
+                    duration_s: d,
+                }
+            })
+            .collect();
+        (hyps, cfg)
+    }
+
+    /// A dwell of unit-variance-scaled noise at per-sample SNR `snr_db`
+    /// against a unit-amplitude chirp, plus, when `tag` is `(h, offset)`,
+    /// hypothesis `h`'s chirp at `offset` into every window.
+    fn dwell(
+        hyps: &[SlopeHypothesis],
+        cfg: &AcquireConfig,
+        tag: Option<(usize, usize)>,
+        snr_db: f64,
+        seed: u64,
+    ) -> Vec<f64> {
+        let fs = cfg.sample_rate_hz;
+        let longest = hyps.iter().map(|h| h.template_len(fs)).max().unwrap();
+        let mut raw = vec![0.0; cfg.dwell_len(longest)];
+        let sigma = (0.5 / 10f64.powf(snr_db / 10.0)).sqrt();
+        biscatter_dsp::signal::NoiseSource::new(seed).add_awgn(&mut raw, sigma);
+        if let Some((h, offset)) = tag {
+            let mut chirp = Vec::new();
+            hyps[h].fill_template(fs, &mut chirp);
+            let mut start = offset;
+            while start + chirp.len() <= raw.len() {
+                for (r, &c) in raw[start..].iter_mut().zip(&chirp) {
+                    *r += c;
+                }
+                start += cfg.window;
+            }
+        }
+        raw
+    }
+
+    /// The two-stage bank decides every dwell of a seeded production-
+    /// geometry corpus as the bank that finishes every hypothesis does —
+    /// same hypothesis, offset and PSLR bits — and each row it finishes
+    /// scores bit for bit as that bank's. Per-sample SNRs run from
+    /// −18 dB, where the true slope's PSLR sits near the 6 dB gate (about
+    /// 4.5 dB at −18, 6.3 dB at −16), up to −2 dB; one dwell in seven is
+    /// noise-only. Debug builds run the first 70 dwells.
+    #[test]
+    fn pruned_bank_decides_as_the_full_bank() {
+        let (hyps, cfg) = production_bank();
+        let pool = ComputePool::new(1);
+        let mut bank = CorrelatorBank::default();
+        bank.set_hypotheses(&hyps);
+        let (mut pruned_scratch, mut full_scratch) =
+            (AcquireScratch::default(), AcquireScratch::default());
+        let (mut pruned, mut full) = (Vec::new(), Vec::new());
+        let n_dwells: u64 = if cfg!(debug_assertions) { 70 } else { 210 };
+        let (mut finished, mut acquired) = (0, 0);
+        for k in 0..n_dwells {
+            let seed = mix(k);
+            let tag = (k % 7 != 6).then(|| {
+                let h = (mix(seed) % hyps.len() as u64) as usize;
+                (h, (mix(seed ^ 1) % cfg.window as u64) as usize)
+            });
+            let snr_db = -18.0 + 16.0 * unit(mix(seed ^ 2));
+            let raw = dwell(&hyps, &cfg, tag, snr_db, seed);
+
+            let got = acquire_all(
+                &pool,
+                &mut bank,
+                &cfg,
+                &raw,
+                &mut pruned_scratch,
+                &mut pruned,
+            );
+            let want = run_bank(
+                &pool,
+                &mut bank,
+                &cfg,
+                &raw,
+                &mut full_scratch,
+                &mut full,
+                true,
+            );
+            let decision = |a: Option<Acquisition>| {
+                a.map(|a| (a.hypothesis, a.offset_samples, a.pslr_db.to_bits()))
+            };
+            let ctx = format!("dwell {k} (tag {tag:?}, {snr_db:.1} dB)");
+            assert_eq!(decision(got), decision(want), "{ctx}: decision moved");
+            assert!(full.iter().all(|s| s.finished), "{ctx}");
+            for (h, (p, f)) in pruned.iter().zip(&full).enumerate() {
+                if p.finished {
+                    assert_eq!(p, f, "{ctx}: finished row {h} differs");
+                }
+            }
+            finished += pruned.iter().filter(|s| s.finished).count();
+            acquired += got.is_some() as usize;
+        }
+        eprintln!(
+            "{acquired} of {n_dwells} dwells acquired, {finished} of {} rows finished",
+            hyps.len() * n_dwells as usize
+        );
+        // The corpus reaches both sides of the gate, and pruning engaged.
+        assert!(acquired > 0 && acquired < n_dwells as usize, "{acquired}");
+        assert!(finished < hyps.len() * n_dwells as usize, "{finished}");
     }
 }

@@ -1,13 +1,15 @@
 //! Fixed-seed acquisition behaviour at low SNR: the correlator bank must
 //! pull the true timing offset and chirp slope out of a dwell whose
-//! per-sample SNR is well below 0 dB, must reject a noise-only dwell, and
-//! must be bit-identical at any compute-pool width. The CI SIMD matrix runs
-//! this file under both `BISCATTER_SIMD=auto` and `=scalar`.
+//! per-sample SNR is well below 0 dB, finishing the true slope's row; must
+//! reject a noise-only dwell, finishing every row; and must be
+//! bit-identical at any compute-pool width. The CI SIMD matrix runs this
+//! file under both `BISCATTER_SIMD=auto` and `=scalar`.
 
 use biscatter_compute::ComputePool;
 use biscatter_dsp::signal::NoiseSource;
 use biscatter_radar::receiver::acquire::{
-    acquire_all, acquire_all_naive, AcquireConfig, AcquireScratch, CorrelatorBank, SlopeHypothesis,
+    acquire_all, acquire_all_naive, AcquireConfig, AcquireScratch, CorrelatorBank, HypothesisScore,
+    SlopeHypothesis,
 };
 
 const FS: f64 = 10e6;
@@ -81,6 +83,10 @@ fn acquires_true_offset_and_slope_at_low_snr() {
         .expect("low-SNR chirp not acquired");
     assert_eq!(acq.hypothesis, true_slope, "wrong slope hypothesis");
     assert!(
+        scores[true_slope].finished,
+        "the winner's row was not finished"
+    );
+    assert!(
         acq.offset_samples.abs_diff(true_offset) <= 1,
         "offset {} vs true {true_offset}",
         acq.offset_samples
@@ -101,7 +107,8 @@ fn rejects_noise_only_dwell() {
     let mut scores = Vec::new();
     let acq = acquire_all(&pool, &mut bank, &cfg, &raw, &mut scratch, &mut scores);
     assert!(acq.is_none(), "noise-only dwell acquired: {acq:?}");
-    // The scoreboard still reports every hypothesis, below the gate.
+    // The scoreboard still reports every hypothesis, below the gate; with
+    // no row standing out after one window, every row was finished.
     assert_eq!(scores.len(), hyps.len());
     for s in &scores {
         assert!(
@@ -109,6 +116,7 @@ fn rejects_noise_only_dwell() {
             "rejected but PSLR {}",
             s.pslr_db
         );
+        assert!(s.finished, "a noise-only row was pruned: {s:?}");
     }
 }
 
@@ -151,4 +159,7 @@ fn fft_bank_and_naive_baseline_reach_the_same_decision() {
     assert_eq!(fast.hypothesis, slow.hypothesis);
     assert_eq!(fast.offset_samples, slow.offset_samples);
     assert!((fast.pslr_db - slow.pslr_db).abs() < 1e-6);
+    // Both engines run the same two stages, so they finish the same rows.
+    let finished = |s: &[HypothesisScore]| s.iter().map(|s| s.finished).collect::<Vec<_>>();
+    assert_eq!(finished(&fast_scores), finished(&slow_scores));
 }

@@ -1,7 +1,7 @@
 //! Accuracy contract for the acquisition correlator: the overlap-save FFT
 //! path the bank runs must match a direct time-domain correlation oracle to
-//! ≤ 1e-9, and the dispatch-routed kernels must make the whole acquisition
-//! bit-identical across SIMD tiers.
+//! ≤ 1e-9, and the dispatch-routed kernels must make the whole acquisition,
+//! which rows it finishes included, bit-identical across SIMD tiers.
 
 use biscatter_compute::ComputePool;
 use biscatter_dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
@@ -109,4 +109,5 @@ fn acquisition_is_bit_identical_across_simd_tiers() {
     assert_eq!(scores_s, scores_v, "hypothesis scores differ across tiers");
     assert!(acq_s.is_some(), "planted chirp not acquired");
     assert_eq!(acq_s.unwrap().hypothesis, 2, "wrong hypothesis won");
+    assert!(scores_s[2].finished, "the winner's row was not finished");
 }

@@ -6,10 +6,15 @@
 //! geometry sized for another; the acquisition suites in `biscatter-radar`
 //! use banks of equal-length templates only.
 //!
-//! Over the dwells of `cold_start_jobs(&sys, 14, 42)` — two of them
-//! noise-only — every score must sit within 1e-9 relative of the naive
-//! time-domain oracle with the same offset bin, winner and verdict, and
-//! the scores must be bit-identical across pool sizes and dispatch tiers.
+//! Both engines run the same two stages: every hypothesis over the first
+//! window's lags, then the rest only for the hypotheses still in
+//! contention. Over the dwells of `cold_start_jobs(&sys, 14, 42)` — two of
+//! them noise-only — each engine must finish the same hypotheses; every
+//! score (a finished row's over all windows, a pruned row's over stage 1)
+//! must sit within 1e-9 relative of the naive time-domain oracle's with the
+//! same offset bin, winner and verdict; and the scores must be
+//! bit-identical across pool sizes and dispatch tiers. A noise-only dwell
+//! finishes every hypothesis; an acquired one finishes fewer.
 
 use biscatter_compute::ComputePool;
 use biscatter_core::dsp::dispatch::{avx2_available, force_tier, tier, SimdTier};
@@ -100,6 +105,7 @@ fn production_bank_matches_naive_oracle_across_pools_and_tiers() {
         assert_eq!(scores.len(), oracle.len());
         for (h, (s, o)) in scores.iter().zip(&oracle).enumerate() {
             let ctx = format!("job {} hypothesis {h}: {s:?} vs oracle {o:?}", job.id);
+            assert_eq!(s.finished, o.finished, "{ctx}");
             assert_eq!(s.offset_bin, o.offset_bin, "{ctx}");
             assert!(rel(s.peak_energy, o.peak_energy), "{ctx}");
             assert!(rel(s.sidelobe_energy, o.sidelobe_energy), "{ctx}");
@@ -118,6 +124,12 @@ fn production_bank_matches_naive_oracle_across_pools_and_tiers() {
             "job {}: decision differs from the oracle's",
             job.id
         );
+        let finished = scores.iter().filter(|s| s.finished).count();
+        if job.scenario.cold_start.unwrap().tag_present {
+            assert!(finished < scores.len(), "job {}: nothing pruned", job.id);
+        } else {
+            assert_eq!(finished, scores.len(), "job {}: noise pruned", job.id);
+        }
         acquired += got.is_some() as usize;
     }
     eprintln!("worst relative energy difference from the oracle: {worst:.2e}");

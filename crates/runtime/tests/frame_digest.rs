@@ -18,7 +18,11 @@
 //! cold-start outcome text (f64 and f32) was re-recorded again when the
 //! correlator bank moved from per-hypothesis overlap-add to overlap-save on
 //! one shared block length: its hypothesis scores moved at rounding level,
-//! its decision did not.
+//! its decision did not. It was re-recorded once more when the bank began
+//! finishing only the hypotheses still in contention after one window: the
+//! pruned hypotheses' scores now cover that window alone and each score
+//! records whether its row was finished; the decision and the aligned
+//! frame did not move.
 //!
 //! The f64 digests must hold on every dispatch tier (the f64 kernels are
 //! bit-identical across tiers). The f32 tier has no cross-tier bit
@@ -234,7 +238,7 @@ const F64: [Digest; 4] = [
         0x64e95c684639d2e1,
         0x026f880199d7d104,
         0xc175593a607b6b26,
-        0xfd3f87156f7e5275,
+        0xb117f4a973829404,
     ],
 ];
 
@@ -259,7 +263,7 @@ const F32_SCALAR: [Digest; 3] = [
         0x048d9b404512069f,
         0xc994f718cddfb4bc,
         0xd5e0d20b8bb9fe92,
-        0x28f0aeb18f0f090b,
+        0x468ba0c10fb5a81c,
     ],
 ];
 

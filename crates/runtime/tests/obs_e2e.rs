@@ -150,8 +150,9 @@ fn every_frame_is_traced_end_to_end() {
 
     // The cold-start frames ran after `run_streaming` snapshotted the
     // registry, so their counters need a fresh snapshot. The bank evaluated
-    // every hypothesis once per frame, folded its windows, and — after the
-    // first frame built the templates — served the rest from cache.
+    // every hypothesis once per frame, finished at least one and at most
+    // all of them, folded their windows, and — after the first frame built
+    // the templates — served the rest from cache.
     let snap = biscatter_obs::registry().snapshot();
     let acq_counter = |name: &str| {
         snap.counter(name)
@@ -159,6 +160,11 @@ fn every_frame_is_traced_end_to_end() {
     };
     let hyps = acq_counter("acquire.hypotheses.evaluated");
     assert!(hyps >= N_COLD as u64, "hypotheses evaluated: {hyps}");
+    let finished = acq_counter("acquire.hypotheses.finished");
+    assert!(
+        (1..=hyps).contains(&finished),
+        "hypotheses finished: {finished} of {hyps} evaluated"
+    );
     assert!(
         acq_counter("acquire.windows.accumulated") > hyps,
         "windows accumulated should exceed hypotheses evaluated"
