@@ -13,17 +13,25 @@
 //!
 //! Environment: `BISCATTER_FRAMES` (Monte-Carlo frames per point, default
 //! 60), `BISCATTER_ISAC_FRAMES` (frames for localization points, default 8).
+//! A count that is not a positive integer exits with status 2.
 
 use biscatter_bench::{all_specs, ExperimentSpec, Fidelity};
 use std::io::Write;
 
-/// The count in environment variable `var`, or `default` when it is unset
-/// or not a number.
+/// The count in environment variable `var`, or `default` when it is unset.
+/// Exits with status 2 when it is set to anything but a positive integer,
+/// so a mistyped count cannot pass for the default.
 fn env_count(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(v) = std::env::var_os(var) else {
+        return default;
+    };
+    match v.to_str().and_then(|v| v.parse().ok()) {
+        Some(n) if n > 0 => n,
+        _ => {
+            eprintln!("{var}={v:?}: expected a positive integer");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn main() {

@@ -36,6 +36,5 @@ pub mod baselines;
 pub mod downlink;
 pub mod experiment;
 pub mod isac;
-pub mod multiradar;
 pub mod spread;
 pub mod system;

@@ -4,9 +4,7 @@
 //! bins to ranges and then *rescales* profiles from chirps of different
 //! slopes onto a common range grid using pairwise linear interpolation —
 //! [`resample_to_grid`] is that operation, and [`lerp_taps_into`] with
-//! [`apply_taps_into`] its form for many profiles on one pair of grids. The
-//! tag's acquisition stage uses [`linear_interp`] when estimating the chirp
-//! period from fractional peaks.
+//! [`apply_taps_into`] its form for many profiles on one pair of grids.
 
 use crate::complex::Complex;
 use crate::real::Real;

@@ -7,8 +7,12 @@
 //! paper's remedy, reproduced here: transmit each symbol once at close range
 //! and record the *measured* beat frequency per slope. The resulting table
 //! replaces the theoretical frequencies in the decision bank. The paper runs
-//! this once at 0.5 m and reuses it everywhere; so do the experiments in
-//! this repository.
+//! this once at 0.5 m and reuses it everywhere. The experiments in this
+//! repository do not: every figure, the ablations and
+//! `isac::synthesize_frame` decide with the uncalibrated
+//! `BiScatterSystem::nominal_decider()`. Only the `calibration_workflow`
+//! example and one test in `tests/two_way_integration.rs` decode with a
+//! measured table.
 
 use crate::demod::{Candidate, SymbolDecider};
 use biscatter_dsp::signal::NoiseSource;

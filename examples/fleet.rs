@@ -40,10 +40,28 @@ use biscatter_core::isac::run_isac_frame;
 use biscatter_fleet::{AdmissionPolicy, Fleet, FleetConfig};
 use biscatter_runtime::source::{streaming_system, MobilitySpec};
 
+/// `BISCATTER_FLEET_REPEAT`, the number of times to run the workload: 1
+/// when unset. Exits with status 2 when it is set to anything but a
+/// positive integer, so a mistyped count cannot pass for one run.
+fn repeat_count() -> u32 {
+    let Some(v) = std::env::var_os("BISCATTER_FLEET_REPEAT") else {
+        return 1;
+    };
+    match v.to_str().and_then(|v| v.parse().ok()) {
+        Some(n) if n > 0 => n,
+        _ => {
+            eprintln!("BISCATTER_FLEET_REPEAT={v:?}: expected a positive integer");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let sys = streaming_system();
     // Deployment settings are read here, at the process edge; the fleet
-    // itself reads no environment.
+    // itself reads no environment. CI's obs-smoke job repeats the workload
+    // so the metrics server stays up long enough to be scraped mid-run.
+    let repeat = repeat_count();
     let trace_path = edge::trace_path();
     let _server = edge::metrics_server();
 
@@ -65,14 +83,6 @@ fn main() {
         "fleet: {} cells on {} shards, {} roaming tags, {} ticks (seed {})",
         cfg.n_cells, cfg.shards, spec.mobile_tags, spec.n_ticks, spec.base_seed
     );
-
-    // CI's obs-smoke job repeats the workload so the metrics server (see
-    // `BISCATTER_METRICS_ADDR`) stays up long enough to be scraped mid-run.
-    let repeat: u32 = std::env::var("BISCATTER_FLEET_REPEAT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
 
     let fleet = Fleet::new(sys.clone(), cfg);
     for _ in 1..repeat {

@@ -12,7 +12,7 @@
 use biscatter_core::dsp::signal::NoiseSource;
 use biscatter_core::isac::{run_isac_frame, ClutterSpec, IsacScenario};
 use biscatter_core::link::coding::{decode_bytes, encode_bytes};
-use biscatter_core::link::mac::{ModFreqPlanner, TagId};
+use biscatter_core::link::mac::TagId;
 use biscatter_core::radar::receiver::uplink::UplinkScheme;
 use biscatter_core::system::BiScatterSystem;
 
@@ -56,20 +56,17 @@ fn main() {
         },
     ];
 
-    // Step 1: the drone's MAC layer assigns non-colliding subcarriers.
-    // Spacing is in Doppler bins; with 768-chirp frames the bins are 10.9 Hz
-    // apart, so a margin of 64 bins keeps the tags ~700 Hz apart and leaves
-    // every subcarrier with several cycles per uplink bit.
-    let mut planner = ModFreqPlanner::new(sys.frame_chirps, sys.radar.t_period, 64);
-    planner.f_min_hz = 1000.0;
-    println!(
-        "subcarrier plan (Doppler-bin spaced, {} tag capacity):",
-        planner.capacity()
-    );
+    // Step 1: the drone assigns non-colliding subcarriers, 64 Doppler bins
+    // apart from 1 kHz up. With 1280-chirp frames a bin is 6.5 Hz wide, so
+    // the tags sit 417 Hz apart and every subcarrier keeps several cycles
+    // per uplink bit.
+    let spacing_hz = 64.0 * (1.0 / (sys.frame_chirps as f64 * sys.radar.t_period));
+    println!("subcarrier plan (64 Doppler bins apart):");
     let freqs: Vec<f64> = assets
         .iter()
-        .map(|a| {
-            let f = planner.assign(a.id).expect("capacity available");
+        .enumerate()
+        .map(|(i, a)| {
+            let f = 1000.0 + i as f64 * spacing_hz;
             println!("  tag {:?} <- {:.0} Hz", a.id, f);
             f
         })
@@ -96,6 +93,7 @@ fn main() {
     println!("\ninventory sweep:");
     let mut rng = NoiseSource::new(99);
     let mut found = 0;
+    let mut records_read = 0;
     for (asset, &f_mod) in assets.iter().zip(&freqs) {
         let mut scenario = IsacScenario::single_tag(asset.range_m, f_mod);
         scenario.clutter = clutter.clone();
@@ -160,6 +158,7 @@ fn main() {
                     .map(|f| decode_bytes(&f.payload));
                 let record_status = match &record {
                     Some((r, fixes)) if *r == asset.record => {
+                        records_read += 1;
                         format!("record {:02X?} ✓ ({fixes} FEC fixes)", r)
                     }
                     Some((r, _)) => format!("record {:02X?} (corrupt)", r),
@@ -184,4 +183,9 @@ fn main() {
     }
     println!("\n{found}/{} assets inventoried.", assets.len());
     assert_eq!(found, assets.len(), "all assets should be found");
+    assert_eq!(
+        records_read,
+        assets.len(),
+        "every asset's record should read back"
+    );
 }

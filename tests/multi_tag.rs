@@ -2,7 +2,6 @@
 //! their assigned modulation frequencies (paper §6 extension).
 
 use biscatter_core::dsp::signal::NoiseSource;
-use biscatter_core::link::mac::{ModFreqPlanner, TagId};
 use biscatter_core::radar::receiver::align_frame;
 use biscatter_core::radar::receiver::doppler::range_doppler;
 use biscatter_core::radar::receiver::localize::locate_tag;
@@ -10,6 +9,11 @@ use biscatter_core::rf::frame::ChirpTrain;
 use biscatter_core::rf::if_gen::IfReceiver;
 use biscatter_core::rf::scene::{Scatterer, Scene};
 use biscatter_core::system::BiScatterSystem;
+
+/// Width of one Doppler bin of `sys`'s frame, Hz.
+fn doppler_bin_hz(sys: &BiScatterSystem) -> f64 {
+    1.0 / (sys.frame_chirps as f64 * sys.radar.t_period)
+}
 
 /// Builds a shared frame with tags at the given `(range, mod_freq)` pairs
 /// and returns the range–Doppler map.
@@ -41,11 +45,12 @@ fn shared_frame(
 #[test]
 fn three_tags_separated_in_one_frame() {
     let sys = BiScatterSystem::paper_9ghz();
-    let mut planner = ModFreqPlanner::new(sys.frame_chirps, sys.radar.t_period, 8);
-    let deployments: Vec<(f64, f64)> = [(2.0, TagId(1)), (4.5, TagId(2)), (6.0, TagId(3))]
-        .iter()
-        .map(|&(r, id)| (r, planner.assign(id).expect("capacity")))
-        .collect();
+    let bin_hz = doppler_bin_hz(&sys);
+    let deployments = [
+        (2.0, 12.0 * bin_hz),
+        (4.5, 20.0 * bin_hz),
+        (6.0, 28.0 * bin_hz),
+    ];
 
     let map = shared_frame(&sys, &deployments, 11);
     for &(r, f) in &deployments {
@@ -90,13 +95,12 @@ fn colocated_tags_distinct_frequencies() {
 
 #[test]
 fn planner_frequencies_remain_orthogonal_on_air() {
-    // The planner's spacing guarantee holds up in the actual Doppler map:
-    // each tag's peak at its own frequency dominates its power at the
-    // neighbour's frequency.
+    // Eight bins of spacing hold up in the actual Doppler map: each tag's
+    // peak at its own frequency dominates its power at the neighbour's
+    // frequency.
     let sys = BiScatterSystem::paper_9ghz();
-    let mut planner = ModFreqPlanner::new(sys.frame_chirps, sys.radar.t_period, 8);
-    let fa = planner.assign(TagId(1)).unwrap();
-    let fb = planner.assign(TagId(2)).unwrap();
+    let bin_hz = doppler_bin_hz(&sys);
+    let (fa, fb) = (12.0 * bin_hz, 20.0 * bin_hz);
     let map = shared_frame(&sys, &[(2.5, fa), (5.5, fb)], 14);
 
     let la = locate_tag(&map, fa, 10.0).expect("tag a");
